@@ -1,0 +1,6 @@
+"""Import the program from the checkout's src/ and the benchmark's helpers."""
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
