@@ -8,12 +8,12 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .core import (BooleanConstraint, Clause, LinExpr, cond_entropy, entropy_of,
                    mutual_info)
 from .parser import parse_constraint
-from .shannon import GeneratorSet, elemental
+from .shannon import GeneratorSet
 
 CORPUS_ENV = "INFOINEQ_CORPUS"
 

@@ -9,6 +9,21 @@ human-readable digest).  Exit codes:
     2  inconclusive or budget exhausted
     3  usage or input error
 
+Every clause decision goes through `decide_clause`, which drops the
+provably valid antecedents once and then runs an ordered list of stages
+until one concludes:
+
+    multiplier  a single consequent is one multiplier LP over the kept
+                antecedents (the plain generator cone when none is kept);
+                a max clause races a multiplier search against refutation
+    tight       the (p, q) schedule, when every kept antecedent is tight
+    refute      the budgeted counterexample search (single consequent)
+
+``prove`` runs all three; ``secret-share --prove`` runs ``tight``;
+``reduce --regime`` selects a sub-list: ``auto`` runs multiplier then
+tight, ``slack`` and ``max`` run multiplier (``slack`` also reports a
+joint-slack witness when the budget finds one), ``tight`` runs tight.
+
 "Not proved" never claims invalidity: it means the search concluded
 nothing at the configured generator set, schedule, and budgets.
 """
@@ -22,16 +37,13 @@ from fractions import Fraction
 from pathlib import Path
 
 from .apps import corpus, fixture, secret_sharing_constraint
-from .ci import CIStatement, build_delta, ci_prove, export_delta, falsify, parse_ci, to_clause
-from .core import BooleanConstraint, Clause
-from .parser import (ParseError, format_clause, format_constraint, parse_constraint,
-                     parse_expr, scan_variables)
+from .ci import CIStatement, build_delta, ci_prove, export_delta, falsify, parse_ci
+from .core import BooleanConstraint, Clause, LinExpr
+from .parser import ParseError, format_clause, format_constraint, parse_constraint
 from .recognizer import CandidateRepr, check_candidate
-from .reductions import (MaxReduction, Schedule, SlackReduction, TightReduction,
-                         group_balance, max_to_linear, prepare_antecedents,
-                         slack_reduction, tight_reduction)
-from .refuter import Budget, refute_parallel
-from .shannon import GeneratorSet, TIGHT, classify_tight, elemental, joint_slack, prove, verify
+from .reductions import Schedule, max_to_linear, prepare_antecedents, tight_reduction
+from .refuter import Budget, Counterexample, refute_parallel
+from .shannon import GeneratorSet, TIGHT, classify_tight, elemental, joint_slack, prove
 
 EXIT_POSITIVE = 0
 EXIT_NEGATIVE = 1
@@ -78,91 +90,125 @@ class ClauseOutcome:
     status: str  # "proved" | "refuted" | "inconclusive"
     method: str
     detail: dict
+    kept: tuple[LinExpr, ...] = ()  # the antecedents the stages worked with
 
 
-def decide_clause(clause: Clause, gens: GeneratorSet, budget: Budget,
-                  schedule: Schedule, lambda_max: int) -> ClauseOutcome:
-    """Route one clause through the reduction toolbox.
+def _refuted(counterexample: Counterexample) -> ClauseOutcome:
+    return ClauseOutcome("refuted", "counterexample-search",
+                         {"counterexample": counterexample.to_json()})
 
-    Unconditional single inequalities go straight to the generator-cone
-    LP.  Max clauses race the multiplier search against refutation.
-    Conditional clauses first try the direct multiplier reduction (sound
-    in every regime), then the (p, q) schedule when every surviving
-    antecedent is tight.
-    """
-    prep = prepare_antecedents(clause.antecedents, gens)
-    if not prep.kept and len(clause.consequents) == 1:
-        cert = prove(clause.consequents[0], gens)
-        if cert is not None:
-            return ClauseOutcome("proved", "generator-cone", {
-                "certificate": cert.to_json(gens)})
-        result = max_to_linear(Clause(clause.n, (), clause.consequents), gens, budget,
-                               lambda_sum_max=0)
-        if result.status == "invalid":
-            return ClauseOutcome("refuted", "counterexample-search", {
-                "counterexample": result.counterexample.to_json()})
-        return ClauseOutcome("inconclusive", "generator-cone", {
-            "note": "not provable at this generator set; no counterexample in budget"})
+
+def _multiplier_stage(clause: Clause, kept, gens: GeneratorSet, budget: Budget,
+                      schedule: Schedule, lambda_max: int, workers: int) -> ClauseOutcome:
+    """One multiplier LP for a single consequent (the plain generator cone
+    when no antecedent is kept); the max race for a max clause."""
     if len(clause.consequents) > 1:
-        result = max_to_linear(clause, gens, budget, lambda_sum_max=lambda_max)
+        result = max_to_linear(clause, kept, gens, budget, lambda_sum_max=lambda_max)
         if result.status == "valid":
             return ClauseOutcome("proved", "max-to-linear", {
                 "lambdas": [str(v) for v in result.lambdas],
                 "certificate": result.certificate.to_json(gens)})
         if result.status == "invalid":
-            return ClauseOutcome("refuted", "counterexample-search", {
-                "counterexample": result.counterexample.to_json()})
-        tight_outcome = _try_tight(clause, gens, schedule, prep)
-        if tight_outcome is not None:
-            return tight_outcome
+            return _refuted(result.counterexample)
         return ClauseOutcome("inconclusive", "max-to-linear", {
             "note": "lambda search and counterexample search both exhausted"})
-    # conditional, single consequent
-    cert = prove(clause.consequents[0], gens, antecedents=prep.kept,
-                 minimize_antecedent_use=True)
-    if cert is not None:
-        witness = joint_slack(prep.kept, budget.max_support, budget.max_denominator)
-        method = "slack-reduction" if witness is not None else "direct-lambda"
-        detail = {"lambdas": [str(m) for m in cert.antecedent_multipliers],
-                  "certificate": cert.to_json(gens)}
-        if witness is not None:
-            detail["slack_witness"] = witness.describe()
-        return ClauseOutcome("proved", method, detail)
-    tight_outcome = _try_tight(clause, gens, schedule, prep)
-    if tight_outcome is not None:
-        return tight_outcome
-    result = refute_parallel(clause, budget)
+    cert = prove(clause.consequents[0], gens, antecedents=kept, minimize_antecedent_use=True)
+    if cert is None:
+        if kept:
+            return ClauseOutcome("inconclusive", "conditional", {
+                "note": "no multiplier reduction at this generator set"})
+        return ClauseOutcome("inconclusive", "generator-cone", {
+            "note": "not provable at this generator set"})
+    if not kept:
+        return ClauseOutcome("proved", "generator-cone", {"certificate": cert.to_json(gens)})
+    return ClauseOutcome("proved", "direct-lambda", {
+        "lambdas": [str(m) for m in cert.antecedent_multipliers],
+        "certificate": cert.to_json(gens)})
+
+
+def _tight_stage(clause: Clause, kept, gens: GeneratorSet, budget: Budget,
+                 schedule: Schedule, lambda_max: int, workers: int) -> ClauseOutcome:
+    """The (p, q) schedule, run only when every kept antecedent is tight."""
+    note = None
+    if not kept:
+        note = "no antecedent survives pruning; the tight schedule needs one"
+    for a in kept:
+        verdict = classify_tight(a, gens).verdict
+        if verdict != TIGHT:
+            note = (f"antecedent {clause.antecedents.index(a)} not verified tight "
+                    f"(classified {verdict})")
+            break
+    if note is None:
+        reduction = tight_reduction(clause, kept, gens, schedule)
+        if reduction.proved:
+            return ClauseOutcome("proved", "tight-schedule", {
+                "consequent_index": reduction.consequent_index,
+                "steps": [{"p": s.p, "q": s.q, "certificate": s.certificate.to_json(gens)}
+                          for s in reduction.steps]})
+        note = f"tight schedule found no certificate at p={reduction.failed_p}"
+    return ClauseOutcome("inconclusive", "tight-schedule", {"note": note})
+
+
+def _refute_stage(clause: Clause, kept, gens: GeneratorSet, budget: Budget,
+                  schedule: Schedule, lambda_max: int,
+                  workers: int) -> "ClauseOutcome | None":
+    """Counterexample search for a single consequent; a max clause was
+    already searched by the max race."""
+    if len(clause.consequents) > 1:
+        return None
+    result = refute_parallel(clause, budget, workers)
     if result.found:
-        return ClauseOutcome("refuted", "counterexample-search", {
-            "counterexample": result.counterexample.to_json()})
-    return ClauseOutcome("inconclusive", "conditional", {
-        "note": "no multiplier reduction at this generator set; no counterexample in budget"})
+        return _refuted(result.counterexample)
+    return ClauseOutcome("inconclusive", "counterexample-search",
+                         {"note": "no counterexample in budget"})
 
 
-def _try_tight(clause: Clause, gens: GeneratorSet, schedule: Schedule,
-               prep) -> "ClauseOutcome | None":
-    if not prep.kept:
-        return None
-    if not all(classify_tight(a, gens).verdict == TIGHT for a in prep.kept):
-        return None
-    reduction = tight_reduction(clause, gens, schedule)
-    if reduction.proved:
-        return ClauseOutcome("proved", "tight-schedule", {
-            "consequent_index": reduction.consequent_index,
-            "steps": [{"p": s.p, "q": s.q, "certificate": s.certificate.to_json(gens)}
-                      for s in reduction.steps]})
-    return None
+STAGES = {"multiplier": _multiplier_stage, "tight": _tight_stage, "refute": _refute_stage}
+PROVE_STAGES = ("multiplier", "tight", "refute")
+REGIME_STAGES = {"auto": ("multiplier", "tight"), "slack": ("multiplier",),
+                 "max": ("multiplier",), "tight": ("tight",)}
+
+
+def decide_clause(clause: Clause, gens: GeneratorSet, budget: Budget,
+                  schedule: Schedule, lambda_max: int,
+                  stages: tuple[str, ...] = PROVE_STAGES, workers: int = 1) -> ClauseOutcome:
+    """Run the named stages in order on one clause; the first conclusive
+    outcome wins.  Antecedents that are provably valid are dropped once,
+    up front.  An inconclusive outcome carries the method and note of the
+    leading stage, plus the refuter's note when it ran."""
+    kept = prepare_antecedents(clause.antecedents, gens).kept
+    lead = None
+    for name in stages:
+        outcome = STAGES[name](clause, kept, gens, budget, schedule, lambda_max, workers)
+        if outcome is None:
+            continue
+        if outcome.status != "inconclusive":
+            lead = outcome
+            break
+        if lead is None:
+            lead = outcome
+        elif name == "refute":
+            lead.detail["note"] += "; " + outcome.detail["note"]
+    lead.kept = kept
+    return lead
 
 
 def decide_constraint(constraint: BooleanConstraint, gens: GeneratorSet, budget: Budget,
-                      schedule: Schedule, lambda_max: int) -> tuple[str, list[ClauseOutcome]]:
-    outcomes = [decide_clause(c, gens, budget, schedule, lambda_max)
+                      schedule: Schedule, lambda_max: int,
+                      stages: tuple[str, ...] = PROVE_STAGES,
+                      workers: int = 1) -> tuple[str, list[ClauseOutcome]]:
+    outcomes = [decide_clause(c, gens, budget, schedule, lambda_max, stages, workers)
                 for c in constraint.clauses]
     if any(o.status == "refuted" for o in outcomes):
         return "refuted", outcomes
     if all(o.status == "proved" for o in outcomes):
         return "proved", outcomes
     return "inconclusive", outcomes
+
+
+def _clause_entry(clause: Clause, outcome: ClauseOutcome) -> dict:
+    return {"clause": format_clause(clause), "status": outcome.status,
+            "method": outcome.method, **outcome.detail}
 
 
 # ---------------------------------------------------------------------------
@@ -202,14 +248,13 @@ def cmd_prove(args) -> int:
     gens = load_generators(constraint.n, args.extra_gens)
     schedule = parse_schedule(args.schedule)
     budget = Budget.parse(args.budget)
-    status, outcomes = decide_constraint(constraint, gens, budget, schedule, args.lambda_max)
+    status, outcomes = decide_constraint(constraint, gens, budget, schedule, args.lambda_max,
+                                         workers=args.workers)
     report = {
         "command": "prove",
         "constraint": format_constraint(constraint),
         "status": status,
-        "clauses": [{"clause": format_clause(c), "status": o.status,
-                     "method": o.method, **o.detail}
-                    for c, o in zip(constraint.clauses, outcomes)],
+        "clauses": [_clause_entry(c, o) for c, o in zip(constraint.clauses, outcomes)],
     }
     emit(report, args.text)
     return _STATUS_EXIT[status]
@@ -237,57 +282,19 @@ def cmd_reduce(args) -> int:
     gens = load_generators(constraint.n, args.extra_gens)
     budget = Budget.parse(args.budget)
     schedule = parse_schedule(args.schedule)
-    reports = []
-    exit_code = EXIT_POSITIVE
-    for clause in constraint.clauses:
-        if args.regime == "max" or (args.regime == "auto" and len(clause.consequents) > 1):
-            result = max_to_linear(clause, gens, budget, lambda_sum_max=args.lambda_max)
-            entry = {"regime": "max", "status": result.status,
-                     "parameters": {"lambda_sum_max": args.lambda_max,
-                                    "budget": budget.describe()}}
-            if result.status == "valid":
-                entry["lambdas"] = [str(v) for v in result.lambdas]
-                entry["certificate"] = result.certificate.to_json(gens)
-            elif result.status == "invalid":
-                entry["counterexample"] = result.counterexample.to_json()
-                exit_code = EXIT_NEGATIVE
-            else:
-                exit_code = max(exit_code, EXIT_INCONCLUSIVE)
-        else:
-            prep = prepare_antecedents(clause.antecedents, gens)
-            slack = joint_slack(prep.kept, budget.max_support, budget.max_denominator)
-            use_slack = args.regime == "slack" or (args.regime == "auto" and slack is not None)
-            if use_slack:
-                reduction = slack_reduction(clause, gens, budget.max_support,
-                                            budget.max_denominator)
-                entry = {"regime": "slack",
-                         "status": "proved" if reduction.proved else "inconclusive",
-                         "parameters": {"budget": budget.describe()}}
-                if reduction.witness is not None:
-                    entry["slack_witness"] = reduction.witness.describe()
-                if reduction.proved:
-                    entry["lambdas"] = [str(v) for v in reduction.lambdas]
-                    entry["certificate"] = reduction.certificate.to_json(gens)
-                else:
-                    exit_code = max(exit_code, EXIT_INCONCLUSIVE)
-            else:
-                reduction = tight_reduction(clause, gens, schedule)
-                entry = {"regime": "tight",
-                         "status": "proved" if reduction.proved else "inconclusive",
-                         "parameters": {"p_values": list(schedule.p_values),
-                                        "q_max": schedule.q_max}}
-                if reduction.proved:
-                    entry["consequent_index"] = reduction.consequent_index
-                    entry["steps"] = [{"p": s.p, "q": s.q,
-                                       "certificate": s.certificate.to_json(gens)}
-                                      for s in reduction.steps]
-                else:
-                    entry["failed_p"] = reduction.failed_p
-                    exit_code = max(exit_code, EXIT_INCONCLUSIVE)
-        entry["clause"] = format_clause(clause)
-        reports.append(entry)
-    emit({"command": "reduce", "clauses": reports}, args.text)
-    return exit_code
+    status, outcomes = decide_constraint(constraint, gens, budget, schedule, args.lambda_max,
+                                         REGIME_STAGES[args.regime])
+    entries = []
+    for clause, outcome in zip(constraint.clauses, outcomes):
+        entry = {**_clause_entry(clause, outcome), "regime": args.regime}
+        if args.regime == "slack":
+            witness = joint_slack(outcome.kept, budget.max_support, budget.max_denominator)
+            if witness is not None:
+                entry["slack_witness"] = witness.describe()
+        entries.append(entry)
+    emit({"command": "reduce", "constraint": format_constraint(constraint),
+          "status": status, "clauses": entries}, args.text)
+    return _STATUS_EXIT[status]
 
 
 def _ci_parts(args) -> tuple[list[CIStatement], CIStatement, int, list[str]]:
@@ -368,14 +375,10 @@ def cmd_secret_share(args) -> int:
               "constraint": format_constraint(constraint)}
     exit_code = EXIT_POSITIVE
     if args.prove:
-        gens = elemental(constraint.n)
-        schedule = parse_schedule(args.schedule)
-        reduction = tight_reduction(constraint.clauses[0], gens, schedule)
-        report["status"] = "proved" if reduction.proved else "inconclusive"
-        if reduction.proved:
-            report["consequent_index"] = reduction.consequent_index
-            report["steps"] = [{"p": s.p, "q": s.q} for s in reduction.steps]
-        exit_code = _STATUS_EXIT[report["status"]]
+        outcome = decide_clause(constraint.clauses[0], elemental(constraint.n), Budget(),
+                                parse_schedule(args.schedule), 0, REGIME_STAGES["tight"])
+        report.update(status=outcome.status, **outcome.detail)
+        exit_code = _STATUS_EXIT[outcome.status]
     emit(report, args.text)
     return exit_code
 
@@ -392,7 +395,6 @@ def cmd_check_dist(args) -> int:
     from .distributions import Distribution
     dist = Distribution.from_file_text(Path(args.file).read_text())
     h = dist.entropic_vector()
-    names = None
     report = {"command": "check-dist", "n": dist.n,
               "entropies": {f"h({mask})": str(h.value(mask)) for mask in range(1, 1 << dist.n)}}
     exit_code = EXIT_POSITIVE
@@ -423,16 +425,22 @@ def build_parser() -> argparse.ArgumentParser:
         description="prove, refute, and transform Boolean constraints on entropic vectors")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, budget_default="s=2,D=4"):
+    def common(p):
         p.add_argument("--text", action="store_true", help="human-readable output")
         p.add_argument("--json", dest="text", action="store_false", help="JSON output (default)")
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized helpers")
-        p.add_argument("--budget", default=budget_default,
+
+    def budget(p):
+        p.add_argument("--budget", default="s=2,D=4",
                        help="search budget, e.g. s=3,D=6,vsdim=3,vsq=2,3")
-        p.add_argument("--workers", type=int, default=1, help="parallel workers")
+
+    def workers(p):
+        p.add_argument("--workers", type=int, default=1,
+                       help="worker processes for the counterexample search")
 
     p = sub.add_parser("prove", help="prove a constraint file")
     common(p)
+    budget(p)
+    workers(p)
     p.add_argument("--file", required=True)
     p.add_argument("--extra-gens", action="append", default=[],
                    help="file with additional trusted valid inequalities")
@@ -442,12 +450,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("refute", help="search for a counterexample")
     common(p)
+    budget(p)
+    workers(p)
     p.add_argument("--file", required=True)
     p.add_argument("--out", help="directory for the counterexample witness file")
     p.set_defaults(func=cmd_refute)
 
-    p = sub.add_parser("reduce", help="run a conditional/max reduction and report it")
+    p = sub.add_parser("reduce", help="run a sub-list of the prove stages and report it")
     common(p)
+    budget(p)
     p.add_argument("--file", required=True)
     p.add_argument("--regime", choices=["auto", "tight", "slack", "max"], default="auto")
     p.add_argument("--extra-gens", action="append", default=[])
@@ -457,6 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ci", help="conditional-independence implication tools")
     common(p)
+    workers(p)
     p.add_argument("verb", choices=["prove", "falsify", "export"])
     p.add_argument("--vars", required=True, help="variable names, e.g. 'X Y Z'")
     p.add_argument("--ante", action="append", default=[],
@@ -469,6 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("recognize", help="recognize a candidate vector file")
     common(p)
+    budget(p)
     p.add_argument("--file", required=True)
     p.add_argument("--extra-gens", action="append", default=[])
     p.set_defaults(func=cmd_recognize)
@@ -484,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--access", required=True,
                    help="qualified sets, e.g. '1,2;1,3' (closed upward automatically)")
     p.add_argument("--ratio", default="1", help="claimed information-ratio lower bound")
-    p.add_argument("--prove", action="store_true", help="run the schedule prover")
+    p.add_argument("--prove", action="store_true", help="run the tight stage")
     p.add_argument("--schedule", default="p=1,2,4,8 qmax=64")
     p.set_defaults(func=cmd_secret_share)
 

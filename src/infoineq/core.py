@@ -13,7 +13,6 @@ concurrent workers.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -23,8 +22,6 @@ import mpmath
 from sympy import factorint
 
 MAX_VARS = 16
-
-Rational = Fraction
 
 
 def as_fraction(x) -> Fraction:
@@ -243,10 +240,6 @@ def _interval_log_sum(items, prec: int) -> tuple:
         mpmath.iv.prec = saved
 
 
-def sign(value: LogLinValue) -> int:
-    return value.sign()
-
-
 # ---------------------------------------------------------------------------
 # Linear expressions over entropies
 # ---------------------------------------------------------------------------
@@ -331,13 +324,6 @@ class LinExpr:
     def dot_basic_modular(self, j: int) -> Fraction:
         """c . h^(j) where h^(j)(alpha) = 1 iff j in alpha."""
         return sum((c for m, c in self.items if (m >> j) & 1), Fraction(0))
-
-    def dot_modular(self, weights: tuple) -> Fraction:
-        """c . h_w for the modular vector h_w(alpha) = sum_{j in alpha} w_j."""
-        total = Fraction(0)
-        for j, w in enumerate(weights):
-            total += as_fraction(w) * self.dot_basic_modular(j)
-        return total
 
     def dense(self) -> list[Fraction]:
         """Dense coefficient vector of length 2^n (index 0 is the empty set)."""
@@ -504,15 +490,3 @@ class BooleanConstraint:
         return BooleanConstraint(int(data["n"]),
                                  tuple(Clause.from_json(c) for c in data["clauses"]))
 
-
-def holds(clause: Clause, h: EntropicCandidate) -> bool:
-    return clause.holds(h)
-
-
-def eval_expr(c: LinExpr, h: EntropicCandidate) -> LogLinValue:
-    return c.eval(h)
-
-
-def dumps_canonical(obj: dict) -> str:
-    """Stable JSON text (sorted keys, no float formatting surprises)."""
-    return json.dumps(obj, sort_keys=True, indent=2)

@@ -112,14 +112,6 @@ class Distribution:
         return Distribution.make(domains, pmf)
 
 
-def entropic_vector(dist: Distribution) -> EntropicCandidate:
-    return dist.entropic_vector()
-
-
-def marginal(dist: Distribution, mask: int) -> Distribution:
-    return dist.marginal(mask)
-
-
 # ---------------------------------------------------------------------------
 # Canonical enumeration
 # ---------------------------------------------------------------------------
@@ -185,7 +177,3 @@ def enumerate_distributions(n: int, max_support: int, max_denominator: int) -> I
                     pmf = {outcomes[i]: Fraction(v, dprime)
                            for i, v in enumerate(nums) if v}
                     yield Distribution.make(domains, pmf)
-
-
-def count_stream(n: int, max_support: int, max_denominator: int) -> int:
-    return sum(1 for _ in enumerate_distributions(n, max_support, max_denominator))

@@ -171,13 +171,6 @@ class VectorSpaceSystem:
         return VectorSpaceSystem.make(q, dim, bases)
 
 
-def rank_vector(system: VectorSpaceSystem) -> EntropicCandidate:
-    return system.candidate()
-
-
-DEFAULT_SEED = 0
-
-
 def random_system(rng: random.Random, n: int, q: int, dim: int) -> VectorSpaceSystem:
     """A random subspace system; generator seeds are part of reproducibility."""
     bases = []

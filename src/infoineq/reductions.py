@@ -1,182 +1,24 @@
-"""Transformations between constraint regimes.
+"""Reductions from conditional and max clauses to plain inequalities.
 
-* balancing a single inequality (subtracting per-variable conditional
-  entropies until every basic modular direction pays zero);
-* group balance of a set of expressions (rank k-1 pay-off matrix plus a
-  nonnegative modular annihilator), the condition under which reduction
-  multipliers can be chosen rational;
-* the strongly-balancing transform that rewrites any set into a group
-  balanced one without changing weighted sums;
-* conditional-to-unconditional reductions in two regimes: tight
-  antecedents (a (p, q) relaxation schedule) and antecedents with joint
-  slack (a direct lambda search);
-* the max-to-linear driver that races a lambda search against
+* antecedent preparation: antecedents that are provably valid are
+  dropped, and the rest (`kept`) feed every reduction below;
+* the (p, q) relaxation schedule for tight antecedents;
+* the max-to-linear driver that races a multiplier search against
   counterexample enumeration.
+
+The direct multiplier reduction for a single consequent needs no code of
+its own: it is one `shannon.prove` call with the kept antecedents.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
-from math import gcd
 from typing import Iterator, Sequence
 
-from .core import Clause, LinExpr, cond_entropy, entropy_of, full_set
+from .core import Clause, LinExpr, entropy_of, full_set
 from .refuter import Budget, Counterexample, scan_stream
-from .shannon import (GeneratorSet, ProofCertificate, SlackWitness, Tightness,
-                      TIGHT, classify_tight, joint_slack, prove)
-
-ZERO = Fraction(0)
-
-
-# ---------------------------------------------------------------------------
-# Balancing
-# ---------------------------------------------------------------------------
-
-def balance_checks(c: LinExpr) -> tuple[Fraction, ...]:
-    """Pay-offs (c . h^(j)) for the basic modular directions."""
-    return tuple(c.dot_basic_modular(j) for j in range(c.n))
-
-
-def balance(c: LinExpr) -> tuple[LinExpr, tuple[Fraction, ...]]:
-    """Strengthen c to a balanced expression.
-
-    c' = c - sum_j (c . h^(j)) * h(X_j | rest);  c >= 0 is valid iff all
-    pay-offs are nonnegative and c' >= 0 is valid.
-    """
-    checks = balance_checks(c)
-    everything = full_set(c.n)
-    out = c
-    for j, pay in enumerate(checks):
-        if pay != 0:
-            out = out - cond_entropy(c.n, 1 << j, everything & ~(1 << j)).scale(pay)
-    return out, checks
-
-
-def is_balanced(c: LinExpr) -> bool:
-    return all(p == 0 for p in balance_checks(c))
-
-
-# ---------------------------------------------------------------------------
-# Group balance
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BalanceReport:
-    matrix: tuple[tuple[Fraction, ...], ...]  # A[i][j] = d_i . h^(j)
-    rank: int
-    witness_weights: "tuple[Fraction, ...] | None"
-    verdict: bool
-
-    def to_json(self) -> dict:
-        return {
-            "matrix": [[str(v) for v in row] for row in self.matrix],
-            "rank": self.rank,
-            "witness_weights": None if self.witness_weights is None
-            else [str(w) for w in self.witness_weights],
-            "verdict": self.verdict,
-        }
-
-
-def exact_rank(matrix: Sequence[Sequence[Fraction]]) -> int:
-    """Rank over the rationals by fraction-free (Bareiss) elimination."""
-    if not matrix:
-        return 0
-    scaled = []
-    for row in matrix:
-        denom = 1
-        for v in row:
-            denom = denom * v.denominator // gcd(denom, v.denominator)
-        scaled.append([int(v * denom) for v in row])
-    m, ncols = len(scaled), len(scaled[0])
-    rank = 0
-    prev = 1
-    row_idx = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(row_idx, m) if scaled[r][col] != 0), None)
-        if pivot is None:
-            continue
-        scaled[row_idx], scaled[pivot] = scaled[pivot], scaled[row_idx]
-        for r in range(row_idx + 1, m):
-            for c in range(col + 1, ncols):
-                scaled[r][c] = (scaled[r][c] * scaled[row_idx][col]
-                                - scaled[r][col] * scaled[row_idx][c]) // prev
-            scaled[r][col] = 0
-        prev = scaled[row_idx][col]
-        row_idx += 1
-        rank += 1
-        if row_idx == m:
-            break
-    return rank
-
-
-def _primitive(vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """Scale a nonnegative rational vector to coprime integers."""
-    denom = 1
-    for v in vec:
-        denom = denom * v.denominator // gcd(denom, v.denominator)
-    ints = [int(v * denom) for v in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return tuple(Fraction(v) for v in ints)
-
-
-def group_balance(exprs: Sequence[LinExpr]) -> BalanceReport:
-    """Check the two group-balance conditions for a set of expressions:
-    the pay-off matrix has rank k-1, and some nonzero nonnegative modular
-    vector annihilates every expression."""
-    if not exprs:
-        raise ValueError("group balance needs at least one expression")
-    n = exprs[0].n
-    k = len(exprs)
-    matrix = tuple(tuple(d.dot_basic_modular(j) for j in range(n)) for d in exprs)
-    rank = exact_rank(matrix)
-    witness = _modular_annihilator(matrix, n, k)
-    verdict = rank == k - 1 and witness is not None
-    return BalanceReport(matrix, rank, witness, verdict)
-
-
-def _modular_annihilator(matrix, n: int, k: int) -> "tuple[Fraction, ...] | None":
-    from .simplex import solve_lp
-    # find mu >= 0, sum mu = 1, with A mu = 0
-    rows = [[matrix[i][j] for j in range(n)] for i in range(k)]
-    rows.append([Fraction(1)] * n)
-    b = [ZERO] * k + [Fraction(1)]
-    res = solve_lp(rows, b, [ZERO] * n)
-    if res.status != "optimal":
-        return None
-    return _primitive(res.x)
-
-
-def group_balance_transform(exprs: Sequence[LinExpr],
-                            lambdas: Sequence[Fraction]) -> list[LinExpr]:
-    """Rewrite a set into a group balanced one, preserving the weighted sum.
-
-    First each expression is balanced; then row i receives the correction
-    (1/lambda_i) * (n*h(X_i|rest) - sum_j h(X_j|rest)).  The corrections
-    cancel in sum(lambda_i * d''_i), and the scaled pay-off matrix becomes
-    n*I - J, which has rank n-1 and zero row sums.
-    """
-    if len(lambdas) != len(exprs):
-        raise ValueError("need one multiplier per expression")
-    lams = [Fraction(l) for l in lambdas]
-    if any(l <= 0 for l in lams):
-        raise ValueError("multipliers must be positive")
-    n = exprs[0].n
-    everything = full_set(n)
-    conds = [cond_entropy(n, 1 << j, everything & ~(1 << j)) for j in range(n)]
-    cond_sum = LinExpr.zero(n)
-    for e in conds:
-        cond_sum = cond_sum + e
-    out = []
-    for i, (d, lam) in enumerate(zip(exprs, lams)):
-        balanced, _ = balance(d)
-        correction = (conds[i].scale(n) - cond_sum).scale(Fraction(1) / lam)
-        out.append(balanced + correction)
-    return out
+from .shannon import GeneratorSet, ProofCertificate, prove
 
 
 # ---------------------------------------------------------------------------
@@ -186,21 +28,13 @@ def group_balance_transform(exprs: Sequence[LinExpr],
 @dataclass(frozen=True)
 class PreparedAntecedents:
     kept: tuple[LinExpr, ...]
-    kept_indices: tuple[int, ...]
-    pruned_indices: tuple[int, ...]  # antecedents that are themselves provably valid
 
 
 def prepare_antecedents(antecedents: Sequence[LinExpr], gens: GeneratorSet) -> PreparedAntecedents:
     """Drop antecedents that are provably valid inequalities (they are
     always satisfied, so removing them only strengthens the implication)."""
-    kept, kept_idx, pruned = [], [], []
-    for i, a in enumerate(antecedents):
-        if a.is_zero() or prove(a, gens) is not None:
-            pruned.append(i)
-        else:
-            kept.append(a)
-            kept_idx.append(i)
-    return PreparedAntecedents(tuple(kept), tuple(kept_idx), tuple(pruned))
+    return PreparedAntecedents(tuple(a for a in antecedents
+                                     if not a.is_zero() and prove(a, gens) is None))
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +63,6 @@ class TightReduction:
     proved: bool
     consequent_index: "int | None"
     steps: tuple[TightStep, ...]
-    tightness: tuple[Tightness, ...]
-    pruned_antecedents: tuple[int, ...]
     failed_p: "int | None" = None
 
 
@@ -244,80 +76,36 @@ def tight_target(consequent: LinExpr, antecedents: Sequence[LinExpr],
     return target
 
 
-def tight_reduction(clause: Clause, gens: GeneratorSet,
+def tight_reduction(clause: Clause, kept: Sequence[LinExpr], gens: GeneratorSet,
                     schedule: Schedule = Schedule()) -> TightReduction:
-    """Prove a conditional clause with tight antecedents through the
-    relaxation schedule: for each p, find the least q <= q_max such that
-    c + (1/p) h([n]) - q * sum(antecedents) lands in the generator cone.
+    """Prove a conditional clause through the relaxation schedule: for
+    each p, find the least q <= q_max such that
+    c + (1/p) h([n]) - q * sum(kept) lands in the generator cone.
 
+    The caller establishes that every kept antecedent is tight.
     Succeeding at every scheduled p is a sound demonstration of the
     closed-cone conditional at this generator strength; failure of any p
     is inconclusive (reported, never interpreted).  Multi-consequent
     clauses are tried one consequent at a time; proving any single
     disjunct under the antecedents proves the clause.
     """
-    prep = prepare_antecedents(clause.antecedents, gens)
-    tightness = tuple(classify_tight(a, gens) for a in prep.kept)
-    for t, idx in zip(tightness, prep.kept_indices):
-        if t.verdict != TIGHT:
-            raise ValueError(f"antecedent {idx} not verified tight (classified {t.verdict})")
+    failed_p = None
     for ci, consequent in enumerate(clause.consequents):
         steps = []
-        ok = True
-        failed_p = None
         for p in schedule.p_values:
             found = None
             for q in range(schedule.q_max + 1):
-                target = tight_target(consequent, prep.kept, p, q)
-                cert = prove(target, gens)
+                cert = prove(tight_target(consequent, kept, p, q), gens)
                 if cert is not None:
                     found = TightStep(p, q, cert)
                     break
             if found is None:
-                ok = False
                 failed_p = p
                 break
             steps.append(found)
-        if ok:
-            return TightReduction(True, ci, tuple(steps), tightness, prep.pruned_indices)
-    return TightReduction(False, None, (), tightness, prep.pruned_indices, failed_p)
-
-
-# ---------------------------------------------------------------------------
-# Slack regime
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SlackReduction:
-    proved: bool
-    consequent_index: "int | None"
-    lambdas: tuple[Fraction, ...]  # aligned with the clause's antecedent list
-    certificate: "ProofCertificate | None"
-    witness: "SlackWitness | None"
-    pruned_antecedents: tuple[int, ...]
-
-
-def slack_reduction(clause: Clause, gens: GeneratorSet,
-                    max_support: int = 2, max_denominator: int = 4) -> SlackReduction:
-    """Reduce a conditional clause whose antecedents have joint slack to a
-    single unconditional inequality c - sum_i lambda_i c_i >= 0.
-
-    The lambda search is an exact LP (minimizing total lambda mass for a
-    canonical answer); rationality of some solution is guaranteed for
-    group balanced sets.  Raises if joint slack cannot be established.
-    """
-    prep = prepare_antecedents(clause.antecedents, gens)
-    witness = joint_slack(prep.kept, max_support, max_denominator)
-    if witness is None:
-        raise ValueError("slack not established for the antecedent set")
-    for ci, consequent in enumerate(clause.consequents):
-        cert = prove(consequent, gens, antecedents=prep.kept, minimize_antecedent_use=True)
-        if cert is not None:
-            lambdas = [ZERO] * len(clause.antecedents)
-            for m, idx in zip(cert.antecedent_multipliers, prep.kept_indices):
-                lambdas[idx] = m
-            return SlackReduction(True, ci, tuple(lambdas), cert, witness, prep.pruned_indices)
-    return SlackReduction(False, None, (), None, witness, prep.pruned_indices)
+        else:
+            return TightReduction(True, ci, tuple(steps))
+    return TightReduction(False, None, (), failed_p)
 
 
 # ---------------------------------------------------------------------------
@@ -330,8 +118,6 @@ class MaxReduction:
     lambdas: "tuple[Fraction, ...] | None" = None
     certificate: "ProofCertificate | None" = None
     counterexample: "Counterexample | None" = None
-    lambda_sum_max: int = 0
-    budget: "Budget | None" = None
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -344,15 +130,15 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (head,) + rest
 
 
-def max_to_linear(clause: Clause, gens: GeneratorSet, budget: Budget,
-                  lambda_sum_max: int = 8, block_size: int = 64) -> MaxReduction:
+def max_to_linear(clause: Clause, kept: Sequence[LinExpr], gens: GeneratorSet,
+                  budget: Budget, lambda_sum_max: int = 8,
+                  block_size: int = 64) -> MaxReduction:
     """Decide a max-clause by racing two searches in alternating epochs:
     natural-number multiplier tuples (graded by total, then lexicographic)
     against counterexample enumeration over the canonical candidate
     streams.  The first side to conclude wins; if both conclude within the
     same epoch, the certificate is preferred.  Deterministic for fixed
     budgets regardless of scheduling."""
-    prep = prepare_antecedents(clause.antecedents, gens)
     stream = scan_stream(clause, budget)
     stream_done = False
     for epoch in count(1):
@@ -363,10 +149,9 @@ def max_to_linear(clause: Clause, gens: GeneratorSet, budget: Budget,
                 for weight, d in zip(lam, clause.consequents):
                     if weight:
                         combo = combo + d.scale(weight)
-                cert = prove(combo, gens, antecedents=prep.kept)
+                cert = prove(combo, gens, antecedents=kept)
                 if cert is not None:
-                    return MaxReduction("valid", tuple(Fraction(v) for v in lam), cert,
-                                        lambda_sum_max=lambda_sum_max, budget=budget)
+                    return MaxReduction("valid", tuple(Fraction(v) for v in lam), cert)
         if not stream_done:
             for _ in range(block_size):
                 try:
@@ -375,7 +160,6 @@ def max_to_linear(clause: Clause, gens: GeneratorSet, budget: Budget,
                     stream_done = True
                     break
                 if hit is not None:
-                    return MaxReduction("invalid", counterexample=hit,
-                                        lambda_sum_max=lambda_sum_max, budget=budget)
+                    return MaxReduction("invalid", counterexample=hit)
         if lambdas_done and stream_done:
-            return MaxReduction("exhausted", lambda_sum_max=lambda_sum_max, budget=budget)
+            return MaxReduction("exhausted")

@@ -18,7 +18,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .core import BooleanConstraint, Clause, EntropicCandidate
 from .distributions import Distribution, enumerate_distributions

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .core import LinExpr, MAX_VARS, VarSet, full_set, mutual_info, cond_entropy
 from .distributions import Distribution, enumerate_distributions

@@ -1,0 +1,241 @@
+"""The command-line front end: the clause pipeline, the exit-code
+contract, and the corpus verdicts through `cli.main`."""
+from __future__ import annotations
+
+import argparse
+import json
+from fractions import Fraction
+
+import pytest
+
+from infoineq import cli
+from infoineq.apps import corpus, fixture
+from infoineq.core import LinExpr
+from infoineq.parser import parse_constraint
+from infoineq.reductions import prepare_antecedents, tight_target
+from infoineq.shannon import ProofCertificate, elemental, verify
+
+MANIFEST_ANSWER = {"provable": ("proved", 0), "refutable": ("refuted", 1)}
+
+
+def run(capsys, *argv: str) -> tuple[int, dict]:
+    code = cli.main(list(argv))
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    return code, json.loads(out) if out.strip() else {}
+
+
+def write(tmp_path, text: str, name: str = "c.iic") -> str:
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+def certificate_problems(entry: dict, clause, gens) -> list[str]:
+    """Re-check a proved clause entry with `verify`, against targets
+    rebuilt from the clause itself."""
+    kept = prepare_antecedents(clause.antecedents, gens).kept
+
+    def check(cert_json, target, antecedents=()):
+        cert = ProofCertificate.from_json(cert_json, gens)
+        return [] if cert.target == target and verify(cert, target, gens, antecedents) \
+            else [f"certificate for {target} does not verify"]
+
+    if "steps" in entry:
+        consequent = clause.consequents[entry["consequent_index"]]
+        return [p for s in entry["steps"]
+                for p in check(s["certificate"], tight_target(consequent, kept, s["p"], s["q"]))]
+    if len(clause.consequents) == 1:
+        return check(entry["certificate"], clause.consequents[0], kept)
+    target = LinExpr.zero(clause.n)
+    for lam, c in zip(entry["lambdas"], clause.consequents):
+        target = target + c.scale(Fraction(lam))
+    return check(entry["certificate"], target, kept)
+
+
+def assert_proofs_verify(report: dict, constraint) -> None:
+    gens = elemental(constraint.n)
+    for entry, clause in zip(report["clauses"], constraint.clauses):
+        if entry["status"] == "proved":
+            assert certificate_problems(entry, clause, gens) == []
+
+
+# ---------------------------------------------------------------------------
+# Golden corpus through prove
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", [f.name for f in corpus()])
+def test_corpus_fixture_verdict(capsys, name):
+    fx = fixture(name)
+    argv = ["prove", "--file", str(fx.path)]
+    if fx.budget:
+        argv += ["--budget", fx.budget]
+    code, report = run(capsys, *argv)
+    status, exit_code = MANIFEST_ANSWER.get(fx.expected_verdict, ("inconclusive", 2))
+    assert (report["status"], code) == (status, exit_code)
+    assert_proofs_verify(report, fx.constraint)
+
+
+def test_prove_reports_no_slack_label(capsys):
+    fx = fixture("kopparty_rossman_conditional")
+    _, report = run(capsys, "prove", "--file", str(fx.path))
+    (entry,) = report["clauses"]
+    assert entry["method"] == "direct-lambda"
+    assert "slack_witness" not in entry
+
+
+def test_prove_workers_do_not_change_the_report(capsys):
+    path = str(fixture("false_ci_weakening").path)
+    one = run(capsys, "prove", "--file", path, "--workers", "1")
+    two = run(capsys, "prove", "--file", path, "--workers", "2")
+    assert one == two
+    assert one[0] == 1
+
+
+@pytest.mark.parametrize("argv,text", [
+    (["prove", "--file", "{path}"], "H(X) >= \n"),
+    (["prove", "--file", "{missing}"], None),
+    (["prove", "--file", "{path}", "--budget", "s=2,bogus=1"], "H(X) >= 0\n"),
+    (["reduce", "--file", "{path}", "--budget", "s"], "H(X) >= 0\n"),
+])
+def test_bad_input_exits_3_without_traceback(capsys, tmp_path, argv, text):
+    path = write(tmp_path, text) if text is not None else ""
+    argv = [a.format(path=path, missing=str(tmp_path / "absent.iic")) for a in argv]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "Traceback" not in err
+    assert "error" in json.loads(err)
+
+
+# ---------------------------------------------------------------------------
+# reduce: a sub-list of the same stages
+# ---------------------------------------------------------------------------
+
+def test_reduce_auto_proves_with_non_tight_antecedent(capsys, tmp_path):
+    text = "[I(X;Y) = 0, H(X) >= H(Y)] => H(X|Y) >= 0\n"
+    path = write(tmp_path, text)
+    code, report = run(capsys, "reduce", "--file", path)
+    assert code == 0
+    assert report["status"] == "proved"
+    assert report["clauses"][0]["regime"] == "auto"
+    assert_proofs_verify(report, parse_constraint(text))
+    prove_code, prove_report = run(capsys, "prove", "--file", path)
+    assert prove_code == 0
+    assert [{k: v for k, v in e.items() if k != "regime"} for e in report["clauses"]] \
+        == prove_report["clauses"]
+
+
+def test_reduce_tight_on_slack_antecedents_is_inconclusive(capsys):
+    path = str(fixture("kopparty_rossman_conditional").path)
+    code, report = run(capsys, "reduce", "--regime", "tight", "--file", path)
+    assert code == 2
+    assert report["status"] == "inconclusive"
+    (entry,) = report["clauses"]
+    assert "not verified tight (classified slack)" in entry["note"]
+
+
+def test_reduce_slack_without_joint_slack_still_decides(capsys):
+    fx = fixture("ci_contraction_basic")
+    code, report = run(capsys, "reduce", "--regime", "slack", "--file", str(fx.path))
+    assert code == 0
+    assert report["status"] == "proved"
+    assert all("slack_witness" not in e for e in report["clauses"])
+    assert_proofs_verify(report, fx.constraint)
+
+
+def test_reduce_slack_attaches_the_witness(capsys):
+    path = str(fixture("kopparty_rossman_conditional").path)
+    code, report = run(capsys, "reduce", "--regime", "slack", "--file", path)
+    assert code == 0
+    assert report["clauses"][0]["slack_witness"] == {"kind": "modular",
+                                                     "weights": ["2", "0", "1"]}
+
+
+def test_reduce_tight_never_proves_a_false_inequality(capsys, tmp_path):
+    path = write(tmp_path, "-1/16*H(X) >= 0\n")
+    code, report = run(capsys, "reduce", "--regime", "tight", "--file", path)
+    assert code == 2
+    assert report["status"] == "inconclusive"
+    assert "needs one" in report["clauses"][0]["note"]
+    code, report = run(capsys, "prove", "--file", path)
+    assert code == 1
+    assert report["status"] == "refuted"
+
+
+@pytest.mark.parametrize("text", [
+    "max(-H(X), -H(Y)) >= 0 && H(X) - H(XY) >= 0\n",
+    "H(X) - H(XY) >= 0 && max(-H(X), -H(Y)) >= 0\n",
+])
+def test_reduce_exit_code_ignores_clause_order(capsys, tmp_path, text):
+    path = write(tmp_path, text)
+    code, report = run(capsys, "reduce", "--file", path, "--budget", "s=2,D=2")
+    assert code == 1
+    assert report["status"] == "refuted"
+    assert run(capsys, "prove", "--file", path, "--budget", "s=2,D=2")[0] == 1
+
+
+def test_secret_share_runs_the_tight_stage(capsys):
+    code, report = run(capsys, "secret-share", "--participants", "2", "--access", "1,2",
+                       "--prove")
+    assert code == 0
+    assert report["status"] == "proved"
+    constraint = parse_constraint(report["constraint"])
+    gens = elemental(constraint.n)
+    assert certificate_problems(report, constraint.clauses[0], gens) == []
+
+
+# ---------------------------------------------------------------------------
+# Every declared option is read by its subcommand
+# ---------------------------------------------------------------------------
+
+class ReadRecorder(argparse.Namespace):
+    """A namespace that remembers which attributes were read."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self._reads = set()
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_reads").add(name)
+        return object.__getattribute__(self, name)
+
+
+def _subparsers(parser: argparse.ArgumentParser) -> dict:
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_every_declared_option_is_read(capsys, tmp_path):
+    corpus_dir = fixture("false_mono_flip").path.parent
+    mono = str(corpus_dir / "false_mono_flip.iic")
+    dist = write(tmp_path, "vars 2\n0 1/2\n1 1/2\n", "bit.dist")
+    bit = write(tmp_path, "H(X) >= 0\n", "bit.iic")
+    cand = write(tmp_path, "X 2 1 1\n", "cand.txt")
+    ci = ["--vars", "X Y Z", "--ante", "X;Y", "--cons", "X;Y|Z",
+          "--domain", "2", "--denominator", "2"]
+    runs = {
+        "prove": [["--file", mono, "--budget", "s=2,D=2"]],
+        "refute": [["--file", mono, "--budget", "s=2,D=2"]],
+        "reduce": [["--file", mono, "--budget", "s=2,D=2"]],
+        "ci": [["prove", *ci], ["falsify", *ci], ["export", *ci]],
+        "recognize": [["--file", cand, "--budget", "s=2,D=2"]],
+        "corpus": [["--show", "agm_triangle"]],
+        "secret-share": [["--participants", "1", "--access", "1", "--prove"]],
+        "check-dist": [["--file", dist, "--constraint", bit]],
+    }
+    parser = cli.build_parser()
+    subs = _subparsers(parser)
+    assert set(runs) == set(subs)
+    for command, variants in runs.items():
+        declared = {a.dest for a in subs[command]._actions
+                    if not isinstance(a, argparse._HelpAction)}
+        read: set = set()
+        for extra in variants:
+            args = parser.parse_args([command, *extra], namespace=ReadRecorder())
+            args._reads = set()
+            assert args.func(args) != cli.EXIT_USAGE
+            read |= args._reads
+        capsys.readouterr()
+        assert declared - read == set(), command
