@@ -145,7 +145,11 @@ def _tight_stage(clause: Clause, kept, gens: GeneratorSet, budget: Budget,
                 "consequent_index": reduction.consequent_index,
                 "steps": [{"p": s.p, "q": s.q, "certificate": s.certificate.to_json(gens)}
                           for s in reduction.steps]})
-        note = f"tight schedule found no certificate at p={reduction.failed_p}"
+        if len(reduction.failed_p) == 1:
+            note = f"tight schedule found no certificate at p={reduction.failed_p[0]}"
+        else:
+            note = "tight schedule found no certificate at " + ", ".join(
+                f"p={p} for consequent {i}" for i, p in enumerate(reduction.failed_p))
     return ClauseOutcome("inconclusive", "tight-schedule", {"note": note})
 
 

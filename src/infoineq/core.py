@@ -176,29 +176,8 @@ class LogLinValue:
         return not self.prime_exponents()
 
     def sign(self) -> int:
-        """Exact sign in {-1, 0, +1}.
-
-        Canonicalizes to prime-exponent form first; zero iff all exponents
-        vanish.  Otherwise sum_p f_p*log(p) is provably nonzero, so interval
-        arithmetic at increasing precision eventually excludes zero.
-        """
-        exps = self.prime_exponents()
-        if not exps:
-            return 0
-        if len(exps) == 1:
-            # log p > 0 for the only prime p >= 2
-            ((_, f),) = exps.items()
-            return 1 if f > 0 else -1
-        items = sorted(exps.items())
-        prec = _INTERVAL_START_PREC
-        while prec <= _INTERVAL_MAX_PREC:
-            lo, hi = _interval_log_sum(items, prec)
-            if lo > 0:
-                return 1
-            if hi < 0:
-                return -1
-            prec *= 2
-        raise RuntimeError("interval refinement failed to separate a nonzero value")
+        """Exact sign in {-1, 0, +1}, from the prime-exponent form."""
+        return prime_sum_sign(self.prime_exponents())
 
     def as_rational(self) -> "Fraction | None":
         """Exact rational value when all prime exponents live on p=2."""
@@ -220,6 +199,30 @@ class LogLinValue:
         if not self.terms:
             return "0"
         return " + ".join(f"{q}*log2({r})" for q, r in self.terms)
+
+
+def prime_sum_sign(exps: Mapping[int, "Fraction | int"]) -> int:
+    """Exact sign of sum_p f_p * log(p) over primes p, given the nonzero f_p.
+
+    Zero iff there is no term; with one prime the sign is that of f_p,
+    since log p > 0; otherwise the sum is provably nonzero, so interval
+    arithmetic at increasing precision eventually excludes zero.
+    """
+    if not exps:
+        return 0
+    if len(exps) == 1:
+        ((_, f),) = exps.items()
+        return 1 if f > 0 else -1
+    items = sorted(exps.items())
+    prec = _INTERVAL_START_PREC
+    while prec <= _INTERVAL_MAX_PREC:
+        lo, hi = _interval_log_sum(items, prec)
+        if lo > 0:
+            return 1
+        if hi < 0:
+            return -1
+        prec *= 2
+    raise RuntimeError("interval refinement failed to separate a nonzero value")
 
 
 def _interval_log_sum(items, prec: int) -> tuple:

@@ -13,18 +13,27 @@ contract that makes "minimal counterexample" well defined:
 Each distribution appears exactly once per domain tuple: numerator tuples
 with a common factor are skipped, so a pmf is emitted only at its reduced
 denominator.
+
+The order is defined once, by `pmf_stream`, which yields integer pmfs;
+`enumerate_distributions` wraps each in a `Distribution`.  The refuter
+scans the integer stream directly and skips pmfs whose marginal profile
+it has already seen (exact, since the answer depends only on the
+entropies that profile fixes); skipped pmfs still count as scanned.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
-from math import gcd
+from math import gcd, prod
 from typing import Iterator, Mapping
 
 from .core import EntropicCandidate, LogLinValue, as_fraction
 
 Outcome = tuple[int, ...]
+# (D', domains, ((cell, count), ...)): a pmf with probabilities count / D'
+IntegerPmf = tuple[int, tuple[int, ...], tuple[tuple[int, int], ...]]
 
 
 @dataclass(frozen=True)
@@ -147,8 +156,12 @@ def _tuples_with_support(cells: int, total: int, k: int) -> Iterator[tuple[int, 
     yield from rec([], total, k, cells - k)
 
 
-def enumerate_distributions(n: int, max_support: int, max_denominator: int) -> Iterator[Distribution]:
-    """Exhaustive, duplicate-free-per-domain-tuple stream of joint pmfs.
+def pmf_stream(n: int, max_support: int, max_denominator: int) -> Iterator[IntegerPmf]:
+    """Exhaustive, duplicate-free-per-domain-tuple stream of joint pmfs as
+    integers: `(D', domains, atoms)`, where `atoms` lists `(cell, count)`
+    for the nonzero counts in increasing cell order, a cell is the index of
+    an outcome in `cell_outcomes(domains)`, and each count is a numerator
+    over D'.
 
     Covers all pmfs on per-variable domains of size <= max_support whose
     probabilities are multiples of 1/D' for some D' <= max_denominator,
@@ -161,19 +174,29 @@ def enumerate_distributions(n: int, max_support: int, max_denominator: int) -> I
     for dprime in range(1, max_denominator + 1):
         for support_size in range(1, dprime + 1):
             for domains in product(range(1, max_support + 1), repeat=n):
-                cells = 1
-                for d in domains:
-                    cells *= d
+                cells = prod(domains)
                 if support_size > cells:
                     continue
-                outcomes = list(product(*(range(d) for d in domains)))
                 for nums in _tuples_with_support(cells, dprime, support_size):
-                    g = 0
-                    for v in nums:
-                        g = gcd(g, v)
-                    if g > 1:
+                    if gcd(*nums) > 1:
                         # already emitted at the reduced denominator D'/g
                         continue
-                    pmf = {outcomes[i]: Fraction(v, dprime)
-                           for i, v in enumerate(nums) if v}
-                    yield Distribution.make(domains, pmf)
+                    yield dprime, domains, tuple((i, v) for i, v in enumerate(nums) if v)
+
+
+@lru_cache(maxsize=None)
+def cell_outcomes(domains: tuple[int, ...]) -> tuple[Outcome, ...]:
+    """The outcomes of a domain tuple in lexicographic (cell) order."""
+    return tuple(product(*(range(d) for d in domains)))
+
+
+def to_distribution(dprime: int, domains: tuple[int, ...], atoms) -> Distribution:
+    """The `Distribution` of one `pmf_stream` item."""
+    outcomes = cell_outcomes(domains)
+    return Distribution.make(domains, {outcomes[i]: Fraction(v, dprime) for i, v in atoms})
+
+
+def enumerate_distributions(n: int, max_support: int, max_denominator: int) -> Iterator[Distribution]:
+    """`pmf_stream` as `Distribution`s, in the same order."""
+    for dprime, domains, atoms in pmf_stream(n, max_support, max_denominator):
+        yield to_distribution(dprime, domains, atoms)

@@ -63,7 +63,7 @@ class TightReduction:
     proved: bool
     consequent_index: "int | None"
     steps: tuple[TightStep, ...]
-    failed_p: "int | None" = None
+    failed_p: tuple[int, ...] = ()  # per consequent, the first p without a certificate
 
 
 def tight_target(consequent: LinExpr, antecedents: Sequence[LinExpr],
@@ -89,7 +89,7 @@ def tight_reduction(clause: Clause, kept: Sequence[LinExpr], gens: GeneratorSet,
     clauses are tried one consequent at a time; proving any single
     disjunct under the antecedents proves the clause.
     """
-    failed_p = None
+    failed_p = []
     for ci, consequent in enumerate(clause.consequents):
         steps = []
         for p in schedule.p_values:
@@ -100,12 +100,12 @@ def tight_reduction(clause: Clause, kept: Sequence[LinExpr], gens: GeneratorSet,
                     found = TightStep(p, q, cert)
                     break
             if found is None:
-                failed_p = p
+                failed_p.append(p)
                 break
             steps.append(found)
         else:
             return TightReduction(True, ci, tuple(steps))
-    return TightReduction(False, None, (), failed_p)
+    return TightReduction(False, None, (), tuple(failed_p))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,18 @@ respects the stream order, and the parallel driver partitions the stream
 into blocks whose results are consumed in order, so the answer is a
 function of (constraint, budget) only, never of worker count.
 
+Distributions are scanned as integer pmfs by `ProfileScan`: per pmf it
+builds the marginal counts of every mask the constraint mentions, and
+evaluates each expression as an integer prime-exponent vector, with exact
+signs.  A pmf whose profile (those counts, sorted per mask) was seen
+before is skipped without evaluation.  That is exact: the answer depends
+only on h at the mentioned masks, which the profile fixes, and the
+earlier pmf with the same profile returned no violation.  Skipped pmfs
+still count in `candidates_scanned`, which counts every candidate up to
+the hit.  A hit is re-checked and reported by `violation`, the reference
+evaluation over `LogLinValue`s, so the report does not depend on the
+kernel.
+
 A counterexample here witnesses failure on the set of finite-distribution
 entropic vectors.  "Not found" carries the exhausted budget and means
 nothing more; validity over the closed cone is out of reach of any
@@ -17,11 +29,13 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import islice
+from math import lcm
 from typing import Iterator
 
-from .core import BooleanConstraint, Clause, EntropicCandidate
-from .distributions import Distribution, enumerate_distributions
+from .core import BooleanConstraint, Clause, LinExpr, _factor_cached, prime_sum_sign
+from .distributions import Distribution, cell_outcomes, pmf_stream, to_distribution
 from .models import VectorSpaceSystem, enumerate_systems
 
 DISTRIBUTION = "distribution"
@@ -78,11 +92,6 @@ class Counterexample:
     clause_index: int
     trace: tuple[dict, ...]
 
-    def candidate(self) -> EntropicCandidate:
-        if self.source == DISTRIBUTION:
-            return self.distribution.entropic_vector()
-        return self.system.candidate()
-
     def witness_file_text(self) -> str:
         if self.source == DISTRIBUTION:
             return self.distribution.to_file_text()
@@ -99,9 +108,14 @@ class Counterexample:
 
 @dataclass(frozen=True)
 class RefutationResult:
+    """`candidates_scanned` counts every candidate up to the hit, skipped
+    pmfs included; `distinct_profiles` counts the distinct pmf profiles
+    among them and stays out of the JSON report."""
+
     counterexample: "Counterexample | None"
     budget: Budget
     candidates_scanned: int
+    distinct_profiles: int = 0
 
     @property
     def found(self) -> bool:
@@ -122,9 +136,10 @@ class RefutationResult:
 
 def candidate_stream(n: int, budget: Budget) -> Iterator[tuple[str, object]]:
     """Distributions first (guaranteed witnesses when finite-model validity
-    fails), then subspace systems as an accelerator for algebraic failures."""
-    for dist in enumerate_distributions(n, budget.max_support, budget.max_denominator):
-        yield DISTRIBUTION, dist
+    fails), as integer `pmf_stream` items; then subspace systems as an
+    accelerator for algebraic failures."""
+    for pmf in pmf_stream(n, budget.max_support, budget.max_denominator):
+        yield DISTRIBUTION, pmf
     if budget.vs_primes and budget.vs_max_dim >= 1:
         for system in enumerate_systems(n, budget.vs_primes, budget.vs_max_dim):
             yield VECTOR_SPACE, system
@@ -153,7 +168,11 @@ def _degenerate_vars(kind: str, obj) -> int:
 
 
 def violation(constraint: BooleanConstraint, kind: str, obj) -> "Counterexample | None":
-    """First clause the candidate falsifies, with its evaluation trace."""
+    """First clause the candidate falsifies, with its evaluation trace.
+
+    The reference evaluation: it builds the whole entropic vector as
+    `LogLinValue`s.  Distribution scans use `ProfileScan` and call this
+    only to re-check and report a hit."""
     relevant = [_relevant_vars(c) for c in constraint.clauses]
     degenerate = _degenerate_vars(kind, obj)
     if all(rel & ~degenerate == 0 for rel in relevant):
@@ -186,6 +205,122 @@ def violation(constraint: BooleanConstraint, kind: str, obj) -> "Counterexample 
     return None
 
 
+@lru_cache(maxsize=None)
+def _count_logs(counts: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """sum_x C_x * log C_x as integer exponents per prime."""
+    exps: dict[int, int] = {}
+    for c in counts:
+        for p, e in _factor_cached(c):
+            exps[p] = exps.get(p, 0) + c * e
+    return tuple(exps.items())
+
+
+class ProfileScan:
+    """The distribution half of a scan: one constraint against integer
+    pmfs, with exact signs and no `Fraction` or `LogLinValue` per pmf.
+
+    A pmf's profile holds, for each mask the constraint mentions, its
+    marginal counts sorted and scaled to the common denominator
+    T = lcm(1..D), so that they sum to T.  The profile fixes h at those
+    masks: with marginal counts C_x, h = log T - (1/T) sum_x C_x log C_x.
+    For an expression c with coefficients A_m / L over a common
+    denominator L,
+
+        T * L * (c . h) = sum_m A_m (T log T - sum_x C_x log C_x)
+                        = sum_p E_p log p
+
+    with integer E_p, so the sign is `core.prime_sum_sign` of E.
+
+    A pmf whose profile was seen before is skipped: `violation` depends
+    only on h at the mentioned masks (when every relevant variable is
+    constant, every expression is 0, which is the degeneracy shortcut), so
+    the earlier pmf with that profile already gave the same answer, None.
+    """
+
+    def __init__(self, constraint: BooleanConstraint, max_denominator: int):
+        self.constraint = constraint
+        self.masks = tuple(sorted({m for clause in constraint.clauses
+                                   for e in clause.antecedents + clause.consequents
+                                   for m, _ in e.items}))
+        self.total = lcm(*range(1, max_denominator + 1))
+        self.seen: set[tuple] = set()
+        self._positions = {m: k for k, m in enumerate(self.masks)}
+        self._total_logs = {p: self.total * e for p, e in _factor_cached(self.total)}
+        self._clauses = tuple((tuple(self.compile(a) for a in clause.antecedents),
+                               tuple(self.compile(c) for c in clause.consequents))
+                              for clause in constraint.clauses)
+        self._projections: dict[tuple[int, ...], list[list[int]]] = {}
+
+    def compile(self, expr: LinExpr) -> tuple[tuple[tuple[int, int], ...], int]:
+        """The expression as integer weights A_m on profile positions, and
+        their sum (the weight of T log T)."""
+        scale = lcm(*(c.denominator for _, c in expr.items))
+        terms = tuple((self._positions[m], int(c * scale)) for m, c in expr.items)
+        return terms, sum(a for _, a in terms)
+
+    def _projection(self, domains: tuple[int, ...]) -> list[list[int]]:
+        """Per mentioned mask, the marginal cell of every joint cell."""
+        table = []
+        for mask in self.masks:
+            idx = [i for i in range(len(domains)) if (mask >> i) & 1]
+            ids: dict[tuple[int, ...], int] = {}
+            table.append([ids.setdefault(tuple(o[i] for i in idx), len(ids))
+                          for o in cell_outcomes(domains)])
+        self._projections[domains] = table
+        return table
+
+    def profile(self, dprime: int, domains: tuple[int, ...], atoms) -> tuple:
+        """Per mentioned mask, the sorted marginal counts over T."""
+        table = self._projections.get(domains)
+        if table is None:
+            table = self._projection(domains)
+        scale = self.total // dprime
+        atoms = [(cell, count * scale) for cell, count in atoms]
+        key = []
+        for proj in table:
+            acc: dict[int, int] = {}
+            for cell, count in atoms:
+                m = proj[cell]
+                acc[m] = acc.get(m, 0) + count
+            key.append(tuple(sorted(acc.values())))
+        return tuple(key)
+
+    def sign(self, expr, profile: tuple) -> int:
+        """Exact sign of a compiled expression on a profile."""
+        terms, weight = expr
+        exps = {p: weight * e for p, e in self._total_logs.items()} if weight else {}
+        for k, a in terms:
+            for p, e in _count_logs(profile[k]):
+                exps[p] = exps.get(p, 0) - a * e
+        return prime_sum_sign({p: f for p, f in exps.items() if f})
+
+    def violated_clause(self, profile: tuple) -> "int | None":
+        """Index of the first clause the profile falsifies, as `violation`
+        decides it."""
+        for idx, (antecedents, consequents) in enumerate(self._clauses):
+            if all(self.sign(a, profile) >= 0 for a in antecedents) \
+                    and all(self.sign(c, profile) < 0 for c in consequents):
+                return idx
+        return None
+
+    def check(self, kind: str, obj) -> "Counterexample | None":
+        """`violation` for one candidate stream item."""
+        if kind == VECTOR_SPACE:
+            return violation(self.constraint, kind, obj)
+        profile = self.profile(*obj)
+        if profile in self.seen:
+            return None
+        self.seen.add(profile)
+        idx = self.violated_clause(profile)
+        if idx is None:
+            return None
+        hit = violation(self.constraint, DISTRIBUTION, to_distribution(*obj))
+        if hit is None or hit.clause_index != idx:
+            raise RuntimeError(f"profile scan found clause {idx} violated, "
+                               f"the reference evaluation disagrees on {obj}")
+        return hit
+
+
 def _as_constraint(target) -> BooleanConstraint:
     if isinstance(target, Clause):
         return BooleanConstraint(target.n, (target,))
@@ -195,44 +330,53 @@ def _as_constraint(target) -> BooleanConstraint:
 def scan_stream(target, budget: Budget) -> Iterator["Counterexample | None"]:
     """Per-candidate scan results in canonical order (None = no violation)."""
     constraint = _as_constraint(target)
+    scan = ProfileScan(constraint, budget.max_denominator)
     for kind, obj in candidate_stream(constraint.n, budget):
-        yield violation(constraint, kind, obj)
+        yield scan.check(kind, obj)
 
 
 def refute(target, budget: Budget) -> RefutationResult:
     """First canonical counterexample within the budget, or not-found."""
     constraint = _as_constraint(target)
+    scan = ProfileScan(constraint, budget.max_denominator)
     scanned = 0
-    for hit in scan_stream(constraint, budget):
+    for kind, obj in candidate_stream(constraint.n, budget):
         scanned += 1
+        hit = scan.check(kind, obj)
         if hit is not None:
-            return RefutationResult(hit, budget, scanned)
-    return RefutationResult(None, budget, scanned)
+            return RefutationResult(hit, budget, scanned, len(scan.seen))
+    return RefutationResult(None, budget, scanned, len(scan.seen))
 
 
 # ---------------------------------------------------------------------------
 # Parallel driver
 # ---------------------------------------------------------------------------
 
-def _scan_block(constraint: BooleanConstraint,
-                block: list[tuple[str, object]]) -> "tuple[int, Counterexample] | None":
+def _scan_block(constraint: BooleanConstraint, max_denominator: int,
+                block: list[tuple[str, object]]) -> tuple["int | None", "Counterexample | None", set]:
+    """The first hit in a block (offset and counterexample), and the
+    profiles seen up to it."""
+    scan = ProfileScan(constraint, max_denominator)
     for offset, (kind, obj) in enumerate(block):
-        hit = violation(constraint, kind, obj)
+        hit = scan.check(kind, obj)
         if hit is not None:
-            return offset, hit
-    return None
+            return offset, hit, scan.seen
+    return None, None, scan.seen
 
 
 def refute_parallel(target, budget: Budget, workers: int = 1,
                     block_size: int = 64) -> RefutationResult:
     """Same function of (constraint, budget) as `refute`, for any worker
     count: blocks are scanned concurrently but consumed in stream order,
-    and lower blocks always settle before a hit is reported."""
+    and lower blocks always settle before a hit is reported.  Each block
+    skips only the profiles it has seen itself; the profiles of the
+    consumed blocks are merged, so `distinct_profiles` matches too."""
     constraint = _as_constraint(target)
     if workers <= 1:
         return refute(constraint, budget)
     stream = candidate_stream(constraint.n, budget)
     scanned = 0
+    seen: set = set()
     with ProcessPoolExecutor(max_workers=workers) as pool:
         pending = []
         exhausted = False
@@ -242,12 +386,13 @@ def refute_parallel(target, budget: Budget, workers: int = 1,
                 if not block:
                     exhausted = True
                     break
-                pending.append((len(block), pool.submit(_scan_block, constraint, block)))
+                pending.append((len(block), pool.submit(_scan_block, constraint,
+                                                        budget.max_denominator, block)))
             if not pending:
-                return RefutationResult(None, budget, scanned)
+                return RefutationResult(None, budget, scanned, len(seen))
             size, fut = pending.pop(0)
-            result = fut.result()
-            if result is not None:
-                offset, hit = result
-                return RefutationResult(hit, budget, scanned + offset + 1)
+            offset, hit, block_seen = fut.result()
+            seen |= block_seen
+            if hit is not None:
+                return RefutationResult(hit, budget, scanned + offset + 1, len(seen))
             scanned += size

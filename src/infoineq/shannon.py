@@ -21,10 +21,11 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .core import LinExpr, MAX_VARS, VarSet, full_set, mutual_info, cond_entropy
-from .distributions import Distribution, enumerate_distributions
+from .core import Clause, LinExpr, MAX_VARS, VarSet, full_set, mutual_info, cond_entropy
+from .distributions import Distribution
 from .models import ModularVector
 from .parser import default_names
+from .refuter import Budget, refute
 from .simplex import LPResult, solve_lp
 
 ZERO = Fraction(0)
@@ -245,9 +246,11 @@ def classify_tight(c: LinExpr, gens: GeneratorSet,
             witness = SlackWitness("modular", modular=ModularVector.make(
                 [1 if i == j else 0 for i in range(c.n)]))
             return Tightness(SLACK, witness=witness)
-    for dist in enumerate_distributions(c.n, max_support, max_denominator):
-        if c.eval(dist.entropic_vector()).sign() > 0:
-            return Tightness(SLACK, witness=SlackWitness("distribution", distribution=dist))
+    # the first pmf with c.h > 0 falsifies -c >= 0
+    result = refute(Clause(c.n, (), (-c,)), Budget(max_support, max_denominator))
+    if result.found:
+        return Tightness(SLACK, witness=SlackWitness(
+            "distribution", distribution=result.counterexample.distribution))
     return Tightness(UNKNOWN)
 
 
@@ -257,8 +260,10 @@ def joint_slack(exprs: Sequence[LinExpr],
 
     First tries modular vectors: minimize sum(w) subject to the margin
     system (c_i . h_w >= 1 for all i, w >= 0); scale invariance makes the
-    unit margin lossless.  Falls back to the canonical distribution
-    stream within the budget.  None means not found at this budget.
+    unit margin lossless.  Then, unless some -c_i is provable at the
+    elemental set (c_i <= 0 everywhere, so no witness exists), falls back
+    to the canonical distribution stream within the budget.  None means
+    not found at this budget.
     """
     if not exprs:
         return SlackWitness("modular", modular=ModularVector.make([]))
@@ -276,8 +281,12 @@ def joint_slack(exprs: Sequence[LinExpr],
     res = solve_lp(a_rows, b, cost)
     if res.status == "optimal":
         return SlackWitness("modular", modular=ModularVector.make(res.x[:n]))
-    for dist in enumerate_distributions(n, max_support, max_denominator):
-        h = dist.entropic_vector()
-        if all(c.eval(h).sign() > 0 for c in exprs):
-            return SlackWitness("distribution", distribution=dist)
+    gens = elemental(n)
+    if any(prove(-c, gens) is not None for c in exprs):
+        return None
+    # the first pmf with every c_i.h > 0 falsifies max(-c_1, ..., -c_k) >= 0
+    result = refute(Clause(n, (), tuple(-c for c in exprs)),
+                    Budget(max_support, max_denominator))
+    if result.found:
+        return SlackWitness("distribution", distribution=result.counterexample.distribution)
     return None

@@ -185,6 +185,16 @@ def test_secret_share_runs_the_tight_stage(capsys):
     assert certificate_problems(report, constraint.clauses[0], gens) == []
 
 
+def test_tight_stage_note_names_each_disjuncts_p(capsys):
+    code, report = run(capsys, "secret-share", "--participants", "2", "--access", "1,2",
+                       "--ratio", "2", "--prove")
+    assert code == 2
+    assert report["status"] == "inconclusive"
+    assert len(parse_constraint(report["constraint"]).clauses[0].consequents) == 3
+    assert report["note"] == ("tight schedule found no certificate at p=4 for consequent 0, "
+                              "p=4 for consequent 1, p=4 for consequent 2")
+
+
 # ---------------------------------------------------------------------------
 # Every declared option is read by its subcommand
 # ---------------------------------------------------------------------------

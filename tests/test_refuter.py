@@ -1,0 +1,105 @@
+"""The profile-scan kernel of the refuter against the reference evaluation:
+exact signs, reports byte-identical to a `violation` scan over
+`enumerate_distributions`, distinct-profile counts, and the parallel
+driver."""
+from __future__ import annotations
+
+from fractions import Fraction
+from functools import lru_cache
+
+import pytest
+from hypothesis import given, settings
+
+from infoineq.apps import corpus
+from infoineq.core import BooleanConstraint, Clause, LinExpr
+from infoineq.distributions import enumerate_distributions, pmf_stream, to_distribution
+from infoineq.models import enumerate_systems
+from infoineq.parser import parse_expr
+from infoineq.refuter import (DISTRIBUTION, VECTOR_SPACE, Budget, ProfileScan,
+                              RefutationResult, refute, refute_parallel, violation)
+
+from conftest import lin_exprs
+
+XYZ = ("X", "Y", "Z")
+
+
+@lru_cache(maxsize=None)
+def n3_stream() -> list[tuple]:
+    """The 617 pmfs of n=3, s=2, D=4 with their reference entropic vectors."""
+    return [(pmf, to_distribution(*pmf).entropic_vector()) for pmf in pmf_stream(3, 2, 4)]
+
+
+def _scan_of(expr: LinExpr) -> ProfileScan:
+    return ProfileScan(BooleanConstraint(expr.n, (Clause(expr.n, (), (expr,)),)), 4)
+
+
+def _kernel_and_reference_signs(expr: LinExpr) -> list[tuple[int, int]]:
+    scan = _scan_of(expr)
+    compiled = scan.compile(expr)
+    return [(scan.sign(compiled, scan.profile(*pmf)), expr.eval(h).sign())
+            for pmf, h in n3_stream()]
+
+
+def test_stream_has_617_pmfs():
+    assert len(n3_stream()) == 617
+
+
+@settings(max_examples=25, deadline=None)
+@given(lin_exprs(3))
+def test_kernel_sign_matches_reference(expr):
+    pairs = _kernel_and_reference_signs(expr)
+    assert all(kernel == reference for kernel, reference in pairs)
+
+
+@pytest.mark.parametrize("text", [
+    "H(X)",
+    "H(X) + H(Y) - H(XY)",
+    "3*H(X) - 2*H(YZ)",
+    "H(XY) - H(X) - 1/2*H(Z)",
+    "H(XYZ) - 3/2*H(Y)",
+])
+def test_kernel_sign_matches_reference_on_multi_prime_values(text):
+    expr = parse_expr(text, XYZ)
+    pairs = _kernel_and_reference_signs(expr)
+    assert all(kernel == reference for kernel, reference in pairs)
+    # the D'=3 pmfs put log 3 beside log 2, so interval refinement runs
+    assert any(len(expr.eval(h).prime_exponents()) > 1 for _, h in n3_stream())
+
+
+def reference_refute(constraint: BooleanConstraint, budget: Budget) -> RefutationResult:
+    """`violation` on every candidate, in stream order, nothing skipped."""
+    candidates = [(DISTRIBUTION, d) for d in enumerate_distributions(
+        constraint.n, budget.max_support, budget.max_denominator)]
+    if budget.vs_primes and budget.vs_max_dim >= 1:
+        candidates += [(VECTOR_SPACE, s) for s in enumerate_systems(
+            constraint.n, budget.vs_primes, budget.vs_max_dim)]
+    for scanned, (kind, obj) in enumerate(candidates, 1):
+        hit = violation(constraint, kind, obj)
+        if hit is not None:
+            return RefutationResult(hit, budget, scanned)
+    return RefutationResult(None, budget, len(candidates))
+
+
+@pytest.mark.parametrize("fx", corpus(), ids=lambda fx: fx.name)
+def test_refute_report_matches_reference_scan(fx):
+    budget = Budget.parse(fx.budget or "s=2,D=4")
+    assert refute(fx.constraint, budget).to_json() \
+        == reference_refute(fx.constraint, budget).to_json()
+
+
+@pytest.mark.parametrize("n,profiles", [(3, 64), (4, 326)])
+def test_distinct_profiles_when_every_mask_is_mentioned(n, profiles):
+    every = LinExpr.make(n, {mask: Fraction(1) for mask in range(1, 1 << n)})
+    result = refute(Clause(n, (), (every,)), Budget(2, 4))
+    assert not result.found
+    assert result.candidates_scanned == (617 if n == 3 else 6779)
+    assert result.distinct_profiles == profiles
+    assert "distinct_profiles" not in result.to_json()
+
+
+@pytest.mark.parametrize("name", ["false_ci_weakening", "agm_triangle", "false_max_nonneg"])
+def test_parallel_driver_equals_serial(name):
+    fx = next(f for f in corpus() if f.name == name)
+    budget = Budget.parse(fx.budget or "s=2,D=4")
+    assert refute_parallel(fx.constraint, budget, workers=2, block_size=16) \
+        == refute(fx.constraint, budget)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from infoineq import shannon
 from infoineq.core import LinExpr, entropy_of, mutual_info
 from infoineq.models import modular
 from infoineq.parser import parse_expr
@@ -163,6 +164,14 @@ class TestJointSlack:
     def test_single_entropy(self, gens3):
         w = joint_slack([entropy_of(3, 1)])
         assert w.modular.weights == (F(1), F(0), F(0))
+
+    def test_provably_nonpositive_expression_skips_the_scan(self, monkeypatch):
+        # -I(X;Y) <= 0 is elemental, so no candidate can make it positive
+        def no_scan(*args):
+            raise AssertionError("joint_slack scanned distributions")
+
+        monkeypatch.setattr(shannon, "refute", no_scan)
+        assert joint_slack([entropy_of(2, 1), -mutual_info(2, 1, 2)]) is None
 
     def test_distribution_fallback(self):
         # strictly positive only away from modular vectors: I(X;Y) > 0 needs
