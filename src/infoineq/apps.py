@@ -53,18 +53,6 @@ def with_matus_generators(gens: GeneratorSet, ks: Iterable[int]) -> GeneratorSet
     return gens
 
 
-def kopparty_rossman_terms() -> tuple[LinExpr, LinExpr, LinExpr]:
-    """The three expressions of the triangle-vs-V max inequality on X,Y,Z:
-    2h(XY)-h(X)-h(XYZ) and its rotations."""
-    n = 3
-    x, y, z = 1, 2, 4
-    xyz = 7
-    d1 = entropy_of(n, x | y).scale(2) - entropy_of(n, x) - entropy_of(n, xyz)
-    d2 = entropy_of(n, y | z).scale(2) - entropy_of(n, y) - entropy_of(n, xyz)
-    d3 = entropy_of(n, x | z).scale(2) - entropy_of(n, z) - entropy_of(n, xyz)
-    return d1, d2, d3
-
-
 # ---------------------------------------------------------------------------
 # Secret sharing
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from typing import Iterator, Sequence
 
 from .core import Clause, LinExpr, VarSet, mutual_info
 from .parser import _split_var_token  # shared variable-token convention
-from .refuter import Budget, RefutationResult, refute, refute_parallel
+from .refuter import Budget, RefutationResult, refute_parallel
 from .shannon import GeneratorSet, ProofCertificate, prove
 
 
@@ -216,8 +216,6 @@ def falsify(antecedents: Sequence[CIStatement], consequent: CIStatement, n: int,
     via exact signs, so hits are genuine solutions of the product system."""
     clause = to_clause(antecedents, consequent, n)
     budget = Budget(max_support=max_domain, max_denominator=max_denominator)
-    if workers <= 1:
-        return refute(clause, budget)
     return refute_parallel(clause, budget, workers)
 
 

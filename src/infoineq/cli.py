@@ -16,7 +16,9 @@ until one concludes:
     multiplier  a single consequent is one multiplier LP over the kept
                 antecedents (the plain generator cone when none is kept);
                 a max clause races a multiplier search against refutation
-    tight       the (p, q) schedule, when every kept antecedent is tight
+    tight       the (p, q) schedule, when every kept antecedent is tight:
+                for each scheduled p (``--schedule p=1,2,4,8`` by default)
+                the least q is solved for, capped at 64
     refute      the budgeted counterexample search (single consequent)
 
 ``prove`` runs all three; ``secret-share --prove`` runs ``tight``;
@@ -41,7 +43,7 @@ from .ci import CIStatement, build_delta, ci_prove, export_delta, falsify, parse
 from .core import BooleanConstraint, Clause, LinExpr
 from .parser import ParseError, format_clause, format_constraint, parse_constraint
 from .recognizer import CandidateRepr, check_candidate
-from .reductions import Schedule, max_to_linear, prepare_antecedents, tight_reduction
+from .reductions import Q_MAX, Schedule, max_to_linear, prepare_antecedents, tight_reduction
 from .refuter import Budget, Counterexample, refute_parallel
 from .shannon import GeneratorSet, TIGHT, classify_tight, elemental, joint_slack, prove
 
@@ -50,19 +52,18 @@ EXIT_NEGATIVE = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
 
+SCHEDULE_HELP = ("relaxation values of p for the tight stage, e.g. p=1,2,4,8; "
+                 f"at each p the least q is solved for, capped at {Q_MAX}")
+
 
 def parse_schedule(text: str) -> Schedule:
-    """Parse 'p=1,2,4,8 qmax=64' style schedule strings."""
-    p_values = (1, 2, 4, 8)
-    q_max = 64
+    """Parse 'p=1,2,4,8' style schedule strings."""
+    schedule = Schedule()
     for item in text.split():
-        if item.startswith("p="):
-            p_values = tuple(int(v) for v in item[2:].split(",") if v)
-        elif item.startswith("qmax="):
-            q_max = int(item[5:])
-        else:
+        if not item.startswith("p="):
             raise ValueError(f"unknown schedule item {item!r}")
-    return Schedule(p_values, q_max)
+        schedule = Schedule(tuple(int(v) for v in item[2:].split(",") if v))
+    return schedule
 
 
 def load_generators(n: int, extra_files: list[str]) -> GeneratorSet:
@@ -448,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--file", required=True)
     p.add_argument("--extra-gens", action="append", default=[],
                    help="file with additional trusted valid inequalities")
-    p.add_argument("--schedule", default="p=1,2,4,8 qmax=64")
+    p.add_argument("--schedule", default="p=1,2,4,8", help=SCHEDULE_HELP)
     p.add_argument("--lambda-max", type=int, default=8)
     p.set_defaults(func=cmd_prove)
 
@@ -466,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--file", required=True)
     p.add_argument("--regime", choices=["auto", "tight", "slack", "max"], default="auto")
     p.add_argument("--extra-gens", action="append", default=[])
-    p.add_argument("--schedule", default="p=1,2,4,8 qmax=64")
+    p.add_argument("--schedule", default="p=1,2,4,8", help=SCHEDULE_HELP)
     p.add_argument("--lambda-max", type=int, default=8)
     p.set_defaults(func=cmd_reduce)
 
@@ -502,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="qualified sets, e.g. '1,2;1,3' (closed upward automatically)")
     p.add_argument("--ratio", default="1", help="claimed information-ratio lower bound")
     p.add_argument("--prove", action="store_true", help="run the tight stage")
-    p.add_argument("--schedule", default="p=1,2,4,8 qmax=64")
+    p.add_argument("--schedule", default="p=1,2,4,8", help=SCHEDULE_HELP)
     p.set_defaults(func=cmd_secret_share)
 
     p = sub.add_parser("check-dist", help="entropies of a distribution file")

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 import mpmath
 from sympy import factorint
@@ -390,10 +390,6 @@ class EntropicCandidate:
             raise ValueError("candidate must have one value per subset")
         if not self.values[0].is_zero():
             raise ValueError("value at the empty set must be zero")
-
-    @staticmethod
-    def from_values(n: int, values: Iterable[LogLinValue]) -> "EntropicCandidate":
-        return EntropicCandidate(n, tuple(values))
 
     @staticmethod
     def zero(n: int) -> "EntropicCandidate":

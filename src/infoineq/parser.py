@@ -375,11 +375,6 @@ def parse_constraint(text: str, var_names: "list[str] | None" = None) -> Boolean
     return _Parser(text, var_names).parse_constraint()
 
 
-def parse_constraint_file(path, var_names: "list[str] | None" = None) -> BooleanConstraint:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_constraint(fh.read(), var_names)
-
-
 # ---------------------------------------------------------------------------
 # Pretty printing
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 * antecedent preparation: antecedents that are provably valid are
   dropped, and the rest (`kept`) feed every reduction below;
-* the (p, q) relaxation schedule for tight antecedents;
+* the (p, q) relaxation schedule for tight antecedents, with the least
+  q at each p solved for by one LP;
 * the max-to-linear driver that races a multiplier search against
   counterexample enumeration.
 
@@ -14,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
+from math import ceil
 from typing import Iterator, Sequence
 
 from .core import Clause, LinExpr, entropy_of, full_set
@@ -41,14 +43,16 @@ def prepare_antecedents(antecedents: Sequence[LinExpr], gens: GeneratorSet) -> P
 # Tight regime
 # ---------------------------------------------------------------------------
 
+Q_MAX = 64  # the largest q the schedule accepts at any p
+
+
 @dataclass(frozen=True)
 class Schedule:
     p_values: tuple[int, ...] = (1, 2, 4, 8)
-    q_max: int = 64
 
     def __post_init__(self):
-        if any(p < 1 for p in self.p_values) or self.q_max < 0:
-            raise ValueError("schedule needs p >= 1 and q_max >= 0")
+        if not self.p_values or any(p < 1 for p in self.p_values):
+            raise ValueError("schedule needs at least one p, each p >= 1")
 
 
 @dataclass(frozen=True)
@@ -79,30 +83,38 @@ def tight_target(consequent: LinExpr, antecedents: Sequence[LinExpr],
 def tight_reduction(clause: Clause, kept: Sequence[LinExpr], gens: GeneratorSet,
                     schedule: Schedule = Schedule()) -> TightReduction:
     """Prove a conditional clause through the relaxation schedule: for
-    each p, find the least q <= q_max such that
+    each p, find the least integer q <= Q_MAX such that
     c + (1/p) h([n]) - q * sum(kept) lands in the generator cone.
 
-    The caller establishes that every kept antecedent is tight.
+    The least rational q* is one LP: prove the q = 0 target with
+    sum(kept) as the single antecedent, minimizing its multiplier.  The
+    caller establishes that every kept antecedent is tight (-a is in the
+    cone), so -sum(kept) is in the cone and feasibility can only grow
+    with q; the least feasible integer is therefore ceil(q*), and the
+    step's certificate is the plain proof of the target at that q.  A p
+    fails when the LP is infeasible or q exceeds Q_MAX: at most two LPs
+    per p.
+
     Succeeding at every scheduled p is a sound demonstration of the
     closed-cone conditional at this generator strength; failure of any p
     is inconclusive (reported, never interpreted).  Multi-consequent
     clauses are tried one consequent at a time; proving any single
     disjunct under the antecedents proves the clause.
     """
+    total = sum(kept, LinExpr.zero(clause.n))
     failed_p = []
     for ci, consequent in enumerate(clause.consequents):
         steps = []
         for p in schedule.p_values:
-            found = None
-            for q in range(schedule.q_max + 1):
-                cert = prove(tight_target(consequent, kept, p, q), gens)
-                if cert is not None:
-                    found = TightStep(p, q, cert)
-                    break
-            if found is None:
+            least = prove(tight_target(consequent, kept, p, 0), gens,
+                          antecedents=(total,), minimize_antecedent_use=True)
+            q = None if least is None else ceil(least.antecedent_multipliers[0])
+            cert = prove(tight_target(consequent, kept, p, q), gens) \
+                if q is not None and q <= Q_MAX else None
+            if cert is None:
                 failed_p.append(p)
                 break
-            steps.append(found)
+            steps.append(TightStep(p, q, cert))
         else:
             return TightReduction(True, ci, tuple(steps))
     return TightReduction(False, None, (), tuple(failed_p))

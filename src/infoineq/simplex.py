@@ -149,19 +149,3 @@ def solve_lp(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction],
         if bi < n:
             x[bi] = tableau[i][width - 1]
     return LPResult("optimal", tuple(x), obj)
-
-
-def feasible_nonneg_combination(columns: Sequence[Sequence[Fraction]],
-                                target: Sequence[Fraction]) -> "tuple[Fraction, ...] | None":
-    """Find x >= 0 with sum_j x_j * columns[j] = target, or None.
-
-    Columns and target are coordinate vectors of equal length.
-    """
-    if not columns:
-        return () if all(v == 0 for v in target) else None
-    m = len(target)
-    a = [[columns[j][i] for j in range(len(columns))] for i in range(m)]
-    res = solve_lp(a, list(target), [ZERO] * len(columns))
-    if res.status != "optimal":
-        return None
-    return res.x

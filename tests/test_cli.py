@@ -195,6 +195,19 @@ def test_tight_stage_note_names_each_disjuncts_p(capsys):
                               "p=4 for consequent 1, p=4 for consequent 2")
 
 
+@pytest.mark.parametrize("argv", [
+    ["prove", "--file", str(fixture("kaced_romashchenko_ci").path)],
+    ["secret-share", "--participants", "2", "--access", "1,2", "--prove"],
+])
+def test_empty_schedule_exits_3(capsys, argv):
+    """An empty p list would make the tight stage succeed vacuously."""
+    assert cli.main([*argv, "--schedule", "p="]) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "Traceback" not in err
+    assert "error" in json.loads(err)
+
+
 # ---------------------------------------------------------------------------
 # Every declared option is read by its subcommand
 # ---------------------------------------------------------------------------

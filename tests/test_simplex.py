@@ -7,7 +7,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from infoineq.simplex import feasible_nonneg_combination, solve_lp
+from infoineq.simplex import solve_lp
 
 F = Fraction
 Z = F(0)
@@ -62,16 +62,19 @@ def test_degenerate_problem_terminates():
     assert res.objective == F(-5, 4)
 
 
-def test_feasible_combination_exact():
-    cols = [[F(1), Z], [F(1), F(1)]]
-    x = feasible_nonneg_combination(cols, [F(3), F(2)])
-    assert x == (F(1), F(2))
-    assert feasible_nonneg_combination(cols, [F(-1), Z]) is None
+def test_zero_cost_feasibility_exact():
+    # x (1, 0) + y (1, 1) = target, x, y >= 0
+    a = [[F(1), F(1)], [Z, F(1)]]
+    res = solve_lp(a, [F(3), F(2)], [Z, Z])
+    assert res.status == "optimal"
+    assert res.x == (F(1), F(2))
+    assert solve_lp(a, [F(-1), Z], [Z, Z]).status == "infeasible"
 
 
-def test_feasible_combination_empty():
-    assert feasible_nonneg_combination([], [Z, Z]) == ()
-    assert feasible_nonneg_combination([], [F(1)]) is None
+def test_no_columns():
+    res = solve_lp([[], []], [Z, Z], [])
+    assert (res.status, res.x) == ("optimal", ())
+    assert solve_lp([[]], [F(1)], []).status == "infeasible"
 
 
 @settings(max_examples=60, deadline=None)
