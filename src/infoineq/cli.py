@@ -9,9 +9,10 @@ human-readable digest).  Exit codes:
     2  inconclusive or budget exhausted
     3  usage or input error
 
-Every clause decision goes through `decide_clause`, which drops the
-provably valid antecedents once and then runs an ordered list of stages
-until one concludes:
+Every clause decision goes through `decide_clause`, which runs an
+ordered list of stages until one concludes, over the clause's antecedents
+without the provably valid ones (`decide_constraint` drops those once per
+distinct antecedent tuple):
 
     multiplier  a single consequent is one multiplier LP over the kept
                 antecedents (the plain generator cone when none is kept);
@@ -174,14 +175,14 @@ REGIME_STAGES = {"auto": ("multiplier", "tight"), "slack": ("multiplier",),
                  "max": ("multiplier",), "tight": ("tight",)}
 
 
-def decide_clause(clause: Clause, gens: GeneratorSet, budget: Budget,
-                  schedule: Schedule, lambda_max: int,
+def decide_clause(clause: Clause, kept: tuple[LinExpr, ...], gens: GeneratorSet,
+                  budget: Budget, schedule: Schedule, lambda_max: int,
                   stages: tuple[str, ...] = PROVE_STAGES, workers: int = 1) -> ClauseOutcome:
-    """Run the named stages in order on one clause; the first conclusive
-    outcome wins.  Antecedents that are provably valid are dropped once,
-    up front.  An inconclusive outcome carries the method and note of the
-    leading stage, plus the refuter's note when it ran."""
-    kept = prepare_antecedents(clause.antecedents, gens).kept
+    """Run the named stages in order on one clause, over `kept`, its
+    antecedents without the provably valid ones (`prepare_antecedents`);
+    the first conclusive outcome wins.  An inconclusive outcome carries
+    the method and note of the leading stage, plus the refuter's note
+    when it ran."""
     lead = None
     for name in stages:
         outcome = STAGES[name](clause, kept, gens, budget, schedule, lambda_max, workers)
@@ -202,8 +203,15 @@ def decide_constraint(constraint: BooleanConstraint, gens: GeneratorSet, budget:
                       schedule: Schedule, lambda_max: int,
                       stages: tuple[str, ...] = PROVE_STAGES,
                       workers: int = 1) -> tuple[str, list[ClauseOutcome]]:
-    outcomes = [decide_clause(c, gens, budget, schedule, lambda_max, stages, workers)
-                for c in constraint.clauses]
+    # clauses split from one equality consequent share their antecedents,
+    # so the valid ones are dropped once per distinct antecedent tuple
+    kept: dict[tuple[LinExpr, ...], tuple[LinExpr, ...]] = {}
+    outcomes = []
+    for clause in constraint.clauses:
+        if clause.antecedents not in kept:
+            kept[clause.antecedents] = prepare_antecedents(clause.antecedents, gens).kept
+        outcomes.append(decide_clause(clause, kept[clause.antecedents], gens, budget, schedule,
+                                      lambda_max, stages, workers))
     if any(o.status == "refuted" for o in outcomes):
         return "refuted", outcomes
     if all(o.status == "proved" for o in outcomes):
@@ -380,8 +388,9 @@ def cmd_secret_share(args) -> int:
               "constraint": format_constraint(constraint)}
     exit_code = EXIT_POSITIVE
     if args.prove:
-        outcome = decide_clause(constraint.clauses[0], elemental(constraint.n), Budget(),
-                                parse_schedule(args.schedule), 0, REGIME_STAGES["tight"])
+        _, (outcome,) = decide_constraint(constraint, elemental(constraint.n), Budget(),
+                                          parse_schedule(args.schedule), 0,
+                                          REGIME_STAGES["tight"])
         report.update(status=outcome.status, **outcome.detail)
         exit_code = _STATUS_EXIT[outcome.status]
     emit(report, args.text)

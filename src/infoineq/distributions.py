@@ -117,7 +117,10 @@ class Distribution:
             if len(toks) != len(domains) + 1:
                 raise ValueError(f"bad outcome line: {ln!r}")
             outcome = tuple(int(t) for t in toks[:-1])
-            pmf[outcome] = Fraction(toks[-1])
+            try:
+                pmf[outcome] = Fraction(toks[-1])
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in outcome line: {ln!r}") from None
         return Distribution.make(domains, pmf)
 
 

@@ -69,6 +69,8 @@ class CandidateRepr:
             for name in _split_var_token(subset):
                 names.add(name)
             rows.append((subset, int(toks[1]), int(toks[2]), int(toks[3])))
+        if not rows:
+            raise ValueError("candidate file has no subset lines")
         order = sorted(names)
         index = {name: i for i, name in enumerate(order)}
         n = len(order)

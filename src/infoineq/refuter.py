@@ -34,6 +34,8 @@ from itertools import islice
 from math import lcm
 from typing import Iterator
 
+from sympy import isprime
+
 from .core import BooleanConstraint, Clause, LinExpr, _factor_cached, prime_sum_sign
 from .distributions import Distribution, cell_outcomes, pmf_stream, to_distribution
 from .models import VectorSpaceSystem, enumerate_systems
@@ -51,6 +53,15 @@ class Budget:
     max_denominator: int = 4
     vs_primes: tuple[int, ...] = ()
     vs_max_dim: int = 0
+
+    def __post_init__(self):
+        if self.max_support < 1 or self.max_denominator < 1:
+            raise ValueError("budget needs s >= 1 and D >= 1")
+        if self.vs_max_dim < 0:
+            raise ValueError("budget needs vsdim >= 0")
+        for q in self.vs_primes:
+            if not isprime(q):
+                raise ValueError(f"budget vsq={q} is not a prime")
 
     @staticmethod
     def parse(text: str) -> "Budget":

@@ -76,6 +76,23 @@ def test_corpus_fixture_verdict(capsys, name):
     assert_proofs_verify(report, fx.constraint)
 
 
+def test_antecedents_are_pruned_once_per_distinct_tuple(capsys, monkeypatch):
+    """The equality consequent of this fixture splits into two clauses
+    with the same antecedents; their valid members are dropped once."""
+    calls = []
+    prepare = cli.prepare_antecedents
+
+    def counting(antecedents, gens):
+        calls.append(antecedents)
+        return prepare(antecedents, gens)
+
+    monkeypatch.setattr(cli, "prepare_antecedents", counting)
+    fx = fixture("kaced_romashchenko_ci")
+    code, _ = run(capsys, "prove", "--file", str(fx.path))
+    assert code == cli.EXIT_INCONCLUSIVE
+    assert len(fx.constraint.clauses) == 2 and len(calls) == 1
+
+
 def test_prove_reports_no_slack_label(capsys):
     fx = fixture("kopparty_rossman_conditional")
     _, report = run(capsys, "prove", "--file", str(fx.path))
@@ -97,6 +114,16 @@ def test_prove_workers_do_not_change_the_report(capsys):
     (["prove", "--file", "{missing}"], None),
     (["prove", "--file", "{path}", "--budget", "s=2,bogus=1"], "H(X) >= 0\n"),
     (["reduce", "--file", "{path}", "--budget", "s"], "H(X) >= 0\n"),
+    (["refute", "--file", "{path}", "--budget", "s=0,D=4"], "H(X) >= 0\n"),
+    (["refute", "--file", "{path}", "--budget", "s=2,D=-1"], "H(X) >= 0\n"),
+    (["refute", "--file", "{path}", "--budget", "vsdim=-1"], "H(X) >= 0\n"),
+    (["refute", "--file", "{path}", "--budget", "vsdim=1,vsq=2,4"], "H(X) >= 0\n"),
+    (["check-dist", "--file", "{path}"], "vars 2 2\n0 0 1/0\n1 1 1\n"),
+    (["check-dist", "--file", "{path}"], "vars 2 2\n0 0 1/2\n2 1 1/2\n"),
+    (["check-dist", "--file", "{path}"], "0 0 1/2\n1 1 1/2\n"),
+    (["recognize", "--file", "{path}"], "X 1 2\n"),
+    (["recognize", "--file", "{path}"], "X 1 0 0\nX 1 0 0\n"),
+    (["recognize", "--file", "{path}"], ""),
 ])
 def test_bad_input_exits_3_without_traceback(capsys, tmp_path, argv, text):
     path = write(tmp_path, text) if text is not None else ""

@@ -1,16 +1,127 @@
-"""Exact LP: feasibility, optima, and certified infeasibility."""
+"""Exact LP: feasibility, optima, and certified infeasibility.
+
+The integer tableau must take exactly the pivots of the rational one, so
+the differential tests compare the whole `LPResult` (status, vertex,
+objective) with the `Fraction` tableau kept here as the reference."""
 from __future__ import annotations
 
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from infoineq.simplex import solve_lp
+from infoineq import shannon
+from infoineq.core import LinExpr, mutual_info
+from infoineq.shannon import elemental, prove
+from infoineq.simplex import LPResult, solve_lp
 
 F = Fraction
 Z = F(0)
+
+# classic cycling-prone structure; Bland's rule must terminate
+CYCLING_A = [
+    [F(1, 4), F(-8), F(-1), F(9), F(1), Z, Z],
+    [F(1, 2), F(-12), F(-1, 2), F(3), Z, F(1), Z],
+    [Z, Z, F(1), Z, Z, Z, F(1)],
+]
+CYCLING_B = [Z, Z, F(1)]
+CYCLING_C = [F(-3, 4), F(20), F(-1, 2), F(6), Z, Z, Z]
+
+
+# ---------------------------------------------------------------------------
+# Reference: the two-phase simplex on a Fraction tableau
+# ---------------------------------------------------------------------------
+
+def _reference_pivot(tableau, basis, row, col):
+    piv = tableau[row][col]
+    tableau[row] = [v / piv for v in tableau[row]]
+    for r, line in enumerate(tableau):
+        if r != row and line[col] != 0:
+            factor = line[col]
+            tableau[r] = [a - factor * b for a, b in zip(line, tableau[row])]
+    basis[row] = col
+
+
+class _ReferenceUnbounded(Exception):
+    pass
+
+
+def _reference_simplex(tableau, basis, cost, allowed):
+    """Bland's rule with every reduced cost recomputed per pivot."""
+    m = len(tableau)
+    width = len(tableau[0])
+    while True:
+        entering = -1
+        for j in range(allowed):
+            if j in basis:
+                continue
+            red = cost[j]
+            for i in range(m):
+                if cost[basis[i]] != 0:
+                    red -= cost[basis[i]] * tableau[i][j]
+            if red < 0:
+                entering = j
+                break
+        if entering < 0:
+            obj = Z
+            for i in range(m):
+                if cost[basis[i]] != 0:
+                    obj += cost[basis[i]] * tableau[i][width - 1]
+            return obj
+        leaving = -1
+        best = None
+        for i in range(m):
+            a = tableau[i][entering]
+            if a > 0:
+                ratio = tableau[i][width - 1] / a
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
+                    best = ratio
+                    leaving = i
+        if leaving < 0:
+            raise _ReferenceUnbounded()
+        _reference_pivot(tableau, basis, leaving, entering)
+
+
+def reference_solve_lp(a, b, c) -> LPResult:
+    n = len(c)
+    rows, rhs = [], []
+    for row, bi in zip(a, b):
+        if all(v == 0 for v in row):
+            if bi != 0:
+                return LPResult("infeasible", (), Z)
+            continue
+        if bi < 0:
+            rows.append([-v for v in row])
+            rhs.append(-bi)
+        else:
+            rows.append([F(v) for v in row])
+            rhs.append(F(bi))
+    m = len(rows)
+    if m == 0:
+        return LPResult("optimal", tuple(Z for _ in range(n)), Z)
+    tableau = [rows[i] + [F(j == i) for j in range(m)] + [rhs[i]] for i in range(m)]
+    basis = [n + i for i in range(m)]
+    art = _reference_simplex(tableau, basis, [Z] * n + [F(1)] * m + [Z], n + m)
+    if art != 0:
+        return LPResult("infeasible", (), art)
+    for i in range(m):
+        if basis[i] >= n:
+            pivot_col = next((j for j in range(n) if tableau[i][j] != 0), None)
+            if pivot_col is not None:
+                _reference_pivot(tableau, basis, i, pivot_col)
+    keep = [i for i in range(m) if basis[i] < n]
+    tableau = [tableau[i] for i in keep]
+    basis = [basis[i] for i in keep]
+    try:
+        obj = _reference_simplex(tableau, basis, [F(v) for v in c] + [Z] * m + [Z], n)
+    except _ReferenceUnbounded:
+        return LPResult("unbounded", (), Z)
+    x = [Z] * n
+    for i, bi in enumerate(basis):
+        x[bi] = tableau[i][-1]
+    return LPResult("optimal", tuple(x), obj)
 
 
 def test_simple_optimum():
@@ -49,15 +160,7 @@ def test_zero_rows():
 
 
 def test_degenerate_problem_terminates():
-    # classic cycling-prone structure; Bland's rule must terminate
-    a = [
-        [F(1, 4), F(-8), F(-1), F(9), F(1), Z, Z],
-        [F(1, 2), F(-12), F(-1, 2), F(3), Z, F(1), Z],
-        [Z, Z, F(1), Z, Z, Z, F(1)],
-    ]
-    b = [Z, Z, F(1)]
-    c = [F(-3, 4), F(20), F(-1, 2), F(6), Z, Z, Z]
-    res = solve_lp(a, b, c)
+    res = solve_lp(CYCLING_A, CYCLING_B, CYCLING_C)
     assert res.status == "optimal"
     assert res.objective == F(-5, 4)
 
@@ -93,3 +196,108 @@ def test_random_feasible_systems(seed):
         assert sum(r * x for r, x in zip(row, res.x)) == bi
     assert all(x >= 0 for x in res.x)
     assert res.objective <= sum(ci * xi for ci, xi in zip(c, x0))
+
+
+# ---------------------------------------------------------------------------
+# Differential tests against the Fraction tableau
+# ---------------------------------------------------------------------------
+
+def random_lp(rng: random.Random):
+    """A small LP with fractional entries, either sign of b and c, and at
+    times a zero row or a row that is a multiple of another."""
+    m, n = rng.randint(1, 5), rng.randint(1, 6)
+
+    def entry():
+        return F(rng.randint(-6, 6), rng.randint(1, 4)) if rng.random() < 0.7 else Z
+
+    a = [[entry() for _ in range(n)] for _ in range(m)]
+    if rng.random() < 0.5:
+        x0 = [F(rng.randint(0, 3), rng.randint(1, 2)) for _ in range(n)]
+        b = [sum((r * x for r, x in zip(row, x0)), Z) for row in a]
+    else:
+        b = [entry() for _ in range(m)]
+    if rng.random() < 0.3:
+        i = rng.randrange(m)
+        a[i] = [Z] * n
+        b[i] = entry() if rng.random() < 0.3 else Z
+    if m > 1 and rng.random() < 0.4:
+        i, j = rng.sample(range(m), 2)
+        k = F(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3))
+        a[j] = [k * v for v in a[i]]
+        b[j] = k * b[i]
+    c = [entry() for _ in range(n)]
+    return a, b, c
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 9))
+def test_matches_fraction_tableau_on_random_lps(seed):
+    a, b, c = random_lp(random.Random(seed))
+    assert solve_lp(a, b, c) == reference_solve_lp(a, b, c)
+
+
+def test_random_lps_reach_every_status():
+    statuses = {reference_solve_lp(*random_lp(random.Random(seed))).status
+                for seed in range(200)}
+    assert statuses == {"optimal", "infeasible", "unbounded"}
+
+
+def test_matches_fraction_tableau_on_cycling_prone_lp():
+    assert solve_lp(CYCLING_A, CYCLING_B, CYCLING_C) == \
+        reference_solve_lp(CYCLING_A, CYCLING_B, CYCLING_C)
+
+
+def test_matches_fraction_tableau_when_an_artificial_leaves_on_a_negative_entry():
+    # phase 1 ends with the second artificial basic at 0; its row's first
+    # nonzero entry is -1/3, and phase 2 then moves on to another vertex
+    a = [[F(1), F(1), F(1, 2)], [F(-1, 3), Z, F(1)]]
+    b = [F(1), Z]
+    c = [F(1), F(2), F(-1)]
+    res = solve_lp(a, b, c)
+    assert res == reference_solve_lp(a, b, c)
+    assert res == LPResult("optimal", (F(6, 7), Z, F(2, 7)), F(4, 7))
+
+
+def test_matches_fraction_tableau_on_a_ratio_test_tie():
+    # the first phase-1 pivot ties at ratio 3 in both rows; the row of the
+    # lower basis index leaves, and this optimum has more than one vertex
+    a = [[F(1), F(1), F(1), Z], [F(1), Z, F(1), F(1)]]
+    b = [F(3), F(3)]
+    c = [F(2), Z, Z, Z]
+    res = solve_lp(a, b, c)
+    assert res == reference_solve_lp(a, b, c)
+    assert res == LPResult("optimal", (Z, F(3), Z, F(3)), Z)
+
+
+def prove_cases(n: int):
+    """(target, antecedents) pairs for `prove`, feasible and infeasible,
+    on the variables X, Y, Z (bits 1, 2, 4) of n."""
+    x_y = mutual_info(n, 1, 2, 0)
+    return {
+        "feasible": (mutual_info(n, 1, 6, 0), ()),
+        "infeasible": (-x_y, ()),
+        # I(X;YZ) = I(X;Y) + I(X;Z|Y)
+        "feasible-antecedents": (-mutual_info(n, 1, 6, 0),
+                                 (-x_y, -mutual_info(n, 1, 4, 2))),
+        # I(X;Y) = 0 does not imply I(X;Y|Z) = 0
+        "infeasible-antecedents": (-mutual_info(n, 1, 2, 4), (-x_y,)),
+    }
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_matches_fraction_tableau_on_prove_lps(monkeypatch, n):
+    lps = []
+
+    def recording(a, b, c):
+        lps.append((a, b, c))
+        return solve_lp(a, b, c)
+
+    monkeypatch.setattr(shannon, "solve_lp", recording)
+    gens = elemental(n)
+    proved = {}
+    for name, (target, antecedents) in prove_cases(n).items():
+        proved[name] = prove(target, gens, antecedents, minimize_antecedent_use=True) is not None
+    assert proved == {name: name.startswith("feasible") for name in proved}
+    assert len(lps) == 4 and any(any(c) for _, _, c in lps)
+    for a, b, c in lps:
+        assert solve_lp(a, b, c) == reference_solve_lp(a, b, c)
