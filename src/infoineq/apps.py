@@ -13,7 +13,6 @@ from typing import Iterable
 from .core import (BooleanConstraint, Clause, LinExpr, cond_entropy, entropy_of,
                    mutual_info)
 from .parser import parse_constraint
-from .shannon import GeneratorSet
 
 CORPUS_ENV = "INFOINEQ_CORPUS"
 
@@ -29,7 +28,11 @@ def matus_expr(k: int) -> LinExpr:
         I(C;D|A) + (k+3)/2 I(C;D|B) + I(A;B)
             + (k-1)/2 I(B;C|D) + (1/k) I(B;D|C) - I(C;D) >= 0
 
-    Valid for every k >= 1, and provably outside the elemental cone.
+    Not provable over the elemental cone for k = 1, 2, 3.  Not valid
+    either, at least at k = 1: `refute` at s=2, D=6 finds a binary pmf
+    on which the k = 1 member is negative.  So this does not transcribe
+    the published family faithfully, and no member is trusted as a
+    generator.
     """
     if k < 1:
         raise ValueError("family index k must be >= 1")
@@ -41,16 +44,6 @@ def matus_expr(k: int) -> LinExpr:
             + mutual_info(n, b, c, d).scale(Fraction(k - 1, 2))
             + mutual_info(n, b, d, c).scale(Fraction(1, k))
             - mutual_info(n, c, d))
-
-
-def with_matus_generators(gens: GeneratorSet, ks: Iterable[int]) -> GeneratorSet:
-    """Extend a 4-variable generator set by Matus instances, trusted on
-    provenance (they are published valid inequalities, not elemental)."""
-    for k in ks:
-        gens = gens.with_user(matus_expr(k), f"matus-k{k}",
-                              "Matus non-elemental family, member k="
-                              f"{k}; trusted as a published valid inequality")
-    return gens
 
 
 # ---------------------------------------------------------------------------

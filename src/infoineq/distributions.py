@@ -6,7 +6,7 @@ with probability p contributes p*log2(1/p), a LogLinValue term.  The
 enumeration is the engine behind counterexample search; its order is the
 contract that makes "minimal counterexample" well defined:
 
-    by increasing reduced denominator D', then increasing support size,
+    by increasing reduced denominator D', then increasing support size k,
     then domain-size tuple (lexicographic), then the integer numerator
     tuple (lexicographic).
 
@@ -14,11 +14,33 @@ Each distribution appears exactly once per domain tuple: numerator tuples
 with a common factor are skipped, so a pmf is emitted only at its reduced
 denominator.
 
-The order is defined once, by `pmf_stream`, which yields integer pmfs;
-`enumerate_distributions` wraps each in a `Distribution`.  The refuter
-scans the integer stream directly and skips pmfs whose marginal profile
-it has already seen (exact, since the answer depends only on the
-entropies that profile fixes); skipped pmfs still count as scanned.
+The order is defined once, by the iterative walk `pmf_walk`.  Without
+pruning it yields every pmf: `pmf_stream` gives them as integer pmfs and
+`enumerate_distributions` as `Distribution`s.  Searches that depend only
+on marginal counts (the refuter, the recognizer) walk with `skip_twins`.
+That walk builds only the pmfs that give mass to every value of every
+domain and are not lexicographically reduced by swapping two adjacent
+values of one variable.  Skipping the rest is exact, because each
+skipped pmf has an earlier twin in the stream with the same marginal
+counts up to relabelling:
+* a pmf that leaves a value unused has the same counts as the pmf that
+  drops that value; it has the same D' and support size and a
+  lexicographically smaller domain tuple, so it comes earlier;
+* a value swap keeps D', the support size and the domains, so a swap
+  that makes the numerator tuple smaller gives an earlier pmf.
+So the first pmf with any given marginal profile is always built.
+
+Skipped pmfs still hold their stream positions.  A subtree of the
+numerator walk is fixed by its next cell j, the sum r still to place,
+the nonzero cells t still to place and the gcd g of the counts placed;
+it holds
+
+    sum over d | gcd(g, r) of mu(d) * C(cells - j, t) * C(r/d - 1, t - 1)
+
+pmfs (Moebius inversion over the common factor, g = 0 before the first
+nonzero count).  The walk adds that count for every subtree it cuts and
+for every (D', k, domains) block with some domain larger than k, so each
+pmf it yields carries its exact index in the full stream.
 """
 from __future__ import annotations
 
@@ -26,10 +48,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import gcd, prod
+from math import comb, gcd, prod
 from typing import Iterator, Mapping
 
-from .core import EntropicCandidate, LogLinValue, as_fraction
+from .core import EntropicCandidate, LogLinValue, _factor_cached, as_fraction
 
 Outcome = tuple[int, ...]
 # (D', domains, ((cell, count), ...)): a pmf with probabilities count / D'
@@ -76,26 +98,29 @@ class Distribution:
     def support(self) -> list[Outcome]:
         return [o for o, p in self.pmf if p > 0]
 
-    def marginal(self, mask: int) -> "Distribution":
-        """Exact marginal on the variables selected by the mask."""
+    def _marginal_items(self, mask: int) -> list[tuple[Outcome, Fraction]]:
+        """The nonzero probabilities of the marginal on the masked
+        variables, in outcome order."""
         idx = [i for i in range(self.n) if (mask >> i) & 1]
-        if not idx:
-            return Distribution.make((1,), {(0,): Fraction(1)})
         acc: dict[Outcome, Fraction] = {}
         for outcome, p in self.pmf:
-            if p == 0:
-                continue
-            key = tuple(outcome[i] for i in idx)
-            acc[key] = acc.get(key, Fraction(0)) + p
-        return Distribution.make(tuple(self.domains[i] for i in idx), acc)
+            if p:
+                key = tuple(outcome[i] for i in idx)
+                acc[key] = acc[key] + p if key in acc else Fraction(p)
+        return sorted(acc.items())
+
+    def marginal(self, mask: int) -> "Distribution":
+        """Exact marginal on the variables selected by the mask."""
+        if not mask & ((1 << self.n) - 1):
+            return Distribution.make((1,), {(0,): Fraction(1)})
+        return Distribution(tuple(d for i, d in enumerate(self.domains) if (mask >> i) & 1),
+                            tuple(self._marginal_items(mask)))
 
     def entropic_vector(self) -> EntropicCandidate:
         """h(alpha) = sum_x p_alpha(x) * log2(1 / p_alpha(x)), exactly."""
         values = [LogLinValue.zero()]
         for mask in range(1, 1 << self.n):
-            marg = self.marginal(mask)
-            terms = tuple((p, 1 / p) for _, p in marg.pmf if p > 0)
-            values.append(LogLinValue(terms))
+            values.append(LogLinValue(tuple((p, 1 / p) for _, p in self._marginal_items(mask))))
         return EntropicCandidate(self.n, tuple(values))
 
     def to_file_text(self) -> str:
@@ -128,63 +153,205 @@ class Distribution:
 # Canonical enumeration
 # ---------------------------------------------------------------------------
 
-def _tuples_with_support(cells: int, total: int, k: int) -> Iterator[tuple[int, ...]]:
-    """Nonnegative integer tuples of length `cells` summing to `total` with
-    exactly k nonzero entries, in lexicographic order of the full tuple."""
+@lru_cache(maxsize=None)
+def _mobius_divisors(g: int) -> tuple[tuple[int, int], ...]:
+    """(d, mu(d)) for the squarefree divisors d of g >= 1."""
+    out = [(1, 1)]
+    for p, _ in _factor_cached(g):
+        out += [(d * p, -mu) for d, mu in out]
+    return tuple(out)
 
-    def rec(prefix: list[int], remaining: int, slots_left: int, zeros_left: int):
-        if len(prefix) == cells:
-            if remaining == 0:
-                yield tuple(prefix)
-            return
-        # zero first keeps the stream lexicographically increasing
-        if zeros_left > 0:
-            prefix.append(0)
-            yield from rec(prefix, remaining, slots_left, zeros_left - 1)
-            prefix.pop()
-        if slots_left == 1:
-            values = (remaining,) if remaining >= 1 else ()
-        elif slots_left > 1:
-            # each remaining positive slot needs at least 1
-            values = range(1, remaining - (slots_left - 1) + 1)
+
+@lru_cache(maxsize=None)
+def _completions(m: int, r: int, t: int, g: int) -> int:
+    """Nonnegative integer tuples of length m summing to r with exactly t
+    nonzero entries whose gcd with g is 1 (g = 0 for an all-zero prefix):
+
+        sum over d | gcd(g, r) of mu(d) * C(m, t) * C(r/d - 1, t - 1).
+    """
+    if t == 0:
+        return int(r == 0 and g == 1)
+    if t > m or r < t:
+        return 0
+    return comb(m, t) * sum(mu * comb(r // d - 1, t - 1)
+                            for d, mu in _mobius_divisors(gcd(g, r)))
+
+
+@lru_cache(maxsize=None)
+def _layout(domains: tuple[int, ...]):
+    """What the pruned walk needs to know of a domain tuple.
+
+    The (variable, value) pairs get ids 0..sum(d)-1: `var_of` maps a pair
+    to its variable, `last` to the last cell that carries it, and
+    `pairs_at[cell]` lists the cell's pair of each variable.  `swaps`
+    lists the value transpositions a <-> a+1 of each variable i as
+    (i, a, stride): cell c with digit a pairs with cell c + stride."""
+    outs = cell_outcomes(domains)
+    var_of = tuple(i for i, d in enumerate(domains) for _ in range(d))
+    first = [sum(domains[:i]) for i in range(len(domains))]
+    pairs_at = tuple(tuple(first[i] + x for i, x in enumerate(o)) for o in outs)
+    last = [0] * len(var_of)
+    for cell, pairs in enumerate(pairs_at):
+        for q in pairs:
+            last[q] = cell
+    swaps = tuple((i, a, prod(domains[i + 1:])) for i, d in enumerate(domains)
+                  for a in range(d - 1))
+    return outs, var_of, tuple(last), pairs_at, swaps
+
+
+def _numerator_walk(cells: int, dprime: int, k: int, domains) -> Iterator[tuple[int, tuple]]:
+    """`(offset, atoms)` for the numerator tuples of one (D', k, domains)
+    block in lexicographic order: length `cells`, sum D', exactly k nonzero
+    entries, gcd 1.  `offset` is the tuple's position in the block.
+
+    Level d of the walk picks the d-th nonzero cell and its count; later
+    cells come first, since a longer run of zeros is lexicographically
+    smaller.  Subtrees holding no tuple are never entered.
+
+    With `domains`, only the tuples that are full-use and minimal under
+    adjacent value swaps are built, and `_completions` counts the tuples of every cut subtree,
+    so offsets stay exact.  A subtree is cut
+    * as soon as some (variable, value) pair can no longer get mass: the
+      last cell carrying it is passed, or its variable has more unused
+      values than nonzero cells left;
+    * as soon as swapping two adjacent values a, a+1 of one variable is
+      known to give a lexicographically smaller tuple.  The swap exchanges
+      the pairs of cells (c, c + stride) with c at digit a; the first pair
+      that differs decides, and the tuple is smaller iff its entry at c
+      exceeds the one at c + stride.  `open_swaps[d]` holds the swaps still
+      undecided at level d, and every pair of those ending before the
+      level's first free cell is equal.
+    """
+    start = [0] * (k + 1)        # first free cell at each level
+    rest = [dprime] + [0] * k    # numerator sum still to place
+    gcds = [0] * (k + 1)         # gcd of the counts placed so far
+    cell = [0] * k
+    value = [0] * k              # 0: this level's cell not yet started
+    floor = [0] * k              # least count this level's cell may take
+    pruned = domains is not None
+    if pruned:
+        outs, var_of, last, pairs_at, swaps = _layout(domains)
+        cover = [0] * len(var_of)
+        unused = list(domains)
+        x = [0] * cells
+        open_swaps = [swaps] + [()] * k
+    offset = 0
+    d = 0
+    enter = True
+    while d >= 0:
+        if enter:
+            # earliest cell a later nonzero cell may take: past it, some pair
+            # gets no mass or an open swap meets a nonzero c against a zero
+            limit = cells
+            if pruned:
+                limit = min((last[q] for q, c in enumerate(cover) if not c), default=cells)
+                for i, a, stride in open_swaps[d]:
+                    for e in range(d):
+                        if outs[cell[e]][i] == a and cell[e] + stride >= start[d]:
+                            limit = min(limit, cell[e] + stride)
+                            break
+        if enter and d == k:
+            if limit == cells:
+                yield offset, tuple(zip(cell, value))
+            offset += 1
+            d -= 1
+            enter = False
+            continue
+        t = k - d
+        r, g = rest[d], gcds[d]
+        if enter:
+            p, v = cells - t, 0
+            if limit < p:
+                offset += _completions(cells - limit - 1, r, t, g)
+                p = limit
         else:
-            values = ()
-        for v in values:
-            prefix.append(v)
-            yield from rec(prefix, remaining - v, slots_left - 1, zeros_left)
-            prefix.pop()
+            p, v = cell[d], value[d]
+            if pruned:
+                x[p] = 0
+                for q in pairs_at[p]:
+                    cover[q] -= 1
+                    if not cover[q]:
+                        unused[var_of[q]] += 1
+        while True:
+            if v == 0:
+                if p < start[d]:
+                    break
+                if pruned and any(unused[var_of[q]] - (not cover[q]) >= t for q in pairs_at[p]):
+                    offset += _completions(cells - p, r, t, g) \
+                        - _completions(cells - p - 1, r, t, g)
+                    p -= 1
+                    continue
+                v = r if t == 1 else 1
+                # an open swap whose pair ends here needs at least its low entry
+                floor[d] = max((x[p - stride] for i, a, stride in open_swaps[d]
+                                if outs[p][i] == a + 1), default=0) if pruned else 0
+            else:
+                v += 1
+            if v > r - t + 1:
+                p, v = p - 1, 0
+                continue
+            size = _completions(cells - p - 1, r - v, t - 1, gcd(g, v))
+            if v < floor[d]:
+                offset += size
+            elif size:
+                break
+        if v == 0:
+            d -= 1
+            enter = False
+            continue
+        cell[d], value[d] = p, v
+        if pruned:
+            x[p] = v
+            for q in pairs_at[p]:
+                if not cover[q]:
+                    unused[var_of[q]] -= 1
+                cover[q] += 1
+            open_swaps[d + 1] = tuple(sw for sw in open_swaps[d]
+                                      if not (outs[p][sw[0]] == sw[1] + 1 and v > x[p - sw[2]]))
+        start[d + 1], rest[d + 1], gcds[d + 1] = p + 1, r - v, gcd(g, v)
+        d += 1
+        enter = True
 
-    if k < 1 or k > cells or total < k:
-        return
-    yield from rec([], total, k, cells - k)
+
+def pmf_walk(n: int, max_support: int, max_denominator: int,
+             skip_twins: bool = False) -> Iterator[tuple[int, "IntegerPmf | None"]]:
+    """The canonical stream as `(index, pmf)` pairs, ending with one
+    `(size, None)` item that gives the stream's length.
+
+    A pmf is `(D', domains, atoms)`: `atoms` lists `(cell, count)` for the
+    nonzero counts in increasing cell order, a cell is the index of an
+    outcome in `cell_outcomes(domains)`, and each count is a numerator
+    over D'.  Covers all pmfs on per-variable domains of size <= max_support
+    whose probabilities are multiples of 1/D' for some D' <= max_denominator,
+    in the canonical order of the module docstring.  Budgets of zero give
+    an empty stream; completeness holds in the limit of growing budgets.
+
+    With `skip_twins`, only the pmfs that give mass to every value of every
+    domain and are minimal under adjacent value swaps are built (see the
+    module docstring), and the indices stay positions in the whole stream.
+    """
+    index = 0
+    if max_support >= 1 and max_denominator >= 1:
+        for dprime in range(1, max_denominator + 1):
+            for k in range(1, dprime + 1):
+                for domains in product(range(1, max_support + 1), repeat=n):
+                    cells = prod(domains)
+                    size = _completions(cells, dprime, k, 0)
+                    # k nonzero cells cannot use more than k values of a variable
+                    if size and not (skip_twins and max(domains) > k):
+                        for offset, atoms in _numerator_walk(
+                                cells, dprime, k, domains if skip_twins else None):
+                            yield index + offset, (dprime, domains, atoms)
+                    index += size
+    yield index, None
 
 
 def pmf_stream(n: int, max_support: int, max_denominator: int) -> Iterator[IntegerPmf]:
-    """Exhaustive, duplicate-free-per-domain-tuple stream of joint pmfs as
-    integers: `(D', domains, atoms)`, where `atoms` lists `(cell, count)`
-    for the nonzero counts in increasing cell order, a cell is the index of
-    an outcome in `cell_outcomes(domains)`, and each count is a numerator
-    over D'.
-
-    Covers all pmfs on per-variable domains of size <= max_support whose
-    probabilities are multiples of 1/D' for some D' <= max_denominator,
-    in the canonical order documented in the module docstring.  Budgets
-    of zero yield an empty stream; completeness holds in the limit of
-    growing budgets.
-    """
-    if max_support < 1 or max_denominator < 1:
-        return
-    for dprime in range(1, max_denominator + 1):
-        for support_size in range(1, dprime + 1):
-            for domains in product(range(1, max_support + 1), repeat=n):
-                cells = prod(domains)
-                if support_size > cells:
-                    continue
-                for nums in _tuples_with_support(cells, dprime, support_size):
-                    if gcd(*nums) > 1:
-                        # already emitted at the reduced denominator D'/g
-                        continue
-                    yield dprime, domains, tuple((i, v) for i, v in enumerate(nums) if v)
+    """Every pmf of the canonical stream, in order (`pmf_walk` without
+    indices)."""
+    for _, pmf in pmf_walk(n, max_support, max_denominator):
+        if pmf is not None:
+            yield pmf
 
 
 @lru_cache(maxsize=None)

@@ -6,7 +6,10 @@ The checks are one-sided, matching what a terminating tool can promise:
   valid on the closed cone (an elemental one, or a user-supplied valid
   generator);
 * realization is sound -- an enumerated distribution reproduces every
-  coordinate exactly, certifying the vector entropic;
+  coordinate exactly, certifying the vector entropic.  The search walks
+  the canonical stream skipping twins (`pmf_walk`): a skipped pmf has an
+  earlier twin with the same entropic vector, so the first realizing pmf
+  is never skipped;
 * everything else is reported as inconclusive, a first-class verdict.
 """
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import EntropicCandidate, LogLinValue
-from .distributions import Distribution, enumerate_distributions
+from .distributions import Distribution, pmf_walk, to_distribution
 from .parser import _split_var_token
 from .shannon import Generator, GeneratorSet
 
@@ -119,7 +122,10 @@ def check_candidate(repr_: CandidateRepr, gens: GeneratorSet,
     for gen in gens.generators:
         if gen.expr.eval(h).sign() < 0:
             return RecognitionResult("rejected", violated=gen)
-    for dist in enumerate_distributions(repr_.n, max_support, max_denominator):
+    for _, pmf in pmf_walk(repr_.n, max_support, max_denominator, skip_twins=True):
+        if pmf is None:
+            break
+        dist = to_distribution(*pmf)
         hd = dist.entropic_vector()
         if all((hd.value(mask) - h.value(mask)).sign() == 0
                for mask in range(1, 1 << repr_.n)):

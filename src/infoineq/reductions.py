@@ -152,7 +152,7 @@ def max_to_linear(clause: Clause, kept: Sequence[LinExpr], gens: GeneratorSet,
     same epoch, the certificate is preferred.  Deterministic for fixed
     budgets regardless of scheduling."""
     stream = scan_stream(clause, budget)
-    stream_done = False
+    pending = (-1, None)  # the next (index, hit) of the stream, not yet consumed
     for epoch in count(1):
         lambdas_done = epoch > lambda_sum_max
         if not lambdas_done:
@@ -164,14 +164,11 @@ def max_to_linear(clause: Clause, kept: Sequence[LinExpr], gens: GeneratorSet,
                 cert = prove(combo, gens, antecedents=kept)
                 if cert is not None:
                     return MaxReduction("valid", tuple(Fraction(v) for v in lam), cert)
-        if not stream_done:
-            for _ in range(block_size):
-                try:
-                    hit = next(stream)
-                except StopIteration:
-                    stream_done = True
-                    break
-                if hit is not None:
-                    return MaxReduction("invalid", counterexample=hit)
-        if lambdas_done and stream_done:
+        # this epoch's block of stream positions; skipped pmfs use their
+        # positions without being evaluated
+        while pending is not None and pending[0] < epoch * block_size:
+            if pending[1] is not None:
+                return MaxReduction("invalid", counterexample=pending[1])
+            pending = next(stream, None)
+        if lambdas_done and pending is None:
             return MaxReduction("exhausted")

@@ -14,11 +14,20 @@ evaluates each expression as an integer prime-exponent vector, with exact
 signs.  A pmf whose profile (those counts, sorted per mask) was seen
 before is skipped without evaluation.  That is exact: the answer depends
 only on h at the mentioned masks, which the profile fixes, and the
-earlier pmf with the same profile returned no violation.  Skipped pmfs
-still count in `candidates_scanned`, which counts every candidate up to
-the hit.  A hit is re-checked and reported by `violation`, the reference
-evaluation over `LogLinValue`s, so the report does not depend on the
-kernel.
+earlier pmf with the same profile returned no violation.
+
+Most pmfs are never built at all.  The scan walks `pmf_walk` with
+`skip_twins`, which builds only the pmfs that use every value of every
+domain and are minimal under adjacent value swaps.  Every other pmf has
+an earlier twin with the same profile (see `distributions`), so the
+first pmf of every profile is built, and the first hit, the distinct
+profiles and the report are those of a scan over every pmf.  The walk
+counts each subtree it cuts in closed form, so every candidate carries
+its position in the whole stream.  `candidates_scanned` counts every
+candidate up to the hit, skipped ones included, also the pmfs that were
+never built.  A hit is re-checked and reported by `violation`, the
+reference evaluation over `LogLinValue`s, so the report does not depend
+on the kernel.
 
 A counterexample here witnesses failure on the set of finite-distribution
 entropic vectors.  "Not found" carries the exhausted budget and means
@@ -37,7 +46,7 @@ from typing import Iterator
 from sympy import isprime
 
 from .core import BooleanConstraint, Clause, LinExpr, _factor_cached, prime_sum_sign
-from .distributions import Distribution, cell_outcomes, pmf_stream, to_distribution
+from .distributions import Distribution, cell_outcomes, pmf_walk, to_distribution
 from .models import VectorSpaceSystem, enumerate_systems
 
 DISTRIBUTION = "distribution"
@@ -120,8 +129,8 @@ class Counterexample:
 @dataclass(frozen=True)
 class RefutationResult:
     """`candidates_scanned` counts every candidate up to the hit, skipped
-    pmfs included; `distinct_profiles` counts the distinct pmf profiles
-    among them and stays out of the JSON report."""
+    pmfs included, built or not; `distinct_profiles` counts the distinct
+    pmf profiles among them and stays out of the JSON report."""
 
     counterexample: "Counterexample | None"
     budget: Budget
@@ -145,15 +154,21 @@ class RefutationResult:
 # Candidate streams and evaluation
 # ---------------------------------------------------------------------------
 
-def candidate_stream(n: int, budget: Budget) -> Iterator[tuple[str, object]]:
-    """Distributions first (guaranteed witnesses when finite-model validity
-    fails), as integer `pmf_stream` items; then subspace systems as an
-    accelerator for algebraic failures."""
-    for pmf in pmf_stream(n, budget.max_support, budget.max_denominator):
-        yield DISTRIBUTION, pmf
+def candidate_stream(n: int, budget: Budget) -> Iterator[tuple[int, "str | None", object]]:
+    """`(index, kind, candidate)` in canonical order, ending with one
+    `(size, None, None)` item.  Distributions come first (guaranteed
+    witnesses when finite-model validity fails), as the pmfs `pmf_walk`
+    builds when it skips twins; then subspace systems as an accelerator
+    for algebraic failures.  `index` is the position in the whole stream,
+    skipped pmfs included."""
+    for index, pmf in pmf_walk(n, budget.max_support, budget.max_denominator, skip_twins=True):
+        if pmf is not None:
+            yield index, DISTRIBUTION, pmf
     if budget.vs_primes and budget.vs_max_dim >= 1:
         for system in enumerate_systems(n, budget.vs_primes, budget.vs_max_dim):
-            yield VECTOR_SPACE, system
+            yield index, VECTOR_SPACE, system
+            index += 1
+    yield index, None, None
 
 
 def _relevant_vars(clause: Clause) -> int:
@@ -226,6 +241,15 @@ def _count_logs(counts: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     return tuple(exps.items())
 
 
+@lru_cache(maxsize=None)
+def _projection(domains: tuple[int, ...], mask: int) -> tuple[int, ...]:
+    """The marginal cell on the masked variables of every joint cell."""
+    idx = [i for i in range(len(domains)) if (mask >> i) & 1]
+    ids: dict[tuple[int, ...], int] = {}
+    return tuple(ids.setdefault(tuple(o[i] for i in idx), len(ids))
+                 for o in cell_outcomes(domains))
+
+
 class ProfileScan:
     """The distribution half of a scan: one constraint against integer
     pmfs, with exact signs and no `Fraction` or `LogLinValue` per pmf.
@@ -260,7 +284,7 @@ class ProfileScan:
         self._clauses = tuple((tuple(self.compile(a) for a in clause.antecedents),
                                tuple(self.compile(c) for c in clause.consequents))
                               for clause in constraint.clauses)
-        self._projections: dict[tuple[int, ...], list[list[int]]] = {}
+        self._projections: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
 
     def compile(self, expr: LinExpr) -> tuple[tuple[tuple[int, int], ...], int]:
         """The expression as integer weights A_m on profile positions, and
@@ -269,22 +293,11 @@ class ProfileScan:
         terms = tuple((self._positions[m], int(c * scale)) for m, c in expr.items)
         return terms, sum(a for _, a in terms)
 
-    def _projection(self, domains: tuple[int, ...]) -> list[list[int]]:
-        """Per mentioned mask, the marginal cell of every joint cell."""
-        table = []
-        for mask in self.masks:
-            idx = [i for i in range(len(domains)) if (mask >> i) & 1]
-            ids: dict[tuple[int, ...], int] = {}
-            table.append([ids.setdefault(tuple(o[i] for i in idx), len(ids))
-                          for o in cell_outcomes(domains)])
-        self._projections[domains] = table
-        return table
-
     def profile(self, dprime: int, domains: tuple[int, ...], atoms) -> tuple:
         """Per mentioned mask, the sorted marginal counts over T."""
         table = self._projections.get(domains)
         if table is None:
-            table = self._projection(domains)
+            table = self._projections[domains] = [_projection(domains, m) for m in self.masks]
         scale = self.total // dprime
         atoms = [(cell, count * scale) for cell, count in atoms]
         key = []
@@ -338,25 +351,27 @@ def _as_constraint(target) -> BooleanConstraint:
     return target
 
 
-def scan_stream(target, budget: Budget) -> Iterator["Counterexample | None"]:
-    """Per-candidate scan results in canonical order (None = no violation)."""
+def scan_stream(target, budget: Budget) -> Iterator[tuple[int, "Counterexample | None"]]:
+    """`(index, counterexample or None)` for each candidate the scan
+    evaluates, in canonical order; the pmfs `candidate_stream` skips
+    never appear."""
     constraint = _as_constraint(target)
     scan = ProfileScan(constraint, budget.max_denominator)
-    for kind, obj in candidate_stream(constraint.n, budget):
-        yield scan.check(kind, obj)
+    for index, kind, obj in candidate_stream(constraint.n, budget):
+        if kind is not None:
+            yield index, scan.check(kind, obj)
 
 
 def refute(target, budget: Budget) -> RefutationResult:
     """First canonical counterexample within the budget, or not-found."""
     constraint = _as_constraint(target)
     scan = ProfileScan(constraint, budget.max_denominator)
-    scanned = 0
-    for kind, obj in candidate_stream(constraint.n, budget):
-        scanned += 1
+    for index, kind, obj in candidate_stream(constraint.n, budget):
+        if kind is None:
+            return RefutationResult(None, budget, index, len(scan.seen))
         hit = scan.check(kind, obj)
         if hit is not None:
-            return RefutationResult(hit, budget, scanned, len(scan.seen))
-    return RefutationResult(None, budget, scanned, len(scan.seen))
+            return RefutationResult(hit, budget, index + 1, len(scan.seen))
 
 
 # ---------------------------------------------------------------------------
@@ -364,46 +379,44 @@ def refute(target, budget: Budget) -> RefutationResult:
 # ---------------------------------------------------------------------------
 
 def _scan_block(constraint: BooleanConstraint, max_denominator: int,
-                block: list[tuple[str, object]]) -> tuple["int | None", "Counterexample | None", set]:
-    """The first hit in a block (offset and counterexample), and the
-    profiles seen up to it."""
+                block: list[tuple]) -> tuple["int | None", "Counterexample | None", set]:
+    """The first hit in a block of `candidate_stream` items (its stream
+    index and counterexample), and the profiles seen up to it."""
     scan = ProfileScan(constraint, max_denominator)
-    for offset, (kind, obj) in enumerate(block):
-        hit = scan.check(kind, obj)
-        if hit is not None:
-            return offset, hit, scan.seen
+    for index, kind, obj in block:
+        if kind is not None:
+            hit = scan.check(kind, obj)
+            if hit is not None:
+                return index, hit, scan.seen
     return None, None, scan.seen
 
 
 def refute_parallel(target, budget: Budget, workers: int = 1,
                     block_size: int = 64) -> RefutationResult:
     """Same function of (constraint, budget) as `refute`, for any worker
-    count: blocks are scanned concurrently but consumed in stream order,
-    and lower blocks always settle before a hit is reported.  Each block
+    count: blocks of `candidate_stream` items, which carry their stream
+    index, are scanned concurrently but consumed in stream order, and
+    lower blocks always settle before a hit is reported.  Each block
     skips only the profiles it has seen itself; the profiles of the
     consumed blocks are merged, so `distinct_profiles` matches too."""
     constraint = _as_constraint(target)
     if workers <= 1:
         return refute(constraint, budget)
     stream = candidate_stream(constraint.n, budget)
-    scanned = 0
     seen: set = set()
     with ProcessPoolExecutor(max_workers=workers) as pool:
         pending = []
-        exhausted = False
+        size = None
         while True:
-            while not exhausted and len(pending) < 2 * workers:
+            while size is None and len(pending) < 2 * workers:
                 block = list(islice(stream, block_size))
-                if not block:
-                    exhausted = True
-                    break
-                pending.append((len(block), pool.submit(_scan_block, constraint,
-                                                        budget.max_denominator, block)))
+                if block[-1][1] is None:
+                    size = block[-1][0]
+                pending.append(pool.submit(_scan_block, constraint,
+                                           budget.max_denominator, block))
             if not pending:
-                return RefutationResult(None, budget, scanned, len(seen))
-            size, fut = pending.pop(0)
-            offset, hit, block_seen = fut.result()
+                return RefutationResult(None, budget, size, len(seen))
+            index, hit, block_seen = pending.pop(0).result()
             seen |= block_seen
             if hit is not None:
-                return RefutationResult(hit, budget, scanned + offset + 1, len(seen))
-            scanned += size
+                return RefutationResult(hit, budget, index + 1, len(seen))

@@ -132,6 +132,9 @@ def solve_lp(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction],
         scales.append(scale)
     m = len(rows)
     if m == 0:
+        # no constraint binds x >= 0: x = 0 is optimal unless a cost is negative
+        if any(v < 0 for v in c):
+            return LPResult("unbounded", (), ZERO)
         return LPResult("optimal", tuple(ZERO for _ in range(n)), ZERO)
 
     # phase 1: minimize the artificial total from the all-artificial basis;

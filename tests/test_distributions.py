@@ -3,14 +3,17 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, product
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from infoineq.core import LogLinValue, entropy_of
-from infoineq.distributions import Distribution, enumerate_distributions
+from infoineq.core import BooleanConstraint, Clause, LinExpr, LogLinValue, entropy_of
+from infoineq.distributions import (Distribution, cell_outcomes, enumerate_distributions,
+                                    pmf_stream, pmf_walk)
+from infoineq.refuter import ProfileScan
 from infoineq.shannon import elemental
 
 F = Fraction
@@ -105,6 +108,78 @@ class TestEnumeration:
             nums = [p.numerator for _, p in d.pmf]
             dens = {p.denominator for _, p in d.pmf}
             assert max(dens) == 1 or any(n % 2 for n in nums) or max(dens) % 2
+
+
+def brute_force_stream(n, max_support, max_denominator):
+    """The canonical order by its definition: every numerator tuple of
+    each (D', support size, domains) block, lexicographically, gcd 1."""
+    out = []
+    for dprime in range(1, max_denominator + 1):
+        for k in range(1, dprime + 1):
+            for domains in product(range(1, max_support + 1), repeat=n):
+                for nums in product(range(dprime + 1), repeat=prod(domains)):
+                    if sum(nums) == dprime and sum(map(bool, nums)) == k and gcd(*nums) == 1:
+                        out.append((dprime, domains,
+                                    tuple((i, v) for i, v in enumerate(nums) if v)))
+    return out
+
+
+def full_use(pmf) -> bool:
+    _, domains, atoms = pmf
+    outcomes = cell_outcomes(domains)
+    return all({outcomes[c][i] for c, _ in atoms} == set(range(d))
+               for i, d in enumerate(domains))
+
+
+def relabel_minimal(pmf) -> bool:
+    """No swap of two adjacent values of one variable gives a
+    lexicographically smaller numerator tuple."""
+    _, domains, atoms = pmf
+    outcomes = cell_outcomes(domains)
+    cell_of = {o: c for c, o in enumerate(outcomes)}
+    nums = [0] * len(outcomes)
+    for c, v in atoms:
+        nums[c] = v
+    for i, d in enumerate(domains):
+        for a in range(d - 1):
+            swap = {a: a + 1, a + 1: a}
+            swapped = [nums[cell_of[o[:i] + (swap.get(o[i], o[i]),) + o[i + 1:]]]
+                       for o in outcomes]
+            if swapped < nums:
+                return False
+    return True
+
+
+WALK_GRID = [(1, 1, 1), (2, 1, 3), (1, 2, 2), (1, 3, 6), (2, 2, 4), (3, 2, 4),
+             (2, 3, 3), (3, 3, 2), (2, 2, 7), (1, 4, 8)]
+
+
+class TestWalk:
+    @pytest.mark.parametrize("n,s,d", [(1, 3, 5), (2, 2, 4), (3, 2, 2), (2, 1, 4)])
+    def test_stream_is_the_defined_order(self, n, s, d):
+        assert list(pmf_stream(n, s, d)) == brute_force_stream(n, s, d)
+
+    @pytest.mark.parametrize("n,s,d", WALK_GRID)
+    def test_pruned_walk_is_a_filter_of_the_stream(self, n, s, d):
+        stream = list(pmf_stream(n, s, d))
+        expected = [(i, pmf) for i, pmf in enumerate(stream)
+                    if full_use(pmf) and relabel_minimal(pmf)]
+        assert list(pmf_walk(n, s, d, skip_twins=True)) == expected + [(len(stream), None)]
+        assert list(pmf_walk(n, s, d)) == list(enumerate(stream)) + [(len(stream), None)]
+
+    @pytest.mark.parametrize("n,s,d", [(2, 3, 4), (3, 2, 4), (3, 3, 3), (2, 2, 7)])
+    def test_first_pmf_of_every_profile_is_walked(self, n, s, d):
+        every = LinExpr.make(n, {mask: Fraction(1) for mask in range(1, 1 << n)})
+        scan = ProfileScan(BooleanConstraint(n, (Clause(n, (), (every,)),)), d)
+        first: dict = {}
+        for i, pmf in enumerate(pmf_stream(n, s, d)):
+            first.setdefault(scan.profile(*pmf), i)
+        walked = {i for i, pmf in pmf_walk(n, s, d, skip_twins=True) if pmf is not None}
+        assert set(first.values()) <= walked
+
+    def test_zero_budget_walk_is_empty(self):
+        assert list(pmf_walk(2, 0, 4, skip_twins=True)) == [(0, None)]
+        assert list(pmf_walk(2, 2, 0)) == [(0, None)]
 
 
 class TestProperties:

@@ -1,16 +1,24 @@
 """The tight (p, q) schedule: solving for the least q gives the same
 steps, certificates and failing p as probing q = 0..Q_MAX one LP at a
-time, with at most two LPs per scheduled p."""
+time, with at most two LPs per scheduled p.  The max race gives the same
+result as a race that checks every stream position."""
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
+from itertools import count, islice
 
 import pytest
 
 from infoineq import cli, shannon
 from infoineq.apps import fixture, secret_sharing_constraint
-from infoineq.reductions import (Q_MAX, Schedule, prepare_antecedents, tight_reduction,
+from infoineq.core import BooleanConstraint, LinExpr
+from infoineq.distributions import enumerate_distributions
+from infoineq.parser import parse_constraint
+from infoineq.reductions import (Q_MAX, MaxReduction, Schedule, _compositions,
+                                 max_to_linear, prepare_antecedents, tight_reduction,
                                  tight_target)
+from infoineq.refuter import DISTRIBUTION, Budget, violation
 from infoineq.shannon import elemental, prove
 
 
@@ -113,3 +121,51 @@ def test_qmax_is_an_unknown_schedule_item(capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert "qmax=64" in err
+
+
+def race_reference(clause, kept, gens, budget, lambda_sum_max, block_size):
+    """Each epoch tries its multiplier tuples, then the next `block_size`
+    stream positions, every pmf checked by `violation`."""
+    constraint = BooleanConstraint(clause.n, (clause,))
+    stream = (violation(constraint, DISTRIBUTION, d) for d in enumerate_distributions(
+        clause.n, budget.max_support, budget.max_denominator))
+    for epoch in count(1):
+        if epoch <= lambda_sum_max:
+            for lam in _compositions(epoch, len(clause.consequents)):
+                combo = LinExpr.zero(clause.n)
+                for weight, d in zip(lam, clause.consequents):
+                    if weight:
+                        combo = combo + d.scale(weight)
+                cert = prove(combo, gens, antecedents=kept)
+                if cert is not None:
+                    return MaxReduction("valid", tuple(Fraction(v) for v in lam), cert)
+        block = list(islice(stream, block_size))
+        hit = next((h for h in block if h is not None), None)
+        if hit is not None:
+            return MaxReduction("invalid", counterexample=hit)
+        if epoch > lambda_sum_max and len(block) < block_size:
+            return MaxReduction("exhausted")
+
+
+DEEP_MAX = "max(H(X|Y) - H(Z), H(Z) - 2*H(X|Y)) >= 0"  # first hit at position 193
+
+
+@pytest.mark.parametrize("source,budget,lambda_sum_max,block_size", [
+    ("false_max_nonneg", "s=2,D=2", 8, 64),
+    ("false_max_nonneg", "s=2,D=4", 8, 1),
+    ("kopparty_rossman_max", "s=2,D=2", 8, 64),
+    ("kopparty_rossman_max", "s=2,D=2", 1, 7),
+    ("pairwise_max_two_thirds", "s=2,D=3", 8, 64),
+    ("conditional_max_two_thirds", "s=2,D=3", 8, 16),
+    (DEEP_MAX, "s=2,D=4", 8, 64),
+    (DEEP_MAX, "s=2,D=4", 8, 5),
+])
+def test_max_race_matches_a_race_over_every_position(source, budget, lambda_sum_max,
+                                                      block_size):
+    constraint = parse_constraint(source) if "(" in source else fixture(source).constraint
+    (clause,) = constraint.clauses
+    gens = elemental(clause.n)
+    kept = prepare_antecedents(clause.antecedents, gens).kept
+    budget = Budget.parse(budget)
+    assert max_to_linear(clause, kept, gens, budget, lambda_sum_max, block_size) \
+        == race_reference(clause, kept, gens, budget, lambda_sum_max, block_size)

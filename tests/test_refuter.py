@@ -1,7 +1,7 @@
 """The profile-scan kernel of the refuter against the reference evaluation:
 exact signs, reports byte-identical to a `violation` scan over
-`enumerate_distributions`, distinct-profile counts, and the parallel
-driver."""
+`enumerate_distributions` (every pmf, nothing skipped), candidate and
+distinct-profile counts, and the parallel driver."""
 from __future__ import annotations
 
 from fractions import Fraction
@@ -10,9 +10,10 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings
 
-from infoineq.apps import corpus
+from infoineq.apps import corpus, fixture
 from infoineq.core import BooleanConstraint, Clause, LinExpr
-from infoineq.distributions import enumerate_distributions, pmf_stream, to_distribution
+from infoineq.distributions import (Distribution, enumerate_distributions, pmf_stream,
+                                    to_distribution)
 from infoineq.models import enumerate_systems
 from infoineq.parser import parse_expr
 from infoineq.refuter import (DISTRIBUTION, VECTOR_SPACE, Budget, ProfileScan,
@@ -97,9 +98,35 @@ def test_distinct_profiles_when_every_mask_is_mentioned(n, profiles):
     assert "distinct_profiles" not in result.to_json()
 
 
+def test_counts_at_domain_size_three():
+    # 61,196 stream positions, of which the walk builds a few hundred
+    every = LinExpr.make(3, {mask: Fraction(1) for mask in range(1, 8)})
+    result = refute(Clause(3, (), (every,)), Budget(3, 4))
+    assert not result.found
+    assert (result.candidates_scanned, result.distinct_profiles) == (61196, 217)
+
+
+def test_matus_k1_is_refuted():
+    # the k = 1 member of `apps.matus_expr` is negative on a binary pmf
+    result = refute(fixture("matus_k1").constraint, Budget(2, 6))
+    assert result.found and result.candidates_scanned == 41895
+    assert result.counterexample.distribution == Distribution.make((2, 2, 2, 2), {
+        (0, 0, 1, 1): Fraction(1, 6), (0, 1, 1, 0): Fraction(1, 6),
+        (1, 0, 1, 0): Fraction(1, 6), (1, 1, 0, 0): Fraction(1, 2)})
+
+
 @pytest.mark.parametrize("name", ["false_ci_weakening", "agm_triangle", "false_max_nonneg"])
 def test_parallel_driver_equals_serial(name):
     fx = next(f for f in corpus() if f.name == name)
     budget = Budget.parse(fx.budget or "s=2,D=4")
     assert refute_parallel(fx.constraint, budget, workers=2, block_size=16) \
         == refute(fx.constraint, budget)
+
+
+@pytest.mark.parametrize("name,budget", [("matus_k1", "s=2,D=6"),
+                                         ("false_three_subadd", "s=3,D=3")])
+def test_parallel_driver_equals_serial_on_deep_hits(name, budget):
+    constraint = fixture(name).constraint
+    budget = Budget.parse(budget)
+    assert refute_parallel(constraint, budget, workers=2, block_size=16) \
+        == refute(constraint, budget)

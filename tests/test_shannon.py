@@ -140,8 +140,10 @@ class TestClassify:
         assert classify_tight(LinExpr.zero(3), gens3).verdict == TIGHT
 
     def test_unknown_for_undetected(self, gens4):
-        # the negated non-elemental family member is valid-tight but not
-        # provably so at the elemental set, and it has no positive witness
+        # matus_expr(1) is not provable at the elemental set, and neither a
+        # modular vector nor a pmf with s=2, D=2 makes it negative, so the
+        # negation is neither tight nor slack here.  This holds only at this
+        # budget: at s=2, D=6 a pmf makes it negative (test_refuter).
         t = classify_tight(-matus_expr(1), gens4, max_support=2, max_denominator=2)
         assert t.verdict == UNKNOWN
 

@@ -100,6 +100,8 @@ def reference_solve_lp(a, b, c) -> LPResult:
             rhs.append(F(bi))
     m = len(rows)
     if m == 0:
+        if any(v < 0 for v in c):
+            return LPResult("unbounded", (), Z)
         return LPResult("optimal", tuple(Z for _ in range(n)), Z)
     tableau = [rows[i] + [F(j == i) for j in range(m)] + [rhs[i]] for i in range(m)]
     basis = [n + i for i in range(m)]
@@ -142,6 +144,14 @@ def test_unbounded():
     # min -x  s.t.  x - y = 0
     res = solve_lp([[F(1), F(-1)]], [Z], [F(-1), Z])
     assert res.status == "unbounded"
+
+
+def test_unbounded_without_binding_rows():
+    # min -x  s.t.  0x = 0: no row remains, and x grows without bound
+    assert solve_lp([[Z]], [Z], [F(-1)]) == LPResult("unbounded", (), Z)
+    assert reference_solve_lp([[Z]], [Z], [F(-1)]) == LPResult("unbounded", (), Z)
+    assert solve_lp([], [], [F(1), F(-1)]).status == "unbounded"
+    assert solve_lp([], [], [F(1), Z]) == LPResult("optimal", (Z, Z), Z)
 
 
 def test_redundant_rows_handled():
