@@ -33,6 +33,7 @@ nothing at the configured generator set, schedule, and budgets.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -44,8 +45,9 @@ from .ci import CIStatement, build_delta, ci_prove, export_delta, falsify, parse
 from .core import BooleanConstraint, Clause, LinExpr
 from .parser import ParseError, format_clause, format_constraint, parse_constraint
 from .recognizer import CandidateRepr, check_candidate
-from .reductions import Q_MAX, Schedule, max_to_linear, prepare_antecedents, tight_reduction
-from .refuter import Budget, Counterexample, refute_parallel
+from .reductions import (Q_MAX, PreparedAntecedents, Schedule, max_to_linear,
+                         prepare_antecedents, tight_reduction)
+from .refuter import Budget, Counterexample, refute, refute_parallel
 from .shannon import GeneratorSet, TIGHT, classify_tight, elemental, joint_slack, prove
 
 EXIT_POSITIVE = 0
@@ -67,16 +69,30 @@ def parse_schedule(text: str) -> Schedule:
     return schedule
 
 
+class FalseGenerator(ValueError):
+    """An extra generator file that the refuter falsified."""
+
+    def __init__(self, path: str, counterexample: Counterexample):
+        super().__init__(f"extra generator file {path} is not valid: inequality "
+                         f"{counterexample.clause_index} fails on the counterexample")
+        self.counterexample = counterexample
+
+
 def load_generators(n: int, extra_files: list[str]) -> GeneratorSet:
+    """The elemental set plus each file's inequalities, once the default
+    budget's counterexample search finds no distribution violating them."""
     gens = elemental(n)
     for path in extra_files:
         text = Path(path).read_text()
         constraint = parse_constraint(text)
         if constraint.n != n:
             raise ValueError(f"extra generator file {path} has {constraint.n} variables, expected {n}")
+        if any(c.antecedents or len(c.consequents) != 1 for c in constraint.clauses):
+            raise ValueError(f"extra generators must be plain inequalities: {path}")
+        refutation = refute(constraint, Budget())
+        if refutation.found:
+            raise FalseGenerator(path, refutation.counterexample)
         for i, clause in enumerate(constraint.clauses):
-            if clause.antecedents or len(clause.consequents) != 1:
-                raise ValueError(f"extra generators must be plain inequalities: {path}")
             name = Path(path).stem if len(constraint.clauses) == 1 else f"{Path(path).stem}#{i}"
             gens = gens.with_user(clause.consequents[0], name,
                                   f"user-supplied valid inequality from {path}")
@@ -100,10 +116,12 @@ def _refuted(counterexample: Counterexample) -> ClauseOutcome:
                          {"counterexample": counterexample.to_json()})
 
 
-def _multiplier_stage(clause: Clause, kept, gens: GeneratorSet, budget: Budget,
-                      schedule: Schedule, lambda_max: int, workers: int) -> ClauseOutcome:
+def _multiplier_stage(clause: Clause, prepared: PreparedAntecedents, gens: GeneratorSet,
+                      budget: Budget, schedule: Schedule, lambda_max: int,
+                      workers: int) -> ClauseOutcome:
     """One multiplier LP for a single consequent (the plain generator cone
     when no antecedent is kept); the max race for a max clause."""
+    kept = prepared.kept
     if len(clause.consequents) > 1:
         result = max_to_linear(clause, kept, gens, budget, lambda_sum_max=lambda_max)
         if result.status == "valid":
@@ -128,14 +146,18 @@ def _multiplier_stage(clause: Clause, kept, gens: GeneratorSet, budget: Budget,
         "certificate": cert.to_json(gens)})
 
 
-def _tight_stage(clause: Clause, kept, gens: GeneratorSet, budget: Budget,
-                 schedule: Schedule, lambda_max: int, workers: int) -> ClauseOutcome:
-    """The (p, q) schedule, run only when every kept antecedent is tight."""
+def _tight_stage(clause: Clause, prepared: PreparedAntecedents, gens: GeneratorSet,
+                 budget: Budget, schedule: Schedule, lambda_max: int,
+                 workers: int) -> ClauseOutcome:
+    """The (p, q) schedule, run only when every kept antecedent is tight.
+    A kept antecedent whose negation was pruned as valid is tight without
+    a second proof."""
+    kept = prepared.kept
     note = None
     if not kept:
         note = "no antecedent survives pruning; the tight schedule needs one"
     for a in kept:
-        verdict = classify_tight(a, gens).verdict
+        verdict = TIGHT if -a in prepared.valid else classify_tight(a, gens).verdict
         if verdict != TIGHT:
             note = (f"antecedent {clause.antecedents.index(a)} not verified tight "
                     f"(classified {verdict})")
@@ -155,8 +177,8 @@ def _tight_stage(clause: Clause, kept, gens: GeneratorSet, budget: Budget,
     return ClauseOutcome("inconclusive", "tight-schedule", {"note": note})
 
 
-def _refute_stage(clause: Clause, kept, gens: GeneratorSet, budget: Budget,
-                  schedule: Schedule, lambda_max: int,
+def _refute_stage(clause: Clause, prepared: PreparedAntecedents, gens: GeneratorSet,
+                  budget: Budget, schedule: Schedule, lambda_max: int,
                   workers: int) -> "ClauseOutcome | None":
     """Counterexample search for a single consequent; a max clause was
     already searched by the max race."""
@@ -175,17 +197,17 @@ REGIME_STAGES = {"auto": ("multiplier", "tight"), "slack": ("multiplier",),
                  "max": ("multiplier",), "tight": ("tight",)}
 
 
-def decide_clause(clause: Clause, kept: tuple[LinExpr, ...], gens: GeneratorSet,
+def decide_clause(clause: Clause, prepared: PreparedAntecedents, gens: GeneratorSet,
                   budget: Budget, schedule: Schedule, lambda_max: int,
                   stages: tuple[str, ...] = PROVE_STAGES, workers: int = 1) -> ClauseOutcome:
-    """Run the named stages in order on one clause, over `kept`, its
-    antecedents without the provably valid ones (`prepare_antecedents`);
-    the first conclusive outcome wins.  An inconclusive outcome carries
+    """Run the named stages in order on one clause, over its antecedents
+    without the provably valid ones (`prepare_antecedents`); the first
+    conclusive outcome wins.  An inconclusive outcome carries
     the method and note of the leading stage, plus the refuter's note
     when it ran."""
     lead = None
     for name in stages:
-        outcome = STAGES[name](clause, kept, gens, budget, schedule, lambda_max, workers)
+        outcome = STAGES[name](clause, prepared, gens, budget, schedule, lambda_max, workers)
         if outcome is None:
             continue
         if outcome.status != "inconclusive":
@@ -195,7 +217,7 @@ def decide_clause(clause: Clause, kept: tuple[LinExpr, ...], gens: GeneratorSet,
             lead = outcome
         elif name == "refute":
             lead.detail["note"] += "; " + outcome.detail["note"]
-    lead.kept = kept
+    lead.kept = prepared.kept
     return lead
 
 
@@ -205,13 +227,13 @@ def decide_constraint(constraint: BooleanConstraint, gens: GeneratorSet, budget:
                       workers: int = 1) -> tuple[str, list[ClauseOutcome]]:
     # clauses split from one equality consequent share their antecedents,
     # so the valid ones are dropped once per distinct antecedent tuple
-    kept: dict[tuple[LinExpr, ...], tuple[LinExpr, ...]] = {}
+    prepared: dict[tuple[LinExpr, ...], PreparedAntecedents] = {}
     outcomes = []
     for clause in constraint.clauses:
-        if clause.antecedents not in kept:
-            kept[clause.antecedents] = prepare_antecedents(clause.antecedents, gens).kept
-        outcomes.append(decide_clause(clause, kept[clause.antecedents], gens, budget, schedule,
-                                      lambda_max, stages, workers))
+        if clause.antecedents not in prepared:
+            prepared[clause.antecedents] = prepare_antecedents(clause.antecedents, gens)
+        outcomes.append(decide_clause(clause, prepared[clause.antecedents], gens, budget,
+                                      schedule, lambda_max, stages, workers))
     if any(o.status == "refuted" for o in outcomes):
         return "refuted", outcomes
     if all(o.status == "proved" for o in outcomes):
@@ -380,7 +402,11 @@ def cmd_secret_share(args) -> int:
     closed = set(family)
     for f in family:
         _close_up(f, universe, closed)
-    constraint = secret_sharing_constraint(args.participants, closed, Fraction(args.ratio))
+    try:
+        ratio = Fraction(args.ratio)
+    except ZeroDivisionError:
+        raise ValueError(f"--ratio {args.ratio} has a zero denominator") from None
+    constraint = secret_sharing_constraint(args.participants, closed, ratio)
     report = {"command": "secret-share",
               "participants": args.participants,
               "ratio": args.ratio,
@@ -433,7 +459,12 @@ def cmd_check_dist(args) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built on the first call and shared by every
+    later one in the process.  Commands must not mutate the list-valued
+    fields of their namespace: argparse hands out the `default=[]`
+    objects themselves."""
     parser = argparse.ArgumentParser(
         prog="infoineq",
         description="prove, refute, and transform Boolean constraints on entropic vectors")
@@ -457,7 +488,8 @@ def build_parser() -> argparse.ArgumentParser:
     workers(p)
     p.add_argument("--file", required=True)
     p.add_argument("--extra-gens", action="append", default=[],
-                   help="file with additional trusted valid inequalities")
+                   help="file of additional valid inequalities; a file the default-budget "
+                        "counterexample search falsifies is an input error")
     p.add_argument("--schedule", default="p=1,2,4,8", help=SCHEDULE_HELP)
     p.add_argument("--lambda-max", type=int, default=8)
     p.set_defaults(func=cmd_prove)
@@ -534,6 +566,10 @@ def main(argv: "list[str] | None" = None) -> int:
     except ParseError as exc:
         print(json.dumps({"error": exc.message,
                           "line": exc.span.line, "column": exc.span.column}),
+              file=sys.stderr)
+        return EXIT_USAGE
+    except FalseGenerator as exc:
+        print(json.dumps({"error": str(exc), "counterexample": exc.counterexample.to_json()}),
               file=sys.stderr)
         return EXIT_USAGE
     except (ValueError, OSError, KeyError) as exc:

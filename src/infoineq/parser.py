@@ -119,8 +119,11 @@ def _split_var_token(tok: str) -> list[str]:
 
 def scan_variables(text: str) -> list[str]:
     """Variable names used in a constraint text, in alphabetical order."""
+    return _scan_variables(_tokenize(text))
+
+
+def _scan_variables(tokens: list[Token]) -> list[str]:
     names = set()
-    tokens = _tokenize(text)
     for i, tok in enumerate(tokens):
         if tok.kind == "name" and tok.text not in ("H", "I", "max"):
             names.update(_split_var_token(tok.text))
@@ -132,9 +135,8 @@ def scan_variables(text: str) -> list[str]:
 
 
 class _Parser:
-    def __init__(self, text: str, var_names: list[str]):
-        self.text = text
-        self.tokens = _tokenize(text)
+    def __init__(self, tokens: list[Token], var_names: list[str]):
+        self.tokens = tokens
         self.pos = 0
         self.vars = list(var_names)
         self.n = len(var_names)
@@ -362,7 +364,7 @@ class _Parser:
 
 def parse_expr(text: str, var_names: list[str]) -> LinExpr:
     """Parse a single linear entropy expression over the given variables."""
-    p = _Parser(text, var_names)
+    p = _Parser(_tokenize(text), var_names)
     expr = p.parse_expr()
     p.expect("eof")
     return expr
@@ -370,9 +372,10 @@ def parse_expr(text: str, var_names: list[str]) -> LinExpr:
 
 def parse_constraint(text: str, var_names: "list[str] | None" = None) -> BooleanConstraint:
     """Parse a full constraint; variables inferred alphabetically by default."""
+    tokens = _tokenize(text)
     if var_names is None:
-        var_names = scan_variables(text)
-    return _Parser(text, var_names).parse_constraint()
+        var_names = _scan_variables(tokens)
+    return _Parser(tokens, var_names).parse_constraint()
 
 
 # ---------------------------------------------------------------------------

@@ -30,13 +30,16 @@ from .shannon import GeneratorSet, ProofCertificate, prove
 @dataclass(frozen=True)
 class PreparedAntecedents:
     kept: tuple[LinExpr, ...]
+    valid: tuple[LinExpr, ...]  # the dropped ones, each zero or proved
 
 
 def prepare_antecedents(antecedents: Sequence[LinExpr], gens: GeneratorSet) -> PreparedAntecedents:
     """Drop antecedents that are provably valid inequalities (they are
     always satisfied, so removing them only strengthens the implication)."""
-    return PreparedAntecedents(tuple(a for a in antecedents
-                                     if not a.is_zero() and prove(a, gens) is None))
+    kept, valid = [], []
+    for a in antecedents:
+        (valid if a.is_zero() or prove(a, gens) is not None else kept).append(a)
+    return PreparedAntecedents(tuple(kept), tuple(valid))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from infoineq import cli
+from infoineq import cli, shannon
 from infoineq.apps import corpus, fixture
 from infoineq.core import LinExpr
 from infoineq.parser import parse_constraint
@@ -16,6 +16,28 @@ from infoineq.reductions import prepare_antecedents, tight_target
 from infoineq.shannon import ProofCertificate, elemental, verify
 
 MANIFEST_ANSWER = {"provable": ("proved", 0), "refutable": ("refuted", 1)}
+
+# the method of each clause entry in the fixture's `prove` report
+FIXTURE_METHODS = {
+    "agm_triangle": ("generator-cone",),
+    "ci_contraction_basic": ("direct-lambda", "direct-lambda"),
+    "conditional_max_two_thirds": ("max-to-linear",),
+    "false_ci_weakening": ("counterexample-search",),
+    "false_max_nonneg": ("counterexample-search",),
+    "false_mono_flip": ("counterexample-search",),
+    "false_three_subadd": ("counterexample-search",),
+    "join_fd_bound": ("generator-cone",),
+    "kaced_romashchenko_ci": ("direct-lambda", "conditional"),
+    "kopparty_rossman_conditional": ("direct-lambda",),
+    "kopparty_rossman_max": ("max-to-linear",),
+    "matus_k1": ("generator-cone",),
+    "matus_k2": ("generator-cone",),
+    "matus_k3": ("generator-cone",),
+    "pairwise_max_two_thirds": ("max-to-linear",),
+}
+
+# Zhang-Yeung: valid, but not provable from the elemental inequalities
+ZHANG_YEUNG = "I(A;B) + I(A;CD) + 3*I(C;D|A) + I(C;D|B) - 2*I(C;D) >= 0\n"
 
 
 def run(capsys, *argv: str) -> tuple[int, dict]:
@@ -73,6 +95,7 @@ def test_corpus_fixture_verdict(capsys, name):
     code, report = run(capsys, *argv)
     status, exit_code = MANIFEST_ANSWER.get(fx.expected_verdict, ("inconclusive", 2))
     assert (report["status"], code) == (status, exit_code)
+    assert tuple(e["method"] for e in report["clauses"]) == FIXTURE_METHODS[name]
     assert_proofs_verify(report, fx.constraint)
 
 
@@ -91,6 +114,22 @@ def test_antecedents_are_pruned_once_per_distinct_tuple(capsys, monkeypatch):
     code, _ = run(capsys, "prove", "--file", str(fx.path))
     assert code == cli.EXIT_INCONCLUSIVE
     assert len(fx.constraint.clauses) == 2 and len(calls) == 1
+
+
+def test_tight_stage_reuses_the_pruned_twins_proofs(capsys, monkeypatch):
+    """The kept antecedents of this fixture are tight because their pruned
+    twins were proved; the tight stage does not prove those twins again."""
+    calls = []
+    solve_lp = shannon.solve_lp
+
+    def counting(*args):
+        calls.append(repr(args))
+        return solve_lp(*args)
+
+    monkeypatch.setattr(shannon, "solve_lp", counting)
+    code, _ = run(capsys, "prove", "--file", str(fixture("kaced_romashchenko_ci").path))
+    assert code == cli.EXIT_INCONCLUSIVE
+    assert len(calls) == len(set(calls)) == 17
 
 
 def test_prove_reports_no_slack_label(capsys):
@@ -124,6 +163,7 @@ def test_prove_workers_do_not_change_the_report(capsys):
     (["recognize", "--file", "{path}"], "X 1 2\n"),
     (["recognize", "--file", "{path}"], "X 1 0 0\nX 1 0 0\n"),
     (["recognize", "--file", "{path}"], ""),
+    (["secret-share", "--participants", "2", "--access", "1", "--ratio", "1/0"], None),
 ])
 def test_bad_input_exits_3_without_traceback(capsys, tmp_path, argv, text):
     path = write(tmp_path, text) if text is not None else ""
@@ -133,6 +173,61 @@ def test_bad_input_exits_3_without_traceback(capsys, tmp_path, argv, text):
     assert out == ""
     assert "Traceback" not in err
     assert "error" in json.loads(err)
+
+
+def test_extra_generators_are_refuted_before_use(capsys, tmp_path):
+    neg = write(tmp_path, "-H(X) >= 0\n", "neg.iic")
+    assert cli.main(["prove", "--file", neg, "--extra-gens", neg]) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    error = json.loads(err)
+    assert neg in error["error"]
+    assert error["counterexample"]["witness"] == "vars 2\n0 1/2\n1 1/2\n"
+    zy = write(tmp_path, ZHANG_YEUNG, "zy.iic")
+    code, report = run(capsys, "prove", "--file", zy, "--extra-gens", zy, "--budget", "s=1,D=1")
+    assert (code, report["status"]) == (cli.EXIT_POSITIVE, "proved")
+
+
+# ---------------------------------------------------------------------------
+# One argparse tree per process
+# ---------------------------------------------------------------------------
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def _list_defaults(parser: argparse.ArgumentParser) -> dict:
+    return {(command, a.dest): a.default for command, sub in _subparsers(parser).items()
+            for a in sub._actions if isinstance(a.default, list)}
+
+
+def test_shared_parser_keeps_no_state_between_calls(capsys, tmp_path):
+    """Each call through the shared parser prints what it prints through
+    a fresh one, and no command mutates a list-valued default."""
+    zy = write(tmp_path, ZHANG_YEUNG, "zy.iic")
+    cand = write(tmp_path, "X 2 1 1\n", "cand.txt")
+    prove = ["prove", "--file", zy, "--budget", "s=1,D=1"]
+    sequence = [
+        ["prove"],
+        [*prove, "--extra-gens", zy],
+        prove,
+        [*prove, "--text"],
+        [*prove, "--json"],
+        ["reduce", "--file", zy, "--budget", "s=1,D=1"],
+        ["ci", "prove", "--vars", "X Y", "--cons", "X;Y"],
+        ["recognize", "--file", cand, "--budget", "s=1,D=1"],
+    ]
+    defaults = _list_defaults(cli.build_parser())
+    assert {dest for _, dest in defaults} == {"extra_gens", "ante"}
+    shared = [(cli.main(argv), capsys.readouterr()) for argv in sequence]
+    assert [code for code, _ in shared[:3]] == [cli.EXIT_USAGE, cli.EXIT_POSITIVE,
+                                                cli.EXIT_INCONCLUSIVE]
+    assert defaults == {key: [] for key in defaults}
+    fresh = []
+    for argv in sequence:
+        cli.build_parser.cache_clear()
+        fresh.append((cli.main(argv), capsys.readouterr()))
+    assert shared == fresh
 
 
 # ---------------------------------------------------------------------------

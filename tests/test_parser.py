@@ -7,6 +7,7 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings
 
+from infoineq import parser
 from infoineq.core import LinExpr, cond_entropy, mutual_info
 from infoineq.parser import (ParseError, format_clause, format_constraint, format_expr,
                              parse_constraint, parse_expr, scan_variables)
@@ -128,6 +129,19 @@ class TestConstraints:
     def test_comments_ignored(self):
         c = parse_constraint("# leading note\nH(X) >= 0  # trailing\n")
         assert len(c.clauses) == 1
+
+    def test_constraint_is_tokenized_once(self, monkeypatch):
+        texts = []
+        tokenize = parser._tokenize
+
+        def counting(text):
+            texts.append(text)
+            return tokenize(text)
+
+        monkeypatch.setattr(parser, "_tokenize", counting)
+        text = "[I(X;Y) = 0] => H(X|Z) >= H(Y) && H(H) >= 0"
+        assert parse_constraint(text).n == 4
+        assert texts == [text]
 
 
 class TestRoundTrip:
