@@ -4,9 +4,16 @@ expressions over joint entropies, and clause/constraint structure.
 Everything here is exact.  Probabilities and coefficients are
 `fractions.Fraction`; entropy-like quantities are `LogLinValue`, a formal
 sum of rational multiples of base-2 logarithms of positive rationals.
-Such values admit a decidable sign test (prime-exponent canonicalization
-plus interval refinement), which is what makes every decision path in the
-toolkit float-free.
+Such values admit a decidable sign test, which is what makes every
+decision path in the toolkit exact: factor each rational into primes
+(`_factor_cached`, stdlib trial division, Miller-Rabin and Pollard rho),
+collect the value as sum_p f_p * log p, and bound that sum away from zero.
+The bound is a ladder of enclosures (`prime_sum_sign`): a float sum first,
+whose error margin 2^-30 * sum |f_p log p| exceeds its worst rounding error
+by a factor of about 2^20, then mpmath intervals at doubling precision.  A
+float rung that cannot exclude zero only passes the value up the ladder, so
+floats never decide a sign they cannot bound.  `mpmath` is imported only
+when the float rung fails, which no corpus fixture needs.
 
 All types are immutable after construction and safe to share between
 concurrent workers.
@@ -16,10 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
+from math import fsum, gcd, inf, isfinite, isqrt, log
 from typing import Iterator, Mapping
-
-import mpmath
-from sympy import factorint
 
 MAX_VARS = 16
 
@@ -100,13 +106,156 @@ def subsets(n: int) -> Iterator[VarSet]:
 # Exact log-linear values
 # ---------------------------------------------------------------------------
 
+_SMALL_PRIMES = tuple(p for p in range(2, 1000) if all(p % d for d in range(2, isqrt(p) + 1)))
+_MR_BASES = _SMALL_PRIMES[:13]  # 2..41
+# Miller-Rabin on bases 2..41 is a proof of primality below this bound
+_MR_EXACT_BELOW = 3317044064679887385961981
+
+
+def is_prime(n: int) -> bool:
+    """Primality of an int: exact below 3.3 * 10^24 (Miller-Rabin on the
+    primes up to 41); above that the strong Lucas test is added, which
+    makes it the Baillie-PSW test, with no known counterexample."""
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return n < _MR_EXACT_BELOW or _strong_lucas(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test of an odd n > 41 with Selfridge's
+    parameters: D the first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1,
+    Q = (1 - D) / 4."""
+    if isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+
+    def halve(x: int) -> int:
+        return (x + n if x % 2 else x) // 2
+
+    U, V, Qk = 1, 1, Q % n  # index 1
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = halve((U + V) % n), halve((D * U + V) % n), Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
+
+
+def _pollard_rho(n: int) -> int:
+    """A nontrivial factor of an odd composite n (Brent's variant)."""
+    for c in count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batch overshot: retrace it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
 @lru_cache(maxsize=None)
 def _factor_cached(k: int) -> tuple[tuple[int, int], ...]:
-    return tuple(sorted(factorint(k).items()))
+    """The prime factorization of k >= 1 as sorted (prime, exponent) pairs."""
+    if k < 1:
+        raise ValueError(f"can only factor positive integers, got {k}")
+    exps: dict[int, int] = {}
+    for p in _SMALL_PRIMES:
+        if p * p > k:
+            break
+        while k % p == 0:
+            k //= p
+            exps[p] = exps.get(p, 0) + 1
+    rest = [k] if k > 1 else []
+    while rest:
+        m = rest.pop()
+        if is_prime(m):
+            exps[m] = exps.get(m, 0) + 1
+            continue
+        # rho would need about sqrt(p) steps on p^j, so split powers first;
+        # every prime factor left is above 1000 > 2^9
+        for j in range(2, m.bit_length() // 9 + 1):
+            root = _iroot(m, j)
+            if root ** j == m:
+                rest += [root] * j
+                break
+        else:
+            d = _pollard_rho(m)
+            rest += [d, m // d]
+    return tuple(sorted(exps.items()))
 
 
-_INTERVAL_START_PREC = 64
-_INTERVAL_MAX_PREC = 1 << 20
+def _iroot(m: int, j: int) -> int:
+    """floor(m ** (1/j)) for m >= 1, by Newton's method from above."""
+    x = 1 << -(-m.bit_length() // j)
+    while True:
+        y = ((j - 1) * x + m // x ** (j - 1)) // j
+        if y >= x:
+            return x
+        x = y
+
+
+# Rungs of the sign ladder: a float sum, then mpmath intervals
+_FLOAT_PREC = 53
+_PRECISIONS = (_FLOAT_PREC,) + tuple(64 << k for k in range(15))  # up to 2^20 bits
 
 
 @dataclass(frozen=True)
@@ -205,8 +354,13 @@ def prime_sum_sign(exps: Mapping[int, "Fraction | int"]) -> int:
     """Exact sign of sum_p f_p * log(p) over primes p, given the nonzero f_p.
 
     Zero iff there is no term; with one prime the sign is that of f_p,
-    since log p > 0; otherwise the sum is provably nonzero, so interval
-    arithmetic at increasing precision eventually excludes zero.
+    since log p > 0; otherwise the sum is provably nonzero (the log p are
+    linearly independent over the rationals), so an enclosure fine enough
+    excludes zero.  The ladder of `_interval_log_sum` enclosures starts
+    with a float sum at 53 bits, whose margin is safe by a wide factor (see
+    there) and which decides all but near-ties such as q log 3 - p log 2
+    for a convergent p/q of log2 3; those go on to mpmath intervals at
+    64, 128, ... bits.
     """
     if not exps:
         return 0
@@ -214,14 +368,12 @@ def prime_sum_sign(exps: Mapping[int, "Fraction | int"]) -> int:
         ((_, f),) = exps.items()
         return 1 if f > 0 else -1
     items = sorted(exps.items())
-    prec = _INTERVAL_START_PREC
-    while prec <= _INTERVAL_MAX_PREC:
+    for prec in _PRECISIONS:
         lo, hi = _interval_log_sum(items, prec)
         if lo > 0:
             return 1
         if hi < 0:
             return -1
-        prec *= 2
     raise RuntimeError("interval refinement failed to separate a nonzero value")
 
 
@@ -230,7 +382,26 @@ def _interval_log_sum(items, prec: int) -> tuple:
 
     Natural log is fine for the sign: it differs from log2 by a positive
     factor.
+
+    At 53 bits the sum is taken in floats: each term float(f_p) * log(p)
+    is within a few units in the last place (2^-53 relative) of its true
+    value, and `fsum` adds them with one rounding, so the error is below
+    about 10 * 2^-53 * sum |terms|.  The enclosure widens the float sum by
+    2^-30 * sum |terms|, about 2^20 times that.  Any overflow, or a term
+    below 2^-1000 (where rounding is no longer relative), gives the
+    undecided (-inf, inf).  Higher precisions use mpmath interval arithmetic.
     """
+    if prec <= _FLOAT_PREC:
+        try:
+            terms = [float(f) * log(p) for p, f in items]
+            total = fsum(terms)
+            margin = fsum(map(abs, terms)) * 2.0 ** -30
+        except (OverflowError, ValueError):  # float(f) too large, or inf - inf
+            return -inf, inf
+        if not isfinite(margin) or min(map(abs, terms)) < 2.0 ** -1000:
+            return -inf, inf
+        return total - margin, total + margin
+    import mpmath
     saved = mpmath.iv.prec
     try:
         mpmath.iv.prec = prec

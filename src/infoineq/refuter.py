@@ -36,16 +36,13 @@ bounded search.
 """
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
 from math import lcm
 from typing import Iterator
 
-from sympy import isprime
-
-from .core import BooleanConstraint, Clause, LinExpr, _factor_cached, prime_sum_sign
+from .core import BooleanConstraint, Clause, LinExpr, _factor_cached, is_prime, prime_sum_sign
 from .distributions import Distribution, cell_outcomes, pmf_walk, to_distribution
 from .models import VectorSpaceSystem, enumerate_systems
 
@@ -69,7 +66,7 @@ class Budget:
         if self.vs_max_dim < 0:
             raise ValueError("budget needs vsdim >= 0")
         for q in self.vs_primes:
-            if not isprime(q):
+            if not is_prime(q):
                 raise ValueError(f"budget vsq={q} is not a prime")
 
     @staticmethod
@@ -402,6 +399,7 @@ def refute_parallel(target, budget: Budget, workers: int = 1,
     constraint = _as_constraint(target)
     if workers <= 1:
         return refute(constraint, budget)
+    from concurrent.futures import ProcessPoolExecutor  # only pools pay its import
     stream = candidate_stream(constraint.n, budget)
     seen: set = set()
     with ProcessPoolExecutor(max_workers=workers) as pool:

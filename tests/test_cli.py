@@ -4,10 +4,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import infoineq
 from infoineq import cli, shannon
 from infoineq.apps import corpus, fixture
 from infoineq.core import LinExpr
@@ -164,6 +169,7 @@ def test_prove_workers_do_not_change_the_report(capsys):
     (["recognize", "--file", "{path}"], "X 1 0 0\nX 1 0 0\n"),
     (["recognize", "--file", "{path}"], ""),
     (["secret-share", "--participants", "2", "--access", "1", "--ratio", "1/0"], None),
+    (["refute", "--file", "{path}", "--budget", "vsq=561"], "H(X) >= 0\n"),  # Carmichael
 ])
 def test_bad_input_exits_3_without_traceback(capsys, tmp_path, argv, text):
     path = write(tmp_path, text) if text is not None else ""
@@ -173,6 +179,24 @@ def test_bad_input_exits_3_without_traceback(capsys, tmp_path, argv, text):
     assert out == ""
     assert "Traceback" not in err
     assert "error" in json.loads(err)
+
+
+def test_large_prime_field_budget_is_accepted(capsys):
+    path = str(fixture("false_mono_flip").path)
+    code, report = run(capsys, "refute", "--file", path, "--budget", "vsq=2305843009213693951")
+    assert code == 1
+    assert report["budget"]["vsq"] == [2 ** 61 - 1]
+
+
+def test_cli_import_leaves_heavy_modules_unloaded():
+    # sympy is gone, mpmath serves only near-tie signs, and the process
+    # pool only --workers >= 2
+    probe = ("import sys, infoineq.cli; "
+             "print(sorted({'sympy', 'mpmath', 'concurrent.futures'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(Path(infoineq.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_extra_generators_are_refuted_before_use(capsys, tmp_path):

@@ -1,6 +1,7 @@
 """Exact value arithmetic, the sign test, and clause semantics."""
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 
 import mpmath
@@ -8,10 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from infoineq import core
+from infoineq.apps import fixture
 from infoineq.core import (BooleanConstraint, Clause, EntropicCandidate, LinExpr,
-                           LogLinValue, VarSet, cond_entropy, entropy_of, full_set,
-                           mutual_info, subsets)
+                           LogLinValue, VarSet, _factor_cached, cond_entropy, entropy_of,
+                           full_set, is_prime, mutual_info, prime_sum_sign, subsets)
 from infoineq.models import modular
+from infoineq.refuter import Budget, refute
 
 from conftest import lin_exprs, log_lin_values, small_rationals
 
@@ -60,7 +64,7 @@ class TestSign:
         assert LogLinValue.of((1, Fraction(1, 3))).sign() == -1
 
     def test_close_race_multi_prime(self):
-        # log2(3) vs 19/12: 2^19 vs 3^12 differ, sign decided by intervals
+        # log2(3) vs 19/12: 2^19 vs 3^12 differ, sign decided by the float rung
         v = LogLinValue.of((12, 3), (-19, 2))
         assert v.sign() == (1 if 3 ** 12 > 2 ** 19 else -1)
 
@@ -195,3 +199,141 @@ def test_candidate_json_round_trip(xor_triple):
 
 def test_full_set():
     assert full_set(3) == 7
+
+
+def reference_sign(exps) -> int:
+    """The sign ladder without its float rung: mpmath intervals from 64
+    bits, doubling."""
+    if not exps:
+        return 0
+    if len(exps) == 1:
+        return 1 if next(iter(exps.values())) > 0 else -1
+    iv, saved = mpmath.iv, mpmath.iv.prec
+    try:
+        iv.prec = 64
+        while True:
+            total = iv.mpf(0)
+            for p, f in sorted(exps.items()):
+                f = Fraction(f)
+                total += iv.mpf(f.numerator) / iv.mpf(f.denominator) * iv.log(iv.mpf(p))
+            if total.a > 0:
+                return 1
+            if total.b < 0:
+                return -1
+            iv.prec *= 2
+    finally:
+        iv.prec = saved
+
+
+# continued-fraction convergents p/q of log2 3, alternately below and above
+LOG2_3_CONVERGENTS = [(1, 1), (2, 1), (3, 2), (8, 5), (19, 12), (65, 41), (84, 53),
+                      (485, 306), (1054, 665), (24727, 15601), (50508, 31867),
+                      (125743, 79335), (176251, 111202), (301994, 190537),
+                      (16785921, 10590737)]
+
+exponents = st.one_of(
+    st.integers(min_value=-10 ** 6, max_value=10 ** 6),
+    st.fractions(min_value=-10 ** 6, max_value=10 ** 6, max_denominator=10 ** 6),
+    # beyond the float range on both sides: the float rung must pass these up
+    st.builds(lambda k, e: Fraction(k) * Fraction(10) ** e,
+              st.integers(min_value=-99, max_value=99), st.integers(min_value=-400, max_value=400)),
+).filter(bool)
+
+exponent_maps = st.dictionaries(st.sampled_from([2, 3, 5, 7, 11, 13, 31, 2147483647]),
+                                exponents, min_size=2, max_size=6)
+
+
+@pytest.fixture
+def rungs(monkeypatch):
+    """The precisions `prime_sum_sign` asks `core._interval_log_sum` for."""
+    seen: list[int] = []
+    refine = core._interval_log_sum
+
+    def counted(items, prec):
+        seen.append(prec)
+        return refine(items, prec)
+
+    monkeypatch.setattr(core, "_interval_log_sum", counted)
+    return seen
+
+
+class TestSignLadder:
+    @settings(max_examples=300, deadline=None)
+    @given(exponent_maps)
+    def test_matches_interval_only_ladder(self, exps):
+        assert prime_sum_sign(exps) == reference_sign(exps)
+
+    @pytest.mark.parametrize("k", range(len(LOG2_3_CONVERGENTS)))
+    def test_log2_3_near_ties(self, rungs, k):
+        p, q = LOG2_3_CONVERGENTS[k]
+        exps = {2: -p, 3: q}  # q log 3 - p log 2, of the sign of log2 3 - p/q
+        expected = 1 if k % 2 == 0 else -1
+        assert prime_sum_sign(exps) == reference_sign(exps) == expected
+        assert rungs[0] == 53
+        # |q log2 3 - p| < 1/q', so from q = 15601 the float margin covers zero
+        assert (max(rungs) > 53) == (q >= 15601)
+
+    def test_refuting_matus_k1_stays_on_the_float_rung(self, rungs):
+        assert refute(fixture("matus_k1").constraint, Budget(2, 6)).found
+        assert rungs and set(rungs) == {53}
+
+    def test_float_rung_passes_up_what_it_cannot_bound(self):
+        inf = float("inf")
+        assert core._interval_log_sum([(2, 10 ** 400), (3, -1)], 53) == (-inf, inf)
+        assert core._interval_log_sum([(2, Fraction(1, 10 ** 400)), (3, -1)], 53) == (-inf, inf)
+        lo, hi = core._interval_log_sum([(2, 1), (3, -1)], 53)
+        assert lo < hi < 0
+
+
+def sieve(limit: int) -> list[bool]:
+    flags = [False, False] + [True] * (limit - 2)
+    for i in range(2, int(limit ** 0.5) + 1):
+        if flags[i]:
+            flags[i * i::i] = [False] * len(flags[i * i::i])
+    return flags
+
+
+class TestFactoring:
+    def test_matches_trial_division(self):
+        for k in range(1, 10001):
+            factors, m, d = [], k, 2
+            while m > 1:
+                e = 0
+                while m % d == 0:
+                    m, e = m // d, e + 1
+                if e:
+                    factors.append((d, e))
+                d += 1
+            assert _factor_cached(k) == tuple(factors), k
+
+    @pytest.mark.parametrize("k,factors", [
+        ((2 ** 31 - 1) * (2 ** 61 - 1), ((2 ** 31 - 1, 1), (2 ** 61 - 1, 1))),
+        (2 ** 89 - 1, ((2 ** 89 - 1, 1),)),
+        (2 ** 64 + 1, ((274177, 1), (67280421310721, 1))),
+        ((2 ** 61 - 1) ** 2 * 1009 ** 3, ((1009, 3), (2 ** 61 - 1, 2))),
+    ])
+    def test_large_inputs_are_fast(self, k, factors):
+        _factor_cached.cache_clear()
+        start = time.perf_counter()
+        assert _factor_cached(k) == factors
+        assert time.perf_counter() - start < 1.0
+
+    def test_is_prime_matches_sieve(self):
+        flags = sieve(10 ** 5)
+        assert all(is_prime(n) == flags[n] for n in range(10 ** 5))
+
+    @pytest.mark.parametrize("n", [561, 41041, 3215031751, 3317044064679887385961981,
+                                   (2 ** 61 - 1) * (2 ** 67 - 1)])
+    def test_rejects_pseudoprimes_and_products(self, n):
+        # Carmichael numbers, the least strong pseudoprime to bases 2..41,
+        # and a product of two primes above the exact Miller-Rabin range
+        assert not is_prime(n)
+
+    def test_strong_lucas_pseudoprimes(self):
+        # the odd composites below 10^5 that pass the strong Lucas test
+        # (OEIS A217255); Miller-Rabin catches every one of them
+        flags = sieve(10 ** 5)
+        liars = [n for n in range(43, 10 ** 5, 2) if core._strong_lucas(n) != flags[n]]
+        assert liars == [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199,
+                         40309, 58519, 75077, 97439]
+        assert not any(is_prime(n) for n in liars)
