@@ -155,4 +155,4 @@ def fixture(name: str) -> Fixture:
     for f in corpus():
         if f.name == name:
             return f
-    raise KeyError(f"no corpus fixture named {name!r}")
+    raise ValueError(f"no corpus fixture named {name!r}")

@@ -487,13 +487,15 @@ class LinExpr:
             raise ValueError(f"dimension mismatch: n={self.n} vs n={other.n}")
 
     def eval(self, h: "EntropicCandidate") -> LogLinValue:
-        """The exact dot product c . h as a LogLinValue."""
+        """The exact dot product c . h as a LogLinValue: the terms of each
+        c_m * h(m) in mask order.  Only `h.n` and `h.value(m)` at the masks
+        of c are read."""
         if self.n != h.n:
             raise ValueError(f"dimension mismatch: expr n={self.n}, candidate n={h.n}")
-        total = LogLinValue.zero()
+        terms: list[tuple[Fraction, Fraction]] = []
         for mask, c in self.items:
-            total = total + h.value(mask).scale(c)
-        return total
+            terms += [(c * q, r) for q, r in h.value(mask).terms]
+        return LogLinValue(tuple(terms))
 
     def dot_basic_modular(self, j: int) -> Fraction:
         """c . h^(j) where h^(j)(alpha) = 1 iff j in alpha."""

@@ -116,11 +116,13 @@ class Distribution:
         return Distribution(tuple(d for i, d in enumerate(self.domains) if (mask >> i) & 1),
                             tuple(self._marginal_items(mask)))
 
-    def entropic_vector(self) -> EntropicCandidate:
+    def entropy(self, mask: int) -> LogLinValue:
         """h(alpha) = sum_x p_alpha(x) * log2(1 / p_alpha(x)), exactly."""
-        values = [LogLinValue.zero()]
-        for mask in range(1, 1 << self.n):
-            values.append(LogLinValue(tuple((p, 1 / p) for _, p in self._marginal_items(mask))))
+        return LogLinValue(tuple((p, 1 / p) for _, p in self._marginal_items(mask)))
+
+    def entropic_vector(self) -> EntropicCandidate:
+        """`entropy` at every mask, with h({}) = 0."""
+        values = [LogLinValue.zero()] + [self.entropy(mask) for mask in range(1, 1 << self.n)]
         return EntropicCandidate(self.n, tuple(values))
 
     def to_file_text(self) -> str:

@@ -135,15 +135,13 @@ class VectorSpaceSystem:
             return 0
         return rank_mod(rows, self.q)
 
+    def entropy(self, mask: int) -> LogLinValue:
+        """h(alpha) = rank * log2(q), exactly."""
+        r = self.joint_rank(mask)
+        return LogLinValue.of((r, self.q)) if r else LogLinValue.zero()
+
     def candidate(self) -> EntropicCandidate:
-        values = []
-        for mask in range(1 << self.n):
-            r = self.joint_rank(mask)
-            if r == 0:
-                values.append(LogLinValue.zero())
-            else:
-                values.append(LogLinValue.of((r, self.q)))
-        return EntropicCandidate(self.n, tuple(values))
+        return EntropicCandidate(self.n, tuple(self.entropy(mask) for mask in range(1 << self.n)))
 
     def to_file_text(self) -> str:
         lines = [f"{self.q} {self.dim} {self.n}"]

@@ -36,8 +36,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from .core import BooleanConstraint, Clause, LinExpr, VarSet
+from .core import MAX_VARS, BooleanConstraint, Clause, LinExpr, VarSet
 
 
 @dataclass(frozen=True)
@@ -72,41 +73,48 @@ _TOKEN_RE = re.compile(
   | (?P<num>\d+)
   | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<punct>[()\[\],;|+\-*/=])
+  | (?P<bad>.)
     """,
     re.VERBOSE,
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
+    """One token; `kind` is the token's own text for punctuation."""
+
     kind: str
     text: str
-    span: SourceSpan
+    start: int
+    end: int
+    line: int
+    column: int
+
+    @property
+    def span(self) -> SourceSpan:
+        return SourceSpan(self.start, self.end, self.line, self.column)
 
 
 def _tokenize(text: str) -> list[Token]:
     tokens = []
-    pos = 0
     line = 1
     line_start = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            span = SourceSpan(pos, pos + 1, line, pos - line_start + 1)
-            raise ParseError(f"unexpected character {text[pos]!r}", span)
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
         tok_text = m.group()
-        if kind in ("ws", "comment"):
-            line += tok_text.count("\n")
+        start = m.start()
+        if kind == "ws" or kind == "comment":
             if "\n" in tok_text:
-                line_start = m.start() + tok_text.rfind("\n") + 1
-        else:
-            span = SourceSpan(m.start(), m.end(), line, m.start() - line_start + 1)
-            if kind == "punct":
-                kind = tok_text
-            tokens.append(Token(kind, tok_text, span))
-        pos = m.end()
-    tokens.append(Token("eof", "", SourceSpan(len(text), len(text), line, len(text) - line_start + 1)))
+                line += tok_text.count("\n")
+                line_start = start + tok_text.rfind("\n") + 1
+            continue
+        if kind == "bad":
+            span = SourceSpan(start, start + 1, line, start - line_start + 1)
+            raise ParseError(f"unexpected character {tok_text!r}", span)
+        if kind == "punct":
+            kind = tok_text
+        tokens.append(Token(kind, tok_text, start, m.end(), line, start - line_start + 1))
+    end = len(text)
+    tokens.append(Token("eof", "", end, end, line, end - line_start + 1))
     return tokens
 
 
@@ -134,7 +142,27 @@ def _scan_variables(tokens: list[Token]) -> list[str]:
     return sorted(names)
 
 
+def _scaled(coeffs: dict, q) -> dict:
+    for mask in coeffs:
+        coeffs[mask] *= q
+    return coeffs
+
+
+def _add_into(total: dict, coeffs: dict, sign: int) -> None:
+    for mask, c in coeffs.items():
+        total[mask] = total.get(mask, 0) + sign * c
+
+
 class _Parser:
+    """Recursive descent over the token list.
+
+    While a sum is parsed, its value is either a `Fraction` (a constant)
+    or a plain {mask: coefficient} map that the parser owns and updates
+    in place.  A map becomes a `LinExpr` once per expression, when its
+    comparison or `max` argument is complete, so a k-term sum is
+    normalized once rather than once per operator.
+    """
+
     def __init__(self, tokens: list[Token], var_names: list[str]):
         self.tokens = tokens
         self.pos = 0
@@ -166,6 +194,22 @@ class _Parser:
 
     # -- expressions ---------------------------------------------------------
 
+    def check_count(self) -> None:
+        """Raise the error `LinExpr.make` gives for more than MAX_VARS
+        variables, at the first entropy term or zero expression, where
+        the first `LinExpr` of the constraint is due."""
+        if self.n > MAX_VARS:
+            LinExpr.zero(self.n)
+
+    def entropies(self, *signed: tuple[int, int]) -> dict:
+        """The map of sum(sign * h(mask)); h({}) = 0 is left out."""
+        self.check_count()
+        coeffs: dict[int, int] = {}
+        for mask, sign in signed:
+            if mask:
+                coeffs[mask] = coeffs.get(mask, 0) + sign
+        return coeffs
+
     def parse_varset(self, stop: tuple[str, ...]) -> VarSet:
         mask = 0
         saw = False
@@ -183,15 +227,15 @@ class _Parser:
         return VarSet(mask)
 
     def parse_rational(self) -> Fraction:
-        tok = self.expect("num")
-        value = Fraction(int(tok.text))
+        num = int(self.expect("num").text)
+        den = 1
         if self.peek().kind == "/":
             self.next()
-            den = self.expect("num")
-            if int(den.text) == 0:
-                raise ParseError("zero denominator", den.span)
-            value /= int(den.text)
-        return value
+            tok = self.expect("num")
+            den = int(tok.text)
+            if den == 0:
+                raise ParseError("zero denominator", tok.span)
+        return Fraction(num, den)
 
     def parse_atom(self):
         """One multiplicative atom: a rational, an H/I term, or parens."""
@@ -204,29 +248,29 @@ class _Parser:
             self.expect(")")
             return inner
         if tok.kind == "name" and tok.text == "H" and self.tokens[self.pos + 1].kind == "(":
+            # H(Y|X) = h(XY) - h(X)
             self.next()
             self.next()
             y = self.parse_varset(stop=("|", ")"))
-            given = VarSet(0)
+            x = 0
             if self.peek().kind == "|":
                 self.next()
-                given = self.parse_varset(stop=(")",))
+                x = self.parse_varset(stop=(")",))
             self.expect(")")
-            from .core import cond_entropy
-            return cond_entropy(self.n, y, given)
+            return self.entropies((x | y, 1), (x, -1))
         if tok.kind == "name" and tok.text == "I" and self.tokens[self.pos + 1].kind == "(":
+            # I(Y;Z|X) = h(XY) + h(XZ) - h(XYZ) - h(X)
             self.next()
             self.next()
             y = self.parse_varset(stop=(";",))
             self.expect(";")
             z = self.parse_varset(stop=("|", ")"))
-            given = VarSet(0)
+            x = 0
             if self.peek().kind == "|":
                 self.next()
-                given = self.parse_varset(stop=(")",))
+                x = self.parse_varset(stop=(")",))
             self.expect(")")
-            from .core import mutual_info
-            return mutual_info(self.n, y, z, given)
+            return self.entropies((x | y, 1), (x | z, 1), (x | y | z, -1), (x, -1))
         raise self.error(f"expected an entropy term or rational, found {tok.text or 'end of input'!r}")
 
     def parse_term(self):
@@ -247,60 +291,64 @@ class _Parser:
             if isinstance(value, Fraction) and isinstance(rhs, Fraction):
                 value = value * rhs
             elif isinstance(value, Fraction):
-                value = rhs.scale(value)
+                value = _scaled(rhs, value)
             elif isinstance(rhs, Fraction):
-                value = value.scale(rhs)
+                value = _scaled(value, rhs)
             else:
                 raise self.error("product of two entropy expressions is not linear")
         return value
 
     def parse_sum(self):
-        sign = Fraction(1)
+        negate = False
         if self.peek().kind in ("+", "-"):
-            sign = Fraction(-1) if self.next().kind == "-" else Fraction(1)
-        first = self.parse_term()
-        if isinstance(first, Fraction):
-            total = first * sign
-        else:
-            total = first.scale(sign)
+            negate = self.next().kind == "-"
+        total = self.parse_term()
+        if negate:
+            total = -total if isinstance(total, Fraction) else _scaled(total, -1)
         while self.peek().kind in ("+", "-"):
-            op = self.next().kind
+            sign = 1 if self.next().kind == "+" else -1
             term = self.parse_term()
             if isinstance(total, Fraction) and isinstance(term, Fraction):
-                total = total + term if op == "+" else total - term
+                total = total + sign * term
                 continue
             # a literal zero may mix with entropy terms; other constants cannot
             if isinstance(total, Fraction):
                 if total != 0:
                     raise self.error("constant terms are not allowed in entropy expressions")
-                total = LinExpr.zero(self.n)
+                total = {}
             if isinstance(term, Fraction):
                 if term != 0:
                     raise self.error("constant terms are not allowed in entropy expressions")
-                term = LinExpr.zero(self.n)
-            total = total + term if op == "+" else total - term
+                continue
+            _add_into(total, term, sign)
         return total
 
-    def parse_expr(self) -> LinExpr:
+    def parse_coeffs(self) -> dict:
+        """One entropy expression as its coefficient map."""
         tok = self.peek()
         value = self.parse_sum()
         if isinstance(value, Fraction):
-            if value == 0:
-                return LinExpr.zero(self.n)
-            raise ParseError("constant terms are not allowed in entropy expressions", tok.span)
+            if value != 0:
+                raise ParseError("constant terms are not allowed in entropy expressions",
+                                 tok.span)
+            self.check_count()
+            return {}
         return value
+
+    def parse_expr(self) -> LinExpr:
+        return LinExpr.make(self.n, self.parse_coeffs())
 
     # -- clauses -------------------------------------------------------------
 
     def parse_comparison(self) -> tuple[LinExpr, str]:
         """`E op F` as (E - F, op) with op in {>=, <=, =}."""
-        lhs = self.parse_expr()
+        lhs = self.parse_coeffs()
         tok = self.peek()
         if tok.kind not in ("ge", "le", "="):
             raise self.error("expected '>=', '<=' or '='")
         self.next()
-        rhs = self.parse_expr()
-        return lhs - rhs, tok.kind
+        _add_into(lhs, self.parse_coeffs(), -1)
+        return LinExpr.make(self.n, lhs), tok.kind
 
     def parse_antecedents(self) -> tuple[LinExpr, ...]:
         self.expect("[")
@@ -330,10 +378,10 @@ class _Parser:
         if tok.kind == "name" and tok.text == "max" and self.tokens[self.pos + 1].kind == "(":
             self.next()
             self.next()
-            args = [self.parse_expr()]
+            args = [self.parse_coeffs()]
             while self.peek().kind == ",":
                 self.next()
-                args.append(self.parse_expr())
+                args.append(self.parse_coeffs())
             self.expect(")")
             op_tok = self.peek()
             if op_tok.kind == "=" and len(args) > 1:
@@ -341,8 +389,10 @@ class _Parser:
             if op_tok.kind not in ("ge",):
                 raise self.error("expected '>=' after max(...)")
             self.next()
-            rhs = self.parse_expr()
-            consequents = tuple(a - rhs for a in args)
+            rhs = self.parse_coeffs()
+            for arg in args:
+                _add_into(arg, rhs, -1)
+            consequents = tuple(LinExpr.make(self.n, arg) for arg in args)
             return [Clause(self.n, antecedents, consequents)]
         expr, op = self.parse_comparison()
         if op == "ge":

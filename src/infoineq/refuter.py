@@ -27,7 +27,8 @@ its position in the whole stream.  `candidates_scanned` counts every
 candidate up to the hit, skipped ones included, also the pmfs that were
 never built.  A hit is re-checked and reported by `violation`, the
 reference evaluation over `LogLinValue`s, so the report does not depend
-on the kernel.
+on the kernel.  The re-check builds h only at the masks the constraint
+mentions, since the expressions read nothing else.
 
 A counterexample here witnesses failure on the set of finite-distribution
 entropic vectors.  "Not found" carries the exhausted budget and means
@@ -168,41 +169,34 @@ def candidate_stream(n: int, budget: Budget) -> Iterator[tuple[int, "str | None"
     yield index, None, None
 
 
-def _relevant_vars(clause: Clause) -> int:
-    mask = 0
-    for e in clause.antecedents + clause.consequents:
-        for m, _ in e.items:
-            mask |= m
-    return mask
+def _mentioned_masks(constraint: BooleanConstraint) -> tuple[int, ...]:
+    """Every mask with a nonzero coefficient somewhere in the constraint,
+    in increasing order."""
+    return tuple(sorted({m for clause in constraint.clauses
+                         for e in clause.antecedents + clause.consequents
+                         for m, _ in e.items}))
 
 
-def _degenerate_vars(kind: str, obj) -> int:
-    """Mask of variables whose marginal carries no information."""
-    mask = 0
-    if kind == DISTRIBUTION:
-        for i in range(obj.n):
-            if len(obj.marginal(1 << i).support()) == 1:
-                mask |= 1 << i
-    else:
-        for i in range(obj.n):
-            if obj.joint_rank(1 << i) == 0:
-                mask |= 1 << i
-    return mask
+class _Entropies:
+    """h at the masks a constraint mentions, which is all `LinExpr.eval`
+    reads of a candidate for that constraint."""
+
+    def __init__(self, n: int, values: dict):
+        self.n = n
+        self.values = values
+
+    def value(self, mask: int):
+        return self.values[mask]
 
 
 def violation(constraint: BooleanConstraint, kind: str, obj) -> "Counterexample | None":
     """First clause the candidate falsifies, with its evaluation trace.
 
-    The reference evaluation: it builds the whole entropic vector as
-    `LogLinValue`s.  Distribution scans use `ProfileScan` and call this
-    only to re-check and report a hit."""
-    relevant = [_relevant_vars(c) for c in constraint.clauses]
-    degenerate = _degenerate_vars(kind, obj)
-    if all(rel & ~degenerate == 0 for rel in relevant):
-        # every relevant variable is constant: all expressions evaluate to
-        # zero and every clause trivially holds
-        return None
-    h = obj.candidate() if kind == VECTOR_SPACE else obj.entropic_vector()
+    The reference evaluation, with exact `LogLinValue` signs.  It builds h
+    with the candidate's own `entropy`, and only at the masks the
+    constraint mentions.  Distribution scans use `ProfileScan` and call
+    this only to re-check and report a hit."""
+    h = _Entropies(obj.n, {m: obj.entropy(m) for m in _mentioned_masks(constraint)})
     for idx, clause in enumerate(constraint.clauses):
         trace = []
         failed = True
@@ -264,16 +258,13 @@ class ProfileScan:
     with integer E_p, so the sign is `core.prime_sum_sign` of E.
 
     A pmf whose profile was seen before is skipped: `violation` depends
-    only on h at the mentioned masks (when every relevant variable is
-    constant, every expression is 0, which is the degeneracy shortcut), so
-    the earlier pmf with that profile already gave the same answer, None.
+    only on h at the mentioned masks, so the earlier pmf with that profile
+    already gave the same answer, None.
     """
 
     def __init__(self, constraint: BooleanConstraint, max_denominator: int):
         self.constraint = constraint
-        self.masks = tuple(sorted({m for clause in constraint.clauses
-                                   for e in clause.antecedents + clause.consequents
-                                   for m, _ in e.items}))
+        self.masks = _mentioned_masks(constraint)
         self.total = lcm(*range(1, max_denominator + 1))
         self.seen: set[tuple] = set()
         self._positions = {m: k for k, m in enumerate(self.masks)}

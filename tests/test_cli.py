@@ -153,6 +153,12 @@ def test_prove_workers_do_not_change_the_report(capsys):
     assert one[0] == 1
 
 
+# the whole error report of some bad inputs
+EXACT_ERRORS = {
+    ("corpus", "--show", "nope"): "no corpus fixture named 'nope'",
+}
+
+
 @pytest.mark.parametrize("argv,text", [
     (["prove", "--file", "{path}"], "H(X) >= \n"),
     (["prove", "--file", "{missing}"], None),
@@ -170,6 +176,7 @@ def test_prove_workers_do_not_change_the_report(capsys):
     (["recognize", "--file", "{path}"], ""),
     (["secret-share", "--participants", "2", "--access", "1", "--ratio", "1/0"], None),
     (["refute", "--file", "{path}", "--budget", "vsq=561"], "H(X) >= 0\n"),  # Carmichael
+    (["corpus", "--show", "nope"], None),
 ])
 def test_bad_input_exits_3_without_traceback(capsys, tmp_path, argv, text):
     path = write(tmp_path, text) if text is not None else ""
@@ -179,6 +186,8 @@ def test_bad_input_exits_3_without_traceback(capsys, tmp_path, argv, text):
     assert out == ""
     assert "Traceback" not in err
     assert "error" in json.loads(err)
+    if tuple(argv) in EXACT_ERRORS:
+        assert json.loads(err) == {"error": EXACT_ERRORS[tuple(argv)]}
 
 
 def test_large_prime_field_budget_is_accepted(capsys):

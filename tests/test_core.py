@@ -136,6 +136,17 @@ class TestEval:
         q = Fraction(k, 4)
         assert c.scale(q).eval(h).sign() == c.eval(h).sign()
 
+    @settings(max_examples=100, deadline=None)
+    @given(lin_exprs(3), st.lists(log_lin_values, min_size=7, max_size=7))
+    def test_one_pass_eval_equals_left_fold(self, expr, values):
+        h = EntropicCandidate(3, (LogLinValue.zero(), *values))
+        fold = LogLinValue.zero()
+        for mask, c in expr.items:
+            fold = fold + h.value(mask).scale(c)
+        got = expr.eval(h)
+        assert got.terms == fold.terms
+        assert str(got) == str(fold)
+
 
 class TestLinExpr:
     def test_empty_set_coefficient_rejected(self):

@@ -6,6 +6,7 @@ from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infoineq import parser
 from infoineq.core import LinExpr, cond_entropy, mutual_info
@@ -88,6 +89,41 @@ class TestErrors:
             parse_constraint("   # nothing here")
 
 
+    @pytest.mark.parametrize("text,names,message,line,column", [
+        ("H(X) + 1 >= 0", None,
+         "constant terms are not allowed in entropy expressions", 1, 10),
+        ("H(X)\n  >= 2 * H(Y) - 1/2", None,
+         "constant terms are not allowed in entropy expressions", 2, 20),
+        ("H(X) * H(Y) >= 0", None, "product of two entropy expressions is not linear", 1, 13),
+        ("  I(X;Y)\n + 3/4 H(Z) (H(X) - H(Y)) >= 0", None,
+         "product of two entropy expressions is not linear", 2, 27),
+        ("1/0 H(X) >= 0", None, "zero denominator", 1, 3),
+        ("H(X) >= 0 &&\n  H(XW) >= 0", XYZ, "unknown variable 'W'", 2, 7),
+        ("H(X) >= 0 &&", None, "expected an entropy term or rational, found 'end of input'", 1, 13),
+        ("H(X) >= 0 &&\n", None,
+         "expected an entropy term or rational, found 'end of input'", 2, 1),
+        ("", None, "constraint mentions no variables", 1, 1),
+    ])
+    def test_message_and_position(self, text, names, message, line, column):
+        with pytest.raises(ParseError) as err:
+            parse_constraint(text, names)
+        assert (err.value.message, err.value.span.line, err.value.span.column) \
+            == (message, line, column)
+
+    @pytest.mark.parametrize("text,error", [
+        ("H(V1) + 1 >= H({all})", "variable count 17 out of range 1..16"),
+        ("H(V9) >= H({all})", "variable mask out of range: 65536"),
+        ("0 >= H({all}", "variable count 17 out of range 1..16"),
+        ("1/0 H(V1) >= H({all})", "zero denominator (line 1, column 3)"),
+    ])
+    def test_first_error_with_too_many_variables(self, text, error):
+        # V9 sorts last of V1..V17, so it is variable 16
+        text = text.format(all=" ".join(f"V{i}" for i in range(1, 18)))
+        with pytest.raises(ValueError) as err:
+            parse_constraint(text)
+        assert str(err.value) == error
+
+
 class TestConstraints:
     def test_ci_clause_expands_equalities(self):
         c = parse_constraint("[I(X;Y)=0, I(X;Z|Y)=0] => I(X;Z) <= 0")
@@ -142,6 +178,106 @@ class TestConstraints:
         text = "[I(X;Y) = 0] => H(X|Z) >= H(Y) && H(H) >= 0"
         assert parse_constraint(text).n == 4
         assert texts == [text]
+
+
+NAMES = "ABCDE"
+
+
+@st.composite
+def _varset(draw, n: int, empty_ok: bool = False):
+    mask = draw(st.integers(0 if empty_ok else 1, (1 << n) - 1))
+    sep = draw(st.sampled_from(["", " "]))
+    return sep.join(NAMES[i] for i in range(n) if mask >> i & 1), mask
+
+
+@st.composite
+def _rational(draw):
+    num, den = draw(st.integers(0, 12)), draw(st.integers(1, 6))
+    if den == 1 and draw(st.booleans()):
+        return str(num), Fraction(num)
+    return f"{num}/{den}", Fraction(num, den)
+
+
+@st.composite
+def _constant(draw):
+    """A rational, or a parenthesized sum of two."""
+    if draw(st.booleans()):
+        return draw(_rational())
+    (t1, v1), (t2, v2) = draw(_rational()), draw(_rational())
+    lead, op = draw(st.sampled_from(["", "-"])), draw(st.sampled_from(["+", "-"]))
+    value = (-v1 if lead else v1) + (v2 if op == "+" else -v2)
+    return f"({lead}{t1} {op} {t2})", value
+
+
+@st.composite
+def _entropy_atom(draw, n: int, depth: int):
+    """H(Y|X), I(Y;Z|X) or a parenthesized sum, with its reference value."""
+    kind = draw(st.sampled_from(["H", "I", "()"] if depth else ["H", "I"]))
+    if kind == "()":
+        text, value = draw(_linear_sum(n, depth - 1))
+        return f"({text})", value
+    x_text, x = draw(_varset(n, empty_ok=True))
+    given = f"|{x_text}" if x else ""
+    y_text, y = draw(_varset(n))
+    if kind == "H":
+        return f"H({y_text}{given})", cond_entropy(n, y, x)
+    z_text, z = draw(_varset(n))
+    return f"I({y_text};{z_text}{given})", mutual_info(n, y, z, x)
+
+
+@st.composite
+def _linear_term(draw, n: int, depth: int):
+    """An entropy atom with constant factors on either side, each joined
+    by '*' or juxtaposed."""
+    text, value = draw(_entropy_atom(n, depth))
+    for left in draw(st.lists(st.booleans(), max_size=3)):
+        c_text, c = draw(_constant())
+        op = draw(st.sampled_from([" ", " * "]))
+        text = f"{c_text}{op}{text}" if left else f"{text}{op}{c_text}"
+        value = value.scale(c)
+    return text, value
+
+
+@st.composite
+def _linear_sum(draw, n: int, depth: int):
+    """Entropy terms and literal zeros joined by '+' and '-', with an
+    optional sign in front of the first."""
+    terms = draw(st.lists(_linear_term(n, depth), min_size=1, max_size=3))
+    for at in draw(st.lists(st.integers(0, len(terms)), max_size=2)):
+        terms.insert(at, ("0", LinExpr.zero(n)))
+    signs = [draw(st.sampled_from(["", "-", "+"]))]
+    signs += [draw(st.sampled_from(["+", "-"])) for _ in terms[1:]]
+    text = "".join(f"{sign}{t}" if i == 0 else f" {sign} {t}"
+                   for i, (sign, (t, _)) in enumerate(zip(signs, terms)))
+    value = LinExpr.zero(n)
+    for sign, (_, v) in zip(signs, terms):
+        value = value - v if sign == "-" else value + v
+    return text, value
+
+
+@st.composite
+def _comparisons(draw):
+    n = draw(st.integers(1, 5))
+    lhs, left = draw(_linear_sum(n, 2))
+    rhs, right = draw(st.one_of(_linear_sum(n, 1), st.just(("0", LinExpr.zero(n)))))
+    op = draw(st.sampled_from([">=", "<="]))
+    expected = left - right if op == ">=" else right - left
+    return n, f"{lhs} {op} {rhs}", expected
+
+
+class TestDifferential:
+    """`parse_constraint` against a reference built from `cond_entropy`,
+    `mutual_info` and `LinExpr` arithmetic."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_comparisons())
+    def test_parse_matches_reference(self, case):
+        n, text, expected = case
+        constraint = parse_constraint(text, list(NAMES[:n]))
+        assert constraint.n == n
+        (clause,) = constraint.clauses
+        assert clause.antecedents == ()
+        assert clause.consequents == (expected,)
 
 
 class TestRoundTrip:

@@ -1,11 +1,14 @@
 """The profile-scan kernel of the refuter against the reference evaluation:
 exact signs, reports byte-identical to a `violation` scan over
 `enumerate_distributions` (every pmf, nothing skipped), candidate and
-distinct-profile counts, and the parallel driver."""
+distinct-profile counts, the parallel driver, and `violation` itself
+against an evaluation over the whole entropic vector."""
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +18,7 @@ from infoineq.core import BooleanConstraint, Clause, LinExpr
 from infoineq.distributions import (Distribution, enumerate_distributions, pmf_stream,
                                     to_distribution)
 from infoineq.models import enumerate_systems
-from infoineq.parser import parse_expr
+from infoineq.parser import parse_constraint, parse_expr
 from infoineq.refuter import (DISTRIBUTION, VECTOR_SPACE, Budget, ProfileScan,
                               RefutationResult, refute, refute_parallel, violation)
 
@@ -130,3 +133,84 @@ def test_parallel_driver_equals_serial_on_deep_hits(name, budget):
     budget = Budget.parse(budget)
     assert refute_parallel(constraint, budget, workers=2, block_size=16) \
         == refute(constraint, budget)
+
+
+# ---------------------------------------------------------------------------
+# `violation` against an evaluation over the whole entropic vector
+# ---------------------------------------------------------------------------
+
+def whole_vector_violation(constraint: BooleanConstraint, kind: str, obj) -> "dict | None":
+    """The report of the first clause `obj` falsifies, evaluated over its
+    entropic vector at every mask."""
+    h = obj.entropic_vector() if kind == DISTRIBUTION else obj.candidate()
+    for idx, clause in enumerate(constraint.clauses):
+        trace, holds = [], False
+        for role, exprs, satisfied in (("antecedent", clause.antecedents, lambda s: s < 0),
+                                       ("consequent", clause.consequents, lambda s: s >= 0)):
+            for i, expr in enumerate(exprs):
+                if holds:
+                    break
+                value = expr.eval(h)
+                trace.append({"role": role, "index": i, "sign": value.sign(),
+                              "value": str(value)})
+                holds = satisfied(value.sign())
+        if not holds:
+            return {"source": kind, "witness": obj.to_file_text(),
+                    "clause_index": idx, "trace": trace}
+    return None
+
+
+REFUTED = ["false_ci_weakening", "false_max_nonneg", "false_mono_flip", "false_three_subadd"]
+
+
+@pytest.mark.parametrize("name", REFUTED)
+def test_violation_matches_whole_vector_on_every_candidate(name):
+    constraint = fixture(name).constraint
+    candidates = [(DISTRIBUTION, d) for d in enumerate_distributions(constraint.n, 2, 4)]
+    candidates += [(VECTOR_SPACE, s) for s in enumerate_systems(constraint.n, (2, 3), 2)]
+    hits = set()
+    for kind, obj in candidates:
+        hit = violation(constraint, kind, obj)
+        report = hit.to_json() if hit else None
+        assert report == whole_vector_violation(constraint, kind, obj)
+        if hit:
+            hits.add(kind)
+    assert DISTRIBUTION in hits
+
+
+@lru_cache(maxsize=None)
+def planted_n5() -> list:
+    """The first 20 n=5 inputs of the `refute-early` benchmark pool."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import gen
+    pool = [inp for inp in gen.refute_pool() if inp.key.startswith("planted5-")][:20]
+    budget = Budget.parse(gen.REFUTE_BUDGET)
+    return [(parse_constraint(text), budget) for inp in pool for text in inp.files.values()]
+
+
+@pytest.mark.parametrize("index", range(20))
+def test_violation_matches_whole_vector_on_planted_hits(index):
+    constraint, budget = planted_n5()[index]
+    hit = refute(constraint, budget).counterexample
+    assert hit.to_json() == whole_vector_violation(constraint, DISTRIBUTION, hit.distribution)
+
+
+def test_recheck_builds_only_the_mentioned_marginals(monkeypatch):
+    constraint, budget = planted_n5()[0]
+    hit = refute(constraint, budget).counterexample
+    mentioned = {m for e in constraint.clauses[0].consequents for m, _ in e.items}
+    assert len(mentioned) < 31
+    built = []
+    marginal_items = Distribution._marginal_items
+
+    def recording(self, mask):
+        built.append(mask)
+        return marginal_items(self, mask)
+
+    def whole_vector(self):
+        raise AssertionError("the re-check built the whole entropic vector")
+
+    monkeypatch.setattr(Distribution, "_marginal_items", recording)
+    monkeypatch.setattr(Distribution, "entropic_vector", whole_vector)
+    assert violation(constraint, DISTRIBUTION, hit.distribution) == hit
+    assert sorted(built) == sorted(mentioned)
