@@ -378,7 +378,7 @@ def cmd_recognize(args) -> int:
 
 
 def cmd_corpus(args) -> int:
-    if args.show:
+    if args.show is not None:
         fx = fixture(args.show)
         emit({"command": "corpus", "name": fx.name, "file": str(fx.path),
               "expected_verdict": fx.expected_verdict, "notes": fx.notes,

@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .core import Clause, LinExpr, MAX_VARS, VarSet, full_set, mutual_info, cond_entropy
+from .core import Clause, LinExpr, MAX_VARS, VarSet
 from .distributions import Distribution
 from .models import ModularVector
 from .parser import default_names
@@ -29,6 +29,8 @@ from .refuter import Budget, refute
 from .simplex import LPResult, solve_lp
 
 ZERO = Fraction(0)
+ONE = Fraction(1)
+MINUS_ONE = Fraction(-1)
 
 MONOTONICITY = "elemental-monotonicity"
 SUBMODULARITY = "elemental-submodularity"
@@ -75,30 +77,37 @@ def elemental(n: int) -> GeneratorSet:
     instances I(X_i; X_j | X_alpha) >= 0 for i < j, alpha in [n] - {i,j}.
     Every inequality implied by monotonicity and submodularity is a
     nonnegative combination of these.
+
+    Each generator's +-1 items are written directly, in mask order:
+    h(N) - h(N - i), and h(Ki) + h(Kj) - h(Kij) - h(K) with the h(K) term
+    absent when K is empty (K < Ki < Kj < Kij as masks, for i < j).
     """
     if n < 1 or n > MAX_VARS:
         raise ValueError(f"variable count {n} out of range 1..{MAX_VARS}")
     names = default_names(n)
     gens: list[Generator] = []
-    everything = full_set(n)
+    everything = (1 << n) - 1
     for i in range(n):
-        rest = VarSet(everything & ~(1 << i))
-        expr = cond_entropy(n, 1 << i, rest)
-        label = f"H({names[i]}|{rest.label(names)})" if rest else f"H({names[i]})"
-        gens.append(Generator(label, MONOTONICITY, expr))
+        rest = everything & ~(1 << i)
+        if rest:
+            label = f"H({names[i]}|{VarSet(rest).label(names)})"
+            items = ((rest, MINUS_ONE), (everything, ONE))
+        else:
+            label = f"H({names[i]})"
+            items = ((everything, ONE),)
+        gens.append(Generator(label, MONOTONICITY, LinExpr(n, items)))
     for i, j in combinations(range(n), 2):
-        others = [k for k in range(n) if k not in (i, j)]
-        for bits in range(1 << len(others)):
-            mask = 0
-            for t, k in enumerate(others):
-                if (bits >> t) & 1:
-                    mask |= 1 << k
-            expr = mutual_info(n, 1 << i, 1 << j, mask)
+        bi, bj = 1 << i, 1 << j
+        for mask in range(1 << n):
+            if mask & (bi | bj):
+                continue
+            items = ((mask | bi, ONE), (mask | bj, ONE), (mask | bi | bj, MINUS_ONE))
             if mask:
                 label = f"I({names[i]};{names[j]}|{VarSet(mask).label(names)})"
+                items = ((mask, MINUS_ONE),) + items
             else:
                 label = f"I({names[i]};{names[j]})"
-            gens.append(Generator(label, SUBMODULARITY, expr))
+            gens.append(Generator(label, SUBMODULARITY, LinExpr(n, items)))
     order = {MONOTONICITY: 0, SUBMODULARITY: 1}
     gens.sort(key=lambda g: (order[g.kind], g.name))
     return GeneratorSet(n, tuple(gens))
@@ -152,21 +161,27 @@ def prove(c: LinExpr, gens: GeneratorSet,
     `minimize_antecedent_use`, among all certificates one minimizing the
     total antecedent multiplier mass is returned (deterministic output
     for the conditional reductions).
+
+    The LP's columns are the antecedents, then the generators; its row m
+    is the coefficient on h(m), for every mask m including the empty set.
+    The matrix is filled from each column's sparse items, so it holds
+    int 0 wherever a column does not mention m.
     """
     for a in antecedents:
         if a.n != c.n:
             raise ValueError("antecedent has wrong variable count")
     if gens.n != c.n:
         raise ValueError(f"dimension mismatch: target n={c.n}, generators n={gens.n}")
-    columns = [a.dense() for a in antecedents] + [g.expr.dense() for g in gens.generators]
-    target = c.dense()
+    columns = list(antecedents) + [g.expr for g in gens.generators]
     k = len(antecedents)
     ncols = len(columns)
-    rows = len(target)
-    a_matrix = [[columns[j][i] for j in range(ncols)] for i in range(rows)]
+    a_matrix = [[0] * ncols for _ in range(1 << c.n)]
+    for j, col in enumerate(columns):
+        for m, v in col.items:
+            a_matrix[m][j] = v
     cost = [Fraction(1)] * k + [ZERO] * (ncols - k) if minimize_antecedent_use \
         else [ZERO] * ncols
-    res: LPResult = solve_lp(a_matrix, target, cost)
+    res: LPResult = solve_lp(a_matrix, c.dense(), cost)
     if res.status != "optimal":
         return None
     mu = res.x[:k]

@@ -109,9 +109,13 @@ def _run_simplex(tableau: list[list[int]], basis: list[int]) -> bool:
         _pivot(tableau, basis, leaving, entering)
 
 
-def solve_lp(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction],
-             c: Sequence[Fraction]) -> LPResult:
-    """Minimize c.x subject to A x = b, x >= 0, exactly."""
+def solve_lp(a: Sequence[Sequence["int | Fraction"]], b: Sequence["int | Fraction"],
+             c: Sequence["int | Fraction"]) -> LPResult:
+    """Minimize c.x subject to A x = b, x >= 0, exactly.
+
+    `a` is a list of rows.  Entries may be int or Fraction, mixed freely:
+    only their numerator and denominator are read, and zero entries are
+    skipped while the rows are scaled to integers."""
     m = len(a)
     n = len(c)
     if any(len(row) != n for row in a) or len(b) != m:
@@ -121,14 +125,14 @@ def solve_lp(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction],
     rows = []
     scales = []
     for row, bi in zip(a, b):
-        if all(v == 0 for v in row):
+        if not any(row):
             if bi != 0:
                 return LPResult("infeasible", (), ZERO)
             continue
         line = list(row) + [bi]
-        scale = lcm(*(v.denominator for v in line))
+        scale = lcm(*(v.denominator for v in line if v))
         signed = -scale if bi < 0 else scale
-        rows.append([signed // v.denominator * v.numerator for v in line])
+        rows.append([signed // v.denominator * v.numerator if v else 0 for v in line])
         scales.append(scale)
     m = len(rows)
     if m == 0:

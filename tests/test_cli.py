@@ -156,6 +156,7 @@ def test_prove_workers_do_not_change_the_report(capsys):
 # the whole error report of some bad inputs
 EXACT_ERRORS = {
     ("corpus", "--show", "nope"): "no corpus fixture named 'nope'",
+    ("corpus", "--show", ""): "no corpus fixture named ''",
 }
 
 
@@ -177,6 +178,7 @@ EXACT_ERRORS = {
     (["secret-share", "--participants", "2", "--access", "1", "--ratio", "1/0"], None),
     (["refute", "--file", "{path}", "--budget", "vsq=561"], "H(X) >= 0\n"),  # Carmichael
     (["corpus", "--show", "nope"], None),
+    (["corpus", "--show", ""], None),
 ])
 def test_bad_input_exits_3_without_traceback(capsys, tmp_path, argv, text):
     path = write(tmp_path, text) if text is not None else ""

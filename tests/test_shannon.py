@@ -10,12 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infoineq import shannon
-from infoineq.core import LinExpr, entropy_of, mutual_info
+from infoineq.core import LinExpr, VarSet, cond_entropy, entropy_of, full_set, mutual_info
 from infoineq.models import modular
-from infoineq.parser import parse_expr
-from infoineq.shannon import (SLACK, TIGHT, UNKNOWN, ProofCertificate, classify_tight,
-                              elemental, joint_slack, prove, verify)
+from infoineq.parser import default_names, parse_expr
+from infoineq.shannon import (MONOTONICITY, SLACK, SUBMODULARITY, TIGHT, UNKNOWN, Generator,
+                              ProofCertificate, classify_tight, elemental, joint_slack, prove,
+                              verify)
 from infoineq.apps import matus_expr
+from infoineq.simplex import solve_lp
 
 F = Fraction
 XYZ = ["X", "Y", "Z"]
@@ -28,7 +30,39 @@ def schema_count(n: int) -> int:
     return mono + subm
 
 
+def reference_elemental(n: int) -> list[Generator]:
+    """The elemental set built by `LinExpr` arithmetic on cond_entropy and
+    mutual_info: an independent reference for the items `elemental`
+    writes directly."""
+    names = default_names(n)
+    gens = []
+    everything = full_set(n)
+    for i in range(n):
+        rest = VarSet(everything & ~(1 << i))
+        label = f"H({names[i]}|{rest.label(names)})" if rest else f"H({names[i]})"
+        gens.append(Generator(label, MONOTONICITY, cond_entropy(n, 1 << i, rest)))
+    for i, j in combinations(range(n), 2):
+        others = [k for k in range(n) if k not in (i, j)]
+        for bits in range(1 << len(others)):
+            mask = sum(1 << k for t, k in enumerate(others) if (bits >> t) & 1)
+            label = (f"I({names[i]};{names[j]}|{VarSet(mask).label(names)})" if mask
+                     else f"I({names[i]};{names[j]})")
+            gens.append(Generator(label, SUBMODULARITY, mutual_info(n, 1 << i, 1 << j, mask)))
+    order = {MONOTONICITY: 0, SUBMODULARITY: 1}
+    return sorted(gens, key=lambda g: (order[g.kind], g.name))
+
+
 class TestElemental:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_matches_linexpr_construction(self, n):
+        def exact(gens):
+            return [(g.name, g.kind, g.provenance, g.expr.n,
+                     [(type(m), m, type(c), c) for m, c in g.expr.items]) for g in gens]
+
+        gens = elemental(n)
+        assert gens.n == n
+        assert exact(gens.generators) == exact(reference_elemental(n))
+
     @pytest.mark.parametrize("n,count", [(2, 3), (3, 9), (4, 28), (5, 85)])
     def test_counts_match_schema(self, n, count):
         gens = elemental(n)
@@ -123,6 +157,48 @@ class TestProve:
             combo = combo + g.expr.scale(F(rng.randint(0, 3), rng.randint(1, 2)))
         cert = prove(combo, gens)
         assert cert is not None and verify(cert, combo, gens)
+
+
+def dense_lp(target, gens, antecedents):
+    """The LP of `prove` with minimize_antecedent_use, from dense Fraction
+    columns, transposed."""
+    columns = [a.dense() for a in antecedents] + [g.expr.dense() for g in gens.generators]
+    k = len(antecedents)
+    a = [[col[i] for col in columns] for i in range(1 << target.n)]
+    cost = [F(1)] * k + [F(0)] * (len(columns) - k)
+    return a, target.dense(), cost
+
+
+@pytest.mark.parametrize("target,antecedents", [
+    # I(X;YZ|U) from I(X;Y|U) and I(X;Z|YU), with an unneeded third antecedent
+    (-mutual_info(4, 1, 6, 8),
+     (-mutual_info(4, 1, 2, 8), -mutual_info(4, 1, 4, 10), -mutual_info(4, 1, 6, 0))),
+    (mutual_info(6, 1, 2) + mutual_info(6, 4, 48, 8), ()),
+], ids=["n4-conditional", "n6"])
+def test_prove_hands_solve_lp_the_dense_fraction_lp(monkeypatch, target, antecedents):
+    lps = []
+
+    def recording(a, b, c):
+        lps.append((a, b, c))
+        return solve_lp(a, b, c)
+
+    monkeypatch.setattr(shannon, "solve_lp", recording)
+    gens = elemental(target.n)
+    cert = prove(target, gens, antecedents, minimize_antecedent_use=True)
+    assert cert is not None and verify(cert, target, gens, antecedents)
+    ((a, b, c),) = lps
+    ref_a, ref_b, ref_c = dense_lp(target, gens, antecedents)
+    assert len(a) == len(ref_a) == 1 << target.n
+    assert all(len(row) == len(ref_row) for row, ref_row in zip(a, ref_a))
+    assert a == ref_a and b == ref_b and c == ref_c
+    assert all(type(v) is int and v == 0 or type(v) is F for row in a for v in row)
+    # the certificate is the one the dense LP yields
+    res = solve_lp(ref_a, ref_b, ref_c)
+    k = len(antecedents)
+    dense_cert = ProofCertificate(target, res.x[:k], res.x[k:], ())
+    assert cert.to_json(gens) == dense_cert.to_json(gens)
+    if antecedents:
+        assert any(cert.antecedent_multipliers) and not all(cert.antecedent_multipliers)
 
 
 class TestClassify:

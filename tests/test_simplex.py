@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -244,6 +245,29 @@ def random_lp(rng: random.Random):
 def test_matches_fraction_tableau_on_random_lps(seed):
     a, b, c = random_lp(random.Random(seed))
     assert solve_lp(a, b, c) == reference_solve_lp(a, b, c)
+
+
+def with_int_entries(rng: random.Random, a, b, c):
+    """The same LP with the first row and some others scaled by the lcm of
+    their denominators, and every integral entry given as an int."""
+    def ints(line):
+        return [v.numerator if v.denominator == 1 else v for v in line]
+
+    a, b = [list(row) for row in a], list(b)
+    for i, row in enumerate(a):
+        if i == 0 or rng.random() < 0.5:
+            scale = lcm(*(v.denominator for v in row + [b[i]]))
+            a[i], b[i] = [v * scale for v in row], b[i] * scale
+    return [ints(row) for row in a], ints(b), ints(c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 9))
+def test_int_entries_match_fraction_tableau(seed):
+    rng = random.Random(seed)
+    a, b, c = with_int_entries(rng, *random_lp(rng))
+    as_fractions = [[F(v) for v in row] for row in a], [F(v) for v in b], [F(v) for v in c]
+    assert solve_lp(a, b, c) == reference_solve_lp(*as_fractions)
 
 
 def test_random_lps_reach_every_status():
