@@ -14,21 +14,28 @@ ordered list of stages until one concludes, over the clause's antecedents
 without the provably valid ones (`decide_constraint` drops those once per
 distinct antecedent tuple):
 
-    multiplier  a single consequent is one multiplier LP over the kept
-                antecedents (the plain generator cone when none is kept);
-                a max clause races a multiplier search against refutation
-    tight       the (p, q) schedule, when every kept antecedent is tight:
-                for each scheduled p (``--schedule p=1,2,4,8`` by default)
-                the least q is solved for, capped at 64
-    refute      the budgeted counterexample search (single consequent)
+    multiplier  one exact LP: for a single consequent, its multipliers
+                over the kept antecedents (the plain generator cone when
+                none is kept); for a max clause, consequent weights
+                lambda summing to 1 as well, reported as primitive
+                integers with a certificate for sum(lambda_i c_i)
+    tight       when every kept antecedent is tight, one LP for eps*,
+                the least eps with a certificate for
+                sum(lambda_i c_i) + eps h([n]) - q sum(kept); eps* = 0
+                gives the multiplier stage's proof, eps* > 0 is
+                inconclusive, and its note names the p = 1/eps up to
+                which certificates exist
+    refute      the budgeted counterexample search
 
 ``prove`` runs all three; ``secret-share --prove`` runs ``tight``;
-``reduce --regime`` selects a sub-list: ``auto`` runs multiplier then
-tight, ``slack`` and ``max`` run multiplier (``slack`` also reports a
-joint-slack witness when the budget finds one), ``tight`` runs tight.
+``reduce --regime`` selects a sub-list: ``auto`` runs all three,
+``slack`` and ``max`` run multiplier then refute (``slack`` also reports
+a joint-slack witness when the budget finds one), ``tight`` runs tight.
+An inconclusive clause carries the method of its first stage and the
+notes of every stage that ran.
 
 "Not proved" never claims invalidity: it means the search concluded
-nothing at the configured generator set, schedule, and budgets.
+nothing at the configured generator set and budgets.
 """
 from __future__ import annotations
 
@@ -38,15 +45,15 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from math import floor
 from pathlib import Path
 
 from .apps import corpus, fixture, secret_sharing_constraint
 from .ci import CIStatement, build_delta, ci_prove, export_delta, falsify, parse_ci
-from .core import BooleanConstraint, Clause, LinExpr
+from .core import MAX_VARS, BooleanConstraint, Clause, LinExpr
 from .parser import ParseError, format_clause, format_constraint, parse_constraint
 from .recognizer import CandidateRepr, check_candidate
-from .reductions import (Q_MAX, PreparedAntecedents, Schedule, max_to_linear,
-                         prepare_antecedents, tight_reduction)
+from .reductions import PreparedAntecedents, max_to_linear, prepare_antecedents, tight_reduction
 from .refuter import Budget, Counterexample, refute, refute_parallel
 from .shannon import GeneratorSet, TIGHT, classify_tight, elemental, joint_slack, prove
 
@@ -54,20 +61,6 @@ EXIT_POSITIVE = 0
 EXIT_NEGATIVE = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
-
-SCHEDULE_HELP = ("relaxation values of p for the tight stage, e.g. p=1,2,4,8; "
-                 f"at each p the least q is solved for, capped at {Q_MAX}")
-
-
-def parse_schedule(text: str) -> Schedule:
-    """Parse 'p=1,2,4,8' style schedule strings."""
-    schedule = Schedule()
-    for item in text.split():
-        if not item.startswith("p="):
-            raise ValueError(f"unknown schedule item {item!r}")
-        schedule = Schedule(tuple(int(v) for v in item[2:].split(",") if v))
-    return schedule
-
 
 class FalseGenerator(ValueError):
     """An extra generator file that the refuter falsified."""
@@ -117,21 +110,18 @@ def _refuted(counterexample: Counterexample) -> ClauseOutcome:
 
 
 def _multiplier_stage(clause: Clause, prepared: PreparedAntecedents, gens: GeneratorSet,
-                      budget: Budget, schedule: Schedule, lambda_max: int,
-                      workers: int) -> ClauseOutcome:
+                      budget: Budget, workers: int) -> ClauseOutcome:
     """One multiplier LP for a single consequent (the plain generator cone
-    when no antecedent is kept); the max race for a max clause."""
+    when no antecedent is kept); the max-to-linear LP for a max clause."""
     kept = prepared.kept
     if len(clause.consequents) > 1:
-        result = max_to_linear(clause, kept, gens, budget, lambda_sum_max=lambda_max)
-        if result.status == "valid":
-            return ClauseOutcome("proved", "max-to-linear", {
-                "lambdas": [str(v) for v in result.lambdas],
-                "certificate": result.certificate.to_json(gens)})
-        if result.status == "invalid":
-            return _refuted(result.counterexample)
-        return ClauseOutcome("inconclusive", "max-to-linear", {
-            "note": "lambda search and counterexample search both exhausted"})
+        result = max_to_linear(clause, kept, gens)
+        if result is None:
+            return ClauseOutcome("inconclusive", "max-to-linear", {
+                "note": "no multipliers at this generator set"})
+        return ClauseOutcome("proved", "max-to-linear", {
+            "lambdas": [str(v) for v in result.lambdas],
+            "certificate": result.certificate.to_json(gens)})
     cert = prove(clause.consequents[0], gens, antecedents=kept, minimize_antecedent_use=True)
     if cert is None:
         if kept:
@@ -147,15 +137,14 @@ def _multiplier_stage(clause: Clause, prepared: PreparedAntecedents, gens: Gener
 
 
 def _tight_stage(clause: Clause, prepared: PreparedAntecedents, gens: GeneratorSet,
-                 budget: Budget, schedule: Schedule, lambda_max: int,
-                 workers: int) -> ClauseOutcome:
-    """The (p, q) schedule, run only when every kept antecedent is tight.
-    A kept antecedent whose negation was pruned as valid is tight without
-    a second proof."""
+                 budget: Budget, workers: int) -> ClauseOutcome:
+    """The least relaxation eps*, run only when every kept antecedent is
+    tight.  A kept antecedent whose negation was pruned as valid is tight
+    without a second proof."""
     kept = prepared.kept
     note = None
     if not kept:
-        note = "no antecedent survives pruning; the tight schedule needs one"
+        note = "no antecedent survives pruning; the tight stage needs one"
     for a in kept:
         verdict = TIGHT if -a in prepared.valid else classify_tight(a, gens).verdict
         if verdict != TIGHT:
@@ -163,27 +152,19 @@ def _tight_stage(clause: Clause, prepared: PreparedAntecedents, gens: GeneratorS
                     f"(classified {verdict})")
             break
     if note is None:
-        reduction = tight_reduction(clause, kept, gens, schedule)
-        if reduction.proved:
-            return ClauseOutcome("proved", "tight-schedule", {
-                "consequent_index": reduction.consequent_index,
-                "steps": [{"p": s.p, "q": s.q, "certificate": s.certificate.to_json(gens)}
-                          for s in reduction.steps]})
-        if len(reduction.failed_p) == 1:
-            note = f"tight schedule found no certificate at p={reduction.failed_p[0]}"
-        else:
-            note = "tight schedule found no certificate at " + ", ".join(
-                f"p={p} for consequent {i}" for i, p in enumerate(reduction.failed_p))
-    return ClauseOutcome("inconclusive", "tight-schedule", {"note": note})
+        epsilon = tight_reduction(clause, kept, gens)
+        if epsilon == 0:
+            return _multiplier_stage(clause, prepared, gens, budget, workers)
+        p = floor(1 / epsilon)
+        note = f"least relaxation eps* = {epsilon}: " + (
+            f"certificates exist for p <= {p} and for no larger p" if p
+            else "no p >= 1 has a certificate")
+    return ClauseOutcome("inconclusive", "tight-relaxation", {"note": note})
 
 
 def _refute_stage(clause: Clause, prepared: PreparedAntecedents, gens: GeneratorSet,
-                  budget: Budget, schedule: Schedule, lambda_max: int,
-                  workers: int) -> "ClauseOutcome | None":
-    """Counterexample search for a single consequent; a max clause was
-    already searched by the max race."""
-    if len(clause.consequents) > 1:
-        return None
+                  budget: Budget, workers: int) -> ClauseOutcome:
+    """Counterexample search for the clause, single or max."""
     result = refute_parallel(clause, budget, workers)
     if result.found:
         return _refuted(result.counterexample)
@@ -193,36 +174,32 @@ def _refute_stage(clause: Clause, prepared: PreparedAntecedents, gens: Generator
 
 STAGES = {"multiplier": _multiplier_stage, "tight": _tight_stage, "refute": _refute_stage}
 PROVE_STAGES = ("multiplier", "tight", "refute")
-REGIME_STAGES = {"auto": ("multiplier", "tight"), "slack": ("multiplier",),
-                 "max": ("multiplier",), "tight": ("tight",)}
+REGIME_STAGES = {"auto": PROVE_STAGES, "slack": ("multiplier", "refute"),
+                 "max": ("multiplier", "refute"), "tight": ("tight",)}
 
 
 def decide_clause(clause: Clause, prepared: PreparedAntecedents, gens: GeneratorSet,
-                  budget: Budget, schedule: Schedule, lambda_max: int,
-                  stages: tuple[str, ...] = PROVE_STAGES, workers: int = 1) -> ClauseOutcome:
+                  budget: Budget, stages: tuple[str, ...] = PROVE_STAGES,
+                  workers: int = 1) -> ClauseOutcome:
     """Run the named stages in order on one clause, over its antecedents
     without the provably valid ones (`prepare_antecedents`); the first
-    conclusive outcome wins.  An inconclusive outcome carries
-    the method and note of the leading stage, plus the refuter's note
-    when it ran."""
+    conclusive outcome wins.  An inconclusive outcome carries the method
+    of the leading stage and the notes of every stage, in order."""
     lead = None
     for name in stages:
-        outcome = STAGES[name](clause, prepared, gens, budget, schedule, lambda_max, workers)
-        if outcome is None:
-            continue
+        outcome = STAGES[name](clause, prepared, gens, budget, workers)
         if outcome.status != "inconclusive":
             lead = outcome
             break
         if lead is None:
             lead = outcome
-        elif name == "refute":
+        else:
             lead.detail["note"] += "; " + outcome.detail["note"]
     lead.kept = prepared.kept
     return lead
 
 
 def decide_constraint(constraint: BooleanConstraint, gens: GeneratorSet, budget: Budget,
-                      schedule: Schedule, lambda_max: int,
                       stages: tuple[str, ...] = PROVE_STAGES,
                       workers: int = 1) -> tuple[str, list[ClauseOutcome]]:
     # clauses split from one equality consequent share their antecedents,
@@ -233,7 +210,7 @@ def decide_constraint(constraint: BooleanConstraint, gens: GeneratorSet, budget:
         if clause.antecedents not in prepared:
             prepared[clause.antecedents] = prepare_antecedents(clause.antecedents, gens)
         outcomes.append(decide_clause(clause, prepared[clause.antecedents], gens, budget,
-                                      schedule, lambda_max, stages, workers))
+                                      stages, workers))
     if any(o.status == "refuted" for o in outcomes):
         return "refuted", outcomes
     if all(o.status == "proved" for o in outcomes):
@@ -281,10 +258,8 @@ _STATUS_EXIT = {"proved": EXIT_POSITIVE, "realized": EXIT_POSITIVE,
 def cmd_prove(args) -> int:
     constraint = parse_constraint(Path(args.file).read_text())
     gens = load_generators(constraint.n, args.extra_gens)
-    schedule = parse_schedule(args.schedule)
     budget = Budget.parse(args.budget)
-    status, outcomes = decide_constraint(constraint, gens, budget, schedule, args.lambda_max,
-                                         workers=args.workers)
+    status, outcomes = decide_constraint(constraint, gens, budget, workers=args.workers)
     report = {
         "command": "prove",
         "constraint": format_constraint(constraint),
@@ -316,9 +291,7 @@ def cmd_reduce(args) -> int:
     constraint = parse_constraint(Path(args.file).read_text())
     gens = load_generators(constraint.n, args.extra_gens)
     budget = Budget.parse(args.budget)
-    schedule = parse_schedule(args.schedule)
-    status, outcomes = decide_constraint(constraint, gens, budget, schedule, args.lambda_max,
-                                         REGIME_STAGES[args.regime])
+    status, outcomes = decide_constraint(constraint, gens, budget, REGIME_STAGES[args.regime])
     entries = []
     for clause, outcome in zip(constraint.clauses, outcomes):
         entry = {**_clause_entry(clause, outcome), "regime": args.regime}
@@ -391,6 +364,10 @@ def cmd_corpus(args) -> int:
 
 
 def cmd_secret_share(args) -> int:
+    # the closure below lists up to 2^(participants - 1) sets, so the
+    # variable count is checked before it
+    if args.participants + 1 > MAX_VARS:
+        raise ValueError(f"variable count {args.participants + 1} out of range 1..{MAX_VARS}")
     access = []
     for part in args.access.split(";"):
         part = part.strip()
@@ -415,7 +392,6 @@ def cmd_secret_share(args) -> int:
     exit_code = EXIT_POSITIVE
     if args.prove:
         _, (outcome,) = decide_constraint(constraint, elemental(constraint.n), Budget(),
-                                          parse_schedule(args.schedule), 0,
                                           REGIME_STAGES["tight"])
         report.update(status=outcome.status, **outcome.detail)
         exit_code = _STATUS_EXIT[outcome.status]
@@ -490,8 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--extra-gens", action="append", default=[],
                    help="file of additional valid inequalities; a file the default-budget "
                         "counterexample search falsifies is an input error")
-    p.add_argument("--schedule", default="p=1,2,4,8", help=SCHEDULE_HELP)
-    p.add_argument("--lambda-max", type=int, default=8)
     p.set_defaults(func=cmd_prove)
 
     p = sub.add_parser("refute", help="search for a counterexample")
@@ -508,8 +482,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--file", required=True)
     p.add_argument("--regime", choices=["auto", "tight", "slack", "max"], default="auto")
     p.add_argument("--extra-gens", action="append", default=[])
-    p.add_argument("--schedule", default="p=1,2,4,8", help=SCHEDULE_HELP)
-    p.add_argument("--lambda-max", type=int, default=8)
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("ci", help="conditional-independence implication tools")
@@ -544,7 +516,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="qualified sets, e.g. '1,2;1,3' (closed upward automatically)")
     p.add_argument("--ratio", default="1", help="claimed information-ratio lower bound")
     p.add_argument("--prove", action="store_true", help="run the tight stage")
-    p.add_argument("--schedule", default="p=1,2,4,8", help=SCHEDULE_HELP)
     p.set_defaults(func=cmd_secret_share)
 
     p = sub.add_parser("check-dist", help="entropies of a distribution file")

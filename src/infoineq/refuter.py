@@ -339,17 +339,6 @@ def _as_constraint(target) -> BooleanConstraint:
     return target
 
 
-def scan_stream(target, budget: Budget) -> Iterator[tuple[int, "Counterexample | None"]]:
-    """`(index, counterexample or None)` for each candidate the scan
-    evaluates, in canonical order; the pmfs `candidate_stream` skips
-    never appear."""
-    constraint = _as_constraint(target)
-    scan = ProfileScan(constraint, budget.max_denominator)
-    for index, kind, obj in candidate_stream(constraint.n, budget):
-        if kind is not None:
-            yield index, scan.check(kind, obj)
-
-
 def refute(target, budget: Budget) -> RefutationResult:
     """First canonical counterexample within the budget, or not-found."""
     constraint = _as_constraint(target)

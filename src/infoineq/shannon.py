@@ -151,6 +151,28 @@ class ProofCertificate:
         )
 
 
+def cone_lp(target: LinExpr, columns: Sequence[LinExpr], cost: Sequence[int],
+            convex: int = 0) -> LPResult:
+    """Minimize cost.x over x >= 0 with sum_j x_j * columns_j = target and,
+    when `convex` > 0, with the first `convex` entries of x summing to 1.
+
+    Row m is the coefficient on h(m), for every mask m including the
+    empty set; the convex row comes last.  The matrix is filled from each
+    column's sparse items, so it holds int 0 wherever a column does not
+    mention m.
+    """
+    ncols = len(columns)
+    a_matrix = [[0] * ncols for _ in range(1 << target.n)]
+    for j, col in enumerate(columns):
+        for m, v in col.items:
+            a_matrix[m][j] = v
+    b = target.dense()
+    if convex:
+        a_matrix.append([1] * convex + [0] * (ncols - convex))
+        b.append(ONE)
+    return solve_lp(a_matrix, b, cost)
+
+
 def prove(c: LinExpr, gens: GeneratorSet,
           antecedents: Sequence[LinExpr] = (),
           minimize_antecedent_use: bool = False) -> "ProofCertificate | None":
@@ -162,26 +184,17 @@ def prove(c: LinExpr, gens: GeneratorSet,
     total antecedent multiplier mass is returned (deterministic output
     for the conditional reductions).
 
-    The LP's columns are the antecedents, then the generators; its row m
-    is the coefficient on h(m), for every mask m including the empty set.
-    The matrix is filled from each column's sparse items, so it holds
-    int 0 wherever a column does not mention m.
+    The LP's columns are the antecedents, then the generators (`cone_lp`).
     """
     for a in antecedents:
         if a.n != c.n:
             raise ValueError("antecedent has wrong variable count")
     if gens.n != c.n:
         raise ValueError(f"dimension mismatch: target n={c.n}, generators n={gens.n}")
-    columns = list(antecedents) + [g.expr for g in gens.generators]
     k = len(antecedents)
-    ncols = len(columns)
-    a_matrix = [[0] * ncols for _ in range(1 << c.n)]
-    for j, col in enumerate(columns):
-        for m, v in col.items:
-            a_matrix[m][j] = v
-    cost = [Fraction(1)] * k + [ZERO] * (ncols - k) if minimize_antecedent_use \
-        else [ZERO] * ncols
-    res: LPResult = solve_lp(a_matrix, c.dense(), cost)
+    cost = [1] * k + [0] * len(gens.generators) if minimize_antecedent_use \
+        else [0] * (k + len(gens.generators))
+    res = cone_lp(c, list(antecedents) + gens.exprs(), cost)
     if res.status != "optimal":
         return None
     mu = res.x[:k]

@@ -17,7 +17,7 @@ from infoineq import cli, shannon
 from infoineq.apps import corpus, fixture
 from infoineq.core import LinExpr
 from infoineq.parser import parse_constraint
-from infoineq.reductions import prepare_antecedents, tight_target
+from infoineq.reductions import prepare_antecedents
 from infoineq.shannon import ProofCertificate, elemental, verify
 
 MANIFEST_ANSWER = {"provable": ("proved", 0), "refutable": ("refuted", 1)}
@@ -68,10 +68,6 @@ def certificate_problems(entry: dict, clause, gens) -> list[str]:
         return [] if cert.target == target and verify(cert, target, gens, antecedents) \
             else [f"certificate for {target} does not verify"]
 
-    if "steps" in entry:
-        consequent = clause.consequents[entry["consequent_index"]]
-        return [p for s in entry["steps"]
-                for p in check(s["certificate"], tight_target(consequent, kept, s["p"], s["q"]))]
     if len(clause.consequents) == 1:
         return check(entry["certificate"], clause.consequents[0], kept)
     target = LinExpr.zero(clause.n)
@@ -134,7 +130,8 @@ def test_tight_stage_reuses_the_pruned_twins_proofs(capsys, monkeypatch):
     monkeypatch.setattr(shannon, "solve_lp", counting)
     code, _ = run(capsys, "prove", "--file", str(fixture("kaced_romashchenko_ci").path))
     assert code == cli.EXIT_INCONCLUSIVE
-    assert len(calls) == len(set(calls)) == 17
+    # 10 LPs outside the tight stage, and its one eps* LP
+    assert len(calls) == len(set(calls)) == 11
 
 
 def test_prove_reports_no_slack_label(capsys):
@@ -157,6 +154,9 @@ def test_prove_workers_do_not_change_the_report(capsys):
 EXACT_ERRORS = {
     ("corpus", "--show", "nope"): "no corpus fixture named 'nope'",
     ("corpus", "--show", ""): "no corpus fixture named ''",
+    # rejected before the access structure is closed upward (2^39 sets)
+    ("secret-share", "--participants", "40", "--access", "1"):
+        "variable count 41 out of range 1..16",
 }
 
 
@@ -179,6 +179,7 @@ EXACT_ERRORS = {
     (["refute", "--file", "{path}", "--budget", "vsq=561"], "H(X) >= 0\n"),  # Carmichael
     (["corpus", "--show", "nope"], None),
     (["corpus", "--show", ""], None),
+    (["secret-share", "--participants", "40", "--access", "1"], None),
 ])
 def test_bad_input_exits_3_without_traceback(capsys, tmp_path, argv, text):
     path = write(tmp_path, text) if text is not None else ""
@@ -342,14 +343,39 @@ def test_secret_share_runs_the_tight_stage(capsys):
     assert certificate_problems(report, constraint.clauses[0], gens) == []
 
 
-def test_tight_stage_note_names_each_disjuncts_p(capsys):
-    code, report = run(capsys, "secret-share", "--participants", "2", "--access", "1,2",
-                       "--ratio", "2", "--prove")
+def test_tight_stage_note_gives_the_least_relaxation(capsys):
+    for participants, access, ratio, epsilon, p in (("3", "1,2;2,3", "3/2", "1/4", 4),
+                                                    ("2", "1,2", "2", "1/2", 2)):
+        code, report = run(capsys, "secret-share", "--participants", participants,
+                           "--access", access, "--ratio", ratio, "--prove")
+        assert code == 2
+        assert report["status"] == "inconclusive"
+        assert report["note"] == (f"least relaxation eps* = {epsilon}: certificates exist "
+                                  f"for p <= {p} and for no larger p")
+
+
+def test_tight_stage_note_when_no_p_has_a_certificate(capsys, tmp_path):
+    # on a polymatroid with h(X) = h(XY) = 1 the relaxation reads eps - 2
+    path = write(tmp_path, "[H(X) - H(XY) >= 0] => -2*H(X) >= 0\n")
+    code, report = run(capsys, "reduce", "--regime", "tight", "--file", path)
     assert code == 2
-    assert report["status"] == "inconclusive"
-    assert len(parse_constraint(report["constraint"]).clauses[0].consequents) == 3
-    assert report["note"] == ("tight schedule found no certificate at p=4 for consequent 0, "
-                              "p=4 for consequent 1, p=4 for consequent 2")
+    assert report["clauses"][0]["note"] == "least relaxation eps* = 2: no p >= 1 has a certificate"
+
+
+def test_prove_notes_every_inconclusive_stage(capsys):
+    _, report = run(capsys, "prove", "--file", str(fixture("kaced_romashchenko_ci").path))
+    assert report["clauses"][1]["note"] == (
+        "no multiplier reduction at this generator set; least relaxation eps* = 1/4: "
+        "certificates exist for p <= 4 and for no larger p; no counterexample in budget")
+
+
+@pytest.mark.parametrize("regime", ["auto", "slack", "max"])
+def test_reduce_regimes_with_multipliers_refute(capsys, regime):
+    path = str(fixture("false_max_nonneg").path)
+    code, report = run(capsys, "reduce", "--regime", regime, "--file", path,
+                       "--budget", "s=2,D=2")
+    assert code == 1
+    assert report["clauses"][0]["method"] == "counterexample-search"
 
 
 @pytest.mark.parametrize("argv", [
@@ -357,12 +383,25 @@ def test_tight_stage_note_names_each_disjuncts_p(capsys):
     ["secret-share", "--participants", "2", "--access", "1,2", "--prove"],
 ])
 def test_empty_schedule_exits_3(capsys, argv):
-    """An empty p list would make the tight stage succeed vacuously."""
+    """The p-schedule is gone, so its flag is an input error, empty or not."""
     assert cli.main([*argv, "--schedule", "p="]) == cli.EXIT_USAGE
     out, err = capsys.readouterr()
     assert out == ""
     assert "Traceback" not in err
-    assert "error" in json.loads(err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["prove", "--file", str(fixture("kopparty_rossman_max").path), "--lambda-max", "8"],
+    ["reduce", "--file", str(fixture("kaced_romashchenko_ci").path), "--schedule", "p=1"],
+    ["reduce", "--file", str(fixture("kopparty_rossman_max").path), "--lambda-max", "8"],
+])
+def test_removed_flags_exit_3(capsys, argv):
+    """The lambda cap and the p-schedule are gone: the max stage solves for
+    its multipliers and the tight stage for eps* directly."""
+    assert cli.main(argv) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -1,64 +1,56 @@
-"""The tight (p, q) schedule: solving for the least q gives the same
-steps, certificates and failing p as probing q = 0..Q_MAX one LP at a
-time, with at most two LPs per scheduled p.  The max race gives the same
-result as a race that checks every stream position."""
+"""The reduction LP.  For max clauses it decides what a race of integer
+multiplier tuples against counterexample search decides, with the same
+multipliers and certificates.  For the tight stage it gives eps*, the
+least relaxation 1/p at which `tight_target` has a certificate."""
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count, islice
+from math import ceil, floor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from infoineq import cli, shannon
+from infoineq import shannon
 from infoineq.apps import fixture, secret_sharing_constraint
-from infoineq.core import BooleanConstraint, LinExpr
+from infoineq.core import BooleanConstraint, Clause, LinExpr
 from infoineq.distributions import enumerate_distributions
 from infoineq.parser import parse_constraint
-from infoineq.reductions import (Q_MAX, MaxReduction, Schedule, _compositions,
-                                 max_to_linear, prepare_antecedents, tight_reduction,
+from infoineq.reductions import (max_to_linear, prepare_antecedents, tight_reduction,
                                  tight_target)
-from infoineq.refuter import DISTRIBUTION, Budget, violation
-from infoineq.shannon import elemental, prove
+from infoineq.refuter import DISTRIBUTION, Budget, refute, violation
+from infoineq.shannon import elemental, prove, verify
+
+from conftest import lin_exprs
 
 
-def kaced_second_clause():
-    return fixture("kaced_romashchenko_ci").constraint.clauses[1]
+# ---------------------------------------------------------------------------
+# Tight stage: eps*
+# ---------------------------------------------------------------------------
+
+def kaced_clause(index):
+    return fixture("kaced_romashchenko_ci").constraint.clauses[index]
 
 
-def secret_sharing_clause(ratio):
-    return secret_sharing_constraint(2, [{1, 2}], ratio).clauses[0]
+def secret_sharing_clause(participants, access, ratio):
+    return secret_sharing_constraint(participants, access, ratio).clauses[0]
 
 
+THREE_ACCESS = [{1, 2}, {2, 3}, {1, 2, 3}]  # "1,2;2,3", closed upward
+
+# name -> (clause builder, eps*)
 CASES = {
-    "kaced_romashchenko_ci": (kaced_second_clause,
-                              [(1, 0), (2, 1), (4, 1)], (8,)),
-    "secret_sharing_ratio_1": (lambda: secret_sharing_clause(1),
-                               [(1, 0), (2, 1), (4, 1), (8, 1)], ()),
-    "secret_sharing_ratio_2": (lambda: secret_sharing_clause(2), [], (4, 4, 4)),
+    "kaced_romashchenko_ci": (lambda: kaced_clause(1), Fraction(1, 4)),
+    "kaced_romashchenko_ci_first": (lambda: kaced_clause(0), Fraction(0)),
+    "secret_sharing_ratio_1": (lambda: secret_sharing_clause(2, [{1, 2}], 1), Fraction(0)),
+    "secret_sharing_ratio_2": (lambda: secret_sharing_clause(2, [{1, 2}], 2), Fraction(1, 2)),
+    "secret_sharing_three_ratio_1": (lambda: secret_sharing_clause(3, THREE_ACCESS, 1),
+                                     Fraction(0)),
+    "secret_sharing_three_ratio_3_2": (
+        lambda: secret_sharing_clause(3, THREE_ACCESS, Fraction(3, 2)), Fraction(1, 4)),
 }
-
-
-def probe_reference(clause, kept, gens, schedule):
-    """The q-probe loop: one plain `prove` per q = 0..Q_MAX, the first
-    success wins; returns (proved, consequent index, steps, failed_p)."""
-    failed_p = []
-    for ci, consequent in enumerate(clause.consequents):
-        steps = []
-        for p in schedule.p_values:
-            found = None
-            for q in range(Q_MAX + 1):
-                cert = prove(tight_target(consequent, kept, p, q), gens)
-                if cert is not None:
-                    found = (p, q, cert.to_json(gens))
-                    break
-            if found is None:
-                failed_p.append(p)
-                break
-            steps.append(found)
-        else:
-            return True, ci, steps, ()
-    return False, None, [], tuple(failed_p)
 
 
 @lru_cache(maxsize=None)
@@ -68,29 +60,41 @@ def case_inputs(name):
     return clause, prepare_antecedents(clause.antecedents, gens).kept, gens
 
 
-def outcome(result, gens):
-    return (result.proved, result.consequent_index,
-            [(s.p, s.q, s.certificate.to_json(gens)) for s in result.steps], result.failed_p)
+def relaxation_certificate(consequent, kept, gens, p):
+    """A verified certificate for `tight_target(consequent, kept, p, q)` at
+    the least integer q that has one, or None when no q >= 0 has one.
+
+    The least rational q is one LP with sum(kept) as the only antecedent;
+    the kept antecedents are tight, so every larger q works too."""
+    total = sum(kept, LinExpr.zero(consequent.n))
+    least = prove(tight_target(consequent, kept, p, 0), gens, antecedents=(total,),
+                  minimize_antecedent_use=True)
+    if least is None:
+        return None
+    target = tight_target(consequent, kept, p, ceil(least.antecedent_multipliers[0]))
+    cert = prove(target, gens)
+    assert cert is not None and verify(cert, target, gens)
+    return cert
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_least_q_matches_the_probe_loop(name):
-    """The full schedule gives the failing p; the p values that succeed,
-    scheduled alone, give the steps."""
+def test_least_relaxation(name):
+    """eps* is pinned, and it is the edge of `tight_target`: p = floor(1/eps*)
+    has a certificate for some consequent and q, p + 1 has none.  At
+    eps* = 0 the multiplier LP proves the clause."""
     clause, kept, gens = case_inputs(name)
-    _, expected_steps, expected_failed = CASES[name]
-    full = outcome(tight_reduction(clause, kept, gens), gens)
-    assert full[3] == expected_failed
-    assert full == probe_reference(clause, kept, gens, Schedule())
-    if expected_steps:
-        schedule = Schedule(tuple(p for p, _ in expected_steps))
-        proved = outcome(tight_reduction(clause, kept, gens, schedule), gens)
-        assert [(p, q) for p, q, _ in proved[2]] == expected_steps
-        assert proved == probe_reference(clause, kept, gens, schedule)
+    epsilon = tight_reduction(clause, kept, gens)
+    assert epsilon == CASES[name][1]
+    if epsilon == 0:
+        assert max_to_linear(clause, kept, gens) is not None
+        return
+    p = floor(1 / epsilon)
+    assert any(relaxation_certificate(c, kept, gens, p) for c in clause.consequents)
+    assert not any(relaxation_certificate(c, kept, gens, p + 1) for c in clause.consequents)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_at_most_two_lps_per_scheduled_p(monkeypatch, name):
+def test_one_lp_per_tight_reduction(monkeypatch, name):
     clause, kept, gens = case_inputs(name)
     calls = []
     solve_lp = shannon.solve_lp
@@ -100,51 +104,69 @@ def test_at_most_two_lps_per_scheduled_p(monkeypatch, name):
         return solve_lp(*args)
 
     monkeypatch.setattr(shannon, "solve_lp", counting)
-    schedule = Schedule()
-    tight_reduction(clause, kept, gens, schedule)
-    assert len(calls) <= 2 * len(schedule.p_values) * len(clause.consequents)
-    if name == "kaced_romashchenko_ci":
-        assert len(calls) == 7  # two at each of p=1, 2, 4; one infeasible LP at p=8
+    tight_reduction(clause, kept, gens)
+    assert len(calls) == 1
 
 
-def test_schedule_needs_a_p():
-    with pytest.raises(ValueError):
-        Schedule(())
-    with pytest.raises(ValueError):
-        Schedule((1, 0))
+# ---------------------------------------------------------------------------
+# Max clauses: the LP against the race it replaced
+# ---------------------------------------------------------------------------
+
+def compositions(total: int, parts: int):
+    """Nonnegative integer tuples with the given sum, lexicographic."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for rest in compositions(total - head, parts - 1):
+            yield (head,) + rest
 
 
-def test_qmax_is_an_unknown_schedule_item(capsys):
-    path = str(fixture("kaced_romashchenko_ci").path)
-    assert cli.main(["prove", "--file", path, "--schedule", "p=1,2 qmax=64"]) \
-        == cli.EXIT_USAGE
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert "qmax=64" in err
+def combination(lambdas, clause: Clause) -> LinExpr:
+    combo = LinExpr.zero(clause.n)
+    for weight, d in zip(lambdas, clause.consequents):
+        if weight:
+            combo = combo + d.scale(weight)
+    return combo
 
 
-def race_reference(clause, kept, gens, budget, lambda_sum_max, block_size):
-    """Each epoch tries its multiplier tuples, then the next `block_size`
-    stream positions, every pmf checked by `violation`."""
+def race_lambdas(clause, kept, gens, total):
+    """The first multiplier tuple with the given sum that proves the clause,
+    graded lexicographically, with its certificate; None if none does."""
+    for lam in compositions(total, len(clause.consequents)):
+        cert = prove(combination(lam, clause), gens, antecedents=kept)
+        if cert is not None:
+            return tuple(Fraction(v) for v in lam), cert
+    return None
+
+
+def race_reference(clause, kept, gens, budget, lambda_sum_max=8, block_size=64):
+    """Alternating epochs: the multiplier tuples of sum `epoch`, then the
+    next `block_size` pmfs of the stream, each checked by `violation`.
+    The first side to conclude wins."""
     constraint = BooleanConstraint(clause.n, (clause,))
     stream = (violation(constraint, DISTRIBUTION, d) for d in enumerate_distributions(
         clause.n, budget.max_support, budget.max_denominator))
     for epoch in count(1):
         if epoch <= lambda_sum_max:
-            for lam in _compositions(epoch, len(clause.consequents)):
-                combo = LinExpr.zero(clause.n)
-                for weight, d in zip(lam, clause.consequents):
-                    if weight:
-                        combo = combo + d.scale(weight)
-                cert = prove(combo, gens, antecedents=kept)
-                if cert is not None:
-                    return MaxReduction("valid", tuple(Fraction(v) for v in lam), cert)
+            found = race_lambdas(clause, kept, gens, epoch)
+            if found is not None:
+                return "valid", found[0], found[1].to_json(gens)
         block = list(islice(stream, block_size))
         hit = next((h for h in block if h is not None), None)
         if hit is not None:
-            return MaxReduction("invalid", counterexample=hit)
+            return "invalid", hit.to_json()
         if epoch > lambda_sum_max and len(block) < block_size:
-            return MaxReduction("exhausted")
+            return ("exhausted",)
+
+
+def decide_max(clause, kept, gens, budget):
+    """The multiplier stage, then the refute stage."""
+    result = max_to_linear(clause, kept, gens)
+    if result is not None:
+        return "valid", result.lambdas, result.certificate.to_json(gens)
+    found = refute(clause, budget)
+    return ("invalid", found.counterexample.to_json()) if found.found else ("exhausted",)
 
 
 DEEP_MAX = "max(H(X|Y) - H(Z), H(Z) - 2*H(X|Y)) >= 0"  # first hit at position 193
@@ -154,7 +176,6 @@ DEEP_MAX = "max(H(X|Y) - H(Z), H(Z) - 2*H(X|Y)) >= 0"  # first hit at position 1
     ("false_max_nonneg", "s=2,D=2", 8, 64),
     ("false_max_nonneg", "s=2,D=4", 8, 1),
     ("kopparty_rossman_max", "s=2,D=2", 8, 64),
-    ("kopparty_rossman_max", "s=2,D=2", 1, 7),
     ("pairwise_max_two_thirds", "s=2,D=3", 8, 64),
     ("conditional_max_two_thirds", "s=2,D=3", 8, 16),
     (DEEP_MAX, "s=2,D=4", 8, 64),
@@ -162,10 +183,48 @@ DEEP_MAX = "max(H(X|Y) - H(Z), H(Z) - 2*H(X|Y)) >= 0"  # first hit at position 1
 ])
 def test_max_race_matches_a_race_over_every_position(source, budget, lambda_sum_max,
                                                       block_size):
+    """The max race is the reference: the multiplier LP, then the refute
+    stage, conclude as it does, with its multipliers, certificate and
+    counterexample."""
     constraint = parse_constraint(source) if "(" in source else fixture(source).constraint
     (clause,) = constraint.clauses
     gens = elemental(clause.n)
     kept = prepare_antecedents(clause.antecedents, gens).kept
     budget = Budget.parse(budget)
-    assert max_to_linear(clause, kept, gens, budget, lambda_sum_max, block_size) \
+    assert decide_max(clause, kept, gens, budget) \
         == race_reference(clause, kept, gens, budget, lambda_sum_max, block_size)
+
+
+GENS3 = elemental(3)
+
+
+@st.composite
+def max_clauses(draw):
+    """Two-disjunct n=3 max clauses, half of them planted so that a tuple
+    (a, b) with a + b <= 8 proves them; some with one antecedent."""
+    first = draw(lin_exprs(3))
+    if draw(st.booleans()):
+        weights = draw(st.lists(st.integers(0, 2), min_size=len(GENS3.generators),
+                                max_size=len(GENS3.generators)))
+        valid = sum((g.scale(w) for g, w in zip(GENS3.exprs(), weights) if w),
+                    LinExpr.zero(3))
+        a, b = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        second = (valid - first.scale(a)).scale(Fraction(1, b))
+    else:
+        second = draw(lin_exprs(3))
+    antecedents = tuple(draw(st.lists(lin_exprs(3), max_size=1)))
+    return Clause(3, antecedents, (first, second))
+
+
+@settings(max_examples=40, deadline=None)
+@given(max_clauses())
+def test_max_lp_proves_whatever_the_race_proves(clause):
+    kept = prepare_antecedents(clause.antecedents, GENS3).kept
+    result = max_to_linear(clause, kept, GENS3)
+    if result is None:
+        assert all(race_lambdas(clause, kept, GENS3, total) is None for total in range(1, 9))
+        return
+    assert min(result.lambdas) >= 0 and max(result.lambdas) > 0
+    combo = combination(result.lambdas, clause)
+    assert result.certificate.target == combo
+    assert verify(result.certificate, combo, GENS3, kept)
