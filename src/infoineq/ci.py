@@ -21,7 +21,7 @@ from typing import Iterator, Sequence
 
 from .core import Clause, LinExpr, VarSet, mutual_info
 from .parser import _split_var_token  # shared variable-token convention
-from .refuter import Budget, RefutationResult, refute_parallel
+from .refuter import Budget, RefutationResult, refute
 from .shannon import GeneratorSet, ProofCertificate, prove
 
 
@@ -209,14 +209,14 @@ def pmf_vector(dist, domain: int) -> list[Fraction]:
 
 
 def falsify(antecedents: Sequence[CIStatement], consequent: CIStatement, n: int,
-            max_domain: int, max_denominator: int, workers: int = 1) -> RefutationResult:
+            max_domain: int, max_denominator: int) -> RefutationResult:
     """Bounded exact search for a distribution satisfying the antecedent
     CIs and violating the consequent.  Shares the refuter's canonical
     stream (domains up to max_domain); equality antecedents are checked
     via exact signs, so hits are genuine solutions of the product system."""
     clause = to_clause(antecedents, consequent, n)
     budget = Budget(max_support=max_domain, max_denominator=max_denominator)
-    return refute_parallel(clause, budget, workers)
+    return refute(clause, budget)
 
 
 # ---------------------------------------------------------------------------

@@ -329,8 +329,7 @@ def cmd_ci(args) -> int:
         return _STATUS_EXIT[status]
     if args.verb == "falsify":
         result = falsify(antecedents, consequent, n,
-                         max_domain=args.domain, max_denominator=args.denominator,
-                         workers=args.workers)
+                         max_domain=args.domain, max_denominator=args.denominator)
         report = {"command": "ci falsify", **result.to_json()}
         emit(report, args.text)
         return EXIT_NEGATIVE if result.found else EXIT_INCONCLUSIVE
@@ -346,8 +345,7 @@ def cmd_recognize(args) -> int:
     result = check_candidate(repr_, gens, budget.max_support, budget.max_denominator)
     report = {"command": "recognize", **result.to_json()}
     emit(report, args.text)
-    return _STATUS_EXIT[{"realized": "realized", "rejected": "rejected",
-                         "inconclusive": "inconclusive"}[result.verdict]]
+    return _STATUS_EXIT[result.verdict]
 
 
 def cmd_corpus(args) -> int:
@@ -486,7 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ci", help="conditional-independence implication tools")
     common(p)
-    workers(p)
     p.add_argument("verb", choices=["prove", "falsify", "export"])
     p.add_argument("--vars", required=True, help="variable names, e.g. 'X Y Z'")
     p.add_argument("--ante", action="append", default=[],

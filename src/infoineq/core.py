@@ -5,15 +5,17 @@ Everything here is exact.  Probabilities and coefficients are
 `fractions.Fraction`; entropy-like quantities are `LogLinValue`, a formal
 sum of rational multiples of base-2 logarithms of positive rationals.
 Such values admit a decidable sign test, which is what makes every
-decision path in the toolkit exact: factor each rational into primes
-(`_factor_cached`, stdlib trial division, Miller-Rabin and Pollard rho),
-collect the value as sum_p f_p * log p, and bound that sum away from zero.
-The bound is a ladder of enclosures (`prime_sum_sign`): a float sum first,
-whose error margin 2^-30 * sum |f_p log p| exceeds its worst rounding error
-by a factor of about 2^20, then mpmath intervals at doubling precision.  A
-float rung that cannot exclude zero only passes the value up the ladder, so
-floats never decide a sign they cannot bound.  `mpmath` is imported only
-when the float rung fails, which no corpus fixture needs.
+decision path in the toolkit exact.  First the numerators and denominators
+of the terms are split into a coprime basis by gcds alone (`_coprime_basis`),
+and the value is collected as sum_b f_b * log b over that basis.  The logs
+of pairwise coprime integers > 1 are linearly independent over the
+rationals, so the value is zero iff every f_b vanishes, and otherwise it is
+bounded away from zero by a ladder of enclosures (`prime_sum_sign`): a float
+sum first, whose error margin 2^-30 * sum |f_b log b| exceeds its worst
+rounding error by a factor of about 2^20, then mpmath intervals at doubling
+precision.  A float rung that cannot exclude zero only passes the value up
+the ladder, so floats never decide a sign they cannot bound.  `mpmath` is
+imported only when the float rung fails, which no corpus fixture needs.
 
 All types are immutable after construction and safe to share between
 concurrent workers.
@@ -23,8 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count
-from math import fsum, gcd, inf, isfinite, isqrt, log
+from math import fsum, gcd, inf, isfinite, lcm, log
 from typing import Iterator, Mapping
 
 MAX_VARS = 16
@@ -106,16 +107,17 @@ def subsets(n: int) -> Iterator[VarSet]:
 # Exact log-linear values
 # ---------------------------------------------------------------------------
 
-_SMALL_PRIMES = tuple(p for p in range(2, 1000) if all(p % d for d in range(2, isqrt(p) + 1)))
-_MR_BASES = _SMALL_PRIMES[:13]  # 2..41
-# Miller-Rabin on bases 2..41 is a proof of primality below this bound
+# Miller-Rabin on the primes up to 41 is a proof of primality below this bound
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXACT_BELOW = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Primality of an int: exact below 3.3 * 10^24 (Miller-Rabin on the
-    primes up to 41); above that the strong Lucas test is added, which
-    makes it the Baillie-PSW test, with no known counterexample."""
+    """Primality of an int below 3.3 * 10^24, exactly: Miller-Rabin on the
+    primes up to 41.  Above that bound the test proves nothing, so a larger
+    n is a ValueError."""
+    if n >= _MR_EXACT_BELOW:
+        raise ValueError(f"{n} out of range: primality is decided only below {_MR_EXACT_BELOW}")
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -134,123 +136,53 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return n < _MR_EXACT_BELOW or _strong_lucas(n)
-
-
-def _jacobi(a: int, n: int) -> int:
-    """The Jacobi symbol (a/n) for odd n > 0."""
-    a %= n
-    result = 1
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a %= n
-    return result if n == 1 else 0
-
-
-def _strong_lucas(n: int) -> bool:
-    """Strong Lucas probable-prime test of an odd n > 41 with Selfridge's
-    parameters: D the first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1,
-    Q = (1 - D) / 4."""
-    if isqrt(n) ** 2 == n:
-        return False
-    D = 5
-    while (j := _jacobi(D, n)) != -1:
-        if j == 0:
-            return False
-        D = -D - 2 if D > 0 else -D + 2
-    Q = (1 - D) // 4
-    d, s = n + 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-
-    def halve(x: int) -> int:
-        return (x + n if x % 2 else x) // 2
-
-    U, V, Qk = 1, 1, Q % n  # index 1
-    for bit in bin(d)[3:]:
-        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
-        if bit == "1":
-            U, V, Qk = halve((U + V) % n), halve((D * U + V) % n), Qk * Q % n
-    if U == 0 or V == 0:
-        return True
-    for _ in range(s - 1):
-        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
-        if V == 0:
-            return True
-    return False
-
-
-def _pollard_rho(n: int) -> int:
-    """A nontrivial factor of an odd composite n (Brent's variant)."""
-    for c in count(1):
-        y, r, q, g = 2, 1, 1, 1
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(128, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = gcd(q, n)
-                k += 128
-            r *= 2
-        if g == n:  # the batch overshot: retrace it one step at a time
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = gcd(abs(x - ys), n)
-        if g != n:
-            return g
+    return True
 
 
 @lru_cache(maxsize=None)
 def _factor_cached(k: int) -> tuple[tuple[int, int], ...]:
-    """The prime factorization of k >= 1 as sorted (prime, exponent) pairs."""
+    """The prime factorization of k >= 1 as sorted (prime, exponent) pairs,
+    by trial division.
+
+    Its cost grows with the prime factors of k, so it is meant for
+    D-smooth k, whose prime factors are at most the denominator cap D of a
+    scan: the marginal counts of `refuter.ProfileScan`, T = lcm(1..D), and
+    the g <= D of `distributions._mobius_divisors`.  Exact signs of other
+    values need no factoring (`LogLinValue.log_exponents`).
+    """
     if k < 1:
         raise ValueError(f"can only factor positive integers, got {k}")
     exps: dict[int, int] = {}
-    for p in _SMALL_PRIMES:
-        if p * p > k:
-            break
+    p = 2
+    while p * p <= k:
         while k % p == 0:
             k //= p
             exps[p] = exps.get(p, 0) + 1
-    rest = [k] if k > 1 else []
-    while rest:
-        m = rest.pop()
-        if is_prime(m):
-            exps[m] = exps.get(m, 0) + 1
-            continue
-        # rho would need about sqrt(p) steps on p^j, so split powers first;
-        # every prime factor left is above 1000 > 2^9
-        for j in range(2, m.bit_length() // 9 + 1):
-            root = _iroot(m, j)
-            if root ** j == m:
-                rest += [root] * j
-                break
-        else:
-            d = _pollard_rho(m)
-            rest += [d, m // d]
+        p += 1
+    if k > 1:  # a prime above every p tried
+        exps[k] = 1
     return tuple(sorted(exps.items()))
 
 
-def _iroot(m: int, j: int) -> int:
-    """floor(m ** (1/j)) for m >= 1, by Newton's method from above."""
-    x = 1 << -(-m.bit_length() // j)
-    while True:
-        y = ((j - 1) * x + m // x ** (j - 1)) // j
-        if y >= x:
-            return x
-        x = y
+def _coprime_basis(ks) -> list[int]:
+    """Pairwise coprime integers > 1 such that every k > 1 in ks is a
+    product of their powers, by gcd splitting: a k that shares g > 1 with a
+    basis element b replaces b by g, b / g and k / g.  The product of all
+    pending numbers falls by g at each split, so the loop ends."""
+    basis: list[int] = []
+    todo = [k for k in ks if k > 1]
+    while todo:
+        k = todo.pop()
+        for i, b in enumerate(basis):
+            g = gcd(k, b)
+            if g > 1:
+                basis[i] = basis[-1]
+                basis.pop()
+                todo += [m for m in (g, b // g, k // g) if m > 1]
+                break
+        else:
+            basis.append(k)
+    return basis
 
 
 # Rungs of the sign ladder: a float sum, then mpmath intervals
@@ -306,35 +238,50 @@ class LogLinValue:
     def __sub__(self, other: "LogLinValue") -> "LogLinValue":
         return self + (-other)
 
-    def prime_exponents(self) -> dict[int, Fraction]:
-        """Aggregate the value as sum_p f_p * log2(p) over primes p.
+    def log_exponents(self) -> dict[int, Fraction]:
+        """Aggregate the value as sum_b f_b * log2(b) over a coprime basis:
+        pairwise coprime integers b > 1 that generate every numerator and
+        denominator of the terms (`_coprime_basis`).
 
-        By unique factorization the value is zero iff every f_p vanishes.
+        The logs of pairwise coprime integers > 1 are linearly independent
+        over the rationals, so the value is zero iff every f_b vanishes.
         """
-        exps: dict[int, Fraction] = {}
+        scale = lcm(*(q.denominator for q, _ in self.terms))
+        weights: dict[int, int] = {}  # integer weights of log k, over scale
         for q, r in self.terms:
-            if q == 0 or r == 1:
-                continue
-            for p, e in _factor_cached(r.numerator):
-                exps[p] = exps.get(p, Fraction(0)) + q * e
-            for p, e in _factor_cached(r.denominator):
-                exps[p] = exps.get(p, Fraction(0)) - q * e
-        return {p: f for p, f in exps.items() if f != 0}
+            w = q.numerator * (scale // q.denominator)
+            for k, wk in ((r.numerator, w), (r.denominator, -w)):
+                if k > 1:
+                    weights[k] = weights.get(k, 0) + wk
+        weights = {k: w for k, w in weights.items() if w}
+        exps = {}
+        for b in _coprime_basis(weights):
+            f = 0
+            for k, w in weights.items():
+                while k % b == 0:
+                    k, f = k // b, f + w
+            if f:
+                exps[b] = Fraction(f, scale)
+        return exps
 
     def is_zero(self) -> bool:
-        return not self.prime_exponents()
+        return not self.log_exponents()
 
     def sign(self) -> int:
-        """Exact sign in {-1, 0, +1}, from the prime-exponent form."""
-        return prime_sum_sign(self.prime_exponents())
+        """Exact sign in {-1, 0, +1}, from the coprime-basis form."""
+        return prime_sum_sign(self.log_exponents())
 
     def as_rational(self) -> "Fraction | None":
-        """Exact rational value when all prime exponents live on p=2."""
-        exps = self.prime_exponents()
+        """Exact rational value when the value is a multiple of log2(2^j)
+        for one j, else None (log2 of any other basis element is irrational
+        and independent of log2(2))."""
+        exps = self.log_exponents()
         if not exps:
             return Fraction(0)
-        if set(exps) == {2}:
-            return exps[2]
+        if len(exps) == 1:
+            ((b, f),) = exps.items()
+            if b & (b - 1) == 0:
+                return f * (b.bit_length() - 1)
         return None
 
     def to_json(self) -> list:
@@ -351,16 +298,18 @@ class LogLinValue:
 
 
 def prime_sum_sign(exps: Mapping[int, "Fraction | int"]) -> int:
-    """Exact sign of sum_p f_p * log(p) over primes p, given the nonzero f_p.
+    """Exact sign of sum_b f_b * log(b), given the nonzero f_b.
 
-    Zero iff there is no term; with one prime the sign is that of f_p,
-    since log p > 0; otherwise the sum is provably nonzero (the log p are
-    linearly independent over the rationals), so an enclosure fine enough
-    excludes zero.  The ladder of `_interval_log_sum` enclosures starts
-    with a float sum at 53 bits, whose margin is safe by a wide factor (see
-    there) and which decides all but near-ties such as q log 3 - p log 2
-    for a convergent p/q of log2 3; those go on to mpmath intervals at
-    64, 128, ... bits.
+    Precondition: the keys b are pairwise coprime integers > 1, such as
+    primes or a coprime basis (`LogLinValue.log_exponents`).  Then the
+    log b are linearly independent over the rationals, and the ladder
+    terminates on every input.  The sum is zero iff there is no term; with
+    one key the sign is that of f_b, since log b > 0; otherwise the sum is
+    provably nonzero, so an enclosure fine enough excludes zero.  The
+    ladder of `_interval_log_sum` enclosures starts with a float sum at 53
+    bits, whose margin is safe by a wide factor (see there) and which
+    decides all but near-ties such as q log 3 - p log 2 for a convergent
+    p/q of log2 3; those go on to mpmath intervals at 64, 128, ... bits.
     """
     if not exps:
         return 0
@@ -378,12 +327,12 @@ def prime_sum_sign(exps: Mapping[int, "Fraction | int"]) -> int:
 
 
 def _interval_log_sum(items, prec: int) -> tuple:
-    """Rigorous enclosure of sum f_p * ln(p) at the given binary precision.
+    """Rigorous enclosure of sum f_b * ln(b) at the given binary precision.
 
     Natural log is fine for the sign: it differs from log2 by a positive
     factor.
 
-    At 53 bits the sum is taken in floats: each term float(f_p) * log(p)
+    At 53 bits the sum is taken in floats: each term float(f_b) * log(b)
     is within a few units in the last place (2^-53 relative) of its true
     value, and `fsum` adds them with one rounding, so the error is below
     about 10 * 2^-53 * sum |terms|.  The enclosure widens the float sum by
@@ -393,7 +342,7 @@ def _interval_log_sum(items, prec: int) -> tuple:
     """
     if prec <= _FLOAT_PREC:
         try:
-            terms = [float(f) * log(p) for p, f in items]
+            terms = [float(f) * log(b) for b, f in items]
             total = fsum(terms)
             margin = fsum(map(abs, terms)) * 2.0 ** -30
         except (OverflowError, ValueError):  # float(f) too large, or inf - inf
@@ -406,9 +355,9 @@ def _interval_log_sum(items, prec: int) -> tuple:
     try:
         mpmath.iv.prec = prec
         total = mpmath.iv.mpf(0)
-        for p, f in items:
+        for b, f in items:
             coeff = mpmath.iv.mpf(f.numerator) / mpmath.iv.mpf(f.denominator)
-            total += coeff * mpmath.iv.log(mpmath.iv.mpf(p))
+            total += coeff * mpmath.iv.log(mpmath.iv.mpf(b))
         return total.a, total.b
     finally:
         mpmath.iv.prec = saved

@@ -51,7 +51,7 @@ from itertools import product
 from math import comb, gcd, prod
 from typing import Iterator, Mapping
 
-from .core import EntropicCandidate, LogLinValue, _factor_cached, as_fraction
+from .core import MAX_VARS, EntropicCandidate, LogLinValue, _factor_cached, as_fraction
 
 Outcome = tuple[int, ...]
 # (D', domains, ((cell, count), ...)): a pmf with probabilities count / D'
@@ -138,6 +138,9 @@ class Distribution:
         if not lines or not lines[0].startswith("vars"):
             raise ValueError("distribution file must start with a 'vars d1 ... dn' header")
         domains = tuple(int(tok) for tok in lines[0].split()[1:])
+        # the entropic vector has 2^n entries
+        if len(domains) > MAX_VARS:
+            raise ValueError(f"variable count {len(domains)} out of range 1..{MAX_VARS}")
         pmf: dict[Outcome, Fraction] = {}
         for ln in lines[1:]:
             toks = ln.split()

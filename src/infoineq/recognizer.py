@@ -36,11 +36,11 @@ class CandidateRepr:
         if len(self.entries) != (1 << self.n) - 1:
             raise ValueError("need an (a, b, c) entry for every nonempty subset")
         for a, b, c in self.entries:
-            if c == 0:
+            if c < 1:
                 raise ValueError("malformed representation: c must be >= 1")
-            if b == 0:
+            if b < 1:
                 raise ValueError("malformed representation: b must be >= 1")
-            if a == 0:
+            if a < 1:
                 raise ValueError("malformed representation: a must be >= 1")
 
     def entry(self, mask: int) -> tuple[int, int, int]:

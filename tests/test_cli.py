@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -150,13 +151,24 @@ def test_prove_workers_do_not_change_the_report(capsys):
     assert one[0] == 1
 
 
-# the whole error report of some bad inputs
+WIDE_DIST = "vars" + " 2" * 40 + "\n" + "0 " * 40 + "1\n"
+# the whole error report of some bad inputs, by (argv, file text)
 EXACT_ERRORS = {
-    ("corpus", "--show", "nope"): "no corpus fixture named 'nope'",
-    ("corpus", "--show", ""): "no corpus fixture named ''",
+    (("corpus", "--show", "nope"), None): "no corpus fixture named 'nope'",
+    (("corpus", "--show", ""), None): "no corpus fixture named ''",
     # rejected before the access structure is closed upward (2^39 sets)
-    ("secret-share", "--participants", "40", "--access", "1"):
+    (("secret-share", "--participants", "40", "--access", "1"), None):
         "variable count 41 out of range 1..16",
+    # rejected before the 2^40 entropies are built
+    (("check-dist", "--file", "{path}"), WIDE_DIST): "variable count 40 out of range 1..16",
+    (("recognize", "--file", "{path}"), "X -1 -2 1\n"):
+        "malformed representation: b must be >= 1",
+    (("recognize", "--file", "{path}"), "X 2 1 -1\n"):
+        "malformed representation: c must be >= 1",
+    # Miller-Rabin on the primes up to 41 decides primality only below it
+    (("refute", "--file", "{path}", "--budget", "vsq=3317044064679887385961981"), "H(X) >= 0\n"):
+        "3317044064679887385961981 out of range: "
+        "primality is decided only below 3317044064679887385961981",
 }
 
 
@@ -177,20 +189,19 @@ EXACT_ERRORS = {
     (["recognize", "--file", "{path}"], ""),
     (["secret-share", "--participants", "2", "--access", "1", "--ratio", "1/0"], None),
     (["refute", "--file", "{path}", "--budget", "vsq=561"], "H(X) >= 0\n"),  # Carmichael
-    (["corpus", "--show", "nope"], None),
-    (["corpus", "--show", ""], None),
-    (["secret-share", "--participants", "40", "--access", "1"], None),
+    *((list(argv), text) for argv, text in EXACT_ERRORS),
 ])
 def test_bad_input_exits_3_without_traceback(capsys, tmp_path, argv, text):
     path = write(tmp_path, text) if text is not None else ""
+    key = (tuple(argv), text)
     argv = [a.format(path=path, missing=str(tmp_path / "absent.iic")) for a in argv]
     assert cli.main(argv) == cli.EXIT_USAGE
     out, err = capsys.readouterr()
     assert out == ""
     assert "Traceback" not in err
     assert "error" in json.loads(err)
-    if tuple(argv) in EXACT_ERRORS:
-        assert json.loads(err) == {"error": EXACT_ERRORS[tuple(argv)]}
+    if key in EXACT_ERRORS:
+        assert json.loads(err) == {"error": EXACT_ERRORS[key]}
 
 
 def test_large_prime_field_budget_is_accepted(capsys):
@@ -198,6 +209,22 @@ def test_large_prime_field_budget_is_accepted(capsys):
     code, report = run(capsys, "refute", "--file", path, "--budget", "vsq=2305843009213693951")
     assert code == 1
     assert report["budget"]["vsq"] == [2 ** 61 - 1]
+
+
+def test_thirty_digit_prime_inputs_are_fast(capsys, tmp_path):
+    """Exact signs split numbers by gcds, never by factoring them."""
+    p, q = 100000000000000000000000000319, 200000000000000000000000000017
+    cand = write(tmp_path, f"A {p} 1 1\nB {q} 1 1\nAB {p * q} 1 1\n", "cand.txt")
+    dist = write(tmp_path, f"vars 2 2\n0 0 1/{p * q}\n1 1 {p * q - 1}/{p * q}\n", "pq.dist")
+    bound = write(tmp_path, "H(X) + H(Y) - H(XY) >= 0 && I(X;Y) - H(X) >= 0\n")
+    start = time.perf_counter()
+    code, report = run(capsys, "recognize", "--file", cand)
+    assert code == cli._STATUS_EXIT[report["verdict"]]
+    assert time.perf_counter() - start < 1.0
+    start = time.perf_counter()
+    code, report = run(capsys, "check-dist", "--file", dist, "--constraint", bound)
+    assert (code, report["holds"]) == (cli.EXIT_POSITIVE, True)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_cli_import_leaves_heavy_modules_unloaded():
@@ -394,10 +421,12 @@ def test_empty_schedule_exits_3(capsys, argv):
     ["prove", "--file", str(fixture("kopparty_rossman_max").path), "--lambda-max", "8"],
     ["reduce", "--file", str(fixture("kaced_romashchenko_ci").path), "--schedule", "p=1"],
     ["reduce", "--file", str(fixture("kopparty_rossman_max").path), "--lambda-max", "8"],
+    ["ci", "falsify", "--vars", "X Y", "--cons", "X;Y", "--workers", "1"],
 ])
 def test_removed_flags_exit_3(capsys, argv):
     """The lambda cap and the p-schedule are gone: the max stage solves for
-    its multipliers and the tight stage for eps* directly."""
+    its multipliers and the tight stage for eps* directly.  `ci falsify`
+    scans serially, with no worker pool."""
     assert cli.main(argv) == cli.EXIT_USAGE
     out, err = capsys.readouterr()
     assert out == ""

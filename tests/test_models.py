@@ -63,8 +63,8 @@ class TestRankVector:
         sys_ = VectorSpaceSystem.make(3, 2, [[[1, 0], [0, 1]], [[1, 2]]])
         h = sys_.candidate()
         # any set containing the full subspace has rank 2, value 2*log2(3)
-        assert h.value(1).prime_exponents() == {3: F(2)}
-        assert h.value(3).prime_exponents() == {3: F(2)}
+        assert h.value(1).log_exponents() == {3: F(2)}
+        assert h.value(3).log_exponents() == {3: F(2)}
 
     def test_all_zero_subspaces(self):
         sys_ = VectorSpaceSystem.make(2, 2, [[], [], []])

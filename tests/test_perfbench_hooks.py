@@ -1,15 +1,19 @@
 """The benchmark harness reaches into the package by name: `perfbench/
 tracing.py` wraps the functions listed in `TRACED`, and `perfbench/
-check.py` imports helpers inside its functions.  A rename must fail here,
-not only in a traced benchmark pass.  The harness files are parsed, never
+check.py` imports helpers inside its functions, and `perfbench/gen.py` and
+`perfbench/run.py` pass options to the subcommands.  A rename must fail
+here, not only in a benchmark pass.  The harness files are parsed, never
 imported."""
 from __future__ import annotations
 
+import argparse
 import ast
 import importlib
 from pathlib import Path
 
 import pytest
+
+from infoineq import cli
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -47,3 +51,51 @@ def test_every_name_the_checker_imports_exists():
     assert ("infoineq.reductions", "tight_target") in imports
     for module, name in imports:
         assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
+
+
+def _subparsers(parser) -> dict:
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def _passed_options(name: str) -> set[tuple[str, str]]:
+    """(subcommand, option) for every `--option` literal in a list literal
+    that starts with a subcommand name, or that a function appends to a
+    name bound to such a list (`argv += [...]`, `argv + [...]`)."""
+    commands = set(_subparsers(cli.build_parser()))
+
+    def command_of(node) -> "str | None":
+        if isinstance(node, ast.List) and node.elts and isinstance(node.elts[0], ast.Constant) \
+                and node.elts[0].value in commands:
+            return node.elts[0].value
+        return None
+
+    lists = [(command_of(node), node) for node in ast.walk(_tree(name)) if command_of(node)]
+    for fn in ast.walk(_tree(name)):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        bound = {t.id: command_of(node.value) for node in ast.walk(fn)
+                 if isinstance(node, ast.Assign) and command_of(node.value)
+                 for t in node.targets if isinstance(t, ast.Name)}
+        for node in ast.walk(fn):
+            if isinstance(node, ast.AugAssign):
+                target, extra = node.target, node.value
+            elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+                target, extra = node.left, node.right
+            else:
+                continue
+            if isinstance(target, ast.Name) and target.id in bound and isinstance(extra, ast.List):
+                lists.append((bound[target.id], extra))
+    return {(command, e.value) for command, node in lists for e in node.elts
+            if isinstance(e, ast.Constant) and isinstance(e.value, str) and e.value.startswith("--")}
+
+
+def test_every_option_the_harness_passes_exists():
+    """An option that `perfbench/gen.py` or `perfbench/run.py` passes to a
+    subcommand cannot be deleted before the harness stops passing it."""
+    subs = _subparsers(cli.build_parser())
+    passed = _passed_options("gen.py") | _passed_options("run.py")
+    # appended options are found too
+    assert {("prove", "--budget"), ("ci", "--ante"), ("ci", "--cons")} <= passed
+    missing = {(c, o) for c, o in passed if o not in subs[c]._option_string_actions}
+    assert not missing
