@@ -4,7 +4,6 @@ of named inequalities with their expected tool verdicts.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -13,8 +12,6 @@ from typing import Iterable
 from .core import (BooleanConstraint, Clause, LinExpr, cond_entropy, entropy_of,
                    mutual_info)
 from .parser import parse_constraint
-
-CORPUS_ENV = "INFOINEQ_CORPUS"
 
 
 # ---------------------------------------------------------------------------
@@ -123,16 +120,9 @@ class Fixture:
     budget: str = ""
 
 
-def corpus_dir() -> Path:
-    override = os.environ.get(CORPUS_ENV)
-    if override:
-        return Path(override)
-    return Path(__file__).parent / "corpus"
-
-
 def corpus() -> list[Fixture]:
     """All bundled fixtures, parsed, with their manifest metadata."""
-    root = corpus_dir()
+    root = Path(__file__).parent / "corpus"
     manifest = json.loads((root / "manifest.json").read_text())
     fixtures = []
     for name in sorted(manifest):

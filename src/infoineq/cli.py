@@ -54,7 +54,7 @@ from .core import MAX_VARS, BooleanConstraint, Clause, LinExpr
 from .parser import ParseError, format_clause, format_constraint, parse_constraint
 from .recognizer import CandidateRepr, check_candidate
 from .reductions import PreparedAntecedents, max_to_linear, prepare_antecedents, tight_reduction
-from .refuter import Budget, Counterexample, refute, refute_parallel
+from .refuter import DISTRIBUTION, Budget, Counterexample, refute, refute_parallel, violation
 from .shannon import GeneratorSet, TIGHT, classify_tight, elemental, joint_slack, prove
 
 EXIT_POSITIVE = 0
@@ -342,6 +342,9 @@ def cmd_recognize(args) -> int:
     repr_ = CandidateRepr.from_file_text(Path(args.file).read_text())
     gens = load_generators(repr_.n, args.extra_gens)
     budget = Budget.parse(args.budget)
+    if budget.vs_primes or budget.vs_max_dim:
+        raise ValueError("recognize searches distributions only: "
+                         "its budget takes s and D, not vsdim or vsq")
     result = check_candidate(repr_, gens, budget.max_support, budget.max_denominator)
     report = {"command": "recognize", **result.to_json()}
     emit(report, args.text)
@@ -419,7 +422,7 @@ def cmd_check_dist(args) -> int:
         clause_reports = []
         all_hold = True
         for clause in constraint.clauses:
-            ok = clause.holds(h)
+            ok = violation(BooleanConstraint(dist.n, (clause,)), DISTRIBUTION, dist) is None
             all_hold = all_hold and ok
             clause_reports.append({"clause": format_clause(clause), "holds": ok})
         report["clauses"] = clause_reports

@@ -73,18 +73,6 @@ class VarSet(int):
             bits >>= 1
             i += 1
 
-    def union(self, other: int) -> "VarSet":
-        return VarSet(int(self) | int(other))
-
-    def intersect(self, other: int) -> "VarSet":
-        return VarSet(int(self) & int(other))
-
-    def contains(self, index: int) -> bool:
-        return bool(int(self) >> index & 1)
-
-    def size(self) -> int:
-        return int(self).bit_count()
-
     def label(self, names: "tuple[str, ...] | None" = None) -> str:
         if int(self) == 0:
             return "{}"
@@ -95,12 +83,6 @@ class VarSet(int):
 
 def full_set(n: int) -> VarSet:
     return VarSet((1 << n) - 1)
-
-
-def subsets(n: int) -> Iterator[VarSet]:
-    """All subsets of [n] in canonical (mask) order, starting with {}."""
-    for mask in range(1 << n):
-        yield VarSet(mask)
 
 
 # ---------------------------------------------------------------------------
@@ -284,13 +266,6 @@ class LogLinValue:
                 return f * (b.bit_length() - 1)
         return None
 
-    def to_json(self) -> list:
-        return [{"q": str(q), "r": str(r)} for q, r in self.terms]
-
-    @staticmethod
-    def from_json(data: list) -> "LogLinValue":
-        return LogLinValue(tuple((Fraction(t["q"]), Fraction(t["r"])) for t in data))
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
@@ -401,12 +376,6 @@ class LinExpr:
     @staticmethod
     def zero(n: int) -> "LinExpr":
         return LinExpr.make(n, {})
-
-    def coeff(self, mask: int) -> Fraction:
-        for m, c in self.items:
-            if m == mask:
-                return c
-        return Fraction(0)
 
     def coeffs(self) -> dict[int, Fraction]:
         return {m: c for m, c in self.items}
@@ -520,15 +489,6 @@ class EntropicCandidate:
     def value(self, mask: int) -> LogLinValue:
         return self.values[mask]
 
-    def to_json(self) -> dict:
-        return {"n": self.n, "values": {str(m): v.to_json() for m, v in enumerate(self.values)}}
-
-    @staticmethod
-    def from_json(data: dict) -> "EntropicCandidate":
-        n = int(data["n"])
-        values = [LogLinValue.from_json(data["values"][str(m)]) for m in range(1 << n)]
-        return EntropicCandidate(n, tuple(values))
-
 
 # ---------------------------------------------------------------------------
 # Clauses and constraints
@@ -540,7 +500,8 @@ class Clause:
 
     The antecedent list may be empty (unconditional case); the consequent
     list may not (an implication with empty disjunction is never valid:
-    the zero vector already violates it).
+    the zero vector already violates it).  `refuter.violation` decides it
+    on a candidate.
     """
 
     n: int
@@ -553,33 +514,6 @@ class Clause:
         for e in self.antecedents + self.consequents:
             if e.n != self.n:
                 raise ValueError("clause expressions disagree on variable count")
-
-    def holds(self, h: EntropicCandidate) -> bool:
-        """True iff the clause is satisfied on the candidate h."""
-        if self.n != h.n:
-            raise ValueError("dimension mismatch between clause and candidate")
-        for a in self.antecedents:
-            if a.eval(h).sign() < 0:
-                return True
-        for c in self.consequents:
-            if c.eval(h).sign() >= 0:
-                return True
-        return False
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "antecedents": [a.to_json() for a in self.antecedents],
-            "consequents": [c.to_json() for c in self.consequents],
-        }
-
-    @staticmethod
-    def from_json(data: dict) -> "Clause":
-        return Clause(
-            int(data["n"]),
-            tuple(LinExpr.from_json(a) for a in data["antecedents"]),
-            tuple(LinExpr.from_json(c) for c in data["consequents"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -599,15 +533,4 @@ class BooleanConstraint:
         for c in self.clauses:
             if c.n != self.n:
                 raise ValueError("clauses disagree on variable count")
-
-    def holds(self, h: EntropicCandidate) -> bool:
-        return all(c.holds(h) for c in self.clauses)
-
-    def to_json(self) -> dict:
-        return {"n": self.n, "clauses": [c.to_json() for c in self.clauses]}
-
-    @staticmethod
-    def from_json(data: dict) -> "BooleanConstraint":
-        return BooleanConstraint(int(data["n"]),
-                                 tuple(Clause.from_json(c) for c in data["clauses"]))
 

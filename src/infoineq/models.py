@@ -55,11 +55,6 @@ def modular(weights: Sequence) -> EntropicCandidate:
     return ModularVector.make(weights).candidate()
 
 
-def basic_modular(n: int, j: int) -> ModularVector:
-    """The 0/1 weight vector concentrated on variable j."""
-    return ModularVector.make([1 if i == j else 0 for i in range(n)])
-
-
 # ---------------------------------------------------------------------------
 # GF(q) linear algebra
 # ---------------------------------------------------------------------------

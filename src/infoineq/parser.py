@@ -125,12 +125,8 @@ def _split_var_token(tok: str) -> list[str]:
     return [tok]
 
 
-def scan_variables(text: str) -> list[str]:
-    """Variable names used in a constraint text, in alphabetical order."""
-    return _scan_variables(_tokenize(text))
-
-
 def _scan_variables(tokens: list[Token]) -> list[str]:
+    """Variable names used in a token list, in alphabetical order."""
     names = set()
     for i, tok in enumerate(tokens):
         if tok.kind == "name" and tok.text not in ("H", "I", "max"):
@@ -441,19 +437,15 @@ def default_names(n: int) -> tuple[str, ...]:
     return tuple(f"X{i + 1}" for i in range(n))
 
 
-def _mask_label(mask: int, names: tuple[str, ...]) -> str:
-    return "".join(names[i] for i in VarSet(mask).indices())
-
-
 def format_expr(expr: LinExpr, names: "tuple[str, ...] | None" = None) -> str:
     """Canonical text for a LinExpr: plain H-terms, masks in canonical order."""
     if names is None:
         names = default_names(expr.n)
     if expr.is_zero():
-        return "0*H(" + _mask_label((1 << expr.n) - 1, names) + ")"
+        return "0*H(" + VarSet((1 << expr.n) - 1).label(names) + ")"
     parts = []
     for mask, coeff in expr.items:
-        term = f"H({_mask_label(mask, names)})"
+        term = f"H({VarSet(mask).label(names)})"
         if coeff == 1:
             text = term
         elif coeff == -1:

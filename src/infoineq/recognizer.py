@@ -9,7 +9,9 @@ The checks are one-sided, matching what a terminating tool can promise:
   coordinate exactly, certifying the vector entropic.  The search walks
   the canonical stream skipping twins (`pmf_walk`): a skipped pmf has an
   earlier twin with the same entropic vector, so the first realizing pmf
-  is never skipped;
+  is never skipped.  Each pmf is compared with the candidate one mask at
+  a time, building one `Distribution.entropy` per exact sign, and is
+  dropped at its first mismatch;
 * everything else is reported as inconclusive, a first-class verdict.
 """
 from __future__ import annotations
@@ -126,8 +128,7 @@ def check_candidate(repr_: CandidateRepr, gens: GeneratorSet,
         if pmf is None:
             break
         dist = to_distribution(*pmf)
-        hd = dist.entropic_vector()
-        if all((hd.value(mask) - h.value(mask)).sign() == 0
+        if all((dist.entropy(mask) - h.value(mask)).sign() == 0
                for mask in range(1, 1 << repr_.n)):
             return RecognitionResult("realized", realization=dist)
     return RecognitionResult("inconclusive")

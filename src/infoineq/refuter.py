@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
-from math import lcm
+from math import comb, lcm
 from typing import Iterator
 
 from .core import BooleanConstraint, Clause, LinExpr, _factor_cached, is_prime, prime_sum_sign
@@ -49,6 +49,10 @@ from .models import VectorSpaceSystem, enumerate_systems
 
 DISTRIBUTION = "distribution"
 VECTOR_SPACE = "vector-space"
+
+# `models.all_subspaces` runs one rank reduction per candidate basis, 12-35
+# us each on a 2-core VM, so this cap allows about 1-4 s of subspace listing
+MAX_SUBSPACE_BASES = 100_000
 
 
 @dataclass(frozen=True)
@@ -69,6 +73,11 @@ class Budget:
         for q in self.vs_primes:
             if not is_prime(q):
                 raise ValueError(f"budget vsq={q} is not a prime")
+        if self.vs_max_dim and _subspace_bases(self.vs_primes, self.vs_max_dim) \
+                > MAX_SUBSPACE_BASES:
+            raise ValueError(f"budget vsdim={self.vs_max_dim},vsq="
+                             f"{','.join(map(str, self.vs_primes))} needs more than "
+                             f"{MAX_SUBSPACE_BASES} candidate subspace bases")
 
     @staticmethod
     def parse(text: str) -> "Budget":
@@ -100,6 +109,22 @@ class Budget:
     def describe(self) -> dict:
         return {"s": self.max_support, "D": self.max_denominator,
                 "vsdim": self.vs_max_dim, "vsq": list(self.vs_primes)}
+
+
+def _subspace_bases(primes: tuple[int, ...], max_dim: int) -> int:
+    """The candidate bases `models.all_subspaces` tries for every prime and
+    every dimension d <= max_dim, C(q^d - 1, r) for r = 1..d, summed only
+    until the sum passes MAX_SUBSPACE_BASES.  The sum is at least q^d - 1,
+    so q^d never grows far past the cap, whatever max_dim is."""
+    total = 0
+    for q in primes:
+        vectors = 1
+        for d in range(1, max_dim + 1):
+            vectors *= q
+            total += sum(comb(vectors - 1, r) for r in range(1, d + 1))
+            if total > MAX_SUBSPACE_BASES:
+                return total
+    return total
 
 
 @dataclass(frozen=True)
@@ -192,10 +217,13 @@ class _Entropies:
 def violation(constraint: BooleanConstraint, kind: str, obj) -> "Counterexample | None":
     """First clause the candidate falsifies, with its evaluation trace.
 
-    The reference evaluation, with exact `LogLinValue` signs.  It builds h
-    with the candidate's own `entropy`, and only at the masks the
-    constraint mentions.  Distribution scans use `ProfileScan` and call
-    this only to re-check and report a hit."""
+    The one reference evaluation of clauses on candidates, with exact
+    `LogLinValue` signs: a clause is falsified when every antecedent is
+    >= 0 and every consequent < 0.  It builds h with the candidate's own
+    `entropy`, and only at the masks the constraint mentions.
+    `check-dist --constraint` decides each clause with it; distribution
+    scans use `ProfileScan` and call it only to re-check and report a
+    hit; subspace systems are scanned with it directly."""
     h = _Entropies(obj.n, {m: obj.entropy(m) for m in _mentioned_masks(constraint)})
     for idx, clause in enumerate(constraint.clauses):
         trace = []

@@ -262,39 +262,41 @@ class Tightness:
 def classify_tight(c: LinExpr, gens: GeneratorSet,
                    max_support: int = 2, max_denominator: int = 4) -> Tightness:
     """Tight if -c is provable from gens (so c.h <= 0 on the whole cone);
-    Slack if a modular vector or a budget-bounded distribution makes
-    c.h > 0; Unknown otherwise."""
+    Slack if the searches of `joint_slack` find a candidate with c.h > 0:
+    the modular LP, then the distribution scan within the budget; Unknown
+    otherwise.  A failed proof of -c at gens means none at the elemental
+    subset either, so the scan runs without `joint_slack`'s second proof."""
     cert = prove(-c, gens)
     if cert is not None:
         return Tightness(TIGHT, certificate=cert)
-    # modular witnesses: some basic direction with positive pay-off suffices,
-    # since weights are free nonnegative reals
-    for j in range(c.n):
-        if c.dot_basic_modular(j) > 0:
-            witness = SlackWitness("modular", modular=ModularVector.make(
-                [1 if i == j else 0 for i in range(c.n)]))
-            return Tightness(SLACK, witness=witness)
-    # the first pmf with c.h > 0 falsifies -c >= 0
-    result = refute(Clause(c.n, (), (-c,)), Budget(max_support, max_denominator))
-    if result.found:
-        return Tightness(SLACK, witness=SlackWitness(
-            "distribution", distribution=result.counterexample.distribution))
-    return Tightness(UNKNOWN)
+    witness = _modular_slack([c]) or _distribution_slack([c], max_support, max_denominator)
+    return Tightness(SLACK, witness=witness) if witness else Tightness(UNKNOWN)
 
 
 def joint_slack(exprs: Sequence[LinExpr],
                 max_support: int = 2, max_denominator: int = 4) -> "SlackWitness | None":
     """A single candidate making every expression strictly positive.
 
-    First tries modular vectors: minimize sum(w) subject to the margin
-    system (c_i . h_w >= 1 for all i, w >= 0); scale invariance makes the
-    unit margin lossless.  Then, unless some -c_i is provable at the
-    elemental set (c_i <= 0 everywhere, so no witness exists), falls back
-    to the canonical distribution stream within the budget.  None means
-    not found at this budget.
+    First tries modular vectors (`_modular_slack`).  Then, unless some -c_i
+    is provable at the elemental set (c_i <= 0 everywhere, so no witness
+    exists), falls back to the canonical distribution stream within the
+    budget (`_distribution_slack`).  None means not found at this budget.
     """
     if not exprs:
         return SlackWitness("modular", modular=ModularVector.make([]))
+    witness = _modular_slack(exprs)
+    if witness is not None:
+        return witness
+    gens = elemental(exprs[0].n)
+    if any(prove(-c, gens) is not None for c in exprs):
+        return None
+    return _distribution_slack(exprs, max_support, max_denominator)
+
+
+def _modular_slack(exprs: Sequence[LinExpr]) -> "SlackWitness | None":
+    """The modular vector of least total weight with c_i . h_w >= 1 for all
+    i, from one LP over w >= 0; scale invariance makes the unit margin
+    lossless, so None means no modular vector makes every c_i positive."""
     n = exprs[0].n
     k = len(exprs)
     # variables: w_1..w_n, slacks s_1..s_k; rows: sum_j A_ij w_j - s_i = 1
@@ -309,11 +311,14 @@ def joint_slack(exprs: Sequence[LinExpr],
     res = solve_lp(a_rows, b, cost)
     if res.status == "optimal":
         return SlackWitness("modular", modular=ModularVector.make(res.x[:n]))
-    gens = elemental(n)
-    if any(prove(-c, gens) is not None for c in exprs):
-        return None
-    # the first pmf with every c_i.h > 0 falsifies max(-c_1, ..., -c_k) >= 0
-    result = refute(Clause(n, (), tuple(-c for c in exprs)),
+    return None
+
+
+def _distribution_slack(exprs: Sequence[LinExpr], max_support: int,
+                        max_denominator: int) -> "SlackWitness | None":
+    """The first pmf of the canonical stream with every c_i.h > 0: it
+    falsifies max(-c_1, ..., -c_k) >= 0."""
+    result = refute(Clause(exprs[0].n, (), tuple(-c for c in exprs)),
                     Budget(max_support, max_denominator))
     if result.found:
         return SlackWitness("distribution", distribution=result.counterexample.distribution)

@@ -169,6 +169,11 @@ EXACT_ERRORS = {
     (("refute", "--file", "{path}", "--budget", "vsq=3317044064679887385961981"), "H(X) >= 0\n"):
         "3317044064679887385961981 out of range: "
         "primality is decided only below 3317044064679887385961981",
+    # rejected before `models.all_subspaces` lists 960 vectors and their pairs
+    (("refute", "--file", "{path}", "--budget", "vsdim=2,vsq=31"), "H(X) >= 0\n"):
+        "budget vsdim=2,vsq=31 needs more than 100000 candidate subspace bases",
+    (("recognize", "--file", "{path}", "--budget", "s=2,D=2,vsdim=2,vsq=2"), "X 2 1 1\n"):
+        "recognize searches distributions only: its budget takes s and D, not vsdim or vsq",
 }
 
 

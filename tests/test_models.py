@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from infoineq.core import entropy_of, mutual_info
 from infoineq.models import (ModularVector, VectorSpaceSystem, all_subspaces,
-                             basic_modular, enumerate_systems, modular, random_system,
+                             enumerate_systems, modular, random_system,
                              rank_mod, rref_mod)
 from infoineq.parser import parse_expr
 from infoineq.shannon import elemental
@@ -20,7 +20,7 @@ F = Fraction
 
 class TestModular:
     def test_basic_modular_values(self):
-        h = basic_modular(3, 0).candidate()  # weight on X
+        h = modular([1, 0, 0])  # weight on X
         assert h.value(1).as_rational() == 1   # h(X)
         assert h.value(2).as_rational() == 0   # h(Y)
         assert h.value(4).as_rational() == 0   # h(Z)

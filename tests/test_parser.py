@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from infoineq import parser
 from infoineq.core import LinExpr, cond_entropy, mutual_info
 from infoineq.parser import (ParseError, format_clause, format_constraint, format_expr,
-                             parse_constraint, parse_expr, scan_variables)
+                             parse_constraint, parse_expr)
 
 from conftest import lin_exprs
 
@@ -160,7 +160,9 @@ class TestConstraints:
         assert clause.consequents[0] == parse_expr("H(XY) - 2/3*H(XYZ)", XYZ)
 
     def test_variables_inferred_alphabetically(self):
-        assert scan_variables("I(C;D|A) + I(A;B) >= 0") == ["A", "B", "C", "D"]
+        text = "I(C;D|A) + I(A;B) >= 0"
+        assert parse_constraint(text) == parse_constraint(text, ["A", "B", "C", "D"])
+        assert parse_constraint(text) != parse_constraint(text, ["D", "C", "B", "A"])
 
     def test_comments_ignored(self):
         c = parse_constraint("# leading note\nH(X) >= 0  # trailing\n")

@@ -5,7 +5,8 @@ from __future__ import annotations
 
 import pytest
 
-from infoineq.distributions import enumerate_distributions
+from infoineq.core import LogLinValue
+from infoineq.distributions import Distribution, enumerate_distributions
 from infoineq.recognizer import CandidateRepr, check_candidate
 from infoineq.shannon import elemental
 
@@ -33,6 +34,8 @@ XOR = ("X 2 1 1\nY 2 1 1\nZ 2 1 1\n"
 TRIT_AND_BIT = "X 3 1 1\nY 2 1 1\nXY 6 1 1\n"
 HALF_BIT = "X 2 1 2\n"  # h(X) = 1/2 bit
 THREE_OUTCOMES = "X 2 1 1\nY 2 1 1\nXY 3 1 1\n"  # h(XY) = log2(3)
+TRITS = ("X 3 1 1\nY 3 1 1\nZ 3 1 1\n"
+         "XY 9 1 1\nXZ 9 1 1\nYZ 9 1 1\nXYZ 27 1 1\n")
 
 
 @pytest.mark.parametrize("text,budget", [
@@ -79,6 +82,27 @@ def test_inconclusive_outside_the_budget():
     # two fair bits whose pair carries log2(3) bits: no pmf in the budget
     repr_ = candidate(THREE_OUTCOMES)
     assert check_candidate(repr_, elemental(2), 2, 2).verdict == "inconclusive"
+
+
+def test_each_pmf_builds_one_entropy_per_sign(monkeypatch):
+    """A pmf is dropped at its first mismatching mask, so the walk builds
+    no entropy that no sign comparison reads."""
+    calls = {"entropy": 0, "sign": 0}
+    entropy, sign = Distribution.entropy, LogLinValue.sign
+
+    def counted_entropy(dist, mask):
+        calls["entropy"] += 1
+        return entropy(dist, mask)
+
+    def counted_sign(value):
+        calls["sign"] += 1
+        return sign(value)
+
+    monkeypatch.setattr(Distribution, "entropy", counted_entropy)
+    monkeypatch.setattr(LogLinValue, "sign", counted_sign)
+    # h(S) = |S| log2 3, three independent uniform trits: no binary pmf
+    assert check_candidate(candidate(TRITS), elemental(3), 2, 8).verdict == "inconclusive"
+    assert 0 < calls["entropy"] <= calls["sign"]
 
 
 def test_generator_count_must_match():

@@ -8,6 +8,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -20,7 +21,8 @@ from infoineq.distributions import (Distribution, enumerate_distributions, pmf_s
 from infoineq.models import enumerate_systems
 from infoineq.parser import parse_constraint, parse_expr
 from infoineq.refuter import (DISTRIBUTION, VECTOR_SPACE, Budget, ProfileScan,
-                              RefutationResult, refute, refute_parallel, violation)
+                              RefutationResult, _subspace_bases, refute, refute_parallel,
+                              violation)
 
 from conftest import lin_exprs
 
@@ -116,6 +118,20 @@ def test_matus_k1_is_refuted():
     assert result.counterexample.distribution == Distribution.make((2, 2, 2, 2), {
         (0, 0, 1, 1): Fraction(1, 6), (0, 1, 1, 0): Fraction(1, 6),
         (1, 0, 1, 0): Fraction(1, 6), (1, 1, 0, 0): Fraction(1, 2)})
+
+
+@pytest.mark.parametrize("q,dim", [(2, 1), (2, 3), (3, 2), (5, 2)])
+def test_subspace_bases_count_the_combinations_listed(q, dim):
+    tried = sum(comb(q ** d - 1, r) for d in range(1, dim + 1) for r in range(1, d + 1))
+    assert _subspace_bases((q,), dim) == tried
+    assert Budget.parse(f"vsdim={dim},vsq={q}").vs_max_dim == dim
+
+
+@pytest.mark.parametrize("text", ["vsdim=1,vsq=2305843009213693951",
+                                  "vsdim=1000000000,vsq=2", "vsdim=5,vsq=2", "vsdim=2,vsq=2,31"])
+def test_subspace_budget_is_bounded_before_the_stream_is_built(text):
+    with pytest.raises(ValueError, match="candidate subspace bases"):
+        Budget.parse(text)
 
 
 @pytest.mark.parametrize("name", ["false_ci_weakening", "agm_triangle", "false_max_nonneg"])

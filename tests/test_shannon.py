@@ -210,7 +210,8 @@ class TestClassify:
     def test_unbalanced_expression_has_slack(self, gens3):
         t = classify_tight(parse_expr("3*H(X) - 4*H(YZ)", XYZ), gens3)
         assert t.verdict == SLACK
-        assert t.witness.modular.weights == (F(1), F(0), F(0))
+        # the modular LP's witness: least total weight with c.h >= 1
+        assert t.witness.modular.weights == (F(1, 3), F(0), F(0))
 
     def test_zero_is_tight(self, gens3):
         assert classify_tight(LinExpr.zero(3), gens3).verdict == TIGHT
