@@ -51,10 +51,6 @@ class ModularVector:
         return EntropicCandidate(self.n, tuple(values))
 
 
-def modular(weights: Sequence) -> EntropicCandidate:
-    return ModularVector.make(weights).candidate()
-
-
 # ---------------------------------------------------------------------------
 # GF(q) linear algebra
 # ---------------------------------------------------------------------------

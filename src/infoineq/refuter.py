@@ -53,6 +53,9 @@ VECTOR_SPACE = "vector-space"
 # `models.all_subspaces` runs one rank reduction per candidate basis, 12-35
 # us each on a 2-core VM, so this cap allows about 1-4 s of subspace listing
 MAX_SUBSPACE_BASES = 100_000
+# `violation` checks one subspace system in 0.25-0.31 ms at n=4 on a 2-core
+# VM, so this cap allows about 3 s of the system stream per `refute`
+MAX_SUBSPACE_SYSTEMS = 10_000
 
 
 @dataclass(frozen=True)
@@ -125,6 +128,32 @@ def _subspace_bases(primes: tuple[int, ...], max_dim: int) -> int:
             if total > MAX_SUBSPACE_BASES:
                 return total
     return total
+
+
+def _subspace_systems(n: int, budget: Budget) -> int:
+    """The length of `models.enumerate_systems(n, ...)` at this budget:
+    (subspaces of GF(q)^d)^n summed over the primes q and d <= vsdim, where
+    GF(q)^d has sum_k [d choose k]_q subspaces (Gaussian binomials)."""
+    total = 0
+    for q in budget.vs_primes:
+        for d in range(1, budget.vs_max_dim + 1):
+            subspaces = 0
+            for k in range(d + 1):
+                num = den = 1
+                for i in range(k):
+                    num *= q ** (d - i) - 1
+                    den *= q ** (i + 1) - 1
+                subspaces += num // den
+            total += subspaces ** n
+    return total
+
+
+def _check_systems(n: int, budget: Budget) -> None:
+    systems = _subspace_systems(n, budget)
+    if systems > MAX_SUBSPACE_SYSTEMS:
+        raise ValueError(f"budget vsdim={budget.vs_max_dim},vsq="
+                         f"{','.join(map(str, budget.vs_primes))} streams {systems} subspace "
+                         f"systems for {n} variables, more than {MAX_SUBSPACE_SYSTEMS}")
 
 
 @dataclass(frozen=True)
@@ -368,8 +397,10 @@ def _as_constraint(target) -> BooleanConstraint:
 
 
 def refute(target, budget: Budget) -> RefutationResult:
-    """First canonical counterexample within the budget, or not-found."""
+    """First canonical counterexample within the budget, or not-found.
+    ValueError when the budget's subspace system stream is over its cap."""
     constraint = _as_constraint(target)
+    _check_systems(constraint.n, budget)
     scan = ProfileScan(constraint, budget.max_denominator)
     for index, kind, obj in candidate_stream(constraint.n, budget):
         if kind is None:
@@ -407,6 +438,7 @@ def refute_parallel(target, budget: Budget, workers: int = 1,
     constraint = _as_constraint(target)
     if workers <= 1:
         return refute(constraint, budget)
+    _check_systems(constraint.n, budget)
     from concurrent.futures import ProcessPoolExecutor  # only pools pay its import
     stream = candidate_stream(constraint.n, budget)
     seen: set = set()

@@ -1,27 +1,30 @@
-"""Exact rational linear programming via two-phase simplex with Bland's
-rule.
+"""Exact rational linear programming: a two-phase revised simplex with
+Bland's rule, which terminates even on degenerate problems.
 
-Problems are given in standard form:  minimize c.x  subject to A x = b,
-x >= 0.  There is no floating point anywhere, so feasibility answers are
-exact and every solution vector can be re-verified by plain arithmetic.
-Bland's pivoting rule guarantees termination even on degenerate problems.
+Problems are given in standard form: minimize c.x subject to A x = b,
+x >= 0.  No floating point is used, so answers are exact and every
+solution can be re-verified by plain arithmetic.
 
-The tableau is held in integers.  Each constraint row is a positive
-integer multiple of the rational tableau row B^-1 [A | I | b]: at set-up
-a row is scaled by the lcm of its denominators, and after every update it
-is divided by the gcd of its entries.  The artificial columns share their
-row's scale, so their entry in row i starts at that scale, not at 1.  The
-reduced costs are one more such row, pivoted with the others.  A pivot
-on a positive entry p replaces every other row r by r*p - r[col]*pivot_row,
-a positive multiple of the rational update, so no sign ever changes;
-driving an artificial out of the basis may meet a negative entry, and
-then the pivot row (whose right-hand side is 0) is negated first.
+Each row of [A | b] is scaled to integers (negated when b_i < 0) to give
+[Â | b̂]; Â is held as sparse columns of (row, value) items, and phase 1's
+artificial k is the column scales[k]·e_k.  Instead of the tableau
+B^-1 [Â | b̂] the solver keeps the block R: row i is a positive integer
+multiple of row i of [B^-1 | B^-1 b̂], made primitive after each update,
+so R_i . Â_j is a positive multiple of a tableau entry.  The reduced costs
+are (s, y) with s > 0 and d_j = s*c_j - y . Â_j; pricing stops at the first
+negative d_j, Bland's entering column.  A pivot on the positive entry p in
+row r replaces every other row R_i with entry f by p*R_i - f*R_r, and
+(s, y) by (s*p, p*y + d*R_r).  An artificial driven out of the basis may
+leave on a negative entry; its row's right-hand side is 0, so that row is
+negated first.
 
-Bland's rule reads only signs of reduced costs and entries, and the
-ratio test compares ratios, which cross-multiplication decides exactly;
-none of these changes under positive row scaling.  So the integer
-tableau takes exactly the pivots of the rational one and returns the
-same vertex, recovered at the end as x[B_i] = rhs_i / row_i[B_i].
+These are the dense rational tableau's pivots: Bland's rule reads only
+signs of reduced costs and entries, the ratio test compares ratios by
+cross-multiplication, and positive row scaling changes neither.  Every
+quantity above is a positive multiple of its rational counterpart, whatever
+multiple the gcd step leaves, so the pivots and the vertex
+x[B_i] = R_i[-1] / (R_i . Â_{B_i}) are those of the `Fraction` tableau that
+`tests/test_simplex.py` keeps as the reference.
 """
 from __future__ import annotations
 
@@ -45,68 +48,74 @@ def _primitive(line: list[int]) -> list[int]:
     return [v // g for v in line] if g > 1 else line
 
 
-def _pivot(tableau: list[list[int]], basis: list[int], row: int, col: int) -> None:
-    """Pivot on tableau[row][col], which must be positive.  Every line of
-    the tableau other than `row` is updated, including an objective row
-    kept after the constraint rows."""
-    pivot_row = tableau[row]
-    p = pivot_row[col]
-    # pivot rows are sparse: beyond the scaling by p, only their nonzero
-    # columns change
+def _dot(line: list[int], col: list[tuple[int, int]]) -> int:
+    return sum(line[k] * v for k, v in col)
+
+
+def _entries(rows: list[list[int]], col: list[tuple[int, int]]) -> list[int]:
+    """The column B^-1 Â_j, row i scaled as rows[i] is."""
+    entries = [0] * len(rows)
+    for k, v in col:
+        entries = [e + line[k] * v for e, line in zip(entries, rows)]
+    return entries
+
+
+def _exchange(rows: list[list[int]], basis: list[int], entries: list[int],
+              row: int, col: int) -> None:
+    """Make `col`, whose column is `entries`, basic in `row`, where its entry
+    must be positive: every other row with a nonzero entry is updated."""
+    pivot_row = rows[row]
+    p = entries[row]
     nonzero = [(j, v) for j, v in enumerate(pivot_row) if v]
-    for r, line in enumerate(tableau):
-        f = line[col]
+    for r, f in enumerate(entries):
         if f and r != row:
-            new = [a * p for a in line] if p != 1 else line[:]
+            # (p*R_r - f*R_row) / p when p divides f: the same primitive row
+            if f % p:
+                new = [a * p for a in rows[r]]
+            else:
+                new, f = rows[r][:], f // p
             for j, v in nonzero:
                 new[j] -= f * v
-            tableau[r] = _primitive(new)
+            rows[r] = _primitive(new)
     basis[row] = col
 
 
-def _objective_row(tableau: list[list[int]], basis: list[int], cost: list[int]) -> list[int]:
-    """A positive multiple of the reduced-cost row cost - sum_i cost[B_i] T_i
-    (rational rows T_i = tableau[i] / tableau[i][B_i]), for integer costs
-    with a 0 in the right-hand-side column."""
-    scale = lcm(*(line[b] for b, line in zip(basis, tableau) if cost[b]))
-    obj = [scale * v for v in cost]
-    for b, line in zip(basis, tableau):
-        if cost[b]:
-            f = cost[b] * (scale // line[b])
-            obj = [o - f * v for o, v in zip(obj, line)]
-    return _primitive(obj)
-
-
-def _run_simplex(tableau: list[list[int]], basis: list[int]) -> bool:
-    """Minimize in place; the last line of `tableau` is the objective row.
-    False when the objective is unbounded below.
-
-    Bland's rule: the entering column is the lowest-index one with a
-    negative reduced cost; the leaving row is the lowest-basis-index
-    among the minimum-ratio rows.  Columns absent from the tableau (the
-    artificials in phase 2) never enter.
-    """
-    rows = range(len(basis))
+def _minimize(rows: list[list[int]], basis: list[int], cols: list[list[tuple[int, int]]],
+              cost: list[int]) -> bool:
+    """Minimize in place over the columns `cost` covers; False if unbounded.
+    Bland's rule: the lowest-index column with a negative reduced cost
+    enters; of the minimum-ratio rows, the lowest basis index leaves."""
+    # y = s * c_B B^-1, where row i of B^-1 is R_i / (R_i . Â_{B_i})
+    pivots = {i: _dot(rows[i], cols[bi]) for i, bi in enumerate(basis) if cost[bi]}
+    s = lcm(*pivots.values())
+    y = [0] * (len(rows[0]) - 1 if rows else 0)
+    for i, p in pivots.items():
+        f = cost[basis[i]] * (s // p)
+        y = [u + f * v for u, v in zip(y, rows[i])]
     while True:
-        obj = tableau[-1]
-        entering = next((j for j in range(len(obj) - 1) if obj[j] < 0), -1)
+        entering = -1
+        for j, cj in enumerate(cost):
+            d = s * cj
+            for k, v in cols[j]:
+                d -= y[k] * v
+            if d < 0:
+                entering = j
+                break
         if entering < 0:
             return True
-        leaving = -1
-        for i in rows:
-            line = tableau[i]
-            a = line[entering]
+        entries = _entries(rows, cols[entering])
+        leaving, best_rhs, best_a = -1, 1, 0
+        for i, a in enumerate(entries):
             if a > 0:
-                if leaving < 0:
-                    leaving, best_rhs, best_a = i, line[-1], a
-                    continue
-                # line[-1] / a against best_rhs / best_a, both denominators positive
-                lhs, rhs = line[-1] * best_a, best_rhs * a
+                # rhs / a against best_rhs / best_a (1/0 at first), exactly
+                lhs, rhs = rows[i][-1] * best_a, best_rhs * a
                 if lhs < rhs or (lhs == rhs and basis[i] < basis[leaving]):
-                    leaving, best_rhs, best_a = i, line[-1], a
+                    leaving, best_rhs, best_a = i, rows[i][-1], a
         if leaving < 0:
             return False
-        _pivot(tableau, basis, leaving, entering)
+        p = entries[leaving]
+        s, *y = _primitive([s * p] + [p * u + d * v for u, v in zip(y, rows[leaving])])
+        _exchange(rows, basis, entries, leaving, entering)
 
 
 def solve_lp(a: Sequence[Sequence["int | Fraction"]], b: Sequence["int | Fraction"],
@@ -116,66 +125,55 @@ def solve_lp(a: Sequence[Sequence["int | Fraction"]], b: Sequence["int | Fractio
     `a` is a list of rows.  Entries may be int or Fraction, mixed freely:
     only their numerator and denominator are read, and zero entries are
     skipped while the rows are scaled to integers."""
-    m = len(a)
     n = len(c)
-    if any(len(row) != n for row in a) or len(b) != m:
+    if any(len(row) != n for row in a) or len(b) != len(a):
         raise ValueError("inconsistent LP shapes")
-    # integer rows [A_i | b_i] scaled so that b_i >= 0; identically-zero
-    # rows are dropped (consistent ones only)
-    rows = []
-    scales = []
+    # sparse integer columns of Â, and b̂ >= 0; consistent zero rows are dropped
+    cols: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    rhs, scales = [], []
     for row, bi in zip(a, b):
         if not any(row):
             if bi != 0:
                 return LPResult("infeasible", (), ZERO)
             continue
-        line = list(row) + [bi]
-        scale = lcm(*(v.denominator for v in line if v))
+        scale = lcm(bi.denominator, *(v.denominator for v in row if v))
         signed = -scale if bi < 0 else scale
-        rows.append([signed // v.denominator * v.numerator if v else 0 for v in line])
+        i = len(rhs)
+        for j, v in enumerate(row):
+            if v:
+                cols[j].append((i, signed // v.denominator * v.numerator))
+        rhs.append(signed // bi.denominator * bi.numerator)
         scales.append(scale)
-    m = len(rows)
-    if m == 0:
-        # no constraint binds x >= 0: x = 0 is optimal unless a cost is negative
-        if any(v < 0 for v in c):
-            return LPResult("unbounded", (), ZERO)
-        return LPResult("optimal", tuple(ZERO for _ in range(n)), ZERO)
-
-    # phase 1: minimize the artificial total from the all-artificial basis;
-    # artificial i has entry scales[i] in row i, the row's own scale
-    tableau = [line[:n] + [scales[i] if k == i else 0 for k in range(m)] + line[n:]
-               for i, line in enumerate(rows)]
+    m = len(rhs)
+    # phase 1 from the all-artificial basis: B^-1 = diag(1 / scales), R = [I | b̂]
+    cols += [[(k, scales[k])] for k in range(m)]
+    rows = [[int(k == i) for k in range(m)] + [rhs[i]] for i in range(m)]
     basis = [n + i for i in range(m)]
-    tableau.append(_objective_row(tableau, basis, [0] * n + [1] * m + [0]))
-    _run_simplex(tableau, basis)  # bounded below by 0
-    tableau.pop()
-    art = sum((Fraction(line[-1], line[bi]) for bi, line in zip(basis, tableau) if bi >= n),
-              ZERO)
+    _minimize(rows, basis, cols, [0] * n + [1] * m)  # bounded below by 0
+    art = sum((Fraction(line[-1], _dot(line, cols[bi]))
+               for bi, line in zip(basis, rows) if bi >= n), ZERO)
     if art != 0:
         return LPResult("infeasible", (), art)
-    # drive remaining artificials out of the basis where possible; such a
-    # row's right-hand side is 0, so negating it keeps the tableau valid
+    # drive artificials out where possible; their rows' right-hand sides are 0
     for i in range(m):
         if basis[i] >= n:
-            line = tableau[i]
-            pivot_col = next((j for j in range(n) if line[j]), None)
+            line = rows[i]
+            pivot_col = next((j for j in range(n) if _dot(line, cols[j])), None)
             if pivot_col is not None:
-                if line[pivot_col] < 0:
-                    tableau[i] = [-v for v in line]
-                _pivot(tableau, basis, i, pivot_col)
-    # drop rows still ruled by an artificial (redundant constraints), then
-    # the artificial columns, which never enter in phase 2
+                entries = _entries(rows, cols[pivot_col])
+                if entries[i] < 0:
+                    rows[i] = [-v for v in line]
+                    entries[i] = -entries[i]
+                _exchange(rows, basis, entries, i, pivot_col)
+    # drop rows still ruled by an artificial (redundant); phase 2 prices j < n
     keep = [i for i in range(m) if basis[i] < n]
-    tableau = [_primitive(tableau[i][:n] + tableau[i][-1:]) for i in keep]
+    rows = [rows[i] for i in keep]
     basis = [basis[i] for i in keep]
-
     cost_scale = lcm(*(v.denominator for v in c))
-    cost = [cost_scale // v.denominator * v.numerator for v in c] + [0]
-    tableau.append(_objective_row(tableau, basis, cost))
-    if not _run_simplex(tableau, basis):
+    if not _minimize(rows, basis, cols, [cost_scale // v.denominator * v.numerator for v in c]):
         return LPResult("unbounded", (), ZERO)
     x = [ZERO] * n
-    for bi, line in zip(basis, tableau):
-        x[bi] = Fraction(line[-1], line[bi])
+    for bi, line in zip(basis, rows):
+        x[bi] = Fraction(line[-1], _dot(line, cols[bi]))
     obj = sum((Fraction(cj) * xj for cj, xj in zip(c, x) if cj != 0), ZERO)
     return LPResult("optimal", tuple(x), obj)

@@ -174,6 +174,11 @@ EXACT_ERRORS = {
         "budget vsdim=2,vsq=31 needs more than 100000 candidate subspace bases",
     (("recognize", "--file", "{path}", "--budget", "s=2,D=2,vsdim=2,vsq=2"), "X 2 1 1\n"):
         "recognize searches distributions only: its budget takes s and D, not vsdim or vsq",
+    # 90^4 systems of subspaces for 4 variables: about 1.4 h of `violation` calls
+    (("refute", "--file", "{path}", "--budget", "s=1,D=1,vsdim=4,vsq=2"),
+     "H(XY) + H(YZ) + H(ZU) + H(X|YU) + H(U|XZ) >= 2*H(XYZU)\n"):
+        "budget vsdim=4,vsq=2 streams 20217298 subspace systems for 4 variables, "
+        "more than 10000",
 }
 
 

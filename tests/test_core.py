@@ -16,7 +16,7 @@ from infoineq.core import (BooleanConstraint, Clause, EntropicCandidate, LinExpr
                            LogLinValue, VarSet, _factor_cached, cond_entropy, entropy_of,
                            full_set, is_prime, mutual_info, prime_sum_sign)
 from infoineq.distributions import Distribution
-from infoineq.models import modular
+from infoineq.models import ModularVector
 from infoineq.refuter import DISTRIBUTION, Budget, refute, violation
 
 from conftest import lin_exprs, log_lin_values, small_rationals
@@ -94,7 +94,8 @@ class TestSign:
 
 class TestEval:
     def test_independent_bits_additivity(self):
-        h = modular([1, 1])  # independent fair bits have this entropic vector
+        # independent fair bits have this entropic vector
+        h = ModularVector.make([1, 1]).candidate()
         expr = entropy_of(2, 3) - entropy_of(2, 1) - entropy_of(2, 2)
         assert expr.eval(h).sign() == 0
 
@@ -122,7 +123,7 @@ class TestEval:
     @given(lin_exprs(3), lin_exprs(3), st.lists(small_rationals.filter(lambda q: q >= 0),
                                                 min_size=3, max_size=3))
     def test_eval_is_linear(self, c1, c2, weights):
-        h = modular(weights)
+        h = ModularVector.make(weights).candidate()
         lhs = (c1 + c2).eval(h)
         rhs = c1.eval(h) + c2.eval(h)
         assert (lhs - rhs).sign() == 0
@@ -131,7 +132,7 @@ class TestEval:
     @given(lin_exprs(3), st.integers(min_value=1, max_value=9),
            st.lists(small_rationals.filter(lambda q: q >= 0), min_size=3, max_size=3))
     def test_positive_scaling_preserves_sign(self, c, k, weights):
-        h = modular(weights)
+        h = ModularVector.make(weights).candidate()
         q = Fraction(k, 4)
         assert c.scale(q).eval(h).sign() == c.eval(h).sign()
 

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 from infoineq.core import entropy_of, mutual_info
 from infoineq.models import (ModularVector, VectorSpaceSystem, all_subspaces,
-                             enumerate_systems, modular, random_system,
-                             rank_mod, rref_mod)
+                             enumerate_systems, random_system, rank_mod, rref_mod)
 from infoineq.parser import parse_expr
 from infoineq.shannon import elemental
 
@@ -20,7 +19,7 @@ F = Fraction
 
 class TestModular:
     def test_basic_modular_values(self):
-        h = modular([1, 0, 0])  # weight on X
+        h = ModularVector.make([1, 0, 0]).candidate()  # weight on X
         assert h.value(1).as_rational() == 1   # h(X)
         assert h.value(2).as_rational() == 0   # h(Y)
         assert h.value(4).as_rational() == 0   # h(Z)
@@ -28,7 +27,7 @@ class TestModular:
 
     def test_weighted_combination_on_conditional_antecedents(self):
         # weights (2, 0, 1): both slack antecedents evaluate to exactly 1
-        h = modular([2, 0, 1])
+        h = ModularVector.make([2, 0, 1]).candidate()
         a1 = parse_expr("H(XYZ) + H(X) - 2*H(XY)", ["X", "Y", "Z"])
         a2 = parse_expr("H(XYZ) + H(Y) - 2*H(YZ)", ["X", "Y", "Z"])
         assert a1.eval(h).as_rational() == 1  # 3 + 2 - 4
@@ -36,7 +35,7 @@ class TestModular:
         assert h.value(7).as_rational() == 3
 
     def test_zero_weights_zero_vector(self):
-        h = modular([0, 0, 0])
+        h = ModularVector.make([0, 0, 0]).candidate()
         assert all(h.value(m).is_zero() for m in range(8))
 
     def test_negative_weight_rejected(self):

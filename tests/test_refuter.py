@@ -21,8 +21,8 @@ from infoineq.distributions import (Distribution, enumerate_distributions, pmf_s
 from infoineq.models import enumerate_systems
 from infoineq.parser import parse_constraint, parse_expr
 from infoineq.refuter import (DISTRIBUTION, VECTOR_SPACE, Budget, ProfileScan,
-                              RefutationResult, _subspace_bases, refute, refute_parallel,
-                              violation)
+                              RefutationResult, _subspace_bases, _subspace_systems, refute,
+                              refute_parallel, violation)
 
 from conftest import lin_exprs
 
@@ -125,6 +125,12 @@ def test_subspace_bases_count_the_combinations_listed(q, dim):
     tried = sum(comb(q ** d - 1, r) for d in range(1, dim + 1) for r in range(1, d + 1))
     assert _subspace_bases((q,), dim) == tried
     assert Budget.parse(f"vsdim={dim},vsq={q}").vs_max_dim == dim
+
+
+@pytest.mark.parametrize("n,primes,dim", [(1, (2,), 3), (2, (2, 3), 2), (3, (5,), 1), (3, (2,), 2)])
+def test_subspace_systems_count_the_stream(n, primes, dim):
+    streamed = sum(1 for _ in enumerate_systems(n, primes, dim))
+    assert _subspace_systems(n, Budget(1, 1, primes, dim)) == streamed
 
 
 @pytest.mark.parametrize("text", ["vsdim=1,vsq=2305843009213693951",

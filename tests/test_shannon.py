@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from infoineq import shannon
 from infoineq.core import LinExpr, VarSet, cond_entropy, entropy_of, full_set, mutual_info
-from infoineq.models import modular
 from infoineq.parser import default_names, parse_expr
 from infoineq.shannon import (MONOTONICITY, SLACK, SUBMODULARITY, TIGHT, UNKNOWN, Generator,
                               ProofCertificate, classify_tight, elemental, joint_slack, prove,

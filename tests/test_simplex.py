@@ -1,10 +1,12 @@
 """Exact LP: feasibility, optima, and certified infeasibility.
 
-The integer tableau must take exactly the pivots of the rational one, so
-the differential tests compare the whole `LPResult` (status, vertex,
-objective) with the `Fraction` tableau kept here as the reference."""
+The revised integer simplex must take exactly the pivots of the rational
+tableau, so the differential tests compare the whole `LPResult` (status,
+vertex, objective) with the `Fraction` tableau kept here as the reference."""
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 from math import lcm
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 
 from infoineq import shannon
 from infoineq.core import LinExpr, mutual_info
-from infoineq.shannon import elemental, prove
+from infoineq.shannon import elemental, prove, verify
 from infoineq.simplex import LPResult, solve_lp
 
 F = Fraction
@@ -49,8 +51,9 @@ class _ReferenceUnbounded(Exception):
     pass
 
 
-def _reference_simplex(tableau, basis, cost, allowed):
-    """Bland's rule with every reduced cost recomputed per pivot."""
+def _reference_simplex(tableau, basis, cost, allowed, pivots):
+    """Bland's rule with every reduced cost recomputed per pivot; each
+    pivot's entering column is appended to `pivots`."""
     m = len(tableau)
     width = len(tableau[0])
     while True:
@@ -83,9 +86,13 @@ def _reference_simplex(tableau, basis, cost, allowed):
         if leaving < 0:
             raise _ReferenceUnbounded()
         _reference_pivot(tableau, basis, leaving, entering)
+        pivots.append(entering)
 
 
-def reference_solve_lp(a, b, c) -> LPResult:
+def reference_solve_lp(a, b, c, paths=None) -> LPResult:
+    """The two-phase simplex on a `Fraction` tableau.  `paths`, when given,
+    collects the names of the rarer paths the solve takes (`RISKY_PATHS`)."""
+    paths = set() if paths is None else paths
     n = len(c)
     rows, rhs = [], []
     for row, bi in zip(a, b):
@@ -94,6 +101,8 @@ def reference_solve_lp(a, b, c) -> LPResult:
                 return LPResult("infeasible", (), Z)
             continue
         if bi < 0:
+            if any(F(v).denominator > 1 for v in row):
+                paths.add("fraction-entries-negative-b")
             rows.append([-v for v in row])
             rhs.append(-bi)
         else:
@@ -106,21 +115,30 @@ def reference_solve_lp(a, b, c) -> LPResult:
         return LPResult("optimal", tuple(Z for _ in range(n)), Z)
     tableau = [rows[i] + [F(j == i) for j in range(m)] + [rhs[i]] for i in range(m)]
     basis = [n + i for i in range(m)]
-    art = _reference_simplex(tableau, basis, [Z] * n + [F(1)] * m + [Z], n + m)
+    art = _reference_simplex(tableau, basis, [Z] * n + [F(1)] * m + [Z], n + m, [])
     if art != 0:
         return LPResult("infeasible", (), art)
     for i in range(m):
         if basis[i] >= n:
             pivot_col = next((j for j in range(n) if tableau[i][j] != 0), None)
             if pivot_col is not None:
+                if tableau[i][pivot_col] < 0:
+                    paths.add("drive-out-on-negative-entry")
                 _reference_pivot(tableau, basis, i, pivot_col)
     keep = [i for i in range(m) if basis[i] < n]
+    if len(keep) < m:
+        paths.add("redundant-row")
     tableau = [tableau[i] for i in keep]
     basis = [basis[i] for i in keep]
+    pivots = []
     try:
-        obj = _reference_simplex(tableau, basis, [F(v) for v in c] + [Z] * m + [Z], n)
+        obj = _reference_simplex(tableau, basis, [F(v) for v in c] + [Z] * m + [Z], n, pivots)
     except _ReferenceUnbounded:
+        paths.add("phase-2-unbounded")
         return LPResult("unbounded", (), Z)
+    finally:
+        if pivots:
+            paths.add("phase-2-pivot")
     x = [Z] * n
     for i, bi in enumerate(basis):
         x[bi] = tableau[i][-1]
@@ -276,20 +294,57 @@ def test_random_lps_reach_every_status():
     assert statuses == {"optimal", "infeasible", "unbounded"}
 
 
+RISKY_PATHS = {"fraction-entries-negative-b", "redundant-row", "drive-out-on-negative-entry",
+               "phase-2-pivot", "phase-2-unbounded"}
+
+
+def test_random_lps_reach_every_risky_path():
+    paths = set()
+    for seed in range(200):
+        reference_solve_lp(*random_lp(random.Random(seed)), paths)
+    assert paths == RISKY_PATHS
+
+
+# one LP per risky path, each of which also pivots in phase 2 on nonzero
+# costs; `test_matches_fraction_tableau_when_an_artificial_leaves_on_a_negative_entry`
+# covers the drive-out path
+RISKY_LPS = {
+    # b_0 < 0 flips the first row's signs; the rows' scales are 30 and 12
+    "fraction-entries-negative-b": ([[F(-1, 2), F(1, 3), F(-2, 5)], [F(3, 4), F(-1), F(1, 6)]],
+                                    [F(-1, 2), F(1, 3)], [F(1), F(2), F(1, 2)]),
+    # the second row is twice the first: its artificial stays basic at 0,
+    # no column can drive it out, and the row is dropped before phase 2
+    "redundant-row": ([[1, 1, 1, 0], [2, 2, 2, 0], [0, 1, 0, 1]], [4, 8, 1], [3, 0, 1, -1]),
+    # phase 2 brings in x1 for x0, then x2 has a negative reduced cost and
+    # no positive entry
+    "phase-2-unbounded": ([[1, 1, -1]], [1], [1, 0, -1]),
+}
+
+
+@pytest.mark.parametrize("path", sorted(RISKY_LPS))
+def test_matches_fraction_tableau_on_risky_path(path):
+    a, b, c = RISKY_LPS[path]
+    paths = set()
+    assert solve_lp(a, b, c) == reference_solve_lp(a, b, c, paths)
+    assert {path, "phase-2-pivot"} <= paths
+
+
 def test_matches_fraction_tableau_on_cycling_prone_lp():
     assert solve_lp(CYCLING_A, CYCLING_B, CYCLING_C) == \
         reference_solve_lp(CYCLING_A, CYCLING_B, CYCLING_C)
 
 
 def test_matches_fraction_tableau_when_an_artificial_leaves_on_a_negative_entry():
-    # phase 1 ends with the second artificial basic at 0; its row's first
+    # phase 1 ends with the second artificial basic at 0; its row's only
     # nonzero entry is -1/3, and phase 2 then moves on to another vertex
-    a = [[F(1), F(1), F(1, 2)], [F(-1, 3), Z, F(1)]]
+    a = [[F(1), F(1), F(1, 2)], [F(-1, 3), Z, Z]]
     b = [F(1), Z]
     c = [F(1), F(2), F(-1)]
     res = solve_lp(a, b, c)
-    assert res == reference_solve_lp(a, b, c)
-    assert res == LPResult("optimal", (F(6, 7), Z, F(2, 7)), F(4, 7))
+    paths = set()
+    assert res == reference_solve_lp(a, b, c, paths)
+    assert paths == {"drive-out-on-negative-entry", "phase-2-pivot"}
+    assert res == LPResult("optimal", (Z, Z, F(2)), F(-2))
 
 
 def test_matches_fraction_tableau_on_a_ratio_test_tie():
@@ -301,6 +356,28 @@ def test_matches_fraction_tableau_on_a_ratio_test_tie():
     res = solve_lp(a, b, c)
     assert res == reference_solve_lp(a, b, c)
     assert res == LPResult("optimal", (Z, F(3), Z, F(3)), Z)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_phase_2_removes_antecedent_use(monkeypatch, n):
+    # the target is its own antecedent, which phase 1 puts in the basis;
+    # phase 2 prices the antecedent columns at cost 1 and pivots them out
+    lps = []
+
+    def recording(a, b, c):
+        lps.append((a, b, c))
+        return solve_lp(a, b, c)
+
+    monkeypatch.setattr(shannon, "solve_lp", recording)
+    target = mutual_info(n, 1, 6, 0)
+    antecedents = (target, mutual_info(n, 1, 2, 0))
+    cert = prove(target, elemental(n), antecedents, minimize_antecedent_use=True)
+    assert cert.antecedent_multipliers == (Z, Z)
+    assert verify(cert, target, elemental(n), antecedents)
+    (a, b, c), = lps
+    paths = set()
+    assert solve_lp(a, b, c) == reference_solve_lp(a, b, c, paths)
+    assert "phase-2-pivot" in paths
 
 
 def prove_cases(n: int):
@@ -335,3 +412,25 @@ def test_matches_fraction_tableau_on_prove_lps(monkeypatch, n):
     assert len(lps) == 4 and any(any(c) for _, _, c in lps)
     for a, b, c in lps:
         assert solve_lp(a, b, c) == reference_solve_lp(a, b, c)
+
+
+def random_target(gens, seed: int, terms: int = 12) -> LinExpr:
+    """A positive combination of `terms` generators drawn by the seed."""
+    rng = random.Random(seed)
+    target = LinExpr(gens.n, ())
+    for g in rng.sample(gens.generators, terms):
+        target = target + g.expr.scale(F(rng.randint(1, 6), rng.randint(1, 3)))
+    return target
+
+
+def test_n7_prove_and_its_negation():
+    # 127 rows and 679 columns: 2-3 s for the feasible LP, which takes
+    # 2,345 pivots; the digest pins the certificate's exact bytes
+    gens = elemental(7)
+    target = random_target(gens, 1)
+    cert = prove(target, gens)
+    assert cert is not None and verify(cert, target, gens)
+    assert len(cert.nonzero_generators(gens)) == 13
+    text = json.dumps(cert.to_json(gens), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "bc51b371705938a8"
+    assert prove(-target, gens) is None
