@@ -9,6 +9,11 @@ human-readable digest).  Exit codes:
     2  inconclusive or budget exhausted
     3  usage or input error
 
+``main`` parses argv with the parser of the subcommand it names, built
+once per process; the whole tree (`build_parser`) is built only for
+top-level help, a missing or unknown subcommand, or arguments the
+subcommand leaves over, so its usage and error text stay the same.
+
 Every clause decision goes through `decide_clause`, which runs an
 ordered list of stages until one concludes, over the clause's antecedents
 without the provably valid ones (`decide_constraint` drops those once per
@@ -436,57 +441,43 @@ def cmd_check_dist(args) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argparse tree, built on the first call and shared by every
-    later one in the process.  Commands must not mutate the list-valued
-    fields of their namespace: argparse hands out the `default=[]`
-    objects themselves."""
-    parser = argparse.ArgumentParser(
-        prog="infoineq",
-        description="prove, refute, and transform Boolean constraints on entropic vectors")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--text", action="store_true", help="human-readable output")
-        p.add_argument("--json", dest="text", action="store_false", help="JSON output (default)")
-
-    def budget(p):
+def _common(p, budget: bool = False, workers: bool = False):
+    p.add_argument("--text", action="store_true", help="human-readable output")
+    p.add_argument("--json", dest="text", action="store_false", help="JSON output (default)")
+    if budget:
         p.add_argument("--budget", default="s=2,D=4",
                        help="search budget, e.g. s=3,D=6,vsdim=3,vsq=2,3")
-
-    def workers(p):
+    if workers:
         p.add_argument("--workers", type=int, default=1,
                        help="worker processes for the counterexample search")
 
-    p = sub.add_parser("prove", help="prove a constraint file")
-    common(p)
-    budget(p)
-    workers(p)
+
+def _prove_options(p):
+    _common(p, budget=True, workers=True)
     p.add_argument("--file", required=True)
     p.add_argument("--extra-gens", action="append", default=[],
                    help="file of additional valid inequalities; a file the default-budget "
                         "counterexample search falsifies is an input error")
     p.set_defaults(func=cmd_prove)
 
-    p = sub.add_parser("refute", help="search for a counterexample")
-    common(p)
-    budget(p)
-    workers(p)
+
+def _refute_options(p):
+    _common(p, budget=True, workers=True)
     p.add_argument("--file", required=True)
     p.add_argument("--out", help="directory for the counterexample witness file")
     p.set_defaults(func=cmd_refute)
 
-    p = sub.add_parser("reduce", help="run a sub-list of the prove stages and report it")
-    common(p)
-    budget(p)
+
+def _reduce_options(p):
+    _common(p, budget=True)
     p.add_argument("--file", required=True)
     p.add_argument("--regime", choices=["auto", "tight", "slack", "max"], default="auto")
     p.add_argument("--extra-gens", action="append", default=[])
     p.set_defaults(func=cmd_reduce)
 
-    p = sub.add_parser("ci", help="conditional-independence implication tools")
-    common(p)
+
+def _ci_options(p):
+    _common(p)
     p.add_argument("verb", choices=["prove", "falsify", "export"])
     p.add_argument("--vars", required=True, help="variable names, e.g. 'X Y Z'")
     p.add_argument("--ante", action="append", default=[],
@@ -497,20 +488,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--denominator", type=int, default=4, help="probability denominator cap")
     p.set_defaults(func=cmd_ci)
 
-    p = sub.add_parser("recognize", help="recognize a candidate vector file")
-    common(p)
-    budget(p)
+
+def _recognize_options(p):
+    _common(p, budget=True)
     p.add_argument("--file", required=True)
     p.add_argument("--extra-gens", action="append", default=[])
     p.set_defaults(func=cmd_recognize)
 
-    p = sub.add_parser("corpus", help="list or show bundled fixtures")
-    common(p)
+
+def _corpus_options(p):
+    _common(p)
     p.add_argument("--show", help="fixture name to display")
     p.set_defaults(func=cmd_corpus)
 
-    p = sub.add_parser("secret-share", help="emit the information-ratio constraint")
-    common(p)
+
+def _secret_share_options(p):
+    _common(p)
     p.add_argument("--participants", type=int, required=True)
     p.add_argument("--access", required=True,
                    help="qualified sets, e.g. '1,2;1,3' (closed upward automatically)")
@@ -518,18 +511,62 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prove", action="store_true", help="run the tight stage")
     p.set_defaults(func=cmd_secret_share)
 
-    p = sub.add_parser("check-dist", help="entropies of a distribution file")
-    common(p)
+
+def _check_dist_options(p):
+    _common(p)
     p.add_argument("--file", required=True)
     p.add_argument("--constraint", help="optional constraint file to evaluate")
     p.set_defaults(func=cmd_check_dist)
+
+
+# subcommand -> (its help line, the function that declares its options)
+COMMANDS = {
+    "prove": ("prove a constraint file", _prove_options),
+    "refute": ("search for a counterexample", _refute_options),
+    "reduce": ("run a sub-list of the prove stages and report it", _reduce_options),
+    "ci": ("conditional-independence implication tools", _ci_options),
+    "recognize": ("recognize a candidate vector file", _recognize_options),
+    "corpus": ("list or show bundled fixtures", _corpus_options),
+    "secret-share": ("emit the information-ratio constraint", _secret_share_options),
+    "check-dist": ("entropies of a distribution file", _check_dist_options),
+}
+
+
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The whole argparse tree, for top-level help and for usage errors
+    that name no subcommand or leave arguments over.  This parser and
+    each `command_parser` are built once and shared by every later call
+    in the process, so commands must not mutate the list-valued fields
+    of their namespace: argparse hands out the `default=[]` objects
+    themselves."""
+    parser = argparse.ArgumentParser(
+        prog="infoineq",
+        description="prove, refute, and transform Boolean constraints on entropic vectors")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_, add_options) in COMMANDS.items():
+        add_options(sub.add_parser(name, help=help_))
+    return parser
+
+
+@functools.cache
+def command_parser(name: str) -> argparse.ArgumentParser:
+    """One subcommand's parser on its own, with the usage, help and error
+    text of its subparser in `build_parser`."""
+    parser = argparse.ArgumentParser(prog=f"infoineq {name}")
+    COMMANDS[name][1](parser)
     return parser
 
 
 def main(argv: "list[str] | None" = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        if argv and argv[0] in COMMANDS:
+            args, extra = command_parser(argv[0]).parse_known_args(argv[1:])
+            if extra:  # the whole tree reports what is left over
+                args = build_parser().parse_args(argv)
+        else:
+            args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:

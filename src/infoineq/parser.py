@@ -40,6 +40,10 @@ from typing import NamedTuple
 
 from .core import MAX_VARS, BooleanConstraint, Clause, LinExpr, VarSet
 
+# each level of parentheses is three frames of the recursive descent, so
+# a deeper nesting is a parse error rather than a RecursionError
+MAX_PAREN_DEPTH = 64
+
 
 @dataclass(frozen=True)
 class SourceSpan:
@@ -162,6 +166,7 @@ class _Parser:
     def __init__(self, tokens: list[Token], var_names: list[str]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # parentheses open around the current token
         self.vars = list(var_names)
         self.n = len(var_names)
         if self.n < 1:
@@ -239,9 +244,13 @@ class _Parser:
         if tok.kind == "num":
             return self.parse_rational()
         if tok.kind == "(":
+            if self.depth == MAX_PAREN_DEPTH:
+                raise self.error(f"parentheses nested deeper than {MAX_PAREN_DEPTH}")
             self.next()
+            self.depth += 1
             inner = self.parse_sum()
             self.expect(")")
+            self.depth -= 1
             return inner
         if tok.kind == "name" and tok.text == "H" and self.tokens[self.pos + 1].kind == "(":
             # H(Y|X) = h(XY) - h(X)

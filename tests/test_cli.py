@@ -3,6 +3,8 @@ contract, and the corpus verdicts through `cli.main`."""
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -200,6 +202,8 @@ EXACT_ERRORS = {
     (["secret-share", "--participants", "2", "--access", "1", "--ratio", "1/0"], None),
     (["refute", "--file", "{path}", "--budget", "vsq=561"], "H(X) >= 0\n"),  # Carmichael
     *((list(argv), text) for argv, text in EXACT_ERRORS),
+    pytest.param(["prove", "--file", "{path}"], "(" * 330 + "H(X)" + ")" * 330 + " >= 0\n",
+                 id="deep-parentheses"),
 ])
 def test_bad_input_exits_3_without_traceback(capsys, tmp_path, argv, text):
     path = write(tmp_path, text) if text is not None else ""
@@ -265,18 +269,138 @@ def test_extra_generators_are_refuted_before_use(capsys, tmp_path):
 # One argparse tree per process
 # ---------------------------------------------------------------------------
 
+def _clear_parser_caches() -> None:
+    cli.build_parser.cache_clear()
+    cli.command_parser.cache_clear()
+
+
 def test_parser_is_built_once():
+    _clear_parser_caches()
     assert cli.build_parser() is cli.build_parser()
+    assert cli.command_parser("prove") is cli.command_parser("prove")
 
 
-def _list_defaults(parser: argparse.ArgumentParser) -> dict:
-    return {(command, a.dest): a.default for command, sub in _subparsers(parser).items()
-            for a in sub._actions if isinstance(a.default, list)}
+def test_a_command_builds_only_its_own_parser(capsys, monkeypatch):
+    """The first call of a process builds one `ArgumentParser`, the
+    command's own, not the whole tree of nine; the second builds none."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    _clear_parser_caches()
+    argv = ["prove", "--file", str(fixture("agm_triangle").path)]
+    assert run(capsys, *argv)[0] == cli.EXIT_POSITIVE
+    assert built == ["infoineq prove"]
+    assert run(capsys, *argv)[0] == cli.EXIT_POSITIVE
+    assert built == ["infoineq prove"]
+
+
+TREE_USAGE = """\
+usage: infoineq [-h]
+                {prove,refute,reduce,ci,recognize,corpus,secret-share,check-dist}
+                ...
+"""
+PROVE_USAGE = """\
+usage: infoineq prove [-h] [--text] [--json] [--budget BUDGET]
+                      [--workers WORKERS] --file FILE
+                      [--extra-gens EXTRA_GENS]
+"""
+# (exit code, stdout, stderr) of each usage case at 80 columns, as the
+# whole argparse tree printed them before commands had their own parsers
+USAGE_CASES = {
+    (): (3, "", TREE_USAGE + "infoineq: error: the following arguments are required: command\n"),
+    ("-h",): (0, TREE_USAGE + """
+prove, refute, and transform Boolean constraints on entropic vectors
+
+positional arguments:
+  {prove,refute,reduce,ci,recognize,corpus,secret-share,check-dist}
+    prove               prove a constraint file
+    refute              search for a counterexample
+    reduce              run a sub-list of the prove stages and report it
+    ci                  conditional-independence implication tools
+    recognize           recognize a candidate vector file
+    corpus              list or show bundled fixtures
+    secret-share        emit the information-ratio constraint
+    check-dist          entropies of a distribution file
+
+options:
+  -h, --help            show this help message and exit
+""", ""),
+    ("nope",): (3, "", TREE_USAGE + "infoineq: error: argument command: invalid choice: "
+                "'nope' (choose from 'prove', 'refute', 'reduce', 'ci', 'recognize', "
+                "'corpus', 'secret-share', 'check-dist')\n"),
+    ("prove",): (3, "", PROVE_USAGE
+                 + "infoineq prove: error: the following arguments are required: --file\n"),
+    ("prove", "-h"): (0, PROVE_USAGE + """
+options:
+  -h, --help            show this help message and exit
+  --text                human-readable output
+  --json                JSON output (default)
+  --budget BUDGET       search budget, e.g. s=3,D=6,vsdim=3,vsq=2,3
+  --workers WORKERS     worker processes for the counterexample search
+  --file FILE
+  --extra-gens EXTRA_GENS
+                        file of additional valid inequalities; a file the
+                        default-budget counterexample search falsifies is an
+                        input error
+""", ""),
+    ("prove", "--file", "{F}", "--bogus", "1"):
+        (3, "", TREE_USAGE + "infoineq: error: unrecognized arguments: --bogus 1\n"),
+    ("prove", "--file", "{F}", "extra"):
+        (3, "", TREE_USAGE + "infoineq: error: unrecognized arguments: extra\n"),
+    ("ci", "nope", "--vars", "X", "--cons", "X;X"): (3, "", """\
+usage: infoineq ci [-h] [--text] [--json] --vars VARS [--ante ANTE] --cons
+                   CONS [--extra-gens EXTRA_GENS] [--domain DOMAIN]
+                   [--denominator DENOMINATOR]
+                   {prove,falsify,export}
+infoineq ci: error: argument verb: invalid choice: 'nope' (choose from 'prove', 'falsify', 'export')
+"""),
+    ("refute", "--workers", "x", "--file", "{F}"): (3, "", """\
+usage: infoineq refute [-h] [--text] [--json] [--budget BUDGET]
+                       [--workers WORKERS] --file FILE [--out OUT]
+infoineq refute: error: argument --workers: invalid int value: 'x'
+"""),
+}
+
+
+@pytest.mark.parametrize("argv", list(USAGE_CASES))
+def test_usage_text_is_the_whole_trees(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    path = str(fixture("agm_triangle").path)
+    code = cli.main([a.format(F=path) for a in argv])
+    assert (code, *capsys.readouterr()) == USAGE_CASES[argv]
+
+
+def test_option_abbreviations_still_parse(capsys):
+    path = str(fixture("agm_triangle").path)
+    assert cli.main(["prove", "--file", path]) == cli.EXIT_POSITIVE
+    full = capsys.readouterr()
+    assert cli.main(["prove", "--fil", path]) == cli.EXIT_POSITIVE
+    assert capsys.readouterr() == full
+    assert full.err == ""
+
+
+def test_module_entry_point_reads_sys_argv():
+    """`python -m infoineq.cli` (like the console script) calls `main()`
+    without argv, and prints the report that `main(argv)` prints."""
+    path = str(fixture("agm_triangle").path)
+    env = dict(os.environ, PYTHONPATH=str(Path(infoineq.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "infoineq.cli", "prove", "--file", path],
+                          env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (cli.EXIT_POSITIVE, "")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["prove", "--file", path]) == cli.EXIT_POSITIVE
+    assert proc.stdout == out.getvalue()
 
 
 def test_shared_parser_keeps_no_state_between_calls(capsys, tmp_path):
-    """Each call through the shared parser prints what it prints through
-    a fresh one, and no command mutates a list-valued default."""
+    """Each call through the shared parsers prints what it prints through
+    fresh ones, and no command mutates a list-valued default."""
     zy = write(tmp_path, ZHANG_YEUNG, "zy.iic")
     cand = write(tmp_path, "X 2 1 1\n", "cand.txt")
     prove = ["prove", "--file", zy, "--budget", "s=1,D=1"]
@@ -290,7 +414,9 @@ def test_shared_parser_keeps_no_state_between_calls(capsys, tmp_path):
         ["ci", "prove", "--vars", "X Y", "--cons", "X;Y"],
         ["recognize", "--file", cand, "--budget", "s=1,D=1"],
     ]
-    defaults = _list_defaults(cli.build_parser())
+    # the list defaults of the cached parsers that serve the calls below
+    defaults = {(command, a.dest): a.default for command in cli.COMMANDS
+                for a in cli.command_parser(command)._actions if isinstance(a.default, list)}
     assert {dest for _, dest in defaults} == {"extra_gens", "ante"}
     shared = [(cli.main(argv), capsys.readouterr()) for argv in sequence]
     assert [code for code, _ in shared[:3]] == [cli.EXIT_USAGE, cli.EXIT_POSITIVE,
@@ -298,7 +424,7 @@ def test_shared_parser_keeps_no_state_between_calls(capsys, tmp_path):
     assert defaults == {key: [] for key in defaults}
     fresh = []
     for argv in sequence:
-        cli.build_parser.cache_clear()
+        _clear_parser_caches()
         fresh.append((cli.main(argv), capsys.readouterr()))
     assert shared == fresh
 

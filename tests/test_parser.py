@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from infoineq import parser
 from infoineq.core import LinExpr, cond_entropy, mutual_info
-from infoineq.parser import (ParseError, format_clause, format_constraint, format_expr,
-                             parse_constraint, parse_expr)
+from infoineq.parser import (MAX_PAREN_DEPTH, ParseError, format_clause, format_constraint,
+                             format_expr, parse_constraint, parse_expr)
 
 from conftest import lin_exprs
 
@@ -103,12 +103,22 @@ class TestErrors:
         ("H(X) >= 0 &&\n", None,
          "expected an entropy term or rational, found 'end of input'", 2, 1),
         ("", None, "constraint mentions no variables", 1, 1),
+        # the 65th nested "(" is the error, not a RecursionError at about 330
+        pytest.param("(" * 330 + "H(X)" + ")" * 330 + " >= 0", None,
+                     "parentheses nested deeper than 64", 1, 65, id="330-deep"),
+        pytest.param("H(X) >= 0 &&\n  2 " + "(" * 65 + "H(X)" + ")" * 65 + " >= 0", None,
+                     "parentheses nested deeper than 64", 2, 69, id="65-deep-on-line-2"),
     ])
     def test_message_and_position(self, text, names, message, line, column):
         with pytest.raises(ParseError) as err:
             parse_constraint(text, names)
         assert (err.value.message, err.value.span.line, err.value.span.column) \
             == (message, line, column)
+
+    def test_nesting_up_to_the_cap_parses(self):
+        depth = MAX_PAREN_DEPTH
+        assert parse_constraint("(" * depth + "H(X)" + ")" * depth + " >= 0") \
+            == parse_constraint("H(X) >= 0")
 
     @pytest.mark.parametrize("text,error", [
         ("H(V1) + 1 >= H({all})", "variable count 17 out of range 1..16"),
