@@ -4,12 +4,11 @@ of named inequalities with their expected tool verdicts.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable
 
-from .core import (BooleanConstraint, Clause, LinExpr, cond_entropy, entropy_of,
+from .core import (BooleanConstraint, Clause, LinExpr, Value, cond_entropy, entropy_of,
                    mutual_info)
 from .parser import parse_constraint
 
@@ -109,15 +108,13 @@ def secret_sharing_constraint(participants: int,
 # Fixture corpus
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Fixture:
-    name: str
-    path: Path
-    source: str
-    constraint: BooleanConstraint
-    expected_verdict: str
-    notes: str
-    budget: str = ""
+class Fixture(Value):
+    __slots__ = ("name", "path", "source", "constraint", "expected_verdict", "notes", "budget")
+
+    def __init__(self, name: str, path: Path, source: str, constraint: BooleanConstraint,
+                 expected_verdict: str, notes: str, budget: str = ""):
+        self.name, self.path, self.source, self.constraint = name, path, source, constraint
+        self.expected_verdict, self.notes, self.budget = expected_verdict, notes, budget
 
 
 def corpus() -> list[Fixture]:

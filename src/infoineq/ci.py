@@ -14,37 +14,30 @@ solvers.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from typing import Iterator, Sequence
 
-from .core import Clause, LinExpr, VarSet, mutual_info
+from .core import Clause, LinExpr, Value, VarSet, mutual_info
 from .parser import _split_var_token  # shared variable-token convention
 from .refuter import Budget, RefutationResult, refute
 from .shannon import GeneratorSet, ProofCertificate, prove
 
 
-@dataclass(frozen=True)
-class CIStatement:
+class CIStatement(Value):
     """(Y _||_ Z | X) over disjoint variable masks; Y and Z nonempty."""
 
-    y: int
-    z: int
-    x: int
+    __slots__ = ("y", "z", "x")
 
-    def __post_init__(self):
-        if self.y == 0 or self.z == 0:
+    def __init__(self, y: int, z: int, x: int):
+        self.y, self.z, self.x = y, z, x
+        if y == 0 or z == 0:
             raise ValueError("both independent groups must be nonempty")
-        if self.y & self.z or self.y & self.x or self.z & self.x:
+        if y & z or y & x or z & x:
             raise ValueError("CI statement groups must be disjoint")
 
     def expr(self, n: int) -> LinExpr:
         """The conditional mutual information I(Y;Z|X) as a LinExpr."""
         return mutual_info(n, self.y, self.z, self.x)
-
-    def variables(self) -> int:
-        return self.y | self.z | self.x
 
     def label(self, names: "tuple[str, ...] | None" = None) -> str:
         y, z, x = (VarSet(m).label(names) for m in (self.y, self.z, self.x))
@@ -100,51 +93,33 @@ def ci_prove(antecedents: Sequence[CIStatement], consequent: CIStatement,
 # Polynomial translation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ProductEquality:
+class ProductEquality(Value):
     """sum(p[a]) * sum(p[b]) == sum(p[c]) * sum(p[d]) over atom indices."""
 
-    a: tuple[int, ...]
-    b: tuple[int, ...]
-    c: tuple[int, ...]
-    d: tuple[int, ...]
+    __slots__ = ("a", "b", "c", "d")
 
-    def holds(self, pmf: Sequence[Fraction]) -> bool:
-        sa = sum((pmf[i] for i in self.a), Fraction(0))
-        sb = sum((pmf[i] for i in self.b), Fraction(0))
-        sc = sum((pmf[i] for i in self.c), Fraction(0))
-        sd = sum((pmf[i] for i in self.d), Fraction(0))
-        return sa * sb == sc * sd
+    def __init__(self, a: tuple[int, ...], b: tuple[int, ...], c: tuple[int, ...],
+                 d: tuple[int, ...]):
+        self.a, self.b, self.c, self.d = a, b, c, d
 
 
-@dataclass(frozen=True)
-class PolySystem:
+class PolySystem(Value):
     """The satisfiability system: a rational pmf on [N]^n satisfying every
     antecedent product equality while violating at least one consequent
     equality (the negated block is kept as an explicit disjunct list, so
     violation checking stays exact and needs no gap parameter)."""
 
-    n: int
-    domain: int
-    antecedent_equalities: tuple[ProductEquality, ...]
-    consequent_equalities: tuple[ProductEquality, ...]
+    __slots__ = ("n", "domain", "antecedent_equalities", "consequent_equalities")
+
+    def __init__(self, n: int, domain: int, antecedent_equalities: tuple[ProductEquality, ...],
+                 consequent_equalities: tuple[ProductEquality, ...]):
+        self.n, self.domain = n, domain
+        self.antecedent_equalities = antecedent_equalities
+        self.consequent_equalities = consequent_equalities
 
     @property
     def unknowns(self) -> int:
         return self.domain ** self.n
-
-    def phi_holds(self, pmf: Sequence[Fraction]) -> bool:
-        return all(eq.holds(pmf) for eq in self.antecedent_equalities)
-
-    def psi_violated(self, pmf: Sequence[Fraction]) -> bool:
-        return any(not eq.holds(pmf) for eq in self.consequent_equalities)
-
-    def satisfied_by(self, pmf: Sequence[Fraction]) -> bool:
-        if len(pmf) != self.unknowns:
-            raise ValueError("pmf length must equal the number of atoms")
-        if any(p < 0 for p in pmf) or sum(pmf) != 1:
-            return False
-        return self.phi_holds(pmf) and self.psi_violated(pmf)
 
 
 def _atom_index(outcome: Sequence[int], n: int, domain: int) -> int:
@@ -198,14 +173,6 @@ def build_delta(antecedents: Sequence[CIStatement], consequent: CIStatement,
         ante.extend(_statement_equalities(st, n, domain))
     cons = tuple(_statement_equalities(consequent, n, domain))
     return PolySystem(n, domain, tuple(ante), cons)
-
-
-def pmf_vector(dist, domain: int) -> list[Fraction]:
-    """Dense atom-probability vector of a distribution on [domain]^n."""
-    vec = [Fraction(0)] * (domain ** dist.n)
-    for outcome, p in dist.pmf:
-        vec[_atom_index(outcome, dist.n, domain)] = p
-    return vec
 
 
 def falsify(antecedents: Sequence[CIStatement], consequent: CIStatement, n: int,

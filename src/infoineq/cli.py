@@ -47,17 +47,16 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
 from pathlib import Path
 
 from .apps import corpus, fixture, secret_sharing_constraint
 from .ci import CIStatement, build_delta, ci_prove, export_delta, falsify, parse_ci
-from .core import MAX_VARS, BooleanConstraint, Clause, LinExpr
+from .core import MAX_VARS, BooleanConstraint, Clause, LinExpr, Value
 from .parser import ParseError, format_clause, format_constraint, parse_constraint
-from .recognizer import CandidateRepr, check_candidate
 from .reductions import PreparedAntecedents, max_to_linear, prepare_antecedents, tight_reduction
 from .refuter import DISTRIBUTION, Budget, Counterexample, refute, refute_parallel, violation
 from .shannon import GeneratorSet, TIGHT, classify_tight, elemental, joint_slack, prove
@@ -101,12 +100,19 @@ def load_generators(n: int, extra_files: list[str]) -> GeneratorSet:
 # Clause-level proving pipeline
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ClauseOutcome:
-    status: str  # "proved" | "refuted" | "inconclusive"
-    method: str
-    detail: dict
-    kept: tuple[LinExpr, ...] = ()  # the antecedents the stages worked with
+class ClauseOutcome(Value):
+    """One clause's verdict.  The one value type changed after it is built:
+    `decide_clause` sets `kept` and extends the note in `detail`, so it
+    has no hash."""
+
+    __slots__ = ("status", "method", "detail", "kept")
+    __hash__ = None
+
+    def __init__(self, status: str, method: str, detail: dict,
+                 kept: tuple[LinExpr, ...] = ()):
+        self.status = status  # "proved" | "refuted" | "inconclusive"
+        self.method, self.detail = method, detail
+        self.kept = kept  # the antecedents the stages worked with
 
 
 def _refuted(counterexample: Counterexample) -> ClauseOutcome:
@@ -233,10 +239,21 @@ def _clause_entry(clause: Clause, outcome: ClauseOutcome) -> dict:
 # ---------------------------------------------------------------------------
 
 def emit(report: dict, as_text: bool) -> None:
-    if as_text:
-        _emit_text(report)
-    else:
-        print(json.dumps(report, sort_keys=True, indent=2))
+    """Print the report.  A reader that closed stdout early does not turn
+    the verdict into an error: stdout is pointed at the null device, so
+    neither this write nor the flush at exit raises, and the command
+    returns its own exit code (the recipe of the Python `signal` docs,
+    "Note on SIGPIPE")."""
+    try:
+        if as_text:
+            _emit_text(report)
+        else:
+            print(json.dumps(report, sort_keys=True, indent=2))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _emit_text(report: dict, indent: int = 0) -> None:
@@ -344,6 +361,7 @@ def cmd_ci(args) -> int:
 
 
 def cmd_recognize(args) -> int:
+    from .recognizer import CandidateRepr, check_candidate  # no other command needs it
     repr_ = CandidateRepr.from_file_text(Path(args.file).read_text())
     gens = load_generators(repr_.n, args.extra_gens)
     budget = Budget.parse(args.budget)

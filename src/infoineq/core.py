@@ -17,18 +17,44 @@ precision.  A float rung that cannot exclude zero only passes the value up
 the ladder, so floats never decide a sign they cannot bound.  `mpmath` is
 imported only when the float rung fails, which no corpus fixture needs.
 
-All types are immutable after construction and safe to share between
-concurrent workers.
+The types are plain `__slots__` classes on the `Value` base.  Each
+`__init__` runs the checks of its type; `Value` gives equality, hashing
+and a repr over the fields named in `__slots__`.  No field is assigned
+after construction, so values are safe to share and to hash.  That is a
+convention, not enforced: a `__setattr__` guard would slow down every
+construction, and `LogLinValue` and `LinExpr` are built on hot paths.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import fsum, gcd, inf, isfinite, lcm, log
 from typing import Iterator, Mapping
 
 MAX_VARS = 16
+
+
+class Value:
+    """Base of the package's value types: `==`, `hash` and `repr` over the
+    fields that a subclass names, in order, in its `__slots__`, as a frozen
+    dataclass has them.  Instances of different classes are never equal."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, f) for f in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
 def as_fraction(x) -> Fraction:
@@ -172,18 +198,18 @@ _FLOAT_PREC = 53
 _PRECISIONS = (_FLOAT_PREC,) + tuple(64 << k for k in range(15))  # up to 2^20 bits
 
 
-@dataclass(frozen=True)
-class LogLinValue:
+class LogLinValue(Value):
     """A formal sum sum_i q_i * log2(r_i) with q_i rational, r_i positive
     rational.  This class covers every joint entropy of a finite
     distribution with rational probabilities, and the (1/c) * log2(a/b)
     inputs of the recognizability checks.
     """
 
-    terms: tuple[tuple[Fraction, Fraction], ...]
+    __slots__ = ("terms",)
 
-    def __post_init__(self):
-        for q, r in self.terms:
+    def __init__(self, terms: tuple[tuple[Fraction, Fraction], ...]):
+        self.terms = terms
+        for q, r in terms:
             if not isinstance(q, Fraction) or not isinstance(r, Fraction):
                 raise TypeError("LogLinValue terms must be Fractions")
             if r <= 0:
@@ -252,19 +278,6 @@ class LogLinValue:
     def sign(self) -> int:
         """Exact sign in {-1, 0, +1}, from the coprime-basis form."""
         return prime_sum_sign(self.log_exponents())
-
-    def as_rational(self) -> "Fraction | None":
-        """Exact rational value when the value is a multiple of log2(2^j)
-        for one j, else None (log2 of any other basis element is irrational
-        and independent of log2(2))."""
-        exps = self.log_exponents()
-        if not exps:
-            return Fraction(0)
-        if len(exps) == 1:
-            ((b, f),) = exps.items()
-            if b & (b - 1) == 0:
-                return f * (b.bit_length() - 1)
-        return None
 
     def __str__(self) -> str:
         if not self.terms:
@@ -356,16 +369,17 @@ def _normalize_coeffs(n: int, coeffs: Mapping[int, Fraction]) -> tuple[tuple[int
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class LinExpr:
+class LinExpr(Value):
     """A rational linear functional c over the 2^n joint entropies.
 
     Stored sparsely as (mask, coefficient) pairs; absent masks mean zero,
     and the coefficient on the empty set is identically zero.
     """
 
-    n: int
-    items: tuple[tuple[int, Fraction], ...]
+    __slots__ = ("n", "items")
+
+    def __init__(self, n: int, items: tuple[tuple[int, Fraction], ...]):
+        self.n, self.items = n, items
 
     @staticmethod
     def make(n: int, coeffs: Mapping[int, Fraction]) -> "LinExpr":
@@ -464,8 +478,7 @@ def mutual_info(n: int, y: int, z: int, given: int = 0) -> LinExpr:
 # Entropic candidates
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EntropicCandidate:
+class EntropicCandidate(Value):
     """A vector h indexed by all 2^n subsets, with h({}) = 0.
 
     Candidates come from distributions, modular weight vectors, linear
@@ -473,13 +486,13 @@ class EntropicCandidate:
     assumes the vector is actually entropic.
     """
 
-    n: int
-    values: tuple[LogLinValue, ...]
+    __slots__ = ("n", "values")
 
-    def __post_init__(self):
-        if len(self.values) != (1 << self.n):
+    def __init__(self, n: int, values: tuple[LogLinValue, ...]):
+        self.n, self.values = n, values
+        if len(values) != (1 << n):
             raise ValueError("candidate must have one value per subset")
-        if not self.values[0].is_zero():
+        if not values[0].is_zero():
             raise ValueError("value at the empty set must be zero")
 
     @staticmethod
@@ -494,8 +507,7 @@ class EntropicCandidate:
 # Clauses and constraints
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Clause:
+class Clause(Value):
     """(A_1 >= 0 and ... and A_k >= 0) implies (C_1 >= 0 or ... or C_l >= 0).
 
     The antecedent list may be empty (unconditional case); the consequent
@@ -504,33 +516,32 @@ class Clause:
     on a candidate.
     """
 
-    n: int
-    antecedents: tuple[LinExpr, ...]
-    consequents: tuple[LinExpr, ...]
+    __slots__ = ("n", "antecedents", "consequents")
 
-    def __post_init__(self):
-        if not self.consequents:
+    def __init__(self, n: int, antecedents: tuple[LinExpr, ...],
+                 consequents: tuple[LinExpr, ...]):
+        self.n, self.antecedents, self.consequents = n, antecedents, consequents
+        if not consequents:
             raise ValueError("clause must have at least one consequent")
-        for e in self.antecedents + self.consequents:
-            if e.n != self.n:
+        for e in antecedents + consequents:
+            if e.n != n:
                 raise ValueError("clause expressions disagree on variable count")
 
 
-@dataclass(frozen=True)
-class BooleanConstraint:
+class BooleanConstraint(Value):
     """A conjunction of clauses over a shared variable count.
 
     Valid iff every clause is valid, so provers and refuters work one
     clause at a time.
     """
 
-    n: int
-    clauses: tuple[Clause, ...]
+    __slots__ = ("n", "clauses")
 
-    def __post_init__(self):
-        if not self.clauses:
+    def __init__(self, n: int, clauses: tuple[Clause, ...]):
+        self.n, self.clauses = n, clauses
+        if not clauses:
             raise ValueError("constraint must have at least one clause")
-        for c in self.clauses:
-            if c.n != self.n:
+        for c in clauses:
+            if c.n != n:
                 raise ValueError("clauses disagree on variable count")
 

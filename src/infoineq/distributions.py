@@ -44,37 +44,35 @@ pmf it yields carries its exact index in the full stream.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import comb, gcd, prod
 from typing import Iterator, Mapping
 
-from .core import MAX_VARS, EntropicCandidate, LogLinValue, _factor_cached, as_fraction
+from .core import MAX_VARS, EntropicCandidate, LogLinValue, Value, _factor_cached, as_fraction
 
 Outcome = tuple[int, ...]
 # (D', domains, ((cell, count), ...)): a pmf with probabilities count / D'
 IntegerPmf = tuple[int, tuple[int, ...], tuple[tuple[int, int], ...]]
 
 
-@dataclass(frozen=True)
-class Distribution:
+class Distribution(Value):
     """A joint pmf on n finite variables with exact rational probabilities."""
 
-    domains: tuple[int, ...]
-    pmf: tuple[tuple[Outcome, Fraction], ...]
+    __slots__ = ("domains", "pmf")
 
-    def __post_init__(self):
-        if not self.domains or any(d < 1 for d in self.domains):
+    def __init__(self, domains: tuple[int, ...], pmf: tuple[tuple[Outcome, Fraction], ...]):
+        self.domains, self.pmf = domains, pmf
+        if not domains or any(d < 1 for d in domains):
             raise ValueError("domain sizes must be positive")
         total = Fraction(0)
         seen = set()
-        for outcome, p in self.pmf:
-            if len(outcome) != len(self.domains):
+        for outcome, p in pmf:
+            if len(outcome) != len(domains):
                 raise ValueError("outcome arity mismatch")
-            if any(not 0 <= x < d for x, d in zip(outcome, self.domains)):
-                raise ValueError(f"outcome {outcome} outside domains {self.domains}")
+            if any(not 0 <= x < d for x, d in zip(outcome, domains)):
+                raise ValueError(f"outcome {outcome} outside domains {domains}")
             if outcome in seen:
                 raise ValueError(f"duplicate outcome {outcome}")
             if p < 0:
@@ -83,7 +81,7 @@ class Distribution:
             total += p
         if total != 1:
             raise ValueError(f"probabilities sum to {total}, not 1")
-        if not any(p > 0 for _, p in self.pmf):
+        if not any(p > 0 for _, p in pmf):
             raise ValueError("support must be nonempty")
 
     @staticmethod

@@ -11,12 +11,11 @@ Two families:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterator, Sequence
 
-from .core import EntropicCandidate, LogLinValue, as_fraction
+from .core import EntropicCandidate, LogLinValue, Value, as_fraction
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -25,14 +24,14 @@ Matrix = tuple[tuple[int, ...], ...]
 # Modular vectors
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ModularVector:
+class ModularVector(Value):
     """h(alpha) = sum_{j in alpha} w_j for nonnegative rational weights."""
 
-    weights: tuple[Fraction, ...]
+    __slots__ = ("weights",)
 
-    def __post_init__(self):
-        if any(w < 0 for w in self.weights):
+    def __init__(self, weights: tuple[Fraction, ...]):
+        self.weights = weights
+        if any(w < 0 for w in weights):
             raise ValueError("modular weights must be nonnegative")
 
     @staticmethod
@@ -87,25 +86,23 @@ def rank_mod(rows: Sequence[Sequence[int]], q: int) -> int:
     return len(rref_mod(rows, q))
 
 
-@dataclass(frozen=True)
-class VectorSpaceSystem:
+class VectorSpaceSystem(Value):
     """n subspaces of GF(q)^d, each given by an independent basis (rows).
 
     h(alpha) = rank(span of the union of the bases for i in alpha) * log2 q.
     """
 
-    q: int
-    dim: int
-    bases: tuple[Matrix, ...]
+    __slots__ = ("q", "dim", "bases")
 
-    def __post_init__(self):
-        if self.q < 2:
+    def __init__(self, q: int, dim: int, bases: tuple[Matrix, ...]):
+        self.q, self.dim, self.bases = q, dim, bases
+        if q < 2:
             raise ValueError("q must be a prime >= 2")
-        for basis in self.bases:
+        for basis in bases:
             for row in basis:
-                if len(row) != self.dim:
+                if len(row) != dim:
                     raise ValueError("basis row length must equal the ambient dimension")
-            if basis and rank_mod(basis, self.q) != len(basis):
+            if basis and rank_mod(basis, q) != len(basis):
                 raise ValueError("basis rows must be linearly independent")
 
     @staticmethod

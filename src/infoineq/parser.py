@@ -34,28 +34,24 @@ alphabetical order of their names.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .core import MAX_VARS, BooleanConstraint, Clause, LinExpr, VarSet
+from .core import MAX_VARS, BooleanConstraint, Clause, LinExpr, Value, VarSet
 
 # each level of parentheses is three frames of the recursive descent, so
 # a deeper nesting is a parse error rather than a RecursionError
 MAX_PAREN_DEPTH = 64
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(Value):
     """Byte range of a token or error in the original source text."""
 
-    start: int
-    end: int
-    line: int
-    column: int
+    __slots__ = ("start", "end", "line", "column")
 
-    def __post_init__(self):
-        if self.start > self.end:
+    def __init__(self, start: int, end: int, line: int, column: int):
+        self.start, self.end, self.line, self.column = start, end, line, column
+        if start > end:
             raise ValueError("span start must not exceed end")
 
 

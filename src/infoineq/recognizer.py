@@ -16,28 +16,27 @@ The checks are one-sided, matching what a terminating tool can promise:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import EntropicCandidate, LogLinValue
+from .core import EntropicCandidate, LogLinValue, Value
 from .distributions import Distribution, pmf_walk, to_distribution
 from .parser import _split_var_token
 from .shannon import Generator, GeneratorSet
 
 
-@dataclass(frozen=True)
-class CandidateRepr:
+class CandidateRepr(Value):
     """For every nonempty subset alpha: naturals (a, b, c) encoding
     h(alpha) = (1/c) * log2(a/b).  Negative values are representable
     (a < b) and simply fail the nonnegativity tests."""
 
-    n: int
-    entries: tuple[tuple[int, int, int], ...]  # indexed by mask-1
+    __slots__ = ("n", "entries")
 
-    def __post_init__(self):
-        if len(self.entries) != (1 << self.n) - 1:
+    def __init__(self, n: int, entries: tuple[tuple[int, int, int], ...]):
+        self.n = n
+        self.entries = entries  # indexed by mask-1
+        if len(entries) != (1 << n) - 1:
             raise ValueError("need an (a, b, c) entry for every nonempty subset")
-        for a, b, c in self.entries:
+        for a, b, c in entries:
             if c < 1:
                 raise ValueError("malformed representation: c must be >= 1")
             if b < 1:
@@ -93,11 +92,13 @@ class CandidateRepr:
         return CandidateRepr(n, tuple(table[m] for m in range(1, 1 << n)))
 
 
-@dataclass(frozen=True)
-class RecognitionResult:
-    verdict: str  # "rejected" | "realized" | "inconclusive"
-    violated: "Generator | None" = None
-    realization: "Distribution | None" = None
+class RecognitionResult(Value):
+    __slots__ = ("verdict", "violated", "realization")
+
+    def __init__(self, verdict: str, violated: "Generator | None" = None,
+                 realization: "Distribution | None" = None):
+        self.verdict = verdict  # "rejected" | "realized" | "inconclusive"
+        self.violated, self.realization = violated, realization
 
     def to_json(self) -> dict:
         out: dict = {"verdict": self.verdict}

@@ -18,12 +18,11 @@ its own: it is one `shannon.prove` call with the kept antecedents.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-from .core import Clause, LinExpr, entropy_of, full_set
+from .core import Clause, LinExpr, Value, entropy_of, full_set
 from .shannon import GeneratorSet, ProofCertificate, cone_lp, prove
 from .simplex import LPResult
 
@@ -32,10 +31,12 @@ from .simplex import LPResult
 # Antecedent preprocessing shared by the conditional reductions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PreparedAntecedents:
-    kept: tuple[LinExpr, ...]
-    valid: tuple[LinExpr, ...]  # the dropped ones, each zero or proved
+class PreparedAntecedents(Value):
+    __slots__ = ("kept", "valid")
+
+    def __init__(self, kept: tuple[LinExpr, ...], valid: tuple[LinExpr, ...]):
+        self.kept = kept
+        self.valid = valid  # the dropped ones, each zero or proved
 
 
 def prepare_antecedents(antecedents: Sequence[LinExpr], gens: GeneratorSet) -> PreparedAntecedents:
@@ -102,10 +103,12 @@ def tight_reduction(clause: Clause, kept: Sequence[LinExpr], gens: GeneratorSet)
 # Max-to-linear reduction
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MaxReduction:
-    lambdas: tuple[Fraction, ...]  # primitive integers
-    certificate: ProofCertificate  # for sum_i lambdas_i c_i under the kept antecedents
+class MaxReduction(Value):
+    __slots__ = ("lambdas", "certificate")
+
+    def __init__(self, lambdas: tuple[Fraction, ...], certificate: ProofCertificate):
+        self.lambdas = lambdas  # primitive integers
+        self.certificate = certificate  # for sum_i lambdas_i c_i under the kept antecedents
 
 
 def max_to_linear(clause: Clause, kept: Sequence[LinExpr],

@@ -37,15 +37,14 @@ bounded search.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
 from math import comb, lcm
 from typing import Iterator
 
-from .core import BooleanConstraint, Clause, LinExpr, _factor_cached, is_prime, prime_sum_sign
+from .core import (BooleanConstraint, Clause, LinExpr, Value, _factor_cached, is_prime,
+                   prime_sum_sign)
 from .distributions import Distribution, cell_outcomes, pmf_walk, to_distribution
-from .models import VectorSpaceSystem, enumerate_systems
 
 DISTRIBUTION = "distribution"
 VECTOR_SPACE = "vector-space"
@@ -58,28 +57,26 @@ MAX_SUBSPACE_BASES = 100_000
 MAX_SUBSPACE_SYSTEMS = 10_000
 
 
-@dataclass(frozen=True)
-class Budget:
+class Budget(Value):
     """Search bounds: distribution domain/denominator caps and, optionally,
     subspace-system primes and ambient dimension cap."""
 
-    max_support: int = 2
-    max_denominator: int = 4
-    vs_primes: tuple[int, ...] = ()
-    vs_max_dim: int = 0
+    __slots__ = ("max_support", "max_denominator", "vs_primes", "vs_max_dim")
 
-    def __post_init__(self):
-        if self.max_support < 1 or self.max_denominator < 1:
+    def __init__(self, max_support: int = 2, max_denominator: int = 4,
+                 vs_primes: tuple[int, ...] = (), vs_max_dim: int = 0):
+        self.max_support, self.max_denominator = max_support, max_denominator
+        self.vs_primes, self.vs_max_dim = vs_primes, vs_max_dim
+        if max_support < 1 or max_denominator < 1:
             raise ValueError("budget needs s >= 1 and D >= 1")
-        if self.vs_max_dim < 0:
+        if vs_max_dim < 0:
             raise ValueError("budget needs vsdim >= 0")
-        for q in self.vs_primes:
+        for q in vs_primes:
             if not is_prime(q):
                 raise ValueError(f"budget vsq={q} is not a prime")
-        if self.vs_max_dim and _subspace_bases(self.vs_primes, self.vs_max_dim) \
-                > MAX_SUBSPACE_BASES:
-            raise ValueError(f"budget vsdim={self.vs_max_dim},vsq="
-                             f"{','.join(map(str, self.vs_primes))} needs more than "
+        if vs_max_dim and _subspace_bases(vs_primes, vs_max_dim) > MAX_SUBSPACE_BASES:
+            raise ValueError(f"budget vsdim={vs_max_dim},vsq="
+                             f"{','.join(map(str, vs_primes))} needs more than "
                              f"{MAX_SUBSPACE_BASES} candidate subspace bases")
 
     @staticmethod
@@ -156,13 +153,15 @@ def _check_systems(n: int, budget: Budget) -> None:
                          f"systems for {n} variables, more than {MAX_SUBSPACE_SYSTEMS}")
 
 
-@dataclass(frozen=True)
-class Counterexample:
-    source: str  # DISTRIBUTION | VECTOR_SPACE
-    distribution: "Distribution | None"
-    system: "VectorSpaceSystem | None"
-    clause_index: int
-    trace: tuple[dict, ...]
+class Counterexample(Value):
+    __slots__ = ("source", "distribution", "system", "clause_index", "trace")
+
+    def __init__(self, source: str, distribution: "Distribution | None",
+                 system: "VectorSpaceSystem | None", clause_index: int,
+                 trace: tuple[dict, ...]):
+        self.source = source  # DISTRIBUTION | VECTOR_SPACE
+        self.distribution, self.system = distribution, system
+        self.clause_index, self.trace = clause_index, trace
 
     def witness_file_text(self) -> str:
         if self.source == DISTRIBUTION:
@@ -178,16 +177,17 @@ class Counterexample:
         }
 
 
-@dataclass(frozen=True)
-class RefutationResult:
+class RefutationResult(Value):
     """`candidates_scanned` counts every candidate up to the hit, skipped
     pmfs included, built or not; `distinct_profiles` counts the distinct
     pmf profiles among them and stays out of the JSON report."""
 
-    counterexample: "Counterexample | None"
-    budget: Budget
-    candidates_scanned: int
-    distinct_profiles: int = 0
+    __slots__ = ("counterexample", "budget", "candidates_scanned", "distinct_profiles")
+
+    def __init__(self, counterexample: "Counterexample | None", budget: Budget,
+                 candidates_scanned: int, distinct_profiles: int = 0):
+        self.counterexample, self.budget = counterexample, budget
+        self.candidates_scanned, self.distinct_profiles = candidates_scanned, distinct_profiles
 
     @property
     def found(self) -> bool:
@@ -217,6 +217,7 @@ def candidate_stream(n: int, budget: Budget) -> Iterator[tuple[int, "str | None"
         if pmf is not None:
             yield index, DISTRIBUTION, pmf
     if budget.vs_primes and budget.vs_max_dim >= 1:
+        from .models import enumerate_systems  # only subspace budgets pay its import
         for system in enumerate_systems(n, budget.vs_primes, budget.vs_max_dim):
             yield index, VECTOR_SPACE, system
             index += 1

@@ -16,14 +16,12 @@ inequalities outside every fixed generator cone.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .core import Clause, LinExpr, MAX_VARS, VarSet
+from .core import Clause, LinExpr, MAX_VARS, Value, VarSet
 from .distributions import Distribution
-from .models import ModularVector
 from .parser import default_names
 from .refuter import Budget, refute
 from .simplex import LPResult, solve_lp
@@ -37,21 +35,21 @@ SUBMODULARITY = "elemental-submodularity"
 USER = "user-valid"
 
 
-@dataclass(frozen=True)
-class Generator:
-    name: str
-    kind: str
-    expr: LinExpr
-    provenance: "str | None" = None
+class Generator(Value):
+    __slots__ = ("name", "kind", "expr", "provenance")
+
+    def __init__(self, name: str, kind: str, expr: LinExpr, provenance: "str | None" = None):
+        self.name, self.kind, self.expr, self.provenance = name, kind, expr, provenance
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
+class GeneratorSet(Value):
     """The canonical elemental set for n, optionally extended by trusted
     user inequalities (each carrying a provenance note)."""
 
-    n: int
-    generators: tuple[Generator, ...]
+    __slots__ = ("n", "generators")
+
+    def __init__(self, n: int, generators: tuple[Generator, ...]):
+        self.n, self.generators = n, generators
 
     def exprs(self) -> list[LinExpr]:
         return [g.expr for g in self.generators]
@@ -65,9 +63,6 @@ class GeneratorSet:
         if name in self.names():
             raise ValueError(f"duplicate generator name {name!r}")
         return GeneratorSet(self.n, self.generators + (Generator(name, USER, expr, provenance),))
-
-    def user_generators(self) -> list[Generator]:
-        return [g for g in self.generators if g.kind == USER]
 
 
 def elemental(n: int) -> GeneratorSet:
@@ -117,14 +112,18 @@ def elemental(n: int) -> GeneratorSet:
 # Certificates
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ProofCertificate:
+class ProofCertificate(Value):
     """Nonnegative multipliers witnessing target = sum mu_i a_i + sum l_e g_e."""
 
-    target: LinExpr
-    antecedent_multipliers: tuple[Fraction, ...]
-    generator_multipliers: tuple[Fraction, ...]
-    trusted: tuple[tuple[str, str], ...]  # (name, provenance) of used user generators
+    __slots__ = ("target", "antecedent_multipliers", "generator_multipliers", "trusted")
+
+    def __init__(self, target: LinExpr, antecedent_multipliers: tuple[Fraction, ...],
+                 generator_multipliers: tuple[Fraction, ...],
+                 trusted: tuple[tuple[str, str], ...]):
+        self.target = target
+        self.antecedent_multipliers = antecedent_multipliers
+        self.generator_multipliers = generator_multipliers
+        self.trusted = trusted  # (name, provenance) of used user generators
 
     def nonzero_generators(self, gens: GeneratorSet) -> dict[str, Fraction]:
         return {g.name: m for g, m in zip(gens.generators, self.generator_multipliers) if m != 0}
@@ -233,13 +232,15 @@ SLACK = "slack"
 UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class SlackWitness:
+class SlackWitness(Value):
     """A candidate on which the inspected expressions are strictly positive."""
 
-    kind: str  # "modular" | "distribution"
-    modular: "ModularVector | None" = None
-    distribution: "Distribution | None" = None
+    __slots__ = ("kind", "modular", "distribution")
+
+    def __init__(self, kind: str, modular: "ModularVector | None" = None,
+                 distribution: "Distribution | None" = None):
+        self.kind = kind  # "modular" | "distribution"
+        self.modular, self.distribution = modular, distribution
 
     def candidate(self):
         if self.kind == "modular":
@@ -252,11 +253,14 @@ class SlackWitness:
         return {"kind": "distribution", "file": self.distribution.to_file_text()}
 
 
-@dataclass(frozen=True)
-class Tightness:
-    verdict: str  # TIGHT | SLACK | UNKNOWN
-    certificate: "ProofCertificate | None" = None  # proves -c when tight
-    witness: "SlackWitness | None" = None          # sign(c.h) = +1 when slack
+class Tightness(Value):
+    __slots__ = ("verdict", "certificate", "witness")
+
+    def __init__(self, verdict: str, certificate: "ProofCertificate | None" = None,
+                 witness: "SlackWitness | None" = None):
+        self.verdict = verdict  # TIGHT | SLACK | UNKNOWN
+        self.certificate = certificate  # proves -c when tight
+        self.witness = witness  # sign(c.h) = +1 when slack
 
 
 def classify_tight(c: LinExpr, gens: GeneratorSet,
@@ -282,8 +286,6 @@ def joint_slack(exprs: Sequence[LinExpr],
     exists), falls back to the canonical distribution stream within the
     budget (`_distribution_slack`).  None means not found at this budget.
     """
-    if not exprs:
-        return SlackWitness("modular", modular=ModularVector.make([]))
     witness = _modular_slack(exprs)
     if witness is not None:
         return witness
@@ -296,7 +298,11 @@ def joint_slack(exprs: Sequence[LinExpr],
 def _modular_slack(exprs: Sequence[LinExpr]) -> "SlackWitness | None":
     """The modular vector of least total weight with c_i . h_w >= 1 for all
     i, from one LP over w >= 0; scale invariance makes the unit margin
-    lossless, so None means no modular vector makes every c_i positive."""
+    lossless, so None means no modular vector makes every c_i positive.
+    No expression gives the empty vector."""
+    from .models import ModularVector  # only slack searches pay its import
+    if not exprs:
+        return SlackWitness("modular", modular=ModularVector.make([]))
     n = exprs[0].n
     k = len(exprs)
     # variables: w_1..w_n, slacks s_1..s_k; rows: sum_j A_ij w_j - s_i = 1

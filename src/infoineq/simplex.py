@@ -28,19 +28,21 @@ x[B_i] = R_i[-1] / (R_i . Â_{B_i}) are those of the `Fraction` tableau that
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
+from .core import Value
+
 ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class LPResult:
-    status: str  # "optimal" | "infeasible" | "unbounded"
-    x: tuple[Fraction, ...]
-    objective: Fraction
+class LPResult(Value):
+    __slots__ = ("status", "x", "objective")
+
+    def __init__(self, status: str, x: tuple[Fraction, ...], objective: Fraction):
+        self.status = status  # "optimal" | "infeasible" | "unbounded"
+        self.x, self.objective = x, objective
 
 
 def _primitive(line: list[int]) -> list[int]:

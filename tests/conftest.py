@@ -10,6 +10,20 @@ from infoineq.distributions import Distribution
 from infoineq.shannon import elemental
 
 
+def as_rational(value: LogLinValue) -> "Fraction | None":
+    """The exact rational value of a `LogLinValue` that is a multiple of
+    log2(2^j) for one j, else None: log2 of any other coprime-basis
+    element is irrational and independent of log2(2)."""
+    exps = value.log_exponents()
+    if not exps:
+        return Fraction(0)
+    if len(exps) == 1:
+        ((b, f),) = exps.items()
+        if b & (b - 1) == 0:
+            return f * (b.bit_length() - 1)
+    return None
+
+
 @pytest.fixture(scope="session")
 def gens2():
     return elemental(2)

@@ -6,10 +6,39 @@ from fractions import Fraction
 
 import pytest
 
-from infoineq.ci import build_delta, export_delta, falsify, parse_ci, pmf_vector
+from infoineq.ci import _atom_index, build_delta, export_delta, falsify, parse_ci
 
 XYZ = ("X", "Y", "Z")
 WEAKENING = ([parse_ci("X;Y|Z", XYZ)], parse_ci("X;Y", XYZ))
+
+
+def pmf_vector(dist, domain: int) -> list[Fraction]:
+    """Dense atom-probability vector of a distribution on [domain]^n."""
+    vec = [Fraction(0)] * (domain ** dist.n)
+    for outcome, p in dist.pmf:
+        vec[_atom_index(outcome, dist.n, domain)] = p
+    return vec
+
+
+def holds(eq, pmf) -> bool:
+    """The product equality sum(p[a]) * sum(p[b]) == sum(p[c]) * sum(p[d])."""
+    sa, sb, sc, sd = (sum((pmf[i] for i in atoms), Fraction(0))
+                      for atoms in (eq.a, eq.b, eq.c, eq.d))
+    return sa * sb == sc * sd
+
+
+def phi_holds(system, pmf) -> bool:
+    return all(holds(eq, pmf) for eq in system.antecedent_equalities)
+
+
+def satisfied_by(system, pmf) -> bool:
+    """A pmf satisfying every antecedent equality and failing a consequent one."""
+    if len(pmf) != system.unknowns:
+        raise ValueError("pmf length must equal the number of atoms")
+    if any(p < 0 for p in pmf) or sum(pmf) != 1:
+        return False
+    return phi_holds(system, pmf) and not all(holds(eq, pmf)
+                                              for eq in system.consequent_equalities)
 
 
 def test_falsifier_finds_a_witness_for_a_false_implication():
@@ -22,16 +51,16 @@ def test_witness_satisfies_the_polynomial_system():
     witness = falsify(*WEAKENING, 3, max_domain=2, max_denominator=4) \
         .counterexample.distribution
     system = build_delta(*WEAKENING, 3, 2)
-    assert system.satisfied_by(pmf_vector(witness, 2))
+    assert satisfied_by(system, pmf_vector(witness, 2))
 
 
 def test_independent_pmf_does_not_satisfy_the_system():
     system = build_delta(*WEAKENING, 3, 2)
     uniform = [Fraction(1, 8)] * 8
-    assert system.phi_holds(uniform)
-    assert not system.satisfied_by(uniform)
+    assert phi_holds(system, uniform)
+    assert not satisfied_by(system, uniform)
     with pytest.raises(ValueError):
-        system.satisfied_by(uniform[:4])
+        satisfied_by(system, uniform[:4])
 
 
 def test_true_implication_has_no_witness():

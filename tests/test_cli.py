@@ -398,6 +398,26 @@ def test_module_entry_point_reads_sys_argv():
     assert proc.stdout == out.getvalue()
 
 
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_closed_stdout_keeps_the_verdicts_exit_code(unbuffered):
+    """A reader that is gone before the report is written (as with
+    `infoineq refute ... | true`) changes neither the exit code of the
+    refutation nor stderr, with stdout buffered or not."""
+    env = dict(os.environ, PYTHONPATH=str(Path(infoineq.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "infoineq.cli", "refute", "--file",
+                               str(fixture("false_mono_flip").path), "--budget", "s=2,D=2"],
+                              env=env, stdout=write, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (cli.EXIT_NEGATIVE, "")
+
+
 def test_shared_parser_keeps_no_state_between_calls(capsys, tmp_path):
     """Each call through the shared parsers prints what it prints through
     fresh ones, and no command mutates a list-valued default."""

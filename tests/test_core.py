@@ -1,6 +1,7 @@
 """Exact value arithmetic, the sign test, and clause semantics."""
 from __future__ import annotations
 
+import pickle
 import time
 from fractions import Fraction
 from math import gcd
@@ -12,14 +13,17 @@ from hypothesis import strategies as st
 
 from infoineq import core
 from infoineq.apps import fixture
+from infoineq.cli import ClauseOutcome
 from infoineq.core import (BooleanConstraint, Clause, EntropicCandidate, LinExpr,
-                           LogLinValue, VarSet, _factor_cached, cond_entropy, entropy_of,
+                           LogLinValue, Value, VarSet, _factor_cached, cond_entropy, entropy_of,
                            full_set, is_prime, mutual_info, prime_sum_sign)
 from infoineq.distributions import Distribution
 from infoineq.models import ModularVector
+from infoineq.parser import parse_constraint
 from infoineq.refuter import DISTRIBUTION, Budget, refute, violation
+from infoineq.shannon import elemental, prove
 
-from conftest import lin_exprs, log_lin_values, small_rationals
+from conftest import as_rational, lin_exprs, log_lin_values, small_rationals
 
 
 def high_precision(value: LogLinValue, dps: int = 64) -> mpmath.mpf:
@@ -107,7 +111,7 @@ class TestEval:
         vec = [LogLinValue.zero(), value]
         h = EntropicCandidate(1, tuple(vec))
         got = entropy_of(1, 1).eval(h)
-        assert got.as_rational() == oracle
+        assert as_rational(got) == oracle
         assert got.sign() == 1
 
     def test_zero_candidate(self):
@@ -215,6 +219,79 @@ class TestHolds:
 
 def test_full_set():
     assert full_set(3) == 7
+
+
+def _clause() -> Clause:
+    return Clause(2, (entropy_of(2, 1),), (mutual_info(2, 1, 2), -entropy_of(2, 3)))
+
+
+# each builds a fresh instance, equal to but not the same as the last one
+VALUES = {
+    "LinExpr": lambda: LinExpr.make(3, {1: Fraction(1), 6: Fraction(-2, 3)}),
+    "LogLinValue": lambda: LogLinValue.of((1, 3), (Fraction(-1, 2), Fraction(5, 7))),
+    "Clause": _clause,
+    "BooleanConstraint": lambda: BooleanConstraint(2, (_clause(), _clause())),
+    "Distribution": lambda: Distribution.make((2, 2), {(0, 0): Fraction(1, 2),
+                                                       (1, 1): Fraction(1, 2)}),
+    "Budget": lambda: Budget.parse("s=3,D=5,vsdim=1,vsq=2"),
+    "Counterexample": lambda: refute(fixture("false_mono_flip").constraint,
+                                     Budget(2, 2)).counterexample,
+    "ProofCertificate": lambda: prove(entropy_of(2, 3) - entropy_of(2, 1), elemental(2)),
+}
+
+
+class TestValueSemantics:
+    """The value types compare, hash, print and pickle by their fields, as
+    frozen dataclasses do."""
+
+    @pytest.mark.parametrize("name", VALUES)
+    def test_equal_fields_give_equal_values(self, name):
+        a, b = VALUES[name](), VALUES[name]()
+        assert a is not b and a == b and not a != b
+        if name == "Counterexample":
+            with pytest.raises(TypeError):  # its trace holds dicts
+                hash(a)
+        else:
+            assert hash(a) == hash(b)
+            assert len({a, b}) == 1
+
+    @pytest.mark.parametrize("name", VALUES)
+    def test_another_class_with_the_same_fields_differs(self, name):
+        a = VALUES[name]()
+        twin = object.__new__(type("Twin", (Value,), {"__slots__": type(a).__slots__}))
+        for field in type(a).__slots__:
+            setattr(twin, field, getattr(a, field))
+        assert twin._fields() == a._fields()
+        assert a != twin and twin != a
+        assert a != a._fields()
+
+    @pytest.mark.parametrize("name", VALUES)
+    def test_repr_names_the_fields(self, name):
+        a = VALUES[name]()
+        fields = ", ".join(f"{f}={getattr(a, f)!r}" for f in type(a).__slots__)
+        assert repr(a) == f"{name}({fields})"
+        if name == "Budget":
+            assert repr(a) == ("Budget(max_support=3, max_denominator=5, vs_primes=(2,), "
+                               "vs_max_dim=1)")
+
+    @pytest.mark.parametrize("name", VALUES)
+    def test_pickle_round_trips(self, name):
+        a = VALUES[name]()
+        b = pickle.loads(pickle.dumps(a))
+        assert type(b) is type(a) and b == a
+
+    def test_equal_antecedent_tuples_share_a_key(self):
+        # as in `cli.decide_constraint`, which prepares them once per key
+        first, second = (parse_constraint("[I(X;Y) = 0] => I(X;Z) >= 0").clauses[0].antecedents
+                         for _ in range(2))
+        assert first is not second and first[0] is not second[0]
+        assert len({first: 1, second: 2}) == 1
+
+    def test_clause_outcome_has_no_hash(self):
+        outcome = ClauseOutcome("proved", "generator-cone", {})
+        assert outcome == ClauseOutcome("proved", "generator-cone", {}, ())
+        with pytest.raises(TypeError):
+            hash(outcome)
 
 
 def reference_sign(exps) -> int:
@@ -380,7 +457,7 @@ class TestCoprimeBasis:
         exps = reference_exponents(v)
         assert v.sign() == prime_sum_sign(exps)
         assert v.is_zero() == (not exps)
-        assert v.as_rational() == (exps.get(2, Fraction(0)) if set(exps) <= {2} else None)
+        assert as_rational(v) == (exps.get(2, Fraction(0)) if set(exps) <= {2} else None)
 
     def test_basis_is_pairwise_coprime_and_generates_its_inputs(self):
         ks = [12, 18, 8, 35, 1, 147, 2 ** 40, 6 ** 7, 10 ** 6]

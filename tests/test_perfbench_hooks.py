@@ -9,10 +9,14 @@ from __future__ import annotations
 import argparse
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import infoineq
 from infoineq import cli
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -44,6 +48,19 @@ def test_every_traced_hook_resolves(span, module, attribute):
     for part in attribute.split("."):
         target = getattr(target, part)
     assert callable(target), span
+
+
+def test_cli_import_loads_every_traced_module_and_nothing_unused():
+    """`Tracer.install` finds the traced modules in `sys.modules` before the
+    first input, so `import infoineq.cli` must load each of them.  It loads
+    neither the modules that only some commands use nor `dataclasses` and
+    the `inspect` machinery that it would pull in."""
+    probe = "import sys, infoineq.cli; print(' '.join(sorted(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(Path(infoineq.__file__).parents[1]))
+    loaded = set(subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                                capture_output=True, text=True).stdout.split())
+    assert {f"infoineq.{module}" for _, module, _ in _traced()} <= loaded
+    assert not {"dataclasses", "inspect", "infoineq.recognizer", "infoineq.models"} & loaded
 
 
 def test_every_name_the_checker_imports_exists():

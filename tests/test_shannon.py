@@ -18,6 +18,8 @@ from infoineq.shannon import (MONOTONICITY, SLACK, SUBMODULARITY, TIGHT, UNKNOWN
 from infoineq.apps import matus_expr
 from infoineq.simplex import solve_lp
 
+from conftest import as_rational
+
 F = Fraction
 XYZ = ["X", "Y", "Z"]
 
@@ -84,7 +86,7 @@ class TestElemental:
 
     def test_user_generators_carry_provenance(self, gens4):
         extended = gens4.with_user(matus_expr(1), "matus-k1", "published family")
-        (user,) = extended.user_generators()
+        (user,) = [g for g in extended.generators if g.kind == shannon.USER]
         assert user.provenance == "published family"
         with pytest.raises(ValueError, match="duplicate"):
             extended.with_user(matus_expr(1), "matus-k1", "again")
@@ -232,8 +234,8 @@ class TestJointSlack:
         assert w is not None and w.kind == "modular"
         assert w.modular.weights == (F(2), F(0), F(1))
         h = w.candidate()
-        assert a1.eval(h).as_rational() == 1
-        assert a2.eval(h).as_rational() == 1
+        assert as_rational(a1.eval(h)) == 1
+        assert as_rational(a2.eval(h)) == 1
 
     def test_contradictory_pair(self, gens3):
         e = entropy_of(3, 1)

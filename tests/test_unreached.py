@@ -14,7 +14,6 @@ PACKAGE = ROOT / "src" / "infoineq"
 # (module, name) -> a test that uses the helper as a reference
 TEST_REFERENCES = {
     ("apps", "matus_expr"): "tests/test_shannon.py::TestProve::test_nonelemental_family_not_provable",
-    ("ci", "pmf_vector"): "tests/test_ci.py::test_witness_satisfies_the_polynomial_system",
     ("models", "random_system"):
         "tests/test_models.py::TestRankVector::test_random_systems_satisfy_elemental_inequalities",
     ("parser", "parse_expr"): "tests/test_parser.py::TestExpressions::test_conditional_entropy",
