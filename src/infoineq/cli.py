@@ -52,6 +52,7 @@ import sys
 from fractions import Fraction
 from math import floor
 from pathlib import Path
+from typing import Iterator
 
 from .apps import corpus, fixture, secret_sharing_constraint
 from .ci import CIStatement, build_delta, ci_prove, export_delta, falsify, parse_ci
@@ -238,17 +239,14 @@ def _clause_entry(clause: Clause, outcome: ClauseOutcome) -> dict:
 # Reporting
 # ---------------------------------------------------------------------------
 
-def emit(report: dict, as_text: bool) -> None:
-    """Print the report.  A reader that closed stdout early does not turn
-    the verdict into an error: stdout is pointed at the null device, so
-    neither this write nor the flush at exit raises, and the command
-    returns its own exit code (the recipe of the Python `signal` docs,
-    "Note on SIGPIPE")."""
+def write_out(text: str) -> None:
+    """Write command output to stdout.  A reader that closed stdout early
+    does not turn the verdict into an error: stdout is pointed at the null
+    device, so neither this write nor the flush at exit raises, and the
+    command returns its own exit code (the recipe of the Python `signal`
+    docs, "Note on SIGPIPE")."""
     try:
-        if as_text:
-            _emit_text(report)
-        else:
-            print(json.dumps(report, sort_keys=True, indent=2))
+        sys.stdout.write(text)
         sys.stdout.flush()
     except BrokenPipeError:
         devnull = os.open(os.devnull, os.O_WRONLY)
@@ -256,16 +254,24 @@ def emit(report: dict, as_text: bool) -> None:
         os.close(devnull)
 
 
-def _emit_text(report: dict, indent: int = 0) -> None:
+def emit(report: dict, as_text: bool) -> None:
+    """Print the report, as indented JSON or as `key: value` lines."""
+    if as_text:
+        write_out("".join(line + "\n" for line in _text_lines(report)))
+    else:
+        write_out(json.dumps(report, sort_keys=True, indent=2) + "\n")
+
+
+def _text_lines(report: dict, indent: int = 0) -> Iterator[str]:
     pad = "  " * indent
     for key, value in report.items():
         if isinstance(value, dict):
-            print(f"{pad}{key}:")
-            _emit_text(value, indent + 1)
+            yield f"{pad}{key}:"
+            yield from _text_lines(value, indent + 1)
         elif isinstance(value, list):
-            print(f"{pad}{key}: {json.dumps(value)}")
+            yield f"{pad}{key}: {json.dumps(value)}"
         else:
-            print(f"{pad}{key}: {value}")
+            yield f"{pad}{key}: {value}"
 
 
 _STATUS_EXIT = {"proved": EXIT_POSITIVE, "realized": EXIT_POSITIVE,
@@ -356,7 +362,7 @@ def cmd_ci(args) -> int:
         emit(report, args.text)
         return EXIT_NEGATIVE if result.found else EXIT_INCONCLUSIVE
     system = build_delta(antecedents, consequent, n, args.domain)
-    sys.stdout.write(export_delta(system))
+    write_out(export_delta(system))
     return EXIT_POSITIVE
 
 

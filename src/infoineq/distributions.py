@@ -41,12 +41,28 @@ pmfs (Moebius inversion over the common factor, g = 0 before the first
 nonzero count).  The walk adds that count for every subtree it cuts and
 for every (D', k, domains) block with some domain larger than k, so each
 pmf it yields carries its exact index in the full stream.
+
+The twin-skipping stream depends on the budget (n, s, D) alone, and a
+process often scans one budget many times: once per clause, per
+antecedent, per generator file, per input of a batch.  `shared_walk`
+hands every scan the same stream and builds it once.  A budget's first
+walk is the bare `pmf_walk` and keeps nothing, so a process that walks
+each budget once pays nothing for sharing.  The second walk keeps the
+items it builds, and later walks replay them by position: each consumer
+holds its own index into the kept list and extends it from the budget's
+one live walk when it runs past the end.  Consumers may interleave, and
+one that is dropped midway leaves the list and the live walk as they
+were.  Replay is exact because the kept items are the walk's own items
+in its own order.  At most `MAX_SHARED_PMFS` items are kept in all; a
+consumer that reaches the end of a full list takes over the live walk,
+and one that comes later walks the rest alone, so no scan builds more
+pmfs than a walk of its own would.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import islice, product
 from math import comb, gcd, prod
 from typing import Iterator, Mapping
 
@@ -55,6 +71,12 @@ from .core import MAX_VARS, EntropicCandidate, LogLinValue, Value, _factor_cache
 Outcome = tuple[int, ...]
 # (D', domains, ((cell, count), ...)): a pmf with probabilities count / D'
 IntegerPmf = tuple[int, tuple[int, ...], tuple[tuple[int, int], ...]]
+
+# A kept walk item costs about 550 bytes (tracemalloc: 51.9 MB for the
+# 94,837 pmfs of n=4, s=2, D=8), so this cap holds about 9 MB.  It covers
+# whole streams at s=2, D=4 (85 pmfs at n=3, 528 at n=4, 3,781 at n=5)
+# and the early part of deeper ones, where scans that stop early stop.
+MAX_SHARED_PMFS = 1 << 14
 
 
 class Distribution(Value):
@@ -347,6 +369,71 @@ def pmf_walk(n: int, max_support: int, max_denominator: int,
                             yield index + offset, (dprime, domains, atoms)
                     index += size
     yield index, None
+
+
+class _SharedWalk:
+    """One budget's kept walk items, and the live walk that extends them
+    (None once the stream is whole or a consumer has taken it over)."""
+
+    __slots__ = ("kept", "live")
+
+    def __init__(self, live: Iterator):
+        self.kept: list = []
+        self.live = live
+
+
+# budget -> its shared walk, or None after the budget's first walk
+_walks: dict[tuple[int, int, int], "_SharedWalk | None"] = {}
+_kept_total = 0  # items kept over all budgets, at most MAX_SHARED_PMFS
+
+
+def shared_walk(n: int, max_support: int,
+                max_denominator: int) -> Iterator[tuple[int, "IntegerPmf | None"]]:
+    """The items of `pmf_walk(n, max_support, max_denominator,
+    skip_twins=True)`, built once per process and replayed to the later
+    walks of the budget (see the module docstring)."""
+    budget = (n, max_support, max_denominator)
+    walk = _walks.get(budget)
+    if walk is None:
+        if budget not in _walks:
+            _walks[budget] = None
+            return pmf_walk(*budget, skip_twins=True)
+        walk = _walks[budget] = _SharedWalk(pmf_walk(*budget, skip_twins=True))
+    return _replay(walk, budget)
+
+
+def _replay(walk: _SharedWalk, budget: tuple[int, int, int]) -> Iterator:
+    """One consumer of a shared walk: the kept items by position, then
+    what it adds from the live walk."""
+    global _kept_total
+    kept = walk.kept
+    i = 0
+    while True:
+        while i < len(kept):
+            yield kept[i]
+            i += 1
+        live = walk.live
+        if live is None:
+            if kept and kept[-1][1] is None:
+                return
+            # another consumer owns the live walk now
+            yield from islice(pmf_walk(*budget, skip_twins=True), i, None)
+            return
+        if _kept_total >= MAX_SHARED_PMFS:
+            walk.live = None
+            for item in live:
+                yield item
+            return
+        try:
+            item = next(live)
+            kept.append(item)
+            _kept_total += 1
+        except BaseException:
+            # an interrupted walk cannot resume; later consumers walk alone
+            walk.live = None
+            raise
+        if item[1] is None:
+            walk.live = None
 
 
 def pmf_stream(n: int, max_support: int, max_denominator: int) -> Iterator[IntegerPmf]:

@@ -434,23 +434,34 @@ def parse_constraint(text: str, var_names: "list[str] | None" = None) -> Boolean
 # ---------------------------------------------------------------------------
 
 def default_names(n: int) -> tuple[str, ...]:
-    """Single letters for small n (alphabetical, so inference round-trips)."""
+    """Names in alphabetical order, so that inference round-trips: single
+    letters for small n, then X1..Xn, zero-padded from n = 10 on so that
+    X02 sorts before X10."""
     if n <= 3:
         return tuple("XYZ"[:n])
     if n == 4:
         return ("A", "B", "C", "D")
-    return tuple(f"X{i + 1}" for i in range(n))
+    width = len(str(n))
+    return tuple(f"X{i + 1:0{width}d}" for i in range(n))
 
 
 def format_expr(expr: LinExpr, names: "tuple[str, ...] | None" = None) -> str:
-    """Canonical text for a LinExpr: plain H-terms, masks in canonical order."""
+    """Canonical text for a LinExpr: plain H-terms, masks in canonical order.
+    The names of one term are run together when every name is one letter
+    (H(XY)) and separated by spaces otherwise (H(X1 X5)), since the parser
+    reads a run of longer names as one name."""
     if names is None:
         names = default_names(expr.n)
+    sep = " " if any(len(name) > 1 for name in names) else ""
+
+    def term_of(mask: int) -> str:
+        return "H(" + sep.join(names[i] for i in VarSet(mask).indices()) + ")"
+
     if expr.is_zero():
-        return "0*H(" + VarSet((1 << expr.n) - 1).label(names) + ")"
+        return "0*" + term_of((1 << expr.n) - 1)
     parts = []
     for mask, coeff in expr.items:
-        term = f"H({VarSet(mask).label(names)})"
+        term = term_of(mask)
         if coeff == 1:
             text = term
         elif coeff == -1:

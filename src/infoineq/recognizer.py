@@ -7,7 +7,8 @@ The checks are one-sided, matching what a terminating tool can promise:
   generator);
 * realization is sound -- an enumerated distribution reproduces every
   coordinate exactly, certifying the vector entropic.  The search walks
-  the canonical stream skipping twins (`pmf_walk`): a skipped pmf has an
+  the canonical stream skipping twins (`shared_walk`, which the
+  refuter's scans of the same budget share): a skipped pmf has an
   earlier twin with the same entropic vector, so the first realizing pmf
   is never skipped.  Each pmf is compared with the candidate one mask at
   a time, building one `Distribution.entropy` per exact sign, and is
@@ -19,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .core import EntropicCandidate, LogLinValue, Value
-from .distributions import Distribution, pmf_walk, to_distribution
+from .distributions import Distribution, shared_walk, to_distribution
 from .parser import _split_var_token
 from .shannon import Generator, GeneratorSet
 
@@ -125,7 +126,7 @@ def check_candidate(repr_: CandidateRepr, gens: GeneratorSet,
     for gen in gens.generators:
         if gen.expr.eval(h).sign() < 0:
             return RecognitionResult("rejected", violated=gen)
-    for _, pmf in pmf_walk(repr_.n, max_support, max_denominator, skip_twins=True):
+    for _, pmf in shared_walk(repr_.n, max_support, max_denominator):
         if pmf is None:
             break
         dist = to_distribution(*pmf)

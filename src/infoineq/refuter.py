@@ -30,6 +30,12 @@ reference evaluation over `LogLinValue`s, so the report does not depend
 on the kernel.  The re-check builds h only at the masks the constraint
 mentions, since the expressions read nothing else.
 
+Scans of one budget share the walk.  `candidate_stream` draws from
+`distributions.shared_walk`, so a process builds a budget's pmfs once
+and replays them, in the same order with the same indices, to every
+later scan of that budget, whatever its constraint.  Only pmfs are
+shared; each scan keeps its own profiles and signs.
+
 A counterexample here witnesses failure on the set of finite-distribution
 entropic vectors.  "Not found" carries the exhausted budget and means
 nothing more; validity over the closed cone is out of reach of any
@@ -44,7 +50,7 @@ from typing import Iterator
 
 from .core import (BooleanConstraint, Clause, LinExpr, Value, _factor_cached, is_prime,
                    prime_sum_sign)
-from .distributions import Distribution, cell_outcomes, pmf_walk, to_distribution
+from .distributions import Distribution, cell_outcomes, shared_walk, to_distribution
 
 DISTRIBUTION = "distribution"
 VECTOR_SPACE = "vector-space"
@@ -210,10 +216,10 @@ def candidate_stream(n: int, budget: Budget) -> Iterator[tuple[int, "str | None"
     """`(index, kind, candidate)` in canonical order, ending with one
     `(size, None, None)` item.  Distributions come first (guaranteed
     witnesses when finite-model validity fails), as the pmfs `pmf_walk`
-    builds when it skips twins; then subspace systems as an accelerator
-    for algebraic failures.  `index` is the position in the whole stream,
-    skipped pmfs included."""
-    for index, pmf in pmf_walk(n, budget.max_support, budget.max_denominator, skip_twins=True):
+    builds when it skips twins, drawn from the budget's `shared_walk`;
+    then subspace systems as an accelerator for algebraic failures.
+    `index` is the position in the whole stream, skipped pmfs included."""
+    for index, pmf in shared_walk(n, budget.max_support, budget.max_denominator):
         if pmf is not None:
             yield index, DISTRIBUTION, pmf
     if budget.vs_primes and budget.vs_max_dim >= 1:

@@ -398,11 +398,8 @@ def test_module_entry_point_reads_sys_argv():
     assert proc.stdout == out.getvalue()
 
 
-@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
-def test_closed_stdout_keeps_the_verdicts_exit_code(unbuffered):
-    """A reader that is gone before the report is written (as with
-    `infoineq refute ... | true`) changes neither the exit code of the
-    refutation nor stderr, with stdout buffered or not."""
+def run_with_closed_stdout(argv: list[str], unbuffered: bool) -> subprocess.CompletedProcess:
+    """The command run with stdout on a pipe whose read end is closed."""
     env = dict(os.environ, PYTHONPATH=str(Path(infoineq.__file__).parents[1]))
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
@@ -410,12 +407,29 @@ def test_closed_stdout_keeps_the_verdicts_exit_code(unbuffered):
     read, write = os.pipe()
     os.close(read)
     try:
-        proc = subprocess.run([sys.executable, "-m", "infoineq.cli", "refute", "--file",
-                               str(fixture("false_mono_flip").path), "--budget", "s=2,D=2"],
+        return subprocess.run([sys.executable, "-m", "infoineq.cli", *argv],
                               env=env, stdout=write, stderr=subprocess.PIPE, text=True)
     finally:
         os.close(write)
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_closed_stdout_keeps_the_verdicts_exit_code(unbuffered):
+    """A reader that is gone before the report is written (as with
+    `infoineq refute ... | true`) changes neither the exit code of the
+    refutation nor stderr, with stdout buffered or not."""
+    proc = run_with_closed_stdout(["refute", "--file", str(fixture("false_mono_flip").path),
+                                   "--budget", "s=2,D=2"], unbuffered)
     assert (proc.returncode, proc.stderr) == (cli.EXIT_NEGATIVE, "")
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_closed_stdout_keeps_ci_export_silent(unbuffered):
+    """`ci export ... | true` writes its SMT-LIB text through the same
+    handling as the reports: exit 0, nothing on stderr."""
+    proc = run_with_closed_stdout(["ci", "export", "--vars", "X Y Z", "--ante", "X;Y|Z",
+                                   "--cons", "X;Y", "--domain", "3"], unbuffered)
+    assert (proc.returncode, proc.stderr) == (cli.EXIT_POSITIVE, "")
 
 
 def test_shared_parser_keeps_no_state_between_calls(capsys, tmp_path):
@@ -524,6 +538,14 @@ def test_secret_share_runs_the_tight_stage(capsys):
     constraint = parse_constraint(report["constraint"])
     gens = elemental(constraint.n)
     assert certificate_problems(report, constraint.clauses[0], gens) == []
+
+
+def test_secret_share_prints_a_constraint_that_parses_back(capsys, tmp_path):
+    code, report = run(capsys, "secret-share", "--participants", "4", "--access", "1")
+    assert code == 0 and "H(X1 X5)" in report["constraint"]
+    path = write(tmp_path, report["constraint"])
+    code, refuted = run(capsys, "refute", "--file", path, "--budget", "s=1,D=1")
+    assert code == 2 and refuted["constraint"] == report["constraint"]
 
 
 def test_tight_stage_note_gives_the_least_relaxation(capsys):

@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from infoineq import distributions
 from infoineq.core import BooleanConstraint, Clause, LinExpr, LogLinValue, entropy_of
 from infoineq.distributions import (Distribution, cell_outcomes, enumerate_distributions,
-                                    pmf_stream, pmf_walk)
+                                    pmf_stream, pmf_walk, shared_walk)
 from infoineq.refuter import ProfileScan
 from infoineq.shannon import elemental
 
@@ -182,6 +183,89 @@ class TestWalk:
     def test_zero_budget_walk_is_empty(self):
         assert list(pmf_walk(2, 0, 4, skip_twins=True)) == [(0, None)]
         assert list(pmf_walk(2, 2, 0)) == [(0, None)]
+
+
+@pytest.fixture
+def fresh_walks(monkeypatch):
+    """A process that has walked no budget yet."""
+    monkeypatch.setattr(distributions, "_walks", {})
+    monkeypatch.setattr(distributions, "_kept_total", 0)
+
+
+def kept(budget) -> int:
+    walk = distributions._walks[budget]
+    return 0 if walk is None else len(walk.kept)
+
+
+@pytest.mark.usefixtures("fresh_walks")
+class TestSharedWalk:
+    BUDGETS = [(3, 2, 4), (4, 2, 4), (5, 2, 4), (3, 3, 4)]
+
+    @pytest.mark.parametrize("budget", BUDGETS)
+    def test_every_walk_is_the_twin_skipping_walk(self, budget):
+        expected = list(pmf_walk(*budget, skip_twins=True))
+        for _ in range(3):  # bare, keeping, replaying
+            assert list(shared_walk(*budget)) == expected
+
+    @pytest.mark.parametrize("budget", BUDGETS)
+    @pytest.mark.parametrize("abandoned", [1, 2, 3])
+    def test_an_abandoned_walk_leaves_the_later_ones_whole(self, budget, abandoned):
+        expected = list(pmf_walk(*budget, skip_twins=True))
+        for _ in range(abandoned - 1):
+            assert list(shared_walk(*budget)) == expected
+        walk = shared_walk(*budget)
+        assert [next(walk) for _ in range(3)] == expected[:3]
+        walk.close()
+        for _ in range(2):
+            assert list(shared_walk(*budget)) == expected
+
+    @pytest.mark.parametrize("budget", BUDGETS)
+    @pytest.mark.parametrize("lead", [0, 1, 7])
+    def test_interleaved_walks_each_see_the_whole_stream(self, budget, lead):
+        expected = list(pmf_walk(*budget, skip_twins=True))
+        list(shared_walk(*budget))
+        first, second = shared_walk(*budget), shared_walk(*budget)
+        seen_first = [next(first) for _ in range(lead)]
+        seen_second = []
+        for a, b in zip(first, second):
+            seen_first.append(a)
+            seen_second.append(b)
+        seen_first += list(first)
+        seen_second += list(second)
+        assert seen_first == seen_second == expected
+
+    def test_a_stream_past_the_bound_comes_out_whole(self, monkeypatch):
+        monkeypatch.setattr(distributions, "MAX_SHARED_PMFS", 50)
+        budget = (4, 2, 4)
+        expected = list(pmf_walk(*budget, skip_twins=True))
+        assert len(expected) > 100
+        list(shared_walk(*budget))
+        keeping = shared_walk(*budget)
+        assert [next(keeping) for _ in range(30)] == expected[:30]
+        behind, ahead = shared_walk(*budget), shared_walk(*budget)
+        # `ahead` runs past the kept items and takes the live walk over;
+        # `keeping` and `behind` then walk the rest alone
+        assert list(ahead) == expected
+        assert [next(keeping) for _ in range(30)] == expected[30:60]
+        assert list(behind) == expected
+        assert list(keeping) == expected[60:]
+        assert list(shared_walk(*budget)) == expected
+        assert kept(budget) == distributions._kept_total == 50
+
+    def test_the_bound_holds_over_all_budgets(self, monkeypatch):
+        monkeypatch.setattr(distributions, "MAX_SHARED_PMFS", 600)
+        for budget in [(4, 2, 4), (3, 2, 4)]:
+            expected = list(pmf_walk(*budget, skip_twins=True))
+            for _ in range(3):
+                assert list(shared_walk(*budget)) == expected
+        assert kept((4, 2, 4)) == len(list(pmf_walk(4, 2, 4, skip_twins=True)))
+        assert kept((4, 2, 4)) + kept((3, 2, 4)) == distributions._kept_total == 600
+
+    def test_one_walk_keeps_nothing(self):
+        budget = (4, 2, 4)
+        list(shared_walk(*budget))
+        assert distributions._walks == {budget: None}
+        assert distributions._kept_total == 0
 
 
 class TestProperties:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infoineq import parser
+from infoineq.apps import secret_sharing_constraint
 from infoineq.core import LinExpr, cond_entropy, mutual_info
 from infoineq.parser import (MAX_PAREN_DEPTH, ParseError, format_clause, format_constraint,
                              format_expr, parse_constraint, parse_expr)
@@ -312,6 +313,19 @@ class TestRoundTrip:
             first = parse_constraint(text)
             printed = format_constraint(first)
             assert parse_constraint(printed) == first
+
+    @pytest.mark.parametrize("participants", range(2, 12))
+    def test_secret_sharing_round_trip(self, participants):
+        # n = participants + 1 variables: X1..X9 need spaces between the
+        # names of a term, and X01..X12 zero-padding to sort alphabetically
+        access = [[i + 1 for i in range(participants) if (bits >> i) & 1]
+                  for bits in range(1, 1 << participants, 2)]
+        constraint = secret_sharing_constraint(participants, access, 1)
+        assert parse_constraint(format_constraint(constraint)) == constraint
+
+    def test_single_letter_names_run_together(self):
+        assert format_expr(parse_expr("H(XY) - H(Z)", XYZ)) == "H(XY) - H(Z)"
+        assert format_expr(LinExpr.make(5, {0b10001: Fraction(1)})) == "H(X1 X5)"
 
     def test_format_zero_expr(self):
         zero = LinExpr.zero(3)

@@ -1,8 +1,9 @@
 """The profile-scan kernel of the refuter against the reference evaluation:
 exact signs, reports byte-identical to a `violation` scan over
 `enumerate_distributions` (every pmf, nothing skipped), candidate and
-distinct-profile counts, the parallel driver, and `violation` itself
-against an evaluation over the whole entropic vector."""
+distinct-profile counts, scans over a shared walk, the parallel driver,
+and `violation` itself against an evaluation over the whole entropic
+vector."""
 from __future__ import annotations
 
 import sys
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
+from infoineq import distributions
 from infoineq.apps import corpus, fixture
 from infoineq.core import BooleanConstraint, Clause, LinExpr
 from infoineq.distributions import (Distribution, enumerate_distributions, pmf_stream,
@@ -118,6 +120,24 @@ def test_matus_k1_is_refuted():
     assert result.counterexample.distribution == Distribution.make((2, 2, 2, 2), {
         (0, 0, 1, 1): Fraction(1, 6), (0, 1, 1, 0): Fraction(1, 6),
         (1, 0, 1, 0): Fraction(1, 6), (1, 1, 0, 0): Fraction(1, 2)})
+
+
+def test_scans_over_a_replayed_walk_match_fresh_ones(monkeypatch):
+    def scan(fx):
+        result = refute(fx.constraint, Budget.parse(fx.budget or "s=2,D=4"))
+        return result.to_json(), result.candidates_scanned, result.distinct_profiles
+
+    fresh = []
+    for fx in corpus():
+        monkeypatch.setattr(distributions, "_walks", {})
+        fresh.append(scan(fx))
+    # one process: the fixtures of one budget share its walk, the first
+    # round keeps it, the second round only replays it
+    monkeypatch.setattr(distributions, "_walks", {})
+    monkeypatch.setattr(distributions, "_kept_total", 0)
+    for _ in range(2):
+        assert [scan(fx) for fx in corpus()] == fresh
+    assert distributions._kept_total > 0
 
 
 @pytest.mark.parametrize("q,dim", [(2, 1), (2, 3), (3, 2), (5, 2)])
