@@ -102,12 +102,9 @@ def load_generators(n: int, extra_files: list[str]) -> GeneratorSet:
 # ---------------------------------------------------------------------------
 
 class ClauseOutcome(Value):
-    """One clause's verdict.  The one value type changed after it is built:
-    `decide_clause` sets `kept` and extends the note in `detail`, so it
-    has no hash."""
+    """One clause's verdict.  Its `detail` is a dict, so it has no hash."""
 
     __slots__ = ("status", "method", "detail", "kept")
-    __hash__ = None
 
     def __init__(self, status: str, method: str, detail: dict,
                  kept: tuple[LinExpr, ...] = ()):
@@ -158,7 +155,7 @@ def _tight_stage(clause: Clause, prepared: PreparedAntecedents, gens: GeneratorS
     if not kept:
         note = "no antecedent survives pruning; the tight stage needs one"
     for a in kept:
-        verdict = TIGHT if -a in prepared.valid else classify_tight(a, gens).verdict
+        verdict = TIGHT if -a in prepared.valid else classify_tight(a, gens)
         if verdict != TIGHT:
             note = (f"antecedent {clause.antecedents.index(a)} not verified tight "
                     f"(classified {verdict})")
@@ -197,18 +194,14 @@ def decide_clause(clause: Clause, prepared: PreparedAntecedents, gens: Generator
     without the provably valid ones (`prepare_antecedents`); the first
     conclusive outcome wins.  An inconclusive outcome carries the method
     of the leading stage and the notes of every stage, in order."""
-    lead = None
+    inconclusive = []
     for name in stages:
         outcome = STAGES[name](clause, prepared, gens, budget, workers)
         if outcome.status != "inconclusive":
-            lead = outcome
-            break
-        if lead is None:
-            lead = outcome
-        else:
-            lead.detail["note"] += "; " + outcome.detail["note"]
-    lead.kept = prepared.kept
-    return lead
+            return ClauseOutcome(outcome.status, outcome.method, outcome.detail, prepared.kept)
+        inconclusive.append(outcome)
+    note = "; ".join(o.detail["note"] for o in inconclusive)
+    return ClauseOutcome("inconclusive", inconclusive[0].method, {"note": note}, prepared.kept)
 
 
 def decide_constraint(constraint: BooleanConstraint, gens: GeneratorSet, budget: Budget,
@@ -337,6 +330,9 @@ def _ci_parts(args) -> tuple[list[CIStatement], CIStatement, int, list[str]]:
     names = args.vars.split()
     if not names:
         raise ValueError("--vars must list the variable names")
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ValueError(f"duplicate variable name {name!r} in --vars")
     antecedents = [parse_ci(a, names) for a in args.ante]
     consequent = parse_ci(args.cons, names)
     return antecedents, consequent, len(names), names
@@ -348,9 +344,11 @@ def cmd_ci(args) -> int:
         gens = load_generators(n, args.extra_gens)
         cert = ci_prove(antecedents, consequent, n, gens)
         status = "proved" if cert is not None else "inconclusive"
-        report = {"command": "ci prove", "status": status,
-                  "implication": " and ".join(a.label(tuple(names)) + " = 0" for a in antecedents)
-                  + " => " + consequent.label(tuple(names)) + " = 0"}
+        implication = consequent.label(tuple(names)) + " = 0"
+        if antecedents:
+            implication = (" and ".join(a.label(tuple(names)) + " = 0" for a in antecedents)
+                           + " => " + implication)
+        report = {"command": "ci prove", "status": status, "implication": implication}
         if cert is not None:
             report["certificate"] = cert.to_json(gens)
         emit(report, args.text)

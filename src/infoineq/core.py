@@ -83,13 +83,6 @@ class VarSet(int):
             raise ValueError(f"variable mask out of range: {bits}")
         return super().__new__(cls, bits)
 
-    @classmethod
-    def of(cls, *indices: int) -> "VarSet":
-        mask = 0
-        for i in indices:
-            mask |= 1 << i
-        return cls(mask)
-
     def indices(self) -> Iterator[int]:
         bits = int(self)
         i = 0
@@ -222,14 +215,6 @@ class LogLinValue(Value):
     @staticmethod
     def of(*terms) -> "LogLinValue":
         return LogLinValue(tuple((as_fraction(q), as_fraction(r)) for q, r in terms))
-
-    @staticmethod
-    def from_rational(q) -> "LogLinValue":
-        """The rational q itself, represented as q * log2(2)."""
-        q = as_fraction(q)
-        if q == 0:
-            return LogLinValue.zero()
-        return LogLinValue(((q, Fraction(2)),))
 
     def __add__(self, other: "LogLinValue") -> "LogLinValue":
         return LogLinValue(self.terms + other.terms)
@@ -481,9 +466,9 @@ def mutual_info(n: int, y: int, z: int, given: int = 0) -> LinExpr:
 class EntropicCandidate(Value):
     """A vector h indexed by all 2^n subsets, with h({}) = 0.
 
-    Candidates come from distributions, modular weight vectors, linear
-    subspace systems, or parsed recognizability inputs; nothing here
-    assumes the vector is actually entropic.
+    Candidates come from distributions, linear subspace systems, or
+    parsed recognizability inputs; nothing here assumes the vector is
+    actually entropic.
     """
 
     __slots__ = ("n", "values")
@@ -494,10 +479,6 @@ class EntropicCandidate(Value):
             raise ValueError("candidate must have one value per subset")
         if not values[0].is_zero():
             raise ValueError("value at the empty set must be zero")
-
-    @staticmethod
-    def zero(n: int) -> "EntropicCandidate":
-        return EntropicCandidate(n, tuple(LogLinValue.zero() for _ in range(1 << n)))
 
     def value(self, mask: int) -> LogLinValue:
         return self.values[mask]

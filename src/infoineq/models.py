@@ -1,53 +1,17 @@
-"""Non-distribution sources of (almost-)entropic candidates.
-
-Two families:
-
-* modular weight vectors, h(alpha) = sum_{j in alpha} w_j with w_j >= 0 --
-  every nonnegative modular function is entropic;
-* systems of linear subspaces of GF(q)^d, where h(alpha) is the rank of
-  the joint span times log2(q).  These realize the linear subclass of
-  group-characterizable vectors and are exact (ranks are integers).
+"""Systems of linear subspaces of GF(q)^d as entropic candidates, the
+refuter's second stream after distributions.  h(alpha) is the rank of
+the joint span times log2(q); these realize the linear subclass of
+group-characterizable vectors and are exact (ranks are integers).
 """
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterator, Sequence
 
-from .core import EntropicCandidate, LogLinValue, Value, as_fraction
+from .core import LogLinValue, Value
 
 Matrix = tuple[tuple[int, ...], ...]
-
-
-# ---------------------------------------------------------------------------
-# Modular vectors
-# ---------------------------------------------------------------------------
-
-class ModularVector(Value):
-    """h(alpha) = sum_{j in alpha} w_j for nonnegative rational weights."""
-
-    __slots__ = ("weights",)
-
-    def __init__(self, weights: tuple[Fraction, ...]):
-        self.weights = weights
-        if any(w < 0 for w in weights):
-            raise ValueError("modular weights must be nonnegative")
-
-    @staticmethod
-    def make(weights: Sequence) -> "ModularVector":
-        return ModularVector(tuple(as_fraction(w) for w in weights))
-
-    @property
-    def n(self) -> int:
-        return len(self.weights)
-
-    def value(self, mask: int) -> Fraction:
-        return sum((w for j, w in enumerate(self.weights) if (mask >> j) & 1), Fraction(0))
-
-    def candidate(self) -> EntropicCandidate:
-        values = [LogLinValue.from_rational(self.value(mask)) for mask in range(1 << self.n)]
-        return EntropicCandidate(self.n, tuple(values))
 
 
 # ---------------------------------------------------------------------------
@@ -105,11 +69,6 @@ class VectorSpaceSystem(Value):
             if basis and rank_mod(basis, q) != len(basis):
                 raise ValueError("basis rows must be linearly independent")
 
-    @staticmethod
-    def make(q: int, dim: int, bases: Sequence[Sequence[Sequence[int]]]) -> "VectorSpaceSystem":
-        return VectorSpaceSystem(q, dim, tuple(
-            tuple(tuple(int(x) % q for x in row) for row in basis) for basis in bases))
-
     @property
     def n(self) -> int:
         return len(self.bases)
@@ -128,10 +87,9 @@ class VectorSpaceSystem(Value):
         r = self.joint_rank(mask)
         return LogLinValue.of((r, self.q)) if r else LogLinValue.zero()
 
-    def candidate(self) -> EntropicCandidate:
-        return EntropicCandidate(self.n, tuple(self.entropy(mask) for mask in range(1 << self.n)))
-
     def to_file_text(self) -> str:
+        """The witness file of `refute --out`: a `q dim n` line, then one
+        line per subspace, its basis size followed by its rows."""
         lines = [f"{self.q} {self.dim} {self.n}"]
         for basis in self.bases:
             flat = [str(len(basis))]
@@ -139,22 +97,6 @@ class VectorSpaceSystem(Value):
                 flat.extend(str(x) for x in row)
             lines.append(" ".join(flat))
         return "\n".join(lines) + "\n"
-
-    @staticmethod
-    def from_file_text(text: str) -> "VectorSpaceSystem":
-        lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-        lines = [ln for ln in lines if ln]
-        q, dim, n = (int(t) for t in lines[0].split())
-        if len(lines) != n + 1:
-            raise ValueError(f"expected {n} basis lines, found {len(lines) - 1}")
-        bases = []
-        for ln in lines[1:]:
-            toks = [int(t) for t in ln.split()]
-            k, entries = toks[0], toks[1:]
-            if len(entries) != k * dim:
-                raise ValueError(f"basis line has {len(entries)} entries, expected {k}x{dim}")
-            bases.append([entries[r * dim:(r + 1) * dim] for r in range(k)])
-        return VectorSpaceSystem.make(q, dim, bases)
 
 
 def random_system(rng: random.Random, n: int, q: int, dim: int) -> VectorSpaceSystem:

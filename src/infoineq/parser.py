@@ -336,9 +336,6 @@ class _Parser:
             return {}
         return value
 
-    def parse_expr(self) -> LinExpr:
-        return LinExpr.make(self.n, self.parse_coeffs())
-
     # -- clauses -------------------------------------------------------------
 
     def parse_comparison(self) -> tuple[LinExpr, str]:
@@ -416,7 +413,7 @@ class _Parser:
 def parse_expr(text: str, var_names: list[str]) -> LinExpr:
     """Parse a single linear entropy expression over the given variables."""
     p = _Parser(_tokenize(text), var_names)
-    expr = p.parse_expr()
+    expr = LinExpr.make(p.n, p.parse_coeffs())
     p.expect("eof")
     return expr
 

@@ -233,48 +233,35 @@ UNKNOWN = "unknown"
 
 
 class SlackWitness(Value):
-    """A candidate on which the inspected expressions are strictly positive."""
+    """A candidate on which the inspected expressions are strictly
+    positive: the modular vector h(alpha) = sum_{j in alpha} w_j of
+    nonnegative rational weights, or a distribution."""
 
-    __slots__ = ("kind", "modular", "distribution")
+    __slots__ = ("kind", "weights", "distribution")
 
-    def __init__(self, kind: str, modular: "ModularVector | None" = None,
+    def __init__(self, kind: str, weights: "tuple[Fraction, ...] | None" = None,
                  distribution: "Distribution | None" = None):
         self.kind = kind  # "modular" | "distribution"
-        self.modular, self.distribution = modular, distribution
-
-    def candidate(self):
-        if self.kind == "modular":
-            return self.modular.candidate()
-        return self.distribution.entropic_vector()
+        self.weights, self.distribution = weights, distribution
 
     def describe(self) -> dict:
         if self.kind == "modular":
-            return {"kind": "modular", "weights": [str(w) for w in self.modular.weights]}
+            return {"kind": "modular", "weights": [str(w) for w in self.weights]}
         return {"kind": "distribution", "file": self.distribution.to_file_text()}
 
 
-class Tightness(Value):
-    __slots__ = ("verdict", "certificate", "witness")
-
-    def __init__(self, verdict: str, certificate: "ProofCertificate | None" = None,
-                 witness: "SlackWitness | None" = None):
-        self.verdict = verdict  # TIGHT | SLACK | UNKNOWN
-        self.certificate = certificate  # proves -c when tight
-        self.witness = witness  # sign(c.h) = +1 when slack
-
-
 def classify_tight(c: LinExpr, gens: GeneratorSet,
-                   max_support: int = 2, max_denominator: int = 4) -> Tightness:
-    """Tight if -c is provable from gens (so c.h <= 0 on the whole cone);
-    Slack if the searches of `joint_slack` find a candidate with c.h > 0:
-    the modular LP, then the distribution scan within the budget; Unknown
+                   max_support: int = 2, max_denominator: int = 4) -> str:
+    """TIGHT if -c is provable from gens (so c.h <= 0 on the whole cone);
+    SLACK if the searches of `joint_slack` find a candidate with c.h > 0:
+    the modular LP, then the distribution scan within the budget; UNKNOWN
     otherwise.  A failed proof of -c at gens means none at the elemental
     subset either, so the scan runs without `joint_slack`'s second proof."""
-    cert = prove(-c, gens)
-    if cert is not None:
-        return Tightness(TIGHT, certificate=cert)
-    witness = _modular_slack([c]) or _distribution_slack([c], max_support, max_denominator)
-    return Tightness(SLACK, witness=witness) if witness else Tightness(UNKNOWN)
+    if prove(-c, gens) is not None:
+        return TIGHT
+    if _modular_slack([c]) or _distribution_slack([c], max_support, max_denominator):
+        return SLACK
+    return UNKNOWN
 
 
 def joint_slack(exprs: Sequence[LinExpr],
@@ -300,9 +287,8 @@ def _modular_slack(exprs: Sequence[LinExpr]) -> "SlackWitness | None":
     i, from one LP over w >= 0; scale invariance makes the unit margin
     lossless, so None means no modular vector makes every c_i positive.
     No expression gives the empty vector."""
-    from .models import ModularVector  # only slack searches pay its import
     if not exprs:
-        return SlackWitness("modular", modular=ModularVector.make([]))
+        return SlackWitness("modular", weights=())
     n = exprs[0].n
     k = len(exprs)
     # variables: w_1..w_n, slacks s_1..s_k; rows: sum_j A_ij w_j - s_i = 1
@@ -316,7 +302,7 @@ def _modular_slack(exprs: Sequence[LinExpr]) -> "SlackWitness | None":
     cost = [Fraction(1)] * n + [ZERO] * k
     res = solve_lp(a_rows, b, cost)
     if res.status == "optimal":
-        return SlackWitness("modular", modular=ModularVector.make(res.x[:n]))
+        return SlackWitness("modular", weights=tuple(res.x[:n]))
     return None
 
 

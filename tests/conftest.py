@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
-from infoineq.core import LinExpr, LogLinValue
+from infoineq.core import EntropicCandidate, LinExpr, LogLinValue
 from infoineq.distributions import Distribution
+from infoineq.models import VectorSpaceSystem
 from infoineq.shannon import elemental
 
 
@@ -22,6 +23,27 @@ def as_rational(value: LogLinValue) -> "Fraction | None":
         if b & (b - 1) == 0:
             return f * (b.bit_length() - 1)
     return None
+
+
+def modular_candidate(weights) -> EntropicCandidate:
+    """h(alpha) = sum_{j in alpha} w_j for nonnegative weights w, each
+    value as a rational multiple of log2(2).  Every nonnegative modular
+    function is entropic."""
+    n = len(weights)
+    values = []
+    for mask in range(1 << n):
+        total = sum((Fraction(w) for j, w in enumerate(weights) if (mask >> j) & 1), Fraction(0))
+        values.append(LogLinValue.of((total, 2)) if total else LogLinValue.zero())
+    return EntropicCandidate(n, tuple(values))
+
+
+def zero_candidate(n: int) -> EntropicCandidate:
+    return modular_candidate([0] * n)
+
+
+def subspace_candidate(system: VectorSpaceSystem) -> EntropicCandidate:
+    """The whole rank vector of a subspace system, h(alpha) at every mask."""
+    return EntropicCandidate(system.n, tuple(system.entropy(m) for m in range(1 << system.n)))
 
 
 @pytest.fixture(scope="session")

@@ -181,6 +181,9 @@ EXACT_ERRORS = {
      "H(XY) + H(YZ) + H(ZU) + H(X|YU) + H(U|XZ) >= 2*H(XYZU)\n"):
         "budget vsdim=4,vsq=2 streams 20217298 subspace systems for 4 variables, "
         "more than 10000",
+    # a repeated name would add a phantom variable to the statement
+    **{(("ci", verb, "--vars", "X Y X", "--cons", "X;Y"), None):
+       "duplicate variable name 'X' in --vars" for verb in ("prove", "falsify", "export")},
 }
 
 
@@ -546,6 +549,17 @@ def test_secret_share_prints_a_constraint_that_parses_back(capsys, tmp_path):
     path = write(tmp_path, report["constraint"])
     code, refuted = run(capsys, "refute", "--file", path, "--budget", "s=1,D=1")
     assert code == 2 and refuted["constraint"] == report["constraint"]
+
+
+@pytest.mark.parametrize("ante,implication", [
+    ((), "I(X;Y) = 0"),
+    (("--ante", "X;Y|Z", "--ante", "X;Z"), "I(X;Y|Z) = 0 and I(X;Z) = 0 => I(X;Y) = 0"),
+])
+def test_ci_prove_states_the_implication(capsys, ante, implication):
+    code, report = run(capsys, "ci", "prove", "--vars", "X Y Z", *ante, "--cons", "X;Y")
+    assert report["implication"] == implication
+    assert (code, report["status"]) == ((cli.EXIT_POSITIVE, "proved") if ante
+                                        else (cli.EXIT_INCONCLUSIVE, "inconclusive"))
 
 
 def test_tight_stage_note_gives_the_least_relaxation(capsys):

@@ -1,4 +1,5 @@
-"""Modular vectors and GF(q) subspace systems."""
+"""GF(q) subspace systems, and the modular vectors that tests build as
+reference candidates (`conftest.modular_candidate`)."""
 from __future__ import annotations
 
 import random
@@ -9,19 +10,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infoineq.core import entropy_of, mutual_info
-from infoineq.models import (ModularVector, VectorSpaceSystem, all_subspaces,
-                             enumerate_systems, random_system, rank_mod, rref_mod)
+from infoineq.models import (VectorSpaceSystem, all_subspaces, enumerate_systems,
+                             random_system, rank_mod, rref_mod)
 from infoineq.parser import parse_expr
 from infoineq.shannon import elemental
 
-from conftest import as_rational
+from conftest import as_rational, modular_candidate, subspace_candidate
 
 F = Fraction
 
 
 class TestModular:
     def test_basic_modular_values(self):
-        h = ModularVector.make([1, 0, 0]).candidate()  # weight on X
+        h = modular_candidate([1, 0, 0])  # weight on X
         assert as_rational(h.value(1)) == 1   # h(X)
         assert as_rational(h.value(2)) == 0   # h(Y)
         assert as_rational(h.value(4)) == 0   # h(Z)
@@ -29,7 +30,7 @@ class TestModular:
 
     def test_weighted_combination_on_conditional_antecedents(self):
         # weights (2, 0, 1): both slack antecedents evaluate to exactly 1
-        h = ModularVector.make([2, 0, 1]).candidate()
+        h = modular_candidate([2, 0, 1])
         a1 = parse_expr("H(XYZ) + H(X) - 2*H(XY)", ["X", "Y", "Z"])
         a2 = parse_expr("H(XYZ) + H(Y) - 2*H(YZ)", ["X", "Y", "Z"])
         assert as_rational(a1.eval(h)) == 1  # 3 + 2 - 4
@@ -37,43 +38,31 @@ class TestModular:
         assert as_rational(h.value(7)) == 3
 
     def test_zero_weights_zero_vector(self):
-        h = ModularVector.make([0, 0, 0]).candidate()
+        h = modular_candidate([0, 0, 0])
         assert all(h.value(m).is_zero() for m in range(8))
-
-    def test_negative_weight_rejected(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            ModularVector.make([1, -1])
-
-    def test_modularity_exact(self):
-        v = ModularVector.make([F(1, 3), F(5, 2), F(0), F(7)])
-        for a in range(16):
-            for b in range(16):
-                assert v.value(a) + v.value(b) == v.value(a | b) + v.value(a & b)
 
 
 class TestRankVector:
     def test_three_lines_in_the_plane(self):
-        sys_ = VectorSpaceSystem.make(2, 2, [[[1, 0]], [[0, 1]], [[1, 1]]])
-        h = sys_.candidate()
+        h = subspace_candidate(VectorSpaceSystem(2, 2, (((1, 0),), ((0, 1),), ((1, 1),))))
         for single in (1, 2, 4):
             assert as_rational(h.value(single)) == 1
         for mask in (3, 5, 6, 7):
             assert as_rational(h.value(mask)) == 2
 
     def test_ambient_subspace(self):
-        sys_ = VectorSpaceSystem.make(3, 2, [[[1, 0], [0, 1]], [[1, 2]]])
-        h = sys_.candidate()
+        h = subspace_candidate(VectorSpaceSystem(3, 2, (((1, 0), (0, 1)), ((1, 2),))))
         # any set containing the full subspace has rank 2, value 2*log2(3)
         assert h.value(1).log_exponents() == {3: F(2)}
         assert h.value(3).log_exponents() == {3: F(2)}
 
     def test_all_zero_subspaces(self):
-        sys_ = VectorSpaceSystem.make(2, 2, [[], [], []])
-        assert all(sys_.candidate().value(m).is_zero() for m in range(8))
+        h = subspace_candidate(VectorSpaceSystem(2, 2, ((), (), ())))
+        assert all(h.value(m).is_zero() for m in range(8))
 
     def test_dependent_basis_rejected(self):
         with pytest.raises(ValueError, match="independent"):
-            VectorSpaceSystem.make(2, 2, [[[1, 0], [1, 0]]])
+            VectorSpaceSystem(2, 2, (((1, 0), (1, 0)),))
 
     def test_rank_oracle_small_cases(self):
         assert rank_mod([[1, 0], [0, 1]], 2) == 2
@@ -87,15 +76,14 @@ class TestRankVector:
         q = rng.choice([2, 3])
         dim = rng.randint(1, 4)
         n = rng.randint(2, 4)
-        h = random_system(rng, n, q, dim).candidate()
+        h = subspace_candidate(random_system(rng, n, q, dim))
         for gen in elemental(n).generators:
             assert gen.expr.eval(h).sign() >= 0
 
     def test_submodularity_of_rank(self):
         rng = random.Random(7)
         for _ in range(50):
-            sys_ = random_system(rng, 3, 2, 3)
-            h = sys_.candidate()
+            h = subspace_candidate(random_system(rng, 3, 2, 3))
             assert mutual_info(3, 1, 2, 4).eval(h).sign() >= 0
 
 
@@ -116,8 +104,8 @@ class TestEnumeration:
         assert rref_mod([[0, 0]], 2) == ()
 
 
-def test_file_round_trip():
-    sys_ = VectorSpaceSystem.make(2, 2, [[[1, 0]], [], [[1, 1], [0, 1]]])
-    text = sys_.to_file_text()
-    assert VectorSpaceSystem.from_file_text(text) == sys_
-    assert text.splitlines()[0] == "2 2 3"
+def test_witness_file_text():
+    """The file `refute --out` writes for a subspace witness: `q dim n`,
+    then each subspace's basis size and rows."""
+    sys_ = VectorSpaceSystem(2, 2, (((1, 0),), (), ((1, 0), (0, 1))))
+    assert sys_.to_file_text() == "2 2 3\n1 1 0\n0\n2 1 0 0 1\n"

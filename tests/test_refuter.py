@@ -26,7 +26,7 @@ from infoineq.refuter import (DISTRIBUTION, VECTOR_SPACE, Budget, ProfileScan,
                               RefutationResult, _subspace_bases, _subspace_systems, refute,
                               refute_parallel, violation)
 
-from conftest import lin_exprs
+from conftest import lin_exprs, subspace_candidate
 
 XYZ = ("X", "Y", "Z")
 
@@ -184,7 +184,7 @@ def test_parallel_driver_equals_serial_on_deep_hits(name, budget):
 def whole_vector_violation(constraint: BooleanConstraint, kind: str, obj) -> "dict | None":
     """The report of the first clause `obj` falsifies, evaluated over its
     entropic vector at every mask."""
-    h = obj.entropic_vector() if kind == DISTRIBUTION else obj.candidate()
+    h = obj.entropic_vector() if kind == DISTRIBUTION else subspace_candidate(obj)
     for idx, clause in enumerate(constraint.clauses):
         trace, holds = [], False
         for role, exprs, satisfied in (("antecedent", clause.antecedents, lambda s: s < 0),

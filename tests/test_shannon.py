@@ -18,7 +18,7 @@ from infoineq.shannon import (MONOTONICITY, SLACK, SUBMODULARITY, TIGHT, UNKNOWN
 from infoineq.apps import matus_expr
 from infoineq.simplex import solve_lp
 
-from conftest import as_rational
+from conftest import as_rational, modular_candidate
 
 F = Fraction
 XYZ = ["X", "Y", "Z"]
@@ -204,26 +204,25 @@ def test_prove_hands_solve_lp_the_dense_fraction_lp(monkeypatch, target, anteced
 
 class TestClassify:
     def test_negated_mutual_information_is_tight(self, gens2):
-        t = classify_tight(-mutual_info(2, 1, 2), gens2)
-        assert t.verdict == TIGHT
-        assert verify(t.certificate, mutual_info(2, 1, 2), gens2)
+        assert classify_tight(-mutual_info(2, 1, 2), gens2) == TIGHT
+        # tight because the negation has a certificate
+        assert verify(prove(mutual_info(2, 1, 2), gens2), mutual_info(2, 1, 2), gens2)
 
     def test_unbalanced_expression_has_slack(self, gens3):
-        t = classify_tight(parse_expr("3*H(X) - 4*H(YZ)", XYZ), gens3)
-        assert t.verdict == SLACK
+        c = parse_expr("3*H(X) - 4*H(YZ)", XYZ)
+        assert classify_tight(c, gens3) == SLACK
         # the modular LP's witness: least total weight with c.h >= 1
-        assert t.witness.modular.weights == (F(1, 3), F(0), F(0))
+        assert joint_slack([c]).weights == (F(1, 3), F(0), F(0))
 
     def test_zero_is_tight(self, gens3):
-        assert classify_tight(LinExpr.zero(3), gens3).verdict == TIGHT
+        assert classify_tight(LinExpr.zero(3), gens3) == TIGHT
 
     def test_unknown_for_undetected(self, gens4):
         # matus_expr(1) is not provable at the elemental set, and neither a
         # modular vector nor a pmf with s=2, D=2 makes it negative, so the
         # negation is neither tight nor slack here.  This holds only at this
         # budget: at s=2, D=6 a pmf makes it negative (test_refuter).
-        t = classify_tight(-matus_expr(1), gens4, max_support=2, max_denominator=2)
-        assert t.verdict == UNKNOWN
+        assert classify_tight(-matus_expr(1), gens4, max_support=2, max_denominator=2) == UNKNOWN
 
 
 class TestJointSlack:
@@ -232,8 +231,8 @@ class TestJointSlack:
         a2 = parse_expr("H(XYZ) + H(Y) - 2*H(YZ)", XYZ)
         w = joint_slack([a1, a2])
         assert w is not None and w.kind == "modular"
-        assert w.modular.weights == (F(2), F(0), F(1))
-        h = w.candidate()
+        assert w.weights == (F(2), F(0), F(1))
+        h = modular_candidate(w.weights)
         assert as_rational(a1.eval(h)) == 1
         assert as_rational(a2.eval(h)) == 1
 
@@ -243,7 +242,7 @@ class TestJointSlack:
 
     def test_single_entropy(self, gens3):
         w = joint_slack([entropy_of(3, 1)])
-        assert w.modular.weights == (F(1), F(0), F(0))
+        assert w.weights == (F(1), F(0), F(0))
 
     def test_provably_nonpositive_expression_skips_the_scan(self, monkeypatch):
         # -I(X;Y) <= 0 is elemental, so no candidate can make it positive
@@ -258,4 +257,4 @@ class TestJointSlack:
         # correlation, which no modular vector provides
         w = joint_slack([mutual_info(2, 1, 2)])
         assert w is not None and w.kind == "distribution"
-        assert mutual_info(2, 1, 2).eval(w.candidate()).sign() == 1
+        assert mutual_info(2, 1, 2).eval(w.distribution.entropic_vector()).sign() == 1
