@@ -59,7 +59,7 @@ from .ci import CIStatement, build_delta, ci_prove, export_delta, falsify, parse
 from .core import MAX_VARS, BooleanConstraint, Clause, LinExpr, Value
 from .parser import ParseError, format_clause, format_constraint, parse_constraint
 from .reductions import PreparedAntecedents, max_to_linear, prepare_antecedents, tight_reduction
-from .refuter import DISTRIBUTION, Budget, Counterexample, refute, refute_parallel, violation
+from .refuter import DISTRIBUTION, Budget, Counterexample, refute, violation
 from .shannon import GeneratorSet, TIGHT, classify_tight, elemental, joint_slack, prove
 
 EXIT_POSITIVE = 0
@@ -119,7 +119,7 @@ def _refuted(counterexample: Counterexample) -> ClauseOutcome:
 
 
 def _multiplier_stage(clause: Clause, prepared: PreparedAntecedents, gens: GeneratorSet,
-                      budget: Budget, workers: int) -> ClauseOutcome:
+                      budget: Budget) -> ClauseOutcome:
     """One multiplier LP for a single consequent (the plain generator cone
     when no antecedent is kept); the max-to-linear LP for a max clause."""
     kept = prepared.kept
@@ -146,7 +146,7 @@ def _multiplier_stage(clause: Clause, prepared: PreparedAntecedents, gens: Gener
 
 
 def _tight_stage(clause: Clause, prepared: PreparedAntecedents, gens: GeneratorSet,
-                 budget: Budget, workers: int) -> ClauseOutcome:
+                 budget: Budget) -> ClauseOutcome:
     """The least relaxation eps*, run only when every kept antecedent is
     tight.  A kept antecedent whose negation was pruned as valid is tight
     without a second proof."""
@@ -163,7 +163,7 @@ def _tight_stage(clause: Clause, prepared: PreparedAntecedents, gens: GeneratorS
     if note is None:
         epsilon = tight_reduction(clause, kept, gens)
         if epsilon == 0:
-            return _multiplier_stage(clause, prepared, gens, budget, workers)
+            return _multiplier_stage(clause, prepared, gens, budget)
         p = floor(1 / epsilon)
         note = f"least relaxation eps* = {epsilon}: " + (
             f"certificates exist for p <= {p} and for no larger p" if p
@@ -172,9 +172,9 @@ def _tight_stage(clause: Clause, prepared: PreparedAntecedents, gens: GeneratorS
 
 
 def _refute_stage(clause: Clause, prepared: PreparedAntecedents, gens: GeneratorSet,
-                  budget: Budget, workers: int) -> ClauseOutcome:
+                  budget: Budget) -> ClauseOutcome:
     """Counterexample search for the clause, single or max."""
-    result = refute_parallel(clause, budget, workers)
+    result = refute(clause, budget)
     if result.found:
         return _refuted(result.counterexample)
     return ClauseOutcome("inconclusive", "counterexample-search",
@@ -188,15 +188,14 @@ REGIME_STAGES = {"auto": PROVE_STAGES, "slack": ("multiplier", "refute"),
 
 
 def decide_clause(clause: Clause, prepared: PreparedAntecedents, gens: GeneratorSet,
-                  budget: Budget, stages: tuple[str, ...] = PROVE_STAGES,
-                  workers: int = 1) -> ClauseOutcome:
+                  budget: Budget, stages: tuple[str, ...] = PROVE_STAGES) -> ClauseOutcome:
     """Run the named stages in order on one clause, over its antecedents
     without the provably valid ones (`prepare_antecedents`); the first
     conclusive outcome wins.  An inconclusive outcome carries the method
     of the leading stage and the notes of every stage, in order."""
     inconclusive = []
     for name in stages:
-        outcome = STAGES[name](clause, prepared, gens, budget, workers)
+        outcome = STAGES[name](clause, prepared, gens, budget)
         if outcome.status != "inconclusive":
             return ClauseOutcome(outcome.status, outcome.method, outcome.detail, prepared.kept)
         inconclusive.append(outcome)
@@ -205,8 +204,7 @@ def decide_clause(clause: Clause, prepared: PreparedAntecedents, gens: Generator
 
 
 def decide_constraint(constraint: BooleanConstraint, gens: GeneratorSet, budget: Budget,
-                      stages: tuple[str, ...] = PROVE_STAGES,
-                      workers: int = 1) -> tuple[str, list[ClauseOutcome]]:
+                      stages: tuple[str, ...] = PROVE_STAGES) -> tuple[str, list[ClauseOutcome]]:
     # clauses split from one equality consequent share their antecedents,
     # so the valid ones are dropped once per distinct antecedent tuple
     prepared: dict[tuple[LinExpr, ...], PreparedAntecedents] = {}
@@ -214,8 +212,7 @@ def decide_constraint(constraint: BooleanConstraint, gens: GeneratorSet, budget:
     for clause in constraint.clauses:
         if clause.antecedents not in prepared:
             prepared[clause.antecedents] = prepare_antecedents(clause.antecedents, gens)
-        outcomes.append(decide_clause(clause, prepared[clause.antecedents], gens, budget,
-                                      stages, workers))
+        outcomes.append(decide_clause(clause, prepared[clause.antecedents], gens, budget, stages))
     if any(o.status == "refuted" for o in outcomes):
         return "refuted", outcomes
     if all(o.status == "proved" for o in outcomes):
@@ -276,11 +273,18 @@ _STATUS_EXIT = {"proved": EXIT_POSITIVE, "realized": EXIT_POSITIVE,
 # Subcommands
 # ---------------------------------------------------------------------------
 
+def _one_process(workers: int) -> None:
+    if workers != 1:
+        raise ValueError(f"--workers {workers}: the counterexample search runs in one "
+                         f"process, so only --workers 1 is accepted")
+
+
 def cmd_prove(args) -> int:
+    _one_process(args.workers)
     constraint = parse_constraint(Path(args.file).read_text())
     gens = load_generators(constraint.n, args.extra_gens)
     budget = Budget.parse(args.budget)
-    status, outcomes = decide_constraint(constraint, gens, budget, workers=args.workers)
+    status, outcomes = decide_constraint(constraint, gens, budget)
     report = {
         "command": "prove",
         "constraint": format_constraint(constraint),
@@ -292,9 +296,10 @@ def cmd_prove(args) -> int:
 
 
 def cmd_refute(args) -> int:
+    _one_process(args.workers)
     constraint = parse_constraint(Path(args.file).read_text())
     budget = Budget.parse(args.budget)
-    result = refute_parallel(constraint, budget, workers=args.workers)
+    result = refute(constraint, budget)
     report = {"command": "refute", "constraint": format_constraint(constraint),
               **result.to_json()}
     if result.found and args.out:
@@ -335,6 +340,9 @@ def _ci_parts(args) -> tuple[list[CIStatement], CIStatement, int, list[str]]:
             raise ValueError(f"duplicate variable name {name!r} in --vars")
     antecedents = [parse_ci(a, names) for a in args.ante]
     consequent = parse_ci(args.cons, names)
+    # `prove` and `falsify` reject it later; `export` would first write domain^n atoms
+    if len(names) > MAX_VARS:
+        raise ValueError(f"variable count {len(names)} out of range 1..{MAX_VARS}")
     return antecedents, consequent, len(names), names
 
 
@@ -471,7 +479,7 @@ def _common(p, budget: bool = False, workers: bool = False):
                        help="search budget, e.g. s=3,D=6,vsdim=3,vsq=2,3")
     if workers:
         p.add_argument("--workers", type=int, default=1,
-                       help="worker processes for the counterexample search")
+                       help="only 1: the counterexample search runs in one process")
 
 
 def _prove_options(p):

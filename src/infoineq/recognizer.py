@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import EntropicCandidate, LogLinValue, Value
+from .core import MAX_VARS, EntropicCandidate, LogLinValue, Value
 from .distributions import Distribution, shared_walk, to_distribution
 from .parser import _split_var_token
 from .shannon import Generator, GeneratorSet
@@ -76,6 +76,9 @@ class CandidateRepr(Value):
             rows.append((subset, int(toks[1]), int(toks[2]), int(toks[3])))
         if not rows:
             raise ValueError("candidate file has no subset lines")
+        # checked before the 2^n - 1 subsets are looked up
+        if len(names) > MAX_VARS:
+            raise ValueError(f"variable count {len(names)} out of range 1..{MAX_VARS}")
         order = sorted(names)
         index = {name: i for i, name in enumerate(order)}
         n = len(order)

@@ -1,12 +1,12 @@
 """Budgeted counterexample search over the canonical candidate streams.
 
-Candidates are drawn first from the exact distribution enumeration, then
-from the linear subspace systems.  A candidate refutes a clause when
-every antecedent evaluates >= 0 and every consequent evaluates < 0 (all
-signs exact).  Reported counterexamples are canonical-minimal: the scan
-respects the stream order, and the parallel driver partitions the stream
-into blocks whose results are consumed in order, so the answer is a
-function of (constraint, budget) only, never of worker count.
+`refute` walks two streams in a fixed order: the pmfs of the exact
+distribution enumeration, then the linear subspace systems, numbered on
+from the size of the pmf stream.  A candidate refutes a clause when every
+antecedent evaluates >= 0 and every consequent evaluates < 0 (all signs
+exact).  Reported counterexamples are canonical-minimal: the scan
+respects the stream order, so the answer is a function of (constraint,
+budget) only.
 
 Distributions are scanned as integer pmfs by `ProfileScan`: per pmf it
 builds the marginal counts of every mask the constraint mentions, and
@@ -30,7 +30,7 @@ reference evaluation over `LogLinValue`s, so the report does not depend
 on the kernel.  The re-check builds h only at the masks the constraint
 mentions, since the expressions read nothing else.
 
-Scans of one budget share the walk.  `candidate_stream` draws from
+Scans of one budget share the walk.  `refute` draws its pmfs from
 `distributions.shared_walk`, so a process builds a budget's pmfs once
 and replays them, in the same order with the same indices, to every
 later scan of that budget, whatever its constraint.  Only pmfs are
@@ -44,9 +44,7 @@ bounded search.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import islice
 from math import comb, lcm
-from typing import Iterator
 
 from .core import (BooleanConstraint, Clause, LinExpr, Value, _factor_cached, is_prime,
                    prime_sum_sign)
@@ -209,26 +207,8 @@ class RefutationResult(Value):
 
 
 # ---------------------------------------------------------------------------
-# Candidate streams and evaluation
+# Evaluation
 # ---------------------------------------------------------------------------
-
-def candidate_stream(n: int, budget: Budget) -> Iterator[tuple[int, "str | None", object]]:
-    """`(index, kind, candidate)` in canonical order, ending with one
-    `(size, None, None)` item.  Distributions come first (guaranteed
-    witnesses when finite-model validity fails), as the pmfs `pmf_walk`
-    builds when it skips twins, drawn from the budget's `shared_walk`;
-    then subspace systems as an accelerator for algebraic failures.
-    `index` is the position in the whole stream, skipped pmfs included."""
-    for index, pmf in shared_walk(n, budget.max_support, budget.max_denominator):
-        if pmf is not None:
-            yield index, DISTRIBUTION, pmf
-    if budget.vs_primes and budget.vs_max_dim >= 1:
-        from .models import enumerate_systems  # only subspace budgets pay its import
-        for system in enumerate_systems(n, budget.vs_primes, budget.vs_max_dim):
-            yield index, VECTOR_SPACE, system
-            index += 1
-    yield index, None, None
-
 
 def _mentioned_masks(constraint: BooleanConstraint) -> tuple[int, ...]:
     """Every mask with a nonzero coefficient somewhere in the constraint,
@@ -379,89 +359,42 @@ class ProfileScan:
                 return idx
         return None
 
-    def check(self, kind: str, obj) -> "Counterexample | None":
-        """`violation` for one candidate stream item."""
-        if kind == VECTOR_SPACE:
-            return violation(self.constraint, kind, obj)
-        profile = self.profile(*obj)
+    def check(self, pmf) -> "Counterexample | None":
+        """`violation` for one pmf of the walk; None without evaluation
+        when its profile was seen before."""
+        profile = self.profile(*pmf)
         if profile in self.seen:
             return None
         self.seen.add(profile)
         idx = self.violated_clause(profile)
         if idx is None:
             return None
-        hit = violation(self.constraint, DISTRIBUTION, to_distribution(*obj))
+        hit = violation(self.constraint, DISTRIBUTION, to_distribution(*pmf))
         if hit is None or hit.clause_index != idx:
             raise RuntimeError(f"profile scan found clause {idx} violated, "
-                               f"the reference evaluation disagrees on {obj}")
+                               f"the reference evaluation disagrees on {pmf}")
         return hit
 
 
-def _as_constraint(target) -> BooleanConstraint:
-    if isinstance(target, Clause):
-        return BooleanConstraint(target.n, (target,))
-    return target
-
-
 def refute(target, budget: Budget) -> RefutationResult:
-    """First canonical counterexample within the budget, or not-found.
-    ValueError when the budget's subspace system stream is over its cap."""
-    constraint = _as_constraint(target)
+    """First canonical counterexample within the budget, or not-found:
+    the pmfs of the budget's `shared_walk` by `ProfileScan`, then its
+    subspace systems by `violation`.  ValueError when the budget's
+    subspace system stream is over its cap."""
+    constraint = BooleanConstraint(target.n, (target,)) if isinstance(target, Clause) else target
     _check_systems(constraint.n, budget)
     scan = ProfileScan(constraint, budget.max_denominator)
-    for index, kind, obj in candidate_stream(constraint.n, budget):
-        if kind is None:
-            return RefutationResult(None, budget, index, len(scan.seen))
-        hit = scan.check(kind, obj)
-        if hit is not None:
-            return RefutationResult(hit, budget, index + 1, len(scan.seen))
-
-
-# ---------------------------------------------------------------------------
-# Parallel driver
-# ---------------------------------------------------------------------------
-
-def _scan_block(constraint: BooleanConstraint, max_denominator: int,
-                block: list[tuple]) -> tuple["int | None", "Counterexample | None", set]:
-    """The first hit in a block of `candidate_stream` items (its stream
-    index and counterexample), and the profiles seen up to it."""
-    scan = ProfileScan(constraint, max_denominator)
-    for index, kind, obj in block:
-        if kind is not None:
-            hit = scan.check(kind, obj)
+    # the walk ends with one (size, None) item, so `index` ends at its size
+    for index, pmf in shared_walk(constraint.n, budget.max_support, budget.max_denominator):
+        if pmf is not None:
+            hit = scan.check(pmf)
             if hit is not None:
-                return index, hit, scan.seen
-    return None, None, scan.seen
-
-
-def refute_parallel(target, budget: Budget, workers: int = 1,
-                    block_size: int = 64) -> RefutationResult:
-    """Same function of (constraint, budget) as `refute`, for any worker
-    count: blocks of `candidate_stream` items, which carry their stream
-    index, are scanned concurrently but consumed in stream order, and
-    lower blocks always settle before a hit is reported.  Each block
-    skips only the profiles it has seen itself; the profiles of the
-    consumed blocks are merged, so `distinct_profiles` matches too."""
-    constraint = _as_constraint(target)
-    if workers <= 1:
-        return refute(constraint, budget)
-    _check_systems(constraint.n, budget)
-    from concurrent.futures import ProcessPoolExecutor  # only pools pay its import
-    stream = candidate_stream(constraint.n, budget)
-    seen: set = set()
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        pending = []
-        size = None
-        while True:
-            while size is None and len(pending) < 2 * workers:
-                block = list(islice(stream, block_size))
-                if block[-1][1] is None:
-                    size = block[-1][0]
-                pending.append(pool.submit(_scan_block, constraint,
-                                           budget.max_denominator, block))
-            if not pending:
-                return RefutationResult(None, budget, size, len(seen))
-            index, hit, block_seen = pending.pop(0).result()
-            seen |= block_seen
+                return RefutationResult(hit, budget, index + 1, len(scan.seen))
+    if budget.vs_primes and budget.vs_max_dim >= 1:
+        from .models import enumerate_systems  # only subspace budgets pay its import
+        for system in enumerate_systems(constraint.n, budget.vs_primes, budget.vs_max_dim):
+            index += 1
+            hit = violation(constraint, VECTOR_SPACE, system)
             if hit is not None:
-                return RefutationResult(hit, budget, index + 1, len(seen))
+                return RefutationResult(hit, budget, index, len(scan.seen))
+    return RefutationResult(None, budget, index, len(scan.seen))

@@ -145,15 +145,18 @@ def test_prove_reports_no_slack_label(capsys):
     assert "slack_witness" not in entry
 
 
-def test_prove_workers_do_not_change_the_report(capsys):
+@pytest.mark.parametrize("command", ["prove", "refute"])
+def test_workers_one_gives_the_report_of_no_flag(capsys, command):
+    """The search runs in one process; `--workers 1` is still accepted."""
     path = str(fixture("false_ci_weakening").path)
-    one = run(capsys, "prove", "--file", path, "--workers", "1")
-    two = run(capsys, "prove", "--file", path, "--workers", "2")
-    assert one == two
-    assert one[0] == 1
+    plain = run(capsys, command, "--file", path)
+    assert run(capsys, command, "--file", path, "--workers", "1") == plain
+    assert plain[0] == 1
 
 
 WIDE_DIST = "vars" + " 2" * 40 + "\n" + "0 " * 40 + "1\n"
+WIDE_CANDIDATE = "".join(f"V{i} 2 1 1\n" for i in range(40))
+WIDE_VARS = " ".join(f"V{i}" for i in range(40))
 # the whole error report of some bad inputs, by (argv, file text)
 EXACT_ERRORS = {
     (("corpus", "--show", "nope"), None): "no corpus fixture named 'nope'",
@@ -163,6 +166,18 @@ EXACT_ERRORS = {
         "variable count 41 out of range 1..16",
     # rejected before the 2^40 entropies are built
     (("check-dist", "--file", "{path}"), WIDE_DIST): "variable count 40 out of range 1..16",
+    # rejected before the 2^40 - 1 subset lines are looked up
+    (("recognize", "--file", "{path}"), WIDE_CANDIDATE): "variable count 40 out of range 1..16",
+    # rejected before the 2^40 atoms are written
+    (("ci", "export", "--vars", WIDE_VARS, "--cons", "V0;V1"), None):
+        "variable count 40 out of range 1..16",
+    # the counterexample search runs in one process
+    (("prove", "--file", "{path}", "--workers", "2"), "H(X) >= 0\n"):
+        "--workers 2: the counterexample search runs in one process, "
+        "so only --workers 1 is accepted",
+    (("refute", "--file", "{path}", "--workers", "0"), "H(X) >= 0\n"):
+        "--workers 0: the counterexample search runs in one process, "
+        "so only --workers 1 is accepted",
     (("recognize", "--file", "{path}"), "X -1 -2 1\n"):
         "malformed representation: b must be >= 1",
     (("recognize", "--file", "{path}"), "X 2 1 -1\n"):
@@ -245,8 +260,8 @@ def test_thirty_digit_prime_inputs_are_fast(capsys, tmp_path):
 
 
 def test_cli_import_leaves_heavy_modules_unloaded():
-    # sympy is gone, mpmath serves only near-tie signs, and the process
-    # pool only --workers >= 2
+    # sympy is gone, mpmath serves only near-tie signs, and the
+    # counterexample search runs in one process, with no pool to import
     probe = ("import sys, infoineq.cli; "
              "print(sorted({'sympy', 'mpmath', 'concurrent.futures'} & set(sys.modules)))")
     env = dict(os.environ, PYTHONPATH=str(Path(infoineq.__file__).parents[1]))
@@ -344,7 +359,7 @@ options:
   --text                human-readable output
   --json                JSON output (default)
   --budget BUDGET       search budget, e.g. s=3,D=6,vsdim=3,vsq=2,3
-  --workers WORKERS     worker processes for the counterexample search
+  --workers WORKERS     only 1: the counterexample search runs in one process
   --file FILE
   --extra-gens EXTRA_GENS
                         file of additional valid inequalities; a file the

@@ -1,9 +1,9 @@
 """The profile-scan kernel of the refuter against the reference evaluation:
 exact signs, reports byte-identical to a `violation` scan over
 `enumerate_distributions` (every pmf, nothing skipped), candidate and
-distinct-profile counts, scans over a shared walk, the parallel driver,
-and `violation` itself against an evaluation over the whole entropic
-vector."""
+distinct-profile counts, scans over a shared walk, the positions of the
+subspace systems after the pmfs, and `violation` itself against an
+evaluation over the whole entropic vector."""
 from __future__ import annotations
 
 import sys
@@ -24,7 +24,7 @@ from infoineq.models import enumerate_systems
 from infoineq.parser import parse_constraint, parse_expr
 from infoineq.refuter import (DISTRIBUTION, VECTOR_SPACE, Budget, ProfileScan,
                               RefutationResult, _subspace_bases, _subspace_systems, refute,
-                              refute_parallel, violation)
+                              violation)
 
 from conftest import lin_exprs, subspace_candidate
 
@@ -160,21 +160,19 @@ def test_subspace_budget_is_bounded_before_the_stream_is_built(text):
         Budget.parse(text)
 
 
-@pytest.mark.parametrize("name", ["false_ci_weakening", "agm_triangle", "false_max_nonneg"])
-def test_parallel_driver_equals_serial(name):
-    fx = next(f for f in corpus() if f.name == name)
-    budget = Budget.parse(fx.budget or "s=2,D=4")
-    assert refute_parallel(fx.constraint, budget, workers=2, block_size=16) \
-        == refute(fx.constraint, budget)
-
-
-@pytest.mark.parametrize("name,budget", [("matus_k1", "s=2,D=6"),
-                                         ("false_three_subadd", "s=3,D=3")])
-def test_parallel_driver_equals_serial_on_deep_hits(name, budget):
-    constraint = fixture(name).constraint
+@pytest.mark.parametrize("constraint,budget,found,scanned", [
+    # the one pmf at s=1 and the zero subspace have H(X) = 0; the third
+    # candidate, the line GF(2)^1, has H(X) = 1 and is the hit
+    (parse_constraint("H(X) <= 0\n"), "s=1,D=1,vsdim=1,vsq=2", True, 3),
+    # a valid fixture: the one pmf, then 2^3 systems for each prime
+    (fixture("agm_triangle").constraint, "s=1,D=2,vsdim=1,vsq=2,3", False, 1 + 16),
+], ids=["hit-in-subspace-stream", "exhausted"])
+def test_refute_report_matches_reference_scan_on_subspace_budgets(constraint, budget, found,
+                                                                   scanned):
     budget = Budget.parse(budget)
-    assert refute_parallel(constraint, budget, workers=2, block_size=16) \
-        == refute(constraint, budget)
+    result, reference = refute(constraint, budget), reference_refute(constraint, budget)
+    assert result.to_json() == reference.to_json()
+    assert (result.found, result.candidates_scanned) == (found, scanned)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 * every module-level function and class of the package is named, as an
   `ast.Name` or `ast.Attribute`, somewhere in `src/` or `perfbench/`
   outside its own definition.  Files are parsed, not run, so a function
-  that only pool workers call (`refuter._scan_block`) counts as reached;
+  that no `cli.main` call reaches but the benchmark harness calls
+  (`distributions.enumerate_distributions`) counts as reached;
 * every function defined in a class body of the package (methods,
   static and class methods, property getters; dunders other than
   `__init__` are left out) is called on `TOUR`, a fixed list of
