@@ -110,15 +110,20 @@ def random_system(rng: random.Random, n: int, q: int, dim: int) -> VectorSpaceSy
 
 def all_subspaces(q: int, dim: int) -> list[Matrix]:
     """Every subspace of GF(q)^d as its canonical RREF basis, ordered by
-    dimension then lexicographically on the basis matrix."""
+    dimension then lexicographically on the basis matrix.  Each basis is
+    built once, from its pivot columns and its free entries: those right
+    of a row's pivot and off the pivot columns."""
     out: list[Matrix] = [()]
-    vectors = [v for v in product(range(q), repeat=dim) if any(v)]
     for r in range(1, dim + 1):
-        found = set()
-        for combo in combinations(vectors, r):
-            basis = rref_mod(combo, q)
-            if len(basis) == r:
-                found.add(basis)
+        found = []
+        for pivots in combinations(range(dim), r):
+            free = [(i, j) for i, p in enumerate(pivots)
+                    for j in range(p + 1, dim) if j not in pivots]
+            for values in product(range(q), repeat=len(free)):
+                rows = [[int(j == p) for j in range(dim)] for p in pivots]
+                for (i, j), v in zip(free, values):
+                    rows[i][j] = v
+                found.append(tuple(map(tuple, rows)))
         out.extend(sorted(found))
     return out
 

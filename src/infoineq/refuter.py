@@ -44,7 +44,7 @@ bounded search.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb, lcm
+from math import lcm
 
 from .core import (BooleanConstraint, Clause, LinExpr, Value, _factor_cached, is_prime,
                    prime_sum_sign)
@@ -53,11 +53,10 @@ from .distributions import Distribution, cell_outcomes, shared_walk, to_distribu
 DISTRIBUTION = "distribution"
 VECTOR_SPACE = "vector-space"
 
-# `models.all_subspaces` runs one rank reduction per candidate basis, 12-35
-# us each on a 2-core VM, so this cap allows about 1-4 s of subspace listing
-MAX_SUBSPACE_BASES = 100_000
 # `violation` checks one subspace system in 0.25-0.31 ms at n=4 on a 2-core
-# VM, so this cap allows about 3 s of the system stream per `refute`
+# VM, so this cap allows about 3 s of the system stream per `refute`.  It
+# bounds all subspace work: n = 1 streams one system per subspace, every n
+# at least as many, and `models.all_subspaces` builds each subspace once
 MAX_SUBSPACE_SYSTEMS = 10_000
 
 
@@ -78,10 +77,7 @@ class Budget(Value):
         for q in vs_primes:
             if not is_prime(q):
                 raise ValueError(f"budget vsq={q} is not a prime")
-        if vs_max_dim and _subspace_bases(vs_primes, vs_max_dim) > MAX_SUBSPACE_BASES:
-            raise ValueError(f"budget vsdim={vs_max_dim},vsq="
-                             f"{','.join(map(str, vs_primes))} needs more than "
-                             f"{MAX_SUBSPACE_BASES} candidate subspace bases")
+        _check_systems(1, self)
 
     @staticmethod
     def parse(text: str) -> "Budget":
@@ -115,26 +111,11 @@ class Budget(Value):
                 "vsdim": self.vs_max_dim, "vsq": list(self.vs_primes)}
 
 
-def _subspace_bases(primes: tuple[int, ...], max_dim: int) -> int:
-    """The candidate bases `models.all_subspaces` tries for every prime and
-    every dimension d <= max_dim, C(q^d - 1, r) for r = 1..d, summed only
-    until the sum passes MAX_SUBSPACE_BASES.  The sum is at least q^d - 1,
-    so q^d never grows far past the cap, whatever max_dim is."""
-    total = 0
-    for q in primes:
-        vectors = 1
-        for d in range(1, max_dim + 1):
-            vectors *= q
-            total += sum(comb(vectors - 1, r) for r in range(1, d + 1))
-            if total > MAX_SUBSPACE_BASES:
-                return total
-    return total
-
-
 def _subspace_systems(n: int, budget: Budget) -> int:
     """The length of `models.enumerate_systems(n, ...)` at this budget:
     (subspaces of GF(q)^d)^n summed over the primes q and d <= vsdim, where
-    GF(q)^d has sum_k [d choose k]_q subspaces (Gaussian binomials)."""
+    GF(q)^d has sum_k [d choose k]_q subspaces (Gaussian binomials).  The
+    sum stops once it passes MAX_SUBSPACE_SYSTEMS, whatever vsdim is."""
     total = 0
     for q in budget.vs_primes:
         for d in range(1, budget.vs_max_dim + 1):
@@ -146,15 +127,17 @@ def _subspace_systems(n: int, budget: Budget) -> int:
                     den *= q ** (i + 1) - 1
                 subspaces += num // den
             total += subspaces ** n
+            if total > MAX_SUBSPACE_SYSTEMS:
+                return total
     return total
 
 
 def _check_systems(n: int, budget: Budget) -> None:
-    systems = _subspace_systems(n, budget)
-    if systems > MAX_SUBSPACE_SYSTEMS:
+    if _subspace_systems(n, budget) > MAX_SUBSPACE_SYSTEMS:
         raise ValueError(f"budget vsdim={budget.vs_max_dim},vsq="
-                         f"{','.join(map(str, budget.vs_primes))} streams {systems} subspace "
-                         f"systems for {n} variables, more than {MAX_SUBSPACE_SYSTEMS}")
+                         f"{','.join(map(str, budget.vs_primes))} streams more than "
+                         f"{MAX_SUBSPACE_SYSTEMS} subspace systems for {n} "
+                         f"variable{'s' if n > 1 else ''}")
 
 
 class Counterexample(Value):

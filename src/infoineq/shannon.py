@@ -155,21 +155,19 @@ def cone_lp(target: LinExpr, columns: Sequence[LinExpr], cost: Sequence[int],
     """Minimize cost.x over x >= 0 with sum_j x_j * columns_j = target and,
     when `convex` > 0, with the first `convex` entries of x summing to 1.
 
-    Row m is the coefficient on h(m), for every mask m including the
-    empty set; the convex row comes last.  The matrix is filled from each
-    column's sparse items, so it holds int 0 wherever a column does not
-    mention m.
+    Row m lists (j, coefficient of h(m) in columns_j) for every column
+    that mentions m, in column order, for every mask m including the
+    empty set; the convex row comes last.
     """
-    ncols = len(columns)
-    a_matrix = [[0] * ncols for _ in range(1 << target.n)]
+    rows: list[list[tuple[int, Fraction]]] = [[] for _ in range(1 << target.n)]
     for j, col in enumerate(columns):
         for m, v in col.items:
-            a_matrix[m][j] = v
+            rows[m].append((j, v))
     b = target.dense()
     if convex:
-        a_matrix.append([1] * convex + [0] * (ncols - convex))
+        rows.append([(j, 1) for j in range(convex)])
         b.append(ONE)
-    return solve_lp(a_matrix, b, cost)
+    return solve_lp(rows, b, cost)
 
 
 def prove(c: LinExpr, gens: GeneratorSet,
@@ -292,12 +290,8 @@ def _modular_slack(exprs: Sequence[LinExpr]) -> "SlackWitness | None":
     n = exprs[0].n
     k = len(exprs)
     # variables: w_1..w_n, slacks s_1..s_k; rows: sum_j A_ij w_j - s_i = 1
-    a_rows = []
-    for c in exprs:
-        row = [c.dot_basic_modular(j) for j in range(n)]
-        a_rows.append(row + [ZERO] * k)
-    for i in range(k):
-        a_rows[i][n + i] = Fraction(-1)
+    a_rows = [[(j, v) for j in range(n) if (v := c.dot_basic_modular(j))] + [(n + i, MINUS_ONE)]
+              for i, c in enumerate(exprs)]
     b = [Fraction(1)] * k
     cost = [Fraction(1)] * n + [ZERO] * k
     res = solve_lp(a_rows, b, cost)

@@ -2,8 +2,9 @@
 Bland's rule, which terminates even on degenerate problems.
 
 Problems are given in standard form: minimize c.x subject to A x = b,
-x >= 0.  No floating point is used, so answers are exact and every
-solution can be re-verified by plain arithmetic.
+x >= 0, with A as sparse rows of (column, value) items, int or Fraction.
+No floating point is used, so answers are exact and every solution can
+be re-verified by plain arithmetic.
 
 Each row of [A | b] is scaled to integers (negated when b_i < 0) to give
 [Â | b̂]; Â is held as sparse columns of (row, value) items, and phase 1's
@@ -120,30 +121,29 @@ def _minimize(rows: list[list[int]], basis: list[int], cols: list[list[tuple[int
         _exchange(rows, basis, entries, leaving, entering)
 
 
-def solve_lp(a: Sequence[Sequence["int | Fraction"]], b: Sequence["int | Fraction"],
-             c: Sequence["int | Fraction"]) -> LPResult:
+def solve_lp(a: Sequence[Sequence[tuple[int, "int | Fraction"]]],
+             b: Sequence["int | Fraction"], c: Sequence["int | Fraction"]) -> LPResult:
     """Minimize c.x subject to A x = b, x >= 0, exactly.
 
-    `a` is a list of rows.  Entries may be int or Fraction, mixed freely:
-    only their numerator and denominator are read, and zero entries are
-    skipped while the rows are scaled to integers."""
+    `a` is a list of sparse rows: row i lists (column, value) for the
+    nonzero entries of A's row i.  Values may be int or Fraction, mixed
+    freely: only their numerator and denominator are read."""
     n = len(c)
-    if any(len(row) != n for row in a) or len(b) != len(a):
+    if len(b) != len(a) or any(not 0 <= j < n for row in a for j, _ in row):
         raise ValueError("inconsistent LP shapes")
     # sparse integer columns of Â, and b̂ >= 0; consistent zero rows are dropped
     cols: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     rhs, scales = [], []
     for row, bi in zip(a, b):
-        if not any(row):
+        if not row:
             if bi != 0:
                 return LPResult("infeasible", (), ZERO)
             continue
-        scale = lcm(bi.denominator, *(v.denominator for v in row if v))
+        scale = lcm(bi.denominator, *(v.denominator for _, v in row))
         signed = -scale if bi < 0 else scale
         i = len(rhs)
-        for j, v in enumerate(row):
-            if v:
-                cols[j].append((i, signed // v.denominator * v.numerator))
+        for j, v in row:
+            cols[j].append((i, signed // v.denominator * v.numerator))
         rhs.append(signed // bi.denominator * bi.numerator)
         scales.append(scale)
     m = len(rhs)

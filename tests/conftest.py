@@ -25,6 +25,12 @@ def as_rational(value: LogLinValue) -> "Fraction | None":
     return None
 
 
+def sparse(rows) -> list[list[tuple]]:
+    """Dense LP rows as the sparse rows `solve_lp` takes: (column, value)
+    for every nonzero entry, in column order."""
+    return [[(j, v) for j, v in enumerate(row) if v] for row in rows]
+
+
 def modular_candidate(weights) -> EntropicCandidate:
     """h(alpha) = sum_{j in alpha} w_j for nonnegative weights w, each
     value as a rational multiple of log2(2).  Every nonnegative modular

@@ -171,6 +171,9 @@ EXACT_ERRORS = {
     # rejected before the 2^40 atoms are written
     (("ci", "export", "--vars", WIDE_VARS, "--cons", "V0;V1"), None):
         "variable count 40 out of range 1..16",
+    # rejected before the 3^12 atoms are built
+    (("ci", "export", "--vars", "A B C D E F G H I J K L", "--cons", "A;B", "--domain", "3"),
+     None): "domain 3 for 12 variables gives 531441 atoms, more than 65536",
     # the counterexample search runs in one process
     (("prove", "--file", "{path}", "--workers", "2"), "H(X) >= 0\n"):
         "--workers 2: the counterexample search runs in one process, "
@@ -186,16 +189,15 @@ EXACT_ERRORS = {
     (("refute", "--file", "{path}", "--budget", "vsq=3317044064679887385961981"), "H(X) >= 0\n"):
         "3317044064679887385961981 out of range: "
         "primality is decided only below 3317044064679887385961981",
-    # rejected before `models.all_subspaces` lists 960 vectors and their pairs
-    (("refute", "--file", "{path}", "--budget", "vsdim=2,vsq=31"), "H(X) >= 0\n"):
-        "budget vsdim=2,vsq=31 needs more than 100000 candidate subspace bases",
+    # GF(2)^7 alone has 29,212 subspaces: over the cap before n is known
+    (("refute", "--file", "{path}", "--budget", "vsdim=7,vsq=2"), "H(X) >= 0\n"):
+        "budget vsdim=7,vsq=2 streams more than 10000 subspace systems for 1 variable",
     (("recognize", "--file", "{path}", "--budget", "s=2,D=2,vsdim=2,vsq=2"), "X 2 1 1\n"):
         "recognize searches distributions only: its budget takes s and D, not vsdim or vsq",
     # 90^4 systems of subspaces for 4 variables: about 1.4 h of `violation` calls
     (("refute", "--file", "{path}", "--budget", "s=1,D=1,vsdim=4,vsq=2"),
      "H(XY) + H(YZ) + H(ZU) + H(X|YU) + H(U|XZ) >= 2*H(XYZU)\n"):
-        "budget vsdim=4,vsq=2 streams 20217298 subspace systems for 4 variables, "
-        "more than 10000",
+        "budget vsdim=4,vsq=2 streams more than 10000 subspace systems for 4 variables",
     # a repeated name would add a phantom variable to the statement
     **{(("ci", verb, "--vars", "X Y X", "--cons", "X;Y"), None):
        "duplicate variable name 'X' in --vars" for verb in ("prove", "falsify", "export")},

@@ -9,7 +9,6 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
 from pathlib import Path
 
 import pytest
@@ -23,8 +22,7 @@ from infoineq.distributions import (Distribution, enumerate_distributions, pmf_s
 from infoineq.models import enumerate_systems
 from infoineq.parser import parse_constraint, parse_expr
 from infoineq.refuter import (DISTRIBUTION, VECTOR_SPACE, Budget, ProfileScan,
-                              RefutationResult, _subspace_bases, _subspace_systems, refute,
-                              violation)
+                              RefutationResult, _subspace_systems, refute, violation)
 
 from conftest import lin_exprs, subspace_candidate
 
@@ -140,23 +138,20 @@ def test_scans_over_a_replayed_walk_match_fresh_ones(monkeypatch):
     assert distributions._kept_total > 0
 
 
-@pytest.mark.parametrize("q,dim", [(2, 1), (2, 3), (3, 2), (5, 2)])
-def test_subspace_bases_count_the_combinations_listed(q, dim):
-    tried = sum(comb(q ** d - 1, r) for d in range(1, dim + 1) for r in range(1, d + 1))
-    assert _subspace_bases((q,), dim) == tried
-    assert Budget.parse(f"vsdim={dim},vsq={q}").vs_max_dim == dim
-
-
-@pytest.mark.parametrize("n,primes,dim", [(1, (2,), 3), (2, (2, 3), 2), (3, (5,), 1), (3, (2,), 2)])
+@pytest.mark.parametrize("n,primes,dim", [(1, (2,), 3), (2, (2, 3), 2), (3, (5,), 1), (3, (2,), 2),
+                                          (1, (2 ** 61 - 1,), 1), (1, (2,), 5), (1, (2, 31), 2)])
 def test_subspace_systems_count_the_stream(n, primes, dim):
     streamed = sum(1 for _ in enumerate_systems(n, primes, dim))
-    assert _subspace_systems(n, Budget(1, 1, primes, dim)) == streamed
+    budget = Budget.parse(f"s=1,D=1,vsdim={dim},vsq={','.join(map(str, primes))}")
+    assert (budget.vs_primes, budget.vs_max_dim) == (primes, dim)
+    assert _subspace_systems(n, budget) == streamed
 
 
-@pytest.mark.parametrize("text", ["vsdim=1,vsq=2305843009213693951",
-                                  "vsdim=1000000000,vsq=2", "vsdim=5,vsq=2", "vsdim=2,vsq=2,31"])
+# GF(2)^7 alone has 29,212 subspaces; the dimensions up to 6 have 3,289
+@pytest.mark.parametrize("text", ["vsdim=1000000000,vsq=2", "vsdim=7,vsq=2"])
 def test_subspace_budget_is_bounded_before_the_stream_is_built(text):
-    with pytest.raises(ValueError, match="candidate subspace bases"):
+    with pytest.raises(ValueError,
+                       match="streams more than 10000 subspace systems for 1 variable$"):
         Budget.parse(text)
 
 
@@ -164,9 +159,14 @@ def test_subspace_budget_is_bounded_before_the_stream_is_built(text):
     # the one pmf at s=1 and the zero subspace have H(X) = 0; the third
     # candidate, the line GF(2)^1, has H(X) = 1 and is the hit
     (parse_constraint("H(X) <= 0\n"), "s=1,D=1,vsdim=1,vsq=2", True, 3),
+    # a 19-digit prime: GF(q)^1 still has two subspaces
+    (parse_constraint("H(X) <= 0\n"), "s=1,D=1,vsdim=1,vsq=2305843009213693951", True, 3),
     # a valid fixture: the one pmf, then 2^3 systems for each prime
     (fixture("agm_triangle").constraint, "s=1,D=2,vsdim=1,vsq=2,3", False, 1 + 16),
-], ids=["hit-in-subspace-stream", "exhausted"])
+    # the one pmf, then 2 + 34 subspaces of GF(31)^1 and GF(31)^2
+    (parse_constraint("H(X) >= 0\n"), "s=1,D=1,vsdim=2,vsq=31", False, 1 + 36),
+], ids=["hit-in-subspace-stream", "hit-at-a-large-prime", "exhausted",
+        "exhausted-at-dimension-2"])
 def test_refute_report_matches_reference_scan_on_subspace_budgets(constraint, budget, found,
                                                                    scanned):
     budget = Budget.parse(budget)

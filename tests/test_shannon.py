@@ -18,7 +18,7 @@ from infoineq.shannon import (MONOTONICITY, SLACK, SUBMODULARITY, TIGHT, UNKNOWN
 from infoineq.apps import matus_expr
 from infoineq.simplex import solve_lp
 
-from conftest import as_rational, modular_candidate
+from conftest import as_rational, modular_candidate, sparse
 
 F = Fraction
 XYZ = ["X", "Y", "Z"]
@@ -176,7 +176,7 @@ def dense_lp(target, gens, antecedents):
      (-mutual_info(4, 1, 2, 8), -mutual_info(4, 1, 4, 10), -mutual_info(4, 1, 6, 0))),
     (mutual_info(6, 1, 2) + mutual_info(6, 4, 48, 8), ()),
 ], ids=["n4-conditional", "n6"])
-def test_prove_hands_solve_lp_the_dense_fraction_lp(monkeypatch, target, antecedents):
+def test_prove_hands_solve_lp_the_sparse_rows(monkeypatch, target, antecedents):
     lps = []
 
     def recording(a, b, c):
@@ -187,14 +187,19 @@ def test_prove_hands_solve_lp_the_dense_fraction_lp(monkeypatch, target, anteced
     gens = elemental(target.n)
     cert = prove(target, gens, antecedents, minimize_antecedent_use=True)
     assert cert is not None and verify(cert, target, gens, antecedents)
-    ((a, b, c),) = lps
+    ((rows, b, c),) = lps
     ref_a, ref_b, ref_c = dense_lp(target, gens, antecedents)
-    assert len(a) == len(ref_a) == 1 << target.n
-    assert all(len(row) == len(ref_row) for row, ref_row in zip(a, ref_a))
-    assert a == ref_a and b == ref_b and c == ref_c
-    assert all(type(v) is int and v == 0 or type(v) is F for row in a for v in row)
-    # the certificate is the one the dense LP yields
-    res = solve_lp(ref_a, ref_b, ref_c)
+    assert len(rows) == 1 << target.n
+    # row m: the (column, coefficient) items of the columns that mention m,
+    # in column order, and no zero value
+    columns = list(antecedents) + gens.exprs()
+    for m, row in enumerate(rows):
+        assert row == [(j, v) for j, col in enumerate(columns) for mask, v in col.items
+                       if mask == m]
+        assert all(v != 0 for _, v in row)
+    assert rows == sparse(ref_a) and b == ref_b and c == ref_c
+    # the certificate is the one the densified LP yields
+    res = solve_lp(sparse(ref_a), ref_b, ref_c)
     k = len(antecedents)
     dense_cert = ProofCertificate(target, res.x[:k], res.x[k:], ())
     assert cert.to_json(gens) == dense_cert.to_json(gens)

@@ -2,7 +2,8 @@
 
 The revised integer simplex must take exactly the pivots of the rational
 tableau, so the differential tests compare the whole `LPResult` (status,
-vertex, objective) with the `Fraction` tableau kept here as the reference."""
+vertex, objective) with the `Fraction` tableau kept here as the reference.
+Both solvers take the same sparse rows; the reference densifies them."""
 from __future__ import annotations
 
 import hashlib
@@ -20,15 +21,18 @@ from infoineq.core import LinExpr, mutual_info
 from infoineq.shannon import elemental, prove, verify
 from infoineq.simplex import LPResult, solve_lp
 
+from conftest import sparse
+
 F = Fraction
 Z = F(0)
 
+
 # classic cycling-prone structure; Bland's rule must terminate
-CYCLING_A = [
+CYCLING_A = sparse([
     [F(1, 4), F(-8), F(-1), F(9), F(1), Z, Z],
     [F(1, 2), F(-12), F(-1, 2), F(3), Z, F(1), Z],
     [Z, Z, F(1), Z, Z, Z, F(1)],
-]
+])
 CYCLING_B = [Z, Z, F(1)]
 CYCLING_C = [F(-3, 4), F(20), F(-1, 2), F(6), Z, Z, Z]
 
@@ -90,12 +94,16 @@ def _reference_simplex(tableau, basis, cost, allowed, pivots):
 
 
 def reference_solve_lp(a, b, c, paths=None) -> LPResult:
-    """The two-phase simplex on a `Fraction` tableau.  `paths`, when given,
-    collects the names of the rarer paths the solve takes (`RISKY_PATHS`)."""
+    """The two-phase simplex on a `Fraction` tableau, from the sparse rows
+    `a` made dense.  `paths`, when given, collects the names of the rarer
+    paths the solve takes (`RISKY_PATHS`)."""
     paths = set() if paths is None else paths
     n = len(c)
     rows, rhs = [], []
-    for row, bi in zip(a, b):
+    for items, bi in zip(a, b):
+        row = [Z] * n
+        for j, v in items:
+            row[j] = F(v)
         if all(v == 0 for v in row):
             if bi != 0:
                 return LPResult("infeasible", (), Z)
@@ -106,7 +114,7 @@ def reference_solve_lp(a, b, c, paths=None) -> LPResult:
             rows.append([-v for v in row])
             rhs.append(-bi)
         else:
-            rows.append([F(v) for v in row])
+            rows.append(row)
             rhs.append(F(bi))
     m = len(rows)
     if m == 0:
@@ -147,7 +155,7 @@ def reference_solve_lp(a, b, c, paths=None) -> LPResult:
 
 def test_simple_optimum():
     # min x + y  s.t.  x + 2y = 4, x, y >= 0
-    res = solve_lp([[F(1), F(2)]], [F(4)], [F(1), F(1)])
+    res = solve_lp(sparse([[F(1), F(2)]]), [F(4)], [F(1), F(1)])
     assert res.status == "optimal"
     assert res.objective == 2
     assert res.x == (Z, F(2))
@@ -155,26 +163,26 @@ def test_simple_optimum():
 
 def test_infeasible():
     # x + y = -1 with x, y >= 0
-    res = solve_lp([[F(1), F(1)]], [F(-1)], [Z, Z])
+    res = solve_lp(sparse([[F(1), F(1)]]), [F(-1)], [Z, Z])
     assert res.status == "infeasible"
 
 
 def test_unbounded():
     # min -x  s.t.  x - y = 0
-    res = solve_lp([[F(1), F(-1)]], [Z], [F(-1), Z])
+    res = solve_lp(sparse([[F(1), F(-1)]]), [Z], [F(-1), Z])
     assert res.status == "unbounded"
 
 
 def test_unbounded_without_binding_rows():
     # min -x  s.t.  0x = 0: no row remains, and x grows without bound
-    assert solve_lp([[Z]], [Z], [F(-1)]) == LPResult("unbounded", (), Z)
-    assert reference_solve_lp([[Z]], [Z], [F(-1)]) == LPResult("unbounded", (), Z)
+    assert solve_lp([[]], [Z], [F(-1)]) == LPResult("unbounded", (), Z)
+    assert reference_solve_lp([[]], [Z], [F(-1)]) == LPResult("unbounded", (), Z)
     assert solve_lp([], [], [F(1), F(-1)]).status == "unbounded"
     assert solve_lp([], [], [F(1), Z]) == LPResult("optimal", (Z, Z), Z)
 
 
 def test_redundant_rows_handled():
-    a = [[F(1), F(1)], [F(2), F(2)]]
+    a = sparse([[F(1), F(1)], [F(2), F(2)]])
     res = solve_lp(a, [F(3), F(6)], [F(1), Z])
     assert res.status == "optimal"
     assert res.objective == 0
@@ -182,9 +190,9 @@ def test_redundant_rows_handled():
 
 
 def test_zero_rows():
-    res = solve_lp([[Z, Z]], [Z], [F(1), F(1)])
+    res = solve_lp([[]], [Z], [F(1), F(1)])
     assert res.status == "optimal"
-    res = solve_lp([[Z, Z]], [F(1)], [F(1), F(1)])
+    res = solve_lp([[]], [F(1)], [F(1), F(1)])
     assert res.status == "infeasible"
 
 
@@ -196,7 +204,7 @@ def test_degenerate_problem_terminates():
 
 def test_zero_cost_feasibility_exact():
     # x (1, 0) + y (1, 1) = target, x, y >= 0
-    a = [[F(1), F(1)], [Z, F(1)]]
+    a = sparse([[F(1), F(1)], [Z, F(1)]])
     res = solve_lp(a, [F(3), F(2)], [Z, Z])
     assert res.status == "optimal"
     assert res.x == (F(1), F(2))
@@ -209,6 +217,18 @@ def test_no_columns():
     assert solve_lp([[]], [F(1)], []).status == "infeasible"
 
 
+@pytest.mark.parametrize("a,b,c", [
+    ([[(0, 1), (2, 1)]], [1], [0, 0]),  # column 2 of 2
+    ([[(-1, 1)]], [1], [0, 0]),  # a negative column
+    ([[(0, 1)]], [1, 0], [0, 0]),  # two right-hand sides, one row
+    ([[(0, 1)], [(1, 1)]], [1], [0, 0]),  # one right-hand side, two rows
+    ([[(0, 1)]], [1], []),  # no column at all
+])
+def test_inconsistent_shapes_are_rejected(a, b, c):
+    with pytest.raises(ValueError, match="inconsistent LP shapes"):
+        solve_lp(a, b, c)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=10 ** 9))
 def test_random_feasible_systems(seed):
@@ -218,7 +238,7 @@ def test_random_feasible_systems(seed):
     x0 = [F(rng.randint(0, 3)) for _ in range(n)]
     b = [sum(row[j] * x0[j] for j in range(n)) for row in a]
     c = [F(rng.randint(0, 3)) for _ in range(n)]
-    res = solve_lp(a, b, c)
+    res = solve_lp(sparse(a), b, c)
     assert res.status == "optimal"
     # exact feasibility of the returned point, and optimality vs the seed point
     for row, bi in zip(a, b):
@@ -255,7 +275,7 @@ def random_lp(rng: random.Random):
         a[j] = [k * v for v in a[i]]
         b[j] = k * b[i]
     c = [entry() for _ in range(n)]
-    return a, b, c
+    return sparse(a), b, c
 
 
 @settings(max_examples=200, deadline=None)
@@ -268,15 +288,16 @@ def test_matches_fraction_tableau_on_random_lps(seed):
 def with_int_entries(rng: random.Random, a, b, c):
     """The same LP with the first row and some others scaled by the lcm of
     their denominators, and every integral entry given as an int."""
-    def ints(line):
-        return [v.numerator if v.denominator == 1 else v for v in line]
+    def integral(v):
+        return v.numerator if v.denominator == 1 else v
 
-    a, b = [list(row) for row in a], list(b)
+    a, b = list(a), list(b)
     for i, row in enumerate(a):
         if i == 0 or rng.random() < 0.5:
-            scale = lcm(*(v.denominator for v in row + [b[i]]))
-            a[i], b[i] = [v * scale for v in row], b[i] * scale
-    return [ints(row) for row in a], ints(b), ints(c)
+            scale = lcm(b[i].denominator, *(v.denominator for _, v in row))
+            a[i], b[i] = [(j, v * scale) for j, v in row], b[i] * scale
+    return ([[(j, integral(v)) for j, v in row] for row in a],
+            [integral(v) for v in b], [integral(v) for v in c])
 
 
 @settings(max_examples=200, deadline=None)
@@ -284,7 +305,7 @@ def with_int_entries(rng: random.Random, a, b, c):
 def test_int_entries_match_fraction_tableau(seed):
     rng = random.Random(seed)
     a, b, c = with_int_entries(rng, *random_lp(rng))
-    as_fractions = [[F(v) for v in row] for row in a], [F(v) for v in b], [F(v) for v in c]
+    as_fractions = [[(j, F(v)) for j, v in row] for row in a], [F(v) for v in b], [F(v) for v in c]
     assert solve_lp(a, b, c) == reference_solve_lp(*as_fractions)
 
 
@@ -310,14 +331,16 @@ def test_random_lps_reach_every_risky_path():
 # covers the drive-out path
 RISKY_LPS = {
     # b_0 < 0 flips the first row's signs; the rows' scales are 30 and 12
-    "fraction-entries-negative-b": ([[F(-1, 2), F(1, 3), F(-2, 5)], [F(3, 4), F(-1), F(1, 6)]],
+    "fraction-entries-negative-b": (sparse([[F(-1, 2), F(1, 3), F(-2, 5)],
+                                            [F(3, 4), F(-1), F(1, 6)]]),
                                     [F(-1, 2), F(1, 3)], [F(1), F(2), F(1, 2)]),
     # the second row is twice the first: its artificial stays basic at 0,
     # no column can drive it out, and the row is dropped before phase 2
-    "redundant-row": ([[1, 1, 1, 0], [2, 2, 2, 0], [0, 1, 0, 1]], [4, 8, 1], [3, 0, 1, -1]),
+    "redundant-row": (sparse([[1, 1, 1, 0], [2, 2, 2, 0], [0, 1, 0, 1]]), [4, 8, 1],
+                      [3, 0, 1, -1]),
     # phase 2 brings in x1 for x0, then x2 has a negative reduced cost and
     # no positive entry
-    "phase-2-unbounded": ([[1, 1, -1]], [1], [1, 0, -1]),
+    "phase-2-unbounded": (sparse([[1, 1, -1]]), [1], [1, 0, -1]),
 }
 
 
@@ -337,7 +360,7 @@ def test_matches_fraction_tableau_on_cycling_prone_lp():
 def test_matches_fraction_tableau_when_an_artificial_leaves_on_a_negative_entry():
     # phase 1 ends with the second artificial basic at 0; its row's only
     # nonzero entry is -1/3, and phase 2 then moves on to another vertex
-    a = [[F(1), F(1), F(1, 2)], [F(-1, 3), Z, Z]]
+    a = sparse([[F(1), F(1), F(1, 2)], [F(-1, 3), Z, Z]])
     b = [F(1), Z]
     c = [F(1), F(2), F(-1)]
     res = solve_lp(a, b, c)
@@ -350,7 +373,7 @@ def test_matches_fraction_tableau_when_an_artificial_leaves_on_a_negative_entry(
 def test_matches_fraction_tableau_on_a_ratio_test_tie():
     # the first phase-1 pivot ties at ratio 3 in both rows; the row of the
     # lower basis index leaves, and this optimum has more than one vertex
-    a = [[F(1), F(1), F(1), Z], [F(1), Z, F(1), F(1)]]
+    a = sparse([[F(1), F(1), F(1), Z], [F(1), Z, F(1), F(1)]])
     b = [F(3), F(3)]
     c = [F(2), Z, Z, Z]
     res = solve_lp(a, b, c)
