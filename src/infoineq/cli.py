@@ -155,7 +155,8 @@ def _tight_stage(clause: Clause, prepared: PreparedAntecedents, gens: GeneratorS
     if not kept:
         note = "no antecedent survives pruning; the tight stage needs one"
     for a in kept:
-        verdict = TIGHT if -a in prepared.valid else classify_tight(a, gens)
+        verdict = TIGHT if -a in prepared.valid else classify_tight(
+            a, gens, budget.max_support, budget.max_denominator)
         if verdict != TIGHT:
             note = (f"antecedent {clause.antecedents.index(a)} not verified tight "
                     f"(classified {verdict})")
@@ -400,28 +401,32 @@ def cmd_corpus(args) -> int:
 
 
 def cmd_secret_share(args) -> int:
-    # the closure below lists up to 2^(participants - 1) sets, so the
-    # variable count is checked before it
-    if args.participants + 1 > MAX_VARS:
-        raise ValueError(f"variable count {args.participants + 1} out of range 1..{MAX_VARS}")
-    access = []
+    # the closure below walks the 2^participants - 1 participant sets, so
+    # the variable count is checked before it
+    m = args.participants
+    if m + 1 > MAX_VARS:
+        raise ValueError(f"variable count {m + 1} out of range 1..{MAX_VARS}")
+    family = set()
     for part in args.access.split(";"):
         part = part.strip()
         if part:
-            access.append([int(v) for v in part.replace(",", " ").split()])
-    # close upward for convenience; the library validates closedness
-    universe = set(range(1, args.participants + 1))
-    family = {frozenset(f) for f in access}
+            family.add(frozenset(int(v) for v in part.replace(",", " ").split()))
+    # close upward for convenience: every participant set that contains a
+    # written set (none below one participant, which the library rejects).
+    # The written sets stay as written, so the library's checks name the
+    # sets the user wrote
     closed = set(family)
-    for f in family:
-        _close_up(f, universe, closed)
+    for bits in range(1, 1 << max(m, 0)):
+        g = frozenset(i + 1 for i in range(m) if (bits >> i) & 1)
+        if any(f <= g for f in family):
+            closed.add(g)
     try:
         ratio = Fraction(args.ratio)
     except ZeroDivisionError:
         raise ValueError(f"--ratio {args.ratio} has a zero denominator") from None
-    constraint = secret_sharing_constraint(args.participants, closed, ratio)
+    constraint = secret_sharing_constraint(m, closed, ratio)
     report = {"command": "secret-share",
-              "participants": args.participants,
+              "participants": m,
               "ratio": args.ratio,
               "access_structure": sorted(sorted(f) for f in closed),
               "constraint": format_constraint(constraint)}
@@ -435,20 +440,12 @@ def cmd_secret_share(args) -> int:
     return exit_code
 
 
-def _close_up(f: frozenset, universe: set, closed: set) -> None:
-    for extra in universe - f:
-        g = f | {extra}
-        if g not in closed:
-            closed.add(g)
-            _close_up(g, universe, closed)
-
-
 def cmd_check_dist(args) -> int:
     from .distributions import Distribution
     dist = Distribution.from_file_text(Path(args.file).read_text())
     h = dist.entropic_vector()
     report = {"command": "check-dist", "n": dist.n,
-              "entropies": {f"h({mask})": str(h.value(mask)) for mask in range(1, 1 << dist.n)}}
+              "entropies": {f"h({mask})": str(h[mask]) for mask in range(1, 1 << dist.n)}}
     exit_code = EXIT_POSITIVE
     if args.constraint:
         constraint = parse_constraint(Path(args.constraint).read_text())

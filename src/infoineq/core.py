@@ -17,6 +17,11 @@ precision.  A float rung that cannot exclude zero only passes the value up
 the ladder, so floats never decide a sign they cannot bound.  `mpmath` is
 imported only when the float rung fails, which no corpus fixture needs.
 
+A candidate entropy vector h has no class of its own: it is any mapping
+from masks to `LogLinValue`s, such as a dict of the masks a constraint
+mentions, or a 2^n tuple with h({}) = 0 first.  `LinExpr.eval` reads
+h[mask] at its own masks and nothing else.
+
 The types are plain `__slots__` classes on the `Value` base.  Each
 `__init__` runs the checks of its type; `Value` gives equality, hashing
 and a repr over the fields named in `__slots__`.  No field is assigned
@@ -29,7 +34,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import fsum, gcd, inf, isfinite, lcm, log
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 MAX_VARS = 16
 
@@ -257,9 +262,6 @@ class LogLinValue(Value):
                 exps[b] = Fraction(f, scale)
         return exps
 
-    def is_zero(self) -> bool:
-        return not self.log_exponents()
-
     def sign(self) -> int:
         """Exact sign in {-1, 0, +1}, from the coprime-basis form."""
         return prime_sum_sign(self.log_exponents())
@@ -403,15 +405,14 @@ class LinExpr(Value):
         if self.n != other.n:
             raise ValueError(f"dimension mismatch: n={self.n} vs n={other.n}")
 
-    def eval(self, h: "EntropicCandidate") -> LogLinValue:
+    def eval(self, h: "Mapping[int, LogLinValue] | Sequence[LogLinValue]") -> LogLinValue:
         """The exact dot product c . h as a LogLinValue: the terms of each
-        c_m * h(m) in mask order.  Only `h.n` and `h.value(m)` at the masks
-        of c are read."""
-        if self.n != h.n:
-            raise ValueError(f"dimension mismatch: expr n={self.n}, candidate n={h.n}")
+        c_m * h[m] in mask order.  h is indexed by mask: a dict of the
+        masks of c, or a 2^n tuple.  Only h[m] at the masks of c is read,
+        so the caller vouches that h has this expression's n."""
         terms: list[tuple[Fraction, Fraction]] = []
         for mask, c in self.items:
-            terms += [(c * q, r) for q, r in h.value(mask).terms]
+            terms += [(c * q, r) for q, r in h[mask].terms]
         return LogLinValue(tuple(terms))
 
     def dot_basic_modular(self, j: int) -> Fraction:
@@ -457,31 +458,6 @@ def mutual_info(n: int, y: int, z: int, given: int = 0) -> LinExpr:
     x = given
     return (entropy_of(n, x | y) + entropy_of(n, x | z)
             - entropy_of(n, x | y | z) - entropy_of(n, x))
-
-
-# ---------------------------------------------------------------------------
-# Entropic candidates
-# ---------------------------------------------------------------------------
-
-class EntropicCandidate(Value):
-    """A vector h indexed by all 2^n subsets, with h({}) = 0.
-
-    Candidates come from distributions, linear subspace systems, or
-    parsed recognizability inputs; nothing here assumes the vector is
-    actually entropic.
-    """
-
-    __slots__ = ("n", "values")
-
-    def __init__(self, n: int, values: tuple[LogLinValue, ...]):
-        self.n, self.values = n, values
-        if len(values) != (1 << n):
-            raise ValueError("candidate must have one value per subset")
-        if not values[0].is_zero():
-            raise ValueError("value at the empty set must be zero")
-
-    def value(self, mask: int) -> LogLinValue:
-        return self.values[mask]
 
 
 # ---------------------------------------------------------------------------

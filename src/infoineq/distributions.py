@@ -66,7 +66,7 @@ from itertools import islice, product
 from math import comb, gcd, prod
 from typing import Iterator, Mapping
 
-from .core import MAX_VARS, EntropicCandidate, LogLinValue, Value, _factor_cached, as_fraction
+from .core import MAX_VARS, LogLinValue, Value, _factor_cached, as_fraction
 
 Outcome = tuple[int, ...]
 # (D', domains, ((cell, count), ...)): a pmf with probabilities count / D'
@@ -140,10 +140,9 @@ class Distribution(Value):
         """h(alpha) = sum_x p_alpha(x) * log2(1 / p_alpha(x)), exactly."""
         return LogLinValue(tuple((p, 1 / p) for _, p in self._marginal_items(mask)))
 
-    def entropic_vector(self) -> EntropicCandidate:
-        """`entropy` at every mask, with h({}) = 0."""
-        values = [LogLinValue.zero()] + [self.entropy(mask) for mask in range(1, 1 << self.n)]
-        return EntropicCandidate(self.n, tuple(values))
+    def entropic_vector(self) -> tuple[LogLinValue, ...]:
+        """`entropy` at every mask, indexed by mask, with h({}) = 0 first."""
+        return (LogLinValue.zero(), *(self.entropy(mask) for mask in range(1, 1 << self.n)))
 
     def to_file_text(self) -> str:
         lines = ["vars " + " ".join(str(d) for d in self.domains)]

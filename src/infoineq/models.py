@@ -5,7 +5,6 @@ group-characterizable vectors and are exact (ranks are integers).
 """
 from __future__ import annotations
 
-import random
 from itertools import combinations, product
 from typing import Iterator, Sequence
 
@@ -97,15 +96,6 @@ class VectorSpaceSystem(Value):
                 flat.extend(str(x) for x in row)
             lines.append(" ".join(flat))
         return "\n".join(lines) + "\n"
-
-
-def random_system(rng: random.Random, n: int, q: int, dim: int) -> VectorSpaceSystem:
-    """A random subspace system; generator seeds are part of reproducibility."""
-    bases = []
-    for _ in range(n):
-        rows = [[rng.randrange(q) for _ in range(dim)] for _ in range(rng.randrange(dim + 1))]
-        bases.append(rref_mod(rows, q))
-    return VectorSpaceSystem(q, dim, tuple(bases))
 
 
 def all_subspaces(q: int, dim: int) -> list[Matrix]:

@@ -410,14 +410,6 @@ class _Parser:
         return BooleanConstraint(self.n, tuple(clauses))
 
 
-def parse_expr(text: str, var_names: list[str]) -> LinExpr:
-    """Parse a single linear entropy expression over the given variables."""
-    p = _Parser(_tokenize(text), var_names)
-    expr = LinExpr.make(p.n, p.parse_coeffs())
-    p.expect("eof")
-    return expr
-
-
 def parse_constraint(text: str, var_names: "list[str] | None" = None) -> BooleanConstraint:
     """Parse a full constraint; variables inferred alphabetically by default."""
     tokens = _tokenize(text)

@@ -1,5 +1,9 @@
 """Recognizing candidate vectors given in (1/c) * log2(a/b) form.
 
+`CandidateRepr.entropy(mask)` gives one coordinate as a `LogLinValue`, as
+`Distribution.entropy` does.  `check_candidate` gathers every nonempty
+mask's value in a dict from mask to value, which `LinExpr.eval` indexes.
+
 The checks are one-sided, matching what a terminating tool can promise:
 
 * rejection is sound -- the candidate violates an inequality that is
@@ -19,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import MAX_VARS, EntropicCandidate, LogLinValue, Value
+from .core import MAX_VARS, LogLinValue, Value
 from .distributions import Distribution, shared_walk, to_distribution
 from .parser import _split_var_token
 from .shannon import Generator, GeneratorSet
@@ -45,18 +49,12 @@ class CandidateRepr(Value):
             if a < 1:
                 raise ValueError("malformed representation: a must be >= 1")
 
-    def entry(self, mask: int) -> tuple[int, int, int]:
-        return self.entries[mask - 1]
-
-    def candidate(self) -> EntropicCandidate:
-        values = [LogLinValue.zero()]
-        for mask in range(1, 1 << self.n):
-            a, b, c = self.entry(mask)
-            if a == b:
-                values.append(LogLinValue.zero())
-            else:
-                values.append(LogLinValue.of((Fraction(1, c), Fraction(a, b))))
-        return EntropicCandidate(self.n, tuple(values))
+    def entropy(self, mask: int) -> LogLinValue:
+        """h(alpha) = (1/c) * log2(a/b) for a nonempty subset alpha."""
+        a, b, c = self.entries[mask - 1]
+        if a == b:
+            return LogLinValue.zero()
+        return LogLinValue.of((Fraction(1, c), Fraction(a, b)))
 
     @staticmethod
     def from_file_text(text: str) -> "CandidateRepr":
@@ -125,7 +123,7 @@ def check_candidate(repr_: CandidateRepr, gens: GeneratorSet,
     """
     if gens.n != repr_.n:
         raise ValueError("generator set has wrong variable count")
-    h = repr_.candidate()
+    h = {mask: repr_.entropy(mask) for mask in range(1, 1 << repr_.n)}
     for gen in gens.generators:
         if gen.expr.eval(h).sign() < 0:
             return RecognitionResult("rejected", violated=gen)
@@ -133,7 +131,6 @@ def check_candidate(repr_: CandidateRepr, gens: GeneratorSet,
         if pmf is None:
             break
         dist = to_distribution(*pmf)
-        if all((dist.entropy(mask) - h.value(mask)).sign() == 0
-               for mask in range(1, 1 << repr_.n)):
+        if all((dist.entropy(mask) - value).sign() == 0 for mask, value in h.items()):
             return RecognitionResult("realized", realization=dist)
     return RecognitionResult("inconclusive")

@@ -27,8 +27,9 @@ its position in the whole stream.  `candidates_scanned` counts every
 candidate up to the hit, skipped ones included, also the pmfs that were
 never built.  A hit is re-checked and reported by `violation`, the
 reference evaluation over `LogLinValue`s, so the report does not depend
-on the kernel.  The re-check builds h only at the masks the constraint
-mentions, since the expressions read nothing else.
+on the kernel.  The re-check builds h as a plain dict from mask to
+`LogLinValue`, only at the masks the constraint mentions, since
+`LinExpr.eval` reads h[mask] there and nothing else.
 
 Scans of one budget share the walk.  `refute` draws its pmfs from
 `distributions.shared_walk`, so a process builds a budget's pmfs once
@@ -201,29 +202,21 @@ def _mentioned_masks(constraint: BooleanConstraint) -> tuple[int, ...]:
                          for m, _ in e.items}))
 
 
-class _Entropies:
-    """h at the masks a constraint mentions, which is all `LinExpr.eval`
-    reads of a candidate for that constraint."""
-
-    def __init__(self, n: int, values: dict):
-        self.n = n
-        self.values = values
-
-    def value(self, mask: int):
-        return self.values[mask]
-
-
 def violation(constraint: BooleanConstraint, kind: str, obj) -> "Counterexample | None":
     """First clause the candidate falsifies, with its evaluation trace.
 
     The one reference evaluation of clauses on candidates, with exact
     `LogLinValue` signs: a clause is falsified when every antecedent is
-    >= 0 and every consequent < 0.  It builds h with the candidate's own
-    `entropy`, and only at the masks the constraint mentions.
+    >= 0 and every consequent < 0.  It builds h as a dict with the
+    candidate's own `entropy`, and only at the masks the constraint
+    mentions, which are all that `LinExpr.eval` reads.  A candidate on
+    another number of variables is a ValueError.
     `check-dist --constraint` decides each clause with it; distribution
     scans use `ProfileScan` and call it only to re-check and report a
     hit; subspace systems are scanned with it directly."""
-    h = _Entropies(obj.n, {m: obj.entropy(m) for m in _mentioned_masks(constraint)})
+    if obj.n != constraint.n:
+        raise ValueError(f"dimension mismatch: constraint n={constraint.n}, candidate n={obj.n}")
+    h = {m: obj.entropy(m) for m in _mentioned_masks(constraint)}
     for idx, clause in enumerate(constraint.clauses):
         trace = []
         failed = True

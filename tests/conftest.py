@@ -5,9 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
-from infoineq.core import EntropicCandidate, LinExpr, LogLinValue
+from infoineq.core import LinExpr, LogLinValue
 from infoineq.distributions import Distribution
 from infoineq.models import VectorSpaceSystem
+from infoineq.parser import _Parser, _tokenize
 from infoineq.shannon import elemental
 
 
@@ -31,25 +32,34 @@ def sparse(rows) -> list[list[tuple]]:
     return [[(j, v) for j, v in enumerate(row) if v] for row in rows]
 
 
-def modular_candidate(weights) -> EntropicCandidate:
-    """h(alpha) = sum_{j in alpha} w_j for nonnegative weights w, each
-    value as a rational multiple of log2(2).  Every nonnegative modular
-    function is entropic."""
+def modular_candidate(weights) -> tuple[LogLinValue, ...]:
+    """h(alpha) = sum_{j in alpha} w_j for nonnegative weights w, indexed
+    by mask, each value as a rational multiple of log2(2).  Every
+    nonnegative modular function is entropic."""
     n = len(weights)
     values = []
     for mask in range(1 << n):
         total = sum((Fraction(w) for j, w in enumerate(weights) if (mask >> j) & 1), Fraction(0))
         values.append(LogLinValue.of((total, 2)) if total else LogLinValue.zero())
-    return EntropicCandidate(n, tuple(values))
+    return tuple(values)
 
 
-def zero_candidate(n: int) -> EntropicCandidate:
+def zero_candidate(n: int) -> tuple[LogLinValue, ...]:
     return modular_candidate([0] * n)
 
 
-def subspace_candidate(system: VectorSpaceSystem) -> EntropicCandidate:
+def subspace_candidate(system: VectorSpaceSystem) -> tuple[LogLinValue, ...]:
     """The whole rank vector of a subspace system, h(alpha) at every mask."""
-    return EntropicCandidate(system.n, tuple(system.entropy(m) for m in range(1 << system.n)))
+    return tuple(system.entropy(m) for m in range(1 << system.n))
+
+
+def parse_expr(text: str, var_names: list[str]) -> LinExpr:
+    """Parse a single linear entropy expression over the given variables,
+    with the grammar and errors of a constraint's sides."""
+    p = _Parser(_tokenize(text), var_names)
+    expr = LinExpr.make(p.n, p.parse_coeffs())
+    p.expect("eof")
+    return expr
 
 
 @pytest.fixture(scope="session")

@@ -164,6 +164,9 @@ EXACT_ERRORS = {
     # rejected before the access structure is closed upward (2^39 sets)
     (("secret-share", "--participants", "40", "--access", "1"), None):
         "variable count 41 out of range 1..16",
+    # the set as written is named, not a superset of it that the closure made
+    (("secret-share", "--participants", "3", "--access", "4"), None):
+        "access set [4] mentions unknown participants",
     # rejected before the 2^40 entropies are built
     (("check-dist", "--file", "{path}"), WIDE_DIST): "variable count 40 out of range 1..16",
     # rejected before the 2^40 - 1 subset lines are looked up
@@ -510,6 +513,17 @@ def test_reduce_tight_on_slack_antecedents_is_inconclusive(capsys):
     assert "not verified tight (classified slack)" in entry["note"]
 
 
+def test_tight_stage_classifies_at_the_commands_budget(capsys, tmp_path):
+    # the antecedent is positive on an XOR pmf, which s=1,D=1 does not reach
+    path = write(tmp_path, "[I(X;Y|Z) >= 2*I(X;Y)] => I(X;Y) >= H(Z)\n")
+    for budget, verdict in (("s=1,D=1", "unknown"), ("s=2,D=4", "slack")):
+        code, report = run(capsys, "reduce", "--regime", "tight", "--file", path,
+                           "--budget", budget)
+        assert code == 2
+        assert report["clauses"][0]["note"] == \
+            f"antecedent 0 not verified tight (classified {verdict})"
+
+
 def test_reduce_slack_without_joint_slack_still_decides(capsys):
     fx = fixture("ci_contraction_basic")
     code, report = run(capsys, "reduce", "--regime", "slack", "--file", str(fx.path))
@@ -558,6 +572,22 @@ def test_secret_share_runs_the_tight_stage(capsys):
     constraint = parse_constraint(report["constraint"])
     gens = elemental(constraint.n)
     assert certificate_problems(report, constraint.clauses[0], gens) == []
+
+
+@pytest.mark.parametrize("participants,access,closed", [
+    ("1", "1", [[1]]),
+    ("2", "1,2", [[1, 2]]),
+    ("3", "1,2;3", [[1, 2], [1, 2, 3], [1, 3], [2, 3], [3]]),
+    ("3", "2;1,2", [[1, 2], [1, 2, 3], [2], [2, 3]]),
+    ("3", "1;2;3", [[1], [1, 2], [1, 2, 3], [1, 3], [2], [2, 3], [3]]),
+    ("4", "1,2;2,3;3,4", [[1, 2], [1, 2, 3], [1, 2, 3, 4], [1, 2, 4], [1, 3, 4], [2, 3],
+                          [2, 3, 4], [3, 4]]),
+])
+def test_secret_share_closes_the_access_sets_upward(capsys, participants, access, closed):
+    code, report = run(capsys, "secret-share", "--participants", participants,
+                       "--access", access)
+    assert code == 0
+    assert report["access_structure"] == closed
 
 
 def test_secret_share_prints_a_constraint_that_parses_back(capsys, tmp_path):

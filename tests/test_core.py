@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 from infoineq import core
 from infoineq.apps import fixture
 from infoineq.cli import ClauseOutcome
-from infoineq.core import (BooleanConstraint, Clause, EntropicCandidate, LinExpr,
-                           LogLinValue, Value, VarSet, _factor_cached, cond_entropy, entropy_of,
-                           full_set, is_prime, mutual_info, prime_sum_sign)
+from infoineq.core import (BooleanConstraint, Clause, LinExpr, LogLinValue, Value, VarSet,
+                           _factor_cached, cond_entropy, entropy_of, full_set, is_prime,
+                           mutual_info, prime_sum_sign)
 from infoineq.distributions import Distribution
 from infoineq.parser import parse_constraint
 from infoineq.refuter import DISTRIBUTION, Budget, refute, violation
@@ -107,9 +107,8 @@ class TestEval:
         oracle = (Fraction(1, 2) * 1 + Fraction(1, 4) * 2 + Fraction(1, 4) * 2)
         assert oracle == Fraction(3, 2)
         value = LogLinValue.of((Fraction(1, 2), 2), (Fraction(1, 4), 4), (Fraction(1, 4), 4))
-        vec = [LogLinValue.zero(), value]
-        h = EntropicCandidate(1, tuple(vec))
-        got = entropy_of(1, 1).eval(h)
+        # a dict of the masks the expression mentions is enough
+        got = entropy_of(1, 1).eval({1: value})
         assert as_rational(got) == oracle
         assert got.sign() == 1
 
@@ -117,10 +116,6 @@ class TestEval:
         h = zero_candidate(3)
         expr = LinExpr.make(3, {7: Fraction(5), 1: Fraction(-2)})
         assert expr.eval(h).sign() == 0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            entropy_of(2, 1).eval(zero_candidate(3))
 
     @settings(max_examples=60, deadline=None)
     @given(lin_exprs(3), lin_exprs(3), st.lists(small_rationals.filter(lambda q: q >= 0),
@@ -142,10 +137,10 @@ class TestEval:
     @settings(max_examples=100, deadline=None)
     @given(lin_exprs(3), st.lists(log_lin_values, min_size=7, max_size=7))
     def test_one_pass_eval_equals_left_fold(self, expr, values):
-        h = EntropicCandidate(3, (LogLinValue.zero(), *values))
+        h = (LogLinValue.zero(), *values)
         fold = LogLinValue.zero()
         for mask, c in expr.items:
-            fold = fold + h.value(mask).scale(c)
+            fold = fold + h[mask].scale(c)
         got = expr.eval(h)
         assert got.terms == fold.terms
         assert str(got) == str(fold)
@@ -206,6 +201,13 @@ class TestHolds:
     def test_zero_vector_property(self, antecedents, consequents):
         clause = Clause(2, tuple(antecedents), tuple(consequents))
         assert holds(clause, CONSTANT)
+
+    def test_dimension_mismatch(self):
+        # the candidate's n is checked here, once, not by `LinExpr.eval`
+        clause = Clause(2, (), (entropy_of(2, 1),))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            violation(BooleanConstraint(2, (clause,)), DISTRIBUTION,
+                      Distribution.make((2, 2, 2), {(0, 0, 0): Fraction(1)}))
 
     def test_empty_consequents_rejected(self):
         with pytest.raises(ValueError):
@@ -455,7 +457,6 @@ class TestCoprimeBasis:
     def test_agrees_with_prime_factorization(self, v):
         exps = reference_exponents(v)
         assert v.sign() == prime_sum_sign(exps)
-        assert v.is_zero() == (not exps)
         assert as_rational(v) == (exps.get(2, Fraction(0)) if set(exps) <= {2} else None)
 
     def test_basis_is_pairwise_coprime_and_generates_its_inputs(self):

@@ -12,9 +12,9 @@ from infoineq import parser
 from infoineq.apps import secret_sharing_constraint
 from infoineq.core import LinExpr, cond_entropy, mutual_info
 from infoineq.parser import (MAX_PAREN_DEPTH, ParseError, format_clause, format_constraint,
-                             format_expr, parse_constraint, parse_expr)
+                             format_expr, parse_constraint)
 
-from conftest import lin_exprs
+from conftest import lin_exprs, parse_expr
 
 XYZ = ["X", "Y", "Z"]
 

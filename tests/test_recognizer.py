@@ -18,10 +18,9 @@ def candidate(text: str) -> CandidateRepr:
 def reference_realization(repr_: CandidateRepr, max_support: int, max_denominator: int):
     """The first distribution of the whole stream with the candidate's
     entropic vector, nothing skipped."""
-    h = repr_.candidate()
     for dist in enumerate_distributions(repr_.n, max_support, max_denominator):
         hd = dist.entropic_vector()
-        if all((hd.value(m) - h.value(m)).sign() == 0 for m in range(1, 1 << repr_.n)):
+        if all((hd[m] - repr_.entropy(m)).sign() == 0 for m in range(1, 1 << repr_.n)):
             return dist
     return None
 

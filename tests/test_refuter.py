@@ -20,11 +20,11 @@ from infoineq.core import BooleanConstraint, Clause, LinExpr
 from infoineq.distributions import (Distribution, enumerate_distributions, pmf_stream,
                                     to_distribution)
 from infoineq.models import enumerate_systems
-from infoineq.parser import parse_constraint, parse_expr
+from infoineq.parser import parse_constraint
 from infoineq.refuter import (DISTRIBUTION, VECTOR_SPACE, Budget, ProfileScan,
                               RefutationResult, _subspace_systems, refute, violation)
 
-from conftest import lin_exprs, subspace_candidate
+from conftest import lin_exprs, parse_expr, subspace_candidate
 
 XYZ = ("X", "Y", "Z")
 

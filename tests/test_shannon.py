@@ -11,14 +11,14 @@ from hypothesis import strategies as st
 
 from infoineq import shannon
 from infoineq.core import LinExpr, VarSet, cond_entropy, entropy_of, full_set, mutual_info
-from infoineq.parser import default_names, parse_expr
+from infoineq.parser import default_names
 from infoineq.shannon import (MONOTONICITY, SLACK, SUBMODULARITY, TIGHT, UNKNOWN, Generator,
                               ProofCertificate, classify_tight, elemental, joint_slack, prove,
                               verify)
 from infoineq.apps import matus_expr
 from infoineq.simplex import solve_lp
 
-from conftest import as_rational, modular_candidate, sparse
+from conftest import as_rational, modular_candidate, parse_expr, sparse
 
 F = Fraction
 XYZ = ["X", "Y", "Z"]

@@ -37,9 +37,6 @@ CORPUS = PACKAGE / "corpus"
 # (module, name or "Class.method") -> a test that uses the helper as a reference
 TEST_REFERENCES = {
     ("apps", "matus_expr"): "tests/test_shannon.py::TestProve::test_nonelemental_family_not_provable",
-    ("models", "random_system"):
-        "tests/test_models.py::TestRankVector::test_random_systems_satisfy_elemental_inequalities",
-    ("parser", "parse_expr"): "tests/test_parser.py::TestExpressions::test_conditional_entropy",
 }
 
 ZHANG_YEUNG = "I(A;B) + I(A;CD) + 3*I(C;D|A) + I(C;D|B) - 2*I(C;D) >= 0\n"
