@@ -283,8 +283,8 @@ def _one_process(workers: int) -> None:
 def cmd_prove(args) -> int:
     _one_process(args.workers)
     constraint = parse_constraint(Path(args.file).read_text())
-    gens = load_generators(constraint.n, args.extra_gens)
     budget = Budget.parse(args.budget)
+    gens = load_generators(constraint.n, args.extra_gens)
     status, outcomes = decide_constraint(constraint, gens, budget)
     report = {
         "command": "prove",
@@ -316,8 +316,8 @@ def cmd_refute(args) -> int:
 
 def cmd_reduce(args) -> int:
     constraint = parse_constraint(Path(args.file).read_text())
-    gens = load_generators(constraint.n, args.extra_gens)
     budget = Budget.parse(args.budget)
+    gens = load_generators(constraint.n, args.extra_gens)
     status, outcomes = decide_constraint(constraint, gens, budget, REGIME_STAGES[args.regime])
     entries = []
     for clause, outcome in zip(constraint.clauses, outcomes):
@@ -376,11 +376,11 @@ def cmd_ci(args) -> int:
 def cmd_recognize(args) -> int:
     from .recognizer import CandidateRepr, check_candidate  # no other command needs it
     repr_ = CandidateRepr.from_file_text(Path(args.file).read_text())
-    gens = load_generators(repr_.n, args.extra_gens)
     budget = Budget.parse(args.budget)
     if budget.vs_primes or budget.vs_max_dim:
         raise ValueError("recognize searches distributions only: "
                          "its budget takes s and D, not vsdim or vsq")
+    gens = load_generators(repr_.n, args.extra_gens)
     result = check_candidate(repr_, gens, budget.max_support, budget.max_denominator)
     report = {"command": "recognize", **result.to_json()}
     emit(report, args.text)

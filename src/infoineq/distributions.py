@@ -14,7 +14,7 @@ Each distribution appears exactly once per domain tuple: numerator tuples
 with a common factor are skipped, so a pmf is emitted only at its reduced
 denominator.
 
-The order is defined once, by the iterative walk `pmf_walk`.  Without
+The order is defined once, by the walk `pmf_walk`.  Without
 pruning it yields every pmf: `pmf_stream` gives them as integer pmfs and
 `enumerate_distributions` as `Distribution`s.  Searches that depend only
 on marginal counts (the refuter, the recognizer) walk with `skip_twins`.
@@ -30,17 +30,18 @@ counts up to relabelling:
   that makes the numerator tuple smaller gives an earlier pmf.
 So the first pmf with any given marginal profile is always built.
 
-Skipped pmfs still hold their stream positions.  A subtree of the
-numerator walk is fixed by its next cell j, the sum r still to place,
-the nonzero cells t still to place and the gcd g of the counts placed;
-it holds
+Skipped pmfs still hold their stream positions.  The numerator walk
+recurses over the nonzero cells, and a subtree is fixed by its next free
+cell j, the sum r still to place, the nonzero cells t still to place and
+the gcd g of the counts placed; it holds
 
     sum over d | gcd(g, r) of mu(d) * C(cells - j, t) * C(r/d - 1, t - 1)
 
 pmfs (Moebius inversion over the common factor, g = 0 before the first
-nonzero count).  The walk adds that count for every subtree it cuts and
-for every (D', k, domains) block with some domain larger than k, so each
-pmf it yields carries its exact index in the full stream.
+nonzero count).  So the walk places each pmf in closed form: its index is
+its block's start plus the sizes of the sibling subtrees before it at
+each level, and a cut subtree, or a whole (D', k, domains) block with some
+domain larger than k, needs no count of its own.
 
 The twin-skipping stream depends on the budget (n, s, D) alone, and a
 process often scans one budget many times: once per clause, per
@@ -223,18 +224,23 @@ def _layout(domains: tuple[int, ...]):
     return outs, var_of, tuple(last), pairs_at, swaps
 
 
-def _numerator_walk(cells: int, dprime: int, k: int, domains) -> Iterator[tuple[int, tuple]]:
-    """`(offset, atoms)` for the numerator tuples of one (D', k, domains)
+def _numerator_walk(cells: int, dprime: int, k: int, domains,
+                    base: int) -> Iterator[tuple[int, tuple]]:
+    """`(index, atoms)` for the numerator tuples of one (D', k, domains)
     block in lexicographic order: length `cells`, sum D', exactly k nonzero
-    entries, gcd 1.  `offset` is the tuple's position in the block.
+    entries, gcd 1.  `index` is `base` plus the tuple's position in the
+    block.
 
-    Level d of the walk picks the d-th nonzero cell and its count; later
-    cells come first, since a longer run of zeros is lexicographically
-    smaller.  Subtrees holding no tuple are never entered.
+    Each call of `level` places one nonzero cell and its count, then
+    recurses for the next.  Later cells come first, since a longer run of
+    zeros is lexicographically smaller, then smaller counts.  A child
+    subtree starts at its parent's index plus the `_completions` of every
+    sibling before it: the tuples whose nonzero cell comes later, and those
+    with a smaller count at the same cell.  Subtrees holding no tuple are
+    never entered, and a cut subtree needs no count.
 
     With `domains`, only the tuples that are full-use and minimal under
-    adjacent value swaps are built, and `_completions` counts the tuples of every cut subtree,
-    so offsets stay exact.  A subtree is cut
+    adjacent value swaps are built.  A subtree is cut
     * as soon as some (variable, value) pair can no longer get mass: the
       last cell carrying it is passed, or its variable has more unused
       values than nonzero cells left;
@@ -242,99 +248,70 @@ def _numerator_walk(cells: int, dprime: int, k: int, domains) -> Iterator[tuple[
       known to give a lexicographically smaller tuple.  The swap exchanges
       the pairs of cells (c, c + stride) with c at digit a; the first pair
       that differs decides, and the tuple is smaller iff its entry at c
-      exceeds the one at c + stride.  `open_swaps[d]` holds the swaps still
-      undecided at level d, and every pair of those ending before the
-      level's first free cell is equal.
+      exceeds the one at c + stride.  `open_swaps` holds the swaps still
+      undecided, and every pair of those ending before `start` is equal.
+    `placed`, `cover`, `unused` and `x` are set before each descent and
+    restored after it.
     """
-    start = [0] * (k + 1)        # first free cell at each level
-    rest = [dprime] + [0] * k    # numerator sum still to place
-    gcds = [0] * (k + 1)         # gcd of the counts placed so far
-    cell = [0] * k
-    value = [0] * k              # 0: this level's cell not yet started
-    floor = [0] * k              # least count this level's cell may take
     pruned = domains is not None
     if pruned:
         outs, var_of, last, pairs_at, swaps = _layout(domains)
         cover = [0] * len(var_of)
         unused = list(domains)
         x = [0] * cells
-        open_swaps = [swaps] + [()] * k
-    offset = 0
-    d = 0
-    enter = True
-    while d >= 0:
-        if enter:
-            # earliest cell a later nonzero cell may take: past it, some pair
-            # gets no mass or an open swap meets a nonzero c against a zero
-            limit = cells
-            if pruned:
-                limit = min((last[q] for q, c in enumerate(cover) if not c), default=cells)
-                for i, a, stride in open_swaps[d]:
-                    for e in range(d):
-                        if outs[cell[e]][i] == a and cell[e] + stride >= start[d]:
-                            limit = min(limit, cell[e] + stride)
-                            break
-        if enter and d == k:
-            if limit == cells:
-                yield offset, tuple(zip(cell, value))
-            offset += 1
-            d -= 1
-            enter = False
-            continue
-        t = k - d
-        r, g = rest[d], gcds[d]
-        if enter:
-            p, v = cells - t, 0
-            if limit < p:
-                offset += _completions(cells - limit - 1, r, t, g)
-                p = limit
-        else:
-            p, v = cell[d], value[d]
-            if pruned:
-                x[p] = 0
-                for q in pairs_at[p]:
-                    cover[q] -= 1
-                    if not cover[q]:
-                        unused[var_of[q]] += 1
-        while True:
-            if v == 0:
-                if p < start[d]:
+    placed: list[tuple[int, int]] = []  # (cell, count) of each nonzero cell
+
+    def limit_of(start, open_swaps):
+        """The latest cell the next nonzero cell may take: past it, some
+        pair gets no mass or an open swap meets a nonzero c against a zero."""
+        limit = min((last[q] for q, c in enumerate(cover) if not c), default=cells)
+        for i, a, stride in open_swaps:
+            for c, _ in placed:
+                if outs[c][i] == a and c + stride >= start:
+                    limit = min(limit, c + stride)
                     break
-                if pruned and any(unused[var_of[q]] - (not cover[q]) >= t for q in pairs_at[p]):
-                    offset += _completions(cells - p, r, t, g) \
-                        - _completions(cells - p - 1, r, t, g)
-                    p -= 1
-                    continue
-                v = r if t == 1 else 1
-                # an open swap whose pair ends here needs at least its low entry
-                floor[d] = max((x[p - stride] for i, a, stride in open_swaps[d]
-                                if outs[p][i] == a + 1), default=0) if pruned else 0
-            else:
-                v += 1
-            if v > r - t + 1:
-                p, v = p - 1, 0
+        return limit
+
+    def level(start, r, t, g, open_swaps, base):
+        """The tuples that place the sum r on t >= 1 nonzero cells from
+        `start` on, given the gcd g of the counts placed (0 before the
+        first)."""
+        limit = limit_of(start, open_swaps) if pruned else cells
+        for p in range(min(cells - t, limit), start - 1, -1):
+            if pruned and any(unused[var_of[q]] - (not cover[q]) >= t for q in pairs_at[p]):
                 continue
-            size = _completions(cells - p - 1, r - v, t - 1, gcd(g, v))
-            if v < floor[d]:
-                offset += size
-            elif size:
-                break
-        if v == 0:
-            d -= 1
-            enter = False
-            continue
-        cell[d], value[d] = p, v
-        if pruned:
-            x[p] = v
-            for q in pairs_at[p]:
-                if not cover[q]:
-                    unused[var_of[q]] -= 1
-                cover[q] += 1
-            open_swaps[d + 1] = tuple(sw for sw in open_swaps[d]
-                                      if not (outs[p][sw[0]] == sw[1] + 1 and v > x[p - sw[2]]))
-        start[d + 1], rest[d + 1], gcds[d + 1] = p + 1, r - v, gcd(g, v)
-        d += 1
-        enter = True
+            # an open swap whose pair ends here needs at least its low entry
+            floor = max((x[p - stride] for i, a, stride in open_swaps
+                         if outs[p][i] == a + 1), default=0) if pruned else 0
+            index = base + _completions(cells - p - 1, r, t, g)
+            for v in range(r if t == 1 else 1, r - t + 2):
+                size = _completions(cells - p - 1, r - v, t - 1, gcd(g, v))
+                if size and v >= floor:
+                    placed.append((p, v))
+                    child_swaps = open_swaps
+                    if pruned:
+                        x[p] = v
+                        for q in pairs_at[p]:
+                            if not cover[q]:
+                                unused[var_of[q]] -= 1
+                            cover[q] += 1
+                        child_swaps = tuple(sw for sw in open_swaps
+                                            if not (outs[p][sw[0]] == sw[1] + 1 and v > x[p - sw[2]]))
+                    if t > 1:
+                        yield from level(p + 1, r - v, t - 1, gcd(g, v), child_swaps, index)
+                    # the last nonzero cell: every cell after p stays zero
+                    elif not pruned or limit_of(p + 1, child_swaps) == cells:
+                        yield index, tuple(placed)
+                    if pruned:
+                        x[p] = 0
+                        for q in pairs_at[p]:
+                            cover[q] -= 1
+                            if not cover[q]:
+                                unused[var_of[q]] += 1
+                    placed.pop()
+                index += size
+
+    return level(0, dprime, k, 0, swaps if pruned else (), base)
 
 
 def pmf_walk(n: int, max_support: int, max_denominator: int,
@@ -363,9 +340,9 @@ def pmf_walk(n: int, max_support: int, max_denominator: int,
                     size = _completions(cells, dprime, k, 0)
                     # k nonzero cells cannot use more than k values of a variable
                     if size and not (skip_twins and max(domains) > k):
-                        for offset, atoms in _numerator_walk(
-                                cells, dprime, k, domains if skip_twins else None):
-                            yield index + offset, (dprime, domains, atoms)
+                        for i, atoms in _numerator_walk(
+                                cells, dprime, k, domains if skip_twins else None, index):
+                            yield i, (dprime, domains, atoms)
                     index += size
     yield index, None
 

@@ -45,14 +45,12 @@ MAX_PAREN_DEPTH = 64
 
 
 class SourceSpan(Value):
-    """Byte range of a token or error in the original source text."""
+    """Position of a token or error in the original source text."""
 
-    __slots__ = ("start", "end", "line", "column")
+    __slots__ = ("line", "column")
 
-    def __init__(self, start: int, end: int, line: int, column: int):
-        self.start, self.end, self.line, self.column = start, end, line, column
-        if start > end:
-            raise ValueError("span start must not exceed end")
+    def __init__(self, line: int, column: int):
+        self.line, self.column = line, column
 
 
 class ParseError(ValueError):
@@ -84,14 +82,12 @@ class Token(NamedTuple):
 
     kind: str
     text: str
-    start: int
-    end: int
     line: int
     column: int
 
     @property
     def span(self) -> SourceSpan:
-        return SourceSpan(self.start, self.end, self.line, self.column)
+        return SourceSpan(self.line, self.column)
 
 
 def _tokenize(text: str) -> list[Token]:
@@ -108,13 +104,12 @@ def _tokenize(text: str) -> list[Token]:
                 line_start = start + tok_text.rfind("\n") + 1
             continue
         if kind == "bad":
-            span = SourceSpan(start, start + 1, line, start - line_start + 1)
+            span = SourceSpan(line, start - line_start + 1)
             raise ParseError(f"unexpected character {tok_text!r}", span)
         if kind == "punct":
             kind = tok_text
-        tokens.append(Token(kind, tok_text, start, m.end(), line, start - line_start + 1))
-    end = len(text)
-    tokens.append(Token("eof", "", end, end, line, end - line_start + 1))
+        tokens.append(Token(kind, tok_text, line, start - line_start + 1))
+    tokens.append(Token("eof", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -163,10 +158,9 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.depth = 0  # parentheses open around the current token
-        self.vars = list(var_names)
         self.n = len(var_names)
         if self.n < 1:
-            span = SourceSpan(0, 0, 1, 1)
+            span = SourceSpan(1, 1)
             raise ParseError("constraint mentions no variables", span)
         self.var_index = {name: i for i, name in enumerate(var_names)}
 
@@ -193,14 +187,13 @@ class _Parser:
 
     def check_count(self) -> None:
         """Raise the error `LinExpr.make` gives for more than MAX_VARS
-        variables, at the first entropy term or zero expression, where
-        the first `LinExpr` of the constraint is due."""
+        variables, at the first variable list or zero expression, before
+        the first mask or `LinExpr` of the constraint is built."""
         if self.n > MAX_VARS:
             LinExpr.zero(self.n)
 
     def entropies(self, *signed: tuple[int, int]) -> dict:
         """The map of sum(sign * h(mask)); h({}) = 0 is left out."""
-        self.check_count()
         coeffs: dict[int, int] = {}
         for mask, sign in signed:
             if mask:
@@ -208,6 +201,7 @@ class _Parser:
         return coeffs
 
     def parse_varset(self, stop: tuple[str, ...]) -> VarSet:
+        self.check_count()
         mask = 0
         saw = False
         while self.peek().kind == "name":
@@ -466,17 +460,14 @@ def format_expr(expr: LinExpr, names: "tuple[str, ...] | None" = None) -> str:
     return " ".join(parts)
 
 
-def format_clause(clause: Clause, names: "tuple[str, ...] | None" = None) -> str:
-    if names is None:
-        names = default_names(clause.n)
+def format_clause(clause: Clause) -> str:
     head = ""
     if clause.antecedents:
-        head = "[" + ", ".join(f"{format_expr(a, names)} >= 0" for a in clause.antecedents) + "] => "
+        head = "[" + ", ".join(f"{format_expr(a)} >= 0" for a in clause.antecedents) + "] => "
     if len(clause.consequents) == 1:
-        return head + f"{format_expr(clause.consequents[0], names)} >= 0"
-    return head + "max(" + ", ".join(format_expr(c, names) for c in clause.consequents) + ") >= 0"
+        return head + f"{format_expr(clause.consequents[0])} >= 0"
+    return head + "max(" + ", ".join(format_expr(c) for c in clause.consequents) + ") >= 0"
 
 
-def format_constraint(constraint: BooleanConstraint,
-                      names: "tuple[str, ...] | None" = None) -> str:
-    return " && ".join(format_clause(c, names) for c in constraint.clauses)
+def format_constraint(constraint: BooleanConstraint) -> str:
+    return " && ".join(format_clause(c) for c in constraint.clauses)

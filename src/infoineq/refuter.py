@@ -22,8 +22,8 @@ domain and are minimal under adjacent value swaps.  Every other pmf has
 an earlier twin with the same profile (see `distributions`), so the
 first pmf of every profile is built, and the first hit, the distinct
 profiles and the report are those of a scan over every pmf.  The walk
-counts each subtree it cuts in closed form, so every candidate carries
-its position in the whole stream.  `candidates_scanned` counts every
+places each pmf it builds in closed form, from the sizes of the subtrees
+before it, so every candidate carries its position in the whole stream.  `candidates_scanned` counts every
 candidate up to the hit, skipped ones included, also the pmfs that were
 never built.  A hit is re-checked and reported by `violation`, the
 reference evaluation over `LogLinValue`s, so the report does not depend

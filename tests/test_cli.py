@@ -288,6 +288,26 @@ def test_extra_generators_are_refuted_before_use(capsys, tmp_path):
     assert (code, report["status"]) == (cli.EXIT_POSITIVE, "proved")
 
 
+BUDGET_ERROR = "budget needs s >= 1 and D >= 1"
+
+
+@pytest.mark.parametrize("command,budget,error", [
+    ("prove", "s=0,D=4", BUDGET_ERROR),
+    ("reduce", "s=0,D=4", BUDGET_ERROR),
+    ("recognize", "s=0,D=4", BUDGET_ERROR),
+    ("recognize", "s=2,D=2,vsdim=1,vsq=2",
+     "recognize searches distributions only: its budget takes s and D, not vsdim or vsq"),
+])
+def test_budget_is_checked_before_the_extra_generators(capsys, tmp_path, command, budget, error):
+    flip = write(tmp_path, "H(X) - H(XY) >= 0\n", "flip.iic")
+    path = (write(tmp_path, "X 2 1 1\nY 2 1 1\nXY 3 1 1\n", "pair.cand") if command == "recognize"
+            else write(tmp_path, "H(XY) - H(X) >= 0\n", "mono.iic"))
+    argv = [command, "--file", path, "--extra-gens", flip, "--budget", budget]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert (out, json.loads(err)) == ("", {"error": error})
+
+
 # ---------------------------------------------------------------------------
 # One argparse tree per process
 # ---------------------------------------------------------------------------

@@ -123,7 +123,7 @@ class TestErrors:
 
     @pytest.mark.parametrize("text,error", [
         ("H(V1) + 1 >= H({all})", "variable count 17 out of range 1..16"),
-        ("H(V9) >= H({all})", "variable mask out of range: 65536"),
+        ("H(V9) >= H({all})", "variable count 17 out of range 1..16"),
         ("0 >= H({all}", "variable count 17 out of range 1..16"),
         ("1/0 H(V1) >= H({all})", "zero denominator (line 1, column 3)"),
     ])

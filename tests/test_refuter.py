@@ -103,12 +103,17 @@ def test_distinct_profiles_when_every_mask_is_mentioned(n, profiles):
     assert "distinct_profiles" not in result.to_json()
 
 
-def test_counts_at_domain_size_three():
-    # 61,196 stream positions, of which the walk builds a few hundred
-    every = LinExpr.make(3, {mask: Fraction(1) for mask in range(1, 8)})
-    result = refute(Clause(3, (), (every,)), Budget(3, 4))
+@pytest.mark.parametrize("constraint,scanned,profiles", [
+    # the walk builds 464 of these 61,196 stream positions
+    (Clause(3, (), (LinExpr.make(3, {mask: Fraction(1) for mask in range(1, 8)}),)),
+     61196, 217),
+    # and 5,882 of these 4,579,316: the rest are placed in closed form
+    (fixture("matus_k2").constraint, 4579316, 1541),
+], ids=["every-mask-n3", "matus_k2"])
+def test_counts_at_domain_size_three(constraint, scanned, profiles):
+    result = refute(constraint, Budget(3, 4))
     assert not result.found
-    assert (result.candidates_scanned, result.distinct_profiles) == (61196, 217)
+    assert (result.candidates_scanned, result.distinct_profiles) == (scanned, profiles)
 
 
 def test_matus_k1_is_refuted():
