@@ -63,7 +63,10 @@ class Value:
 
 
 def as_fraction(x) -> Fraction:
-    """Coerce ints/strings/Fractions to Fraction; reject floats."""
+    """Coerce ints/strings/Fractions to Fraction; reject floats.  A Fraction
+    comes back as is, past the slow abstract type check of `Fraction(x)`."""
+    if type(x) is Fraction:
+        return x
     if isinstance(x, float):
         raise TypeError("floats are not allowed in exact arithmetic paths")
     return Fraction(x)
@@ -210,7 +213,7 @@ class LogLinValue(Value):
         for q, r in terms:
             if not isinstance(q, Fraction) or not isinstance(r, Fraction):
                 raise TypeError("LogLinValue terms must be Fractions")
-            if r <= 0:
+            if r.numerator <= 0:  # the denominator is positive
                 raise ValueError(f"logarithm argument must be positive, got {r}")
 
     @staticmethod

@@ -127,7 +127,7 @@ class Distribution(Value):
         for outcome, p in self.pmf:
             if p:
                 key = tuple(outcome[i] for i in idx)
-                acc[key] = acc[key] + p if key in acc else Fraction(p)
+                acc[key] = acc[key] + p if key in acc else p
         return sorted(acc.items())
 
     def marginal(self, mask: int) -> "Distribution":
@@ -139,7 +139,8 @@ class Distribution(Value):
 
     def entropy(self, mask: int) -> LogLinValue:
         """h(alpha) = sum_x p_alpha(x) * log2(1 / p_alpha(x)), exactly."""
-        return LogLinValue(tuple((p, 1 / p) for _, p in self._marginal_items(mask)))
+        return LogLinValue(tuple((p, Fraction(p.denominator, p.numerator))
+                                 for _, p in self._marginal_items(mask)))
 
     def entropic_vector(self) -> tuple[LogLinValue, ...]:
         """`entropy` at every mask, indexed by mask, with h({}) = 0 first."""

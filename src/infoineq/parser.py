@@ -30,12 +30,18 @@ tokens; a token consisting purely of two or more uppercase letters is
 read as juxtaposed single-letter variables (``XYZ`` means X, Y, Z).
 Unless an explicit ordering is supplied, variables are numbered in
 alphabetical order of their names.
+
+The text is lexed by one `findall` into token texts, each token's kind is
+read off its text, and the descent walks the kinds and texts by index.
+No position is kept: a `ParseError` lexes the text again to find the line
+and column of its token, so only an error pays for positions.
 """
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import NamedTuple
+from functools import lru_cache
+from itertools import islice
 
 from .core import MAX_VARS, BooleanConstraint, Clause, LinExpr, Value, VarSet
 
@@ -45,7 +51,7 @@ MAX_PAREN_DEPTH = 64
 
 
 class SourceSpan(Value):
-    """Position of a token or error in the original source text."""
+    """Position of an error in the original source text."""
 
     __slots__ = ("line", "column")
 
@@ -60,57 +66,41 @@ class ParseError(ValueError):
         self.span = span
 
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<arrow>=>)
-  | (?P<and>&&)
-  | (?P<ge>>=)
-  | (?P<le><=)
-  | (?P<num>\d+)
-  | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<punct>[()\[\],;|+\-*/=])
-  | (?P<bad>.)
-    """,
-    re.VERBOSE,
-)
+# every token and every comment; whitespace starts no match, so the
+# search skips it.  Numbers and names are ASCII; any other character that
+# is not whitespace is a token of its own, a bad one unless `_KINDS` has it
+_TOKEN_RE = re.compile(r"=>|&&|>=|<=|[0-9]+|[A-Za-z_][A-Za-z0-9_]*|#[^\n]*|\S")
+
+# a token's kind, looked up by its text or else by its first character;
+# punctuation is its own kind
+_KINDS = {"=>": "arrow", "&&": "and", ">=": "ge", "<=": "le",
+          **{c: c for c in "()[],;|+-*/="},
+          **dict.fromkeys("0123456789", "num"),
+          **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_", "name")}
 
 
-class Token(NamedTuple):
-    """One token; `kind` is the token's own text for punctuation."""
+def _tokenize(text: str) -> tuple[list[str], list[str]]:
+    """The kinds and the texts of the tokens, each list closed by the end
+    marker ("eof", "").  A bad character is an error here, before parsing."""
+    texts = _TOKEN_RE.findall(text)
+    if "#" in text:
+        texts = [t for t in texts if t[0] != "#"]
+    kinds = [_KINDS.get(t) or _KINDS.get(t[0]) for t in texts]
+    if None in kinds:
+        i = kinds.index(None)
+        raise ParseError(f"unexpected character {texts[i]!r}", _span(text, i))
+    kinds.append("eof")
+    texts.append("")
+    return kinds, texts
 
-    kind: str
-    text: str
-    line: int
-    column: int
 
-    @property
-    def span(self) -> SourceSpan:
-        return SourceSpan(self.line, self.column)
-
-
-def _tokenize(text: str) -> list[Token]:
-    tokens = []
-    line = 1
-    line_start = 0
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        tok_text = m.group()
-        start = m.start()
-        if kind == "ws" or kind == "comment":
-            if "\n" in tok_text:
-                line += tok_text.count("\n")
-                line_start = start + tok_text.rfind("\n") + 1
-            continue
-        if kind == "bad":
-            span = SourceSpan(line, start - line_start + 1)
-            raise ParseError(f"unexpected character {tok_text!r}", span)
-        if kind == "punct":
-            kind = tok_text
-        tokens.append(Token(kind, tok_text, line, start - line_start + 1))
-    tokens.append(Token("eof", "", line, len(text) - line_start + 1))
-    return tokens
+def _span(text: str, i: int) -> SourceSpan:
+    """Line and column of token i, or of the end of the text when there is
+    no token i.  Only an error needs a position, so the text is lexed again."""
+    starts = (m.start() for m in _TOKEN_RE.finditer(text) if text[m.start()] != "#")
+    offset = next(islice(starts, i, None), len(text))
+    line_start = text.rfind("\n", 0, offset) + 1
+    return SourceSpan(text.count("\n", 0, offset) + 1, offset - line_start + 1)
 
 
 def _split_var_token(tok: str) -> list[str]:
@@ -120,68 +110,66 @@ def _split_var_token(tok: str) -> list[str]:
     return [tok]
 
 
-def _scan_variables(tokens: list[Token]) -> list[str]:
-    """Variable names used in a token list, in alphabetical order."""
-    names = set()
-    for i, tok in enumerate(tokens):
-        if tok.kind == "name" and tok.text not in ("H", "I", "max"):
-            names.update(_split_var_token(tok.text))
-        # single-letter H/I used as a variable, e.g. "H(H)" -- follow the
-        # function-head rule: H/I followed by "(" is a head, else a variable
-        if tok.kind == "name" and tok.text in ("H", "I") and tokens[i + 1].kind != "(":
-            names.add(tok.text)
-    return sorted(names)
-
-
-def _scaled(coeffs: dict, q) -> dict:
-    for mask in coeffs:
-        coeffs[mask] *= q
-    return coeffs
+def _scan_variables(kinds: list[str], texts: list[str]) -> list[str]:
+    """Variable names used in a token list, in alphabetical order.  H, I
+    and max followed by "(" are function heads; elsewhere they are names,
+    as in "H(H)"."""
+    tokens = {text for i, text in enumerate(texts) if kinds[i] == "name"
+              and not (text in ("H", "I", "max") and kinds[i + 1] == "(")}
+    return sorted({name for text in tokens for name in _split_var_token(text)})
 
 
 def _add_into(total: dict, coeffs: dict, sign: int) -> None:
+    # not 0 + sign * c: an int left of a Fraction takes Fraction's slow path
     for mask, c in coeffs.items():
-        total[mask] = total.get(mask, 0) + sign * c
+        old = total.get(mask)
+        if old is None:
+            total[mask] = c if sign > 0 else -c
+        else:
+            total[mask] = old + c if sign > 0 else old - c
+
+
+def _scaled(coeffs: dict, q) -> dict:
+    # the Fraction goes left, as in `_add_into`
+    if type(q) is int:
+        for mask, c in coeffs.items():
+            coeffs[mask] = c * q
+    else:
+        for mask, c in coeffs.items():
+            coeffs[mask] = q * c
+    return coeffs
 
 
 class _Parser:
-    """Recursive descent over the token list.
+    """Recursive descent over the token kinds and texts, by index.
 
-    While a sum is parsed, its value is either a `Fraction` (a constant)
-    or a plain {mask: coefficient} map that the parser owns and updates
-    in place.  A map becomes a `LinExpr` once per expression, when its
-    comparison or `max` argument is complete, so a k-term sum is
-    normalized once rather than once per operator.
+    While a sum is parsed, its value is either a constant, an int until a
+    "/" makes it a `Fraction`, or a plain {mask: coefficient} map that the
+    parser owns and updates in place.  A map becomes a `LinExpr` once per
+    expression, when its comparison or `max` argument is complete, so a
+    k-term sum is normalized once rather than once per operator, and an
+    int coefficient becomes a `Fraction` there.
     """
 
-    def __init__(self, tokens: list[Token], var_names: list[str]):
-        self.tokens = tokens
+    def __init__(self, text: str, kinds: list[str], texts: list[str], var_names: list[str]):
+        self.text, self.kinds, self.texts = text, kinds, texts
         self.pos = 0
         self.depth = 0  # parentheses open around the current token
         self.n = len(var_names)
         if self.n < 1:
-            span = SourceSpan(1, 1)
-            raise ParseError("constraint mentions no variables", span)
-        self.var_index = {name: i for i, name in enumerate(var_names)}
+            raise ParseError("constraint mentions no variables", SourceSpan(1, 1))
+        self.var_bits = {name: 1 << i for i, name in enumerate(var_names)}
+        self.token_masks: dict[str, int] = {}
 
-    # -- token plumbing ----------------------------------------------------
+    def error(self, message: str, pos: "int | None" = None) -> ParseError:
+        """The error at token `pos`, by default the current one."""
+        return ParseError(message, _span(self.text, self.pos if pos is None else pos))
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
+    def expect(self, kind: str) -> None:
+        if self.kinds[self.pos] != kind:
+            found = self.texts[self.pos] or "end of input"
+            raise self.error(f"expected {kind!r}, found {found!r}")
         self.pos += 1
-        return tok
-
-    def expect(self, kind: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {tok.text or 'end of input'!r}", tok.span)
-        return self.next()
-
-    def error(self, message: str) -> ParseError:
-        return ParseError(message, self.peek().span)
 
     # -- expressions ---------------------------------------------------------
 
@@ -192,224 +180,219 @@ class _Parser:
         if self.n > MAX_VARS:
             LinExpr.zero(self.n)
 
-    def entropies(self, *signed: tuple[int, int]) -> dict:
-        """The map of sum(sign * h(mask)); h({}) = 0 is left out."""
-        coeffs: dict[int, int] = {}
-        for mask, sign in signed:
-            if mask:
-                coeffs[mask] = coeffs.get(mask, 0) + sign
-        return coeffs
-
-    def parse_varset(self, stop: tuple[str, ...]) -> VarSet:
+    def parse_varset(self, stop: tuple[str, ...]) -> int:
+        """The mask of a run of names; the token after it must be in `stop`."""
         self.check_count()
-        mask = 0
-        saw = False
-        while self.peek().kind == "name":
-            for name in _split_var_token(self.next().text):
-                idx = self.var_index.get(name)
-                if idx is None:
-                    raise self.error(f"unknown variable {name!r}")
-                mask |= 1 << idx
-            saw = True
-        if not saw:
+        kinds, texts, masks = self.kinds, self.texts, self.token_masks
+        pos = self.pos
+        if kinds[pos] != "name":
             raise self.error("expected variable names")
-        if self.peek().kind not in stop:
-            raise self.error(f"unexpected token {self.peek().text!r} in variable list")
-        return VarSet(mask)
-
-    def parse_rational(self) -> Fraction:
-        num = int(self.expect("num").text)
-        den = 1
-        if self.peek().kind == "/":
-            self.next()
-            tok = self.expect("num")
-            den = int(tok.text)
-            if den == 0:
-                raise ParseError("zero denominator", tok.span)
-        return Fraction(num, den)
+        mask = 0
+        while kinds[pos] == "name":
+            text = texts[pos]
+            self.pos = pos = pos + 1
+            bits = masks.get(text)
+            if bits is None:
+                bits = 0
+                for name in _split_var_token(text):
+                    if name not in self.var_bits:
+                        # reported at the token after the name, as it always was
+                        raise self.error(f"unknown variable {name!r}")
+                    bits |= self.var_bits[name]
+                masks[text] = bits
+            mask |= bits
+        if kinds[pos] not in stop:
+            raise self.error(f"unexpected token {texts[pos]!r} in variable list")
+        return mask
 
     def parse_atom(self):
         """One multiplicative atom: a rational, an H/I term, or parens."""
-        tok = self.peek()
-        if tok.kind == "num":
-            return self.parse_rational()
-        if tok.kind == "(":
+        kinds, texts = self.kinds, self.texts
+        pos = self.pos
+        kind = kinds[pos]
+        if kind == "num":
+            if kinds[pos + 1] != "/":
+                self.pos = pos + 1
+                return int(texts[pos])
+            self.pos = pos + 2
+            self.expect("num")
+            den = int(texts[pos + 2])
+            if den == 0:
+                raise self.error("zero denominator", pos + 2)
+            return Fraction(int(texts[pos]), den)
+        if kind == "name" and kinds[pos + 1] == "(":
+            head = texts[pos]
+            if head == "H":
+                # H(Y|X) = h(XY) - h(X)
+                self.pos = pos + 2
+                y = self.parse_varset(("|", ")"))
+                x = 0
+                if kinds[self.pos] == "|":
+                    self.pos += 1
+                    x = self.parse_varset((")",))
+                self.pos += 1
+                return _entropies((x | y, 1), (x, -1))
+            if head == "I":
+                # I(Y;Z|X) = h(XY) + h(XZ) - h(XYZ) - h(X)
+                self.pos = pos + 2
+                y = self.parse_varset((";",))
+                self.pos += 1
+                z = self.parse_varset(("|", ")"))
+                x = 0
+                if kinds[self.pos] == "|":
+                    self.pos += 1
+                    x = self.parse_varset((")",))
+                self.pos += 1
+                return _entropies((x | y, 1), (x | z, 1), (x | y | z, -1), (x, -1))
+        if kind == "(":
             if self.depth == MAX_PAREN_DEPTH:
                 raise self.error(f"parentheses nested deeper than {MAX_PAREN_DEPTH}")
-            self.next()
+            self.pos = pos + 1
             self.depth += 1
             inner = self.parse_sum()
             self.expect(")")
             self.depth -= 1
             return inner
-        if tok.kind == "name" and tok.text == "H" and self.tokens[self.pos + 1].kind == "(":
-            # H(Y|X) = h(XY) - h(X)
-            self.next()
-            self.next()
-            y = self.parse_varset(stop=("|", ")"))
-            x = 0
-            if self.peek().kind == "|":
-                self.next()
-                x = self.parse_varset(stop=(")",))
-            self.expect(")")
-            return self.entropies((x | y, 1), (x, -1))
-        if tok.kind == "name" and tok.text == "I" and self.tokens[self.pos + 1].kind == "(":
-            # I(Y;Z|X) = h(XY) + h(XZ) - h(XYZ) - h(X)
-            self.next()
-            self.next()
-            y = self.parse_varset(stop=(";",))
-            self.expect(";")
-            z = self.parse_varset(stop=("|", ")"))
-            x = 0
-            if self.peek().kind == "|":
-                self.next()
-                x = self.parse_varset(stop=(")",))
-            self.expect(")")
-            return self.entropies((x | y, 1), (x | z, 1), (x | y | z, -1), (x, -1))
-        raise self.error(f"expected an entropy term or rational, found {tok.text or 'end of input'!r}")
+        found = texts[pos] or "end of input"
+        raise self.error(f"expected an entropy term or rational, found {found!r}")
 
     def parse_term(self):
         """Product of atoms; at most one may be an expression."""
+        kinds = self.kinds
         value = self.parse_atom()
         while True:
-            nxt = self.peek()
-            explicit = nxt.kind == "*"
-            juxtaposed = nxt.kind in ("num", "(") or (
-                nxt.kind == "name" and nxt.text in ("H", "I")
-                and self.tokens[self.pos + 1].kind == "("
-            )
-            if explicit:
-                self.next()
-            elif not juxtaposed:
-                break
+            pos = self.pos
+            kind = kinds[pos]
+            if kind == "*":
+                self.pos = pos + 1
+            elif not (kind == "num" or kind == "(" or (
+                    kind == "name" and kinds[pos + 1] == "(" and self.texts[pos] in ("H", "I"))):
+                return value
             rhs = self.parse_atom()
-            if isinstance(value, Fraction) and isinstance(rhs, Fraction):
-                value = value * rhs
-            elif isinstance(value, Fraction):
-                value = _scaled(rhs, value)
-            elif isinstance(rhs, Fraction):
+            if type(value) is dict:
+                if type(rhs) is dict:
+                    raise self.error("product of two entropy expressions is not linear")
                 value = _scaled(value, rhs)
+            elif type(rhs) is dict:
+                value = _scaled(rhs, value)
             else:
-                raise self.error("product of two entropy expressions is not linear")
-        return value
+                value = value * rhs
 
     def parse_sum(self):
-        negate = False
-        if self.peek().kind in ("+", "-"):
-            negate = self.next().kind == "-"
+        kinds = self.kinds
+        kind = kinds[self.pos]
+        if kind == "+" or kind == "-":
+            self.pos += 1
         total = self.parse_term()
-        if negate:
-            total = -total if isinstance(total, Fraction) else _scaled(total, -1)
-        while self.peek().kind in ("+", "-"):
-            sign = 1 if self.next().kind == "+" else -1
+        if kind == "-":
+            total = _scaled(total, -1) if type(total) is dict else -total
+        while True:
+            kind = kinds[self.pos]
+            if kind != "+" and kind != "-":
+                return total
+            self.pos += 1
             term = self.parse_term()
-            if isinstance(total, Fraction) and isinstance(term, Fraction):
-                total = total + sign * term
-                continue
             # a literal zero may mix with entropy terms; other constants cannot
-            if isinstance(total, Fraction):
-                if total != 0:
-                    raise self.error("constant terms are not allowed in entropy expressions")
-                total = {}
-            if isinstance(term, Fraction):
+            if type(term) is dict:
+                if type(total) is not dict:
+                    if total != 0:
+                        raise self.error("constant terms are not allowed in entropy expressions")
+                    total = {}
+                _add_into(total, term, 1 if kind == "+" else -1)
+            elif type(total) is dict:
                 if term != 0:
                     raise self.error("constant terms are not allowed in entropy expressions")
-                continue
-            _add_into(total, term, sign)
-        return total
+            else:
+                total = total + term if kind == "+" else total - term
 
     def parse_coeffs(self) -> dict:
         """One entropy expression as its coefficient map."""
-        tok = self.peek()
+        start = self.pos
         value = self.parse_sum()
-        if isinstance(value, Fraction):
+        if type(value) is not dict:
             if value != 0:
-                raise ParseError("constant terms are not allowed in entropy expressions",
-                                 tok.span)
+                raise self.error("constant terms are not allowed in entropy expressions", start)
             self.check_count()
             return {}
         return value
 
     # -- clauses -------------------------------------------------------------
 
-    def parse_comparison(self) -> tuple[LinExpr, str]:
-        """`E op F` as (E - F, op) with op in {>=, <=, =}."""
+    def parse_comparison(self) -> list[LinExpr]:
+        """`E op F` as the expressions it states >= 0: E - F for >=, F - E
+        for <=, and both, in this order, for =."""
         lhs = self.parse_coeffs()
-        tok = self.peek()
-        if tok.kind not in ("ge", "le", "="):
+        op = self.kinds[self.pos]
+        if op != "ge" and op != "le" and op != "=":
             raise self.error("expected '>=', '<=' or '='")
-        self.next()
+        self.pos += 1
         _add_into(lhs, self.parse_coeffs(), -1)
-        return LinExpr.make(self.n, lhs), tok.kind
+        expr = LinExpr.make(self.n, lhs)
+        return [expr] if op == "ge" else [-expr] if op == "le" else [expr, -expr]
 
     def parse_antecedents(self) -> tuple[LinExpr, ...]:
         self.expect("[")
         antecedents: list[LinExpr] = []
-        if self.peek().kind != "]":
+        if self.kinds[self.pos] != "]":
             while True:
-                expr, op = self.parse_comparison()
-                if op == "ge":
-                    antecedents.append(expr)
-                elif op == "le":
-                    antecedents.append(-expr)
-                else:
-                    antecedents.append(expr)
-                    antecedents.append(-expr)
-                if self.peek().kind != ",":
+                antecedents += self.parse_comparison()
+                if self.kinds[self.pos] != ",":
                     break
-                self.next()
+                self.pos += 1
         self.expect("]")
         return tuple(antecedents)
 
     def parse_clause(self) -> list[Clause]:
+        kinds = self.kinds
         antecedents: tuple[LinExpr, ...] = ()
-        if self.peek().kind == "[":
+        if kinds[self.pos] == "[":
             antecedents = self.parse_antecedents()
             self.expect("arrow")
-        tok = self.peek()
-        if tok.kind == "name" and tok.text == "max" and self.tokens[self.pos + 1].kind == "(":
-            self.next()
-            self.next()
+        if self.texts[self.pos] == "max" and kinds[self.pos + 1] == "(":
+            self.pos += 2
             args = [self.parse_coeffs()]
-            while self.peek().kind == ",":
-                self.next()
+            while kinds[self.pos] == ",":
+                self.pos += 1
                 args.append(self.parse_coeffs())
             self.expect(")")
-            op_tok = self.peek()
-            if op_tok.kind == "=" and len(args) > 1:
-                raise ParseError("equality is not allowed with a max(...) consequent", op_tok.span)
-            if op_tok.kind not in ("ge",):
+            op = kinds[self.pos]
+            if op == "=" and len(args) > 1:
+                raise self.error("equality is not allowed with a max(...) consequent")
+            if op != "ge":
                 raise self.error("expected '>=' after max(...)")
-            self.next()
+            self.pos += 1
             rhs = self.parse_coeffs()
             for arg in args:
                 _add_into(arg, rhs, -1)
             consequents = tuple(LinExpr.make(self.n, arg) for arg in args)
             return [Clause(self.n, antecedents, consequents)]
-        expr, op = self.parse_comparison()
-        if op == "ge":
-            return [Clause(self.n, antecedents, (expr,))]
-        if op == "le":
-            return [Clause(self.n, antecedents, (-expr,))]
-        # consequent equality: split into the two one-sided clauses
-        return [Clause(self.n, antecedents, (expr,)),
-                Clause(self.n, antecedents, (-expr,))]
+        # a consequent equality splits into the two one-sided clauses
+        return [Clause(self.n, antecedents, (e,)) for e in self.parse_comparison()]
 
     def parse_constraint(self) -> BooleanConstraint:
         clauses = self.parse_clause()
-        while self.peek().kind == "and":
-            self.next()
+        while self.kinds[self.pos] == "and":
+            self.pos += 1
             clauses.extend(self.parse_clause())
         self.expect("eof")
         return BooleanConstraint(self.n, tuple(clauses))
 
 
+def _entropies(*signed: tuple[int, int]) -> dict:
+    """The map of sum(sign * h(mask)); h({}) = 0 is left out."""
+    coeffs: dict[int, int] = {}
+    for mask, sign in signed:
+        if mask:
+            coeffs[mask] = coeffs.get(mask, 0) + sign
+    return coeffs
+
+
 def parse_constraint(text: str, var_names: "list[str] | None" = None) -> BooleanConstraint:
     """Parse a full constraint; variables inferred alphabetically by default."""
-    tokens = _tokenize(text)
+    kinds, texts = _tokenize(text)
     if var_names is None:
-        var_names = _scan_variables(tokens)
-    return _Parser(tokens, var_names).parse_constraint()
+        var_names = _scan_variables(kinds, texts)
+    return _Parser(text, kinds, texts, var_names).parse_constraint()
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +411,12 @@ def default_names(n: int) -> tuple[str, ...]:
     return tuple(f"X{i + 1:0{width}d}" for i in range(n))
 
 
+@lru_cache(maxsize=None)
+def _term_text(names: tuple[str, ...], sep: str, mask: int) -> str:
+    """H(...) of the named variables of a mask, kept for the process."""
+    return "H(" + sep.join(names[i] for i in VarSet(mask).indices()) + ")"
+
+
 def format_expr(expr: LinExpr, names: "tuple[str, ...] | None" = None) -> str:
     """Canonical text for a LinExpr: plain H-terms, masks in canonical order.
     The names of one term are run together when every name is one letter
@@ -436,15 +425,11 @@ def format_expr(expr: LinExpr, names: "tuple[str, ...] | None" = None) -> str:
     if names is None:
         names = default_names(expr.n)
     sep = " " if any(len(name) > 1 for name in names) else ""
-
-    def term_of(mask: int) -> str:
-        return "H(" + sep.join(names[i] for i in VarSet(mask).indices()) + ")"
-
     if expr.is_zero():
-        return "0*" + term_of((1 << expr.n) - 1)
+        return "0*" + _term_text(names, sep, (1 << expr.n) - 1)
     parts = []
     for mask, coeff in expr.items:
-        term = term_of(mask)
+        term = _term_text(names, sep, mask)
         if coeff == 1:
             text = term
         elif coeff == -1:

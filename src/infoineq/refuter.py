@@ -298,7 +298,8 @@ class ProfileScan:
         """The expression as integer weights A_m on profile positions, and
         their sum (the weight of T log T)."""
         scale = lcm(*(c.denominator for _, c in expr.items))
-        terms = tuple((self._positions[m], int(c * scale)) for m, c in expr.items)
+        terms = tuple((self._positions[m], c.numerator * (scale // c.denominator))
+                      for m, c in expr.items)
         return terms, sum(a for _, a in terms)
 
     def profile(self, dprime: int, domains: tuple[int, ...], atoms) -> tuple:

@@ -56,7 +56,7 @@ def subspace_candidate(system: VectorSpaceSystem) -> tuple[LogLinValue, ...]:
 def parse_expr(text: str, var_names: list[str]) -> LinExpr:
     """Parse a single linear entropy expression over the given variables,
     with the grammar and errors of a constraint's sides."""
-    p = _Parser(_tokenize(text), var_names)
+    p = _Parser(text, *_tokenize(text), var_names)
     expr = LinExpr.make(p.n, p.parse_coeffs())
     p.expect("eof")
     return expr

@@ -35,6 +35,21 @@ def high_precision(value: LogLinValue, dps: int = 64) -> mpmath.mpf:
         return total
 
 
+class TestAsFraction:
+    def test_rejects_floats(self):
+        with pytest.raises(TypeError, match="floats"):
+            core.as_fraction(1.5)
+
+    def test_returns_a_fraction_unchanged(self):
+        f = Fraction(2, 3)
+        assert core.as_fraction(f) is f
+
+    @pytest.mark.parametrize("x,expected", [(3, Fraction(3)), ("-5/10", Fraction(-1, 2))])
+    def test_coerces_ints_and_strings(self, x, expected):
+        f = core.as_fraction(x)
+        assert type(f) is Fraction and f == expected
+
+
 class TestVarSet:
     def test_mask_is_canonical_index(self):
         assert list(VarSet(5).indices()) == [0, 2]
@@ -73,6 +88,17 @@ class TestSign:
     def test_rejects_nonpositive_log_argument(self):
         with pytest.raises(ValueError):
             LogLinValue.of((1, 0))
+
+    @pytest.mark.parametrize("r", [Fraction(0), Fraction(-1, 2)])
+    def test_constructor_rejects_nonpositive_log_argument(self, r):
+        with pytest.raises(ValueError, match="must be positive"):
+            LogLinValue(((Fraction(1), r),))
+
+    @pytest.mark.parametrize("term", [(1, Fraction(2)), (Fraction(1), 2),
+                                      (Fraction(1), 2.0), (0.5, Fraction(2))])
+    def test_constructor_rejects_terms_that_are_not_fractions(self, term):
+        with pytest.raises(TypeError, match="must be Fractions"):
+            LogLinValue((term,))
 
     @settings(max_examples=200, deadline=None)
     @given(log_lin_values)

@@ -32,6 +32,14 @@ class TestEntropicVector:
         oracle = F(1, 2) * 1 + F(1, 4) * 2 + F(1, 4) * 2
         assert as_rational(d.entropic_vector()[1]) == oracle == F(3, 2)
 
+    def test_entropy_is_the_sum_of_p_log_one_over_p_term_by_term(self):
+        pmf = {(0, 0): F(1, 2), (0, 1): F(1, 3), (1, 1): F(1, 6)}
+        d = Distribution.make((2, 2), pmf)
+        assert d.entropy(3).terms == ((F(1, 2), F(2)), (F(1, 3), F(3)), (F(1, 6), F(6)))
+        # the marginal on the first variable merges the last two atoms
+        assert d.entropy(1).terms == ((F(5, 6), F(6, 5)), (F(1, 6), F(6)))
+        assert all(type(x) is Fraction for term in d.entropy(3).terms for x in term)
+
     def test_xor_triple_full_vector(self, xor_triple):
         h = xor_triple.entropic_vector()
         expected = {1: 1, 2: 1, 4: 1, 3: 2, 5: 2, 6: 2, 7: 2}

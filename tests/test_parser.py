@@ -5,7 +5,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from infoineq import parser
@@ -14,6 +14,7 @@ from infoineq.core import LinExpr, cond_entropy, mutual_info
 from infoineq.parser import (MAX_PAREN_DEPTH, ParseError, format_clause, format_constraint,
                              format_expr, parse_constraint)
 
+import reference_parser
 from conftest import lin_exprs, parse_expr
 
 XYZ = ["X", "Y", "Z"]
@@ -104,6 +105,10 @@ class TestErrors:
         ("H(X) >= 0 &&\n", None,
          "expected an entropy term or rational, found 'end of input'", 2, 1),
         ("", None, "constraint mentions no variables", 1, 1),
+        # numbers are ASCII digits, like names; an Arabic-Indic three is no 3
+        ("\u0663*H(X) >= 0", None, "unexpected character '\u0663'", 1, 1),
+        ("H(X) >=\n  H(Y) ^ 2", None, "unexpected character '^'", 2, 8),
+        ("H(X) >=\n  2 * H(Y|)", None, "expected variable names", 2, 11),
         # the 65th nested "(" is the error, not a RecursionError at about 330
         pytest.param("(" * 330 + "H(X)" + ")" * 330 + " >= 0", None,
                      "parentheses nested deeper than 64", 1, 65, id="330-deep"),
@@ -174,6 +179,13 @@ class TestConstraints:
         text = "I(C;D|A) + I(A;B) >= 0"
         assert parse_constraint(text) == parse_constraint(text, ["A", "B", "C", "D"])
         assert parse_constraint(text) != parse_constraint(text, ["D", "C", "B", "A"])
+
+    def test_max_is_a_variable_unless_a_parenthesis_follows(self):
+        # as for H and I; "X" sorts before "max" as it does before "Y"
+        assert parse_constraint("H(max) >= 0") == parse_constraint("H(X) >= 0")
+        assert parse_constraint("H(max) + H(X) >= 0") == parse_constraint("H(Y) + H(X) >= 0")
+        assert parse_constraint("max(H(max), H(X)) >= H(max)") \
+            == parse_constraint("max(H(Y), H(X)) >= H(Y)")
 
     def test_comments_ignored(self):
         c = parse_constraint("# leading note\nH(X) >= 0  # trailing\n")
@@ -291,6 +303,96 @@ class TestDifferential:
         (clause,) = constraint.clauses
         assert clause.antecedents == ()
         assert clause.consequents == (expected,)
+
+
+@st.composite
+def _clause_text(draw, n: int):
+    """A clause: optional antecedents, then a comparison or a max(...)."""
+    def sum_text(depth):
+        return "0" if draw(st.integers(0, 3)) == 0 else draw(_linear_sum(n, depth))[0]
+
+    ops = st.sampled_from([">=", ">=", "<=", "="])
+    head = ""
+    if draw(st.booleans()):
+        antecedents = [f"{sum_text(1)} {draw(ops)} {sum_text(0)}"
+                       for _ in range(draw(st.integers(0, 2)))]
+        head = "[" + ", ".join(antecedents) + "] => "
+    if draw(st.booleans()):
+        args = ", ".join(sum_text(1) for _ in range(draw(st.integers(1, 3))))
+        return f"{head}max({args}) {draw(ops)} {sum_text(0)}"
+    return f"{head}{sum_text(2)} {draw(ops)} {sum_text(1)}"
+
+
+@st.composite
+def _constraint_text(draw):
+    """A constraint of one or two clauses over the first n of NAMES, with
+    comments and line breaks in place of some spaces."""
+    n = draw(st.integers(1, 5))
+    text = " && ".join(draw(st.lists(_clause_text(n), min_size=1, max_size=2)))
+    parts = text.split(" ")
+    for at in draw(st.lists(st.integers(0, len(parts) - 1), max_size=3)):
+        parts[at] += draw(st.sampled_from(["\n", " # note\n", "\t"]))
+    return n, " ".join(parts)
+
+
+# ASCII only: a non-ASCII digit is a number to the reference and a bad
+# character to the package parser
+_EDIT_CHARS = "()[]|;,+-*/=<>&#^. \n\t0123456789HIXYZABCmax_"
+
+
+def _outcome(parse, text: str, names):
+    try:
+        return parse(text, names)
+    except ParseError as err:
+        return err.message, err.span.line, err.span.column
+    except ValueError as err:
+        return str(err)
+
+
+def _has_max_variable(text: str) -> bool:
+    """Whether a name `max` is not followed by "(": the reference read it
+    as a function head even then."""
+    try:
+        kinds, texts = parser._tokenize(text)
+    except ParseError:
+        return False
+    return any(t == "max" and kinds[i + 1] != "(" for i, t in enumerate(texts))
+
+
+class TestAgainstReference:
+    """The package parser against `reference_parser`, the token-object
+    parser it replaced: the same constraint, or the same message at the
+    same line and column, on generated constraints and on single-character
+    edits of them."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_constraint_text(), st.data())
+    def test_same_constraint_or_error(self, case, data):
+        n, text = case
+        edit = data.draw(st.sampled_from(["none", "delete", "insert", "replace"]))
+        if edit != "none":
+            at = data.draw(st.integers(0, len(text) - (edit != "insert")))
+            char = data.draw(st.sampled_from(_EDIT_CHARS))
+            text = text[:at] + (char if edit != "delete" else "") \
+                + text[at + (edit != "insert"):]
+        # inferred names, the first n, or 12 more than that (17 at n = 5)
+        extra = [f"V{i:02d}" for i in range(12)]
+        names = data.draw(st.sampled_from([None, list(NAMES[:n]), list(NAMES[:n]) + extra]))
+        assume(not _has_max_variable(text))
+        assert _outcome(parse_constraint, text, names) \
+            == _outcome(reference_parser.parse_constraint, text, names)
+
+    @pytest.mark.parametrize("text", [
+        "H(X) >= 0 # trailing comment", "# only a comment", "H(X) >= 0 &", "H(X) > 0",
+        "[H(X) >= 0] H(Y) >= 0", "max(H(X), H(Y)) <= 0", "max(H(X)) = H(Y)",
+        "I(X;Y|) >= 0", "I(X Y) >= 0", "H(X)) >= 0", "H(HI) >= H(H) + H(I)",
+        "(((H(X)) >= 0", "2/ >= H(X)", "H(X) >= 1/", "2 3 H(X) (4) >= 0",
+        "H(X) H(Y) >= 0", "-+H(X) >= 0", "H(X)\r\n>= 0 ^", "H(X) >= 0\n\n  @",
+        "H(X)\n  >= é",
+    ])
+    def test_same_outcome_on_hand_picked_inputs(self, text):
+        assert _outcome(parse_constraint, text, None) \
+            == _outcome(reference_parser.parse_constraint, text, None)
 
 
 class TestRoundTrip:
