@@ -43,6 +43,18 @@ its block's start plus the sizes of the sibling subtrees before it at
 each level, and a cut subtree, or a whole (D', k, domains) block with some
 domain larger than k, needs no count of its own.
 
+A variable of domain size 1 is constant.  It changes neither the cell
+numbering (a digit of radix 1 adds nothing to a cell's index) nor the
+twin-skipping walk (its one value is used by every pmf and has no swap).
+So the block of a domain tuple is the block of its squeezed tuple, the
+tuple with its 1s removed: the same numerator tuples at the same offsets
+from the block's start.  The twin-skipping walk therefore walks each
+(D', k, squeezed domains) block once.  It records the `(index, atoms)`
+items of a block whose squeezed tuple is shorter than n while it yields
+them, so it stays lazy, and replays them to every later domain tuple of
+the same (D', k) that squeezes alike, shifted to that tuple's start and
+carrying its domains.  The records are dropped after each k.
+
 The twin-skipping stream depends on the budget (n, s, D) alone, and a
 process often scans one budget many times: once per clause, per
 antecedent, per generator file, per input of a batch.  `shared_walk`
@@ -331,19 +343,36 @@ def pmf_walk(n: int, max_support: int, max_denominator: int,
     With `skip_twins`, only the pmfs that give mass to every value of every
     domain and are minimal under adjacent value swaps are built (see the
     module docstring), and the indices stay positions in the whole stream.
+    Each (D', k, squeezed domains) block is walked once and replayed to the
+    later domain tuples that squeeze to the same tuple.
     """
     index = 0
     if max_support >= 1 and max_denominator >= 1:
         for dprime in range(1, max_denominator + 1):
             for k in range(1, dprime + 1):
+                # squeezed domains -> (start, items) of the block walked for them
+                walked: dict[tuple[int, ...], tuple[int, list]] = {}
                 for domains in product(range(1, max_support + 1), repeat=n):
                     cells = prod(domains)
                     size = _completions(cells, dprime, k, 0)
                     # k nonzero cells cannot use more than k values of a variable
                     if size and not (skip_twins and max(domains) > k):
-                        for i, atoms in _numerator_walk(
-                                cells, dprime, k, domains if skip_twins else None, index):
-                            yield i, (dprime, domains, atoms)
+                        squeezed = tuple(d for d in domains if d > 1) if skip_twins else domains
+                        if squeezed in walked:
+                            start, items = walked[squeezed]
+                            shift = index - start
+                            for i, atoms in items:
+                                yield i + shift, (dprime, domains, atoms)
+                        elif len(squeezed) < n:  # a twin-skipping block to record
+                            items = []
+                            walked[squeezed] = (index, items)
+                            for item in _numerator_walk(cells, dprime, k, domains, index):
+                                items.append(item)
+                                yield item[0], (dprime, domains, item[1])
+                        else:
+                            for i, atoms in _numerator_walk(
+                                    cells, dprime, k, domains if skip_twins else None, index):
+                                yield i, (dprime, domains, atoms)
                     index += size
     yield index, None
 

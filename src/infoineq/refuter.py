@@ -14,7 +14,11 @@ evaluates each expression as an integer prime-exponent vector, with exact
 signs.  A pmf whose profile (those counts, sorted per mask) was seen
 before is skipped without evaluation.  That is exact: the answer depends
 only on h at the mentioned masks, which the profile fixes, and the
-earlier pmf with the same profile returned no violation.
+earlier pmf with the same profile returned no violation.  Masks that
+differ only in constant variables (domain size 1) have the same marginal,
+since h(S) = h(S & live) for the set `live` of nonconstant variables, so
+the profile builds one marginal per distinct S & live and indexes each
+mask's entry from those.
 
 Most pmfs are never built at all.  The scan walks `pmf_walk` with
 `skip_twins`, which builds only the pmfs that use every value of every
@@ -23,13 +27,13 @@ an earlier twin with the same profile (see `distributions`), so the
 first pmf of every profile is built, and the first hit, the distinct
 profiles and the report are those of a scan over every pmf.  The walk
 places each pmf it builds in closed form, from the sizes of the subtrees
-before it, so every candidate carries its position in the whole stream.  `candidates_scanned` counts every
-candidate up to the hit, skipped ones included, also the pmfs that were
-never built.  A hit is re-checked and reported by `violation`, the
-reference evaluation over `LogLinValue`s, so the report does not depend
-on the kernel.  The re-check builds h as a plain dict from mask to
-`LogLinValue`, only at the masks the constraint mentions, since
-`LinExpr.eval` reads h[mask] there and nothing else.
+before it, so every candidate carries its position in the whole stream.
+`candidates_scanned` counts every candidate up to the hit, skipped ones
+included, also the pmfs that were never built.  A hit is re-checked and
+reported by `violation`, the reference evaluation over `LogLinValue`s,
+so the report does not depend on the kernel.  The re-check builds h as a
+plain dict from mask to `LogLinValue`, only at the masks the constraint
+mentions, since `LinExpr.eval` reads h[mask] there and nothing else.
 
 Scans of one budget share the walk.  `refute` draws its pmfs from
 `distributions.shared_walk`, so a process builds a budget's pmfs once
@@ -60,6 +64,15 @@ VECTOR_SPACE = "vector-space"
 # at least as many, and `models.all_subspaces` builds each subspace once
 MAX_SUBSPACE_SYSTEMS = 10_000
 
+# Profile counts are scaled to T = lcm(1..D), which has 56 digits at
+# D = 128 and 433 at D = 1000, and the sign caches keep one exponent
+# vector of such numbers per distinct count tuple.  `refute` of
+# H(X) >= 0 at n = 1, s = 2 takes 0.41 s and 40 MB at D = 128, 1.3 s and
+# 106 MB at D = 200 and 4.6 s and 298 MB at D = 300 (2-core VM): memory
+# grows about as D^3, so D = 1000 would need some 10 GB.  D stops here,
+# whatever n and s are.
+MAX_DENOMINATOR = 128
+
 
 class Budget(Value):
     """Search bounds: distribution domain/denominator caps and, optionally,
@@ -73,6 +86,9 @@ class Budget(Value):
         self.vs_primes, self.vs_max_dim = vs_primes, vs_max_dim
         if max_support < 1 or max_denominator < 1:
             raise ValueError("budget needs s >= 1 and D >= 1")
+        if max_denominator > MAX_DENOMINATOR:
+            raise ValueError(f"budget D={max_denominator} is over the cap "
+                             f"D <= {MAX_DENOMINATOR}")
         if vs_max_dim < 0:
             raise ValueError("budget needs vsdim >= 0")
         for q in vs_primes:
@@ -292,7 +308,8 @@ class ProfileScan:
         self._clauses = tuple((tuple(self.compile(a) for a in clause.antecedents),
                                tuple(self.compile(c) for c in clause.consequents))
                               for clause in constraint.clauses)
-        self._projections: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        # domains -> `_table(domains)`
+        self._projections: dict[tuple[int, ...], tuple] = {}
 
     def compile(self, expr: LinExpr) -> tuple[tuple[tuple[int, int], ...], int]:
         """The expression as integer weights A_m on profile positions, and
@@ -302,21 +319,31 @@ class ProfileScan:
                       for m, c in expr.items)
         return terms, sum(a for _, a in terms)
 
+    def _table(self, domains: tuple[int, ...]):
+        """The distinct projections of the mentioned masks on a domain
+        tuple, and each mask's position among them.  Masks that differ
+        only in constant variables (domain size 1) project alike."""
+        live = sum(1 << i for i, d in enumerate(domains) if d > 1)
+        distinct: dict[int, int] = {}
+        positions = tuple(distinct.setdefault(m & live, len(distinct)) for m in self.masks)
+        return tuple(_projection(domains, m) for m in distinct), positions
+
     def profile(self, dprime: int, domains: tuple[int, ...], atoms) -> tuple:
         """Per mentioned mask, the sorted marginal counts over T."""
         table = self._projections.get(domains)
         if table is None:
-            table = self._projections[domains] = [_projection(domains, m) for m in self.masks]
+            table = self._projections[domains] = self._table(domains)
+        projections, positions = table
         scale = self.total // dprime
         atoms = [(cell, count * scale) for cell, count in atoms]
-        key = []
-        for proj in table:
+        marginals = []
+        for proj in projections:
             acc: dict[int, int] = {}
             for cell, count in atoms:
                 m = proj[cell]
                 acc[m] = acc.get(m, 0) + count
-            key.append(tuple(sorted(acc.values())))
-        return tuple(key)
+            marginals.append(tuple(sorted(acc.values())))
+        return tuple([marginals[j] for j in positions])
 
     def sign(self, expr, profile: tuple) -> int:
         """Exact sign of a compiled expression on a profile."""

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import strategies as st
 
 from infoineq.core import LinExpr, LogLinValue
-from infoineq.distributions import Distribution
+from infoineq.distributions import Distribution, cell_outcomes
 from infoineq.models import VectorSpaceSystem
 from infoineq.parser import _Parser, _tokenize
 from infoineq.shannon import elemental
@@ -51,6 +51,23 @@ def zero_candidate(n: int) -> tuple[LogLinValue, ...]:
 def subspace_candidate(system: VectorSpaceSystem) -> tuple[LogLinValue, ...]:
     """The whole rank vector of a subspace system, h(alpha) at every mask."""
     return tuple(system.entropy(m) for m in range(1 << system.n))
+
+
+def reference_profile(masks, total: int, dprime: int, domains: tuple[int, ...], atoms) -> tuple:
+    """`refuter.ProfileScan.profile` with one marginal built per mask, none
+    shared: per mask, the pmf's marginal counts scaled to the common
+    denominator `total`, sorted."""
+    outcomes = cell_outcomes(domains)
+    scale = total // dprime
+    key = []
+    for mask in masks:
+        idx = [i for i in range(len(domains)) if (mask >> i) & 1]
+        acc: dict[tuple[int, ...], int] = {}
+        for cell, count in atoms:
+            m = tuple(outcomes[cell][i] for i in idx)
+            acc[m] = acc.get(m, 0) + count * scale
+        key.append(tuple(sorted(acc.values())))
+    return tuple(key)
 
 
 def parse_expr(text: str, var_names: list[str]) -> LinExpr:

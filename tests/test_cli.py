@@ -214,6 +214,7 @@ EXACT_ERRORS = {
     (["reduce", "--file", "{path}", "--budget", "s"], "H(X) >= 0\n"),
     (["refute", "--file", "{path}", "--budget", "s=0,D=4"], "H(X) >= 0\n"),
     (["refute", "--file", "{path}", "--budget", "s=2,D=-1"], "H(X) >= 0\n"),
+    (["refute", "--file", "{path}", "--budget", "s=2,D=1000"], "H(X) >= 0\n"),
     (["refute", "--file", "{path}", "--budget", "vsdim=-1"], "H(X) >= 0\n"),
     (["refute", "--file", "{path}", "--budget", "vsdim=1,vsq=2,4"], "H(X) >= 0\n"),
     (["check-dist", "--file", "{path}"], "vars 2 2\n0 0 1/0\n1 1 1\n"),

@@ -161,8 +161,10 @@ def relabel_minimal(pmf) -> bool:
     return True
 
 
+# the n=4 budgets replay blocks: (1, 2, 2, 2) squeezes to (2, 2, 2), as
+# (2, 1, 2, 2) and the other tuples with one constant variable do
 WALK_GRID = [(1, 1, 1), (2, 1, 3), (1, 2, 2), (1, 3, 6), (2, 2, 4), (3, 2, 4),
-             (2, 3, 3), (3, 3, 2), (2, 2, 7), (1, 4, 8)]
+             (2, 3, 3), (3, 3, 2), (2, 2, 7), (1, 4, 8), (4, 2, 4), (4, 3, 2)]
 
 
 class TestWalk:
@@ -187,6 +189,41 @@ class TestWalk:
             first.setdefault(scan.profile(*pmf), i)
         walked = {i for i, pmf in pmf_walk(n, s, d, skip_twins=True) if pmf is not None}
         assert set(first.values()) <= walked
+
+    @pytest.mark.parametrize("n,s,d", [(4, 2, 4), (4, 3, 2), (3, 3, 3)])
+    def test_each_squeezed_block_is_walked_once(self, monkeypatch, n, s, d):
+        walked = []
+        numerator_walk = distributions._numerator_walk
+
+        def recording(cells, dprime, k, domains, base):
+            walked.append((dprime, k, tuple(x for x in domains if x > 1)))
+            return numerator_walk(cells, dprime, k, domains, base)
+
+        monkeypatch.setattr(distributions, "_numerator_walk", recording)
+        expected = list(pmf_walk(n, s, d, skip_twins=True))
+        blocks = {(dprime, len(atoms), tuple(x for x in domains if x > 1))
+                  for _, (dprime, domains, atoms) in expected[:-1]}
+        assert len(walked) == len(set(walked))
+        assert blocks <= set(walked)
+
+    def test_a_consumer_that_stops_early_builds_one_item_of_a_replayed_block(
+            self, monkeypatch):
+        built = []
+        numerator_walk = distributions._numerator_walk
+
+        def counting(cells, dprime, k, domains, base):
+            for item in numerator_walk(cells, dprime, k, domains, base):
+                built.append((dprime, k, domains))
+                yield item
+
+        block = (4, 4, (1, 2, 2, 2))  # squeezes to (2, 2, 2), so it is recorded
+        assert sum((pmf[0], len(pmf[2]), pmf[1]) == block
+                   for _, pmf in pmf_walk(4, 2, 4, skip_twins=True) if pmf) > 1
+        monkeypatch.setattr(distributions, "_numerator_walk", counting)
+        for _, (dprime, domains, atoms) in pmf_walk(4, 2, 4, skip_twins=True):
+            if (dprime, len(atoms), domains) == block:
+                break
+        assert built.count(block) == 1
 
     def test_zero_budget_walk_is_empty(self):
         assert list(pmf_walk(2, 0, 4, skip_twins=True)) == [(0, None)]

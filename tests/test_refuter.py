@@ -21,10 +21,10 @@ from infoineq.distributions import (Distribution, enumerate_distributions, pmf_s
                                     to_distribution)
 from infoineq.models import enumerate_systems
 from infoineq.parser import parse_constraint
-from infoineq.refuter import (DISTRIBUTION, VECTOR_SPACE, Budget, ProfileScan,
+from infoineq.refuter import (DISTRIBUTION, MAX_DENOMINATOR, VECTOR_SPACE, Budget, ProfileScan,
                               RefutationResult, _subspace_systems, refute, violation)
 
-from conftest import lin_exprs, parse_expr, subspace_candidate
+from conftest import lin_exprs, parse_expr, reference_profile, subspace_candidate
 
 XYZ = ("X", "Y", "Z")
 
@@ -70,6 +70,19 @@ def test_kernel_sign_matches_reference_on_multi_prime_values(text):
     assert all(kernel == reference for kernel, reference in pairs)
     # the D'=3 pmfs put log 3 beside log 2, so interval refinement runs
     assert any(len(expr.eval(h).log_exponents()) > 1 for _, h in n3_stream())
+
+
+@pytest.mark.parametrize("n,s,d", [(4, 2, 4), (3, 3, 3)])
+@pytest.mark.parametrize("masks", ["every", "some"])
+def test_profile_matches_one_marginal_per_mask(n, s, d, masks):
+    full = (1 << n) - 1
+    # "some" mentions masks that differ from each other only in one variable
+    chosen = range(1, full + 1) if masks == "every" else (1, 3, full - 1, full)
+    expr = LinExpr.make(n, {mask: Fraction(1) for mask in chosen})
+    scan = ProfileScan(BooleanConstraint(n, (Clause(n, (), (expr,)),)), d)
+    assert scan.masks == tuple(chosen)
+    for pmf in pmf_stream(n, s, d):
+        assert scan.profile(*pmf) == reference_profile(scan.masks, scan.total, *pmf)
 
 
 def reference_refute(constraint: BooleanConstraint, budget: Budget) -> RefutationResult:
@@ -158,6 +171,18 @@ def test_subspace_budget_is_bounded_before_the_stream_is_built(text):
     with pytest.raises(ValueError,
                        match="streams more than 10000 subspace systems for 1 variable$"):
         Budget.parse(text)
+
+
+@pytest.mark.parametrize("text", [f"s=2,D={MAX_DENOMINATOR + 1}", "s=2,D=1000"])
+def test_denominator_is_capped_before_any_scan(text):
+    with pytest.raises(ValueError, match=rf"^budget {text[4:]} is over the cap D <= 128$"):
+        Budget.parse(text)
+
+
+def test_a_scan_at_the_denominator_cap_finishes_at_one_variable():
+    result = refute(parse_constraint("H(X) >= 0\n"), Budget(2, MAX_DENOMINATOR))
+    assert (result.found, result.candidates_scanned, result.distinct_profiles) == \
+        (False, 5024, 2512)
 
 
 @pytest.mark.parametrize("constraint,budget,found,scanned", [
