@@ -14,35 +14,6 @@ from .parser import parse_constraint
 
 
 # ---------------------------------------------------------------------------
-# Named expression builders
-# ---------------------------------------------------------------------------
-
-def matus_expr(k: int) -> LinExpr:
-    """The k-th member of the Matus family on four variables A,B,C,D
-    (indices 0..3), written so that expr >= 0:
-
-        I(C;D|A) + (k+3)/2 I(C;D|B) + I(A;B)
-            + (k-1)/2 I(B;C|D) + (1/k) I(B;D|C) - I(C;D) >= 0
-
-    Not provable over the elemental cone for k = 1, 2, 3.  Not valid
-    either, at least at k = 1: `refute` at s=2, D=6 finds a binary pmf
-    on which the k = 1 member is negative.  So this does not transcribe
-    the published family faithfully, and no member is trusted as a
-    generator.
-    """
-    if k < 1:
-        raise ValueError("family index k must be >= 1")
-    n = 4
-    a, b, c, d = 1, 2, 4, 8
-    return (mutual_info(n, c, d, a)
-            + mutual_info(n, c, d, b).scale(Fraction(k + 3, 2))
-            + mutual_info(n, a, b)
-            + mutual_info(n, b, c, d).scale(Fraction(k - 1, 2))
-            + mutual_info(n, b, d, c).scale(Fraction(1, k))
-            - mutual_info(n, c, d))
-
-
-# ---------------------------------------------------------------------------
 # Secret sharing
 # ---------------------------------------------------------------------------
 

@@ -184,14 +184,12 @@ def build_delta(antecedents: Sequence[CIStatement], consequent: CIStatement,
 
 
 def falsify(antecedents: Sequence[CIStatement], consequent: CIStatement, n: int,
-            max_domain: int, max_denominator: int) -> RefutationResult:
+            budget: Budget) -> RefutationResult:
     """Bounded exact search for a distribution satisfying the antecedent
     CIs and violating the consequent.  Shares the refuter's canonical
-    stream (domains up to max_domain); equality antecedents are checked
-    via exact signs, so hits are genuine solutions of the product system."""
-    clause = to_clause(antecedents, consequent, n)
-    budget = Budget(max_support=max_domain, max_denominator=max_denominator)
-    return refute(clause, budget)
+    stream at the budget; equality antecedents are checked via exact
+    signs, so hits are genuine solutions of the product system."""
+    return refute(to_clause(antecedents, consequent, n), budget)
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,7 @@ from typing import Iterator
 
 from .apps import corpus, fixture, secret_sharing_constraint
 from .ci import CIStatement, build_delta, ci_prove, export_delta, falsify, parse_ci
-from .core import MAX_VARS, BooleanConstraint, Clause, LinExpr, Value
+from .core import BooleanConstraint, Clause, LinExpr, Value, check_var_count
 from .parser import ParseError, format_clause, format_constraint, parse_constraint
 from .reductions import PreparedAntecedents, max_to_linear, prepare_antecedents, tight_reduction
 from .refuter import DISTRIBUTION, Budget, Counterexample, refute, violation
@@ -155,8 +155,7 @@ def _tight_stage(clause: Clause, prepared: PreparedAntecedents, gens: GeneratorS
     if not kept:
         note = "no antecedent survives pruning; the tight stage needs one"
     for a in kept:
-        verdict = TIGHT if -a in prepared.valid else classify_tight(
-            a, gens, budget.max_support, budget.max_denominator)
+        verdict = TIGHT if -a in prepared.valid else classify_tight(a, gens, budget)
         if verdict != TIGHT:
             note = (f"antecedent {clause.antecedents.index(a)} not verified tight "
                     f"(classified {verdict})")
@@ -323,7 +322,7 @@ def cmd_reduce(args) -> int:
     for clause, outcome in zip(constraint.clauses, outcomes):
         entry = {**_clause_entry(clause, outcome), "regime": args.regime}
         if args.regime == "slack":
-            witness = joint_slack(outcome.kept, budget.max_support, budget.max_denominator)
+            witness = joint_slack(outcome.kept, budget)
             if witness is not None:
                 entry["slack_witness"] = witness.describe()
         entries.append(entry)
@@ -342,8 +341,7 @@ def _ci_parts(args) -> tuple[list[CIStatement], CIStatement, int, list[str]]:
     antecedents = [parse_ci(a, names) for a in args.ante]
     consequent = parse_ci(args.cons, names)
     # `prove` and `falsify` reject it later; `export` would first write domain^n atoms
-    if len(names) > MAX_VARS:
-        raise ValueError(f"variable count {len(names)} out of range 1..{MAX_VARS}")
+    check_var_count(len(names))
     return antecedents, consequent, len(names), names
 
 
@@ -363,8 +361,7 @@ def cmd_ci(args) -> int:
         emit(report, args.text)
         return _STATUS_EXIT[status]
     if args.verb == "falsify":
-        result = falsify(antecedents, consequent, n,
-                         max_domain=args.domain, max_denominator=args.denominator)
+        result = falsify(antecedents, consequent, n, Budget(args.domain, args.denominator))
         report = {"command": "ci falsify", **result.to_json()}
         emit(report, args.text)
         return EXIT_NEGATIVE if result.found else EXIT_INCONCLUSIVE
@@ -381,7 +378,7 @@ def cmd_recognize(args) -> int:
         raise ValueError("recognize searches distributions only: "
                          "its budget takes s and D, not vsdim or vsq")
     gens = load_generators(repr_.n, args.extra_gens)
-    result = check_candidate(repr_, gens, budget.max_support, budget.max_denominator)
+    result = check_candidate(repr_, gens, budget)
     report = {"command": "recognize", **result.to_json()}
     emit(report, args.text)
     return _STATUS_EXIT[result.verdict]
@@ -402,10 +399,10 @@ def cmd_corpus(args) -> int:
 
 def cmd_secret_share(args) -> int:
     # the closure below walks the 2^participants - 1 participant sets, so
-    # the variable count is checked before it
+    # the variable count is checked before it (below one participant,
+    # `secret_sharing_constraint` says so)
     m = args.participants
-    if m + 1 > MAX_VARS:
-        raise ValueError(f"variable count {m + 1} out of range 1..{MAX_VARS}")
+    check_var_count(max(m, 0) + 1)
     family = set()
     for part in args.access.split(";"):
         part = part.strip()
@@ -472,7 +469,7 @@ def _common(p, budget: bool = False, workers: bool = False):
     p.add_argument("--text", action="store_true", help="human-readable output")
     p.add_argument("--json", dest="text", action="store_false", help="JSON output (default)")
     if budget:
-        p.add_argument("--budget", default="s=2,D=4",
+        p.add_argument("--budget", default="",
                        help="search budget, e.g. s=3,D=6,vsdim=3,vsq=2,3")
     if workers:
         p.add_argument("--workers", type=int, default=1,

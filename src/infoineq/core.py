@@ -39,6 +39,13 @@ from typing import Iterator, Mapping, Sequence
 MAX_VARS = 16
 
 
+def check_var_count(n: int) -> None:
+    """ValueError unless 1 <= n <= MAX_VARS: the one check of a variable
+    count, and the one spelling of its message."""
+    if n < 1 or n > MAX_VARS:
+        raise ValueError(f"variable count {n} out of range 1..{MAX_VARS}")
+
+
 class Value:
     """Base of the package's value types: `==`, `hash` and `repr` over the
     fields that a subclass names, in order, in its `__slots__`, as a frozen
@@ -373,8 +380,7 @@ class LinExpr(Value):
 
     @staticmethod
     def make(n: int, coeffs: Mapping[int, Fraction]) -> "LinExpr":
-        if n < 1 or n > MAX_VARS:
-            raise ValueError(f"variable count {n} out of range 1..{MAX_VARS}")
+        check_var_count(n)
         return LinExpr(n, _normalize_coeffs(n, coeffs))
 
     @staticmethod

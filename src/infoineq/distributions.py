@@ -79,7 +79,7 @@ from itertools import islice, product
 from math import comb, gcd, prod
 from typing import Iterator, Mapping
 
-from .core import MAX_VARS, LogLinValue, Value, _factor_cached, as_fraction
+from .core import LogLinValue, Value, _factor_cached, as_fraction, check_var_count
 
 Outcome = tuple[int, ...]
 # (D', domains, ((cell, count), ...)): a pmf with probabilities count / D'
@@ -171,9 +171,9 @@ class Distribution(Value):
         if not lines or not lines[0].startswith("vars"):
             raise ValueError("distribution file must start with a 'vars d1 ... dn' header")
         domains = tuple(int(tok) for tok in lines[0].split()[1:])
-        # the entropic vector has 2^n entries
-        if len(domains) > MAX_VARS:
-            raise ValueError(f"variable count {len(domains)} out of range 1..{MAX_VARS}")
+        # the entropic vector has 2^n entries; `make` rejects an empty header
+        if domains:
+            check_var_count(len(domains))
         pmf: dict[Outcome, Fraction] = {}
         for ln in lines[1:]:
             toks = ln.split()

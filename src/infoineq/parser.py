@@ -43,7 +43,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
 
-from .core import MAX_VARS, BooleanConstraint, Clause, LinExpr, Value, VarSet
+from .core import BooleanConstraint, Clause, LinExpr, Value, VarSet, check_var_count
 
 # each level of parentheses is three frames of the recursive descent, so
 # a deeper nesting is a parse error rather than a RecursionError
@@ -174,11 +174,9 @@ class _Parser:
     # -- expressions ---------------------------------------------------------
 
     def check_count(self) -> None:
-        """Raise the error `LinExpr.make` gives for more than MAX_VARS
-        variables, at the first variable list or zero expression, before
-        the first mask or `LinExpr` of the constraint is built."""
-        if self.n > MAX_VARS:
-            LinExpr.zero(self.n)
+        """`check_var_count` at each variable list or zero expression, so
+        the first one raises before any mask or `LinExpr` is built."""
+        check_var_count(self.n)
 
     def parse_varset(self, stop: tuple[str, ...]) -> int:
         """The mask of a run of names; the token after it must be in `stop`."""

@@ -23,9 +23,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import MAX_VARS, LogLinValue, Value
+from .core import LogLinValue, Value, check_var_count
 from .distributions import Distribution, shared_walk, to_distribution
 from .parser import _split_var_token
+from .refuter import Budget, check_budget
 from .shannon import Generator, GeneratorSet
 
 
@@ -75,8 +76,7 @@ class CandidateRepr(Value):
         if not rows:
             raise ValueError("candidate file has no subset lines")
         # checked before the 2^n - 1 subsets are looked up
-        if len(names) > MAX_VARS:
-            raise ValueError(f"variable count {len(names)} out of range 1..{MAX_VARS}")
+        check_var_count(len(names))
         order = sorted(names)
         index = {name: i for i, name in enumerate(order)}
         n = len(order)
@@ -111,8 +111,7 @@ class RecognitionResult(Value):
         return out
 
 
-def check_candidate(repr_: CandidateRepr, gens: GeneratorSet,
-                    max_support: int = 2, max_denominator: int = 4) -> RecognitionResult:
+def check_candidate(repr_: CandidateRepr, gens: GeneratorSet, budget: Budget) -> RecognitionResult:
     """Sound necessary tests, then a bounded sufficient test.
 
     Rejects with a witness when some generator inequality evaluates to a
@@ -123,11 +122,12 @@ def check_candidate(repr_: CandidateRepr, gens: GeneratorSet,
     """
     if gens.n != repr_.n:
         raise ValueError("generator set has wrong variable count")
+    check_budget(repr_.n, budget)
     h = {mask: repr_.entropy(mask) for mask in range(1, 1 << repr_.n)}
     for gen in gens.generators:
         if gen.expr.eval(h).sign() < 0:
             return RecognitionResult("rejected", violated=gen)
-    for _, pmf in shared_walk(repr_.n, max_support, max_denominator):
+    for _, pmf in shared_walk(repr_.n, budget.max_support, budget.max_denominator):
         if pmf is None:
             break
         dist = to_distribution(*pmf)

@@ -73,10 +73,18 @@ MAX_SUBSPACE_SYSTEMS = 10_000
 # whatever n and s are.
 MAX_DENOMINATOR = 128
 
+# The walk visits all s^n domain tuples in each of its D(D+1)/2 (D', k)
+# blocks, also the tuples with a domain above k, which hold no pmf: about
+# 1 us per visit on a 2-core VM (1.4 s at n = 3, s = 60, D = 3, 4.4 s at
+# n = 4, s = 30, D = 3).  This cap allows about a second of such visits,
+# and the default budget at n = MAX_VARS (655,360 visits)
+MAX_WALK_VISITS = 1_000_000
+
 
 class Budget(Value):
     """Search bounds: distribution domain/denominator caps and, optionally,
-    subspace-system primes and ambient dimension cap."""
+    subspace-system primes and ambient dimension cap.  Every bounded search
+    takes one, and these defaults are the default budget."""
 
     __slots__ = ("max_support", "max_denominator", "vs_primes", "vs_max_dim")
 
@@ -94,12 +102,14 @@ class Budget(Value):
         for q in vs_primes:
             if not is_prime(q):
                 raise ValueError(f"budget vsq={q} is not a prime")
-        _check_systems(1, self)
+        check_budget(1, self)
 
     @staticmethod
     def parse(text: str) -> "Budget":
-        """Parse 's=2,D=4,vsdim=2,vsq=2,3' style budget strings."""
-        fields = {"s": 2, "D": 4, "vsdim": 0}
+        """Parse 's=2,D=4,vsdim=2,vsq=2,3' style budget strings; a key left
+        out keeps its default, so "" is the default budget."""
+        keys = {"s": "max_support", "D": "max_denominator", "vsdim": "vs_max_dim"}
+        fields: dict = {}
         primes: list[int] = []
         if text.strip():
             parts = text.split(",")
@@ -116,12 +126,14 @@ class Budget(Value):
                     while i + 1 < len(parts) and "=" not in parts[i + 1]:
                         i += 1
                         primes.append(int(parts[i]))
-                elif key in fields:
-                    fields[key] = int(value)
+                elif key in keys:
+                    fields[keys[key]] = int(value)
                 else:
                     raise ValueError(f"unknown budget key {key!r}")
                 i += 1
-        return Budget(fields["s"], fields["D"], tuple(primes), fields["vsdim"])
+        if primes:
+            fields["vs_primes"] = tuple(primes)
+        return Budget(**fields)
 
     def describe(self) -> dict:
         return {"s": self.max_support, "D": self.max_denominator,
@@ -149,7 +161,13 @@ def _subspace_systems(n: int, budget: Budget) -> int:
     return total
 
 
-def _check_systems(n: int, budget: Budget) -> None:
+def check_budget(n: int, budget: Budget) -> None:
+    """ValueError when the budget's pmf walk or subspace system stream for
+    n variables is over its cap."""
+    s, d = budget.max_support, budget.max_denominator
+    if s ** n * d * (d + 1) // 2 > MAX_WALK_VISITS:
+        raise ValueError(f"budget s={s},D={d} walks more than {MAX_WALK_VISITS} domain "
+                         f"tuples for {n} variable{'s' if n > 1 else ''}")
     if _subspace_systems(n, budget) > MAX_SUBSPACE_SYSTEMS:
         raise ValueError(f"budget vsdim={budget.vs_max_dim},vsq="
                          f"{','.join(map(str, budget.vs_primes))} streams more than "
@@ -383,10 +401,10 @@ class ProfileScan:
 def refute(target, budget: Budget) -> RefutationResult:
     """First canonical counterexample within the budget, or not-found:
     the pmfs of the budget's `shared_walk` by `ProfileScan`, then its
-    subspace systems by `violation`.  ValueError when the budget's
-    subspace system stream is over its cap."""
+    subspace systems by `violation`.  ValueError when the budget is over
+    a cap (`check_budget`)."""
     constraint = BooleanConstraint(target.n, (target,)) if isinstance(target, Clause) else target
-    _check_systems(constraint.n, budget)
+    check_budget(constraint.n, budget)
     scan = ProfileScan(constraint, budget.max_denominator)
     # the walk ends with one (size, None) item, so `index` ends at its size
     for index, pmf in shared_walk(constraint.n, budget.max_support, budget.max_denominator):

@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .core import Clause, LinExpr, MAX_VARS, Value, VarSet
+from .core import Clause, LinExpr, Value, VarSet, check_var_count
 from .distributions import Distribution
 from .parser import default_names
 from .refuter import Budget, refute
@@ -77,8 +77,7 @@ def elemental(n: int) -> GeneratorSet:
     h(N) - h(N - i), and h(Ki) + h(Kj) - h(Kij) - h(K) with the h(K) term
     absent when K is empty (K < Ki < Kj < Kij as masks, for i < j).
     """
-    if n < 1 or n > MAX_VARS:
-        raise ValueError(f"variable count {n} out of range 1..{MAX_VARS}")
+    check_var_count(n)
     names = default_names(n)
     gens: list[Generator] = []
     everything = (1 << n) - 1
@@ -248,8 +247,7 @@ class SlackWitness(Value):
         return {"kind": "distribution", "file": self.distribution.to_file_text()}
 
 
-def classify_tight(c: LinExpr, gens: GeneratorSet,
-                   max_support: int = 2, max_denominator: int = 4) -> str:
+def classify_tight(c: LinExpr, gens: GeneratorSet, budget: Budget) -> str:
     """TIGHT if -c is provable from gens (so c.h <= 0 on the whole cone);
     SLACK if the searches of `joint_slack` find a candidate with c.h > 0:
     the modular LP, then the distribution scan within the budget; UNKNOWN
@@ -257,13 +255,12 @@ def classify_tight(c: LinExpr, gens: GeneratorSet,
     subset either, so the scan runs without `joint_slack`'s second proof."""
     if prove(-c, gens) is not None:
         return TIGHT
-    if _modular_slack([c]) or _distribution_slack([c], max_support, max_denominator):
+    if _modular_slack([c]) or _distribution_slack([c], budget):
         return SLACK
     return UNKNOWN
 
 
-def joint_slack(exprs: Sequence[LinExpr],
-                max_support: int = 2, max_denominator: int = 4) -> "SlackWitness | None":
+def joint_slack(exprs: Sequence[LinExpr], budget: Budget) -> "SlackWitness | None":
     """A single candidate making every expression strictly positive.
 
     First tries modular vectors (`_modular_slack`).  Then, unless some -c_i
@@ -277,7 +274,7 @@ def joint_slack(exprs: Sequence[LinExpr],
     gens = elemental(exprs[0].n)
     if any(prove(-c, gens) is not None for c in exprs):
         return None
-    return _distribution_slack(exprs, max_support, max_denominator)
+    return _distribution_slack(exprs, budget)
 
 
 def _modular_slack(exprs: Sequence[LinExpr]) -> "SlackWitness | None":
@@ -300,12 +297,13 @@ def _modular_slack(exprs: Sequence[LinExpr]) -> "SlackWitness | None":
     return None
 
 
-def _distribution_slack(exprs: Sequence[LinExpr], max_support: int,
-                        max_denominator: int) -> "SlackWitness | None":
+def _distribution_slack(exprs: Sequence[LinExpr], budget: Budget) -> "SlackWitness | None":
     """The first pmf of the canonical stream with every c_i.h > 0: it
-    falsifies max(-c_1, ..., -c_k) >= 0."""
+    falsifies max(-c_1, ..., -c_k) >= 0.  The scan takes the budget's s
+    and D only, never its subspace systems, since a `SlackWitness` is a
+    pmf."""
     result = refute(Clause(exprs[0].n, (), tuple(-c for c in exprs)),
-                    Budget(max_support, max_denominator))
+                    Budget(budget.max_support, budget.max_denominator))
     if result.found:
         return SlackWitness("distribution", distribution=result.counterexample.distribution)
     return None

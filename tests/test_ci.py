@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from infoineq.ci import _atom_index, build_delta, export_delta, falsify, parse_ci
+from infoineq.refuter import Budget
 
 XYZ = ("X", "Y", "Z")
 WEAKENING = ([parse_ci("X;Y|Z", XYZ)], parse_ci("X;Y", XYZ))
@@ -42,13 +43,13 @@ def satisfied_by(system, pmf) -> bool:
 
 
 def test_falsifier_finds_a_witness_for_a_false_implication():
-    result = falsify(*WEAKENING, 3, max_domain=2, max_denominator=4)
+    result = falsify(*WEAKENING, 3, Budget(2, 4))
     assert result.found
     assert result.candidates_scanned == 58
 
 
 def test_witness_satisfies_the_polynomial_system():
-    witness = falsify(*WEAKENING, 3, max_domain=2, max_denominator=4) \
+    witness = falsify(*WEAKENING, 3, Budget(2, 4)) \
         .counterexample.distribution
     system = build_delta(*WEAKENING, 3, 2)
     assert satisfied_by(system, pmf_vector(witness, 2))
@@ -64,8 +65,7 @@ def test_independent_pmf_does_not_satisfy_the_system():
 
 
 def test_true_implication_has_no_witness():
-    result = falsify([parse_ci("X;YZ", XYZ)], parse_ci("X;Y", XYZ), 3,
-                     max_domain=3, max_denominator=3)
+    result = falsify([parse_ci("X;YZ", XYZ)], parse_ci("X;Y", XYZ), 3, Budget(3, 3))
     assert not result.found
 
 

@@ -137,6 +137,41 @@ def test_tight_stage_reuses_the_pruned_twins_proofs(capsys, monkeypatch):
     assert len(calls) == len(set(calls)) == 11
 
 
+@pytest.mark.parametrize("argv", [
+    ["prove", "--file", "{corpus}/false_ci_weakening.iic"],
+    ["refute", "--file", "{zy}"],
+    ["reduce", "--regime", "slack", "--file", "{corpus}/kopparty_rossman_conditional.iic"],
+    ["reduce", "--regime", "tight", "--file", "{classify}"],
+    ["recognize", "--file", "{xor}"],
+], ids=["prove", "refute", "reduce-slack", "reduce-tight", "recognize"])
+def test_no_budget_is_the_default_budget(capsys, tmp_path, argv):
+    files = {"zy": write(tmp_path, ZHANG_YEUNG, "zy.iic"),
+             "classify": write(tmp_path, "[I(X;Y|Z) >= 2*I(X;Y)] => I(X;Y) >= H(Z)\n"),
+             "xor": write(tmp_path, TWO_BIT_XOR, "xor.cand")}
+    argv = [a.format(corpus=fixture("agm_triangle").path.parent, **files) for a in argv]
+    default = cli.main(argv), capsys.readouterr()
+    assert default[1].out and not default[1].err
+    assert (cli.main(argv + ["--budget", "s=2,D=4"]), capsys.readouterr()) == default
+
+
+# I(X;Y) > H(X)/2 holds on X = Y = GF(2)^1, the first subspace system of
+# vsdim=1,vsq=2, and on no pmf at s=1,D=1
+@pytest.mark.parametrize("regime,budget,found", [
+    ("slack", "s=1,D=1", None),
+    ("slack", "s=2,D=2", {"kind": "distribution", "file": "vars 2 2\n0 1 1/2\n1 0 1/2\n"}),
+    ("tight", "s=1,D=1", "antecedent 0 not verified tight (classified unknown)"),
+    ("tight", "s=2,D=2", "antecedent 0 not verified tight (classified slack)"),
+])
+def test_slack_scans_take_s_and_d_but_not_the_subspace_budget(capsys, tmp_path, regime,
+                                                              budget, found):
+    path = write(tmp_path, "[I(X;Y) >= 1/2*H(X)] => H(X) >= 0\n")
+    argv = ["reduce", "--regime", regime, "--file", path, "--budget"]
+    code, report = run(capsys, *argv, budget)
+    (entry,) = report["clauses"]
+    assert (entry.get("slack_witness") if regime == "slack" else entry["note"]) == found
+    assert run(capsys, *argv, budget + ",vsdim=1,vsq=2") == (code, report)
+
+
 def test_prove_reports_no_slack_label(capsys):
     fx = fixture("kopparty_rossman_conditional")
     _, report = run(capsys, "prove", "--file", str(fx.path))
@@ -157,6 +192,8 @@ def test_workers_one_gives_the_report_of_no_flag(capsys, command):
 WIDE_DIST = "vars" + " 2" * 40 + "\n" + "0 " * 40 + "1\n"
 WIDE_CANDIDATE = "".join(f"V{i} 2 1 1\n" for i in range(40))
 WIDE_VARS = " ".join(f"V{i}" for i in range(40))
+# X, Y and their XOR Z: every pair carries two bits
+TWO_BIT_XOR = "X 2 1 1\nY 2 1 1\nZ 2 1 1\nXY 4 1 1\nXZ 4 1 1\nYZ 4 1 1\nXYZ 4 1 1\n"
 # the whole error report of some bad inputs, by (argv, file text)
 EXACT_ERRORS = {
     (("corpus", "--show", "nope"), None): "no corpus fixture named 'nope'",
@@ -201,6 +238,14 @@ EXACT_ERRORS = {
     (("refute", "--file", "{path}", "--budget", "s=1,D=1,vsdim=4,vsq=2"),
      "H(XY) + H(YZ) + H(ZU) + H(X|YU) + H(U|XZ) >= 2*H(XYZU)\n"):
         "budget vsdim=4,vsq=2 streams more than 10000 subspace systems for 4 variables",
+    # s^n D(D+1)/2 = 1,296,000 domain tuples to walk: rejected before the walk
+    (("refute", "--file", "{path}", "--budget", "s=60,D=3"), "H(X) + H(Y) + H(Z) >= 0\n"):
+        "budget s=60,D=3 walks more than 1000000 domain tuples for 3 variables",
+    (("recognize", "--file", "{path}", "--budget", "s=60,D=3"), TWO_BIT_XOR):
+        "budget s=60,D=3 walks more than 1000000 domain tuples for 3 variables",
+    (("ci", "falsify", "--vars", "X Y Z", "--ante", "X;Y", "--cons", "X;Y|Z",
+      "--domain", "60", "--denominator", "3"), None):
+        "budget s=60,D=3 walks more than 1000000 domain tuples for 3 variables",
     # a repeated name would add a phantom variable to the statement
     **{(("ci", verb, "--vars", "X Y X", "--cons", "X;Y"), None):
        "duplicate variable name 'X' in --vars" for verb in ("prove", "falsify", "export")},

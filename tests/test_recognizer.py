@@ -8,6 +8,7 @@ import pytest
 from infoineq.core import LogLinValue
 from infoineq.distributions import Distribution, enumerate_distributions
 from infoineq.recognizer import CandidateRepr, check_candidate
+from infoineq.refuter import Budget
 from infoineq.shannon import elemental
 
 
@@ -50,37 +51,37 @@ TRITS = ("X 3 1 1\nY 3 1 1\nZ 3 1 1\n"
 ])
 def test_realization_is_the_first_match_of_the_whole_stream(text, budget):
     repr_ = candidate(text)
-    result = check_candidate(repr_, elemental(repr_.n), *budget)
+    result = check_candidate(repr_, elemental(repr_.n), Budget(*budget))
     expected = reference_realization(repr_, *budget)
     assert result.realization == expected
     assert result.verdict == ("inconclusive" if expected is None else "realized")
 
 
 def test_realized_fair_bit():
-    result = check_candidate(candidate(FAIR_BIT), elemental(1), 2, 2)
+    result = check_candidate(candidate(FAIR_BIT), elemental(1), Budget(2, 2))
     assert result.verdict == "realized"
     assert result.to_json()["realization"] == "vars 2\n0 1/2\n1 1/2\n"
 
 
 def test_rejected_by_the_violated_generator():
     # h(XY) = 3 bits exceeds h(X) + h(Y) = 2 bits
-    result = check_candidate(candidate("X 2 1 1\nY 2 1 1\nXY 8 1 1\n"), elemental(2))
+    result = check_candidate(candidate("X 2 1 1\nY 2 1 1\nXY 8 1 1\n"), elemental(2), Budget())
     assert result.verdict == "rejected"
     assert result.violated.kind == "elemental-submodularity"
     assert result.realization is None
     # h(X) = log2(1/2) is negative
-    result = check_candidate(candidate("X 1 2 1\n"), elemental(1))
+    result = check_candidate(candidate("X 1 2 1\n"), elemental(1), Budget())
     assert result.verdict == "rejected"
 
 
 def test_inconclusive_outside_the_budget():
     # a uniform trit needs a domain of size 3
     repr_ = candidate("X 3 1 1\n")
-    assert check_candidate(repr_, elemental(1), 2, 6).verdict == "inconclusive"
-    assert check_candidate(repr_, elemental(1), 3, 3).verdict == "realized"
+    assert check_candidate(repr_, elemental(1), Budget(2, 6)).verdict == "inconclusive"
+    assert check_candidate(repr_, elemental(1), Budget(3, 3)).verdict == "realized"
     # two fair bits whose pair carries log2(3) bits: no pmf in the budget
     repr_ = candidate(THREE_OUTCOMES)
-    assert check_candidate(repr_, elemental(2), 2, 2).verdict == "inconclusive"
+    assert check_candidate(repr_, elemental(2), Budget(2, 2)).verdict == "inconclusive"
 
 
 def test_each_pmf_builds_one_entropy_per_sign(monkeypatch):
@@ -100,10 +101,10 @@ def test_each_pmf_builds_one_entropy_per_sign(monkeypatch):
     monkeypatch.setattr(Distribution, "entropy", counted_entropy)
     monkeypatch.setattr(LogLinValue, "sign", counted_sign)
     # h(S) = |S| log2 3, three independent uniform trits: no binary pmf
-    assert check_candidate(candidate(TRITS), elemental(3), 2, 8).verdict == "inconclusive"
+    assert check_candidate(candidate(TRITS), elemental(3), Budget(2, 8)).verdict == "inconclusive"
     assert 0 < calls["entropy"] <= calls["sign"]
 
 
 def test_generator_count_must_match():
     with pytest.raises(ValueError):
-        check_candidate(candidate(FAIR_BIT), elemental(2))
+        check_candidate(candidate(FAIR_BIT), elemental(2), Budget())

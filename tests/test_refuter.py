@@ -22,7 +22,8 @@ from infoineq.distributions import (Distribution, enumerate_distributions, pmf_s
 from infoineq.models import enumerate_systems
 from infoineq.parser import parse_constraint
 from infoineq.refuter import (DISTRIBUTION, MAX_DENOMINATOR, VECTOR_SPACE, Budget, ProfileScan,
-                              RefutationResult, _subspace_systems, refute, violation)
+                              RefutationResult, _subspace_systems, check_budget, refute,
+                              violation)
 
 from conftest import lin_exprs, parse_expr, reference_profile, subspace_candidate
 
@@ -130,7 +131,8 @@ def test_counts_at_domain_size_three(constraint, scanned, profiles):
 
 
 def test_matus_k1_is_refuted():
-    # the k = 1 member of `apps.matus_expr` is negative on a binary pmf
+    # the k = 1 member of `matus_expr` (tests/test_shannon.py) is negative
+    # on a binary pmf
     result = refute(fixture("matus_k1").constraint, Budget(2, 6))
     assert result.found and result.candidates_scanned == 41895
     assert result.counterexample.distribution == Distribution.make((2, 2, 2, 2), {
@@ -177,6 +179,24 @@ def test_subspace_budget_is_bounded_before_the_stream_is_built(text):
 def test_denominator_is_capped_before_any_scan(text):
     with pytest.raises(ValueError, match=rf"^budget {text[4:]} is over the cap D <= 128$"):
         Budget.parse(text)
+
+
+def test_the_empty_budget_is_the_default_budget():
+    assert Budget.parse("") == Budget.parse(" ") == Budget()
+    # a key left out keeps its default
+    assert Budget.parse("D=6") == Budget(max_denominator=6)
+    assert Budget.parse("vsdim=1,vsq=2") == Budget(vs_primes=(2,), vs_max_dim=1)
+
+
+# s^n D(D+1)/2 domain tuples: 10^5 * 10 is the cap, 11^5 * 10 is over it
+def test_the_walk_is_bounded_before_it_starts():
+    check_budget(5, Budget(10, 4))
+    with pytest.raises(ValueError, match=r"^budget s=11,D=4 walks more than 1000000 domain "
+                                         r"tuples for 5 variables$"):
+        check_budget(5, Budget(11, 4))
+    # over the cap at one variable: rejected before n is known
+    with pytest.raises(ValueError, match="tuples for 1 variable$"):
+        Budget.parse(f"s=122,D={MAX_DENOMINATOR}")
 
 
 def test_a_scan_at_the_denominator_cap_finishes_at_one_variable():

@@ -34,10 +34,9 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "infoineq"
 CORPUS = PACKAGE / "corpus"
 
-# (module, name or "Class.method") -> a test that uses the helper as a reference
-TEST_REFERENCES = {
-    ("apps", "matus_expr"): "tests/test_shannon.py::TestProve::test_nonelemental_family_not_provable",
-}
+# (module, name or "Class.method") -> a test that uses the helper as a reference;
+# empty while every helper that only tests use lives in the tests
+TEST_REFERENCES: dict[tuple[str, str], str] = {}
 
 ZHANG_YEUNG = "I(A;B) + I(A;CD) + 3*I(C;D|A) + I(C;D|B) - 2*I(C;D) >= 0\n"
 
