@@ -9,10 +9,19 @@ human-readable digest).  Exit codes:
     2  inconclusive or budget exhausted
     3  usage or input error
 
-``main`` parses argv with the parser of the subcommand it names, built
-once per process; the whole tree (`build_parser`) is built only for
-top-level help, a missing or unknown subcommand, or arguments the
-subcommand leaves over, so its usage and error text stay the same.
+Each subcommand declares its options once, as the rows of its option
+table in `COMMANDS`, and two readers share the table.  `parse_exact`
+reads a well-formed argv from it directly: exact long options, each
+value in a token of its own that does not start with "-", ints that
+convert, values among the choices, every required option and at most
+one positional.  Everything else goes to argparse, to which
+`_add_options` declares the same rows: `-h`, abbreviated options,
+`--opt=value`, `--`, negative numbers and every usage error.  argparse
+alone writes help, usage and error text, with the parser of the
+subcommand (`command_parser`), or with the whole tree (`build_parser`)
+for top-level help, a missing or unknown subcommand, or arguments the
+subcommand leaves over.  Each parser is built once per process, and
+only these paths import argparse.
 
 Every clause decision goes through `decide_clause`, which runs an
 ordered list of stages until one concludes, over the clause's antecedents
@@ -37,14 +46,16 @@ distinct antecedent tuple):
 ``slack`` and ``max`` run multiplier then refute (``slack`` also reports
 a joint-slack witness when the budget finds one), ``tight`` runs tight.
 An inconclusive clause carries the method of its first stage and the
-notes of every stage that ran.
+notes of every stage that ran.  Every proof is re-checked by
+`shannon.verify` before it is reported, as is the proof of each
+antecedent that is dropped as valid; a certificate that fails the check
+leaves its stage inconclusive, with a note that names the check.
 
 "Not proved" never claims invalidity: it means the search concluded
 nothing at the configured generator set and budgets.
 """
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
@@ -52,7 +63,8 @@ import sys
 from fractions import Fraction
 from math import floor
 from pathlib import Path
-from typing import Iterator
+from types import SimpleNamespace
+from typing import Callable, Iterator, NamedTuple
 
 from .apps import corpus, fixture, secret_sharing_constraint
 from .ci import CIStatement, build_delta, ci_prove, export_delta, falsify, parse_ci
@@ -60,7 +72,8 @@ from .core import BooleanConstraint, Clause, LinExpr, Value, check_var_count
 from .parser import ParseError, format_clause, format_constraint, parse_constraint
 from .reductions import PreparedAntecedents, max_to_linear, prepare_antecedents, tight_reduction
 from .refuter import DISTRIBUTION, Budget, Counterexample, refute, violation
-from .shannon import GeneratorSet, TIGHT, classify_tight, elemental, joint_slack, prove
+from .shannon import (GeneratorSet, ProofCertificate, TIGHT, classify_tight, elemental,
+                      joint_slack, prove, verify)
 
 EXIT_POSITIVE = 0
 EXIT_NEGATIVE = 1
@@ -118,19 +131,38 @@ def _refuted(counterexample: Counterexample) -> ClauseOutcome:
                          {"counterexample": counterexample.to_json()})
 
 
+def _unverified(method: str, cert: "ProofCertificate | None", target: LinExpr,
+                kept: tuple[LinExpr, ...], gens: GeneratorSet) -> "ClauseOutcome | None":
+    """The inconclusive outcome of a certificate that `verify` rejects for
+    the target (or that is missing), else None: no proof is reported
+    before it is re-checked."""
+    if cert is not None and verify(cert, target, gens, kept):
+        return None
+    return ClauseOutcome("inconclusive", method, {
+        "note": f"the {method} certificate fails verify"})
+
+
 def _multiplier_stage(clause: Clause, prepared: PreparedAntecedents, gens: GeneratorSet,
                       budget: Budget) -> ClauseOutcome:
     """One multiplier LP for a single consequent (the plain generator cone
-    when no antecedent is kept); the max-to-linear LP for a max clause."""
+    when no antecedent is kept); the max-to-linear LP for a max clause.
+    Each proof is re-checked by `verify` before it is reported."""
     kept = prepared.kept
     if len(clause.consequents) > 1:
         result = max_to_linear(clause, kept, gens)
         if result is None:
             return ClauseOutcome("inconclusive", "max-to-linear", {
                 "note": "no multipliers at this generator set"})
-        return ClauseOutcome("proved", "max-to-linear", {
-            "lambdas": [str(v) for v in result.lambdas],
-            "certificate": result.certificate.to_json(gens)})
+        if any(v < 0 for v in result.lambdas) or not any(result.lambdas):
+            return ClauseOutcome("inconclusive", "max-to-linear", {
+                "note": "the max-to-linear lambdas fail the check: each >= 0, not all 0"})
+        target = LinExpr.zero(clause.n)
+        for weight, c in zip(result.lambdas, clause.consequents):
+            target = target + c.scale(weight)
+        return _unverified("max-to-linear", result.certificate, target, kept, gens) or \
+            ClauseOutcome("proved", "max-to-linear", {
+                "lambdas": [str(v) for v in result.lambdas],
+                "certificate": result.certificate.to_json(gens)})
     cert = prove(clause.consequents[0], gens, antecedents=kept, minimize_antecedent_use=True)
     if cert is None:
         if kept:
@@ -138,11 +170,10 @@ def _multiplier_stage(clause: Clause, prepared: PreparedAntecedents, gens: Gener
                 "note": "no multiplier reduction at this generator set"})
         return ClauseOutcome("inconclusive", "generator-cone", {
             "note": "not provable at this generator set"})
-    if not kept:
-        return ClauseOutcome("proved", "generator-cone", {"certificate": cert.to_json(gens)})
-    return ClauseOutcome("proved", "direct-lambda", {
-        "lambdas": [str(m) for m in cert.antecedent_multipliers],
-        "certificate": cert.to_json(gens)})
+    method = "direct-lambda" if kept else "generator-cone"
+    lambdas = {"lambdas": [str(m) for m in cert.antecedent_multipliers]} if kept else {}
+    return _unverified(method, cert, clause.consequents[0], kept, gens) or \
+        ClauseOutcome("proved", method, {**lambdas, "certificate": cert.to_json(gens)})
 
 
 def _tight_stage(clause: Clause, prepared: PreparedAntecedents, gens: GeneratorSet,
@@ -350,6 +381,10 @@ def cmd_ci(args) -> int:
     if args.verb == "prove":
         gens = load_generators(n, args.extra_gens)
         cert = ci_prove(antecedents, consequent, n, gens)
+        note = None
+        if cert is not None and not verify(cert, -consequent.expr(n), gens,
+                                           [-a.expr(n) for a in antecedents]):
+            cert, note = None, "the ci prove certificate fails verify"
         status = "proved" if cert is not None else "inconclusive"
         implication = consequent.label(tuple(names)) + " = 0"
         if antecedents:
@@ -358,6 +393,8 @@ def cmd_ci(args) -> int:
         report = {"command": "ci prove", "status": status, "implication": implication}
         if cert is not None:
             report["certificate"] = cert.to_json(gens)
+        elif note is not None:
+            report["note"] = note
         emit(report, args.text)
         return _STATUS_EXIT[status]
     if args.verb == "falsify":
@@ -465,134 +502,177 @@ def cmd_check_dist(args) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-def _common(p, budget: bool = False, workers: bool = False):
-    p.add_argument("--text", action="store_true", help="human-readable output")
-    p.add_argument("--json", dest="text", action="store_false", help="JSON output (default)")
-    if budget:
-        p.add_argument("--budget", default="",
-                       help="search budget, e.g. s=3,D=6,vsdim=3,vsq=2,3")
-    if workers:
-        p.add_argument("--workers", type=int, default=1,
-                       help="only 1: the counterexample search runs in one process")
+class Option(NamedTuple):
+    """One row of a subcommand's option table: a long option, or the
+    positional argument `flag` when it has no leading dashes."""
+
+    flag: str
+    dest: str
+    action: str = "store"  # store, store_true, store_false or append
+    type: "Callable[[str], object] | None" = None
+    choices: "tuple[str, ...] | None" = None
+    default: object = None
+    required: bool = False
+    help: "str | None" = None
 
 
-def _prove_options(p):
-    _common(p, budget=True, workers=True)
-    p.add_argument("--file", required=True)
-    p.add_argument("--extra-gens", action="append", default=[],
-                   help="file of additional valid inequalities; a file the default-budget "
-                        "counterexample search falsifies is an input error")
-    p.set_defaults(func=cmd_prove)
+_FORMAT = (Option("--text", "text", "store_true", default=False, help="human-readable output"),
+           Option("--json", "text", "store_false", default=True, help="JSON output (default)"))
+_BUDGET = Option("--budget", "budget", default="",
+                 help="search budget, e.g. s=3,D=6,vsdim=3,vsq=2,3")
+_WORKERS = Option("--workers", "workers", type=int, default=1,
+                  help="only 1: the counterexample search runs in one process")
+_FILE = Option("--file", "file", required=True)
+_EXTRA_GENS = Option("--extra-gens", "extra_gens", "append", default=[])
 
-
-def _refute_options(p):
-    _common(p, budget=True, workers=True)
-    p.add_argument("--file", required=True)
-    p.add_argument("--out", help="directory for the counterexample witness file")
-    p.set_defaults(func=cmd_refute)
-
-
-def _reduce_options(p):
-    _common(p, budget=True)
-    p.add_argument("--file", required=True)
-    p.add_argument("--regime", choices=["auto", "tight", "slack", "max"], default="auto")
-    p.add_argument("--extra-gens", action="append", default=[])
-    p.set_defaults(func=cmd_reduce)
-
-
-def _ci_options(p):
-    _common(p)
-    p.add_argument("verb", choices=["prove", "falsify", "export"])
-    p.add_argument("--vars", required=True, help="variable names, e.g. 'X Y Z'")
-    p.add_argument("--ante", action="append", default=[],
-                   help="antecedent statement 'Y;Z|X' (repeatable)")
-    p.add_argument("--cons", required=True, help="consequent statement")
-    p.add_argument("--extra-gens", action="append", default=[])
-    p.add_argument("--domain", type=int, default=2, help="domain size per variable")
-    p.add_argument("--denominator", type=int, default=4, help="probability denominator cap")
-    p.set_defaults(func=cmd_ci)
-
-
-def _recognize_options(p):
-    _common(p, budget=True)
-    p.add_argument("--file", required=True)
-    p.add_argument("--extra-gens", action="append", default=[])
-    p.set_defaults(func=cmd_recognize)
-
-
-def _corpus_options(p):
-    _common(p)
-    p.add_argument("--show", help="fixture name to display")
-    p.set_defaults(func=cmd_corpus)
-
-
-def _secret_share_options(p):
-    _common(p)
-    p.add_argument("--participants", type=int, required=True)
-    p.add_argument("--access", required=True,
-                   help="qualified sets, e.g. '1,2;1,3' (closed upward automatically)")
-    p.add_argument("--ratio", default="1", help="claimed information-ratio lower bound")
-    p.add_argument("--prove", action="store_true", help="run the tight stage")
-    p.set_defaults(func=cmd_secret_share)
-
-
-def _check_dist_options(p):
-    _common(p)
-    p.add_argument("--file", required=True)
-    p.add_argument("--constraint", help="optional constraint file to evaluate")
-    p.set_defaults(func=cmd_check_dist)
-
-
-# subcommand -> (its help line, the function that declares its options)
+# subcommand -> (its help line, the function that runs it, its options in
+# the order argparse declares them)
 COMMANDS = {
-    "prove": ("prove a constraint file", _prove_options),
-    "refute": ("search for a counterexample", _refute_options),
-    "reduce": ("run a sub-list of the prove stages and report it", _reduce_options),
-    "ci": ("conditional-independence implication tools", _ci_options),
-    "recognize": ("recognize a candidate vector file", _recognize_options),
-    "corpus": ("list or show bundled fixtures", _corpus_options),
-    "secret-share": ("emit the information-ratio constraint", _secret_share_options),
-    "check-dist": ("entropies of a distribution file", _check_dist_options),
+    "prove": ("prove a constraint file", cmd_prove, (
+        *_FORMAT, _BUDGET, _WORKERS, _FILE,
+        _EXTRA_GENS._replace(help="file of additional valid inequalities; a file the "
+                                  "default-budget counterexample search falsifies is an "
+                                  "input error"))),
+    "refute": ("search for a counterexample", cmd_refute, (
+        *_FORMAT, _BUDGET, _WORKERS, _FILE,
+        Option("--out", "out", help="directory for the counterexample witness file"))),
+    "reduce": ("run a sub-list of the prove stages and report it", cmd_reduce, (
+        *_FORMAT, _BUDGET, _FILE,
+        Option("--regime", "regime", choices=("auto", "tight", "slack", "max"), default="auto"),
+        _EXTRA_GENS)),
+    "ci": ("conditional-independence implication tools", cmd_ci, (
+        *_FORMAT,
+        Option("verb", "verb", choices=("prove", "falsify", "export")),
+        Option("--vars", "vars", required=True, help="variable names, e.g. 'X Y Z'"),
+        Option("--ante", "ante", "append", default=[],
+               help="antecedent statement 'Y;Z|X' (repeatable)"),
+        Option("--cons", "cons", required=True, help="consequent statement"),
+        _EXTRA_GENS,
+        Option("--domain", "domain", type=int, default=2, help="domain size per variable"),
+        Option("--denominator", "denominator", type=int, default=4,
+               help="probability denominator cap"))),
+    "recognize": ("recognize a candidate vector file", cmd_recognize, (
+        *_FORMAT, _BUDGET, _FILE, _EXTRA_GENS)),
+    "corpus": ("list or show bundled fixtures", cmd_corpus, (
+        *_FORMAT, Option("--show", "show", help="fixture name to display"))),
+    "secret-share": ("emit the information-ratio constraint", cmd_secret_share, (
+        *_FORMAT,
+        Option("--participants", "participants", type=int, required=True),
+        Option("--access", "access", required=True,
+               help="qualified sets, e.g. '1,2;1,3' (closed upward automatically)"),
+        Option("--ratio", "ratio", default="1", help="claimed information-ratio lower bound"),
+        Option("--prove", "prove", "store_true", default=False, help="run the tight stage"))),
+    "check-dist": ("entropies of a distribution file", cmd_check_dist, (
+        *_FORMAT, _FILE,
+        Option("--constraint", "constraint", help="optional constraint file to evaluate"))),
 }
 
 
+def parse_exact(name: str, argv: list[str]) -> "SimpleNamespace | None":
+    """The namespace that argparse gives for `infoineq NAME ARGV`, or None
+    for argparse to decide.  Accepted are exact long options, each value in
+    a token of its own that does not start with "-", ints that convert,
+    values among the choices, every required option, and at most one
+    positional; abbreviations, `--opt=value`, `--`, `-h`, negative
+    numbers and every usage error are argparse's."""
+    _, func, options = COMMANDS[name]
+    values: dict = {}
+    for opt in options:
+        values.setdefault(opt.dest, opt.default)
+    flags = {opt.flag: opt for opt in options if opt.flag.startswith("--")}
+    positionals = [opt for opt in options if opt.flag not in flags]
+    seen = set()
+    tokens = iter(argv)
+    for token in tokens:
+        if token.startswith("-"):
+            opt = flags.get(token)
+            if opt is None:
+                return None
+            seen.add(token)
+            if opt.action in ("store_true", "store_false"):
+                values[opt.dest] = opt.action == "store_true"
+                continue
+            token = next(tokens, None)
+            if token is None or token.startswith("-"):
+                return None
+        elif positionals:
+            opt = positionals.pop(0)
+        else:
+            return None
+        value = token
+        if opt.type is not None:
+            try:
+                value = opt.type(token)
+            except ValueError:
+                return None
+        if opt.choices is not None and value not in opt.choices:
+            return None
+        # a fresh list, as argparse's, so the table's default stays empty
+        values[opt.dest] = [*values[opt.dest], value] if opt.action == "append" else value
+    if positionals or any(opt.required and flag not in seen for flag, opt in flags.items()):
+        return None
+    return SimpleNamespace(**values, func=func)
+
+
+def _add_options(parser, name: str) -> None:
+    """Declare NAME's option table to an argparse parser, row by row.  A
+    keyword goes only where the row departs from argparse's own default,
+    and a positional takes neither `dest` nor `required`."""
+    _, func, options = COMMANDS[name]
+    for opt in options:
+        kwargs: dict = {"action": opt.action}
+        if opt.flag.startswith("--"):
+            kwargs["dest"] = opt.dest
+            if opt.required:
+                kwargs["required"] = True
+        for key in ("type", "choices", "default", "help"):
+            if getattr(opt, key) is not None:
+                kwargs[key] = getattr(opt, key)
+        parser.add_argument(opt.flag, **kwargs)
+    parser.set_defaults(func=func)
+
+
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> "argparse.ArgumentParser":
     """The whole argparse tree, for top-level help and for usage errors
     that name no subcommand or leave arguments over.  This parser and
     each `command_parser` are built once and shared by every later call
     in the process, so commands must not mutate the list-valued fields
-    of their namespace: argparse hands out the `default=[]` objects
-    themselves."""
+    of their namespace: argparse hands out the option table's
+    `default=[]` objects themselves."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="infoineq",
         description="prove, refute, and transform Boolean constraints on entropic vectors")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_, add_options) in COMMANDS.items():
-        add_options(sub.add_parser(name, help=help_))
+    for name, (help_, _, _) in COMMANDS.items():
+        _add_options(sub.add_parser(name, help=help_), name)
     return parser
 
 
 @functools.cache
-def command_parser(name: str) -> argparse.ArgumentParser:
+def command_parser(name: str) -> "argparse.ArgumentParser":
     """One subcommand's parser on its own, with the usage, help and error
     text of its subparser in `build_parser`."""
+    import argparse
     parser = argparse.ArgumentParser(prog=f"infoineq {name}")
-    COMMANDS[name][1](parser)
+    _add_options(parser, name)
     return parser
 
 
 def main(argv: "list[str] | None" = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    try:
-        if argv and argv[0] in COMMANDS:
-            args, extra = command_parser(argv[0]).parse_known_args(argv[1:])
-            if extra:  # the whole tree reports what is left over
+    args = parse_exact(argv[0], argv[1:]) if argv and argv[0] in COMMANDS else None
+    if args is None:  # help, abbreviations and usage errors are argparse's
+        try:
+            if argv and argv[0] in COMMANDS:
+                args, extra = command_parser(argv[0]).parse_known_args(argv[1:])
+                if extra:  # the whole tree reports what is left over
+                    args = build_parser().parse_args(argv)
+            else:
                 args = build_parser().parse_args(argv)
-        else:
-            args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else 0
+        except SystemExit as exc:
+            return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
     except ParseError as exc:

@@ -23,7 +23,7 @@ from math import gcd, lcm
 from typing import Sequence
 
 from .core import Clause, LinExpr, Value, entropy_of, full_set
-from .shannon import GeneratorSet, ProofCertificate, cone_lp, prove
+from .shannon import GeneratorSet, ProofCertificate, cone_lp, prove, verify
 from .simplex import LPResult
 
 
@@ -41,10 +41,14 @@ class PreparedAntecedents(Value):
 
 def prepare_antecedents(antecedents: Sequence[LinExpr], gens: GeneratorSet) -> PreparedAntecedents:
     """Drop antecedents that are provably valid inequalities (they are
-    always satisfied, so removing them only strengthens the implication)."""
+    always satisfied, so removing them only strengthens the implication).
+    Each proof is re-checked by `verify`; one it rejects keeps its
+    antecedent."""
     kept, valid = [], []
     for a in antecedents:
-        (valid if a.is_zero() or prove(a, gens) is not None else kept).append(a)
+        dropped = a.is_zero() or ((proof := prove(a, gens)) is not None
+                                  and verify(proof, a, gens))
+        (valid if dropped else kept).append(a)
     return PreparedAntecedents(tuple(kept), tuple(valid))
 
 

@@ -81,6 +81,17 @@ MAX_DENOMINATOR = 128
 MAX_WALK_VISITS = 1_000_000
 
 
+def _budget_int(value: str, item: str) -> int:
+    """The integer a budget value spells in ASCII digits, with an optional
+    sign and surrounding spaces: `int` would also take other scripts'
+    digits and underscores."""
+    digits = value.strip()
+    digits = digits[1:] if digits[:1] in "+-" else digits
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"budget item {item!r} needs an integer in ASCII digits")
+    return int(value)
+
+
 class Budget(Value):
     """Search bounds: distribution domain/denominator caps and, optionally,
     subspace-system primes and ambient dimension cap.  Every bounded search
@@ -107,10 +118,12 @@ class Budget(Value):
     @staticmethod
     def parse(text: str) -> "Budget":
         """Parse 's=2,D=4,vsdim=2,vsq=2,3' style budget strings; a key left
-        out keeps its default, so "" is the default budget."""
+        out keeps its default, so "" is the default budget.  A value is
+        ASCII digits with an optional sign, and a key is given once."""
         keys = {"s": "max_support", "D": "max_denominator", "vsdim": "vs_max_dim"}
         fields: dict = {}
         primes: list[int] = []
+        seen: set[str] = set()
         if text.strip():
             parts = text.split(",")
             i = 0
@@ -120,14 +133,17 @@ class Budget(Value):
                     raise ValueError(f"bad budget item {item!r}")
                 key, value = item.split("=", 1)
                 key = key.strip()
+                if key in seen:
+                    raise ValueError(f"budget item {item!r} repeats the key {key!r}")
+                seen.add(key)
                 if key == "vsq":
-                    primes.append(int(value))
+                    primes.append(_budget_int(value, item))
                     # bare numbers after vsq= continue the prime list
                     while i + 1 < len(parts) and "=" not in parts[i + 1]:
                         i += 1
-                        primes.append(int(parts[i]))
+                        primes.append(_budget_int(parts[i], parts[i]))
                 elif key in keys:
-                    fields[keys[key]] = int(value)
+                    fields[keys[key]] = _budget_int(value, item)
                 else:
                     raise ValueError(f"unknown budget key {key!r}")
                 i += 1

@@ -5,11 +5,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
+from infoineq import shannon
 from infoineq.core import LinExpr, LogLinValue
 from infoineq.distributions import Distribution, cell_outcomes
 from infoineq.models import VectorSpaceSystem
 from infoineq.parser import _Parser, _tokenize
 from infoineq.shannon import elemental
+from infoineq.simplex import LPResult
 
 
 def as_rational(value: LogLinValue) -> "Fraction | None":
@@ -99,6 +101,24 @@ def xor_triple() -> Distribution:
     q = Fraction(1, 4)
     return Distribution.make((2, 2, 2), {(0, 0, 0): q, (0, 1, 1): q,
                                          (1, 0, 1): q, (1, 1, 0): q})
+
+
+@pytest.fixture
+def corrupted_solver(monkeypatch) -> None:
+    """`shannon.solve_lp` with 1 added to the first nonzero entry of every
+    optimal solution: one multiplier of each certificate built from it is
+    off, so `verify` rejects the certificate."""
+    solve = shannon.solve_lp
+
+    def corrupted(rows, b, cost):
+        res = solve(rows, b, cost)
+        if res.status != "optimal":
+            return res
+        x = list(res.x)
+        x[next(j for j, v in enumerate(x) if v)] += 1
+        return LPResult(res.status, tuple(x), res.objective)
+
+    monkeypatch.setattr(shannon, "solve_lp", corrupted)
 
 
 @pytest.fixture

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import io
 import json
 import os
@@ -14,13 +15,15 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import infoineq
 from infoineq import cli, shannon
 from infoineq.apps import corpus, fixture
 from infoineq.core import LinExpr
 from infoineq.parser import parse_constraint
-from infoineq.reductions import prepare_antecedents
+from infoineq.reductions import MaxReduction, prepare_antecedents
 from infoineq.shannon import ProofCertificate, elemental, verify
 
 MANIFEST_ANSWER = {"provable": ("proved", 0), "refutable": ("refuted", 1)}
@@ -214,6 +217,13 @@ EXACT_ERRORS = {
     # rejected before the 3^12 atoms are built
     (("ci", "export", "--vars", "A B C D E F G H I J K L", "--cons", "A;B", "--domain", "3"),
      None): "domain 3 for 12 variables gives 531441 atoms, more than 65536",
+    # budget values are ASCII digits, and a key is given once
+    (("refute", "--file", "{path}", "--budget", "s=\u0662"), "H(X) >= 0\n"):
+        "budget item 's=\u0662' needs an integer in ASCII digits",
+    (("prove", "--file", "{path}", "--budget", "D=1_0"), "H(X) >= 0\n"):
+        "budget item 'D=1_0' needs an integer in ASCII digits",
+    (("reduce", "--file", "{path}", "--budget", "s=2,D=2,D=3"), "H(X) >= 0\n"):
+        "budget item 'D=3' repeats the key 'D'",
     # the counterexample search runs in one process
     (("prove", "--file", "{path}", "--workers", "2"), "H(X) >= 0\n"):
         "--workers 2: the counterexample search runs in one process, "
@@ -355,6 +365,47 @@ def test_budget_is_checked_before_the_extra_generators(capsys, tmp_path, command
 
 
 # ---------------------------------------------------------------------------
+# Every proof is checked by `verify` before it is reported
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name,method", [("agm_triangle", "generator-cone"),
+                                         ("kopparty_rossman_conditional", "direct-lambda"),
+                                         ("kopparty_rossman_max", "max-to-linear")])
+def test_a_certificate_that_fails_verify_is_inconclusive(capsys, corrupted_solver, name,
+                                                         method):
+    code, report = run(capsys, "prove", "--file", str(fixture(name).path))
+    (entry,) = report["clauses"]
+    assert (code, report["status"], entry["status"], entry["method"]) == \
+        (cli.EXIT_INCONCLUSIVE, "inconclusive", "inconclusive", method)
+    assert entry["note"].startswith(f"the {method} certificate fails verify; ")
+    assert "certificate" not in entry
+
+
+@pytest.mark.parametrize("lambdas", [(0, 0, 0), (-1, 1, 1)])
+def test_max_lambdas_that_fail_the_check_are_inconclusive(capsys, monkeypatch, lambdas):
+    reduce_max = cli.max_to_linear
+
+    def wrong_lambdas(clause, kept, gens):
+        result = reduce_max(clause, kept, gens)
+        return MaxReduction(tuple(Fraction(v) for v in lambdas), result.certificate)
+
+    monkeypatch.setattr(cli, "max_to_linear", wrong_lambdas)
+    code, report = run(capsys, "prove", "--file", str(fixture("kopparty_rossman_max").path))
+    assert code == cli.EXIT_INCONCLUSIVE
+    assert report["clauses"][0]["note"].startswith(
+        "the max-to-linear lambdas fail the check: each >= 0, not all 0; ")
+
+
+def test_ci_prove_checks_its_certificate(capsys, corrupted_solver):
+    code, report = run(capsys, "ci", "prove", "--vars", "X Y Z", "--ante", "X;Y|Z",
+                       "--ante", "X;Z", "--cons", "X;YZ")
+    assert (code, report) == (cli.EXIT_INCONCLUSIVE, {
+        "command": "ci prove", "status": "inconclusive",
+        "implication": "I(X;Y|Z) = 0 and I(X;Z) = 0 => I(X;YZ) = 0",
+        "note": "the ci prove certificate fails verify"})
+
+
+# ---------------------------------------------------------------------------
 # One argparse tree per process
 # ---------------------------------------------------------------------------
 
@@ -369,23 +420,41 @@ def test_parser_is_built_once():
     assert cli.command_parser("prove") is cli.command_parser("prove")
 
 
-def test_a_command_builds_only_its_own_parser(capsys, monkeypatch):
-    """The first call of a process builds one `ArgumentParser`, the
-    command's own, not the whole tree of nine; the second builds none."""
-    built = []
+# the `prog` of each parser in the whole tree, in the order it builds them
+TREE_PROGS = ["infoineq", *(f"infoineq {name}" for name in cli.COMMANDS)]
+
+
+@pytest.mark.parametrize("argv,built", [
+    (["prove", "--file", "{F}"], []),
+    (["prove", "--text", "--file", "{F}", "--budget", "s=1,D=1", "--json"], []),
+    (["ci", "--vars", "X Y", "prove", "--cons", "X;Y"], []),
+    (["prove"], ["infoineq prove"]),
+    (["prove", "--fil", "{F}"], ["infoineq prove"]),
+    (["prove", "--file", "{F}", "extra"], ["infoineq prove", *TREE_PROGS]),
+    (["nope"], TREE_PROGS),
+])
+def test_a_well_formed_call_builds_no_parser(capsys, monkeypatch, argv, built):
+    """A well-formed call is parsed from the option table and builds no
+    `ArgumentParser`.  Anything else builds what it built before the
+    table: the command's own parser, and the whole tree of nine when that
+    one leaves arguments over or no command is named.  A second call
+    builds none."""
+    made = []
     init = argparse.ArgumentParser.__init__
 
     def counting_init(self, *args, **kwargs):
-        built.append(kwargs.get("prog"))
+        made.append(kwargs.get("prog"))
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     _clear_parser_caches()
-    argv = ["prove", "--file", str(fixture("agm_triangle").path)]
-    assert run(capsys, *argv)[0] == cli.EXIT_POSITIVE
-    assert built == ["infoineq prove"]
-    assert run(capsys, *argv)[0] == cli.EXIT_POSITIVE
-    assert built == ["infoineq prove"]
+    argv = [a.format(F=fixture("agm_triangle").path) for a in argv]
+    code = cli.main(argv)
+    capsys.readouterr()
+    assert made == built
+    assert cli.main(argv) == code
+    capsys.readouterr()
+    assert made == built
 
 
 TREE_USAGE = """\
@@ -550,6 +619,119 @@ def test_shared_parser_keeps_no_state_between_calls(capsys, tmp_path):
         _clear_parser_caches()
         fresh.append((cli.main(argv), capsys.readouterr()))
     assert shared == fresh
+
+
+# ---------------------------------------------------------------------------
+# The exact parser and argparse read one option table alike
+# ---------------------------------------------------------------------------
+
+# values for any option: good ones for some rows, and ones that only
+# argparse may judge (a leading "-", ints that `int` takes only with
+# underscores, other scripts' digits or a sign, choices that are not)
+INTS = ("1", "2", "0_1", "\u0662", "+1", " 2")
+VALUES = (*INTS, "{F}", "{C}", "{P}", "{D}", "", "x", "-1", "-x", "-", "X Y", "X Y Z", "X;Y",
+          "X;Y|Z", "1,2", "1/2", "s=1,D=1", "s=x", "auto", "slack", "aut", "prove", "export",
+          "falsify", "agm_triangle")
+# a value for each required row or positional, so that some argv parse
+GOOD = {"file": "{F}", "verb": "prove", "vars": "X Y Z", "cons": "X;Y|Z",
+        "participants": "2", "access": "1"}
+
+
+def _required(name: str) -> list[tuple[str, ...]]:
+    """NAME's required rows and positional, each with its good value."""
+    return [(opt.flag, GOOD[opt.dest]) if opt.flag.startswith("--") else (GOOD[opt.dest],)
+            for opt in cli.COMMANDS[name][2]
+            if opt.required or not opt.flag.startswith("--")]
+
+
+def _fragments(name: str):
+    """Two strategies of argument fragments for NAME: an option row in its
+    exact form with a value it may take; and a row cut short, as
+    `--opt=v`, without its value or with any value, help, `--`, an
+    unknown option, or a stray value."""
+    value = st.sampled_from(VALUES)
+    good, bad = [], []
+    for opt in cli.COMMANDS[name][2]:
+        if not opt.flag.startswith("--"):
+            continue
+        takes_value = opt.action in ("store", "append")
+        if opt.choices:
+            fits = st.sampled_from(opt.choices)
+        elif opt.type is int:
+            fits = st.sampled_from(INTS)
+        else:
+            fits = st.sampled_from([v for v in VALUES if not v.startswith("-")])
+        good.append(st.tuples(st.just(opt.flag), fits) if takes_value
+                    else st.tuples(st.just(opt.flag)))
+        short = st.sampled_from([opt.flag[:-1], opt.flag[:4]])
+        bad.append(st.tuples(short, value) if takes_value else st.tuples(short))
+        bad.append(st.tuples(st.just(opt.flag), value))
+        bad.append(st.builds(lambda v, f=opt.flag: (f"{f}={v}",), value))
+        bad.append(st.tuples(st.just(opt.flag)))
+    bad.append(st.tuples(st.sampled_from(["-h", "--help", "--", "--bogus", "-x"])))
+    bad.append(st.tuples(value))
+    return st.one_of(good), st.one_of(bad)
+
+
+@functools.cache
+def _argv(name: str):
+    """NAME's argv, in any order: each required row three times in four,
+    up to five good fragments, and at most one bad one."""
+    good, bad = _fragments(name)
+    required = st.tuples(*(st.sampled_from([(f,), (f,), (f,), ()]) for f in _required(name)))
+    parts = st.builds(lambda lead, frags, extra: [f for kept in lead for f in kept] + frags
+                      + ([extra] if extra else []),
+                      required, st.lists(good, max_size=5), st.one_of(st.none(), bad))
+    return parts.flatmap(st.permutations).map(
+        lambda frags: [name, *(t for f in frags for t in f)])
+
+
+@pytest.fixture(scope="module")
+def arg_paths(tmp_path_factory):
+    """The files and directory that {F}, {C}, {P} and {D} name."""
+    root = tmp_path_factory.mktemp("argv")
+    files = {"F": ("one.iic", "H(X) >= 0\n"), "C": ("bit.cand", "X 2 1 1\n"),
+             "P": ("bit.dist", "vars 2\n0 1/2\n1 1/2\n")}
+    paths = {key: write(root, text, name) for key, (name, text) in files.items()}
+    return {**paths, "D": str(root / "out")}
+
+
+def _outcome(argv: list[str]) -> tuple:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("name", list(cli.COMMANDS))
+def test_the_required_rows_parse_exactly(name, arg_paths):
+    argv = [t.format(**arg_paths) for f in _required(name) for t in f]
+    assert vars(cli.parse_exact(name, argv)) == vars(cli.command_parser(name).parse_args(argv))
+
+
+@pytest.mark.parametrize("name", list(cli.COMMANDS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_exact_parser_agrees_with_argparse(name, arg_paths, data):
+    """Wherever the exact parser accepts, argparse accepts too and gives
+    the same namespace."""
+    argv = [a.format(**arg_paths) for a in data.draw(_argv(name))]
+    exact = cli.parse_exact(name, argv[1:])
+    if exact is not None:
+        assert vars(exact) == vars(cli.command_parser(name).parse_args(argv[1:]))
+
+
+@pytest.mark.parametrize("name", list(cli.COMMANDS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_main_without_the_exact_parser_prints_the_same(name, arg_paths, data):
+    """`main` gives the same exit code, stdout and stderr when argparse
+    parses every argv."""
+    argv = [a.format(**arg_paths) for a in data.draw(_argv(name))]
+    with_exact = _outcome(argv)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "parse_exact", lambda name, argv: None)
+        assert _outcome(argv) == with_exact
 
 
 # ---------------------------------------------------------------------------

@@ -54,13 +54,22 @@ def test_cli_import_loads_every_traced_module_and_nothing_unused():
     """`Tracer.install` finds the traced modules in `sys.modules` before the
     first input, so `import infoineq.cli` must load each of them.  It loads
     neither the modules that only some commands use nor `dataclasses` and
-    the `inspect` machinery that it would pull in."""
-    probe = "import sys, infoineq.cli; print(' '.join(sorted(sys.modules)))"
+    the `inspect` machinery that it would pull in.  Neither the import nor
+    a well-formed call loads argparse, or the gettext and locale modules
+    that building an argparse parser loads."""
+    agm = Path(infoineq.__file__).parent / "corpus" / "agm_triangle.iic"
+    probe = ("import contextlib, io, sys, infoineq.cli as cli\n"
+             "print(' '.join(sorted(sys.modules)))\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             f"    assert cli.main(['prove', '--file', {str(agm)!r}]) == 0\n"
+             "print(' '.join(sorted(sys.modules)))\n")
     env = dict(os.environ, PYTHONPATH=str(Path(infoineq.__file__).parents[1]))
-    loaded = set(subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                                capture_output=True, text=True).stdout.split())
-    assert {f"infoineq.{module}" for _, module, _ in _traced()} <= loaded
-    assert not {"dataclasses", "inspect", "infoineq.recognizer", "infoineq.models"} & loaded
+    imported, called = (set(line.split()) for line in subprocess.run(
+        [sys.executable, "-c", probe], env=env, check=True, capture_output=True,
+        text=True).stdout.splitlines())
+    assert {f"infoineq.{module}" for _, module, _ in _traced()} <= imported
+    assert not {"dataclasses", "inspect", "infoineq.recognizer", "infoineq.models"} & imported
+    assert not {"argparse", "gettext", "locale"} & (imported | called)
 
 
 def test_every_name_the_checker_imports_exists():

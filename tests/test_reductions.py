@@ -18,8 +18,8 @@ from infoineq.apps import fixture, secret_sharing_constraint
 from infoineq.core import BooleanConstraint, Clause, LinExpr
 from infoineq.distributions import enumerate_distributions
 from infoineq.parser import parse_constraint
-from infoineq.reductions import (max_to_linear, prepare_antecedents, tight_reduction,
-                                 tight_target)
+from infoineq.reductions import (PreparedAntecedents, max_to_linear, prepare_antecedents,
+                                 tight_reduction, tight_target)
 from infoineq.refuter import DISTRIBUTION, Budget, refute, violation
 from infoineq.shannon import elemental, prove, verify
 
@@ -228,3 +228,15 @@ def test_max_lp_proves_whatever_the_race_proves(clause):
     combo = combination(result.lambdas, clause)
     assert result.certificate.target == combo
     assert verify(result.certificate, combo, GENS3, kept)
+
+
+
+def test_an_antecedent_whose_proof_fails_verify_is_kept(request):
+    """`prepare_antecedents` drops a valid antecedent only once `verify`
+    accepts its proof; the zero antecedent needs none."""
+    gens = elemental(2)
+    valid = parse_constraint("[H(X) >= 0] => H(Y) >= 0\n").clauses[0].antecedents[0]
+    zero = LinExpr.zero(2)
+    assert prepare_antecedents([valid, zero], gens) == PreparedAntecedents((), (valid, zero))
+    request.getfixturevalue("corrupted_solver")
+    assert prepare_antecedents([valid, zero], gens) == PreparedAntecedents((valid,), (zero,))

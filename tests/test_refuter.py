@@ -188,6 +188,28 @@ def test_the_empty_budget_is_the_default_budget():
     assert Budget.parse("vsdim=1,vsq=2") == Budget(vs_primes=(2,), vs_max_dim=1)
 
 
+@pytest.mark.parametrize("text,error", [
+    # `int` takes other scripts' digits and underscores; a budget does not
+    ("s=\u0662,D=\u0662", "budget item 's=\u0662' needs an integer in ASCII digits"),
+    ("D=1_0", "budget item 'D=1_0' needs an integer in ASCII digits"),
+    ("vsdim=1,vsq=2,\u0663", "budget item '\u0663' needs an integer in ASCII digits"),
+    ("s=-+2", "budget item 's=-+2' needs an integer in ASCII digits"),
+    # a repeated key is an error, not the last value
+    ("s=2,D=2,D=3", "budget item 'D=3' repeats the key 'D'"),
+    ("vsdim=1,vsq=2,vsq=3", "budget item 'vsq=3' repeats the key 'vsq'"),
+])
+def test_budget_values_are_ascii_and_keys_are_given_once(text, error):
+    with pytest.raises(ValueError) as exc:
+        Budget.parse(text)
+    assert str(exc.value) == error
+
+
+def test_budget_values_keep_their_sign_and_spaces():
+    assert Budget.parse("s= +3 , D=2") == Budget(3, 2)
+    with pytest.raises(ValueError, match="^budget needs s >= 1 and D >= 1$"):
+        Budget.parse("s=2,D=-1")
+
+
 # s^n D(D+1)/2 domain tuples: 10^5 * 10 is the cap, 11^5 * 10 is over it
 def test_the_walk_is_bounded_before_it_starts():
     check_budget(5, Budget(10, 4))
