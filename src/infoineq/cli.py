@@ -10,18 +10,16 @@ human-readable digest).  Exit codes:
     3  usage or input error
 
 Each subcommand declares its options once, as the rows of its option
-table in `COMMANDS`, and two readers share the table.  `parse_exact`
-reads a well-formed argv from it directly: exact long options, each
-value in a token of its own that does not start with "-", ints that
-convert, values among the choices, every required option and at most
-one positional.  Everything else goes to argparse, to which
-`_add_options` declares the same rows: `-h`, abbreviated options,
-`--opt=value`, `--`, negative numbers and every usage error.  argparse
-alone writes help, usage and error text, with the parser of the
-subcommand (`command_parser`), or with the whole tree (`build_parser`)
-for top-level help, a missing or unknown subcommand, or arguments the
-subcommand leaves over.  Each parser is built once per process, and
-only these paths import argparse.
+table in `COMMANDS`, and two readers share the table.  `parse_exact` is
+the one exact reader: it reads a well-formed argv from the table
+directly, that is exact long options, each value in a token of its own
+that does not start with "-", ints that `core.read_int` reads, values
+among the choices, every required option and at most one positional.
+Everything it declines goes to the one argparse tree, `build_parser`,
+to which `_add_options` declares the same rows: `-h`, abbreviated
+options, `--opt=value`, `--`, negative numbers and every usage error.
+argparse alone writes help, usage and error text.  The tree is built
+once per process, and only this path imports argparse.
 
 Every clause decision goes through `decide_clause`, which runs an
 ordered list of stages until one concludes, over the clause's antecedents
@@ -60,7 +58,6 @@ import functools
 import json
 import os
 import sys
-from fractions import Fraction
 from math import floor
 from pathlib import Path
 from types import SimpleNamespace
@@ -68,7 +65,8 @@ from typing import Callable, Iterator, NamedTuple
 
 from .apps import corpus, fixture, secret_sharing_constraint
 from .ci import CIStatement, build_delta, ci_prove, export_delta, falsify, parse_ci
-from .core import BooleanConstraint, Clause, LinExpr, Value, check_var_count
+from .core import (BooleanConstraint, Clause, LinExpr, Value, check_var_count, read_fraction,
+                   read_int)
 from .parser import ParseError, format_clause, format_constraint, parse_constraint
 from .reductions import PreparedAntecedents, max_to_linear, prepare_antecedents, tight_reduction
 from .refuter import DISTRIBUTION, Budget, Counterexample, refute, violation
@@ -444,7 +442,7 @@ def cmd_secret_share(args) -> int:
     for part in args.access.split(";"):
         part = part.strip()
         if part:
-            family.add(frozenset(int(v) for v in part.replace(",", " ").split()))
+            family.add(frozenset(read_int(v) for v in part.replace(",", " ").split()))
     # close upward for convenience: every participant set that contains a
     # written set (none below one participant, which the library rejects).
     # The written sets stay as written, so the library's checks name the
@@ -454,11 +452,7 @@ def cmd_secret_share(args) -> int:
         g = frozenset(i + 1 for i in range(m) if (bits >> i) & 1)
         if any(f <= g for f in family):
             closed.add(g)
-    try:
-        ratio = Fraction(args.ratio)
-    except ZeroDivisionError:
-        raise ValueError(f"--ratio {args.ratio} has a zero denominator") from None
-    constraint = secret_sharing_constraint(m, closed, ratio)
+    constraint = secret_sharing_constraint(m, closed, read_fraction(args.ratio))
     report = {"command": "secret-share",
               "participants": m,
               "ratio": args.ratio,
@@ -520,7 +514,7 @@ _FORMAT = (Option("--text", "text", "store_true", default=False, help="human-rea
            Option("--json", "text", "store_false", default=True, help="JSON output (default)"))
 _BUDGET = Option("--budget", "budget", default="",
                  help="search budget, e.g. s=3,D=6,vsdim=3,vsq=2,3")
-_WORKERS = Option("--workers", "workers", type=int, default=1,
+_WORKERS = Option("--workers", "workers", type=read_int, default=1,
                   help="only 1: the counterexample search runs in one process")
 _FILE = Option("--file", "file", required=True)
 _EXTRA_GENS = Option("--extra-gens", "extra_gens", "append", default=[])
@@ -548,8 +542,8 @@ COMMANDS = {
                help="antecedent statement 'Y;Z|X' (repeatable)"),
         Option("--cons", "cons", required=True, help="consequent statement"),
         _EXTRA_GENS,
-        Option("--domain", "domain", type=int, default=2, help="domain size per variable"),
-        Option("--denominator", "denominator", type=int, default=4,
+        Option("--domain", "domain", type=read_int, default=2, help="domain size per variable"),
+        Option("--denominator", "denominator", type=read_int, default=4,
                help="probability denominator cap"))),
     "recognize": ("recognize a candidate vector file", cmd_recognize, (
         *_FORMAT, _BUDGET, _FILE, _EXTRA_GENS)),
@@ -557,7 +551,7 @@ COMMANDS = {
         *_FORMAT, Option("--show", "show", help="fixture name to display"))),
     "secret-share": ("emit the information-ratio constraint", cmd_secret_share, (
         *_FORMAT,
-        Option("--participants", "participants", type=int, required=True),
+        Option("--participants", "participants", type=read_int, required=True),
         Option("--access", "access", required=True,
                help="qualified sets, e.g. '1,2;1,3' (closed upward automatically)"),
         Option("--ratio", "ratio", default="1", help="claimed information-ratio lower bound"),
@@ -634,12 +628,11 @@ def _add_options(parser, name: str) -> None:
 
 @functools.cache
 def build_parser() -> "argparse.ArgumentParser":
-    """The whole argparse tree, for top-level help and for usage errors
-    that name no subcommand or leave arguments over.  This parser and
-    each `command_parser` are built once and shared by every later call
-    in the process, so commands must not mutate the list-valued fields
-    of their namespace: argparse hands out the option table's
-    `default=[]` objects themselves."""
+    """The whole argparse tree, for every argv that `parse_exact`
+    declines: help, abbreviations and usage errors.  It is built once and
+    shared by every later call in the process, so commands must not
+    mutate the list-valued fields of their namespace: argparse hands out
+    the option table's `default=[]` objects themselves."""
     import argparse
     parser = argparse.ArgumentParser(
         prog="infoineq",
@@ -650,27 +643,12 @@ def build_parser() -> "argparse.ArgumentParser":
     return parser
 
 
-@functools.cache
-def command_parser(name: str) -> "argparse.ArgumentParser":
-    """One subcommand's parser on its own, with the usage, help and error
-    text of its subparser in `build_parser`."""
-    import argparse
-    parser = argparse.ArgumentParser(prog=f"infoineq {name}")
-    _add_options(parser, name)
-    return parser
-
-
 def main(argv: "list[str] | None" = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = parse_exact(argv[0], argv[1:]) if argv and argv[0] in COMMANDS else None
     if args is None:  # help, abbreviations and usage errors are argparse's
         try:
-            if argv and argv[0] in COMMANDS:
-                args, extra = command_parser(argv[0]).parse_known_args(argv[1:])
-                if extra:  # the whole tree reports what is left over
-                    args = build_parser().parse_args(argv)
-            else:
-                args = build_parser().parse_args(argv)
+            args = build_parser().parse_args(argv)
         except SystemExit as exc:
             return EXIT_USAGE if exc.code not in (0, None) else 0
     try:

@@ -22,6 +22,14 @@ from masks to `LogLinValue`s, such as a dict of the masks a constraint
 mentions, or a 2^n tuple with h({}) = 0 first.  `LinExpr.eval` reads
 h[mask] at its own masks and nothing else.
 
+Every number read from outside text (budget values, the int options and
+`secret-share`'s access sets and ratio, the numbers of `.dist` and
+candidate files) goes through `read_int` or `read_fraction`.  They read
+ASCII text as `int` and `Fraction` do, decimals included, and turn other
+scripts' digits, underscores and a zero denominator into a ValueError
+that names the text.  Constraint text has its own lexer, which takes
+ASCII digits only.
+
 The types are plain `__slots__` classes on the `Value` base.  Each
 `__init__` runs the checks of its type; `Value` gives equality, hashing
 and a repr over the fields named in `__slots__`.  No field is assigned
@@ -77,6 +85,39 @@ def as_fraction(x) -> Fraction:
     if isinstance(x, float):
         raise TypeError("floats are not allowed in exact arithmetic paths")
     return Fraction(x)
+
+
+# ---------------------------------------------------------------------------
+# Numbers in outside text
+# ---------------------------------------------------------------------------
+
+def _ascii_number(text: str) -> str:
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"{text!r} is not a number in ASCII digits")
+    return text
+
+
+def read_int(text: str) -> int:
+    """The integer that TEXT spells, as `int` reads ASCII text, with
+    `int`'s message when it is no integer.  Other scripts' digits and
+    underscores, which `int` also takes, are a ValueError."""
+    return int(_ascii_number(text))
+
+
+# argparse names the type of an option value it rejects by `__name__`:
+# "invalid int value: 'x'"
+read_int.__name__ = "int"
+
+
+def read_fraction(text: str) -> Fraction:
+    """The rational that TEXT spells, as `read_int` reads integers:
+    `Fraction`'s forms in ASCII ("1/2", "0.25", "2.5e-1") without
+    underscores, and a ValueError, not a ZeroDivisionError, for a zero
+    denominator."""
+    try:
+        return Fraction(_ascii_number(text))
+    except ZeroDivisionError:
+        raise ValueError(f"{text!r} has a zero denominator") from None
 
 
 # ---------------------------------------------------------------------------

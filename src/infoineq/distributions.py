@@ -79,7 +79,8 @@ from itertools import islice, product
 from math import comb, gcd, prod
 from typing import Iterator, Mapping
 
-from .core import LogLinValue, Value, _factor_cached, as_fraction, check_var_count
+from .core import (LogLinValue, Value, _factor_cached, as_fraction, check_var_count,
+                   read_fraction, read_int)
 
 Outcome = tuple[int, ...]
 # (D', domains, ((cell, count), ...)): a pmf with probabilities count / D'
@@ -170,7 +171,7 @@ class Distribution(Value):
         lines = [ln for ln in lines if ln]
         if not lines or not lines[0].startswith("vars"):
             raise ValueError("distribution file must start with a 'vars d1 ... dn' header")
-        domains = tuple(int(tok) for tok in lines[0].split()[1:])
+        domains = tuple(read_int(tok) for tok in lines[0].split()[1:])
         # the entropic vector has 2^n entries; `make` rejects an empty header
         if domains:
             check_var_count(len(domains))
@@ -179,11 +180,8 @@ class Distribution(Value):
             toks = ln.split()
             if len(toks) != len(domains) + 1:
                 raise ValueError(f"bad outcome line: {ln!r}")
-            outcome = tuple(int(t) for t in toks[:-1])
-            try:
-                pmf[outcome] = Fraction(toks[-1])
-            except ZeroDivisionError:
-                raise ValueError(f"zero denominator in outcome line: {ln!r}") from None
+            outcome = tuple(read_int(t) for t in toks[:-1])
+            pmf[outcome] = read_fraction(toks[-1])
         return Distribution.make(domains, pmf)
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import LogLinValue, Value, check_var_count
+from .core import LogLinValue, Value, check_var_count, read_int
 from .distributions import Distribution, shared_walk, to_distribution
 from .parser import _split_var_token
 from .refuter import Budget, check_budget
@@ -72,7 +72,7 @@ class CandidateRepr(Value):
             subset = toks[0]
             for name in _split_var_token(subset):
                 names.add(name)
-            rows.append((subset, int(toks[1]), int(toks[2]), int(toks[3])))
+            rows.append((subset, read_int(toks[1]), read_int(toks[2]), read_int(toks[3])))
         if not rows:
             raise ValueError("candidate file has no subset lines")
         # checked before the 2^n - 1 subsets are looked up

@@ -52,7 +52,7 @@ from functools import lru_cache
 from math import lcm
 
 from .core import (BooleanConstraint, Clause, LinExpr, Value, _factor_cached, is_prime,
-                   prime_sum_sign)
+                   prime_sum_sign, read_int)
 from .distributions import Distribution, cell_outcomes, shared_walk, to_distribution
 
 DISTRIBUTION = "distribution"
@@ -76,20 +76,12 @@ MAX_DENOMINATOR = 128
 # The walk visits all s^n domain tuples in each of its D(D+1)/2 (D', k)
 # blocks, also the tuples with a domain above k, which hold no pmf: about
 # 1 us per visit on a 2-core VM (1.4 s at n = 3, s = 60, D = 3, 4.4 s at
-# n = 4, s = 30, D = 3).  This cap allows about a second of such visits,
-# and the default budget at n = MAX_VARS (655,360 visits)
+# n = 4, s = 30, D = 3).  This cap allows about a second of such empty
+# visits, and the default budget at n = MAX_VARS (655,360 visits).  The
+# visits that build pmfs cost more: `refute` of
+# H(A) <= 0 + 0*H(BCDEFGHIJKLMNOP) at the default budget takes about 2 s
+# and 80 MB (2-core VM), mostly in the walk's blocks of up to 2^15 cells
 MAX_WALK_VISITS = 1_000_000
-
-
-def _budget_int(value: str, item: str) -> int:
-    """The integer a budget value spells in ASCII digits, with an optional
-    sign and surrounding spaces: `int` would also take other scripts'
-    digits and underscores."""
-    digits = value.strip()
-    digits = digits[1:] if digits[:1] in "+-" else digits
-    if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"budget item {item!r} needs an integer in ASCII digits")
-    return int(value)
 
 
 class Budget(Value):
@@ -124,29 +116,28 @@ class Budget(Value):
         fields: dict = {}
         primes: list[int] = []
         seen: set[str] = set()
-        if text.strip():
-            parts = text.split(",")
-            i = 0
-            while i < len(parts):
-                item = parts[i]
-                if "=" not in item:
-                    raise ValueError(f"bad budget item {item!r}")
+        key = None
+        for item in text.split(",") if text.strip() else ():
+            if "=" in item:
                 key, value = item.split("=", 1)
                 key = key.strip()
                 if key in seen:
                     raise ValueError(f"budget item {item!r} repeats the key {key!r}")
                 seen.add(key)
-                if key == "vsq":
-                    primes.append(_budget_int(value, item))
-                    # bare numbers after vsq= continue the prime list
-                    while i + 1 < len(parts) and "=" not in parts[i + 1]:
-                        i += 1
-                        primes.append(_budget_int(parts[i], parts[i]))
-                elif key in keys:
-                    fields[keys[key]] = _budget_int(value, item)
-                else:
+                if key != "vsq" and key not in keys:
                     raise ValueError(f"unknown budget key {key!r}")
-                i += 1
+            elif key == "vsq":  # bare numbers after vsq= continue the prime list
+                value = item
+            else:
+                raise ValueError(f"bad budget item {item!r}")
+            try:
+                number = read_int(value)
+            except ValueError:
+                raise ValueError(f"budget item {item!r} needs an integer in ASCII digits") from None
+            if key == "vsq":
+                primes.append(number)
+            else:
+                fields[keys[key]] = number
         if primes:
             fields["vs_primes"] = tuple(primes)
         return Budget(**fields)
@@ -304,7 +295,14 @@ def _count_logs(counts: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
 
 @lru_cache(maxsize=None)
 def _projection(domains: tuple[int, ...], mask: int) -> tuple[int, ...]:
-    """The marginal cell on the masked variables of every joint cell."""
+    """The marginal cell on the masked variables of every joint cell.  A
+    constant variable (domain size 1) changes no cell number and no
+    marginal, so the domain tuples that squeeze alike share one table:
+    that of the squeezed tuple, with the mask renumbered to it."""
+    if 1 in domains:
+        live = [i for i, d in enumerate(domains) if d > 1]
+        return _projection(tuple(domains[i] for i in live),
+                           sum(1 << j for j, i in enumerate(live) if (mask >> i) & 1))
     idx = [i for i in range(len(domains)) if (mask >> i) & 1]
     ids: dict[tuple[int, ...], int] = {}
     return tuple(ids.setdefault(tuple(o[i] for i in idx), len(ids))

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import infoineq
 from infoineq import cli, shannon
 from infoineq.apps import corpus, fixture
-from infoineq.core import LinExpr
+from infoineq.core import LinExpr, read_int
 from infoineq.parser import parse_constraint
 from infoineq.reductions import MaxReduction, prepare_antecedents
 from infoineq.shannon import ProofCertificate, elemental, verify
@@ -297,6 +297,79 @@ def test_bad_input_exits_3_without_traceback(capsys, tmp_path, argv, text):
         assert json.loads(err) == {"error": EXACT_ERRORS[key]}
 
 
+# ---------------------------------------------------------------------------
+# Every number in outside text is read by `core.read_int` or `read_fraction`
+# ---------------------------------------------------------------------------
+
+H_X = "H(X) >= 0\n"
+# each entry point of a number: (argv, file text) with the number at {N}, an
+# ASCII form that reads and the exit code of the call with it.  Each int
+# option comes twice, through `parse_exact` and through argparse (`--opt=N`)
+NUMBER_ENTRY_POINTS = {
+    "budget": (["refute", "--file", "{path}", "--budget", "s={N}"], H_X, "2",
+               cli.EXIT_INCONCLUSIVE),
+    "budget-vsq-list": (["refute", "--file", "{path}", "--budget", "vsdim=1,vsq=2,{N}"], H_X,
+                        "3", cli.EXIT_INCONCLUSIVE),
+    "--participants": (["secret-share", "--participants", "{N}", "--access", "1"], None, "2",
+                       cli.EXIT_POSITIVE),
+    "--participants=": (["secret-share", "--participants={N}", "--access", "1"], None, "2",
+                        cli.EXIT_POSITIVE),
+    "--domain": (["ci", "export", "--vars", "X Y", "--cons", "X;Y", "--domain", "{N}"], None,
+                 "3", cli.EXIT_POSITIVE),
+    "--domain=": (["ci", "export", "--vars", "X Y", "--cons", "X;Y", "--domain={N}"], None,
+                  "3", cli.EXIT_POSITIVE),
+    "--denominator": (["ci", "falsify", "--vars", "X Y", "--cons", "X;Y", "--denominator",
+                       "{N}"], None, "3", cli.EXIT_NEGATIVE),
+    "--denominator=": (["ci", "falsify", "--vars", "X Y", "--cons", "X;Y", "--denominator={N}"],
+                       None, "3", cli.EXIT_NEGATIVE),
+    "--workers": (["prove", "--file", "{path}", "--workers", "{N}"], H_X, "1", cli.EXIT_POSITIVE),
+    "--workers=": (["prove", "--file", "{path}", "--workers={N}"], H_X, "1", cli.EXIT_POSITIVE),
+    "access": (["secret-share", "--participants", "2", "--access", "2,{N}"], None, "1",
+               cli.EXIT_POSITIVE),
+    "ratio": (["secret-share", "--participants", "2", "--access", "1", "--ratio", "{N}"], None,
+              "2/4", cli.EXIT_POSITIVE),
+    "dist-header": (["check-dist", "--file", "{path}"], "vars {N}\n0 1/2\n1 1/2\n", "2",
+                    cli.EXIT_POSITIVE),
+    "dist-outcome": (["check-dist", "--file", "{path}"], "vars 2\n{N} 1/2\n1 1/2\n", "0",
+                     cli.EXIT_POSITIVE),
+    "dist-probability": (["check-dist", "--file", "{path}"], "vars 2\n0 {N}\n1 1/2\n", "0.5",
+                         cli.EXIT_POSITIVE),
+    "candidate-a": (["recognize", "--file", "{path}"], "X {N} 1 1\n", "2", cli.EXIT_POSITIVE),
+    "candidate-b": (["recognize", "--file", "{path}"], "X 4 {N} 1\n", "2", cli.EXIT_POSITIVE),
+    "candidate-c": (["recognize", "--file", "{path}"], "X 4 1 {N}\n", "2", cli.EXIT_POSITIVE),
+}
+
+
+def _number_call(capsys, tmp_path, entry: str, number: str) -> tuple[int, str, str]:
+    argv, text, _, _ = NUMBER_ENTRY_POINTS[entry]
+    path = write(tmp_path, text.replace("{N}", number)) if text is not None else ""
+    code = cli.main([a.format(path=path, N=number) for a in argv])
+    return (code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("number", ["\u0663", "1_0", "\u0662/\u0664"])
+@pytest.mark.parametrize("entry", list(NUMBER_ENTRY_POINTS))
+def test_numbers_are_ascii_without_underscores(capsys, tmp_path, entry, number):
+    """Other scripts' digits and underscores exit 3 wherever a number is
+    read, and the error names the text: argparse's usage error for an
+    int option, a JSON error everywhere else."""
+    code, out, err = _number_call(capsys, tmp_path, entry, number)
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert "Traceback" not in err
+    if entry.startswith("--"):
+        assert err.endswith(f"argument {entry.rstrip('=')}: invalid int value: {number!r}\n")
+    else:
+        assert number in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("entry", list(NUMBER_ENTRY_POINTS))
+def test_ascii_numbers_read_as_before(capsys, tmp_path, entry):
+    """The ASCII form at each entry point is read, with its old verdict."""
+    _, _, ascii_form, want = NUMBER_ENTRY_POINTS[entry]
+    code, _, err = _number_call(capsys, tmp_path, entry, ascii_form)
+    assert (code, err) == (want, "")
+
+
 def test_large_prime_field_budget_is_accepted(capsys):
     path = str(fixture("false_mono_flip").path)
     code, report = run(capsys, "refute", "--file", path, "--budget", "vsq=2305843009213693951")
@@ -409,15 +482,14 @@ def test_ci_prove_checks_its_certificate(capsys, corrupted_solver):
 # One argparse tree per process
 # ---------------------------------------------------------------------------
 
-def _clear_parser_caches() -> None:
-    cli.build_parser.cache_clear()
-    cli.command_parser.cache_clear()
+def _subparsers(parser: argparse.ArgumentParser) -> dict:
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
 
 
 def test_parser_is_built_once():
-    _clear_parser_caches()
+    cli.build_parser.cache_clear()
     assert cli.build_parser() is cli.build_parser()
-    assert cli.command_parser("prove") is cli.command_parser("prove")
 
 
 # the `prog` of each parser in the whole tree, in the order it builds them
@@ -428,17 +500,15 @@ TREE_PROGS = ["infoineq", *(f"infoineq {name}" for name in cli.COMMANDS)]
     (["prove", "--file", "{F}"], []),
     (["prove", "--text", "--file", "{F}", "--budget", "s=1,D=1", "--json"], []),
     (["ci", "--vars", "X Y", "prove", "--cons", "X;Y"], []),
-    (["prove"], ["infoineq prove"]),
-    (["prove", "--fil", "{F}"], ["infoineq prove"]),
-    (["prove", "--file", "{F}", "extra"], ["infoineq prove", *TREE_PROGS]),
+    (["prove"], TREE_PROGS),
+    (["prove", "--fil", "{F}"], TREE_PROGS),
+    (["prove", "--file", "{F}", "extra"], TREE_PROGS),
     (["nope"], TREE_PROGS),
 ])
 def test_a_well_formed_call_builds_no_parser(capsys, monkeypatch, argv, built):
     """A well-formed call is parsed from the option table and builds no
-    `ArgumentParser`.  Anything else builds what it built before the
-    table: the command's own parser, and the whole tree of nine when that
-    one leaves arguments over or no command is named.  A second call
-    builds none."""
+    `ArgumentParser`.  Anything else builds the whole tree of nine, once:
+    a second call builds none."""
     made = []
     init = argparse.ArgumentParser.__init__
 
@@ -447,7 +517,7 @@ def test_a_well_formed_call_builds_no_parser(capsys, monkeypatch, argv, built):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    _clear_parser_caches()
+    cli.build_parser.cache_clear()
     argv = [a.format(F=fixture("agm_triangle").path) for a in argv]
     code = cli.main(argv)
     capsys.readouterr()
@@ -606,9 +676,10 @@ def test_shared_parser_keeps_no_state_between_calls(capsys, tmp_path):
         ["ci", "prove", "--vars", "X Y", "--cons", "X;Y"],
         ["recognize", "--file", cand, "--budget", "s=1,D=1"],
     ]
-    # the list defaults of the cached parsers that serve the calls below
-    defaults = {(command, a.dest): a.default for command in cli.COMMANDS
-                for a in cli.command_parser(command)._actions if isinstance(a.default, list)}
+    # the list defaults of the cached tree that serves the calls below
+    defaults = {(command, a.dest): a.default
+                for command, sub in _subparsers(cli.build_parser()).items()
+                for a in sub._actions if isinstance(a.default, list)}
     assert {dest for _, dest in defaults} == {"extra_gens", "ante"}
     shared = [(cli.main(argv), capsys.readouterr()) for argv in sequence]
     assert [code for code, _ in shared[:3]] == [cli.EXIT_USAGE, cli.EXIT_POSITIVE,
@@ -616,7 +687,7 @@ def test_shared_parser_keeps_no_state_between_calls(capsys, tmp_path):
     assert defaults == {key: [] for key in defaults}
     fresh = []
     for argv in sequence:
-        _clear_parser_caches()
+        cli.build_parser.cache_clear()
         fresh.append((cli.main(argv), capsys.readouterr()))
     assert shared == fresh
 
@@ -626,9 +697,12 @@ def test_shared_parser_keeps_no_state_between_calls(capsys, tmp_path):
 # ---------------------------------------------------------------------------
 
 # values for any option: good ones for some rows, and ones that only
-# argparse may judge (a leading "-", ints that `int` takes only with
-# underscores, other scripts' digits or a sign, choices that are not)
-INTS = ("1", "2", "0_1", "\u0662", "+1", " 2")
+# argparse may judge (a leading "-", ints that `int` takes but
+# `core.read_int` does not: underscores, other scripts' digits and
+# spaces; ints with a sign or ASCII spaces, which both take; choices
+# that are not)
+INTS = ("1", "2", "0_1", "1_0", "\u0662", "\u0663", "\uff12", "\u0661\u0660", "\u00a02",
+        "+1", " 2")
 VALUES = (*INTS, "{F}", "{C}", "{P}", "{D}", "", "x", "-1", "-x", "-", "X Y", "X Y Z", "X;Y",
           "X;Y|Z", "1,2", "1/2", "s=1,D=1", "s=x", "auto", "slack", "aut", "prove", "export",
           "falsify", "agm_triangle")
@@ -657,7 +731,7 @@ def _fragments(name: str):
         takes_value = opt.action in ("store", "append")
         if opt.choices:
             fits = st.sampled_from(opt.choices)
-        elif opt.type is int:
+        elif opt.type is read_int:
             fits = st.sampled_from(INTS)
         else:
             fits = st.sampled_from([v for v in VALUES if not v.startswith("-")])
@@ -703,10 +777,17 @@ def _outcome(argv: list[str]) -> tuple:
     return code, out.getvalue(), err.getvalue()
 
 
+def _tree_namespace(name: str, exact) -> dict:
+    """What the argparse tree gives for the argv `parse_exact` read: the
+    same namespace, with the subcommand under `command` as well."""
+    return {**vars(exact), "command": name}
+
+
 @pytest.mark.parametrize("name", list(cli.COMMANDS))
 def test_the_required_rows_parse_exactly(name, arg_paths):
     argv = [t.format(**arg_paths) for f in _required(name) for t in f]
-    assert vars(cli.parse_exact(name, argv)) == vars(cli.command_parser(name).parse_args(argv))
+    assert _tree_namespace(name, cli.parse_exact(name, argv)) == \
+        vars(cli.build_parser().parse_args([name, *argv]))
 
 
 @pytest.mark.parametrize("name", list(cli.COMMANDS))
@@ -718,7 +799,7 @@ def test_exact_parser_agrees_with_argparse(name, arg_paths, data):
     argv = [a.format(**arg_paths) for a in data.draw(_argv(name))]
     exact = cli.parse_exact(name, argv[1:])
     if exact is not None:
-        assert vars(exact) == vars(cli.command_parser(name).parse_args(argv[1:]))
+        assert _tree_namespace(name, exact) == vars(cli.build_parser().parse_args(argv))
 
 
 @pytest.mark.parametrize("name", list(cli.COMMANDS))
@@ -935,11 +1016,6 @@ class ReadRecorder(argparse.Namespace):
         if not name.startswith("_"):
             object.__getattribute__(self, "_reads").add(name)
         return object.__getattribute__(self, name)
-
-
-def _subparsers(parser: argparse.ArgumentParser) -> dict:
-    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    return action.choices
 
 
 def test_every_declared_option_is_read(capsys, tmp_path):

@@ -50,6 +50,59 @@ class TestAsFraction:
         assert type(f) is Fraction and f == expected
 
 
+class TestReadNumbers:
+    """`read_int` and `read_fraction` read ASCII text as `int` and
+    `Fraction` do, and reject other scripts' digits and underscores."""
+
+    @pytest.mark.parametrize("text,value", [("3", 3), (" +3\t", 3), ("-0", 0), ("007", 7)])
+    def test_int(self, text, value):
+        assert core.read_int(text) == value
+
+    @pytest.mark.parametrize("text,value", [
+        ("1/2", Fraction(1, 2)), (" -3/6 ", Fraction(-1, 2)), ("0.25", Fraction(1, 4)),
+        (".25", Fraction(1, 4)), ("2.5e-1", Fraction(1, 4)), ("+1", Fraction(1))])
+    def test_fraction(self, text, value):
+        assert core.read_fraction(text) == value
+
+    @pytest.mark.parametrize("read", [core.read_int, core.read_fraction])
+    @pytest.mark.parametrize("text", ["\u0663", "1_0", "\u0662/\u0664", "\uff13", "\u00a03",
+                                      "1/1_0"])
+    def test_other_scripts_and_underscores_name_the_text(self, read, text):
+        with pytest.raises(ValueError) as exc:
+            read(text)
+        assert str(exc.value) == f"{text!r} is not a number in ASCII digits"
+
+    @pytest.mark.parametrize("text", ["1/0", " 0/0 "])
+    def test_a_zero_denominator_names_the_text(self, text):
+        with pytest.raises(ValueError) as exc:
+            core.read_fraction(text)
+        assert str(exc.value) == f"{text!r} has a zero denominator"
+
+    def test_ascii_non_numbers_keep_the_builtin_messages(self):
+        with pytest.raises(ValueError, match=r"^invalid literal for int\(\) with base 10: 'x'$"):
+            core.read_int("x")
+        with pytest.raises(ValueError, match="^Invalid literal for Fraction: '1/2/3'$"):
+            core.read_fraction("1/2/3")
+
+    # short texts over the characters of both grammars: a long exponent
+    # would make `Fraction` build a huge power of ten
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet="0123456789+-/.eE x_", max_size=6))
+    def test_ascii_text_reads_as_the_builtins_read_it(self, text):
+        for read, builtin in ((core.read_int, int), (core.read_fraction, Fraction)):
+            try:
+                want = builtin(text)
+            except (ValueError, ZeroDivisionError):
+                with pytest.raises(ValueError):
+                    read(text)
+            else:
+                if "_" in text:
+                    with pytest.raises(ValueError, match="not a number in ASCII digits"):
+                        read(text)
+                else:
+                    assert read(text) == want
+
+
 class TestVarSet:
     def test_mask_is_canonical_index(self):
         assert list(VarSet(5).indices()) == [0, 2]

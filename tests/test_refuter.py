@@ -14,11 +14,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
-from infoineq import distributions
+from infoineq import distributions, refuter
 from infoineq.apps import corpus, fixture
 from infoineq.core import BooleanConstraint, Clause, LinExpr
-from infoineq.distributions import (Distribution, enumerate_distributions, pmf_stream,
-                                    to_distribution)
+from infoineq.distributions import (Distribution, cell_outcomes, enumerate_distributions,
+                                    pmf_stream, to_distribution)
 from infoineq.models import enumerate_systems
 from infoineq.parser import parse_constraint
 from infoineq.refuter import (DISTRIBUTION, MAX_DENOMINATOR, VECTOR_SPACE, Budget, ProfileScan,
@@ -219,6 +219,29 @@ def test_the_walk_is_bounded_before_it_starts():
     # over the cap at one variable: rejected before n is known
     with pytest.raises(ValueError, match="tuples for 1 variable$"):
         Budget.parse(f"s=122,D={MAX_DENOMINATOR}")
+
+
+def test_one_projection_table_per_squeezed_domain_tuple(monkeypatch):
+    """Domain tuples that differ only in constant variables share the
+    projection tables of their squeezed tuple.  Here the hit comes after
+    the 2^9 tuples with A constant in each block, and no table is built
+    for a tuple with a constant variable in it."""
+    built = []
+
+    def recording(domains):
+        built.append(domains)
+        return cell_outcomes(domains)
+
+    monkeypatch.setattr(refuter, "cell_outcomes", recording)
+    refuter._projection.cache_clear()
+    try:
+        result = refute(parse_constraint("H(A) <= 0 + 0*H(BCDEFGHIJ)\n"), Budget())
+    finally:
+        refuter._projection.cache_clear()
+    assert result.found and result.counterexample.distribution.domains[0] == 2
+    assert built and all(1 not in domains for domains in built)
+    # per squeezed tuple, one table for A and, where A is constant, one for {}
+    assert len(built) <= 2 * len(set(built))
 
 
 def test_a_scan_at_the_denominator_cap_finishes_at_one_variable():
