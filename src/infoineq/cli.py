@@ -37,7 +37,9 @@ distinct antecedent tuple):
                 gives the multiplier stage's proof, eps* > 0 is
                 inconclusive, and its note names the p = 1/eps up to
                 which certificates exist
-    refute      the budgeted counterexample search
+    refute      the budgeted counterexample search; its pmf scan
+                evaluates the kept antecedents only, since each dropped
+                one has a verified proof
 
 ``prove`` runs all three; ``secret-share --prove`` runs ``tight``;
 ``reduce --regime`` selects a sub-list: ``auto`` runs all three,
@@ -68,7 +70,8 @@ from .ci import CIStatement, build_delta, ci_prove, export_delta, falsify, parse
 from .core import (BooleanConstraint, Clause, LinExpr, Value, check_var_count, read_fraction,
                    read_int)
 from .parser import ParseError, format_clause, format_constraint, parse_constraint
-from .reductions import PreparedAntecedents, max_to_linear, prepare_antecedents, tight_reduction
+from .reductions import (PreparedAntecedents, chain_rule_certificate, elemental_index,
+                         max_to_linear, prepare_antecedents, tight_reduction)
 from .refuter import DISTRIBUTION, Budget, Counterexample, refute, violation
 from .shannon import (GeneratorSet, ProofCertificate, TIGHT, classify_tight, elemental,
                       joint_slack, prove, verify)
@@ -89,7 +92,9 @@ class FalseGenerator(ValueError):
 
 def load_generators(n: int, extra_files: list[str]) -> GeneratorSet:
     """The elemental set plus each file's inequalities, once the default
-    budget's counterexample search finds no distribution violating them."""
+    budget's counterexample search finds no distribution violating them.
+    A file of multiples of Shannon quantities needs no search: each of its
+    inequalities has a chain-rule certificate that `verify` accepts."""
     gens = elemental(n)
     for path in extra_files:
         text = Path(path).read_text()
@@ -98,9 +103,12 @@ def load_generators(n: int, extra_files: list[str]) -> GeneratorSet:
             raise ValueError(f"extra generator file {path} has {constraint.n} variables, expected {n}")
         if any(c.antecedents or len(c.consequents) != 1 for c in constraint.clauses):
             raise ValueError(f"extra generators must be plain inequalities: {path}")
-        refutation = refute(constraint, Budget())
-        if refutation.found:
-            raise FalseGenerator(path, refutation.counterexample)
+        index = elemental_index(gens)
+        if not all((cert := chain_rule_certificate(c.consequents[0], gens, index)) is not None
+                   and verify(cert, c.consequents[0], gens) for c in constraint.clauses):
+            refutation = refute(constraint, Budget())
+            if refutation.found:
+                raise FalseGenerator(path, refutation.counterexample)
         for i, clause in enumerate(constraint.clauses):
             name = Path(path).stem if len(constraint.clauses) == 1 else f"{Path(path).stem}#{i}"
             gens = gens.with_user(clause.consequents[0], name,
@@ -203,7 +211,7 @@ def _tight_stage(clause: Clause, prepared: PreparedAntecedents, gens: GeneratorS
 def _refute_stage(clause: Clause, prepared: PreparedAntecedents, gens: GeneratorSet,
                   budget: Budget) -> ClauseOutcome:
     """Counterexample search for the clause, single or max."""
-    result = refute(clause, budget)
+    result = refute(clause, budget, prepared.valid)
     if result.found:
         return _refuted(result.counterexample)
     return ClauseOutcome("inconclusive", "counterexample-search",

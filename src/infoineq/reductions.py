@@ -1,7 +1,11 @@
 """Reductions from conditional and max clauses to plain inequalities.
 
 * antecedent preparation: antecedents that are provably valid are
-  dropped, and the rest (`kept`) feed every reduction below;
+  dropped, and the rest (`kept`) feed every reduction below.  Two exact
+  rules come first: a positive multiple of one Shannon quantity is valid,
+  by its chain-rule certificate, and an antecedent negative on a step
+  function r_T(S) = [S & T nonempty], a polymatroid, is not provable when
+  every generator is >= 0 on r_T.  Only the rest fall back to an LP;
 * one exact LP per clause (`_reduction_lp`) in nonnegative weights
   lambda_i on the consequents c_i with sum(lambda) = 1, a multiplier
   mu_j per kept antecedent a_j, an optional slack eps on h([n]), and a
@@ -22,8 +26,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-from .core import Clause, LinExpr, Value, entropy_of, full_set
-from .shannon import GeneratorSet, ProofCertificate, cone_lp, prove, verify
+from .core import Clause, LinExpr, Value, entropy_of, full_set, mutual_info
+from .shannon import USER, GeneratorSet, ProofCertificate, cone_lp, prove, verify
 from .simplex import LPResult
 
 
@@ -39,15 +43,74 @@ class PreparedAntecedents(Value):
         self.valid = valid  # the dropped ones, each zero or proved
 
 
+def elemental_index(gens: GeneratorSet) -> dict[frozenset[int], int]:
+    """Each elemental generator's position in the set, by its masks."""
+    return {frozenset(m for m, _ in g.expr.items): k for k, g in enumerate(gens.generators)
+            if g.kind != USER}
+
+
+def chain_rule_certificate(a: LinExpr, gens: GeneratorSet,
+                           index: dict[frozenset[int], int]) -> "ProofCertificate | None":
+    """A certificate for a = c I(P;Q|R) with c > 0 and R within P & Q (the
+    case P = Q is c h(P|R)), read off a's at most four items, or None.
+    `index` is the set's `elemental_index`.  By the chain rule I(P;Q|R)
+    sums I(y; Q | S) over y in P - R, with S = R + the earlier y; that is
+    h(y|S) = h(y|N-y) + I(y; N-y-S | S) for y in Q, and each I(y; T | S)
+    sums the elemental I(y; t | S + the earlier t) over t in T."""
+    c = max((v for _, v in a.items), default=0)
+    pos = [m for m, v in a.items if v == c]
+    if c <= 0 or len(pos) > 2:
+        return None
+    p, q = pos[0], pos[-1]
+    r = sum(m for m, v in a.items if v == -c) - (p | q if p != q else 0)
+    if r & ~(p & q) or a != mutual_info(a.n, p, q, r).scale(c):
+        return None
+    full, keys = (1 << a.n) - 1, []  # the masks of each elemental generator used
+    for y in (1 << i for i in range(a.n) if (p & ~r) >> i & 1):
+        s = r | p & (y - 1)
+        if q & y:
+            keys.append((full & ~y, full))
+        t_set = (full & ~y if q & y else q) & ~s
+        for t in (1 << j for j in range(a.n) if t_set >> j & 1):
+            keys.append((s, s | y, s | t, s | y | t))
+            s |= t
+    multipliers = [Fraction(0)] * len(gens.generators)
+    for key in keys:
+        k = index.get(frozenset(key) - {0})
+        if k is None:
+            return None
+        multipliers[k] += c
+    return ProofCertificate(a, (), tuple(multipliers), ())
+
+
+def _step_value(e: LinExpr, t: int) -> Fraction:
+    """e(r_T), where r_T(S) = 1 when S meets T and 0 otherwise."""
+    return sum(v for m, v in e.items if m & t)
+
+
 def prepare_antecedents(antecedents: Sequence[LinExpr], gens: GeneratorSet) -> PreparedAntecedents:
     """Drop antecedents that are provably valid inequalities (they are
     always satisfied, so removing them only strengthens the implication).
-    Each proof is re-checked by `verify`; one it rejects keeps its
-    antecedent."""
+    A multiple of one Shannon quantity is dropped on its chain-rule
+    certificate; one negative on a step function r_T on which every
+    generator is >= 0 is kept, since no cone point is negative there;
+    `prove` decides the rest.  Each proof is re-checked by `verify`; one
+    it rejects keeps its antecedent."""
+    if not antecedents:
+        return PreparedAntecedents((), ())
+    index = elemental_index(gens)
+    users = [g.expr for g in gens.generators if g.kind == USER]
     kept, valid = [], []
     for a in antecedents:
-        dropped = a.is_zero() or ((proof := prove(a, gens)) is not None
-                                  and verify(proof, a, gens))
+        if a.is_zero():
+            dropped = True
+        elif (proof := chain_rule_certificate(a, gens, index)) is not None:
+            dropped = verify(proof, a, gens)
+        elif any(_step_value(a, t) < 0 and all(_step_value(g, t) >= 0 for g in users)
+                 for t in range(1, 1 << gens.n)):
+            dropped = False
+        else:
+            dropped = (proof := prove(a, gens)) is not None and verify(proof, a, gens)
         (valid if dropped else kept).append(a)
     return PreparedAntecedents(tuple(kept), tuple(valid))
 

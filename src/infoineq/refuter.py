@@ -328,16 +328,22 @@ class ProfileScan:
     A pmf whose profile was seen before is skipped: `violation` depends
     only on h at the mentioned masks, so the earlier pmf with that profile
     already gave the same answer, None.
+
+    Antecedents in `valid` are not compiled: each has a verified proof, so
+    it is >= 0 on every entropic vector, and `violation` still re-checks a
+    hit against the whole constraint.
     """
 
-    def __init__(self, constraint: BooleanConstraint, max_denominator: int):
+    def __init__(self, constraint: BooleanConstraint, max_denominator: int,
+                 valid: tuple[LinExpr, ...] = ()):
         self.constraint = constraint
         self.masks = _mentioned_masks(constraint)
         self.total = lcm(*range(1, max_denominator + 1))
         self.seen: set[tuple] = set()
         self._positions = {m: k for k, m in enumerate(self.masks)}
         self._total_logs = {p: self.total * e for p, e in _factor_cached(self.total)}
-        self._clauses = tuple((tuple(self.compile(a) for a in clause.antecedents),
+        self._clauses = tuple((tuple(self.compile(a) for a in clause.antecedents
+                                     if a not in valid),
                                tuple(self.compile(c) for c in clause.consequents))
                               for clause in constraint.clauses)
         # domains -> `_table(domains)`
@@ -412,14 +418,15 @@ class ProfileScan:
         return hit
 
 
-def refute(target, budget: Budget) -> RefutationResult:
+def refute(target, budget: Budget, valid: tuple[LinExpr, ...] = ()) -> RefutationResult:
     """First canonical counterexample within the budget, or not-found:
     the pmfs of the budget's `shared_walk` by `ProfileScan`, then its
-    subspace systems by `violation`.  ValueError when the budget is over
-    a cap (`check_budget`)."""
+    subspace systems by `violation`.  The pmf scan skips the antecedents
+    in `valid`, which must have verified proofs.  ValueError when the
+    budget is over a cap (`check_budget`)."""
     constraint = BooleanConstraint(target.n, (target,)) if isinstance(target, Clause) else target
     check_budget(constraint.n, budget)
-    scan = ProfileScan(constraint, budget.max_denominator)
+    scan = ProfileScan(constraint, budget.max_denominator, valid)
     # the walk ends with one (size, None) item, so `index` ends at its size
     for index, pmf in shared_walk(constraint.n, budget.max_support, budget.max_denominator):
         if pmf is not None:

@@ -10,14 +10,15 @@ Each row of [A | b] is scaled to integers (negated when b_i < 0) to give
 [Â | b̂]; Â is held as sparse columns of (row, value) items, and phase 1's
 artificial k is the column scales[k]·e_k.  Instead of the tableau
 B^-1 [Â | b̂] the solver keeps the block R: row i is a positive integer
-multiple of row i of [B^-1 | B^-1 b̂], made primitive after each update,
-so R_i . Â_j is a positive multiple of a tableau entry.  The reduced costs
-are (s, y) with s > 0 and d_j = s*c_j - y . Â_j; pricing stops at the first
-negative d_j, Bland's entering column.  A pivot on the positive entry p in
-row r replaces every other row R_i with entry f by p*R_i - f*R_r, and
-(s, y) by (s*p, p*y + d*R_r).  An artificial driven out of the basis may
-leave on a negative entry; its row's right-hand side is 0, so that row is
-negated first.
+multiple of row i of [B^-1 | B^-1 b̂], so R_i . Â_j is a positive
+multiple of a tableau entry.  The reduced costs are (s, y) with s > 0
+and d_j = s*c_j - y . Â_j; pricing stops at the first negative d_j,
+Bland's entering column.  A pivot on the positive entry p in row r
+replaces every other row R_i with entry f by p*R_i - f*R_r, made
+primitive, or by R_i - (f/p)*R_r when p divides f, which keeps R_i's
+scale and so needs no gcd pass; (s, y) becomes (s*p, p*y + d*R_r).  An
+artificial driven out of the basis may leave on a negative entry; its
+row's right-hand side is 0, so that row is negated first.
 
 These are the dense rational tableau's pivots: Bland's rule reads only
 signs of reduced costs and entries, the ratio test compares ratios by
@@ -72,14 +73,15 @@ def _exchange(rows: list[list[int]], basis: list[int], entries: list[int],
     nonzero = [(j, v) for j, v in enumerate(pivot_row) if v]
     for r, f in enumerate(entries):
         if f and r != row:
-            # (p*R_r - f*R_row) / p when p divides f: the same primitive row
-            if f % p:
+            # R_r - (f/p)*R_row keeps row r's scale: no gcd pass
+            scaled = f % p
+            if scaled:
                 new = [a * p for a in rows[r]]
             else:
                 new, f = rows[r][:], f // p
             for j, v in nonzero:
                 new[j] -= f * v
-            rows[r] = _primitive(new)
+            rows[r] = _primitive(new) if scaled else new
     basis[row] = col
 
 

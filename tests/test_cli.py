@@ -136,8 +136,34 @@ def test_tight_stage_reuses_the_pruned_twins_proofs(capsys, monkeypatch):
     monkeypatch.setattr(shannon, "solve_lp", counting)
     code, _ = run(capsys, "prove", "--file", str(fixture("kaced_romashchenko_ci").path))
     assert code == cli.EXIT_INCONCLUSIVE
-    # 10 LPs outside the tight stage, and its one eps* LP
-    assert len(calls) == len(set(calls)) == 11
+    # the two clauses' multiplier LPs and the tight stage's one eps* LP: the
+    # antecedents are settled by rules, without an LP
+    assert len(calls) == len(set(calls)) == 3
+
+
+def test_secret_share_antecedents_are_settled_without_an_lp(capsys, monkeypatch):
+    """Each antecedent of a secret-sharing clause is a Shannon quantity
+    (valid) or its negation (negative on a step function), so
+    `prepare_antecedents` solves no LP even at 6 participants."""
+    lps, preparing = [], []
+    solve_lp, prepare = shannon.solve_lp, cli.prepare_antecedents
+
+    def counting(*args):
+        lps.append(bool(preparing))
+        return solve_lp(*args)
+
+    def marked(*args):
+        preparing.append(True)
+        try:
+            return prepare(*args)
+        finally:
+            preparing.pop()
+
+    monkeypatch.setattr(shannon, "solve_lp", counting)
+    monkeypatch.setattr(cli, "prepare_antecedents", marked)
+    code, report = run(capsys, "secret-share", "--participants", "6", "--access", "1", "--prove")
+    assert (code, report["status"]) == (cli.EXIT_POSITIVE, "proved")
+    assert lps and not any(lps)
 
 
 @pytest.mark.parametrize("argv", [
@@ -259,6 +285,11 @@ EXACT_ERRORS = {
     # a repeated name would add a phantom variable to the statement
     **{(("ci", verb, "--vars", "X Y X", "--cons", "X;Y"), None):
        "duplicate variable name 'X' in --vars" for verb in ("prove", "falsify", "export")},
+    # an exponent of more than 4 digits is rejected before `Fraction` builds 10**exp
+    (("secret-share", "--participants", "2", "--access", "1", "--ratio", "1e10000000"), None):
+        "'1e10000000' has an exponent of more than 4 digits",
+    (("check-dist", "--file", "{path}"), "vars 2\n0 1e-10000000\n1 1\n"):
+        "'1e-10000000' has an exponent of more than 4 digits",
 }
 
 
@@ -415,6 +446,33 @@ def test_extra_generators_are_refuted_before_use(capsys, tmp_path):
     zy = write(tmp_path, ZHANG_YEUNG, "zy.iic")
     code, report = run(capsys, "prove", "--file", zy, "--extra-gens", zy, "--budget", "s=1,D=1")
     assert (code, report["status"]) == (cli.EXIT_POSITIVE, "proved")
+
+
+def test_a_file_of_shannon_quantities_is_not_searched(capsys, monkeypatch, tmp_path):
+    """Each inequality of the file has a chain-rule certificate, so the
+    counterexample search is skipped and the report is unchanged; a false
+    file is still searched and refuted."""
+    shannon_file = write(tmp_path, "I(A;B|CD) >= 0 && 2*H(A|B) >= 0\n", "shannon.iic")
+    neg = write(tmp_path, "H(A) <= 0\n", "neg.iic")
+    want = [run(capsys, "prove", "--file", path, "--extra-gens", path)
+            for path in (shannon_file, neg)]
+    searched = []
+    refute = cli.refute
+
+    def counting(*args):
+        searched.append(args)
+        return refute(*args)
+
+    monkeypatch.setattr(cli, "refute", counting)
+    assert run(capsys, "prove", "--file", shannon_file, "--extra-gens", shannon_file) == want[0]
+    assert want[0][0] == cli.EXIT_POSITIVE and searched == []
+    assert cli.main(["prove", "--file", neg, "--extra-gens", neg]) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert len(searched) == 1 and out == ""
+    assert json.loads(err)["counterexample"] == {
+        "source": "distribution", "witness": "vars 2\n0 1/2\n1 1/2\n", "clause_index": 0,
+        "trace": [{"role": "consequent", "index": 0, "sign": -1,
+                   "value": "-1/2*log2(2) + -1/2*log2(2)"}]}
 
 
 BUDGET_ERROR = "budget needs s >= 1 and D >= 1"

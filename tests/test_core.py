@@ -78,6 +78,18 @@ class TestReadNumbers:
             core.read_fraction(text)
         assert str(exc.value) == f"{text!r} has a zero denominator"
 
+    @pytest.mark.parametrize("text", ["1e10000000", "1e-10000000", " 2.5E+12345 ", "1e010000"])
+    def test_an_exponent_of_more_than_four_digits_names_the_text(self, text):
+        with pytest.raises(ValueError) as exc:
+            core.read_fraction(text)
+        assert str(exc.value) == f"{text!r} has an exponent of more than 4 digits"
+
+    @pytest.mark.parametrize("text,value", [("2.5e-1", Fraction(1, 4)), ("0.25", Fraction(1, 4)),
+                                            ("1e9999", Fraction(10 ** 9999)),
+                                            ("-1E-0009999", Fraction(-1, 10 ** 9999))])
+    def test_an_exponent_of_up_to_four_digits_reads(self, text, value):
+        assert core.read_fraction(text) == value
+
     def test_ascii_non_numbers_keep_the_builtin_messages(self):
         with pytest.raises(ValueError, match=r"^invalid literal for int\(\) with base 10: 'x'$"):
             core.read_int("x")

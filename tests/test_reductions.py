@@ -8,20 +8,21 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import count, islice
 from math import ceil, floor
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from infoineq import shannon
+from infoineq import reductions, shannon
 from infoineq.apps import fixture, secret_sharing_constraint
-from infoineq.core import BooleanConstraint, Clause, LinExpr
+from infoineq.core import BooleanConstraint, Clause, LinExpr, cond_entropy, mutual_info
 from infoineq.distributions import enumerate_distributions
 from infoineq.parser import parse_constraint
 from infoineq.reductions import (PreparedAntecedents, max_to_linear, prepare_antecedents,
                                  tight_reduction, tight_target)
 from infoineq.refuter import DISTRIBUTION, Budget, refute, violation
-from infoineq.shannon import elemental, prove, verify
+from infoineq.shannon import ProofCertificate, elemental, prove, verify
 
 from conftest import lin_exprs
 
@@ -233,10 +234,81 @@ def test_max_lp_proves_whatever_the_race_proves(clause):
 
 def test_an_antecedent_whose_proof_fails_verify_is_kept(request):
     """`prepare_antecedents` drops a valid antecedent only once `verify`
-    accepts its proof; the zero antecedent needs none."""
+    accepts its proof; the zero antecedent needs none.  This antecedent,
+    h(X) + I(X;Y), is no multiple of one Shannon quantity and is >= 0 on
+    every step function, so only the LP decides it."""
     gens = elemental(2)
-    valid = parse_constraint("[H(X) >= 0] => H(Y) >= 0\n").clauses[0].antecedents[0]
+    valid = antecedent("2*H(X) + H(Y) - H(XY) >= 0")
     zero = LinExpr.zero(2)
     assert prepare_antecedents([valid, zero], gens) == PreparedAntecedents((), (valid, zero))
     request.getfixturevalue("corrupted_solver")
     assert prepare_antecedents([valid, zero], gens) == PreparedAntecedents((valid,), (zero,))
+
+
+def antecedent(text: str) -> LinExpr:
+    return parse_constraint(f"[{text}] => H(XY) >= 0\n").clauses[0].antecedents[0]
+
+
+def test_a_chain_rule_certificate_that_fails_verify_keeps_its_antecedent(monkeypatch):
+    gens = elemental(2)
+    valid = antecedent("I(X;Y) >= 0")
+    assert prepare_antecedents([valid], gens) == PreparedAntecedents((), (valid,))
+    certify = reductions.chain_rule_certificate
+
+    def corrupted(a, gens, index):
+        cert = certify(a, gens, index)
+        multipliers = cert.generator_multipliers
+        return ProofCertificate(cert.target, (), (multipliers[0] + 1,) + multipliers[1:], ())
+
+    monkeypatch.setattr(reductions, "chain_rule_certificate", corrupted)
+    monkeypatch.setattr(reductions, "prove", None)  # no LP is tried either
+    assert prepare_antecedents([valid], gens) == PreparedAntecedents((valid,), ())
+
+
+def test_a_user_generator_negative_on_a_step_function_disables_the_step_rule():
+    """-h(X) is negative on every r_T with X in T; so is the (false) user
+    generator -h(X), so the LP decides it, and proves it from that
+    generator."""
+    gens = elemental(2)
+    a = antecedent("-H(X) >= 0")
+    assert prepare_antecedents([a], gens) == PreparedAntecedents((a,), ())
+    with_user = gens.with_user(a, "negative", "a hand-built generator")
+    assert prepare_antecedents([a], with_user) == PreparedAntecedents((), (a,))
+
+
+@st.composite
+def rule_inputs(draw):
+    """n = 3..5 and an expression: a signed multiple of one Shannon
+    quantity half of the time, else a few random items."""
+    n = draw(st.integers(3, 5))
+    if draw(st.booleans()):
+        return n, draw(lin_exprs(n))
+    full = (1 << n) - 1
+    y, z = draw(st.integers(1, full)), draw(st.integers(1, full))
+    x = draw(st.integers(0, full))
+    quantity = mutual_info(n, y, z, x) if draw(st.booleans()) else cond_entropy(n, y, x)
+    return n, quantity.scale(draw(st.sampled_from([1, 3, Fraction(1, 2), -1, -2])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rule_inputs())
+def test_the_rules_settle_antecedents_as_the_lp_does(inputs):
+    """A chain-rule certificate only for what `prove` proves, an
+    antecedent kept without an LP (the step-function rule) only where
+    `prove` finds nothing, and every antecedent where the LP alone puts
+    it."""
+    n, a = inputs
+    gens = GENS[n]
+    proof = prove(a, gens)
+    cert = reductions.chain_rule_certificate(a, gens, reductions.elemental_index(gens))
+    if cert is not None:
+        assert verify(cert, a, gens) and proof is not None
+    lps = []
+    with mock.patch.object(reductions, "prove", lambda *args: lps.append(args) or prove(*args)):
+        prepared = prepare_antecedents([a], gens)
+    assert prepared.valid == ((a,) if a.is_zero() or proof is not None else ())
+    if prepared.kept and not lps:
+        assert proof is None
+
+
+GENS = {n: elemental(n) for n in (3, 4, 5)}

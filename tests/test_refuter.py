@@ -21,9 +21,11 @@ from infoineq.distributions import (Distribution, cell_outcomes, enumerate_distr
                                     pmf_stream, to_distribution)
 from infoineq.models import enumerate_systems
 from infoineq.parser import parse_constraint
+from infoineq.reductions import prepare_antecedents
 from infoineq.refuter import (DISTRIBUTION, MAX_DENOMINATOR, VECTOR_SPACE, Budget, ProfileScan,
                               RefutationResult, _subspace_systems, check_budget, refute,
                               violation)
+from infoineq.shannon import elemental
 
 from conftest import lin_exprs, parse_expr, reference_profile, subspace_candidate
 
@@ -105,6 +107,31 @@ def test_refute_report_matches_reference_scan(fx):
     budget = Budget.parse(fx.budget or "s=2,D=4")
     assert refute(fx.constraint, budget).to_json() \
         == reference_refute(fx.constraint, budget).to_json()
+
+
+# h(X) >= 0 and I(X;Y) >= 0 are valid, and the hit's trace lists them
+PLANTED = parse_constraint("[H(X) >= 0, I(X;Y) = 0] => I(X;Y) >= H(X)\n").clauses[0]
+CLAUSES = {**{f"{fx.name}-{i}": (clause, fx.budget) for fx in corpus()
+              for i, clause in enumerate(fx.constraint.clauses)},
+           "planted": (PLANTED, "")}
+
+
+@pytest.mark.parametrize("name", list(CLAUSES))
+def test_a_scan_that_skips_the_valid_antecedents_reports_the_same(name):
+    """The scan evaluates only the kept antecedents, and the report is
+    that of a scan over them all."""
+    clause, budget = CLAUSES[name]
+    budget = Budget.parse(budget)
+    valid = prepare_antecedents(clause.antecedents, elemental(clause.n)).valid
+    whole, kept_only = refute(clause, budget), refute(clause, budget, valid)
+    assert kept_only.to_json() == whole.to_json()
+    assert kept_only.candidates_scanned == whole.candidates_scanned
+    if name == "planted":
+        assert valid == PLANTED.antecedents[:2] and kept_only.found
+        trace = kept_only.counterexample.trace
+        assert [(t["role"], t["index"], t["sign"]) for t in trace] == [
+            ("antecedent", 0, 1), ("antecedent", 1, 0), ("antecedent", 2, 0),
+            ("consequent", 0, -1)]
 
 
 @pytest.mark.parametrize("n,profiles", [(3, 64), (4, 326)])
