@@ -90,8 +90,7 @@ def ci_prove(antecedents: Sequence[CIStatement], consequent: CIStatement,
     equalities are trivially valid and never help, so the search runs over
     the -I halves; a certificate is sound for the implication."""
     kept = [-st.expr(n) for st in antecedents]
-    return prove(-consequent.expr(n), gens, antecedents=kept,
-                 minimize_antecedent_use=True)
+    return prove(-consequent.expr(n), gens, antecedents=kept)
 
 
 # ---------------------------------------------------------------------------

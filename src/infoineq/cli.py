@@ -30,7 +30,8 @@ distinct antecedent tuple):
                 over the kept antecedents (the plain generator cone when
                 none is kept); for a max clause, consequent weights
                 lambda summing to 1 as well, reported as primitive
-                integers with a certificate for sum(lambda_i c_i)
+                integers; the same LP's other multipliers, scaled
+                alike, certify sum(lambda_i c_i)
     tight       when every kept antecedent is tight, one LP for eps*,
                 the least eps with a certificate for
                 sum(lambda_i c_i) + eps h([n]) - q sum(kept); eps* = 0
@@ -169,7 +170,7 @@ def _multiplier_stage(clause: Clause, prepared: PreparedAntecedents, gens: Gener
             ClauseOutcome("proved", "max-to-linear", {
                 "lambdas": [str(v) for v in result.lambdas],
                 "certificate": result.certificate.to_json(gens)})
-    cert = prove(clause.consequents[0], gens, antecedents=kept, minimize_antecedent_use=True)
+    cert = prove(clause.consequents[0], gens, antecedents=kept)
     if cert is None:
         if kept:
             return ClauseOutcome("inconclusive", "conditional", {

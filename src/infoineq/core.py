@@ -26,8 +26,9 @@ Every number read from outside text (budget values, the int options and
 `secret-share`'s access sets and ratio, the numbers of `.dist` and
 candidate files) goes through `read_int` or `read_fraction`.  They read
 ASCII text as `int` and `Fraction` do, decimals included, and turn other
-scripts' digits, underscores, a zero denominator and an exponent of more
-than MAX_EXPONENT_DIGITS digits into a ValueError that names the text.
+scripts' digits, underscores, a zero denominator, an exponent of more
+than MAX_EXPONENT_DIGITS digits and a value of more than MAX_DIGITS digits
+into a ValueError that names the text.
 Constraint text has its own lexer, which takes ASCII digits only.
 
 The types are plain `__slots__` classes on the `Value` base.  Each
@@ -39,6 +40,7 @@ construction, and `LogLinValue` and `LinExpr` are built on hot paths.
 """
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import lru_cache
 from math import fsum, gcd, inf, isfinite, lcm, log
@@ -91,16 +93,35 @@ def as_fraction(x) -> Fraction:
 # Numbers in outside text
 # ---------------------------------------------------------------------------
 
+# Python 3.10.7 and later convert an int of more than 4300 digits to or
+# from text only when told to, and their error names no text; a number
+# read is bounded below that on every version
+MAX_DIGITS = 4000
+_DIGITS_BOUND = 10 ** MAX_DIGITS
+_DIGIT_RUN = re.compile(f"[0-9]{{{MAX_DIGITS + 1}}}")
+
+
+class TooManyDigits(ValueError):
+    """A number in outside text of more than MAX_DIGITS digits, as
+    written or in the numerator or denominator of its value."""
+
+    def __init__(self, text: str):
+        super().__init__(f"{text!r} is a number of more than {MAX_DIGITS} digits")
+
+
 def _ascii_number(text: str) -> str:
     if not text.isascii() or "_" in text:
         raise ValueError(f"{text!r} is not a number in ASCII digits")
+    if _DIGIT_RUN.search(text):
+        raise TooManyDigits(text)
     return text
 
 
 def read_int(text: str) -> int:
     """The integer that TEXT spells, as `int` reads ASCII text, with
     `int`'s message when it is no integer.  Other scripts' digits and
-    underscores, which `int` also takes, are a ValueError."""
+    underscores, which `int` also takes, are a ValueError, and more than
+    MAX_DIGITS digits a `TooManyDigits`."""
     return int(_ascii_number(text))
 
 
@@ -119,15 +140,19 @@ def read_fraction(text: str) -> Fraction:
     """The rational that TEXT spells, as `read_int` reads integers:
     `Fraction`'s forms in ASCII ("1/2", "0.25", "2.5e-1") without
     underscores, with at most MAX_EXPONENT_DIGITS exponent digits after
-    leading zeros, and a ValueError, not a ZeroDivisionError, for a zero
-    denominator."""
+    leading zeros, a `TooManyDigits` for a numerator or denominator of
+    more than MAX_DIGITS digits, and a ValueError, not a
+    ZeroDivisionError, for a zero denominator."""
     exponent = _ascii_number(text).lower().partition("e")[2].strip().lstrip("+-").lstrip("0")
     if exponent.isdigit() and len(exponent) > MAX_EXPONENT_DIGITS:
         raise ValueError(f"{text!r} has an exponent of more than {MAX_EXPONENT_DIGITS} digits")
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"{text!r} has a zero denominator") from None
+    if abs(value.numerator) >= _DIGITS_BOUND or value.denominator >= _DIGITS_BOUND:
+        raise TooManyDigits(text)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -475,9 +500,10 @@ class LinExpr(Value):
             terms += [(c * q, r) for q, r in h[mask].terms]
         return LogLinValue(tuple(terms))
 
-    def dot_basic_modular(self, j: int) -> Fraction:
-        """c . h^(j) where h^(j)(alpha) = 1 iff j in alpha."""
-        return sum((c for m, c in self.items if (m >> j) & 1), Fraction(0))
+    def step_value(self, t: int) -> Fraction:
+        """c . r_T, where r_T(S) = 1 when S meets the mask T and 0
+        otherwise; r_T for T = {j} is the j-th basic modular vector."""
+        return sum((c for m, c in self.items if m & t), Fraction(0))
 
     def dense(self) -> list[Fraction]:
         """Dense coefficient vector of length 2^n (index 0 is the empty set)."""

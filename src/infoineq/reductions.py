@@ -14,8 +14,9 @@
       sum_i lambda_i c_i + eps h([n]) = sum_j mu_j a_j + sum_g nu_g g.
 
   `max_to_linear` solves it with no slack: max_i c_i >= 0 holds on the
-  generator cone cut by the kept antecedents iff such a lambda exists.
-  `tight_reduction` minimizes eps over it.
+  generator cone cut by the kept antecedents iff such a lambda exists,
+  and the same solution's mu and nu certify sum_i lambda_i c_i, so a max
+  clause costs one LP.  `tight_reduction` minimizes eps over it.
 
 The direct multiplier reduction for a single consequent needs no code of
 its own: it is one `shannon.prove` call with the kept antecedents.
@@ -27,7 +28,7 @@ from math import gcd, lcm
 from typing import Sequence
 
 from .core import Clause, LinExpr, Value, entropy_of, full_set, mutual_info
-from .shannon import USER, GeneratorSet, ProofCertificate, cone_lp, prove, verify
+from .shannon import USER, GeneratorSet, ProofCertificate, certificate, cone_lp, prove, verify
 from .simplex import LPResult
 
 
@@ -83,11 +84,6 @@ def chain_rule_certificate(a: LinExpr, gens: GeneratorSet,
     return ProofCertificate(a, (), tuple(multipliers), ())
 
 
-def _step_value(e: LinExpr, t: int) -> Fraction:
-    """e(r_T), where r_T(S) = 1 when S meets T and 0 otherwise."""
-    return sum(v for m, v in e.items if m & t)
-
-
 def prepare_antecedents(antecedents: Sequence[LinExpr], gens: GeneratorSet) -> PreparedAntecedents:
     """Drop antecedents that are provably valid inequalities (they are
     always satisfied, so removing them only strengthens the implication).
@@ -106,7 +102,7 @@ def prepare_antecedents(antecedents: Sequence[LinExpr], gens: GeneratorSet) -> P
             dropped = True
         elif (proof := chain_rule_certificate(a, gens, index)) is not None:
             dropped = verify(proof, a, gens)
-        elif any(_step_value(a, t) < 0 and all(_step_value(g, t) >= 0 for g in users)
+        elif any(a.step_value(t) < 0 and all(g.step_value(t) >= 0 for g in users)
                  for t in range(1, 1 << gens.n)):
             dropped = False
         else:
@@ -183,20 +179,19 @@ def max_to_linear(clause: Clause, kept: Sequence[LinExpr],
     """Multipliers for a max clause, or None when the LP has no solution
     at this generator set.
 
-    The LP's lambdas are scaled to primitive integers, and the combination
-    sum_i lambda_i c_i is proved again by `prove` with the kept
-    antecedents, so the certificate is that of the combination alone.
+    The LP's lambdas are scaled to primitive integers, and its antecedent
+    and generator multipliers, scaled by the same factor, certify the
+    combination sum_i lambda_i c_i with the kept antecedents.
     """
     res = _reduction_lp(clause, kept, gens, relax=False)
     if res.status != "optimal":
         return None
-    weights = res.x[:len(clause.consequents)]
-    scale = lcm(*(w.denominator for w in weights))
-    ints = [int(w * scale) for w in weights]
-    g = gcd(*ints)
-    lambdas = tuple(Fraction(v // g) for v in ints)
+    m, k = len(clause.consequents), len(kept)
+    scale = lcm(*(w.denominator for w in res.x[:m]))
+    factor = Fraction(scale, gcd(*(int(w * scale) for w in res.x[:m])))
+    x = [v * factor for v in res.x]
     combo = LinExpr.zero(clause.n)
-    for weight, c in zip(lambdas, clause.consequents):
+    for weight, c in zip(x[:m], clause.consequents):
         if weight:
             combo = combo + c.scale(weight)
-    return MaxReduction(lambdas, prove(combo, gens, antecedents=kept))
+    return MaxReduction(tuple(x[:m]), certificate(combo, x[m:m + k], x[m + k:], gens))

@@ -51,8 +51,8 @@ from __future__ import annotations
 from functools import lru_cache
 from math import lcm
 
-from .core import (BooleanConstraint, Clause, LinExpr, Value, _factor_cached, is_prime,
-                   prime_sum_sign, read_int)
+from .core import (BooleanConstraint, Clause, LinExpr, TooManyDigits, Value, _factor_cached,
+                   is_prime, prime_sum_sign, read_int)
 from .distributions import Distribution, cell_outcomes, shared_walk, to_distribution
 
 DISTRIBUTION = "distribution"
@@ -132,6 +132,8 @@ class Budget(Value):
                 raise ValueError(f"bad budget item {item!r}")
             try:
                 number = read_int(value)
+            except TooManyDigits:
+                raise
             except ValueError:
                 raise ValueError(f"budget item {item!r} needs an integer in ASCII digits") from None
             if key == "vsq":

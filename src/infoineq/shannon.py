@@ -169,18 +169,24 @@ def cone_lp(target: LinExpr, columns: Sequence[LinExpr], cost: Sequence[int],
     return solve_lp(rows, b, cost)
 
 
+def certificate(target: LinExpr, mu: Sequence[Fraction], nu: Sequence[Fraction],
+                gens: GeneratorSet) -> ProofCertificate:
+    """The certificate target = sum mu_j a_j + sum nu_g g of an LP's
+    multipliers, naming each user generator g with nu_g != 0."""
+    trusted = tuple((g.name, g.provenance or "") for g, m in zip(gens.generators, nu)
+                    if m != 0 and g.kind == USER)
+    return ProofCertificate(target, tuple(mu), tuple(nu), trusted)
+
+
 def prove(c: LinExpr, gens: GeneratorSet,
-          antecedents: Sequence[LinExpr] = (),
-          minimize_antecedent_use: bool = False) -> "ProofCertificate | None":
+          antecedents: Sequence[LinExpr] = ()) -> "ProofCertificate | None":
     """Certificate for c in cone(antecedents) + cone(generators), or None.
 
     None means the exact feasibility LP has no solution over this
-    generator set -- not that c is invalid.  With
-    `minimize_antecedent_use`, among all certificates one minimizing the
-    total antecedent multiplier mass is returned (deterministic output
-    for the conditional reductions).
-
-    The LP's columns are the antecedents, then the generators (`cone_lp`).
+    generator set -- not that c is invalid.  Among all certificates, one
+    minimizing the total antecedent multiplier mass is returned: the LP's
+    columns are the antecedents at cost 1, then the generators at cost 0
+    (`cone_lp`).
     """
     for a in antecedents:
         if a.n != c.n:
@@ -188,16 +194,10 @@ def prove(c: LinExpr, gens: GeneratorSet,
     if gens.n != c.n:
         raise ValueError(f"dimension mismatch: target n={c.n}, generators n={gens.n}")
     k = len(antecedents)
-    cost = [1] * k + [0] * len(gens.generators) if minimize_antecedent_use \
-        else [0] * (k + len(gens.generators))
-    res = cone_lp(c, list(antecedents) + gens.exprs(), cost)
+    res = cone_lp(c, list(antecedents) + gens.exprs(), [1] * k + [0] * len(gens.generators))
     if res.status != "optimal":
         return None
-    mu = res.x[:k]
-    lam = res.x[k:]
-    trusted = tuple((g.name, g.provenance or "") for g, m in zip(gens.generators, lam)
-                    if m != 0 and g.kind == USER)
-    return ProofCertificate(c, tuple(mu), tuple(lam), trusted)
+    return certificate(c, res.x[:k], res.x[k:], gens)
 
 
 def verify(cert: ProofCertificate, c: LinExpr, gens: GeneratorSet,
@@ -287,7 +287,7 @@ def _modular_slack(exprs: Sequence[LinExpr]) -> "SlackWitness | None":
     n = exprs[0].n
     k = len(exprs)
     # variables: w_1..w_n, slacks s_1..s_k; rows: sum_j A_ij w_j - s_i = 1
-    a_rows = [[(j, v) for j in range(n) if (v := c.dot_basic_modular(j))] + [(n + i, MINUS_ONE)]
+    a_rows = [[(j, v) for j in range(n) if (v := c.step_value(1 << j))] + [(n + i, MINUS_ONE)]
               for i, c in enumerate(exprs)]
     b = [Fraction(1)] * k
     cost = [Fraction(1)] * n + [ZERO] * k

@@ -141,6 +141,24 @@ def test_tight_stage_reuses_the_pruned_twins_proofs(capsys, monkeypatch):
     assert len(calls) == len(set(calls)) == 3
 
 
+def test_secret_share_proof_solves_two_lps(capsys, monkeypatch):
+    """The tight stage's eps* LP, then the max clause's multiplier LP,
+    whose solution is also its certificate: no third LP proves the
+    combination of the consequents again."""
+    calls = []
+    solve_lp = shannon.solve_lp
+
+    def counting(*args):
+        calls.append(1)
+        return solve_lp(*args)
+
+    monkeypatch.setattr(shannon, "solve_lp", counting)
+    code, report = run(capsys, "secret-share", "--participants", "3", "--access", "1,2;2,3",
+                       "--prove")
+    assert (code, report["status"]) == (cli.EXIT_POSITIVE, "proved")
+    assert len(calls) == 2
+
+
 def test_secret_share_antecedents_are_settled_without_an_lp(capsys, monkeypatch):
     """Each antecedent of a secret-sharing clause is a Shannon quantity
     (valid) or its negation (negative on a step function), so
@@ -223,6 +241,7 @@ WIDE_CANDIDATE = "".join(f"V{i} 2 1 1\n" for i in range(40))
 WIDE_VARS = " ".join(f"V{i}" for i in range(40))
 # X, Y and their XOR Z: every pair carries two bits
 TWO_BIT_XOR = "X 2 1 1\nY 2 1 1\nZ 2 1 1\nXY 4 1 1\nXZ 4 1 1\nYZ 4 1 1\nXYZ 4 1 1\n"
+LONG = "7" * 5000
 # the whole error report of some bad inputs, by (argv, file text)
 EXACT_ERRORS = {
     (("corpus", "--show", "nope"), None): "no corpus fixture named 'nope'",
@@ -290,6 +309,18 @@ EXACT_ERRORS = {
         "'1e10000000' has an exponent of more than 4 digits",
     (("check-dist", "--file", "{path}"), "vars 2\n0 1e-10000000\n1 1\n"):
         "'1e-10000000' has an exponent of more than 4 digits",
+    # a value past Python's 4300-digit limit on int/text conversion is named
+    # when it is read, not when it is formatted; {long} in a file is LONG
+    (("secret-share", "--participants", "2", "--access", "1", "--ratio", "1e9999"), None):
+        "'1e9999' is a number of more than 4000 digits",
+    (("secret-share", "--participants", "2", "--access", "1", "--ratio", LONG), None):
+        f"{LONG!r} is a number of more than 4000 digits",
+    (("secret-share", "--participants", "2", "--access", f"2,{LONG}"), None):
+        f"{LONG!r} is a number of more than 4000 digits",
+    (("check-dist", "--file", "{path}"), "vars 2\n0 1/{long}\n1 1/2\n"):
+        f"'1/{LONG}' is a number of more than 4000 digits",
+    (("refute", "--file", "{path}", "--budget", f"s={LONG}"), "H(X) >= 0\n"):
+        f"{LONG!r} is a number of more than 4000 digits",
 }
 
 
@@ -316,7 +347,7 @@ EXACT_ERRORS = {
                  id="deep-parentheses"),
 ])
 def test_bad_input_exits_3_without_traceback(capsys, tmp_path, argv, text):
-    path = write(tmp_path, text) if text is not None else ""
+    path = write(tmp_path, text.replace("{long}", LONG)) if text is not None else ""
     key = (tuple(argv), text)
     argv = [a.format(path=path, missing=str(tmp_path / "absent.iic")) for a in argv]
     assert cli.main(argv) == cli.EXIT_USAGE
@@ -394,6 +425,18 @@ def test_numbers_are_ascii_without_underscores(capsys, tmp_path, entry, number):
 
 
 @pytest.mark.parametrize("entry", list(NUMBER_ENTRY_POINTS))
+def test_numbers_past_pythons_digit_limit_are_named(capsys, tmp_path, entry):
+    """A number of 5000 digits exits 3 wherever it is read, and the error
+    names it, as for other scripts' digits."""
+    code, out, err = _number_call(capsys, tmp_path, entry, LONG)
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    if entry.startswith("--"):
+        assert err.endswith(f"argument {entry.rstrip('=')}: invalid int value: {LONG!r}\n")
+    else:
+        assert LONG in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("entry", list(NUMBER_ENTRY_POINTS))
 def test_ascii_numbers_read_as_before(capsys, tmp_path, entry):
     """The ASCII form at each entry point is read, with its old verdict."""
     _, _, ascii_form, want = NUMBER_ENTRY_POINTS[entry]
@@ -446,6 +489,28 @@ def test_extra_generators_are_refuted_before_use(capsys, tmp_path):
     zy = write(tmp_path, ZHANG_YEUNG, "zy.iic")
     code, report = run(capsys, "prove", "--file", zy, "--extra-gens", zy, "--budget", "s=1,D=1")
     assert (code, report["status"]) == (cli.EXIT_POSITIVE, "proved")
+
+
+def test_a_max_clause_proved_by_an_extra_generator_names_it(capsys, tmp_path):
+    """The Zhang-Yeung inequality ZY is no Shannon inequality, so only the
+    generator that states it proves max(ZY, ZY - H(A)) >= 0: lambdas
+    (1, 0), and the certificate lists that generator as trusted."""
+    zy_text = ZHANG_YEUNG.split(" >= ")[0]
+    zy = write(tmp_path, ZHANG_YEUNG, "zy.iic")
+    path = write(tmp_path, f"max({zy_text}, {zy_text} - H(A)) >= 0\n", "max.iic")
+    code, report = run(capsys, "prove", "--file", path, "--budget", "s=1,D=1")
+    assert (code, report["status"]) == (cli.EXIT_INCONCLUSIVE, "inconclusive")
+    code, report = run(capsys, "prove", "--file", path, "--extra-gens", zy,
+                       "--budget", "s=1,D=1")
+    assert (code, report["status"]) == (cli.EXIT_POSITIVE, "proved")
+    (entry,) = report["clauses"]
+    assert (entry["method"], entry["lambdas"]) == ("max-to-linear", ["1", "0"])
+    cert = entry["certificate"]
+    assert cert["trusted_user_generators"] == [
+        {"name": "zy", "provenance": f"user-supplied valid inequality from {zy}"}]
+    gens = cli.load_generators(4, [zy])
+    target = parse_constraint(ZHANG_YEUNG).clauses[0].consequents[0]
+    assert verify(ProofCertificate.from_json(cert, gens), target, gens)
 
 
 def test_a_file_of_shannon_quantities_is_not_searched(capsys, monkeypatch, tmp_path):

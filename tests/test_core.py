@@ -54,13 +54,16 @@ class TestReadNumbers:
     """`read_int` and `read_fraction` read ASCII text as `int` and
     `Fraction` do, and reject other scripts' digits and underscores."""
 
-    @pytest.mark.parametrize("text,value", [("3", 3), (" +3\t", 3), ("-0", 0), ("007", 7)])
+    @pytest.mark.parametrize("text,value", [("3", 3), (" +3\t", 3), ("-0", 0), ("007", 7),
+                                            pytest.param("9" * 4000, 10 ** 4000 - 1, id="9x4000")])
     def test_int(self, text, value):
         assert core.read_int(text) == value
 
     @pytest.mark.parametrize("text,value", [
         ("1/2", Fraction(1, 2)), (" -3/6 ", Fraction(-1, 2)), ("0.25", Fraction(1, 4)),
-        (".25", Fraction(1, 4)), ("2.5e-1", Fraction(1, 4)), ("+1", Fraction(1))])
+        (".25", Fraction(1, 4)), ("2.5e-1", Fraction(1, 4)), ("+1", Fraction(1)),
+        pytest.param("-1/" + "9" * 4000, Fraction(-1, 10 ** 4000 - 1), id="-1/9x4000"),
+        pytest.param("0." + "0" * 3998 + "1", Fraction(1, 10 ** 3999), id="0.0x3998+1")])
     def test_fraction(self, text, value):
         assert core.read_fraction(text) == value
 
@@ -85,10 +88,24 @@ class TestReadNumbers:
         assert str(exc.value) == f"{text!r} has an exponent of more than 4 digits"
 
     @pytest.mark.parametrize("text,value", [("2.5e-1", Fraction(1, 4)), ("0.25", Fraction(1, 4)),
-                                            ("1e9999", Fraction(10 ** 9999)),
-                                            ("-1E-0009999", Fraction(-1, 10 ** 9999))])
+                                            ("1e3999", Fraction(10 ** 3999)),
+                                            ("-1E-0003999", Fraction(-1, 10 ** 3999))])
     def test_an_exponent_of_up_to_four_digits_reads(self, text, value):
         assert core.read_fraction(text) == value
+
+    # Python's own limit on int/text conversion is 4300 digits
+    @pytest.mark.parametrize("read,text", [
+        (core.read_fraction, "1e9999"), (core.read_fraction, "-1E-4000"),
+        (core.read_fraction, "1/" + "7" * 4001), (core.read_fraction, "0." + "1" * 4000),
+        (core.read_fraction, "7" * 5000), (core.read_fraction, "1/" + "7" * 5000),
+        (core.read_fraction, "0." + "7" * 5000), (core.read_int, "7" * 4001),
+        (core.read_int, " -" + "7" * 5000), (core.read_int, "0" * 5000)],
+        ids=["1e9999", "-1E-4000", "1/7x4001", "0.1x4000", "7x5000", "1/7x5000", "0.7x5000",
+             "int-7x4001", "int--7x5000", "int-0x5000"])
+    def test_more_than_max_digits_names_the_text(self, read, text):
+        with pytest.raises(ValueError) as exc:
+            read(text)
+        assert str(exc.value) == f"{text!r} is a number of more than 4000 digits"
 
     def test_ascii_non_numbers_keep_the_builtin_messages(self):
         with pytest.raises(ValueError, match=r"^invalid literal for int\(\) with base 10: 'x'$"):
@@ -110,6 +127,10 @@ class TestReadNumbers:
             else:
                 if "_" in text:
                     with pytest.raises(ValueError, match="not a number in ASCII digits"):
+                        read(text)
+                elif max(abs(Fraction(want).numerator), Fraction(want).denominator) \
+                        >= 10 ** core.MAX_DIGITS:
+                    with pytest.raises(ValueError, match="more than 4000 digits"):
                         read(text)
                 else:
                     assert read(text) == want

@@ -22,7 +22,7 @@ from infoineq.parser import parse_constraint
 from infoineq.reductions import (PreparedAntecedents, max_to_linear, prepare_antecedents,
                                  tight_reduction, tight_target)
 from infoineq.refuter import DISTRIBUTION, Budget, refute, violation
-from infoineq.shannon import ProofCertificate, elemental, prove, verify
+from infoineq.shannon import ProofCertificate, certificate, cone_lp, elemental, prove, verify
 
 from conftest import lin_exprs
 
@@ -68,8 +68,7 @@ def relaxation_certificate(consequent, kept, gens, p):
     The least rational q is one LP with sum(kept) as the only antecedent;
     the kept antecedents are tight, so every larger q works too."""
     total = sum(kept, LinExpr.zero(consequent.n))
-    least = prove(tight_target(consequent, kept, p, 0), gens, antecedents=(total,),
-                  minimize_antecedent_use=True)
+    least = prove(tight_target(consequent, kept, p, 0), gens, antecedents=(total,))
     if least is None:
         return None
     target = tight_target(consequent, kept, p, ceil(least.antecedent_multipliers[0]))
@@ -109,6 +108,28 @@ def test_one_lp_per_tight_reduction(monkeypatch, name):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("name", ["kopparty_rossman_max", "pairwise_max_two_thirds",
+                                  "conditional_max_two_thirds"])
+def test_one_lp_per_max_reduction(monkeypatch, name):
+    """The reduction LP's solution is the certificate too: no second LP
+    proves the combination of the consequents."""
+    (clause,) = fixture(name).constraint.clauses
+    gens = elemental(clause.n)
+    kept = prepare_antecedents(clause.antecedents, gens).kept
+    calls = []
+    solve_lp = shannon.solve_lp
+
+    def counting(*args):
+        calls.append(1)
+        return solve_lp(*args)
+
+    monkeypatch.setattr(shannon, "solve_lp", counting)
+    result = max_to_linear(clause, kept, gens)
+    assert result is not None and len(calls) == 1
+    combo = combination(result.lambdas, clause)
+    assert verify(result.certificate, combo, gens, kept)
+
+
 # ---------------------------------------------------------------------------
 # Max clauses: the LP against the race it replaced
 # ---------------------------------------------------------------------------
@@ -133,11 +154,15 @@ def combination(lambdas, clause: Clause) -> LinExpr:
 
 def race_lambdas(clause, kept, gens, total):
     """The first multiplier tuple with the given sum that proves the clause,
-    graded lexicographically, with its certificate; None if none does."""
+    graded lexicographically, with its certificate; None if none does.
+    Each tuple is one feasibility LP with no cost on any column, the LP
+    that the race solved."""
+    k = len(kept)
     for lam in compositions(total, len(clause.consequents)):
-        cert = prove(combination(lam, clause), gens, antecedents=kept)
-        if cert is not None:
-            return tuple(Fraction(v) for v in lam), cert
+        combo = combination(lam, clause)
+        res = cone_lp(combo, list(kept) + gens.exprs(), [0] * (k + len(gens.generators)))
+        if res.status == "optimal":
+            return tuple(Fraction(v) for v in lam), certificate(combo, res.x[:k], res.x[k:], gens)
     return None
 
 

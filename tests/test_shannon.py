@@ -184,8 +184,7 @@ class TestProve:
 
 
 def dense_lp(target, gens, antecedents):
-    """The LP of `prove` with minimize_antecedent_use, from dense Fraction
-    columns, transposed."""
+    """The LP of `prove`, from dense Fraction columns, transposed."""
     columns = [a.dense() for a in antecedents] + [g.expr.dense() for g in gens.generators]
     k = len(antecedents)
     a = [[col[i] for col in columns] for i in range(1 << target.n)]
@@ -208,7 +207,7 @@ def test_prove_hands_solve_lp_the_sparse_rows(monkeypatch, target, antecedents):
 
     monkeypatch.setattr(shannon, "solve_lp", recording)
     gens = elemental(target.n)
-    cert = prove(target, gens, antecedents, minimize_antecedent_use=True)
+    cert = prove(target, gens, antecedents)
     assert cert is not None and verify(cert, target, gens, antecedents)
     ((rows, b, c),) = lps
     ref_a, ref_b, ref_c = dense_lp(target, gens, antecedents)

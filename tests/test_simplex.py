@@ -394,7 +394,7 @@ def test_phase_2_removes_antecedent_use(monkeypatch, n):
     monkeypatch.setattr(shannon, "solve_lp", recording)
     target = mutual_info(n, 1, 6, 0)
     antecedents = (target, mutual_info(n, 1, 2, 0))
-    cert = prove(target, elemental(n), antecedents, minimize_antecedent_use=True)
+    cert = prove(target, elemental(n), antecedents)
     assert cert.antecedent_multipliers == (Z, Z)
     assert verify(cert, target, elemental(n), antecedents)
     (a, b, c), = lps
@@ -430,7 +430,7 @@ def test_matches_fraction_tableau_on_prove_lps(monkeypatch, n):
     gens = elemental(n)
     proved = {}
     for name, (target, antecedents) in prove_cases(n).items():
-        proved[name] = prove(target, gens, antecedents, minimize_antecedent_use=True) is not None
+        proved[name] = prove(target, gens, antecedents) is not None
     assert proved == {name: name.startswith("feasible") for name in proved}
     assert len(lps) == 4 and any(any(c) for _, _, c in lps)
     for a, b, c in lps:

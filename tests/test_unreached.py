@@ -102,6 +102,7 @@ TOUR = [
     (["secret-share", "--participants", "2", "--access", "1,2"], 0),
     (["secret-share", "--participants", "2", "--access", "1,2", "--prove"], 0),
     (["secret-share", "--participants", "2", "--access", "1", "--ratio", "1/0"], 3),
+    (["secret-share", "--participants", "2", "--access", "1", "--ratio", "1e9999"], 3),
     (["check-dist", "--file", "{dir}/bit.dist"], 0),
     (["check-dist", "--file", "{dir}/pair.dist", "--constraint", "{corpus}/false_mono_flip.iic"], 0),
     (["check-dist", "--file", "{dir}/pair.dist", "--constraint", "{dir}/flip.iic"], 0),
