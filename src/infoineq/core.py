@@ -29,7 +29,9 @@ ASCII text as `int` and `Fraction` do, decimals included, and turn other
 scripts' digits, underscores, a zero denominator, an exponent of more
 than MAX_EXPONENT_DIGITS digits and a value of more than MAX_DIGITS digits
 into a ValueError that names the text.
-Constraint text has its own lexer, which takes ASCII digits only.
+Constraint text has its own lexer, which takes ASCII digits only, and
+its parser bounds each number as written and each collected coefficient
+by MAX_DIGITS too.
 
 The types are plain `__slots__` classes on the `Value` base.  Each
 `__init__` runs the checks of its type; `Value` gives equality, hashing
@@ -240,7 +242,7 @@ def _factor_cached(k: int) -> tuple[tuple[int, int], ...]:
     D-smooth k, whose prime factors are at most the denominator cap D of a
     scan: the marginal counts of `refuter.ProfileScan`, T = lcm(1..D), and
     the g <= D of `distributions._mobius_divisors`.  Exact signs of other
-    values need no factoring (`LogLinValue.log_exponents`).
+    values need no factoring (`coprime_exponents`).
     """
     if k < 1:
         raise ValueError(f"can only factor positive integers, got {k}")
@@ -323,46 +325,66 @@ class LogLinValue(Value):
         return self + (-other)
 
     def log_exponents(self) -> dict[int, Fraction]:
-        """Aggregate the value as sum_b f_b * log2(b) over a coprime basis:
-        pairwise coprime integers b > 1 that generate every numerator and
-        denominator of the terms (`_coprime_basis`).
-
-        The logs of pairwise coprime integers > 1 are linearly independent
-        over the rationals, so the value is zero iff every f_b vanishes.
-        """
+        """Aggregate the value as sum_b f_b * log2(b) over a coprime basis
+        (`coprime_exponents`), which is zero iff every f_b vanishes."""
         scale = lcm(*(q.denominator for q, _ in self.terms))
         weights: dict[int, int] = {}  # integer weights of log k, over scale
         for q, r in self.terms:
             w = q.numerator * (scale // q.denominator)
-            for k, wk in ((r.numerator, w), (r.denominator, -w)):
-                if k > 1:
-                    weights[k] = weights.get(k, 0) + wk
-        weights = {k: w for k, w in weights.items() if w}
-        exps = {}
-        for b in _coprime_basis(weights):
-            f = 0
-            for k, w in weights.items():
-                while k % b == 0:
-                    k, f = k // b, f + w
-            if f:
-                exps[b] = Fraction(f, scale)
-        return exps
+            weights[r.numerator] = weights.get(r.numerator, 0) + w
+            weights[r.denominator] = weights.get(r.denominator, 0) - w
+        return {b: Fraction(f, scale) for b, f in coprime_exponents(weights).items()}
 
     def sign(self) -> int:
         """Exact sign in {-1, 0, +1}, from the coprime-basis form."""
         return prime_sum_sign(self.log_exponents())
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        return " + ".join(f"{q}*log2({r})" for q, r in self.terms)
+        return log_sum_text((q.numerator, q.denominator, r.numerator, r.denominator)
+                            for q, r in self.terms)
+
+
+def coprime_exponents(weights: Mapping[int, int]) -> dict[int, int]:
+    """sum_k w_k * log k, for integers k >= 1 and integer weights w_k, as
+    sum_b f_b * log b over a coprime basis: pairwise coprime integers b > 1
+    that generate every k (`_coprime_basis`), with only the nonzero f_b.
+
+    The logs of pairwise coprime integers > 1 are linearly independent
+    over the rationals, so the sum is zero iff no f_b is left, and
+    `prime_sum_sign` of the result is its exact sign.  Nothing is factored,
+    so any k will do: the numerators and denominators of a `LogLinValue`,
+    or the marginal counts of a pmf (`refuter.violation`).
+    """
+    weights = {k: w for k, w in weights.items() if w and k > 1}
+    exps = {}
+    for b in _coprime_basis(weights):
+        f = 0
+        for k, w in weights.items():
+            while k % b == 0:
+                k, f = k // b, f + w
+        if f:
+            exps[b] = f
+    return exps
+
+
+def _ratio_text(num: int, den: int) -> str:
+    return f"{num}/{den}" if den != 1 else str(num)
+
+
+def log_sum_text(terms) -> str:
+    """The text of sum_i q_i * log2(r_i), "0" for no terms, from each
+    term's integers (q_i numerator, q_i denominator, r_i numerator, r_i
+    denominator) in lowest terms, each rational written as `str` of its
+    `Fraction`: the one form of an exact value in the reports."""
+    return " + ".join(f"{_ratio_text(qn, qd)}*log2({_ratio_text(rn, rd)})"
+                      for qn, qd, rn, rd in terms) or "0"
 
 
 def prime_sum_sign(exps: Mapping[int, "Fraction | int"]) -> int:
     """Exact sign of sum_b f_b * log(b), given the nonzero f_b.
 
     Precondition: the keys b are pairwise coprime integers > 1, such as
-    primes or a coprime basis (`LogLinValue.log_exponents`).  Then the
+    primes or a coprime basis (`coprime_exponents`).  Then the
     log b are linearly independent over the rationals, and the ladder
     terminates on every input.  The sum is zero iff there is no term; with
     one key the sign is that of f_b, since log b > 0; otherwise the sum is

@@ -76,7 +76,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice, product
-from math import comb, gcd, prod
+from math import comb, gcd, lcm, prod
 from typing import Iterator, Mapping
 
 from .core import (LogLinValue, Value, _factor_cached, as_fraction, check_var_count,
@@ -102,7 +102,6 @@ class Distribution(Value):
         self.domains, self.pmf = domains, pmf
         if not domains or any(d < 1 for d in domains):
             raise ValueError("domain sizes must be positive")
-        total = Fraction(0)
         seen = set()
         for outcome, p in pmf:
             if len(outcome) != len(domains):
@@ -111,14 +110,16 @@ class Distribution(Value):
                 raise ValueError(f"outcome {outcome} outside domains {domains}")
             if outcome in seen:
                 raise ValueError(f"duplicate outcome {outcome}")
-            if p < 0:
+            if p.numerator < 0:
                 raise ValueError("negative probability")
             seen.add(outcome)
-            total += p
-        if total != 1:
-            raise ValueError(f"probabilities sum to {total}, not 1")
-        if not any(p > 0 for _, p in pmf):
-            raise ValueError("support must be nonempty")
+        # one integer sum over the lcm of the denominators, where a Fraction
+        # sum normalizes at each term; nonnegative masses that sum to 1
+        # leave a nonempty support
+        scale = lcm(*(p.denominator for _, p in pmf))
+        total = sum(p.numerator * (scale // p.denominator) for _, p in pmf)
+        if total != scale:
+            raise ValueError(f"probabilities sum to {Fraction(total, scale)}, not 1")
 
     @staticmethod
     def make(domains, pmf: Mapping[Outcome, Fraction]) -> "Distribution":
@@ -457,7 +458,8 @@ def cell_outcomes(domains: tuple[int, ...]) -> tuple[Outcome, ...]:
 def to_distribution(dprime: int, domains: tuple[int, ...], atoms) -> Distribution:
     """The `Distribution` of one `pmf_stream` item."""
     outcomes = cell_outcomes(domains)
-    return Distribution.make(domains, {outcomes[i]: Fraction(v, dprime) for i, v in atoms})
+    # the atoms are nonzero and in cell order, which is outcome order
+    return Distribution(domains, tuple((outcomes[i], Fraction(v, dprime)) for i, v in atoms))
 
 
 def enumerate_distributions(n: int, max_support: int, max_denominator: int) -> Iterator[Distribution]:

@@ -29,7 +29,8 @@ Variable names inside ``H(...)``/``I(...)`` are whitespace-separated
 tokens; a token consisting purely of two or more uppercase letters is
 read as juxtaposed single-letter variables (``XYZ`` means X, Y, Z).
 Unless an explicit ordering is supplied, variables are numbered in
-alphabetical order of their names.
+alphabetical order of their names.  A number, as written and as a
+collected coefficient, has at most `core.MAX_DIGITS` digits.
 
 The text is lexed by one `findall` into token texts, each token's kind is
 read off its text, and the descent walks the kinds and texts by index.
@@ -43,7 +44,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
 
-from .core import BooleanConstraint, Clause, LinExpr, Value, VarSet, check_var_count
+from .core import (_DIGITS_BOUND, MAX_DIGITS, BooleanConstraint, Clause, LinExpr, Value, VarSet,
+                   check_var_count)
 
 # each level of parentheses is three frames of the recursive descent, so
 # a deeper nesting is a parse error rather than a RecursionError
@@ -89,6 +91,10 @@ def _tokenize(text: str) -> tuple[list[str], list[str]]:
     if None in kinds:
         i = kinds.index(None)
         raise ParseError(f"unexpected character {texts[i]!r}", _span(text, i))
+    if len(text) > MAX_DIGITS:
+        for i, t in enumerate(texts):
+            if len(t) > MAX_DIGITS and kinds[i] == "num":
+                raise ParseError(f"a number of more than {MAX_DIGITS} digits", _span(text, i))
     kinds.append("eof")
     texts.append("")
     return kinds, texts
@@ -314,18 +320,32 @@ class _Parser:
             return {}
         return value
 
+    def expression(self, coeffs: dict, start: int) -> LinExpr:
+        """The `LinExpr` of a collected map, whose comparison starts at
+        token `start`.  A coefficient whose numerator or denominator has
+        more than MAX_DIGITS digits is an error there.  Each value has at
+        most about 1.3 digits per character of the text it comes from (the
+        digits of its literals, and less than one more per sum), so only a
+        text of more than MAX_DIGITS // 2 characters is checked."""
+        if len(self.text) > MAX_DIGITS // 2:
+            for c in coeffs.values():
+                if abs(c.numerator) >= _DIGITS_BOUND or c.denominator >= _DIGITS_BOUND:
+                    raise self.error(f"a coefficient of more than {MAX_DIGITS} digits", start)
+        return LinExpr.make(self.n, coeffs)
+
     # -- clauses -------------------------------------------------------------
 
     def parse_comparison(self) -> list[LinExpr]:
         """`E op F` as the expressions it states >= 0: E - F for >=, F - E
         for <=, and both, in this order, for =."""
+        start = self.pos
         lhs = self.parse_coeffs()
         op = self.kinds[self.pos]
         if op != "ge" and op != "le" and op != "=":
             raise self.error("expected '>=', '<=' or '='")
         self.pos += 1
         _add_into(lhs, self.parse_coeffs(), -1)
-        expr = LinExpr.make(self.n, lhs)
+        expr = self.expression(lhs, start)
         return [expr] if op == "ge" else [-expr] if op == "le" else [expr, -expr]
 
     def parse_antecedents(self) -> tuple[LinExpr, ...]:
@@ -347,6 +367,7 @@ class _Parser:
             antecedents = self.parse_antecedents()
             self.expect("arrow")
         if self.texts[self.pos] == "max" and kinds[self.pos + 1] == "(":
+            start = self.pos
             self.pos += 2
             args = [self.parse_coeffs()]
             while kinds[self.pos] == ",":
@@ -362,7 +383,7 @@ class _Parser:
             rhs = self.parse_coeffs()
             for arg in args:
                 _add_into(arg, rhs, -1)
-            consequents = tuple(LinExpr.make(self.n, arg) for arg in args)
+            consequents = tuple(self.expression(arg, start) for arg in args)
             return [Clause(self.n, antecedents, consequents)]
         # a consequent equality splits into the two one-sided clauses
         return [Clause(self.n, antecedents, (e,)) for e in self.parse_comparison()]

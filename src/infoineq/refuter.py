@@ -30,10 +30,13 @@ places each pmf it builds in closed form, from the sizes of the subtrees
 before it, so every candidate carries its position in the whole stream.
 `candidates_scanned` counts every candidate up to the hit, skipped ones
 included, also the pmfs that were never built.  A hit is re-checked and
-reported by `violation`, the reference evaluation over `LogLinValue`s,
-so the report does not depend on the kernel.  The re-check builds h as a
-plain dict from mask to `LogLinValue`, only at the masks the constraint
-mentions, since `LinExpr.eval` reads h[mask] there and nothing else.
+reported by `violation`, the reference evaluation, so the report does not
+depend on the kernel.  It takes the walk's integer pmf and builds from
+it only the `Distribution` that the hit reports.  It sums the marginal
+counts at the masks the constraint mentions from the pmf's outcomes, not
+from the kernel's tables, and decides each expression as an integer sum
+of logs over a coprime basis (`core.coprime_exponents`), with no
+`Fraction` per term.
 
 Scans of one budget share the walk.  `refute` draws its pmfs from
 `distributions.shared_walk`, so a process builds a budget's pmfs once
@@ -49,11 +52,12 @@ bounded search.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
+from operator import itemgetter
 
 from .core import (BooleanConstraint, Clause, LinExpr, TooManyDigits, Value, _factor_cached,
-                   is_prime, prime_sum_sign, read_int)
-from .distributions import Distribution, cell_outcomes, shared_walk, to_distribution
+                   coprime_exponents, is_prime, log_sum_text, prime_sum_sign, read_int)
+from .distributions import cell_outcomes, shared_walk, to_distribution
 
 DISTRIBUTION = "distribution"
 VECTOR_SPACE = "vector-space"
@@ -245,43 +249,109 @@ def _mentioned_masks(constraint: BooleanConstraint) -> tuple[int, ...]:
                          for m, _ in e.items}))
 
 
+@lru_cache(maxsize=None)
+def _masked(n: int, mask: int) -> itemgetter:
+    """The getter of the masked entries of an outcome of n variables."""
+    return itemgetter(*[i for i in range(n) if mask >> i & 1])
+
+
+def _marginal_counts(atoms, n: int, mask: int) -> list[int]:
+    """The marginal counts on the masked variables of (outcome, count)
+    pairs with nonzero counts, in outcome order."""
+    key = _masked(n, mask)
+    acc: dict = {}
+    for outcome, count in atoms:
+        k = key(outcome)
+        acc[k] = acc.get(k, 0) + count
+    return [acc[k] for k in sorted(acc)]
+
+
 def violation(constraint: BooleanConstraint, kind: str, obj) -> "Counterexample | None":
     """First clause the candidate falsifies, with its evaluation trace.
 
     The one reference evaluation of clauses on candidates, with exact
-    `LogLinValue` signs: a clause is falsified when every antecedent is
-    >= 0 and every consequent < 0.  It builds h as a dict with the
-    candidate's own `entropy`, and only at the masks the constraint
-    mentions, which are all that `LinExpr.eval` reads.  A candidate on
-    another number of variables is a ValueError.
+    signs: a clause is falsified when every antecedent is >= 0 and every
+    consequent < 0.  Only the masks the constraint mentions are read, and
+    only the falsified clause's values are written, term by term in mask
+    and outcome order, as `str` of `LinExpr.eval` writes them.  A
+    candidate on another number of variables is a ValueError.
+
+    A pmf, a `Distribution` or a walk item (D', domains, atoms), is
+    decided over integers.  A walk item comes from a scan hit, so it is
+    first made the `Distribution` that the hit reports.  Its masses are
+    counts over the lcm N of their denominators (a divisor of D'), summed
+    into the marginal counts C_x of each mask from its outcomes, not from
+    `ProfileScan`'s tables.  An expression with coefficients A_m / L then
+    has
+
+        N * L * (c . h) = sum_m A_m (N log N - sum_x C_x log C_x),
+
+    whose sign `core.coprime_exponents` gives.  Subspace systems are
+    evaluated over their `LogLinValue` entropies.
+
     `check-dist --constraint` decides each clause with it; distribution
     scans use `ProfileScan` and call it only to re-check and report a
     hit; subspace systems are scanned with it directly."""
+    if type(obj) is tuple:  # a walk item of a scan hit, as its witness
+        obj = to_distribution(*obj)
     if obj.n != constraint.n:
         raise ValueError(f"dimension mismatch: constraint n={constraint.n}, candidate n={obj.n}")
-    h = {m: obj.entropy(m) for m in _mentioned_masks(constraint)}
+    masks = _mentioned_masks(constraint)
+    if kind == DISTRIBUTION:
+        total = lcm(*(p.denominator for _, p in obj.pmf))
+        atoms = [(o, p.numerator * (total // p.denominator)) for o, p in obj.pmf if p]
+        counts = {m: _marginal_counts(atoms, obj.n, m) for m in masks}
+
+        def sign(expr: LinExpr) -> int:
+            scale = lcm(*(c.denominator for _, c in expr.items))
+            weights = {total: 0}
+            for m, c in expr.items:
+                a = c.numerator * (scale // c.denominator)
+                weights[total] += a * total
+                for count in counts[m]:
+                    weights[count] = weights.get(count, 0) - a * count
+            return prime_sum_sign(coprime_exponents(weights))
+
+        def text(expr: LinExpr) -> str:
+            terms = []
+            for m, c in expr.items:
+                for count in counts[m]:
+                    g = gcd(count, total)
+                    pn, pd = count // g, total // g  # p = pn / pd
+                    qn, qd = c.numerator * pn, c.denominator * pd
+                    g = gcd(qn, qd)
+                    terms.append((qn // g, qd // g, pd, pn))
+            return log_sum_text(terms)
+    else:
+        h = {m: obj.entropy(m) for m in masks}
+
+        def sign(expr: LinExpr) -> int:
+            return expr.eval(h).sign()
+
+        def text(expr: LinExpr) -> str:
+            return str(expr.eval(h))
     for idx, clause in enumerate(constraint.clauses):
         trace = []
         failed = True
         for i, a in enumerate(clause.antecedents):
-            value = a.eval(h)
-            s = value.sign()
-            trace.append({"role": "antecedent", "index": i, "sign": s, "value": str(value)})
+            s = sign(a)
+            trace.append(("antecedent", i, s, a))
             if s < 0:
                 failed = False
                 break
         if failed:
             for i, c in enumerate(clause.consequents):
-                value = c.eval(h)
-                s = value.sign()
-                trace.append({"role": "consequent", "index": i, "sign": s, "value": str(value)})
+                s = sign(c)
+                trace.append(("consequent", i, s, c))
                 if s >= 0:
                     failed = False
                     break
         if failed:
+            trace = tuple({"role": role, "index": i, "sign": s, "value": text(e)}
+                          for role, i, s, e in trace)
             if kind == DISTRIBUTION:
-                return Counterexample(kind, obj, None, idx, tuple(trace))
-            return Counterexample(kind, None, obj, idx, tuple(trace))
+                return Counterexample(kind, obj, None, idx, trace)
+            return Counterexample(kind, None, obj, idx, trace)
     return None
 
 
@@ -413,7 +483,7 @@ class ProfileScan:
         idx = self.violated_clause(profile)
         if idx is None:
             return None
-        hit = violation(self.constraint, DISTRIBUTION, to_distribution(*pmf))
+        hit = violation(self.constraint, DISTRIBUTION, pmf)
         if hit is None or hit.clause_index != idx:
             raise RuntimeError(f"profile scan found clause {idx} violated, "
                                f"the reference evaluation disagrees on {pmf}")

@@ -186,6 +186,13 @@ class TestSign:
         with pytest.raises(TypeError, match="must be Fractions"):
             LogLinValue((term,))
 
+    @settings(max_examples=100, deadline=None)
+    @given(log_lin_values)
+    def test_text_writes_each_term_as_its_fractions(self, v):
+        """`core.log_sum_text`, which also writes the re-check's trace
+        values from integers, against `str` of the `Fraction`s."""
+        assert str(v) == (" + ".join(f"{q}*log2({r})" for q, r in v.terms) or "0")
+
     @settings(max_examples=200, deadline=None)
     @given(log_lin_values)
     def test_sign_matches_high_precision(self, v):

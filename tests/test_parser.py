@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from infoineq import parser
 from infoineq.apps import secret_sharing_constraint
-from infoineq.core import LinExpr, cond_entropy, mutual_info
+from infoineq.core import MAX_DIGITS, LinExpr, cond_entropy, mutual_info
 from infoineq.parser import (MAX_PAREN_DEPTH, ParseError, format_clause, format_constraint,
                              format_expr, parse_constraint)
 
@@ -114,12 +114,28 @@ class TestErrors:
                      "parentheses nested deeper than 64", 1, 65, id="330-deep"),
         pytest.param("H(X) >= 0 &&\n  2 " + "(" * 65 + "H(X)" + ")" * 65 + " >= 0", None,
                      "parentheses nested deeper than 64", 2, 69, id="65-deep-on-line-2"),
+        # numbers stay under Python's 4300-digit int/text limit, as written
+        # and as collected: 1/a + 1/b has a denominator of about 8000 digits
+        pytest.param("H(X) >= 0 &&\n  " + "7" * 5000 + "*H(X) >= 0", None,
+                     "a number of more than 4000 digits", 2, 3, id="5000-digit-number"),
+        pytest.param("H(X) >= 0 && H(X) >= 1/" + "1" * 3999 + "*H(Y) + 1/" + "1" * 3998
+                     + "3*H(Y)", None, "a coefficient of more than 4000 digits", 1, 14,
+                     id="8000-digit-sum"),
+        pytest.param("max(H(X), H(Y)) >= 1/" + "1" * 3999 + "*H(Z) + 1/" + "1" * 3998
+                     + "3*H(Z)", None, "a coefficient of more than 4000 digits", 1, 1,
+                     id="8000-digit-sum-in-max"),
     ])
     def test_message_and_position(self, text, names, message, line, column):
         with pytest.raises(ParseError) as err:
             parse_constraint(text, names)
         assert (err.value.message, err.value.span.line, err.value.span.column) \
             == (message, line, column)
+
+    def test_numbers_of_max_digits_parse(self):
+        big = "9" * MAX_DIGITS
+        constraint = parse_constraint(f"{big}*H(X) >= 1/{big}*H(Y)")
+        assert sorted(constraint.clauses[0].consequents[0].coeffs().values()) \
+            == [Fraction(-1, int(big)), int(big)]
 
     def test_nesting_up_to_the_cap_parses(self):
         depth = MAX_PAREN_DEPTH

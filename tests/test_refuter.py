@@ -340,6 +340,41 @@ def test_violation_matches_whole_vector_on_every_candidate(name):
     assert DISTRIBUTION in hits
 
 
+# `check-dist`-style pmfs, which the re-check scales to the lcm of their
+# denominators: unequal denominators, an lcm (30) above every denominator,
+# and a mass of 1/10^40
+TINY = Fraction(1, 10 ** 40)
+SCALED = {
+    "thirds-sixths-halves": {(0, 0, 0): Fraction(1, 3), (1, 0, 1): Fraction(1, 6),
+                             (2, 1, 1): Fraction(1, 2)},
+    "lcm-30": {(0, 0, 0): Fraction(1, 6), (1, 0, 1): Fraction(1, 10),
+               (1, 1, 0): Fraction(1, 15), (2, 1, 1): Fraction(2, 3)},
+    "tiny-mass": {(0, 0, 0): TINY, (1, 1, 0): 1 - TINY},
+    "unequal-and-tiny": {(0, 0, 0): Fraction(1, 3), (0, 1, 1): Fraction(1, 6) - TINY,
+                         (1, 1, 0): Fraction(1, 2) + TINY},
+}
+
+
+@pytest.mark.parametrize("pmf", list(SCALED))
+@pytest.mark.parametrize("name", REFUTED)
+def test_violation_matches_whole_vector_on_scaled_distributions(name, pmf):
+    constraint = fixture(name).constraint
+    n = constraint.n
+    dist = Distribution.make((3, 2, 2)[:n], {o[:n]: p for o, p in SCALED[pmf].items()})
+    hit = violation(constraint, DISTRIBUTION, dist)
+    assert (hit.to_json() if hit else None) == whole_vector_violation(constraint, DISTRIBUTION, dist)
+    if name == "false_three_subadd":  # H(XY) > 0 on each of them
+        assert hit is not None
+
+
+def test_a_kernel_hit_that_the_recheck_rejects_is_an_error(monkeypatch):
+    """A kernel that claims a violation of a valid clause is caught by the
+    re-check, and the error names the pmf."""
+    monkeypatch.setattr(ProfileScan, "sign", lambda self, expr, profile: -1)
+    with pytest.raises(RuntimeError, match=r"disagrees on \(1, \(1,\), \(\(0, 1\),\)\)$"):
+        refute(parse_constraint("H(X) >= 0\n"), Budget())
+
+
 @lru_cache(maxsize=None)
 def planted_n5() -> list:
     """The first 20 n=5 inputs of the `refute-early` benchmark pool."""
@@ -358,21 +393,27 @@ def test_violation_matches_whole_vector_on_planted_hits(index):
 
 
 def test_recheck_builds_only_the_mentioned_marginals(monkeypatch):
+    """The re-check marginalizes a pmf only at the masks the constraint
+    mentions and never builds its whole entropic vector, both for a
+    `Distribution` and for the walk item that the scan passes it."""
     constraint, budget = planted_n5()[0]
     hit = refute(constraint, budget).counterexample
     mentioned = {m for e in constraint.clauses[0].consequents for m, _ in e.items}
     assert len(mentioned) < 31
     built = []
-    marginal_items = Distribution._marginal_items
+    marginal_counts = refuter._marginal_counts
 
-    def recording(self, mask):
+    def recording(atoms, n, mask):
         built.append(mask)
-        return marginal_items(self, mask)
+        return marginal_counts(atoms, n, mask)
 
     def whole_vector(self):
         raise AssertionError("the re-check built the whole entropic vector")
 
-    monkeypatch.setattr(Distribution, "_marginal_items", recording)
+    monkeypatch.setattr(refuter, "_marginal_counts", recording)
     monkeypatch.setattr(Distribution, "entropic_vector", whole_vector)
     assert violation(constraint, DISTRIBUTION, hit.distribution) == hit
+    assert sorted(built) == sorted(mentioned)
+    built.clear()
+    assert refute(constraint, budget).counterexample == hit
     assert sorted(built) == sorted(mentioned)
