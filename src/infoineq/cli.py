@@ -491,7 +491,8 @@ def cmd_check_dist(args) -> int:
         clause_reports = []
         all_hold = True
         for clause in constraint.clauses:
-            ok = violation(BooleanConstraint(dist.n, (clause,)), DISTRIBUTION, dist) is None
+            ok = violation(BooleanConstraint(dist.n, (clause,)), DISTRIBUTION, dist,
+                           traced=False) is None
             all_hold = all_hold and ok
             clause_reports.append({"clause": format_clause(clause), "holds": ok})
         report["clauses"] = clause_reports

@@ -266,7 +266,8 @@ def _marginal_counts(atoms, n: int, mask: int) -> list[int]:
     return [acc[k] for k in sorted(acc)]
 
 
-def violation(constraint: BooleanConstraint, kind: str, obj) -> "Counterexample | None":
+def violation(constraint: BooleanConstraint, kind: str, obj,
+              traced: bool = True) -> "Counterexample | None":
     """First clause the candidate falsifies, with its evaluation trace.
 
     The one reference evaluation of clauses on candidates, with exact
@@ -289,9 +290,12 @@ def violation(constraint: BooleanConstraint, kind: str, obj) -> "Counterexample 
     whose sign `core.coprime_exponents` gives.  Subspace systems are
     evaluated over their `LogLinValue` entropies.
 
-    `check-dist --constraint` decides each clause with it; distribution
-    scans use `ProfileScan` and call it only to re-check and report a
-    hit; subspace systems are scanned with it directly."""
+    Untraced, the falsified clause comes with an empty trace: a value's
+    text can run to far more digits than its sign needs.
+
+    `check-dist --constraint` decides each clause with it, untraced;
+    distribution scans use `ProfileScan` and call it only to re-check and
+    report a hit; subspace systems are scanned with it directly."""
     if type(obj) is tuple:  # a walk item of a scan hit, as its witness
         obj = to_distribution(*obj)
     if obj.n != constraint.n:
@@ -348,7 +352,7 @@ def violation(constraint: BooleanConstraint, kind: str, obj) -> "Counterexample 
                     break
         if failed:
             trace = tuple({"role": role, "index": i, "sign": s, "value": text(e)}
-                          for role, i, s, e in trace)
+                          for role, i, s, e in trace if traced)
             if kind == DISTRIBUTION:
                 return Counterexample(kind, obj, None, idx, trace)
             return Counterexample(kind, None, obj, idx, trace)

@@ -247,13 +247,20 @@ class SlackWitness(Value):
         return {"kind": "distribution", "file": self.distribution.to_file_text()}
 
 
+def _nonpositive(c: LinExpr, gens: GeneratorSet) -> bool:
+    """Whether -c has a certificate from gens that `verify` accepts."""
+    cert = prove(-c, gens)
+    return cert is not None and verify(cert, -c, gens)
+
+
 def classify_tight(c: LinExpr, gens: GeneratorSet, budget: Budget) -> str:
-    """TIGHT if -c is provable from gens (so c.h <= 0 on the whole cone);
-    SLACK if the searches of `joint_slack` find a candidate with c.h > 0:
-    the modular LP, then the distribution scan within the budget; UNKNOWN
-    otherwise.  A failed proof of -c at gens means none at the elemental
-    subset either, so the scan runs without `joint_slack`'s second proof."""
-    if prove(-c, gens) is not None:
+    """TIGHT if -c has a verified proof from gens (so c.h <= 0 on the
+    whole cone); SLACK if the searches of `joint_slack` find a candidate
+    with c.h > 0: the modular LP, then the distribution scan within the
+    budget; UNKNOWN otherwise.  A failed proof of -c at gens means none at
+    the elemental subset either, so the scan runs without `joint_slack`'s
+    second proof."""
+    if _nonpositive(c, gens):
         return TIGHT
     if _modular_slack([c]) or _distribution_slack([c], budget):
         return SLACK
@@ -264,15 +271,16 @@ def joint_slack(exprs: Sequence[LinExpr], budget: Budget) -> "SlackWitness | Non
     """A single candidate making every expression strictly positive.
 
     First tries modular vectors (`_modular_slack`).  Then, unless some -c_i
-    is provable at the elemental set (c_i <= 0 everywhere, so no witness
-    exists), falls back to the canonical distribution stream within the
-    budget (`_distribution_slack`).  None means not found at this budget.
+    has a verified proof at the elemental set (c_i <= 0 everywhere, so no
+    witness exists), falls back to the canonical distribution stream
+    within the budget (`_distribution_slack`).  None means not found at
+    this budget.
     """
     witness = _modular_slack(exprs)
     if witness is not None:
         return witness
     gens = elemental(exprs[0].n)
-    if any(prove(-c, gens) is not None for c in exprs):
+    if any(_nonpositive(c, gens) for c in exprs):
         return None
     return _distribution_slack(exprs, budget)
 

@@ -467,6 +467,17 @@ def test_thirty_digit_prime_inputs_are_fast(capsys, tmp_path):
     assert time.perf_counter() - start < 1.0
 
 
+def test_check_dist_decides_clauses_without_their_values(capsys, tmp_path):
+    """check-dist prints only whether each clause holds, so the falsified
+    clause's values (a term c*p of about 8,000 digits here, past Python's
+    4300-digit int/text limit) are never written."""
+    d = 10 ** 3999 + 1
+    dist = write(tmp_path, f"vars 2\n0 1/{d}\n1 {d - 1}/{d}\n", "long.dist")
+    bound = write(tmp_path, f"1/{'7' * 3999}*H(X) <= 0\n")
+    code, report = run(capsys, "check-dist", "--file", dist, "--constraint", bound)
+    assert (code, report["holds"]) == (cli.EXIT_NEGATIVE, False)
+
+
 def test_cli_import_leaves_heavy_modules_unloaded():
     # sympy is gone, mpmath serves only near-tie signs, and the
     # counterexample search runs in one process, with no pool to import

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from infoineq import shannon
 from infoineq.core import LinExpr, VarSet, cond_entropy, entropy_of, full_set, mutual_info
 from infoineq.parser import default_names
-from infoineq.refuter import Budget
+from infoineq.refuter import Budget, refute
 from infoineq.shannon import (MONOTONICITY, SLACK, SUBMODULARITY, TIGHT, UNKNOWN, Generator,
                               ProofCertificate, classify_tight, elemental, joint_slack, prove,
                               verify)
@@ -251,6 +251,28 @@ class TestClassify:
         # budget: at s=2, D=6 a pmf makes it negative (test_refuter).
         assert classify_tight(-matus_expr(1), gens4, Budget(2, 2)) == UNKNOWN
 
+    def test_unverified_proof_is_not_tight(self, gens2, monkeypatch):
+        one_wrong_multiplier(monkeypatch)
+        assert classify_tight(-mutual_info(2, 1, 2), gens2, Budget()) == UNKNOWN
+
+
+def one_wrong_multiplier(monkeypatch):
+    """Make `shannon.prove` add 1 to the first nonzero generator multiplier
+    of each certificate it returns, which `verify` then rejects."""
+    real = shannon.prove
+
+    def wrong(c, gens, antecedents=()):
+        cert = real(c, gens, antecedents)
+        if cert is None:
+            return None
+        nu = list(cert.generator_multipliers)
+        i = next(i for i, m in enumerate(nu) if m)
+        nu[i] += 1
+        return ProofCertificate(cert.target, cert.antecedent_multipliers, tuple(nu),
+                                cert.trusted)
+
+    monkeypatch.setattr(shannon, "prove", wrong)
+
 
 class TestJointSlack:
     def test_conditional_antecedents_witness(self, gens3):
@@ -278,6 +300,18 @@ class TestJointSlack:
 
         monkeypatch.setattr(shannon, "refute", no_scan)
         assert joint_slack([entropy_of(2, 1), -mutual_info(2, 1, 2)], Budget()) is None
+
+    def test_unverified_proof_does_not_skip_the_scan(self, monkeypatch):
+        one_wrong_multiplier(monkeypatch)
+        scans = []
+
+        def recording(*args):
+            scans.append(args)
+            return refute(*args)
+
+        monkeypatch.setattr(shannon, "refute", recording)
+        assert joint_slack([entropy_of(2, 1), -mutual_info(2, 1, 2)], Budget()) is None
+        assert len(scans) == 1
 
     def test_distribution_fallback(self):
         # strictly positive only away from modular vectors: I(X;Y) > 0 needs
