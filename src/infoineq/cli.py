@@ -343,9 +343,9 @@ def cmd_refute(args) -> int:
     if result.found and args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        witness_path = out / ("counterexample." +
-                              ("dist" if result.counterexample.distribution else "vs"))
-        witness_path.write_text(result.counterexample.witness_file_text())
+        hit = result.counterexample
+        witness_path = out / ("counterexample." + ("dist" if hit.source == DISTRIBUTION else "vs"))
+        witness_path.write_text(hit.witness.to_file_text())
         report["witness_file"] = str(witness_path)
     emit(report, args.text)
     return EXIT_NEGATIVE if result.found else EXIT_INCONCLUSIVE
@@ -433,6 +433,7 @@ def cmd_corpus(args) -> int:
         fx = fixture(args.show)
         emit({"command": "corpus", "name": fx.name, "file": str(fx.path),
               "expected_verdict": fx.expected_verdict, "notes": fx.notes,
+              "budget": Budget.parse(fx.budget).describe(),
               "source": fx.source, "parsed": format_constraint(fx.constraint)}, args.text)
         return EXIT_POSITIVE
     emit({"command": "corpus",

@@ -1,6 +1,9 @@
 """Finite probability spaces with rational probabilities, their exact
 entropic vectors, and a budgeted canonical enumeration.
 
+A `Distribution` holds integer counts over the least common denominator
+of its probabilities, the form the walk's pmfs (counts over D') have.
+
 Every entropic vector of such a space is exactly representable: each atom
 with probability p contributes p*log2(1/p), a LogLinValue term.  The
 enumeration is the engine behind counterexample search; its order is the
@@ -79,8 +82,8 @@ from itertools import islice, product
 from math import comb, gcd, lcm, prod
 from typing import Iterator, Mapping
 
-from .core import (LogLinValue, Value, _factor_cached, as_fraction, check_var_count,
-                   read_fraction, read_int)
+from .core import (MAX_DIGITS, LogLinValue, Value, _DIGITS_BOUND, _factor_cached, as_fraction,
+                   check_var_count, read_fraction, read_int)
 
 Outcome = tuple[int, ...]
 # (D', domains, ((cell, count), ...)): a pmf with probabilities count / D'
@@ -94,67 +97,81 @@ MAX_SHARED_PMFS = 1 << 14
 
 
 class Distribution(Value):
-    """A joint pmf on n finite variables with exact rational probabilities."""
+    """A joint pmf on n finite variables with exact rational probabilities:
+    `(outcome, count)` for each outcome of probability count / `total` > 0,
+    in outcome order, over the least common denominator `total`."""
 
-    __slots__ = ("domains", "pmf")
+    __slots__ = ("domains", "total", "counts")
 
-    def __init__(self, domains: tuple[int, ...], pmf: tuple[tuple[Outcome, Fraction], ...]):
-        self.domains, self.pmf = domains, pmf
+    def __init__(self, domains: tuple[int, ...], total: int,
+                 counts: tuple[tuple[Outcome, int], ...]):
+        self.domains, self.total, self.counts = domains, total, counts
         if not domains or any(d < 1 for d in domains):
             raise ValueError("domain sizes must be positive")
-        seen = set()
-        for outcome, p in pmf:
+        for i, (outcome, count) in enumerate(counts):
             if len(outcome) != len(domains):
                 raise ValueError("outcome arity mismatch")
             if any(not 0 <= x < d for x, d in zip(outcome, domains)):
                 raise ValueError(f"outcome {outcome} outside domains {domains}")
-            if outcome in seen:
-                raise ValueError(f"duplicate outcome {outcome}")
-            if p.numerator < 0:
-                raise ValueError("negative probability")
-            seen.add(outcome)
-        # one integer sum over the lcm of the denominators, where a Fraction
-        # sum normalizes at each term; nonnegative masses that sum to 1
-        # leave a nonempty support
-        scale = lcm(*(p.denominator for _, p in pmf))
-        total = sum(p.numerator * (scale // p.denominator) for _, p in pmf)
-        if total != scale:
-            raise ValueError(f"probabilities sum to {Fraction(total, scale)}, not 1")
+            if i and outcome <= counts[i - 1][0]:
+                raise ValueError(f"duplicate or unsorted outcome {outcome}")
+            if count <= 0:
+                raise ValueError("negative probability" if count else "zero probability")
+        mass = sum(count for _, count in counts)
+        if mass != total:
+            raise ValueError(f"probabilities sum to {Fraction(mass, total)}, not 1")
+        if gcd(total, *(count for _, count in counts)) != 1:
+            raise ValueError(f"the counts share a factor with their total {total}")
 
     @staticmethod
     def make(domains, pmf: Mapping[Outcome, Fraction]) -> "Distribution":
-        items = tuple(sorted((tuple(o), as_fraction(p)) for o, p in pmf.items() if p != 0))
-        return Distribution(tuple(domains), items)
+        """The distribution of a map from outcomes to probabilities.  Every
+        number of its entropies and marginals is at most its `total`, so a
+        `total` of more than MAX_DIGITS digits is a ValueError."""
+        items = sorted((tuple(o), as_fraction(p)) for o, p in pmf.items() if p != 0)
+        total = lcm(*(p.denominator for _, p in items))
+        if total >= _DIGITS_BOUND:
+            raise ValueError(f"the probabilities have a common denominator of more "
+                             f"than {MAX_DIGITS} digits")
+        return Distribution(tuple(domains), total,
+                            tuple((o, p.numerator * (total // p.denominator)) for o, p in items))
 
     @property
     def n(self) -> int:
         return len(self.domains)
 
-    def support(self) -> list[Outcome]:
-        return [o for o, p in self.pmf if p > 0]
+    @property
+    def pmf(self) -> tuple[tuple[Outcome, Fraction], ...]:
+        """`(outcome, probability)` for the outcomes of `counts`."""
+        return tuple((o, Fraction(count, self.total)) for o, count in self.counts)
 
-    def _marginal_items(self, mask: int) -> list[tuple[Outcome, Fraction]]:
-        """The nonzero probabilities of the marginal on the masked
-        variables, in outcome order."""
-        idx = [i for i in range(self.n) if (mask >> i) & 1]
-        acc: dict[Outcome, Fraction] = {}
-        for outcome, p in self.pmf:
-            if p:
-                key = tuple(outcome[i] for i in idx)
-                acc[key] = acc[key] + p if key in acc else p
+    def support(self) -> list[Outcome]:
+        return [o for o, _ in self.counts]
+
+    def marginal_counts(self, mask: int) -> list[tuple[Outcome, int]]:
+        """The marginal on the masked variables as `(outcome, count)` over
+        `total`, for its outcomes of positive probability in order."""
+        idx = [i for i in range(self.n) if mask >> i & 1]
+        acc: dict[Outcome, int] = {}
+        for outcome, count in self.counts:
+            key = tuple([outcome[i] for i in idx])
+            acc[key] = acc.get(key, 0) + count
         return sorted(acc.items())
 
     def marginal(self, mask: int) -> "Distribution":
-        """Exact marginal on the variables selected by the mask."""
+        """Exact marginal on the masked variables, over its own least total."""
         if not mask & ((1 << self.n) - 1):
-            return Distribution.make((1,), {(0,): Fraction(1)})
-        return Distribution(tuple(d for i, d in enumerate(self.domains) if (mask >> i) & 1),
-                            tuple(self._marginal_items(mask)))
+            return Distribution((1,), 1, (((0,), 1),))
+        counts = self.marginal_counts(mask)
+        # the counts sum to `total`, so their gcd divides it
+        g = gcd(*(count for _, count in counts))
+        return Distribution(tuple(d for i, d in enumerate(self.domains) if mask >> i & 1),
+                            self.total // g, tuple((o, count // g) for o, count in counts))
 
     def entropy(self, mask: int) -> LogLinValue:
         """h(alpha) = sum_x p_alpha(x) * log2(1 / p_alpha(x)), exactly."""
-        return LogLinValue(tuple((p, Fraction(p.denominator, p.numerator))
-                                 for _, p in self._marginal_items(mask)))
+        return LogLinValue(tuple((Fraction(count, self.total), Fraction(self.total, count))
+                                 for _, count in self.marginal_counts(mask)))
 
     def entropic_vector(self) -> tuple[LogLinValue, ...]:
         """`entropy` at every mask, indexed by mask, with h({}) = 0 first."""
@@ -458,8 +475,9 @@ def cell_outcomes(domains: tuple[int, ...]) -> tuple[Outcome, ...]:
 def to_distribution(dprime: int, domains: tuple[int, ...], atoms) -> Distribution:
     """The `Distribution` of one `pmf_stream` item."""
     outcomes = cell_outcomes(domains)
-    # the atoms are nonzero and in cell order, which is outcome order
-    return Distribution(domains, tuple((outcomes[i], Fraction(v, dprime)) for i, v in atoms))
+    # the atoms are nonzero and in cell order, which is outcome order, and
+    # their counts have gcd 1, so D' is their least common denominator
+    return Distribution(domains, dprime, tuple((outcomes[i], v) for i, v in atoms))
 
 
 def enumerate_distributions(n: int, max_support: int, max_denominator: int) -> Iterator[Distribution]:

@@ -95,12 +95,17 @@ class CandidateRepr(Value):
 
 
 class RecognitionResult(Value):
-    __slots__ = ("verdict", "violated", "realization")
+    __slots__ = ("violated", "realization")
 
-    def __init__(self, verdict: str, violated: "Generator | None" = None,
+    def __init__(self, violated: "Generator | None" = None,
                  realization: "Distribution | None" = None):
-        self.verdict = verdict  # "rejected" | "realized" | "inconclusive"
         self.violated, self.realization = violated, realization
+
+    @property
+    def verdict(self) -> str:
+        if self.violated is not None:
+            return "rejected"
+        return "inconclusive" if self.realization is None else "realized"
 
     def to_json(self) -> dict:
         out: dict = {"verdict": self.verdict}
@@ -126,11 +131,11 @@ def check_candidate(repr_: CandidateRepr, gens: GeneratorSet, budget: Budget) ->
     h = {mask: repr_.entropy(mask) for mask in range(1, 1 << repr_.n)}
     for gen in gens.generators:
         if gen.expr.eval(h).sign() < 0:
-            return RecognitionResult("rejected", violated=gen)
+            return RecognitionResult(violated=gen)
     for _, pmf in shared_walk(repr_.n, budget.max_support, budget.max_denominator):
         if pmf is None:
             break
         dist = to_distribution(*pmf)
         if all((dist.entropy(mask) - value).sign() == 0 for mask, value in h.items()):
-            return RecognitionResult("realized", realization=dist)
-    return RecognitionResult("inconclusive")
+            return RecognitionResult(realization=dist)
+    return RecognitionResult()

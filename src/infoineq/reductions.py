@@ -28,7 +28,7 @@ from math import gcd, lcm
 from typing import Sequence
 
 from .core import Clause, LinExpr, Value, entropy_of, full_set, mutual_info
-from .shannon import USER, GeneratorSet, ProofCertificate, certificate, cone_lp, prove, verify
+from .shannon import USER, GeneratorSet, ProofCertificate, cone_lp, prove, verify
 from .simplex import LPResult
 
 
@@ -81,7 +81,7 @@ def chain_rule_certificate(a: LinExpr, gens: GeneratorSet,
         if k is None:
             return None
         multipliers[k] += c
-    return ProofCertificate(a, (), tuple(multipliers), ())
+    return ProofCertificate(a, (), multipliers)
 
 
 def prepare_antecedents(antecedents: Sequence[LinExpr], gens: GeneratorSet) -> PreparedAntecedents:
@@ -194,4 +194,4 @@ def max_to_linear(clause: Clause, kept: Sequence[LinExpr],
     for weight, c in zip(x[:m], clause.consequents):
         if weight:
             combo = combo + c.scale(weight)
-    return MaxReduction(tuple(x[:m]), certificate(combo, x[m:m + k], x[m + k:], gens))
+    return MaxReduction(tuple(x[:m]), ProofCertificate(combo, x[m:m + k], x[m + k:]))

@@ -32,10 +32,10 @@ before it, so every candidate carries its position in the whole stream.
 included, also the pmfs that were never built.  A hit is re-checked and
 reported by `violation`, the reference evaluation, so the report does not
 depend on the kernel.  It takes the walk's integer pmf and builds from
-it only the `Distribution` that the hit reports.  It sums the marginal
-counts at the masks the constraint mentions from the pmf's outcomes, not
-from the kernel's tables, and decides each expression as an integer sum
-of logs over a coprime basis (`core.coprime_exponents`), with no
+it only the `Distribution` that the hit reports.  It reads the marginal
+counts at the masks the constraint mentions from that `Distribution`,
+not from the kernel's tables, and decides each expression as an integer
+sum of logs over a coprime basis (`core.coprime_exponents`), with no
 `Fraction` per term.
 
 Scans of one budget share the walk.  `refute` draws its pmfs from
@@ -53,11 +53,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd, lcm
-from operator import itemgetter
 
 from .core import (BooleanConstraint, Clause, LinExpr, TooManyDigits, Value, _factor_cached,
                    coprime_exponents, is_prime, log_sum_text, prime_sum_sign, read_int)
-from .distributions import cell_outcomes, shared_walk, to_distribution
+from .distributions import Distribution, cell_outcomes, shared_walk, to_distribution
 
 DISTRIBUTION = "distribution"
 VECTOR_SPACE = "vector-space"
@@ -189,24 +188,23 @@ def check_budget(n: int, budget: Budget) -> None:
 
 
 class Counterexample(Value):
-    __slots__ = ("source", "distribution", "system", "clause_index", "trace")
+    """A `Distribution` or `VectorSpaceSystem` that falsifies clause
+    `clause_index`, with its evaluation trace; `source` names its kind."""
 
-    def __init__(self, source: str, distribution: "Distribution | None",
-                 system: "VectorSpaceSystem | None", clause_index: int,
+    __slots__ = ("witness", "clause_index", "trace")
+
+    def __init__(self, witness: "Distribution | VectorSpaceSystem", clause_index: int,
                  trace: tuple[dict, ...]):
-        self.source = source  # DISTRIBUTION | VECTOR_SPACE
-        self.distribution, self.system = distribution, system
-        self.clause_index, self.trace = clause_index, trace
+        self.witness, self.clause_index, self.trace = witness, clause_index, trace
 
-    def witness_file_text(self) -> str:
-        if self.source == DISTRIBUTION:
-            return self.distribution.to_file_text()
-        return self.system.to_file_text()
+    @property
+    def source(self) -> str:
+        return DISTRIBUTION if isinstance(self.witness, Distribution) else VECTOR_SPACE
 
     def to_json(self) -> dict:
         return {
             "source": self.source,
-            "witness": self.witness_file_text(),
+            "witness": self.witness.to_file_text(),
             "clause_index": self.clause_index,
             "trace": list(self.trace),
         }
@@ -249,23 +247,6 @@ def _mentioned_masks(constraint: BooleanConstraint) -> tuple[int, ...]:
                          for m, _ in e.items}))
 
 
-@lru_cache(maxsize=None)
-def _masked(n: int, mask: int) -> itemgetter:
-    """The getter of the masked entries of an outcome of n variables."""
-    return itemgetter(*[i for i in range(n) if mask >> i & 1])
-
-
-def _marginal_counts(atoms, n: int, mask: int) -> list[int]:
-    """The marginal counts on the masked variables of (outcome, count)
-    pairs with nonzero counts, in outcome order."""
-    key = _masked(n, mask)
-    acc: dict = {}
-    for outcome, count in atoms:
-        k = key(outcome)
-        acc[k] = acc.get(k, 0) + count
-    return [acc[k] for k in sorted(acc)]
-
-
 def violation(constraint: BooleanConstraint, kind: str, obj,
               traced: bool = True) -> "Counterexample | None":
     """First clause the candidate falsifies, with its evaluation trace.
@@ -280,10 +261,9 @@ def violation(constraint: BooleanConstraint, kind: str, obj,
     A pmf, a `Distribution` or a walk item (D', domains, atoms), is
     decided over integers.  A walk item comes from a scan hit, so it is
     first made the `Distribution` that the hit reports.  Its masses are
-    counts over the lcm N of their denominators (a divisor of D'), summed
-    into the marginal counts C_x of each mask from its outcomes, not from
-    `ProfileScan`'s tables.  An expression with coefficients A_m / L then
-    has
+    counts over its `total` N, and `Distribution.marginal_counts` sums
+    them into the marginal counts C_x of each mask, not `ProfileScan`'s
+    tables.  An expression with coefficients A_m / L then has
 
         N * L * (c . h) = sum_m A_m (N log N - sum_x C_x log C_x),
 
@@ -302,9 +282,8 @@ def violation(constraint: BooleanConstraint, kind: str, obj,
         raise ValueError(f"dimension mismatch: constraint n={constraint.n}, candidate n={obj.n}")
     masks = _mentioned_masks(constraint)
     if kind == DISTRIBUTION:
-        total = lcm(*(p.denominator for _, p in obj.pmf))
-        atoms = [(o, p.numerator * (total // p.denominator)) for o, p in obj.pmf if p]
-        counts = {m: _marginal_counts(atoms, obj.n, m) for m in masks}
+        total = obj.total
+        counts = {m: [count for _, count in obj.marginal_counts(m)] for m in masks}
 
         def sign(expr: LinExpr) -> int:
             scale = lcm(*(c.denominator for _, c in expr.items))
@@ -353,9 +332,7 @@ def violation(constraint: BooleanConstraint, kind: str, obj,
         if failed:
             trace = tuple({"role": role, "index": i, "sign": s, "value": text(e)}
                           for role, i, s, e in trace if traced)
-            if kind == DISTRIBUTION:
-                return Counterexample(kind, obj, None, idx, trace)
-            return Counterexample(kind, None, obj, idx, trace)
+            return Counterexample(obj, idx, trace)
     return None
 
 

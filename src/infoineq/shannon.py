@@ -112,17 +112,16 @@ def elemental(n: int) -> GeneratorSet:
 # ---------------------------------------------------------------------------
 
 class ProofCertificate(Value):
-    """Nonnegative multipliers witnessing target = sum mu_i a_i + sum l_e g_e."""
+    """Nonnegative multipliers witnessing target = sum mu_i a_i + sum l_e g_e;
+    the proof trusts the user generators with a nonzero multiplier."""
 
-    __slots__ = ("target", "antecedent_multipliers", "generator_multipliers", "trusted")
+    __slots__ = ("target", "antecedent_multipliers", "generator_multipliers")
 
-    def __init__(self, target: LinExpr, antecedent_multipliers: tuple[Fraction, ...],
-                 generator_multipliers: tuple[Fraction, ...],
-                 trusted: tuple[tuple[str, str], ...]):
+    def __init__(self, target: LinExpr, antecedent_multipliers: Sequence[Fraction],
+                 generator_multipliers: Sequence[Fraction]):
         self.target = target
-        self.antecedent_multipliers = antecedent_multipliers
-        self.generator_multipliers = generator_multipliers
-        self.trusted = trusted  # (name, provenance) of used user generators
+        self.antecedent_multipliers = tuple(antecedent_multipliers)
+        self.generator_multipliers = tuple(generator_multipliers)
 
     def nonzero_generators(self, gens: GeneratorSet) -> dict[str, Fraction]:
         return {g.name: m for g, m in zip(gens.generators, self.generator_multipliers) if m != 0}
@@ -134,19 +133,19 @@ class ProofCertificate(Value):
             "generator_multipliers": {name: str(m)
                                       for name, m in self.nonzero_generators(gens).items()},
             "trusted_user_generators": [
-                {"name": name, "provenance": prov} for name, prov in self.trusted],
+                {"name": g.name, "provenance": g.provenance or ""}
+                for g, m in zip(gens.generators, self.generator_multipliers)
+                if m != 0 and g.kind == USER],
         }
 
     @staticmethod
     def from_json(data: dict, gens: GeneratorSet) -> "ProofCertificate":
+        """The certificate of a `to_json` report; its trusted generators
+        follow from the multipliers and `gens`, so that key is not read."""
         by_name = {name: Fraction(m) for name, m in data["generator_multipliers"].items()}
-        multipliers = tuple(by_name.get(g.name, ZERO) for g in gens.generators)
-        return ProofCertificate(
-            LinExpr.from_json(data["target"]),
-            tuple(Fraction(m) for m in data["antecedent_multipliers"]),
-            multipliers,
-            tuple((t["name"], t["provenance"]) for t in data["trusted_user_generators"]),
-        )
+        return ProofCertificate(LinExpr.from_json(data["target"]),
+                                [Fraction(m) for m in data["antecedent_multipliers"]],
+                                [by_name.get(g.name, ZERO) for g in gens.generators])
 
 
 def cone_lp(target: LinExpr, columns: Sequence[LinExpr], cost: Sequence[int],
@@ -169,15 +168,6 @@ def cone_lp(target: LinExpr, columns: Sequence[LinExpr], cost: Sequence[int],
     return solve_lp(rows, b, cost)
 
 
-def certificate(target: LinExpr, mu: Sequence[Fraction], nu: Sequence[Fraction],
-                gens: GeneratorSet) -> ProofCertificate:
-    """The certificate target = sum mu_j a_j + sum nu_g g of an LP's
-    multipliers, naming each user generator g with nu_g != 0."""
-    trusted = tuple((g.name, g.provenance or "") for g, m in zip(gens.generators, nu)
-                    if m != 0 and g.kind == USER)
-    return ProofCertificate(target, tuple(mu), tuple(nu), trusted)
-
-
 def prove(c: LinExpr, gens: GeneratorSet,
           antecedents: Sequence[LinExpr] = ()) -> "ProofCertificate | None":
     """Certificate for c in cone(antecedents) + cone(generators), or None.
@@ -197,7 +187,7 @@ def prove(c: LinExpr, gens: GeneratorSet,
     res = cone_lp(c, list(antecedents) + gens.exprs(), [1] * k + [0] * len(gens.generators))
     if res.status != "optimal":
         return None
-    return certificate(c, res.x[:k], res.x[k:], gens)
+    return ProofCertificate(c, res.x[:k], res.x[k:])
 
 
 def verify(cert: ProofCertificate, c: LinExpr, gens: GeneratorSet,
@@ -232,19 +222,22 @@ UNKNOWN = "unknown"
 class SlackWitness(Value):
     """A candidate on which the inspected expressions are strictly
     positive: the modular vector h(alpha) = sum_{j in alpha} w_j of
-    nonnegative rational weights, or a distribution."""
+    nonnegative rational weights, or a distribution; `kind` names which."""
 
-    __slots__ = ("kind", "weights", "distribution")
+    __slots__ = ("weights", "distribution")
 
-    def __init__(self, kind: str, weights: "tuple[Fraction, ...] | None" = None,
+    def __init__(self, weights: "tuple[Fraction, ...] | None" = None,
                  distribution: "Distribution | None" = None):
-        self.kind = kind  # "modular" | "distribution"
         self.weights, self.distribution = weights, distribution
 
+    @property
+    def kind(self) -> str:
+        return "modular" if self.distribution is None else "distribution"
+
     def describe(self) -> dict:
-        if self.kind == "modular":
-            return {"kind": "modular", "weights": [str(w) for w in self.weights]}
-        return {"kind": "distribution", "file": self.distribution.to_file_text()}
+        if self.distribution is None:
+            return {"kind": self.kind, "weights": [str(w) for w in self.weights]}
+        return {"kind": self.kind, "file": self.distribution.to_file_text()}
 
 
 def _nonpositive(c: LinExpr, gens: GeneratorSet) -> bool:
@@ -291,7 +284,7 @@ def _modular_slack(exprs: Sequence[LinExpr]) -> "SlackWitness | None":
     lossless, so None means no modular vector makes every c_i positive.
     No expression gives the empty vector."""
     if not exprs:
-        return SlackWitness("modular", weights=())
+        return SlackWitness(weights=())
     n = exprs[0].n
     k = len(exprs)
     # variables: w_1..w_n, slacks s_1..s_k; rows: sum_j A_ij w_j - s_i = 1
@@ -301,7 +294,7 @@ def _modular_slack(exprs: Sequence[LinExpr]) -> "SlackWitness | None":
     cost = [Fraction(1)] * n + [ZERO] * k
     res = solve_lp(a_rows, b, cost)
     if res.status == "optimal":
-        return SlackWitness("modular", weights=tuple(res.x[:n]))
+        return SlackWitness(weights=tuple(res.x[:n]))
     return None
 
 
@@ -313,5 +306,5 @@ def _distribution_slack(exprs: Sequence[LinExpr], budget: Budget) -> "SlackWitne
     result = refute(Clause(exprs[0].n, (), tuple(-c for c in exprs)),
                     Budget(budget.max_support, budget.max_denominator))
     if result.found:
-        return SlackWitness("distribution", distribution=result.counterexample.distribution)
+        return SlackWitness(distribution=result.counterexample.witness)
     return None

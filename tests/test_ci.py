@@ -50,7 +50,7 @@ def test_falsifier_finds_a_witness_for_a_false_implication():
 
 def test_witness_satisfies_the_polynomial_system():
     witness = falsify(*WEAKENING, 3, Budget(2, 4)) \
-        .counterexample.distribution
+        .counterexample.witness
     system = build_delta(*WEAKENING, 3, 2)
     assert satisfied_by(system, pmf_vector(witness, 2))
 

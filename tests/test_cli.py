@@ -478,6 +478,48 @@ def test_check_dist_decides_clauses_without_their_values(capsys, tmp_path):
     assert (code, report["holds"]) == (cli.EXIT_NEGATIVE, False)
 
 
+@pytest.mark.parametrize("text,budget,source,name", [
+    ("H(X) - H(XY) >= 0\n", "s=2,D=2", "distribution", "counterexample.dist"),
+    ("H(X) <= 0\n", "s=1,D=1,vsdim=1,vsq=2", "vector-space", "counterexample.vs"),
+])
+def test_refute_out_names_the_witness_file_by_its_source(capsys, tmp_path, text, budget,
+                                                         source, name):
+    out = tmp_path / "out"
+    code, report = run(capsys, "refute", "--file", write(tmp_path, text), "--budget", budget,
+                       "--out", str(out))
+    assert code == cli.EXIT_NEGATIVE
+    assert report["counterexample"]["source"] == source
+    assert report["witness_file"] == str(out / name)
+    assert [p.name for p in out.iterdir()] == [name]
+    assert (out / name).read_text() == report["counterexample"]["witness"]
+
+
+def test_corpus_show_gives_the_fixture_budget(capsys):
+    """A `refutable` verdict holds at the fixture's budget."""
+    code, report = run(capsys, "corpus", "--show", "false_mono_flip")
+    assert code == cli.EXIT_POSITIVE
+    assert report["budget"] == {"s": 2, "D": 2, "vsdim": 0, "vsq": []}
+
+
+@pytest.mark.parametrize("with_constraint", [False, True])
+def test_check_dist_bounds_the_common_denominator(capsys, tmp_path, with_constraint):
+    """Every number of this pmf has at most 2,201 digits, but X's marginal
+    1/a + 1/b has a denominator of 4,401: the pmf is rejected with the
+    program's message, not with Python's 4300-digit int/text one when the
+    entropies are written."""
+    a, b = 10 ** 2200 + 1, 10 ** 2200 + 3
+    dist = write(tmp_path, f"vars 2 2\n0 0 1/{a}\n0 1 1/{b}\n"
+                           f"1 0 {a - 2}/{2 * a}\n1 1 {b - 2}/{2 * b}\n", "wide.dist")
+    argv = ["check-dist", "--file", dist]
+    if with_constraint:
+        argv += ["--constraint", write(tmp_path, "H(X) >= 0 && H(XY) >= 0\n")]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {
+        "error": "the probabilities have a common denominator of more than 4000 digits"}
+
+
 def test_cli_import_leaves_heavy_modules_unloaded():
     # sympy is gone, mpmath serves only near-tie signs, and the
     # counterexample search runs in one process, with no pool to import

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from infoineq import distributions
 from infoineq.core import BooleanConstraint, Clause, LinExpr, LogLinValue, entropy_of
 from infoineq.distributions import (Distribution, cell_outcomes, enumerate_distributions,
-                                    pmf_stream, pmf_walk, shared_walk)
+                                    pmf_stream, pmf_walk, shared_walk, to_distribution)
 from infoineq.refuter import ProfileScan
 from infoineq.shannon import elemental
 
@@ -64,6 +64,43 @@ class TestMarginal:
     def test_empty_marginal_is_point_mass(self, xor_triple):
         m = xor_triple.marginal(0)
         assert m.pmf == (((0,), F(1)),)
+
+
+class TestCounts:
+    """One pmf has one form: integer counts over the least common
+    denominator of its probabilities."""
+
+    def test_reduced_and_unreduced_fractions_give_one_form(self):
+        reduced = Distribution.from_file_text("vars 2 3\n0 0 1/6\n0 2 1/3\n1 1 1/2\n")
+        unreduced = Distribution.from_file_text("vars 2 3\n0 0 2/12\n0 2 4/12\n1 1 9/18\n")
+        assert reduced == unreduced
+        assert reduced.total == 6
+        assert reduced.counts == (((0, 0), 1), ((0, 2), 2), ((1, 1), 3))
+        assert reduced.pmf == (((0, 0), F(1, 6)), ((0, 2), F(1, 3)), ((1, 1), F(1, 2)))
+
+    def test_walk_item_is_make_of_its_fractions(self):
+        for dprime, domains, atoms in islice(pmf_stream(3, 2, 4), 0, None, 7):
+            outcomes = cell_outcomes(domains)
+            made = Distribution.make(domains, {outcomes[c]: F(v, dprime) for c, v in atoms})
+            assert to_distribution(dprime, domains, atoms) == made
+
+    def test_marginal_has_the_least_total(self):
+        uniform = Distribution.make((2, 2), {o: F(1, 4) for o in product(range(2), repeat=2)})
+        assert uniform.total == 4
+        m = uniform.marginal(1)
+        assert (m.total, m.counts) == (2, (((0,), 1), ((1,), 1)))
+        assert m == Distribution.make((2,), {(0,): F(1, 2), (1,): F(1, 2)})
+
+    def test_counts_with_a_factor_of_the_total_are_rejected(self):
+        with pytest.raises(ValueError, match="share a factor"):
+            Distribution((2,), 4, (((0,), 2), ((1,), 2)))
+
+    def test_a_common_denominator_past_the_digit_bound_is_rejected(self):
+        # each number has at most 2,201 digits, their lcm 4,401
+        a, b = 10 ** 2200 + 1, 10 ** 2200 + 3
+        with pytest.raises(ValueError, match="common denominator of more than 4000 digits"):
+            Distribution.make((2, 2), {(0, 0): F(1, a), (0, 1): F(1, b),
+                                       (1, 0): F(1, 2) - F(1, a), (1, 1): F(1, 2) - F(1, b)})
 
 
 class TestValidation:

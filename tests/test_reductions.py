@@ -22,7 +22,7 @@ from infoineq.parser import parse_constraint
 from infoineq.reductions import (PreparedAntecedents, max_to_linear, prepare_antecedents,
                                  tight_reduction, tight_target)
 from infoineq.refuter import DISTRIBUTION, Budget, refute, violation
-from infoineq.shannon import ProofCertificate, certificate, cone_lp, elemental, prove, verify
+from infoineq.shannon import ProofCertificate, cone_lp, elemental, prove, verify
 
 from conftest import lin_exprs
 
@@ -162,7 +162,7 @@ def race_lambdas(clause, kept, gens, total):
         combo = combination(lam, clause)
         res = cone_lp(combo, list(kept) + gens.exprs(), [0] * (k + len(gens.generators)))
         if res.status == "optimal":
-            return tuple(Fraction(v) for v in lam), certificate(combo, res.x[:k], res.x[k:], gens)
+            return tuple(Fraction(v) for v in lam), ProofCertificate(combo, res.x[:k], res.x[k:])
     return None
 
 
@@ -283,7 +283,7 @@ def test_a_chain_rule_certificate_that_fails_verify_keeps_its_antecedent(monkeyp
     def corrupted(a, gens, index):
         cert = certify(a, gens, index)
         multipliers = cert.generator_multipliers
-        return ProofCertificate(cert.target, (), (multipliers[0] + 1,) + multipliers[1:], ())
+        return ProofCertificate(cert.target, (), (multipliers[0] + 1,) + multipliers[1:])
 
     monkeypatch.setattr(reductions, "chain_rule_certificate", corrupted)
     monkeypatch.setattr(reductions, "prove", None)  # no LP is tried either

@@ -162,7 +162,7 @@ def test_matus_k1_is_refuted():
     # on a binary pmf
     result = refute(fixture("matus_k1").constraint, Budget(2, 6))
     assert result.found and result.candidates_scanned == 41895
-    assert result.counterexample.distribution == Distribution.make((2, 2, 2, 2), {
+    assert result.counterexample.witness == Distribution.make((2, 2, 2, 2), {
         (0, 0, 1, 1): Fraction(1, 6), (0, 1, 1, 0): Fraction(1, 6),
         (1, 0, 1, 0): Fraction(1, 6), (1, 1, 0, 0): Fraction(1, 2)})
 
@@ -265,7 +265,7 @@ def test_one_projection_table_per_squeezed_domain_tuple(monkeypatch):
         result = refute(parse_constraint("H(A) <= 0 + 0*H(BCDEFGHIJ)\n"), Budget())
     finally:
         refuter._projection.cache_clear()
-    assert result.found and result.counterexample.distribution.domains[0] == 2
+    assert result.found and result.counterexample.witness.domains[0] == 2
     assert built and all(1 not in domains for domains in built)
     # per squeezed tuple, one table for A and, where A is constant, one for {}
     assert len(built) <= 2 * len(set(built))
@@ -389,7 +389,7 @@ def planted_n5() -> list:
 def test_violation_matches_whole_vector_on_planted_hits(index):
     constraint, budget = planted_n5()[index]
     hit = refute(constraint, budget).counterexample
-    assert hit.to_json() == whole_vector_violation(constraint, DISTRIBUTION, hit.distribution)
+    assert hit.to_json() == whole_vector_violation(constraint, DISTRIBUTION, hit.witness)
 
 
 def test_recheck_builds_only_the_mentioned_marginals(monkeypatch):
@@ -401,18 +401,18 @@ def test_recheck_builds_only_the_mentioned_marginals(monkeypatch):
     mentioned = {m for e in constraint.clauses[0].consequents for m, _ in e.items}
     assert len(mentioned) < 31
     built = []
-    marginal_counts = refuter._marginal_counts
+    marginal_counts = Distribution.marginal_counts
 
-    def recording(atoms, n, mask):
+    def recording(self, mask):
         built.append(mask)
-        return marginal_counts(atoms, n, mask)
+        return marginal_counts(self, mask)
 
     def whole_vector(self):
         raise AssertionError("the re-check built the whole entropic vector")
 
-    monkeypatch.setattr(refuter, "_marginal_counts", recording)
+    monkeypatch.setattr(Distribution, "marginal_counts", recording)
     monkeypatch.setattr(Distribution, "entropic_vector", whole_vector)
-    assert violation(constraint, DISTRIBUTION, hit.distribution) == hit
+    assert violation(constraint, DISTRIBUTION, hit.witness) == hit
     assert sorted(built) == sorted(mentioned)
     built.clear()
     assert refute(constraint, budget).counterexample == hit

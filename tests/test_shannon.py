@@ -138,10 +138,20 @@ class TestProve:
         extended = gens4.with_user(target, "matus-k1", "published family")
         cert = prove(target, extended)
         assert cert is not None and verify(cert, target, extended)
-        assert cert.trusted == (("matus-k1", "published family"),)
+        assert cert.to_json(extended)["trusted_user_generators"] == [
+            {"name": "matus-k1", "provenance": "published family"}]
         # and everything elemental-provable stays provable
         expr = mutual_info(4, 1, 2, 4)
         assert prove(expr, extended) is not None
+
+    def test_trusted_generators_follow_from_the_multipliers(self, gens4):
+        target = matus_expr(1)
+        extended = gens4.with_user(target, "matus-k1", "published family")
+        cert = prove(target, extended)
+        data = cert.to_json(extended)
+        assert ProofCertificate.from_json({**data, "trusted_user_generators": []},
+                                          extended) == cert
+        assert ProofCertificate.from_json(data, extended).to_json(extended) == data
 
     def test_zero_target_zero_certificate(self, gens3):
         cert = prove(LinExpr.zero(3), gens3)
@@ -153,10 +163,10 @@ class TestProve:
         expr = mutual_info(3, 1, 2)
         cert = prove(expr, gens3)
         bad = ProofCertificate(cert.target, cert.antecedent_multipliers,
-                               tuple(-m for m in cert.generator_multipliers), cert.trusted)
+                               tuple(-m for m in cert.generator_multipliers))
         assert not verify(bad, expr, gens3)
         off = ProofCertificate(cert.target, cert.antecedent_multipliers,
-                               cert.generator_multipliers[:-1] + (F(1, 3),), cert.trusted)
+                               cert.generator_multipliers[:-1] + (F(1, 3),))
         assert not verify(off, expr, gens3)
 
     def test_conditional_certificate(self, gens3):
@@ -223,7 +233,7 @@ def test_prove_hands_solve_lp_the_sparse_rows(monkeypatch, target, antecedents):
     # the certificate is the one the densified LP yields
     res = solve_lp(sparse(ref_a), ref_b, ref_c)
     k = len(antecedents)
-    dense_cert = ProofCertificate(target, res.x[:k], res.x[k:], ())
+    dense_cert = ProofCertificate(target, res.x[:k], res.x[k:])
     assert cert.to_json(gens) == dense_cert.to_json(gens)
     if antecedents:
         assert any(cert.antecedent_multipliers) and not all(cert.antecedent_multipliers)
@@ -268,8 +278,7 @@ def one_wrong_multiplier(monkeypatch):
         nu = list(cert.generator_multipliers)
         i = next(i for i, m in enumerate(nu) if m)
         nu[i] += 1
-        return ProofCertificate(cert.target, cert.antecedent_multipliers, tuple(nu),
-                                cert.trusted)
+        return ProofCertificate(cert.target, cert.antecedent_multipliers, tuple(nu))
 
     monkeypatch.setattr(shannon, "prove", wrong)
 
