@@ -17,7 +17,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterator, Sequence
 
-from .core import Clause, LinExpr, Value, VarSet, mutual_info
+from .core import Clause, LinExpr, Value, mask_indices, mask_label, mutual_info
 from .parser import _split_var_token  # shared variable-token convention
 from .refuter import Budget, RefutationResult, refute
 from .shannon import GeneratorSet, ProofCertificate, prove
@@ -44,8 +44,8 @@ class CIStatement(Value):
         """The conditional mutual information I(Y;Z|X) as a LinExpr."""
         return mutual_info(n, self.y, self.z, self.x)
 
-    def label(self, names: "tuple[str, ...] | None" = None) -> str:
-        y, z, x = (VarSet(m).label(names) for m in (self.y, self.z, self.x))
+    def label(self, names: Sequence[str]) -> str:
+        y, z, x = (mask_label(m, names) for m in (self.y, self.z, self.x))
         return f"I({y};{z}|{x})" if self.x else f"I({y};{z})"
 
 
@@ -148,9 +148,7 @@ def _marginal_atoms(assignment: dict[int, int], n: int, domain: int) -> tuple[in
 
 
 def _statement_equalities(st: CIStatement, n: int, domain: int) -> Iterator[ProductEquality]:
-    y_vars = list(VarSet(st.y).indices())
-    z_vars = list(VarSet(st.z).indices())
-    x_vars = list(VarSet(st.x).indices())
+    y_vars, z_vars, x_vars = (mask_indices(m) for m in (st.y, st.z, st.x))
     for xv in product(range(domain), repeat=len(x_vars)):
         for yv in product(range(domain), repeat=len(y_vars)):
             for zv in product(range(domain), repeat=len(z_vars)):

@@ -70,7 +70,8 @@ from .apps import corpus, fixture, secret_sharing_constraint
 from .ci import CIStatement, build_delta, ci_prove, export_delta, falsify, parse_ci
 from .core import (BooleanConstraint, Clause, LinExpr, Value, check_var_count, read_fraction,
                    read_int)
-from .parser import ParseError, format_clause, format_constraint, parse_constraint
+from .parser import (ParseError, _split_var_token, format_clause, format_constraint,
+                     parse_constraint)
 from .reductions import (PreparedAntecedents, chain_rule_certificate, elemental_index,
                          max_to_linear, prepare_antecedents, tight_reduction)
 from .refuter import DISTRIBUTION, Budget, Counterexample, refute, violation
@@ -376,6 +377,9 @@ def _ci_parts(args) -> tuple[list[CIStatement], CIStatement, int, list[str]]:
     for i, name in enumerate(names):
         if name in names[:i]:
             raise ValueError(f"duplicate variable name {name!r} in --vars")
+        if _split_var_token(name) != [name]:
+            raise ValueError(f"--vars name {name!r} is two or more capitals, which a "
+                             f"statement reads as one variable per letter")
     antecedents = [parse_ci(a, names) for a in args.ante]
     consequent = parse_ci(args.cons, names)
     # `prove` and `falsify` reject it later; `export` would first write domain^n atoms
@@ -393,9 +397,9 @@ def cmd_ci(args) -> int:
                                            [-a.expr(n) for a in antecedents]):
             cert, note = None, "the ci prove certificate fails verify"
         status = "proved" if cert is not None else "inconclusive"
-        implication = consequent.label(tuple(names)) + " = 0"
+        implication = consequent.label(names) + " = 0"
         if antecedents:
-            implication = (" and ".join(a.label(tuple(names)) + " = 0" for a in antecedents)
+            implication = (" and ".join(a.label(names) + " = 0" for a in antecedents)
                            + " => " + implication)
         report = {"command": "ci prove", "status": status, "implication": implication}
         if cert is not None:

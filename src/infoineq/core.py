@@ -1,5 +1,6 @@
-"""Shared domain types: variable sets, exact log-linear reals, linear
-expressions over joint entropies, and clause/constraint structure.
+"""Shared domain types: variable sets as int masks, exact log-linear
+reals, linear expressions over joint entropies, and clause/constraint
+structure.
 
 Everything here is exact.  Probabilities and coefficients are
 `fractions.Fraction`; entropy-like quantities are `LogLinValue`, a formal
@@ -46,7 +47,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from math import fsum, gcd, inf, isfinite, lcm, log
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 MAX_VARS = 16
 
@@ -161,40 +162,20 @@ def read_fraction(text: str) -> Fraction:
 # Variable sets
 # ---------------------------------------------------------------------------
 
-class VarSet(int):
-    """A subset of the variable index set [n], encoded as a bit mask.
+# A set of variables is a plain int mask: bit i is variable X_i, so a
+# subset's mask is its index in a dense 2^n vector, and the empty set is 0.
+# `LinExpr.make` checks the masks of an expression against its n.
 
-    The canonical index of a subset equals its mask value, so a `VarSet`
-    *is* an int and can index dense length-2^n vectors directly.  Bit i
-    corresponds to variable X_i; the empty set has index 0.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, bits: int = 0):
-        if bits < 0 or bits >= (1 << MAX_VARS):
-            raise ValueError(f"variable mask out of range: {bits}")
-        return super().__new__(cls, bits)
-
-    def indices(self) -> Iterator[int]:
-        bits = int(self)
-        i = 0
-        while bits:
-            if bits & 1:
-                yield i
-            bits >>= 1
-            i += 1
-
-    def label(self, names: "tuple[str, ...] | None" = None) -> str:
-        if int(self) == 0:
-            return "{}"
-        if names is None:
-            return "".join(f"X{i + 1}" for i in self.indices())
-        return "".join(names[i] for i in self.indices())
+def mask_indices(mask: int) -> list[int]:
+    """The indices of the variables in a mask, in increasing order: bit i
+    is variable X_i."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
-def full_set(n: int) -> VarSet:
-    return VarSet((1 << n) - 1)
+def mask_label(mask: int, names: Sequence[str], sep: str = "") -> str:
+    """The names of the variables in a mask, in index order, joined by
+    `sep`; the empty mask has the empty label."""
+    return sep.join([names[i] for i in mask_indices(mask)])
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +441,7 @@ def _normalize_coeffs(n: int, coeffs: Mapping[int, Fraction]) -> tuple[tuple[int
             raise ValueError("coefficient on the empty set must be zero (h({}) = 0)")
         if mask < 0 or mask >= (1 << n):
             raise ValueError(f"subset mask {mask} out of range for n={n}")
-        out.append((int(mask), as_fraction(c)))
+        out.append((mask, as_fraction(c)))
     return tuple(out)
 
 
@@ -547,7 +528,7 @@ class LinExpr(Value):
         return format_expr(self)
 
 
-# Entropy-expression builders.  Masks are ints (or VarSets).
+# Entropy-expression builders.  Masks are ints.
 
 def entropy_of(n: int, mask: int) -> LinExpr:
     """h(X_mask) as a LinExpr."""

@@ -199,6 +199,8 @@ class Distribution(Value):
             if len(toks) != len(domains) + 1:
                 raise ValueError(f"bad outcome line: {ln!r}")
             outcome = tuple(read_int(t) for t in toks[:-1])
+            if outcome in pmf:
+                raise ValueError(f"repeated outcome line: {ln!r}")
             pmf[outcome] = read_fraction(toks[-1])
         return Distribution.make(domains, pmf)
 

@@ -1,14 +1,16 @@
 """Systems of linear subspaces of GF(q)^d as entropic candidates, the
 refuter's second stream after distributions.  h(alpha) is the rank of
 the joint span times log2(q); these realize the linear subclass of
-group-characterizable vectors and are exact (ranks are integers).
+group-characterizable vectors.  A system gives only its integer ranks
+(`joint_rank`): c . h is (sum_m c_m rank_m) * log2(q), so the refuter
+decides its signs over rationals.
 """
 from __future__ import annotations
 
 from itertools import combinations, product
 from typing import Iterator, Sequence
 
-from .core import LogLinValue, Value
+from .core import Value
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -80,11 +82,6 @@ class VectorSpaceSystem(Value):
         if not rows:
             return 0
         return rank_mod(rows, self.q)
-
-    def entropy(self, mask: int) -> LogLinValue:
-        """h(alpha) = rank * log2(q), exactly."""
-        r = self.joint_rank(mask)
-        return LogLinValue.of((r, self.q)) if r else LogLinValue.zero()
 
     def to_file_text(self) -> str:
         """The witness file of `refute --out`: a `q dim n` line, then one

@@ -44,8 +44,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
 
-from .core import (_DIGITS_BOUND, MAX_DIGITS, BooleanConstraint, Clause, LinExpr, Value, VarSet,
-                   check_var_count)
+from .core import (_DIGITS_BOUND, MAX_DIGITS, BooleanConstraint, Clause, LinExpr, Value,
+                   check_var_count, mask_label)
 
 # each level of parentheses is three frames of the recursive descent, so
 # a deeper nesting is a parse error rather than a RecursionError
@@ -433,7 +433,7 @@ def default_names(n: int) -> tuple[str, ...]:
 @lru_cache(maxsize=None)
 def _term_text(names: tuple[str, ...], sep: str, mask: int) -> str:
     """H(...) of the named variables of a mask, kept for the process."""
-    return "H(" + sep.join(names[i] for i in VarSet(mask).indices()) + ")"
+    return "H(" + mask_label(mask, names, sep) + ")"
 
 
 def format_expr(expr: LinExpr, names: "tuple[str, ...] | None" = None) -> str:

@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-from .core import Clause, LinExpr, Value, entropy_of, full_set, mutual_info
+from .core import Clause, LinExpr, Value, entropy_of, mutual_info
 from .shannon import USER, GeneratorSet, ProofCertificate, cone_lp, prove, verify
 from .simplex import LPResult
 
@@ -120,7 +120,7 @@ def _reduction_lp(clause: Clause, kept: Sequence[LinExpr], gens: GeneratorSet,
     columns = [-c for c in clause.consequents] + list(kept)
     cost = [0] * len(columns)
     if relax:
-        columns.append(-entropy_of(n, full_set(n)))
+        columns.append(-entropy_of(n, (1 << n) - 1))
         cost.append(1)
     cost += [0] * len(gens.generators)
     return cone_lp(LinExpr.zero(n), columns + gens.exprs(), cost,
@@ -135,7 +135,7 @@ def tight_target(consequent: LinExpr, antecedents: Sequence[LinExpr],
                  p: int, q: int) -> LinExpr:
     """c + (1/p) h([n]) - q * sum_j a_j, the unconditional relaxation."""
     n = consequent.n
-    target = consequent + entropy_of(n, full_set(n)).scale(Fraction(1, p))
+    target = consequent + entropy_of(n, (1 << n) - 1).scale(Fraction(1, p))
     for a in antecedents:
         target = target - a.scale(q)
     return target

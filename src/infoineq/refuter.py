@@ -267,8 +267,11 @@ def violation(constraint: BooleanConstraint, kind: str, obj,
 
         N * L * (c . h) = sum_m A_m (N log N - sum_x C_x log C_x),
 
-    whose sign `core.coprime_exponents` gives.  Subspace systems are
-    evaluated over their `LogLinValue` entropies.
+    whose sign `core.coprime_exponents` gives.  A subspace system over
+    GF(q) has h(S) = rank(S) * log2(q) with log2(q) > 0, so c . h has the
+    sign of the rational sum_m c_m * rank_m, read from `joint_rank`, and
+    its text has one term (c_m * rank_m) * log2(q) per mask of nonzero
+    rank.
 
     Untraced, the falsified clause comes with an empty trace: a value's
     text can run to far more digits than its sign needs.
@@ -306,13 +309,15 @@ def violation(constraint: BooleanConstraint, kind: str, obj,
                     terms.append((qn // g, qd // g, pd, pn))
             return log_sum_text(terms)
     else:
-        h = {m: obj.entropy(m) for m in masks}
+        ranks = {m: obj.joint_rank(m) for m in masks}
 
         def sign(expr: LinExpr) -> int:
-            return expr.eval(h).sign()
+            value = sum(c * ranks[m] for m, c in expr.items)
+            return (value > 0) - (value < 0)
 
         def text(expr: LinExpr) -> str:
-            return str(expr.eval(h))
+            return log_sum_text((w.numerator, w.denominator, obj.q, 1)
+                                for w in (c * ranks[m] for m, c in expr.items if ranks[m]))
     for idx, clause in enumerate(constraint.clauses):
         trace = []
         failed = True

@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .core import Clause, LinExpr, Value, VarSet, check_var_count
+from .core import Clause, LinExpr, Value, check_var_count, mask_label
 from .distributions import Distribution
 from .parser import default_names
 from .refuter import Budget, refute
@@ -84,7 +84,7 @@ def elemental(n: int) -> GeneratorSet:
     for i in range(n):
         rest = everything & ~(1 << i)
         if rest:
-            label = f"H({names[i]}|{VarSet(rest).label(names)})"
+            label = f"H({names[i]}|{mask_label(rest, names)})"
             items = ((rest, MINUS_ONE), (everything, ONE))
         else:
             label = f"H({names[i]})"
@@ -97,7 +97,7 @@ def elemental(n: int) -> GeneratorSet:
                 continue
             items = ((mask | bi, ONE), (mask | bj, ONE), (mask | bi | bj, MINUS_ONE))
             if mask:
-                label = f"I({names[i]};{names[j]}|{VarSet(mask).label(names)})"
+                label = f"I({names[i]};{names[j]}|{mask_label(mask, names)})"
                 items = ((mask, MINUS_ONE),) + items
             else:
                 label = f"I({names[i]};{names[j]})"

@@ -51,8 +51,10 @@ def zero_candidate(n: int) -> tuple[LogLinValue, ...]:
 
 
 def subspace_candidate(system: VectorSpaceSystem) -> tuple[LogLinValue, ...]:
-    """The whole rank vector of a subspace system, h(alpha) at every mask."""
-    return tuple(system.entropy(m) for m in range(1 << system.n))
+    """The whole entropy vector of a subspace system, h(alpha) =
+    rank(alpha) * log2(q) at every mask, as `LogLinValue`s."""
+    ranks = [system.joint_rank(m) for m in range(1 << system.n)]
+    return tuple(LogLinValue.of((r, system.q)) if r else LogLinValue.zero() for r in ranks)
 
 
 def reference_profile(masks, total: int, dprime: int, domains: tuple[int, ...], atoms) -> tuple:

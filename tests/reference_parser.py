@@ -8,7 +8,7 @@ import re
 from fractions import Fraction
 from typing import NamedTuple
 
-from infoineq.core import MAX_VARS, BooleanConstraint, Clause, LinExpr, VarSet
+from infoineq.core import MAX_VARS, BooleanConstraint, Clause, LinExpr
 from infoineq.parser import MAX_PAREN_DEPTH, ParseError, SourceSpan
 
 
@@ -152,7 +152,7 @@ class _Parser:
                 coeffs[mask] = coeffs.get(mask, 0) + sign
         return coeffs
 
-    def parse_varset(self, stop: tuple[str, ...]) -> VarSet:
+    def parse_varset(self, stop: tuple[str, ...]) -> int:
         self.check_count()
         mask = 0
         saw = False
@@ -167,7 +167,7 @@ class _Parser:
             raise self.error("expected variable names")
         if self.peek().kind not in stop:
             raise self.error(f"unexpected token {self.peek().text!r} in variable list")
-        return VarSet(mask)
+        return mask
 
     def parse_rational(self) -> Fraction:
         num = int(self.expect("num").text)

@@ -321,6 +321,13 @@ EXACT_ERRORS = {
         f"'1/{LONG}' is a number of more than 4000 digits",
     (("refute", "--file", "{path}", "--budget", f"s={LONG}"), "H(X) >= 0\n"):
         f"{LONG!r} is a number of more than 4000 digits",
+    # a statement reads AB as A and B, so the declared AB would be a phantom variable
+    **{(("ci", verb, "--vars", "A B AB C", "--ante", "A;C", "--ante", "B;C|A", "--cons", "AB;C"),
+        None): "--vars name 'AB' is two or more capitals, which a statement reads as one "
+               "variable per letter" for verb in ("prove", "falsify", "export")},
+    # a repeated outcome would replace the mass of its first line
+    (("check-dist", "--file", "{path}"), "vars 2\n0 1/2\n0 1/2\n1 1/2\n"):
+        "repeated outcome line: '0 1/2'",
 }
 
 
@@ -449,6 +456,16 @@ def test_large_prime_field_budget_is_accepted(capsys):
     code, report = run(capsys, "refute", "--file", path, "--budget", "vsq=2305843009213693951")
     assert code == 1
     assert report["budget"]["vsq"] == [2 ** 61 - 1]
+
+
+@pytest.mark.parametrize("text,kind,name", [
+    ("X 1 2 1\n", "elemental-monotonicity", "H(X)"),
+    ("X 2 1 1\nY 2 1 1\nXY 8 1 1\n", "elemental-submodularity", "I(X;Y)"),
+])
+def test_recognize_reports_the_violated_generator(capsys, tmp_path, text, kind, name):
+    code, report = run(capsys, "recognize", "--file", write(tmp_path, text, "c.cand"))
+    assert (code, report) == (cli.EXIT_NEGATIVE, {"command": "recognize", "verdict": "rejected",
+                                                  "violated": {"kind": kind, "name": name}})
 
 
 def test_thirty_digit_prime_inputs_are_fast(capsys, tmp_path):

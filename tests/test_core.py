@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 from infoineq import core
 from infoineq.apps import fixture
 from infoineq.cli import ClauseOutcome
-from infoineq.core import (BooleanConstraint, Clause, LinExpr, LogLinValue, Value, VarSet,
-                           _factor_cached, cond_entropy, entropy_of, full_set, is_prime,
-                           mutual_info, prime_sum_sign)
+from infoineq.core import (BooleanConstraint, Clause, LinExpr, LogLinValue, Value,
+                           _factor_cached, cond_entropy, entropy_of, is_prime, mask_indices,
+                           mask_label, mutual_info, prime_sum_sign)
 from infoineq.distributions import Distribution
 from infoineq.parser import parse_constraint
 from infoineq.refuter import DISTRIBUTION, Budget, refute, violation
@@ -136,14 +136,22 @@ class TestReadNumbers:
                     assert read(text) == want
 
 
-class TestVarSet:
-    def test_mask_is_canonical_index(self):
-        assert list(VarSet(5).indices()) == [0, 2]
-        assert VarSet(0) == 0
+class TestMasks:
+    def test_mask_indices(self):
+        assert mask_indices(0) == []
+        assert mask_indices(1) == [0]
+        assert mask_indices(5) == [0, 2]
+        assert mask_indices(1 << 15) == [15]
+        assert mask_indices((1 << 16) - 1) == list(range(16))
 
-    def test_bounds(self):
-        with pytest.raises(ValueError):
-            VarSet(1 << 16)
+    def test_mask_label(self):
+        names = [chr(ord("A") + i) for i in range(16)]
+        assert mask_label(0, names) == ""
+        assert mask_label(4, names) == "C"
+        assert mask_label(1 << 15, names) == "P"
+        assert mask_label((1 << 16) - 1, names) == "ABCDEFGHIJKLMNOP"
+        long_names = [f"X{i + 1:02d}" for i in range(16)]
+        assert mask_label(1 << 15 | 2, long_names, " ") == "X02 X16"
 
 
 class TestSign:
@@ -270,6 +278,11 @@ class TestLinExpr:
         with pytest.raises(ValueError):
             LinExpr.make(2, {0: Fraction(1)})
 
+    @pytest.mark.parametrize("n,mask", [(2, 4), (2, -1), (16, 1 << 16)])
+    def test_mask_out_of_range_rejected(self, n, mask):
+        with pytest.raises(ValueError, match=f"subset mask {mask} out of range for n={n}"):
+            LinExpr.make(n, {mask: Fraction(1)})
+
     def test_normalization_drops_zeros(self):
         e = LinExpr.make(2, {1: Fraction(0), 3: Fraction(1)})
         assert e.coeffs() == {3: Fraction(1)}
@@ -335,10 +348,6 @@ class TestHolds:
     def test_constraint_requires_clause(self):
         with pytest.raises(ValueError):
             BooleanConstraint(2, ())
-
-
-def test_full_set():
-    assert full_set(3) == 7
 
 
 def _clause() -> Clause:

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 
 from infoineq import distributions, refuter
 from infoineq.apps import corpus, fixture
-from infoineq.core import BooleanConstraint, Clause, LinExpr
+from infoineq.core import BooleanConstraint, Clause, LinExpr, LogLinValue
 from infoineq.distributions import (Distribution, cell_outcomes, enumerate_distributions,
                                     pmf_stream, to_distribution)
 from infoineq.models import enumerate_systems
@@ -192,6 +192,33 @@ def test_subspace_systems_count_the_stream(n, primes, dim):
     budget = Budget.parse(f"s=1,D=1,vsdim={dim},vsq={','.join(map(str, primes))}")
     assert (budget.vs_primes, budget.vs_max_dim) == (primes, dim)
     assert _subspace_systems(n, budget) == streamed
+
+
+# subspace hits over GF(3): a conditional clause whose H(Z) has rank 0, and
+# a max clause; the candidates with constant pmfs come first and hold
+SUBSPACE_HITS = {
+    "[H(Z) <= 0] => 2/3*H(X) + 2/3*H(Y) <= H(XY) + 5/7*H(Z)": (8, {
+        "source": VECTOR_SPACE, "witness": "3 1 3\n1 1\n1 1\n0\n", "clause_index": 0,
+        "trace": [{"role": "antecedent", "index": 0, "sign": 0, "value": "0"},
+                  {"role": "consequent", "index": 0, "sign": -1,
+                   "value": "-2/3*log2(3) + -2/3*log2(3) + 1*log2(3)"}]}),
+    "max(H(X) - 3/2*H(Y), 2/5*H(Y) - H(XY)) >= 0": (3, {
+        "source": VECTOR_SPACE, "witness": "3 1 2\n0\n1 1\n", "clause_index": 0,
+        "trace": [{"role": "consequent", "index": 0, "sign": -1, "value": "-3/2*log2(3)"},
+                  {"role": "consequent", "index": 1, "sign": -1,
+                   "value": "2/5*log2(3) + -1*log2(3)"}]}),
+}
+
+
+@pytest.mark.parametrize("text", list(SUBSPACE_HITS))
+def test_subspace_systems_are_decided_from_their_ranks(monkeypatch, text):
+    def unused(*args):
+        raise AssertionError("a subspace system needs no LogLinValue")
+
+    monkeypatch.setattr(LogLinValue, "sign", unused)
+    monkeypatch.setattr(LinExpr, "eval", unused)
+    result = refute(parse_constraint(text), Budget(1, 1, (3,), 2))
+    assert (result.candidates_scanned, result.counterexample.to_json()) == SUBSPACE_HITS[text]
 
 
 # GF(2)^7 alone has 29,212 subspaces; the dimensions up to 6 have 3,289

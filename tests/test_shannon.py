@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infoineq import shannon
-from infoineq.core import LinExpr, VarSet, cond_entropy, entropy_of, full_set, mutual_info
+from infoineq.core import LinExpr, cond_entropy, entropy_of, mask_label, mutual_info
 from infoineq.parser import default_names
 from infoineq.refuter import Budget, refute
 from infoineq.shannon import (MONOTONICITY, SLACK, SUBMODULARITY, TIGHT, UNKNOWN, Generator,
@@ -60,16 +60,16 @@ def reference_elemental(n: int) -> list[Generator]:
     writes directly."""
     names = default_names(n)
     gens = []
-    everything = full_set(n)
+    everything = (1 << n) - 1
     for i in range(n):
-        rest = VarSet(everything & ~(1 << i))
-        label = f"H({names[i]}|{rest.label(names)})" if rest else f"H({names[i]})"
+        rest = everything & ~(1 << i)
+        label = f"H({names[i]}|{mask_label(rest, names)})" if rest else f"H({names[i]})"
         gens.append(Generator(label, MONOTONICITY, cond_entropy(n, 1 << i, rest)))
     for i, j in combinations(range(n), 2):
         others = [k for k in range(n) if k not in (i, j)]
         for bits in range(1 << len(others)):
             mask = sum(1 << k for t, k in enumerate(others) if (bits >> t) & 1)
-            label = (f"I({names[i]};{names[j]}|{VarSet(mask).label(names)})" if mask
+            label = (f"I({names[i]};{names[j]}|{mask_label(mask, names)})" if mask
                      else f"I({names[i]};{names[j]})")
             gens.append(Generator(label, SUBMODULARITY, mutual_info(n, 1 << i, 1 << j, mask)))
     order = {MONOTONICITY: 0, SUBMODULARITY: 1}
