@@ -81,10 +81,11 @@ def elemental(n: int) -> GeneratorSet:
     names = default_names(n)
     gens: list[Generator] = []
     everything = (1 << n) - 1
+    labels = [mask_label(mask, names) for mask in range(everything + 1)]
     for i in range(n):
         rest = everything & ~(1 << i)
         if rest:
-            label = f"H({names[i]}|{mask_label(rest, names)})"
+            label = f"H({names[i]}|{labels[rest]})"
             items = ((rest, MINUS_ONE), (everything, ONE))
         else:
             label = f"H({names[i]})"
@@ -97,7 +98,7 @@ def elemental(n: int) -> GeneratorSet:
                 continue
             items = ((mask | bi, ONE), (mask | bj, ONE), (mask | bi | bj, MINUS_ONE))
             if mask:
-                label = f"I({names[i]};{names[j]}|{mask_label(mask, names)})"
+                label = f"I({names[i]};{names[j]}|{labels[mask]})"
                 items = ((mask, MINUS_ONE),) + items
             else:
                 label = f"I({names[i]};{names[j]})"

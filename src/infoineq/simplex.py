@@ -13,20 +13,23 @@ B^-1 [Â | b̂] the solver keeps the block R: row i is a positive integer
 multiple of row i of [B^-1 | B^-1 b̂], so R_i . Â_j is a positive
 multiple of a tableau entry.  The reduced costs are (s, y) with s > 0
 and d_j = s*c_j - y . Â_j; pricing stops at the first negative d_j,
-Bland's entering column.  A pivot on the positive entry p in row r
-replaces every other row R_i with entry f by p*R_i - f*R_r, made
-primitive, or by R_i - (f/p)*R_r when p divides f, which keeps R_i's
-scale and so needs no gcd pass; (s, y) becomes (s*p, p*y + d*R_r).  An
-artificial driven out of the basis may leave on a negative entry; its
-row's right-hand side is 0, so that row is negated first.
+Bland's entering column, whose entries R_i . Â_j are taken in one pass
+over the rows.  A pivot on the positive entry p in row r replaces every
+other row R_i with entry f by p*R_i - f*R_r, made primitive, or, when p
+divides f, updates R_i in place to R_i - (f/p)*R_r, which keeps R_i's
+scale, needs no gcd pass and changes only the entries where R_r is
+nonzero; (s, y) becomes (s*p, p*y + d*R_r).  An artificial driven out of
+the basis may leave on a negative entry; its row's right-hand side is 0,
+so that row is negated first.
 
 These are the dense rational tableau's pivots: Bland's rule reads only
 signs of reduced costs and entries, the ratio test compares ratios by
 cross-multiplication, and positive row scaling changes neither.  Every
-quantity above is a positive multiple of its rational counterpart, whatever
-multiple the gcd step leaves, so the pivots and the vertex
-x[B_i] = R_i[-1] / (R_i . Â_{B_i}) are those of the `Fraction` tableau that
-`tests/test_simplex.py` keeps as the reference.
+quantity above is a positive multiple of its rational counterpart, whether
+a row was replaced or updated in place and whatever multiple the gcd step
+leaves, so the pivots and the vertex x[B_i] = R_i[-1] / (R_i . Â_{B_i})
+are those of the `Fraction` tableau that `tests/test_simplex.py` keeps as
+the reference.
 
 An LP without costs stops phase 1 once the artificials' mass is 0 and reads
 its vertex there.  The full path would find the same one: at objective 0
@@ -64,31 +67,37 @@ def _dot(line: list[int], col: list[tuple[int, int]]) -> int:
 
 
 def _entries(rows: list[list[int]], col: list[tuple[int, int]]) -> list[int]:
-    """The column B^-1 Â_j, row i scaled as rows[i] is."""
-    entries = [0] * len(rows)
-    for k, v in col:
-        entries = [e + line[k] * v for e, line in zip(entries, rows)]
-    return entries
+    """The column B^-1 Â_j, row i scaled as rows[i] is: R_i . Â_j for each
+    row in one pass, a positive multiple of the tableau's entry.  Columns of
+    up to four nonzeros, every elemental one, are padded to four."""
+    if len(col) > 4:
+        return [sum([line[k] * v for k, v in col]) for line in rows]
+    (a, va), (b, vb), (c, vc), (d, vd) = col + [(0, 0)] * (4 - len(col))
+    return [line[a] * va + line[b] * vb + line[c] * vc + line[d] * vd for line in rows]
 
 
 def _exchange(rows: list[list[int]], basis: list[int], entries: list[int],
               row: int, col: int) -> None:
     """Make `col`, whose column is `entries`, basic in `row`, where its entry
-    must be positive: every other row with a nonzero entry is updated."""
+    must be positive: every other row with a nonzero entry is updated, in
+    place when the pivot divides its entry.  Each row stays a positive
+    multiple of its tableau row, so the pivot is the `Fraction` tableau's.
+    Every pivot of `solve_lp` goes through here."""
     pivot_row = rows[row]
     p = entries[row]
     nonzero = [(j, v) for j, v in enumerate(pivot_row) if v]
     for r, f in enumerate(entries):
         if f and r != row:
-            # R_r - (f/p)*R_row keeps row r's scale: no gcd pass
             scaled = f % p
             if scaled:
-                new = [a * p for a in rows[r]]
+                line = [a * p for a in rows[r]]
             else:
-                new, f = rows[r][:], f // p
+                # R_r - (f/p)*R_row, in place: row r keeps its scale, no gcd pass
+                line, f = rows[r], f // p
             for j, v in nonzero:
-                new[j] -= f * v
-            rows[r] = _primitive(new) if scaled else new
+                line[j] -= f * v
+            if scaled:
+                rows[r] = _primitive(line)
     basis[row] = col
 
 
@@ -170,7 +179,9 @@ def solve_lp(a: Sequence[Sequence[tuple[int, "int | Fraction"]]],
     m = len(rhs)
     # phase 1 from the all-artificial basis: B^-1 = diag(1 / scales), R = [I | b̂]
     cols += [[(k, scales[k])] for k in range(m)]
-    rows = [[int(k == i) for k in range(m)] + [rhs[i]] for i in range(m)]
+    rows = [[0] * (m + 1) for _ in range(m)]
+    for i, line in enumerate(rows):
+        line[i], line[m] = 1, rhs[i]
     basis = [n + i for i in range(m)]
     # an LP without costs ends at zero mass: no later pivot moves x (`_minimize`)
     costless = not any(c)
