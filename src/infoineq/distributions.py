@@ -291,15 +291,22 @@ def _numerator_walk(cells: int, dprime: int, k: int, domains,
         unused = list(domains)
         x = [0] * cells
     placed: list[tuple[int, int]] = []  # (cell, count) of each nonzero cell
+    # The checks of `limit_of` and `level` run at every node and candidate
+    # cell, so they are plain loops: a generator expression there would
+    # build and resume one generator object per check.
 
     def limit_of(start, open_swaps):
         """The latest cell the next nonzero cell may take: past it, some
         pair gets no mass or an open swap meets a nonzero c against a zero."""
-        limit = min((last[q] for q, c in enumerate(cover) if not c), default=cells)
+        limit = cells
+        for q, c in enumerate(cover):
+            if not c and last[q] < limit:
+                limit = last[q]
         for i, a, stride in open_swaps:
             for c, _ in placed:
                 if outs[c][i] == a and c + stride >= start:
-                    limit = min(limit, c + stride)
+                    if c + stride < limit:
+                        limit = c + stride
                     break
         return limit
 
@@ -309,11 +316,20 @@ def _numerator_walk(cells: int, dprime: int, k: int, domains,
         first)."""
         limit = limit_of(start, open_swaps) if pruned else cells
         for p in range(min(cells - t, limit), start - 1, -1):
-            if pruned and any(unused[var_of[q]] - (not cover[q]) >= t for q in pairs_at[p]):
-                continue
-            # an open swap whose pair ends here needs at least its low entry
-            floor = max((x[p - stride] for i, a, stride in open_swaps
-                         if outs[p][i] == a + 1), default=0) if pruned else 0
+            floor = 0
+            if pruned:
+                starved = False
+                for q in pairs_at[p]:
+                    if unused[var_of[q]] - (not cover[q]) >= t:
+                        starved = True
+                        break
+                if starved:
+                    continue
+                # an open swap whose pair ends here needs at least its low entry
+                digits = outs[p]
+                for i, a, stride in open_swaps:
+                    if digits[i] == a + 1 and x[p - stride] > floor:
+                        floor = x[p - stride]
             index = base + _completions(cells - p - 1, r, t, g)
             for v in range(r if t == 1 else 1, r - t + 2):
                 size = _completions(cells - p - 1, r - v, t - 1, gcd(g, v))
@@ -326,8 +342,11 @@ def _numerator_walk(cells: int, dprime: int, k: int, domains,
                             if not cover[q]:
                                 unused[var_of[q]] -= 1
                             cover[q] += 1
-                        child_swaps = tuple(sw for sw in open_swaps
-                                            if not (outs[p][sw[0]] == sw[1] + 1 and v > x[p - sw[2]]))
+                        child_swaps = []
+                        for swap in open_swaps:
+                            i, a, stride = swap
+                            if digits[i] != a + 1 or v <= x[p - stride]:
+                                child_swaps.append(swap)
                     if t > 1:
                         yield from level(p + 1, r - v, t - 1, gcd(g, v), child_swaps, index)
                     # the last nonzero cell: every cell after p stays zero

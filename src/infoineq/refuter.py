@@ -18,7 +18,11 @@ earlier pmf with the same profile returned no violation.  Masks that
 differ only in constant variables (domain size 1) have the same marginal,
 since h(S) = h(S & live) for the set `live` of nonconstant variables, so
 the profile builds one marginal per distinct S & live and indexes each
-mask's entry from those.
+mask's entry from those.  A profile is a tuple of per-scan ids, one per
+mask: the scan numbers each sorted count tuple the first time it builds
+it.  Ids are equal exactly when the tuples are, a tuple of small ints is
+cheaper to hash into the set of seen profiles than a tuple of tuples, and
+the signs read each id's prime exponents from a list by position.
 
 Most pmfs are never built at all.  The scan walks `pmf_walk` with
 `skip_twins`, which builds only the pmfs that use every value of every
@@ -373,8 +377,14 @@ class ProfileScan:
 
     A pmf's profile holds, for each mask the constraint mentions, its
     marginal counts sorted and scaled to the common denominator
-    T = lcm(1..D), so that they sum to T.  The profile fixes h at those
-    masks: with marginal counts C_x, h = log T - (1/T) sum_x C_x log C_x.
+    T = lcm(1..D), so that they sum to T.  Each such count tuple is held
+    as its id in `ids`, numbered the first time the scan builds the tuple:
+    equal profiles are equal tuples of small ints, cheap to hash, and
+    `sign` reads the tuple's sum_x C_x log C_x from a list by its id.  Ids
+    are per scan, so profiles of two scans do not compare.
+
+    The profile fixes h at the mentioned masks: with marginal counts C_x,
+    h = log T - (1/T) sum_x C_x log C_x.
     For an expression c with coefficients A_m / L over a common
     denominator L,
 
@@ -397,7 +407,10 @@ class ProfileScan:
         self.constraint = constraint
         self.masks = _mentioned_masks(constraint)
         self.total = lcm(*range(1, max_denominator + 1))
-        self.seen: set[tuple] = set()
+        self.seen: set[tuple[int, ...]] = set()
+        # sorted count tuple -> its id, and id -> its `_count_logs`
+        self.ids: dict[tuple[int, ...], int] = {}
+        self._logs: list[tuple[tuple[int, int], ...]] = []
         self._positions = {m: k for k, m in enumerate(self.masks)}
         self._total_logs = {p: self.total * e for p, e in _factor_cached(self.total)}
         self._clauses = tuple((tuple(self.compile(a) for a in clause.antecedents
@@ -424,39 +437,52 @@ class ProfileScan:
         positions = tuple(distinct.setdefault(m & live, len(distinct)) for m in self.masks)
         return tuple(_projection(domains, m) for m in distinct), positions
 
-    def profile(self, dprime: int, domains: tuple[int, ...], atoms) -> tuple:
-        """Per mentioned mask, the sorted marginal counts over T."""
+    def profile(self, dprime: int, domains: tuple[int, ...], atoms) -> tuple[int, ...]:
+        """Per mentioned mask, the id of its sorted marginal counts over T."""
         table = self._projections.get(domains)
         if table is None:
             table = self._projections[domains] = self._table(domains)
         projections, positions = table
         scale = self.total // dprime
         atoms = [(cell, count * scale) for cell, count in atoms]
+        ids = self.ids
         marginals = []
         for proj in projections:
             acc: dict[int, int] = {}
             for cell, count in atoms:
                 m = proj[cell]
                 acc[m] = acc.get(m, 0) + count
-            marginals.append(tuple(sorted(acc.values())))
+            counts = tuple(sorted(acc.values()))
+            i = ids.get(counts)
+            if i is None:
+                i = ids[counts] = len(ids)
+                self._logs.append(_count_logs(counts))
+            marginals.append(i)
         return tuple([marginals[j] for j in positions])
 
-    def sign(self, expr, profile: tuple) -> int:
+    def sign(self, expr, profile: tuple[int, ...]) -> int:
         """Exact sign of a compiled expression on a profile."""
         terms, weight = expr
         exps = {p: weight * e for p, e in self._total_logs.items()} if weight else {}
+        logs = self._logs
         for k, a in terms:
-            for p, e in _count_logs(profile[k]):
+            for p, e in logs[profile[k]]:
                 exps[p] = exps.get(p, 0) - a * e
         return prime_sum_sign({p: f for p, f in exps.items() if f})
 
-    def violated_clause(self, profile: tuple) -> "int | None":
+    def violated_clause(self, profile: tuple[int, ...]) -> "int | None":
         """Index of the first clause the profile falsifies, as `violation`
         decides it."""
         for idx, (antecedents, consequents) in enumerate(self._clauses):
-            if all(self.sign(a, profile) >= 0 for a in antecedents) \
-                    and all(self.sign(c, profile) < 0 for c in consequents):
-                return idx
+            for a in antecedents:
+                if self.sign(a, profile) < 0:
+                    break
+            else:
+                for c in consequents:
+                    if self.sign(c, profile) >= 0:
+                        break
+                else:
+                    return idx
         return None
 
     def check(self, pmf) -> "Counterexample | None":

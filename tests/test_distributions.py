@@ -199,9 +199,11 @@ def relabel_minimal(pmf) -> bool:
 
 
 # the n=4 budgets replay blocks: (1, 2, 2, 2) squeezes to (2, 2, 2), as
-# (2, 1, 2, 2) and the other tuples with one constant variable do
+# (2, 1, 2, 2) and the other tuples with one constant variable do; (3, 2, 8)
+# and (4, 2, 5) descend 5-8 levels, with swaps across three and four variables
 WALK_GRID = [(1, 1, 1), (2, 1, 3), (1, 2, 2), (1, 3, 6), (2, 2, 4), (3, 2, 4),
-             (2, 3, 3), (3, 3, 2), (2, 2, 7), (1, 4, 8), (4, 2, 4), (4, 3, 2)]
+             (2, 3, 3), (3, 3, 2), (2, 2, 7), (1, 4, 8), (4, 2, 4), (4, 3, 2),
+             (3, 2, 8), (4, 2, 5)]
 
 
 class TestWalk:

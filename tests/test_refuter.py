@@ -84,8 +84,12 @@ def test_profile_matches_one_marginal_per_mask(n, s, d, masks):
     expr = LinExpr.make(n, {mask: Fraction(1) for mask in chosen})
     scan = ProfileScan(BooleanConstraint(n, (Clause(n, (), (expr,)),)), d)
     assert scan.masks == tuple(chosen)
-    for pmf in pmf_stream(n, s, d):
-        assert scan.profile(*pmf) == reference_profile(scan.masks, scan.total, *pmf)
+    profiles = [(scan.profile(*pmf), pmf) for pmf in pmf_stream(n, s, d)]
+    # a profile holds the scan's ids of sorted count tuples
+    counts = {i: key for key, i in scan.ids.items()}
+    for profile, pmf in profiles:
+        assert tuple(counts[i] for i in profile) == \
+            reference_profile(scan.masks, scan.total, *pmf)
 
 
 def reference_refute(constraint: BooleanConstraint, budget: Budget) -> RefutationResult:
