@@ -67,7 +67,7 @@ from types import SimpleNamespace
 from typing import Callable, Iterator, NamedTuple
 
 from .apps import corpus, fixture, secret_sharing_constraint
-from .ci import CIStatement, build_delta, ci_prove, export_delta, falsify, parse_ci
+from .ci import CIStatement, build_delta, ci_prove, export_delta, parse_ci, to_clause
 from .core import (BooleanConstraint, Clause, LinExpr, Value, check_var_count, read_fraction,
                    read_int)
 from .parser import (ParseError, _split_var_token, format_clause, format_constraint,
@@ -370,7 +370,18 @@ def cmd_reduce(args) -> int:
     return _STATUS_EXIT[status]
 
 
+# the options that each `ci` verb does not read; a parse leaves them None
+# or empty, so a verb's defaults apply only to the verbs that read them
+_CI_UNREAD = {"prove": ("--domain", "--denominator"),
+              "falsify": ("--extra-gens",),
+              "export": ("--denominator", "--extra-gens")}
+
+
 def _ci_parts(args) -> tuple[list[CIStatement], CIStatement, int, list[str]]:
+    # an option that the verb does not read fails before any input is read
+    for flag in _CI_UNREAD[args.verb]:
+        if getattr(args, flag[2:].replace("-", "_")) not in (None, []):
+            raise ValueError(f"ci {args.verb} does not read {flag}")
     names = args.vars.split()
     if not names:
         raise ValueError("--vars must list the variable names")
@@ -382,7 +393,7 @@ def _ci_parts(args) -> tuple[list[CIStatement], CIStatement, int, list[str]]:
                              f"statement reads as one variable per letter")
     antecedents = [parse_ci(a, names) for a in args.ante]
     consequent = parse_ci(args.cons, names)
-    # `prove` and `falsify` reject it later; `export` would first write domain^n atoms
+    # `prove` and `falsify` reject it later, and `export` at --domain 1 never
     check_var_count(len(names))
     return antecedents, consequent, len(names), names
 
@@ -392,29 +403,25 @@ def cmd_ci(args) -> int:
     if args.verb == "prove":
         gens = load_generators(n, args.extra_gens)
         cert = ci_prove(antecedents, consequent, n, gens)
-        note = None
-        if cert is not None and not verify(cert, -consequent.expr(n), gens,
-                                           [-a.expr(n) for a in antecedents]):
-            cert, note = None, "the ci prove certificate fails verify"
-        status = "proved" if cert is not None else "inconclusive"
         implication = consequent.label(names) + " = 0"
         if antecedents:
             implication = (" and ".join(a.label(names) + " = 0" for a in antecedents)
                            + " => " + implication)
-        report = {"command": "ci prove", "status": status, "implication": implication}
+        report = {"command": "ci prove", "status": "inconclusive", "implication": implication}
         if cert is not None:
-            report["certificate"] = cert.to_json(gens)
-        elif note is not None:
-            report["note"] = note
+            failed = _unverified("ci prove", cert, -consequent.expr(n),
+                                 [-a.expr(n) for a in antecedents], gens)
+            report.update(failed.detail if failed is not None
+                          else {"status": "proved", "certificate": cert.to_json(gens)})
         emit(report, args.text)
-        return _STATUS_EXIT[status]
+        return _STATUS_EXIT[report["status"]]
+    domain = 2 if args.domain is None else args.domain
     if args.verb == "falsify":
-        result = falsify(antecedents, consequent, n, Budget(args.domain, args.denominator))
-        report = {"command": "ci falsify", **result.to_json()}
-        emit(report, args.text)
+        denominator = 4 if args.denominator is None else args.denominator
+        result = refute(to_clause(antecedents, consequent, n), Budget(domain, denominator))
+        emit({"command": "ci falsify", **result.to_json()}, args.text)
         return EXIT_NEGATIVE if result.found else EXIT_INCONCLUSIVE
-    system = build_delta(antecedents, consequent, n, args.domain)
-    write_out(export_delta(system))
+    write_out(export_delta(build_delta(antecedents, consequent, n, domain)))
     return EXIT_POSITIVE
 
 
@@ -556,10 +563,11 @@ COMMANDS = {
         Option("--ante", "ante", "append", default=[],
                help="antecedent statement 'Y;Z|X' (repeatable)"),
         Option("--cons", "cons", required=True, help="consequent statement"),
-        _EXTRA_GENS,
-        Option("--domain", "domain", type=read_int, default=2, help="domain size per variable"),
-        Option("--denominator", "denominator", type=read_int, default=4,
-               help="probability denominator cap"))),
+        _EXTRA_GENS._replace(help="file of additional valid inequalities (prove only)"),
+        Option("--domain", "domain", type=read_int,
+               help="domain size per variable (falsify and export; default 2)"),
+        Option("--denominator", "denominator", type=read_int,
+               help="probability denominator cap (falsify only; default 4)"))),
     "recognize": ("recognize a candidate vector file", cmd_recognize, (
         *_FORMAT, _BUDGET, _FILE, _EXTRA_GENS)),
     "corpus": ("list or show bundled fixtures", cmd_corpus, (

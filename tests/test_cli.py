@@ -328,6 +328,15 @@ EXACT_ERRORS = {
     # a repeated outcome would replace the mass of its first line
     (("check-dist", "--file", "{path}"), "vars 2\n0 1/2\n0 1/2\n1 1/2\n"):
         "repeated outcome line: '0 1/2'",
+    # an option that a `ci` verb does not read is named, not dropped; the
+    # missing --extra-gens file is never opened
+    **{(("ci", verb, "--vars", "X Y", "--cons", "X;Y", flag, value), None):
+       f"ci {verb} does not read {flag}"
+       for verb, flag, value in (("prove", "--domain", "2"), ("prove", "--domain", "0"),
+                                 ("prove", "--denominator", "4"),
+                                 ("export", "--denominator", "4"),
+                                 ("export", "--extra-gens", "{missing}"),
+                                 ("falsify", "--extra-gens", "{missing}"))},
 }
 
 
@@ -1217,13 +1226,16 @@ def test_every_declared_option_is_read(capsys, tmp_path):
     dist = write(tmp_path, "vars 2\n0 1/2\n1 1/2\n", "bit.dist")
     bit = write(tmp_path, "H(X) >= 0\n", "bit.iic")
     cand = write(tmp_path, "X 2 1 1\n", "cand.txt")
-    ci = ["--vars", "X Y Z", "--ante", "X;Y", "--cons", "X;Y|Z",
-          "--domain", "2", "--denominator", "2"]
+    shannon3 = write(tmp_path, "I(X;Y|Z) >= 0\n", "shannon3.iic")
+    ci = ["--vars", "X Y Z", "--ante", "X;Y", "--cons", "X;Y|Z"]
     runs = {
         "prove": [["--file", mono, "--budget", "s=2,D=2"]],
         "refute": [["--file", mono, "--budget", "s=2,D=2"]],
         "reduce": [["--file", mono, "--budget", "s=2,D=2"]],
-        "ci": [["prove", *ci], ["falsify", *ci], ["export", *ci]],
+        # each verb only the options it reads: it rejects the others
+        "ci": [["prove", *ci, "--extra-gens", shannon3],
+               ["falsify", *ci, "--domain", "2", "--denominator", "2"],
+               ["export", *ci, "--domain", "2"]],
         "recognize": [["--file", cand, "--budget", "s=2,D=2"]],
         "corpus": [["--show", "agm_triangle"]],
         "secret-share": [["--participants", "1", "--access", "1", "--prove"]],
@@ -1240,6 +1252,10 @@ def test_every_declared_option_is_read(capsys, tmp_path):
             args = parser.parse_args([command, *extra], namespace=ReadRecorder())
             args._reads = set()
             assert args.func(args) != cli.EXIT_USAGE
+            # each option given is read by the run it is given to, not only by
+            # some other variant of the command
+            given = {a.dest for a in subs[command]._actions if set(a.option_strings) & set(extra)}
+            assert given <= args._reads, (command, extra)
             read |= args._reads
         capsys.readouterr()
         assert declared - read == set(), command

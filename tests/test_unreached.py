@@ -93,6 +93,7 @@ TOUR = [
     (["ci", "falsify", "--vars", "X Y Z", "--ante", "X;Y", "--cons", "X;Y|Z"], 1),
     (["ci", "export", "--vars", "X Y Z", "--ante", "X;Y|Z", "--cons", "X;Y"], 0),
     (["ci", "prove", "--vars", "X Y", "--cons", "X;W"], 3),
+    (["ci", "export", "--vars", "X Y", "--cons", "X;Y", "--extra-gens", "{dir}/absent.iic"], 3),
     (["recognize", "--file", "{dir}/bit.cand", "--budget", "s=2,D=2"], 0),
     (["recognize", "--file", "{dir}/negative.cand", "--budget", "s=2,D=2"], 1),
     (["recognize", "--file", "{dir}/pair.cand", "--budget", "s=1,D=1"], 2),
