@@ -11,8 +11,9 @@ statement also translates into a conjunction of polynomial product
 equalities over atom probabilities, and a counterexample is a rational
 pmf satisfying every antecedent equality exactly while violating at
 least one consequent equality.  That system is only exported, as
-SMT-LIB text for external real-arithmetic solvers; nothing here solves
-it.
+SMT-LIB text for external real-arithmetic solvers: `export_delta`
+writes it straight from each statement's equalities and holds it as no
+value, and nothing here solves it.
 """
 from __future__ import annotations
 
@@ -24,8 +25,8 @@ from .parser import _split_var_token  # shared variable-token convention
 from .shannon import GeneratorSet, ProofCertificate, prove
 
 
-# `build_delta`'s atom cap: `ci export` of 16 binary variables with
-# `--cons "A;B"` takes 0.37 s end to end and gives 8.6 MB of SMT-LIB text
+# `export_delta`'s atom cap: `ci export` of 16 binary variables with
+# `--cons "A;B"` takes 0.26 s end to end and gives 8.6 MB of SMT-LIB text
 # (best of 5 runs, 2-core VM, Python 3.11)
 MAX_EXPORT_ATOMS = 1 << 16
 
@@ -96,44 +97,16 @@ def ci_prove(antecedents: Sequence[CIStatement], consequent: CIStatement,
 
 
 # ---------------------------------------------------------------------------
-# Polynomial translation
+# Polynomial translation and SMT-LIB export
 # ---------------------------------------------------------------------------
 
-class ProductEquality(Value):
-    """sum(p[a]) * sum(p[b]) == sum(p[c]) * sum(p[d]) over atom indices."""
-
-    __slots__ = ("a", "b", "c", "d")
-
-    def __init__(self, a: tuple[int, ...], b: tuple[int, ...], c: tuple[int, ...],
-                 d: tuple[int, ...]):
-        self.a, self.b, self.c, self.d = a, b, c, d
-
-
-class PolySystem(Value):
-    """The satisfiability system: a rational pmf on [N]^n satisfying every
-    antecedent product equality while violating at least one consequent
-    equality (the negated block is kept as an explicit disjunct list, so
-    violation checking stays exact and needs no gap parameter)."""
-
-    __slots__ = ("n", "domain", "antecedent_equalities", "consequent_equalities")
-
-    def __init__(self, n: int, domain: int, antecedent_equalities: tuple[ProductEquality, ...],
-                 consequent_equalities: tuple[ProductEquality, ...]):
-        self.n, self.domain = n, domain
-        self.antecedent_equalities = antecedent_equalities
-        self.consequent_equalities = consequent_equalities
-
-    @property
-    def unknowns(self) -> int:
-        return self.domain ** self.n
-
-
-def _statement_equalities(st: CIStatement,
-                          outcomes: tuple[Outcome, ...]) -> Iterator[ProductEquality]:
+def _statement_equalities(st: CIStatement, outcomes: tuple[Outcome, ...]
+                          ) -> Iterator[tuple[tuple[int, ...], ...]]:
     """One equality p(XYZ) p(X) = p(XY) p(XZ) per value of XYZ, in the
-    lexicographic order of the X, Y and Z values.  One pass over the
-    outcomes, whose positions are the atom indices, groups the atoms by
-    their X, XY, XZ and XYZ values."""
+    lexicographic order of the X, Y and Z values, as the atom-index tuples
+    (a, b, c, d) of sum(p[a]) * sum(p[b]) == sum(p[c]) * sum(p[d]).  One
+    pass over the outcomes, whose positions are the atom indices, groups
+    the atoms by their X, XY, XZ and XYZ values."""
     x, y, z = (mask_indices(m) for m in (st.x, st.y, st.z))
     groups: tuple[dict, ...] = ({}, {}, {}, {})
     for atom, outcome in enumerate(outcomes):
@@ -145,29 +118,8 @@ def _statement_equalities(st: CIStatement,
     nx, nxy = len(x), len(x) + len(y)
     for key in sorted(by_xyz):
         xv = key[:nx]
-        yield ProductEquality(by_xyz[key], by_x[xv], by_xy[key[:nxy]], by_xz[xv + key[nxy:]])
+        yield by_xyz[key], by_x[xv], by_xy[key[:nxy]], by_xz[xv + key[nxy:]]
 
-
-def build_delta(antecedents: Sequence[CIStatement], consequent: CIStatement,
-                n: int, domain: int) -> PolySystem:
-    """Product-equality system for 'some pmf on [domain]^n satisfies every
-    antecedent CI and fails the consequent CI'."""
-    if domain < 1:
-        raise ValueError("domain size must be >= 1")
-    if domain ** n > MAX_EXPORT_ATOMS:
-        raise ValueError(f"domain {domain} for {n} variables gives {domain ** n} atoms, "
-                         f"more than {MAX_EXPORT_ATOMS}")
-    outcomes = cell_outcomes((domain,) * n)
-    ante = []
-    for st in antecedents:
-        ante.extend(_statement_equalities(st, outcomes))
-    cons = tuple(_statement_equalities(consequent, outcomes))
-    return PolySystem(n, domain, tuple(ante), cons)
-
-
-# ---------------------------------------------------------------------------
-# SMT-LIB export
-# ---------------------------------------------------------------------------
 
 def _sum_sexpr(indices: tuple[int, ...]) -> str:
     if not indices:
@@ -177,31 +129,38 @@ def _sum_sexpr(indices: tuple[int, ...]) -> str:
     return "(+ " + " ".join(f"p_{i}" for i in indices) + ")"
 
 
-def _equality_sexpr(eq: ProductEquality) -> str:
-    return (f"(= (* {_sum_sexpr(eq.a)} {_sum_sexpr(eq.b)})"
-            f" (* {_sum_sexpr(eq.c)} {_sum_sexpr(eq.d)}))")
+def _equality_sexpr(eq: tuple[tuple[int, ...], ...]) -> str:
+    a, b, c, d = map(_sum_sexpr, eq)
+    return f"(= (* {a} {b}) (* {c} {d}))"
 
 
-def export_delta(system: PolySystem) -> str:
-    """The system as SMT-LIB 2 text in nonlinear real arithmetic, with
-    deterministic unknown names p_0 ... p_{N^n - 1}."""
+def export_delta(antecedents: Sequence[CIStatement], consequent: CIStatement,
+                 n: int, domain: int) -> str:
+    """SMT-LIB 2 text, in nonlinear real arithmetic, of 'some pmf on
+    [domain]^n satisfies every antecedent CI and fails the consequent CI',
+    with deterministic unknown names p_0 ... p_{domain^n - 1}."""
+    if domain < 1:
+        raise ValueError("domain size must be >= 1")
+    atoms = domain ** n
+    if atoms > MAX_EXPORT_ATOMS:
+        raise ValueError(f"domain {domain} for {n} variables gives {atoms} atoms, "
+                         f"more than {MAX_EXPORT_ATOMS}")
+    outcomes = cell_outcomes((domain,) * n)
     lines = [
         "(set-logic QF_NRA)",
-        f"; atoms: {system.unknowns} outcomes of {system.n} variables on [{system.domain}]",
+        f"; atoms: {atoms} outcomes of {n} variables on [{domain}]",
     ]
-    for i in range(system.unknowns):
-        lines.append(f"(declare-const p_{i} Real)")
-    for i in range(system.unknowns):
-        lines.append(f"(assert (>= p_{i} 0))")
-    lines.append(f"(assert (= {_sum_sexpr(tuple(range(system.unknowns)))} 1))")
-    for eq in system.antecedent_equalities:
-        lines.append(f"(assert {_equality_sexpr(eq)})")
-    if system.consequent_equalities:
-        negated = " ".join(f"(not {_equality_sexpr(eq)})" for eq in system.consequent_equalities)
-        if len(system.consequent_equalities) == 1:
-            lines.append(f"(assert {negated})")
-        else:
-            lines.append(f"(assert (or {negated}))")
+    lines.extend(f"(declare-const p_{i} Real)" for i in range(atoms))
+    lines.extend(f"(assert (>= p_{i} 0))" for i in range(atoms))
+    lines.append(f"(assert (= {_sum_sexpr(tuple(range(atoms)))} 1))")
+    for st in antecedents:
+        lines.extend(f"(assert {_equality_sexpr(eq)})"
+                     for eq in _statement_equalities(st, outcomes))
+    # Y and Z are nonempty and domain >= 1, so the consequent has an equality
+    negated = [f"(not {_equality_sexpr(eq)})"
+               for eq in _statement_equalities(consequent, outcomes)]
+    lines.append(f"(assert {negated[0]})" if len(negated) == 1
+                 else f"(assert (or {' '.join(negated)}))")
     lines.append("(check-sat)")
     lines.append("(get-model)")
     return "\n".join(lines) + "\n"

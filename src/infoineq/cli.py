@@ -67,7 +67,7 @@ from types import SimpleNamespace
 from typing import Callable, Iterator, NamedTuple
 
 from .apps import corpus, fixture, secret_sharing_constraint
-from .ci import CIStatement, build_delta, ci_prove, export_delta, parse_ci, to_clause
+from .ci import CIStatement, ci_prove, export_delta, parse_ci, to_clause
 from .core import (BooleanConstraint, Clause, LinExpr, Value, check_var_count, read_fraction,
                    read_int)
 from .parser import (ParseError, _split_var_token, format_clause, format_constraint,
@@ -415,13 +415,14 @@ def cmd_ci(args) -> int:
                           else {"status": "proved", "certificate": cert.to_json(gens)})
         emit(report, args.text)
         return _STATUS_EXIT[report["status"]]
-    domain = 2 if args.domain is None else args.domain
+    domain = _DEFAULT_BUDGET.max_support if args.domain is None else args.domain
     if args.verb == "falsify":
-        denominator = 4 if args.denominator is None else args.denominator
+        denominator = (_DEFAULT_BUDGET.max_denominator if args.denominator is None
+                       else args.denominator)
         result = refute(to_clause(antecedents, consequent, n), Budget(domain, denominator))
         emit({"command": "ci falsify", **result.to_json()}, args.text)
         return EXIT_NEGATIVE if result.found else EXIT_INCONCLUSIVE
-    write_out(export_delta(build_delta(antecedents, consequent, n, domain)))
+    write_out(export_delta(antecedents, consequent, n, domain))
     return EXIT_POSITIVE
 
 
@@ -540,6 +541,8 @@ _WORKERS = Option("--workers", "workers", type=read_int, default=1,
                   help="only 1: the counterexample search runs in one process")
 _FILE = Option("--file", "file", required=True)
 _EXTRA_GENS = Option("--extra-gens", "extra_gens", "append", default=[])
+# `ci falsify` and `ci export` take their --domain and --denominator defaults from it
+_DEFAULT_BUDGET = Budget()
 
 # subcommand -> (its help line, the function that runs it, its options in
 # the order argparse declares them)
@@ -565,9 +568,11 @@ COMMANDS = {
         Option("--cons", "cons", required=True, help="consequent statement"),
         _EXTRA_GENS._replace(help="file of additional valid inequalities (prove only)"),
         Option("--domain", "domain", type=read_int,
-               help="domain size per variable (falsify and export; default 2)"),
+               help=f"domain size per variable (falsify and export; "
+                    f"default {_DEFAULT_BUDGET.max_support})"),
         Option("--denominator", "denominator", type=read_int,
-               help="probability denominator cap (falsify only; default 4)"))),
+               help=f"probability denominator cap (falsify only; "
+                    f"default {_DEFAULT_BUDGET.max_denominator})"))),
     "recognize": ("recognize a candidate vector file", cmd_recognize, (
         *_FORMAT, _BUDGET, _FILE, _EXTRA_GENS)),
     "corpus": ("list or show bundled fixtures", cmd_corpus, (

@@ -11,7 +11,9 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -1127,6 +1129,41 @@ def test_secret_share_prints_a_constraint_that_parses_back(capsys, tmp_path):
     path = write(tmp_path, report["constraint"])
     code, refuted = run(capsys, "refute", "--file", path, "--budget", "s=1,D=1")
     assert code == 2 and refuted["constraint"] == report["constraint"]
+
+
+PATH_ACCESS = ("--participants", "4", "--access", "1,2;2,3;3,4")
+
+
+def write_path_scheme(tmp_path) -> str:
+    """Stinson's decomposition scheme for the path 1-2-3-4, from a [4,2] MDS
+    code over GF(3): uniform over (x, y, r, t, u, w) in GF(3)^6, with the
+    shares X1..X4 and the secret X5 = (x, y) in `secret-share`'s order.
+    Checks that the shares hold 2, 3, 3 and 2 and the secret 2 units of
+    log2 3, from the marginals' uniform supports."""
+    rows = [(r + 3 * t, (x + r) % 3 + 3 * ((y + t) % 3) + 9 * u,
+             (x + u) % 3 + 3 * ((y + w) % 3) + 9 * t, u + 3 * w, x + 3 * y)
+            for x, y, r, t, u, w in product(range(3), repeat=6)]
+    assert len(set(rows)) == 729
+    for column, size in enumerate((9, 27, 27, 9, 9)):
+        counts = Counter(row[column] for row in rows)
+        assert sorted(counts) == list(range(size))
+        assert set(counts.values()) == {729 // size}
+    lines = ["vars 9 27 27 9 9", *(" ".join(map(str, row)) + " 1/729" for row in rows)]
+    return write(tmp_path, "\n".join(lines) + "\n", "path.dist")
+
+
+@pytest.mark.parametrize("ratio,proved", [("3/2", True), ("8/5", False)])
+def test_path_access_structure_is_pinned_at_three_halves(capsys, tmp_path, ratio, proved):
+    """The path on four participants has optimal information ratio 3/2:
+    the tight stage proves the bound 3/2, and the scheme above, at ratio
+    3/2, falsifies the bound 8/5, which the default budget cannot."""
+    code, report = run(capsys, "secret-share", *PATH_ACCESS, "--ratio", ratio, "--prove")
+    assert (code, report["status"]) == ((0, "proved") if proved else (2, "inconclusive"))
+    code, report = run(capsys, "secret-share", *PATH_ACCESS, "--ratio", ratio)
+    constraint = write(tmp_path, report["constraint"])
+    code, report = run(capsys, "check-dist", "--file", write_path_scheme(tmp_path),
+                       "--constraint", constraint)
+    assert (code, report["holds"]) == ((0, True) if proved else (1, False))
 
 
 @pytest.mark.parametrize("ante,implication", [
