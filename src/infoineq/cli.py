@@ -68,8 +68,8 @@ from typing import Callable, Iterator, NamedTuple
 
 from .apps import corpus, fixture, secret_sharing_constraint
 from .ci import CIStatement, ci_prove, export_delta, parse_ci, to_clause
-from .core import (BooleanConstraint, Clause, LinExpr, Value, check_var_count, read_fraction,
-                   read_int)
+from .core import (BooleanConstraint, Clause, LinExpr, Value, check_var_count, entropy_terms,
+                   log_sum_text, read_fraction, read_int)
 from .parser import (ParseError, _split_var_token, format_clause, format_constraint,
                      parse_constraint)
 from .reductions import (PreparedAntecedents, chain_rule_certificate, elemental_index,
@@ -493,9 +493,11 @@ def cmd_secret_share(args) -> int:
 def cmd_check_dist(args) -> int:
     from .distributions import Distribution
     dist = Distribution.from_file_text(Path(args.file).read_text())
-    h = dist.entropic_vector()
-    report = {"command": "check-dist", "n": dist.n,
-              "entropies": {f"h({mask})": str(h[mask]) for mask in range(1, 1 << dist.n)}}
+    entropies = {}
+    for mask in range(1, 1 << dist.n):
+        counts = [count for _, count in dist.marginal_counts(mask)]
+        entropies[f"h({mask})"] = log_sum_text(entropy_terms(1, dist.total, counts))
+    report = {"command": "check-dist", "n": dist.n, "entropies": entropies}
     exit_code = EXIT_POSITIVE
     if args.constraint:
         constraint = parse_constraint(Path(args.constraint).read_text())

@@ -3,25 +3,23 @@ reals, linear expressions over joint entropies, and clause/constraint
 structure.
 
 Everything here is exact.  Probabilities and coefficients are
-`fractions.Fraction`; entropy-like quantities are `LogLinValue`, a formal
-sum of rational multiples of base-2 logarithms of positive rationals.
-Such values admit a decidable sign test, which is what makes every
-decision path in the toolkit exact.  First the numerators and denominators
-of the terms are split into a coprime basis by gcds alone (`_coprime_basis`),
-and the value is collected as sum_b f_b * log b over that basis.  The logs
-of pairwise coprime integers > 1 are linearly independent over the
-rationals, so the value is zero iff every f_b vanishes, and otherwise it is
+`fractions.Fraction`; an entropy-like value is a sum sum_k w_k * log k of
+integer weights on logs of positive integers, over a positive denominator
+that its sign ignores: N * h(S) = N log N - sum_x C_x log C_x for the
+marginal counts C_x of a pmf over their total N (`add_entropy_weights`),
+or {a: 1, b: -1} over c for (1/c) * log2(a/b).  Such sums admit a
+decidable sign test, which is what makes every decision path in the
+toolkit exact.  First the k are split into a coprime basis by gcds alone
+(`coprime_exponents`), and the sum is collected as sum_b f_b * log b over
+that basis.  The logs of pairwise coprime integers > 1 are linearly
+independent over the rationals, so the sum is zero iff every f_b
+vanishes, and otherwise it is
 bounded away from zero by a ladder of enclosures (`prime_sum_sign`): a float
 sum first, whose error margin 2^-30 * sum |f_b log b| exceeds its worst
 rounding error by a factor of about 2^20, then mpmath intervals at doubling
 precision.  A float rung that cannot exclude zero only passes the value up
 the ladder, so floats never decide a sign they cannot bound.  `mpmath` is
 imported only when the float rung fails, which no corpus fixture needs.
-
-A candidate entropy vector h has no class of its own: it is any mapping
-from masks to `LogLinValue`s, such as a dict of the masks a constraint
-mentions, or a 2^n tuple with h({}) = 0 first.  `LinExpr.eval` reads
-h[mask] at its own masks and nothing else.
 
 Every number read from outside text (budget values, the int options and
 `secret-share`'s access sets and ratio, the numbers of `.dist` and
@@ -39,7 +37,7 @@ The types are plain `__slots__` classes on the `Value` base.  Each
 and a repr over the fields named in `__slots__`.  No field is assigned
 after construction, so values are safe to share and to hash.  That is a
 convention, not enforced: a `__setattr__` guard would slow down every
-construction, and `LogLinValue` and `LinExpr` are built on hot paths.
+construction, and `LinExpr` is built on hot paths.
 """
 from __future__ import annotations
 
@@ -266,11 +264,10 @@ _PRECISIONS = (_FLOAT_PREC,) + tuple(64 << k for k in range(15))  # up to 2^20 b
 
 
 class LogLinValue(Value):
-    """A formal sum sum_i q_i * log2(r_i) with q_i rational, r_i positive
-    rational.  This class covers every joint entropy of a finite
-    distribution with rational probabilities, and the (1/c) * log2(a/b)
-    inputs of the recognizability checks.
-    """
+    """A formal sum sum_i q_i * log2(r_i), q_i rational, r_i positive
+    rational.  No command builds one: it is kept only for the benchmark
+    harness, which hooks `sign`, `LinExpr.eval` and
+    `Distribution.entropic_vector` and reads `terms`."""
 
     __slots__ = ("terms",)
 
@@ -282,47 +279,40 @@ class LogLinValue(Value):
             if r.numerator <= 0:  # the denominator is positive
                 raise ValueError(f"logarithm argument must be positive, got {r}")
 
-    @staticmethod
-    def zero() -> "LogLinValue":
-        return LogLinValue(())
-
-    @staticmethod
-    def of(*terms) -> "LogLinValue":
-        return LogLinValue(tuple((as_fraction(q), as_fraction(r)) for q, r in terms))
-
-    def __add__(self, other: "LogLinValue") -> "LogLinValue":
-        return LogLinValue(self.terms + other.terms)
-
-    def scale(self, q) -> "LogLinValue":
-        q = as_fraction(q)
-        if q == 0:
-            return LogLinValue.zero()
-        return LogLinValue(tuple((q * qi, ri) for qi, ri in self.terms))
-
-    def __neg__(self) -> "LogLinValue":
-        return self.scale(-1)
-
-    def __sub__(self, other: "LogLinValue") -> "LogLinValue":
-        return self + (-other)
-
-    def log_exponents(self) -> dict[int, Fraction]:
-        """Aggregate the value as sum_b f_b * log2(b) over a coprime basis
-        (`coprime_exponents`), which is zero iff every f_b vanishes."""
+    def sign(self) -> int:
+        """Exact sign in {-1, 0, +1}, of the terms as integer weights of
+        log k over the lcm of the q_i's denominators; kept only for the
+        benchmark harness."""
         scale = lcm(*(q.denominator for q, _ in self.terms))
-        weights: dict[int, int] = {}  # integer weights of log k, over scale
+        weights: dict[int, int] = {}
         for q, r in self.terms:
             w = q.numerator * (scale // q.denominator)
             weights[r.numerator] = weights.get(r.numerator, 0) + w
             weights[r.denominator] = weights.get(r.denominator, 0) - w
-        return {b: Fraction(f, scale) for b, f in coprime_exponents(weights).items()}
+        return prime_sum_sign(coprime_exponents(weights))
 
-    def sign(self) -> int:
-        """Exact sign in {-1, 0, +1}, from the coprime-basis form."""
-        return prime_sum_sign(self.log_exponents())
 
-    def __str__(self) -> str:
-        return log_sum_text((q.numerator, q.denominator, r.numerator, r.denominator)
-                            for q, r in self.terms)
+def add_entropy_weights(weights: dict[int, int], a: int, total: int, counts) -> None:
+    """Add a * (N log N - sum_x C_x log C_x), which is a * N * h(S) for the
+    marginal counts C_x of S over their total N, to `weights`, the integer
+    weights w_k of a sum sum_k w_k * log k."""
+    weights[total] = weights.get(total, 0) + a * total
+    for count in counts:
+        weights[count] = weights.get(count, 0) - a * count
+
+
+def entropy_terms(c, total: int, counts) -> list[tuple[int, int, int, int]]:
+    """The terms of c * h(S) = sum_x c * p_x * log2(1 / p_x), p_x = C_x / N,
+    for the marginal counts C_x of S over their total N and a rational
+    (or int) c, in the order of the counts, as `log_sum_text` takes them."""
+    terms = []
+    for count in counts:
+        g = gcd(count, total)
+        pn, pd = count // g, total // g  # p = pn / pd
+        qn, qd = c.numerator * pn, c.denominator * pd
+        g = gcd(qn, qd)
+        terms.append((qn // g, qd // g, pd, pn))
+    return terms
 
 
 def coprime_exponents(weights: Mapping[int, int]) -> dict[int, int]:
@@ -333,8 +323,8 @@ def coprime_exponents(weights: Mapping[int, int]) -> dict[int, int]:
     The logs of pairwise coprime integers > 1 are linearly independent
     over the rationals, so the sum is zero iff no f_b is left, and
     `prime_sum_sign` of the result is its exact sign.  Nothing is factored,
-    so any k will do: the numerators and denominators of a `LogLinValue`,
-    or the marginal counts of a pmf (`refuter.violation`).
+    so any k will do: the marginal counts of a pmf (`add_entropy_weights`),
+    or the a and b of a candidate entry (1/c) * log2(a/b).
     """
     weights = {k: w for k, w in weights.items() if w and k > 1}
     exps = {}
@@ -497,7 +487,8 @@ class LinExpr(Value):
         """The exact dot product c . h as a LogLinValue: the terms of each
         c_m * h[m] in mask order.  h is indexed by mask: a dict of the
         masks of c, or a 2^n tuple.  Only h[m] at the masks of c is read,
-        so the caller vouches that h has this expression's n."""
+        so the caller vouches that h has this expression's n.  Kept only
+        for the benchmark harness (see `LogLinValue`)."""
         terms: list[tuple[Fraction, Fraction]] = []
         for mask, c in self.items:
             terms += [(c * q, r) for q, r in h[mask].terms]

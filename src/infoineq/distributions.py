@@ -4,8 +4,8 @@ entropic vectors, and a budgeted canonical enumeration.
 A `Distribution` holds integer counts over the least common denominator
 of its probabilities, the form the walk's pmfs (counts over D') have.
 
-Every entropic vector of such a space is exactly representable: each atom
-with probability p contributes p*log2(1/p), a LogLinValue term.  The
+Every entropy of such a space is exact: its marginal counts are integer
+weights of logs (`core.add_entropy_weights`).  The
 enumeration is the engine behind counterexample search; its order is the
 contract that makes "minimal counterexample" well defined:
 
@@ -168,14 +168,14 @@ class Distribution(Value):
         return Distribution(tuple(d for i, d in enumerate(self.domains) if mask >> i & 1),
                             self.total // g, tuple((o, count // g) for o, count in counts))
 
-    def entropy(self, mask: int) -> LogLinValue:
-        """h(alpha) = sum_x p_alpha(x) * log2(1 / p_alpha(x)), exactly."""
-        return LogLinValue(tuple((Fraction(count, self.total), Fraction(self.total, count))
-                                 for _, count in self.marginal_counts(mask)))
-
     def entropic_vector(self) -> tuple[LogLinValue, ...]:
-        """`entropy` at every mask, indexed by mask, with h({}) = 0 first."""
-        return (LogLinValue.zero(), *(self.entropy(mask) for mask in range(1, 1 << self.n)))
+        """h(S) = sum_x p_S(x) * log2(1 / p_S(x)) at every mask, indexed by
+        mask with h({}) = 0 first; kept only for the benchmark harness
+        (see `core.LogLinValue`)."""
+        n = self.total
+        return (LogLinValue(()), *(LogLinValue(tuple(
+            (Fraction(c, n), Fraction(n, c)) for _, c in self.marginal_counts(mask)))
+            for mask in range(1, 1 << self.n)))
 
     def to_file_text(self) -> str:
         lines = ["vars " + " ".join(str(d) for d in self.domains)]
@@ -187,7 +187,7 @@ class Distribution(Value):
     def from_file_text(text: str) -> "Distribution":
         lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
         lines = [ln for ln in lines if ln]
-        if not lines or not lines[0].startswith("vars"):
+        if not lines or lines[0].split()[0] != "vars":
             raise ValueError("distribution file must start with a 'vars d1 ... dn' header")
         domains = tuple(read_int(tok) for tok in lines[0].split()[1:])
         # the entropic vector has 2^n entries; `make` rejects an empty header

@@ -1,29 +1,30 @@
 """Recognizing candidate vectors given in (1/c) * log2(a/b) form.
 
-`CandidateRepr.entropy(mask)` gives one coordinate as a `LogLinValue`, as
-`Distribution.entropy` does.  `check_candidate` gathers every nonempty
-mask's value in a dict from mask to value, which `LinExpr.eval` indexes.
-
-The checks are one-sided, matching what a terminating tool can promise:
+Both checks decide integer weights of log k (see `core`), as
+`refuter.violation` does, and are one-sided, matching what a terminating
+tool can promise:
 
 * rejection is sound -- the candidate violates an inequality that is
   valid on the closed cone (an elemental one, or a user-supplied valid
-  generator);
+  generator).  On the candidate, L * g . h has the weights
+  {a_m: +w_m, b_m: -w_m} with w_m = L * g_m / c_m for one common L > 0;
 * realization is sound -- an enumerated distribution reproduces every
-  coordinate exactly, certifying the vector entropic.  The search walks
+  coordinate exactly, certifying the vector entropic: for its marginal
+  counts C_x over N, c * (N log N - sum_x C_x log C_x) - N * log(a/b) has
+  no coprime exponent left at every mask.  The search walks
   the canonical stream skipping twins (`shared_walk`, which the
   refuter's scans of the same budget share): a skipped pmf has an
   earlier twin with the same entropic vector, so the first realizing pmf
   is never skipped.  Each pmf is compared with the candidate one mask at
-  a time, building one `Distribution.entropy` per exact sign, and is
-  dropped at its first mismatch;
+  a time and is dropped at its first mismatch;
 * everything else is reported as inconclusive, a first-class verdict.
 """
 from __future__ import annotations
 
-from fractions import Fraction
+from math import lcm
 
-from .core import LogLinValue, Value, check_var_count, read_int
+from .core import (Value, add_entropy_weights, check_var_count, coprime_exponents,
+                   prime_sum_sign, read_int)
 from .distributions import Distribution, shared_walk, to_distribution
 from .parser import _split_var_token
 from .refuter import Budget, check_budget
@@ -49,13 +50,6 @@ class CandidateRepr(Value):
                 raise ValueError("malformed representation: b must be >= 1")
             if a < 1:
                 raise ValueError("malformed representation: a must be >= 1")
-
-    def entropy(self, mask: int) -> LogLinValue:
-        """h(alpha) = (1/c) * log2(a/b) for a nonempty subset alpha."""
-        a, b, c = self.entries[mask - 1]
-        if a == b:
-            return LogLinValue.zero()
-        return LogLinValue.of((Fraction(1, c), Fraction(a, b)))
 
     @staticmethod
     def from_file_text(text: str) -> "CandidateRepr":
@@ -128,14 +122,30 @@ def check_candidate(repr_: CandidateRepr, gens: GeneratorSet, budget: Budget) ->
     if gens.n != repr_.n:
         raise ValueError("generator set has wrong variable count")
     check_budget(repr_.n, budget)
-    h = {mask: repr_.entropy(mask) for mask in range(1, 1 << repr_.n)}
+    entries = repr_.entries
     for gen in gens.generators:
-        if gen.expr.eval(h).sign() < 0:
+        scale = lcm(*(g.denominator * entries[m - 1][2] for m, g in gen.expr.items))
+        weights: dict[int, int] = {}
+        for m, g in gen.expr.items:
+            a, b, c = entries[m - 1]
+            w = g.numerator * (scale // (g.denominator * c))
+            weights[a] = weights.get(a, 0) + w
+            weights[b] = weights.get(b, 0) - w
+        if prime_sum_sign(coprime_exponents(weights)) < 0:
             return RecognitionResult(violated=gen)
     for _, pmf in shared_walk(repr_.n, budget.max_support, budget.max_denominator):
         if pmf is None:
             break
         dist = to_distribution(*pmf)
-        if all((dist.entropy(mask) - value).sign() == 0 for mask, value in h.items()):
+        if all(_matches(dist, mask, entry) for mask, entry in enumerate(entries, 1)):
             return RecognitionResult(realization=dist)
     return RecognitionResult()
+
+
+def _matches(dist: Distribution, mask: int, entry: tuple[int, int, int]) -> bool:
+    """Whether c * N * h(mask) = N * log(a/b) on the pmf, exactly."""
+    (a, b, c), total = entry, dist.total
+    weights = {a: -total}
+    weights[b] = weights.get(b, 0) + total
+    add_entropy_weights(weights, c, total, [count for _, count in dist.marginal_counts(mask)])
+    return not coprime_exponents(weights)

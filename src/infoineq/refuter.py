@@ -56,10 +56,11 @@ bounded search.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd, lcm
+from math import lcm
 
 from .core import (BooleanConstraint, Clause, LinExpr, TooManyDigits, Value, _factor_cached,
-                   coprime_exponents, is_prime, log_sum_text, prime_sum_sign, read_int)
+                   add_entropy_weights, coprime_exponents, entropy_terms, is_prime,
+                   log_sum_text, prime_sum_sign, read_int)
 from .distributions import Distribution, cell_outcomes, shared_walk, to_distribution
 
 DISTRIBUTION = "distribution"
@@ -259,8 +260,8 @@ def violation(constraint: BooleanConstraint, kind: str, obj,
     signs: a clause is falsified when every antecedent is >= 0 and every
     consequent < 0.  Only the masks the constraint mentions are read, and
     only the falsified clause's values are written, term by term in mask
-    and outcome order, as `str` of `LinExpr.eval` writes them.  A
-    candidate on another number of variables is a ValueError.
+    and outcome order, by `core.log_sum_text`.  A candidate on another
+    number of variables is a ValueError.
 
     A pmf, a `Distribution` or a walk item (D', domains, atoms), is
     decided over integers.  A walk item comes from a scan hit, so it is
@@ -269,13 +270,14 @@ def violation(constraint: BooleanConstraint, kind: str, obj,
     them into the marginal counts C_x of each mask, not `ProfileScan`'s
     tables.  An expression with coefficients A_m / L then has
 
-        N * L * (c . h) = sum_m A_m (N log N - sum_x C_x log C_x),
+        N * L * (c . h) = sum_m A_m (N log N - sum_x C_x log C_x)
 
-    whose sign `core.coprime_exponents` gives.  A subspace system over
-    GF(q) has h(S) = rank(S) * log2(q) with log2(q) > 0, so c . h has the
-    sign of the rational sum_m c_m * rank_m, read from `joint_rank`, and
-    its text has one term (c_m * rank_m) * log2(q) per mask of nonzero
-    rank.
+    (`core.add_entropy_weights`), whose sign `core.coprime_exponents`
+    gives; the text of c_m * h(m) has one term c_m * p_x * log2(1/p_x) per
+    marginal count (`core.entropy_terms`).  A subspace system over GF(q)
+    has h(S) = rank(S) * log2(q) with log2(q) > 0, so c . h has the sign of
+    the rational sum_m c_m * rank_m, read from `joint_rank`, and its text
+    has one term (c_m * rank_m) * log2(q) per mask of nonzero rank.
 
     Untraced, the falsified clause comes with an empty trace: a value's
     text can run to far more digits than its sign needs.
@@ -294,24 +296,15 @@ def violation(constraint: BooleanConstraint, kind: str, obj,
 
         def sign(expr: LinExpr) -> int:
             scale = lcm(*(c.denominator for _, c in expr.items))
-            weights = {total: 0}
+            weights: dict[int, int] = {}
             for m, c in expr.items:
-                a = c.numerator * (scale // c.denominator)
-                weights[total] += a * total
-                for count in counts[m]:
-                    weights[count] = weights.get(count, 0) - a * count
+                add_entropy_weights(weights, c.numerator * (scale // c.denominator),
+                                    total, counts[m])
             return prime_sum_sign(coprime_exponents(weights))
 
         def text(expr: LinExpr) -> str:
-            terms = []
-            for m, c in expr.items:
-                for count in counts[m]:
-                    g = gcd(count, total)
-                    pn, pd = count // g, total // g  # p = pn / pd
-                    qn, qd = c.numerator * pn, c.denominator * pd
-                    g = gcd(qn, qd)
-                    terms.append((qn // g, qd // g, pd, pn))
-            return log_sum_text(terms)
+            return log_sum_text([term for m, c in expr.items
+                                 for term in entropy_terms(c, total, counts[m])])
     else:
         ranks = {m: obj.joint_rank(m) for m in masks}
 

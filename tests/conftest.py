@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import strategies as st
 
 from infoineq import shannon
-from infoineq.core import LinExpr, LogLinValue
+from infoineq.core import LinExpr, LogLinValue, coprime_exponents, log_sum_text
 from infoineq.distributions import Distribution, cell_outcomes
 from infoineq.models import VectorSpaceSystem
 from infoineq.parser import _Parser, _tokenize
@@ -14,11 +15,41 @@ from infoineq.shannon import elemental
 from infoineq.simplex import LPResult
 
 
+def log_value(*terms) -> LogLinValue:
+    """The `LogLinValue` sum_i q_i * log2(r_i) of (q_i, r_i) pairs of ints,
+    strings or Fractions."""
+    return LogLinValue(tuple((Fraction(q), Fraction(r)) for q, r in terms))
+
+
+def combine(*scaled) -> LogLinValue:
+    """sum_i q_i * v_i for (q_i, v_i) pairs: the terms of each q_i * v_i in
+    order, no term merged or dropped."""
+    return LogLinValue(tuple((Fraction(q) * qi, ri) for q, v in scaled for qi, ri in v.terms))
+
+
+def log_exponents(value: LogLinValue) -> dict[int, Fraction]:
+    """The value as sum_b f_b * log2(b) over a coprime basis
+    (`core.coprime_exponents`), only the nonzero f_b: empty iff it is 0."""
+    scale = lcm(*(q.denominator for q, _ in value.terms))
+    weights: dict[int, int] = {}
+    for q, r in value.terms:
+        w = q.numerator * (scale // q.denominator)
+        weights[r.numerator] = weights.get(r.numerator, 0) + w
+        weights[r.denominator] = weights.get(r.denominator, 0) - w
+    return {b: Fraction(f, scale) for b, f in coprime_exponents(weights).items()}
+
+
+def log_text(value: LogLinValue) -> str:
+    """The value's terms as the reports write them (`core.log_sum_text`)."""
+    return log_sum_text((q.numerator, q.denominator, r.numerator, r.denominator)
+                        for q, r in value.terms)
+
+
 def as_rational(value: LogLinValue) -> "Fraction | None":
     """The exact rational value of a `LogLinValue` that is a multiple of
     log2(2^j) for one j, else None: log2 of any other coprime-basis
     element is irrational and independent of log2(2)."""
-    exps = value.log_exponents()
+    exps = log_exponents(value)
     if not exps:
         return Fraction(0)
     if len(exps) == 1:
@@ -42,7 +73,7 @@ def modular_candidate(weights) -> tuple[LogLinValue, ...]:
     values = []
     for mask in range(1 << n):
         total = sum((Fraction(w) for j, w in enumerate(weights) if (mask >> j) & 1), Fraction(0))
-        values.append(LogLinValue.of((total, 2)) if total else LogLinValue.zero())
+        values.append(log_value((total, 2)) if total else log_value())
     return tuple(values)
 
 
@@ -54,7 +85,7 @@ def subspace_candidate(system: VectorSpaceSystem) -> tuple[LogLinValue, ...]:
     """The whole entropy vector of a subspace system, h(alpha) =
     rank(alpha) * log2(q) at every mask, as `LogLinValue`s."""
     ranks = [system.joint_rank(m) for m in range(1 << system.n)]
-    return tuple(LogLinValue.of((r, system.q)) if r else LogLinValue.zero() for r in ranks)
+    return tuple(log_value((r, system.q)) if r else log_value() for r in ranks)
 
 
 def reference_profile(masks, total: int, dprime: int, domains: tuple[int, ...], atoms) -> tuple:
@@ -144,7 +175,7 @@ positive_rationals = st.builds(
 
 log_lin_values = st.lists(
     st.tuples(small_rationals, positive_rationals), max_size=5
-).map(lambda terms: LogLinValue.of(*terms))
+).map(lambda terms: log_value(*terms))
 
 
 def lin_exprs(n: int):

@@ -363,6 +363,9 @@ EXACT_ERRORS = {
     *((list(argv), text) for argv, text in EXACT_ERRORS),
     pytest.param(["prove", "--file", "{path}"], "(" * 330 + "H(X)" + ")" * 330 + " >= 0\n",
                  id="deep-parentheses"),
+    # a header whose first token only starts with "vars"
+    (["check-dist", "--file", "{path}"], "varsity 2\n0 1/2\n1 1/2\n"),
+    (["check-dist", "--file", "{path}"], "vars2 2\n0 1/2\n1 1/2\n"),
 ])
 def test_bad_input_exits_3_without_traceback(capsys, tmp_path, argv, text):
     path = write(tmp_path, text.replace("{long}", LONG)) if text is not None else ""
@@ -504,6 +507,21 @@ def test_check_dist_decides_clauses_without_their_values(capsys, tmp_path):
     bound = write(tmp_path, f"1/{'7' * 3999}*H(X) <= 0\n")
     code, report = run(capsys, "check-dist", "--file", dist, "--constraint", bound)
     assert (code, report["holds"]) == (cli.EXIT_NEGATIVE, False)
+
+
+@pytest.mark.parametrize("text,entropies", [
+    ("vars 2\n0 1/2\n1 1/2\n", {"h(1)": "1/2*log2(2) + 1/2*log2(2)"}),
+    ("vars 3\n0 1/3\n1 1/6\n2 1/2\n", {"h(1)": "1/3*log2(3) + 1/6*log2(6) + 1/2*log2(2)"}),
+    # a constant variable: its one outcome has probability 1
+    ("vars 2 1\n0 0 1/4\n1 0 3/4\n", {"h(1)": "1/4*log2(4) + 3/4*log2(4/3)",
+                                        "h(2)": "1*log2(1)",
+                                        "h(3)": "1/4*log2(4) + 3/4*log2(4/3)"}),
+], ids=["fair-bit", "unequal", "constant"])
+def test_check_dist_writes_each_entropy_term_by_term(capsys, tmp_path, text, entropies):
+    """Each h(S) is sum_x p_x * log2(1/p_x) over the marginal of S, one
+    term per outcome in outcome order, each rational in lowest terms."""
+    code, report = run(capsys, "check-dist", "--file", write(tmp_path, text, "p.dist"))
+    assert (code, report["entropies"]) == (cli.EXIT_POSITIVE, entropies)
 
 
 @pytest.mark.parametrize("text,budget,source,name", [

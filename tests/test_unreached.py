@@ -10,7 +10,10 @@
   `__init__` are left out) is called on `TOUR`, a fixed list of
   `cli.main` calls run under `sys.setprofile` in a fresh interpreter, or
   is named as an attribute under `perfbench/`, whose harness calls some
-  methods itself (`marginal`, `support`, `from_json`).  Reachability is
+  methods itself (`marginal`, `support`, `from_json`).  An `__init__`
+  counts as named there when another method of its class is: the harness
+  calls that method on instances it has built (`LogLinValue.sign`, on the
+  values of `Distribution.entropic_vector`).  Reachability is
   followed at run time, so a method that shares its name with a live one
   is not hidden by it.
 
@@ -208,9 +211,35 @@ def test_every_method_is_called_from_the_command_line_or_a_listed_test_reference
                          env=env, timeout=300)
     assert run.returncode == 0, run.stderr
     harness = _mentions(("perfbench",))
+    built = {(module, cls) for module, method in _methods().values()
+             for cls, name in [method.rsplit(".", 1)] if name != "__init__" and name in harness}
     uncalled = {(module, method) for module, method in json.loads(run.stdout)
-                if method.rsplit(".", 1)[1] not in harness}
+                if method.rsplit(".", 1)[1] not in harness
+                and not (method.endswith(".__init__")
+                         and (module, method.removesuffix(".__init__")) in built)}
     assert uncalled == {key for key in TEST_REFERENCES if "." in key[1]}
+
+
+def test_no_command_builds_a_log_lin_value(monkeypatch, tmp_path):
+    """`LogLinValue` is left to the benchmark harness: the tour's
+    `recognize`, `check-dist`, `prove` and `refute` calls keep their exit
+    codes, and write no error of its, with its constructor raising."""
+    from infoineq import cli
+    from infoineq.core import LogLinValue
+
+    def refuse(self, terms):
+        raise AssertionError("a command built a LogLinValue")
+
+    monkeypatch.setattr(LogLinValue, "__init__", refuse)
+    for name, text in TOUR_FILES.items():
+        (tmp_path / name).write_text(text)
+    for argv, want in TOUR:
+        if argv[0] in ("recognize", "check-dist", "prove", "refute"):
+            argv = [a.format(dir=tmp_path, corpus=CORPUS) for a in argv]
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                got = cli.main(argv)
+            assert (got, "LogLinValue" in err.getvalue()) == (want, False), argv
 
 
 def test_each_listed_reference_is_used_by_its_test():
