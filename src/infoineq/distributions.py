@@ -17,15 +17,18 @@ Each distribution appears exactly once per domain tuple: numerator tuples
 with a common factor are skipped, so a pmf is emitted only at its reduced
 denominator.
 
-The order is defined once, by the walk `pmf_walk`.  Without
-pruning it yields every pmf: `pmf_stream` gives them as integer pmfs and
-`enumerate_distributions` as `Distribution`s.  Searches that depend only
-on marginal counts (the refuter, the recognizer) walk with `skip_twins`.
-That walk builds only the pmfs that give mass to every value of every
-domain and are not lexicographically reduced by swapping two adjacent
-values of one variable.  Skipping the rest is exact, because each
-skipped pmf has an earlier twin in the stream with the same marginal
-counts up to relabelling:
+The order is defined once, by `pmf_walk`, and one recursion,
+`_numerator_walk`, builds the numerator tuples of each (D', k, domains)
+block.  The full stream (`pmf_stream`, and `enumerate_distributions` as
+`Distribution`s) walks each block over the empty layout, with no
+(variable, value) pair and no value swap, so nothing is cut.  Searches
+that depend only on marginal counts (the refuter, the recognizer) walk
+with `skip_twins`, over the layout of the block's domains.  That walk
+builds only the pmfs that give mass to every value of every domain and
+are not lexicographically reduced by swapping two adjacent values of one
+variable.  Skipping the rest is exact, because each skipped pmf has an
+earlier twin in the stream with the same marginal counts up to
+relabelling:
 * a pmf that leaves a value unused has the same counts as the pmf that
   drops that value; it has the same D' and support size and a
   lexicographically smaller domain tuple, so it comes earlier;
@@ -33,30 +36,28 @@ counts up to relabelling:
   that makes the numerator tuple smaller gives an earlier pmf.
 So the first pmf with any given marginal profile is always built.
 
-Skipped pmfs still hold their stream positions.  The numerator walk
-recurses over the nonzero cells, and a subtree is fixed by its next free
+Both streams number each pmf by its position in the full stream: the
+recursion yields its offset in its block, and `pmf_walk` adds the
+block's start.  A subtree of the recursion is fixed by its next free
 cell j, the sum r still to place, the nonzero cells t still to place and
 the gcd g of the counts placed; it holds
 
     sum over d | gcd(g, r) of mu(d) * C(cells - j, t) * C(r/d - 1, t - 1)
 
-pmfs (Moebius inversion over the common factor, g = 0 before the first
-nonzero count).  So the walk places each pmf in closed form: its index is
-its block's start plus the sizes of the sibling subtrees before it at
-each level, and a cut subtree, or a whole (D', k, domains) block with some
-domain larger than k, needs no count of its own.
+tuples (Moebius inversion over the common factor, g = 0 before the first
+nonzero count).  So an offset is the sum of the sizes of the sibling
+subtrees before it at each level, and a cut subtree, or a whole block
+with some domain larger than k, needs no count of its own.
 
 A variable of domain size 1 is constant.  It changes neither the cell
 numbering (a digit of radix 1 adds nothing to a cell's index) nor the
-twin-skipping walk (its one value is used by every pmf and has no swap).
-So the block of a domain tuple is the block of its squeezed tuple, the
-tuple with its 1s removed: the same numerator tuples at the same offsets
-from the block's start.  The twin-skipping walk therefore walks each
-(D', k, squeezed domains) block once.  It records the `(index, atoms)`
-items of a block whose squeezed tuple is shorter than n while it yields
-them, so it stays lazy, and replays them to every later domain tuple of
-the same (D', k) that squeezes alike, shifted to that tuple's start and
-carrying its domains.  The records are dropped after each k.
+cuts (its one value is used by every pmf and has no swap).  So the block
+of a domain tuple is the block of its squeezed tuple, the tuple with its
+1s removed: the same numerator tuples at the same offsets.  Both streams
+walk each (D', k, squeezed domains) block once: they record the items of
+a block whose squeezed tuple is shorter than n while they yield them, so
+they stay lazy, and replay them to every later domain tuple of the same
+(D', k) that squeezes alike.  The records are dropped after each k.
 
 The twin-skipping stream depends on the budget (n, s, D) alone, and a
 process often scans one budget many times: once per clause, per
@@ -235,7 +236,7 @@ def _completions(m: int, r: int, t: int, g: int) -> int:
 
 @lru_cache(maxsize=None)
 def _layout(domains: tuple[int, ...]):
-    """What the pruned walk needs to know of a domain tuple.
+    """What the twin-skipping walk needs to know of a domain tuple.
 
     The (variable, value) pairs get ids 0..sum(d)-1: `var_of` maps a pair
     to its variable, `last` to the last cell that carries it, and
@@ -255,23 +256,21 @@ def _layout(domains: tuple[int, ...]):
     return outs, var_of, tuple(last), pairs_at, swaps
 
 
-def _numerator_walk(cells: int, dprime: int, k: int, domains,
-                    base: int) -> Iterator[tuple[int, tuple]]:
-    """`(index, atoms)` for the numerator tuples of one (D', k, domains)
+def _numerator_walk(cells: int, dprime: int, k: int, domains) -> Iterator[tuple[int, tuple]]:
+    """`(offset, atoms)` for the numerator tuples of one (D', k, domains)
     block in lexicographic order: length `cells`, sum D', exactly k nonzero
-    entries, gcd 1.  `index` is `base` plus the tuple's position in the
-    block.
+    entries, gcd 1.  `offset` is the tuple's position in the block.
 
     Each call of `level` places one nonzero cell and its count, then
     recurses for the next.  Later cells come first, since a longer run of
     zeros is lexicographically smaller, then smaller counts.  A child
-    subtree starts at its parent's index plus the `_completions` of every
+    subtree starts at its parent's offset plus the `_completions` of every
     sibling before it: the tuples whose nonzero cell comes later, and those
     with a smaller count at the same cell.  Subtrees holding no tuple are
     never entered, and a cut subtree needs no count.
 
-    With `domains`, only the tuples that are full-use and minimal under
-    adjacent value swaps are built.  A subtree is cut
+    Only the tuples that are full-use and minimal under adjacent value
+    swaps of `domains` are built.  A subtree is cut
     * as soon as some (variable, value) pair can no longer get mass: the
       last cell carrying it is passed, or its variable has more unused
       values than nonzero cells left;
@@ -282,14 +281,18 @@ def _numerator_walk(cells: int, dprime: int, k: int, domains,
       exceeds the one at c + stride.  `open_swaps` holds the swaps still
       undecided, and every pair of those ending before `start` is equal.
     `placed`, `cover`, `unused` and `x` are set before each descent and
-    restored after it.
+    restored after it.  With `domains` None the layout is empty: no
+    (variable, value) pair and no swap, so nothing is cut and every tuple
+    of the block is built.
     """
-    pruned = domains is not None
-    if pruned:
+    if domains is None:
+        outs = pairs_at = ((),) * cells
+        var_of = last = swaps = ()
+    else:
         outs, var_of, last, pairs_at, swaps = _layout(domains)
-        cover = [0] * len(var_of)
-        unused = list(domains)
-        x = [0] * cells
+    cover = [0] * len(var_of)
+    unused = list(domains or ())
+    x = [0] * cells
     placed: list[tuple[int, int]] = []  # (cell, count) of each nonzero cell
     # The checks of `limit_of` and `level` run at every node and candidate
     # cell, so they are plain loops: a generator expression there would
@@ -313,55 +316,51 @@ def _numerator_walk(cells: int, dprime: int, k: int, domains,
     def level(start, r, t, g, open_swaps, base):
         """The tuples that place the sum r on t >= 1 nonzero cells from
         `start` on, given the gcd g of the counts placed (0 before the
-        first)."""
-        limit = limit_of(start, open_swaps) if pruned else cells
+        first), at offsets from `base` on."""
+        limit = limit_of(start, open_swaps)
         for p in range(min(cells - t, limit), start - 1, -1):
+            starved = False
+            for q in pairs_at[p]:
+                if unused[var_of[q]] - (not cover[q]) >= t:
+                    starved = True
+                    break
+            if starved:
+                continue
+            # an open swap whose pair ends here needs at least its low entry
             floor = 0
-            if pruned:
-                starved = False
-                for q in pairs_at[p]:
-                    if unused[var_of[q]] - (not cover[q]) >= t:
-                        starved = True
-                        break
-                if starved:
-                    continue
-                # an open swap whose pair ends here needs at least its low entry
-                digits = outs[p]
-                for i, a, stride in open_swaps:
-                    if digits[i] == a + 1 and x[p - stride] > floor:
-                        floor = x[p - stride]
-            index = base + _completions(cells - p - 1, r, t, g)
+            digits = outs[p]
+            for i, a, stride in open_swaps:
+                if digits[i] == a + 1 and x[p - stride] > floor:
+                    floor = x[p - stride]
+            offset = base + _completions(cells - p - 1, r, t, g)
             for v in range(r if t == 1 else 1, r - t + 2):
                 size = _completions(cells - p - 1, r - v, t - 1, gcd(g, v))
                 if size and v >= floor:
                     placed.append((p, v))
-                    child_swaps = open_swaps
-                    if pruned:
-                        x[p] = v
-                        for q in pairs_at[p]:
-                            if not cover[q]:
-                                unused[var_of[q]] -= 1
-                            cover[q] += 1
-                        child_swaps = []
-                        for swap in open_swaps:
-                            i, a, stride = swap
-                            if digits[i] != a + 1 or v <= x[p - stride]:
-                                child_swaps.append(swap)
+                    x[p] = v
+                    for q in pairs_at[p]:
+                        if not cover[q]:
+                            unused[var_of[q]] -= 1
+                        cover[q] += 1
+                    child_swaps = []
+                    for swap in open_swaps:
+                        i, a, stride = swap
+                        if digits[i] != a + 1 or v <= x[p - stride]:
+                            child_swaps.append(swap)
                     if t > 1:
-                        yield from level(p + 1, r - v, t - 1, gcd(g, v), child_swaps, index)
+                        yield from level(p + 1, r - v, t - 1, gcd(g, v), child_swaps, offset)
                     # the last nonzero cell: every cell after p stays zero
-                    elif not pruned or limit_of(p + 1, child_swaps) == cells:
-                        yield index, tuple(placed)
-                    if pruned:
-                        x[p] = 0
-                        for q in pairs_at[p]:
-                            cover[q] -= 1
-                            if not cover[q]:
-                                unused[var_of[q]] += 1
+                    elif limit_of(p + 1, child_swaps) == cells:
+                        yield offset, tuple(placed)
+                    x[p] = 0
+                    for q in pairs_at[p]:
+                        cover[q] -= 1
+                        if not cover[q]:
+                            unused[var_of[q]] += 1
                     placed.pop()
-                index += size
+                offset += size
 
-    return level(0, dprime, k, 0, swaps if pruned else (), base)
+    return level(0, dprime, k, 0, swaps, 0)
 
 
 def pmf_walk(n: int, max_support: int, max_denominator: int,
@@ -387,29 +386,24 @@ def pmf_walk(n: int, max_support: int, max_denominator: int,
     if max_support >= 1 and max_denominator >= 1:
         for dprime in range(1, max_denominator + 1):
             for k in range(1, dprime + 1):
-                # squeezed domains -> (start, items) of the block walked for them
-                walked: dict[tuple[int, ...], tuple[int, list]] = {}
+                # squeezed domains -> the (offset, atoms) items of its block
+                walked: dict[tuple[int, ...], list] = {}
                 for domains in product(range(1, max_support + 1), repeat=n):
                     cells = prod(domains)
                     size = _completions(cells, dprime, k, 0)
                     # k nonzero cells cannot use more than k values of a variable
                     if size and not (skip_twins and max(domains) > k):
-                        squeezed = tuple(d for d in domains if d > 1) if skip_twins else domains
-                        if squeezed in walked:
-                            start, items = walked[squeezed]
-                            shift = index - start
-                            for i, atoms in items:
-                                yield i + shift, (dprime, domains, atoms)
-                        elif len(squeezed) < n:  # a twin-skipping block to record
-                            items = []
-                            walked[squeezed] = (index, items)
-                            for item in _numerator_walk(cells, dprime, k, domains, index):
-                                items.append(item)
-                                yield item[0], (dprime, domains, item[1])
-                        else:
-                            for i, atoms in _numerator_walk(
-                                    cells, dprime, k, domains if skip_twins else None, index):
-                                yield i, (dprime, domains, atoms)
+                        squeezed = tuple(d for d in domains if d > 1)
+                        items, record = walked.get(squeezed), None
+                        if items is None:
+                            items = _numerator_walk(cells, dprime, k,
+                                                    domains if skip_twins else None)
+                            if len(squeezed) < n:  # later domain tuples may squeeze alike
+                                record = walked[squeezed] = []
+                        for item in items:
+                            if record is not None:
+                                record.append(item)
+                            yield index + item[0], (dprime, domains, item[1])
                     index += size
     yield index, None
 

@@ -16,7 +16,10 @@ tool can promise:
   refuter's scans of the same budget share): a skipped pmf has an
   earlier twin with the same entropic vector, so the first realizing pmf
   is never skipped.  Each pmf is compared with the candidate one mask at
-  a time and is dropped at its first mismatch;
+  a time, on marginal counts read from the walk's atoms through
+  `refuter._projection` tables, and is dropped at its first mismatch.
+  Only a match is built as a `Distribution`, and it is checked again on
+  that `Distribution`'s own marginal counts;
 * everything else is reported as inconclusive, a first-class verdict.
 """
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .core import (Value, add_entropy_weights, check_var_count, coprime_exponent
                    prime_sum_sign, read_int)
 from .distributions import Distribution, shared_walk, to_distribution
 from .parser import _split_var_token
-from .refuter import Budget, check_budget
+from .refuter import Budget, _projection, check_budget
 from .shannon import Generator, GeneratorSet
 
 
@@ -133,19 +136,40 @@ def check_candidate(repr_: CandidateRepr, gens: GeneratorSet, budget: Budget) ->
             weights[b] = weights.get(b, 0) - w
         if prime_sum_sign(coprime_exponents(weights)) < 0:
             return RecognitionResult(violated=gen)
+    masks = range(1, 1 << repr_.n)
+    tables: dict[tuple[int, ...], list] = {}  # domains -> `_projection` of each mask
     for _, pmf in shared_walk(repr_.n, budget.max_support, budget.max_denominator):
         if pmf is None:
             break
-        dist = to_distribution(*pmf)
-        if all(_matches(dist, mask, entry) for mask, entry in enumerate(entries, 1)):
+        dprime, domains, atoms = pmf
+        table = tables.get(domains)
+        if table is None:
+            table = tables[domains] = [_projection(domains, mask) for mask in masks]
+        if all(_matches(entry, dprime, _marginal(atoms, projection).values())
+               for entry, projection in zip(entries, table)):
+            dist = to_distribution(*pmf)
+            if not all(_matches(entry, dist.total, [c for _, c in dist.marginal_counts(mask)])
+                       for mask, entry in zip(masks, entries)):
+                raise RuntimeError(f"the walk's marginals realize the candidate, "
+                                   f"the reference marginals disagree on {pmf}")
             return RecognitionResult(realization=dist)
     return RecognitionResult()
 
 
-def _matches(dist: Distribution, mask: int, entry: tuple[int, int, int]) -> bool:
-    """Whether c * N * h(mask) = N * log(a/b) on the pmf, exactly."""
-    (a, b, c), total = entry, dist.total
+def _marginal(atoms, projection: tuple[int, ...]) -> dict[int, int]:
+    """The marginal counts of a walk pmf's atoms: marginal cell -> count."""
+    acc: dict[int, int] = {}
+    for cell, count in atoms:
+        m = projection[cell]
+        acc[m] = acc.get(m, 0) + count
+    return acc
+
+
+def _matches(entry: tuple[int, int, int], total: int, counts) -> bool:
+    """Whether c * N * h = N * log(a/b), exactly, for the marginal counts
+    of h over their total N."""
+    a, b, c = entry
     weights = {a: -total}
     weights[b] = weights.get(b, 0) + total
-    add_entropy_weights(weights, c, total, [count for _, count in dist.marginal_counts(mask)])
+    add_entropy_weights(weights, c, total, counts)
     return not coprime_exponents(weights)

@@ -24,23 +24,24 @@ it.  Ids are equal exactly when the tuples are, a tuple of small ints is
 cheaper to hash into the set of seen profiles than a tuple of tuples, and
 the signs read each id's prime exponents from a list by position.
 
-Most pmfs are never built at all.  The scan walks `pmf_walk` with
-`skip_twins`, which builds only the pmfs that use every value of every
-domain and are minimal under adjacent value swaps.  Every other pmf has
-an earlier twin with the same profile (see `distributions`), so the
-first pmf of every profile is built, and the first hit, the distinct
-profiles and the report are those of a scan over every pmf.  The walk
-places each pmf it builds in closed form, from the sizes of the subtrees
-before it, so every candidate carries its position in the whole stream.
-`candidates_scanned` counts every candidate up to the hit, skipped ones
-included, also the pmfs that were never built.  A hit is re-checked and
-reported by `violation`, the reference evaluation, so the report does not
-depend on the kernel.  It takes the walk's integer pmf and builds from
-it only the `Distribution` that the hit reports.  It reads the marginal
-counts at the masks the constraint mentions from that `Distribution`,
-not from the kernel's tables, and decides each expression as an integer
-sum of logs over a coprime basis (`core.coprime_exponents`), with no
-`Fraction` per term.
+Most pmfs are never built at all.  The scan walks
+`distributions.shared_walk`, the twin-skipping stream, which builds only
+the pmfs that use every value of every domain and are minimal under
+adjacent value swaps.  Every other pmf has an earlier twin with the same
+profile (see `distributions`), so the first pmf of every profile is
+built, and the first hit, the distinct profiles and the report are those
+of a scan over every pmf.  The walk places each pmf it builds in closed
+form, from the sizes of the subtrees before it, so every candidate
+carries its position in the whole stream.  `candidates_scanned` counts
+every candidate up to the hit, skipped ones included, also the pmfs that
+were never built.  A hit is re-checked and reported by `violation`, the
+reference evaluation, so the report does not depend on the kernel.  The
+scan turns the hit's integer pmf into the `Distribution` that the hit
+reports (`distributions.to_distribution`), the only one it builds, and
+`violation` reads the marginal counts at the masks the constraint
+mentions from that `Distribution`, not from the kernel's tables, and
+decides each expression as an integer sum of logs over a coprime basis
+(`core.coprime_exponents`), with no `Fraction` per term.
 
 Scans of one budget share the walk.  `refute` draws its pmfs from
 `distributions.shared_walk`, so a process builds a budget's pmfs once
@@ -94,8 +95,9 @@ MAX_WALK_VISITS = 1_000_000
 
 class Budget(Value):
     """Search bounds: distribution domain/denominator caps and, optionally,
-    subspace-system primes and ambient dimension cap.  Every bounded search
-    takes one, and these defaults are the default budget."""
+    subspace-system primes (distinct) and ambient dimension cap, given
+    together.  Every bounded search takes one, and these defaults are the
+    default budget."""
 
     __slots__ = ("max_support", "max_denominator", "vs_primes", "vs_max_dim")
 
@@ -113,6 +115,12 @@ class Budget(Value):
         for q in vs_primes:
             if not is_prime(q):
                 raise ValueError(f"budget vsq={q} is not a prime")
+        # one key without the other would stream no subspace system
+        if bool(vs_primes) != bool(vs_max_dim):
+            raise ValueError(f"budget vsdim={vs_max_dim} needs a prime in vsq" if vs_max_dim
+                             else f"budget vsq={','.join(map(str, vs_primes))} needs vsdim >= 1")
+        if len(set(vs_primes)) < len(vs_primes):
+            raise ValueError(f"budget vsq={','.join(map(str, vs_primes))} repeats a prime")
         check_budget(1, self)
 
     @staticmethod
@@ -263,12 +271,10 @@ def violation(constraint: BooleanConstraint, kind: str, obj,
     and outcome order, by `core.log_sum_text`.  A candidate on another
     number of variables is a ValueError.
 
-    A pmf, a `Distribution` or a walk item (D', domains, atoms), is
-    decided over integers.  A walk item comes from a scan hit, so it is
-    first made the `Distribution` that the hit reports.  Its masses are
-    counts over its `total` N, and `Distribution.marginal_counts` sums
-    them into the marginal counts C_x of each mask, not `ProfileScan`'s
-    tables.  An expression with coefficients A_m / L then has
+    A `Distribution` is decided over integers.  Its masses are counts
+    over its `total` N, and `Distribution.marginal_counts` sums them into
+    the marginal counts C_x of each mask, not `ProfileScan`'s tables.  An
+    expression with coefficients A_m / L then has
 
         N * L * (c . h) = sum_m A_m (N log N - sum_x C_x log C_x)
 
@@ -285,8 +291,6 @@ def violation(constraint: BooleanConstraint, kind: str, obj,
     `check-dist --constraint` decides each clause with it, untraced;
     distribution scans use `ProfileScan` and call it only to re-check and
     report a hit; subspace systems are scanned with it directly."""
-    if type(obj) is tuple:  # a walk item of a scan hit, as its witness
-        obj = to_distribution(*obj)
     if obj.n != constraint.n:
         raise ValueError(f"dimension mismatch: constraint n={constraint.n}, candidate n={obj.n}")
     masks = _mentioned_masks(constraint)
@@ -488,7 +492,7 @@ class ProfileScan:
         idx = self.violated_clause(profile)
         if idx is None:
             return None
-        hit = violation(self.constraint, DISTRIBUTION, pmf)
+        hit = violation(self.constraint, DISTRIBUTION, to_distribution(*pmf))
         if hit is None or hit.clause_index != idx:
             raise RuntimeError(f"profile scan found clause {idx} violated, "
                                f"the reference evaluation disagrees on {pmf}")
@@ -510,7 +514,7 @@ def refute(target, budget: Budget, valid: tuple[LinExpr, ...] = ()) -> Refutatio
             hit = scan.check(pmf)
             if hit is not None:
                 return RefutationResult(hit, budget, index + 1, len(scan.seen))
-    if budget.vs_primes and budget.vs_max_dim >= 1:
+    if budget.vs_primes:
         from .models import enumerate_systems  # only subspace budgets pay its import
         for system in enumerate_systems(constraint.n, budget.vs_primes, budget.vs_max_dim):
             index += 1

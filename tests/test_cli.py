@@ -465,9 +465,24 @@ def test_ascii_numbers_read_as_before(capsys, tmp_path, entry):
     assert (code, err) == (want, "")
 
 
+@pytest.mark.parametrize("budget,error", [
+    ("s=1,D=1,vsq=2", "budget vsq=2 needs vsdim >= 1"),
+    ("s=1,D=1,vsdim=1", "budget vsdim=1 needs a prime in vsq"),
+    ("s=1,D=1,vsdim=1,vsq=2,2", "budget vsq=2,2 repeats a prime"),
+])
+def test_a_subspace_budget_with_one_key_or_a_repeated_prime_exits_3(capsys, tmp_path, budget,
+                                                                     error):
+    """Each of these once streamed no system, or one field twice."""
+    path = write(tmp_path, "H(X) <= 0\n")
+    assert cli.main(["refute", "--file", path, "--budget", budget]) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert (out, json.loads(err)) == ("", {"error": error})
+
+
 def test_large_prime_field_budget_is_accepted(capsys):
     path = str(fixture("false_mono_flip").path)
-    code, report = run(capsys, "refute", "--file", path, "--budget", "vsq=2305843009213693951")
+    code, report = run(capsys, "refute", "--file", path, "--budget",
+                       "vsdim=1,vsq=2305843009213693951")
     assert code == 1
     assert report["budget"]["vsq"] == [2 ** 61 - 1]
 

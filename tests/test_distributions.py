@@ -229,29 +229,54 @@ class TestWalk:
         walked = {i for i, pmf in pmf_walk(n, s, d, skip_twins=True) if pmf is not None}
         assert set(first.values()) <= walked
 
+    @pytest.mark.parametrize("cells", range(1, 7))
+    def test_full_block_is_every_numerator_tuple(self, cells):
+        """Over the empty layout, a block is its definition: every tuple
+        of `cells` numerators summing to D' with k nonzero and gcd 1, in
+        lexicographic order, at offsets 0, 1, 2, ..."""
+        for dprime in range(1, 7):
+            blocks: dict[int, list] = {}
+            for nums in product(range(dprime + 1), repeat=cells):
+                if sum(nums) == dprime and gcd(*nums) == 1:
+                    blocks.setdefault(sum(map(bool, nums)), []).append(
+                        tuple((i, v) for i, v in enumerate(nums) if v))
+            for k in range(1, dprime + 1):
+                walked = list(distributions._numerator_walk(cells, dprime, k, None))
+                assert walked == list(enumerate(blocks.get(k, [])))
+
     @pytest.mark.parametrize("n,s,d", [(4, 2, 4), (4, 3, 2), (3, 3, 3)])
     def test_each_squeezed_block_is_walked_once(self, monkeypatch, n, s, d):
         walked = []
         numerator_walk = distributions._numerator_walk
 
-        def recording(cells, dprime, k, domains, base):
-            walked.append((dprime, k, tuple(x for x in domains if x > 1)))
-            return numerator_walk(cells, dprime, k, domains, base)
+        def recording(cells, dprime, k, domains):
+            squeezed = None if domains is None else tuple(x for x in domains if x > 1)
+            walked.append((dprime, k, cells, squeezed))
+            return numerator_walk(cells, dprime, k, domains)
 
         monkeypatch.setattr(distributions, "_numerator_walk", recording)
-        expected = list(pmf_walk(n, s, d, skip_twins=True))
-        blocks = {(dprime, len(atoms), tuple(x for x in domains if x > 1))
-                  for _, (dprime, domains, atoms) in expected[:-1]}
-        assert len(walked) == len(set(walked))
-        assert blocks <= set(walked)
+        for skip_twins in (True, False):
+            walked.clear()
+            expected = list(pmf_walk(n, s, d, skip_twins))
+            blocks = {(dprime, len(atoms), tuple(x for x in domains if x > 1))
+                      for _, (dprime, domains, atoms) in expected[:-1]}
+            if skip_twins:
+                keys = [(dprime, k, squeezed) for dprime, k, _, squeezed in walked]
+                assert len(keys) == len(set(keys))
+                assert blocks <= set(keys)
+            else:
+                # the full stream passes no domains: every block holds a pmf,
+                # and the walks are those blocks, counted by (D', k, cells)
+                assert sorted(w[:3] for w in walked) == sorted(
+                    (dprime, k, prod(squeezed)) for dprime, k, squeezed in blocks)
 
     def test_a_consumer_that_stops_early_builds_one_item_of_a_replayed_block(
             self, monkeypatch):
         built = []
         numerator_walk = distributions._numerator_walk
 
-        def counting(cells, dprime, k, domains, base):
-            for item in numerator_walk(cells, dprime, k, domains, base):
+        def counting(cells, dprime, k, domains):
+            for item in numerator_walk(cells, dprime, k, domains):
                 built.append((dprime, k, domains))
                 yield item
 

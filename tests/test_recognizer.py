@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infoineq import recognizer
-from infoineq.distributions import Distribution, enumerate_distributions
+from infoineq.distributions import (Distribution, enumerate_distributions, pmf_walk,
+                                    to_distribution)
 from infoineq.recognizer import CandidateRepr, check_candidate
 from infoineq.refuter import Budget
 from infoineq.shannon import elemental
@@ -99,38 +100,53 @@ def test_inconclusive_outside_the_budget():
 
 
 def test_each_pmf_is_dropped_at_its_first_mismatching_mask(monkeypatch):
-    """Each marginal a pmf builds feeds one exact equality test, masks in
-    order, and a pmf is dropped at its first mismatch, so the walk builds
-    no marginal that no test reads."""
+    """Each pmf's marginals are read from its atoms, masks in order, each
+    feeding one exact equality test, and a pmf is dropped at its first
+    mismatch, so the walk builds no marginal that no test reads and no
+    `Distribution` for a pmf that does not match."""
     built, mismatches = [], []
-    marginal_counts, coprime_exponents = Distribution.marginal_counts, recognizer.coprime_exponents
+    marginal, coprime_exponents = recognizer._marginal, recognizer.coprime_exponents
 
-    def counted_marginal(dist, mask):
-        built.append((dist, mask))
-        return marginal_counts(dist, mask)
+    def counted_marginal(atoms, projection):
+        built.append(atoms)
+        return marginal(atoms, projection)
 
     def counted_exponents(weights):
         exps = coprime_exponents(weights)
         mismatches.append(bool(exps))
         return exps
 
-    monkeypatch.setattr(Distribution, "marginal_counts", counted_marginal)
+    def unused(*pmf):
+        raise AssertionError(f"a pmf that does not match was built: {pmf}")
+
+    monkeypatch.setattr(recognizer, "_marginal", counted_marginal)
     monkeypatch.setattr(recognizer, "coprime_exponents", counted_exponents)
-    gens = elemental(2)
+    monkeypatch.setattr(recognizer, "to_distribution", unused)
     # two fair bits whose pair carries log2(3) bits: a pmf with both
     # marginals fair passes two masks and fails the third
-    assert check_candidate(candidate(THREE_OUTCOMES), gens, Budget(2, 8)).verdict == "inconclusive"
+    repr_, gens = candidate(THREE_OUTCOMES), elemental(2)
+    assert check_candidate(repr_, gens, Budget(2, 8)).verdict == "inconclusive"
     tests = mismatches[len(gens.generators):]  # one sign per generator comes first
-    assert len(tests) == len(built) > 0
-    runs: list[list] = []  # (mask, mismatch) of each pmf, in walk order
-    for i, ((dist, mask), mismatch) in enumerate(zip(built, tests)):
-        if not i or dist is not built[i - 1][0]:
-            runs.append([])
-        runs[-1].append((mask, mismatch))
-    for run in runs:
-        assert [mask for mask, _ in run] == list(range(1, len(run) + 1))
-        assert [mismatch for _, mismatch in run] == [False] * (len(run) - 1) + [True]
-    assert any(len(run) > 1 for run in runs)
+    # the first mismatching mask of each walked pmf, by the reference
+    firsts = []
+    for _, pmf in pmf_walk(2, 2, 8, skip_twins=True):
+        if pmf is not None:
+            h = to_distribution(*pmf).entropic_vector()
+            firsts.append((pmf[2], next(m for m in range(1, 4) if combine(
+                (1, h[m]), (-1, entry_value(repr_, m))).sign())))
+    assert built == [atoms for atoms, first in firsts for _ in range(first)]
+    assert tests == [m == first for _, first in firsts for m in range(1, first + 1)]
+    assert any(first > 1 for _, first in firsts)
+
+
+def test_a_realization_is_checked_again_on_its_distribution(monkeypatch):
+    """The match found on the walk's atoms is re-checked on the marginal
+    counts of its `Distribution`; a disagreement is an error, not a
+    realization."""
+    assert check_candidate(candidate(FAIR_BIT), elemental(1), Budget(2, 2)).verdict == "realized"
+    monkeypatch.setattr(Distribution, "marginal_counts", lambda dist, mask: [((0,), dist.total)])
+    with pytest.raises(RuntimeError, match="the reference marginals disagree"):
+        check_candidate(candidate(FAIR_BIT), elemental(1), Budget(2, 2))
 
 
 @st.composite

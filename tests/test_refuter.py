@@ -263,6 +263,25 @@ def test_budget_values_are_ascii_and_keys_are_given_once(text, error):
     assert str(exc.value) == error
 
 
+@pytest.mark.parametrize("text,error", [
+    # one key without the other would stream no subspace system
+    ("s=1,D=1,vsq=2", "budget vsq=2 needs vsdim >= 1"),
+    ("vsq=2,3", "budget vsq=2,3 needs vsdim >= 1"),
+    ("vsdim=1", "budget vsdim=1 needs a prime in vsq"),
+    # a repeated prime would stream its field twice
+    ("vsdim=1,vsq=2,2", "budget vsq=2,2 repeats a prime"),
+    ("vsdim=2,vsq=3,2,3", "budget vsq=3,2,3 repeats a prime"),
+    # the sign and primality checks come first
+    ("vsdim=-1", "budget needs vsdim >= 0"),
+    ("vsq=4", "budget vsq=4 is not a prime"),
+    ("vsdim=1,vsq=2,2,4", "budget vsq=4 is not a prime"),
+])
+def test_a_subspace_budget_takes_both_keys_and_distinct_primes(text, error):
+    with pytest.raises(ValueError) as exc:
+        Budget.parse(text)
+    assert str(exc.value) == error
+
+
 def test_budget_values_keep_their_sign_and_spaces():
     assert Budget.parse("s= +3 , D=2") == Budget(3, 2)
     with pytest.raises(ValueError, match="^budget needs s >= 1 and D >= 1$"):
