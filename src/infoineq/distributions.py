@@ -17,13 +17,11 @@ Each distribution appears exactly once per domain tuple: numerator tuples
 with a common factor are skipped, so a pmf is emitted only at its reduced
 denominator.
 
-The order is defined once, by `pmf_walk`, and one recursion,
-`_numerator_walk`, builds the numerator tuples of each (D', k, domains)
-block.  The full stream (`pmf_stream`, and `enumerate_distributions` as
-`Distribution`s) walks each block over the empty layout, with no
-(variable, value) pair and no value swap, so nothing is cut.  Searches
-that depend only on marginal counts (the refuter, the recognizer) walk
-with `skip_twins`, over the layout of the block's domains.  That walk
+`enumerate_distributions` lists the whole stream by this definition;
+only the benchmark harness reads it.  Every search depends only on
+marginal counts (the refuter, the recognizer) and walks `pmf_walk`
+instead, where one recursion, `_numerator_walk`, builds the numerator
+tuples of each (D', k, domains) block over the block's layout.  It
 builds only the pmfs that give mass to every value of every domain and
 are not lexicographically reduced by swapping two adjacent values of one
 variable.  Skipping the rest is exact, because each skipped pmf has an
@@ -36,7 +34,7 @@ relabelling:
   that makes the numerator tuple smaller gives an earlier pmf.
 So the first pmf with any given marginal profile is always built.
 
-Both streams number each pmf by its position in the full stream: the
+The walk numbers each pmf by its position in the full stream: the
 recursion yields its offset in its block, and `pmf_walk` adds the
 block's start.  A subtree of the recursion is fixed by its next free
 cell j, the sum r still to place, the nonzero cells t still to place and
@@ -53,27 +51,27 @@ A variable of domain size 1 is constant.  It changes neither the cell
 numbering (a digit of radix 1 adds nothing to a cell's index) nor the
 cuts (its one value is used by every pmf and has no swap).  So the block
 of a domain tuple is the block of its squeezed tuple, the tuple with its
-1s removed: the same numerator tuples at the same offsets.  Both streams
-walk each (D', k, squeezed domains) block once: they record the items of
-a block whose squeezed tuple is shorter than n while they yield them, so
-they stay lazy, and replay them to every later domain tuple of the same
-(D', k) that squeezes alike.  The records are dropped after each k.
+1s removed: the same numerator tuples at the same offsets.  The walk
+visits each (D', k, squeezed domains) block once: it records the items
+of a block whose squeezed tuple is shorter than n while it yields them,
+so it stays lazy, and replays them to every later domain tuple of the
+same (D', k) that squeezes alike.  The records are dropped after each k.
 
-The twin-skipping stream depends on the budget (n, s, D) alone, and a
-process often scans one budget many times: once per clause, per
-antecedent, per generator file, per input of a batch.  `shared_walk`
-hands every scan the same stream and builds it once.  A budget's first
-walk is the bare `pmf_walk` and keeps nothing, so a process that walks
-each budget once pays nothing for sharing.  The second walk keeps the
-items it builds, and later walks replay them by position: each consumer
-holds its own index into the kept list and extends it from the budget's
-one live walk when it runs past the end.  Consumers may interleave, and
-one that is dropped midway leaves the list and the live walk as they
-were.  Replay is exact because the kept items are the walk's own items
-in its own order.  At most `MAX_SHARED_PMFS` items are kept in all; a
-consumer that reaches the end of a full list takes over the live walk,
-and one that comes later walks the rest alone, so no scan builds more
-pmfs than a walk of its own would.
+The walk depends on the budget (n, s, D) alone, and a process often
+scans one budget many times: once per clause, per antecedent, per
+generator file, per input of a batch.  `shared_walk` hands every scan
+the same stream and builds it once.  A budget's first walk is the bare
+`pmf_walk` and keeps nothing, so a process that walks each budget once
+pays nothing for sharing.  The second walk keeps the items it builds,
+and later walks replay them by position: each consumer holds its own
+index into the kept list and extends it from the budget's one live walk
+when it runs past the end.  Consumers may interleave, and one that is
+dropped midway leaves the list and the live walk as they were.  Replay
+is exact because the kept items are the walk's own items in its own
+order.  At most `MAX_SHARED_PMFS` items are kept in all; a consumer that
+reaches the end of a full list takes over the live walk, and one that
+comes later walks the rest alone, so no scan builds more pmfs than a
+walk of its own would.
 """
 from __future__ import annotations
 
@@ -236,7 +234,7 @@ def _completions(m: int, r: int, t: int, g: int) -> int:
 
 @lru_cache(maxsize=None)
 def _layout(domains: tuple[int, ...]):
-    """What the twin-skipping walk needs to know of a domain tuple.
+    """What the walk needs to know of a domain tuple.
 
     The (variable, value) pairs get ids 0..sum(d)-1: `var_of` maps a pair
     to its variable, `last` to the last cell that carries it, and
@@ -256,10 +254,11 @@ def _layout(domains: tuple[int, ...]):
     return outs, var_of, tuple(last), pairs_at, swaps
 
 
-def _numerator_walk(cells: int, dprime: int, k: int, domains) -> Iterator[tuple[int, tuple]]:
+def _numerator_walk(dprime: int, k: int, domains: tuple[int, ...]) -> Iterator[tuple[int, tuple]]:
     """`(offset, atoms)` for the numerator tuples of one (D', k, domains)
-    block in lexicographic order: length `cells`, sum D', exactly k nonzero
-    entries, gcd 1.  `offset` is the tuple's position in the block.
+    block in lexicographic order, one entry per cell, sum D', exactly k
+    nonzero entries, gcd 1, that are full-use and minimal under adjacent
+    value swaps.  `offset` is the tuple's position in the whole block.
 
     Each call of `level` places one nonzero cell and its count, then
     recurses for the next.  Later cells come first, since a longer run of
@@ -267,10 +266,7 @@ def _numerator_walk(cells: int, dprime: int, k: int, domains) -> Iterator[tuple[
     subtree starts at its parent's offset plus the `_completions` of every
     sibling before it: the tuples whose nonzero cell comes later, and those
     with a smaller count at the same cell.  Subtrees holding no tuple are
-    never entered, and a cut subtree needs no count.
-
-    Only the tuples that are full-use and minimal under adjacent value
-    swaps of `domains` are built.  A subtree is cut
+    never entered, and a cut subtree needs no count.  A subtree is cut
     * as soon as some (variable, value) pair can no longer get mass: the
       last cell carrying it is passed, or its variable has more unused
       values than nonzero cells left;
@@ -281,17 +277,12 @@ def _numerator_walk(cells: int, dprime: int, k: int, domains) -> Iterator[tuple[
       exceeds the one at c + stride.  `open_swaps` holds the swaps still
       undecided, and every pair of those ending before `start` is equal.
     `placed`, `cover`, `unused` and `x` are set before each descent and
-    restored after it.  With `domains` None the layout is empty: no
-    (variable, value) pair and no swap, so nothing is cut and every tuple
-    of the block is built.
+    restored after it.
     """
-    if domains is None:
-        outs = pairs_at = ((),) * cells
-        var_of = last = swaps = ()
-    else:
-        outs, var_of, last, pairs_at, swaps = _layout(domains)
+    outs, var_of, last, pairs_at, swaps = _layout(domains)
+    cells = len(outs)
     cover = [0] * len(var_of)
-    unused = list(domains or ())
+    unused = list(domains)
     x = [0] * cells
     placed: list[tuple[int, int]] = []  # (cell, count) of each nonzero cell
     # The checks of `limit_of` and `level` run at every node and candidate
@@ -349,8 +340,8 @@ def _numerator_walk(cells: int, dprime: int, k: int, domains) -> Iterator[tuple[
                             child_swaps.append(swap)
                     if t > 1:
                         yield from level(p + 1, r - v, t - 1, gcd(g, v), child_swaps, offset)
-                    # the last nonzero cell: every cell after p stays zero
-                    elif limit_of(p + 1, child_swaps) == cells:
+                    # the last nonzero cell: every pair is covered, so only an open swap cuts
+                    elif not child_swaps or limit_of(p + 1, child_swaps) == cells:
                         yield offset, tuple(placed)
                     x[p] = 0
                     for q in pairs_at[p]:
@@ -363,9 +354,10 @@ def _numerator_walk(cells: int, dprime: int, k: int, domains) -> Iterator[tuple[
     return level(0, dprime, k, 0, swaps, 0)
 
 
-def pmf_walk(n: int, max_support: int, max_denominator: int,
-             skip_twins: bool = False) -> Iterator[tuple[int, "IntegerPmf | None"]]:
-    """The canonical stream as `(index, pmf)` pairs, ending with one
+def pmf_walk(n: int, max_support: int,
+             max_denominator: int) -> Iterator[tuple[int, "IntegerPmf | None"]]:
+    """The full-use, swap-minimal pmfs of the canonical stream as
+    `(index, pmf)` pairs, by position in the whole stream, and last one
     `(size, None)` item that gives the stream's length.
 
     A pmf is `(D', domains, atoms)`: `atoms` lists `(cell, count)` for the
@@ -375,10 +367,6 @@ def pmf_walk(n: int, max_support: int, max_denominator: int,
     whose probabilities are multiples of 1/D' for some D' <= max_denominator,
     in the canonical order of the module docstring.  Budgets of zero give
     an empty stream; completeness holds in the limit of growing budgets.
-
-    With `skip_twins`, only the pmfs that give mass to every value of every
-    domain and are minimal under adjacent value swaps are built (see the
-    module docstring), and the indices stay positions in the whole stream.
     Each (D', k, squeezed domains) block is walked once and replayed to the
     later domain tuples that squeeze to the same tuple.
     """
@@ -392,12 +380,11 @@ def pmf_walk(n: int, max_support: int, max_denominator: int,
                     cells = prod(domains)
                     size = _completions(cells, dprime, k, 0)
                     # k nonzero cells cannot use more than k values of a variable
-                    if size and not (skip_twins and max(domains) > k):
+                    if size and max(domains) <= k:
                         squeezed = tuple(d for d in domains if d > 1)
                         items, record = walked.get(squeezed), None
                         if items is None:
-                            items = _numerator_walk(cells, dprime, k,
-                                                    domains if skip_twins else None)
+                            items = _numerator_walk(dprime, k, domains)
                             if len(squeezed) < n:  # later domain tuples may squeeze alike
                                 record = walked[squeezed] = []
                         for item in items:
@@ -426,16 +413,16 @@ _kept_total = 0  # items kept over all budgets, at most MAX_SHARED_PMFS
 
 def shared_walk(n: int, max_support: int,
                 max_denominator: int) -> Iterator[tuple[int, "IntegerPmf | None"]]:
-    """The items of `pmf_walk(n, max_support, max_denominator,
-    skip_twins=True)`, built once per process and replayed to the later
-    walks of the budget (see the module docstring)."""
+    """The items of `pmf_walk(n, max_support, max_denominator)`, built
+    once per process and replayed to the later walks of the budget (see
+    the module docstring)."""
     budget = (n, max_support, max_denominator)
     walk = _walks.get(budget)
     if walk is None:
         if budget not in _walks:
             _walks[budget] = None
-            return pmf_walk(*budget, skip_twins=True)
-        walk = _walks[budget] = _SharedWalk(pmf_walk(*budget, skip_twins=True))
+            return pmf_walk(*budget)
+        walk = _walks[budget] = _SharedWalk(pmf_walk(*budget))
     return _replay(walk, budget)
 
 
@@ -454,7 +441,7 @@ def _replay(walk: _SharedWalk, budget: tuple[int, int, int]) -> Iterator:
             if kept and kept[-1][1] is None:
                 return
             # another consumer owns the live walk now
-            yield from islice(pmf_walk(*budget, skip_twins=True), i, None)
+            yield from islice(pmf_walk(*budget), i, None)
             return
         if _kept_total >= MAX_SHARED_PMFS:
             walk.live = None
@@ -473,14 +460,6 @@ def _replay(walk: _SharedWalk, budget: tuple[int, int, int]) -> Iterator:
             walk.live = None
 
 
-def pmf_stream(n: int, max_support: int, max_denominator: int) -> Iterator[IntegerPmf]:
-    """Every pmf of the canonical stream, in order (`pmf_walk` without
-    indices)."""
-    for _, pmf in pmf_walk(n, max_support, max_denominator):
-        if pmf is not None:
-            yield pmf
-
-
 @lru_cache(maxsize=None)
 def cell_outcomes(domains: tuple[int, ...]) -> tuple[Outcome, ...]:
     """The outcomes of a domain tuple in lexicographic (cell) order."""
@@ -488,14 +467,35 @@ def cell_outcomes(domains: tuple[int, ...]) -> tuple[Outcome, ...]:
 
 
 def to_distribution(dprime: int, domains: tuple[int, ...], atoms) -> Distribution:
-    """The `Distribution` of one `pmf_stream` item."""
+    """The `Distribution` of one `pmf_walk` item."""
     outcomes = cell_outcomes(domains)
     # the atoms are nonzero and in cell order, which is outcome order, and
     # their counts have gcd 1, so D' is their least common denominator
     return Distribution(domains, dprime, tuple((outcomes[i], v) for i, v in atoms))
 
 
+def _numerators(cells: int, r: int, t: int) -> Iterator[tuple[int, ...]]:
+    """The tuples of `cells` nonnegative integers with exactly t nonzero
+    entries summing to r, in lexicographic order."""
+    if t > min(cells, r) or (r and not t):
+        return
+    if not cells:
+        yield ()
+        return
+    for v in range(r + 1):
+        for rest in _numerators(cells - 1, r - v, t - (v > 0)):
+            yield (v, *rest)
+
+
 def enumerate_distributions(n: int, max_support: int, max_denominator: int) -> Iterator[Distribution]:
-    """`pmf_stream` as `Distribution`s, in the same order."""
-    for dprime, domains, atoms in pmf_stream(n, max_support, max_denominator):
-        yield to_distribution(dprime, domains, atoms)
+    """Every pmf of the canonical stream as a `Distribution`, in order:
+    the stream by its definition, nothing skipped.  Only the benchmark
+    harness lists it; every search walks `pmf_walk`."""
+    for dprime in range(1, max_denominator + 1):
+        for k in range(1, dprime + 1):
+            for domains in product(range(1, max_support + 1), repeat=n):
+                outcomes = cell_outcomes(domains)
+                for nums in _numerators(len(outcomes), dprime, k):
+                    if gcd(*nums) == 1:
+                        yield Distribution(domains, dprime, tuple(
+                            (o, v) for o, v in zip(outcomes, nums) if v))

@@ -25,7 +25,7 @@ cheaper to hash into the set of seen profiles than a tuple of tuples, and
 the signs read each id's prime exponents from a list by position.
 
 Most pmfs are never built at all.  The scan walks
-`distributions.shared_walk`, the twin-skipping stream, which builds only
+`distributions.shared_walk`, the walk of the stream, which builds only
 the pmfs that use every value of every domain and are minimal under
 adjacent value swaps.  Every other pmf has an earlier twin with the same
 profile (see `distributions`), so the first pmf of every profile is

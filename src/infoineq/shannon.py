@@ -142,8 +142,12 @@ class ProofCertificate(Value):
     @staticmethod
     def from_json(data: dict, gens: GeneratorSet) -> "ProofCertificate":
         """The certificate of a `to_json` report; its trusted generators
-        follow from the multipliers and `gens`, so that key is not read."""
+        follow from the multipliers and `gens`, so that key is not read.
+        A multiplier of a generator that `gens` lacks is a ValueError."""
         by_name = {name: Fraction(m) for name, m in data["generator_multipliers"].items()}
+        unknown = sorted(by_name.keys() - {g.name for g in gens.generators})
+        if unknown:
+            raise ValueError(f"certificate names generators not in the set: {', '.join(unknown)}")
         return ProofCertificate(LinExpr.from_json(data["target"]),
                                 [Fraction(m) for m in data["antecedent_multipliers"]],
                                 [by_name.get(g.name, ZERO) for g in gens.generators])

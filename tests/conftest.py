@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from infoineq import shannon
 from infoineq.core import LinExpr, LogLinValue, coprime_exponents, log_sum_text
-from infoineq.distributions import Distribution, cell_outcomes
+from infoineq.distributions import Distribution, cell_outcomes, enumerate_distributions
 from infoineq.models import VectorSpaceSystem
 from infoineq.parser import _Parser, _tokenize
 from infoineq.shannon import elemental
@@ -103,6 +103,15 @@ def reference_profile(masks, total: int, dprime: int, domains: tuple[int, ...], 
             acc[m] = acc.get(m, 0) + count * scale
         key.append(tuple(sorted(acc.values())))
     return tuple(key)
+
+
+def integer_pmfs(n: int, max_support: int, max_denominator: int):
+    """Every pmf of the stream, nothing skipped, as a walk item
+    `(D', domains, atoms)`: the listing `enumerate_distributions` in
+    the form that `pmf_walk` yields."""
+    for dist in enumerate_distributions(n, max_support, max_denominator):
+        cell = {o: c for c, o in enumerate(cell_outcomes(dist.domains))}
+        yield dist.total, dist.domains, tuple((cell[o], v) for o, v in dist.counts)
 
 
 def parse_expr(text: str, var_names: list[str]) -> LinExpr:

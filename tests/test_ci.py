@@ -158,6 +158,17 @@ def test_build_delta_matches_the_per_assignment_construction(names, ante, cons, 
             == reference_equalities(st, len(names), domain)
 
 
+@pytest.mark.parametrize("verb", ["prove", "falsify", "export"])
+def test_a_statement_in_i_form_is_the_bare_statement(capsys, verb):
+    assert (parse_ci("I(X;Y|Z)", XYZ), parse_ci(" I(X;Y) ", XYZ)) == (WEAKENING[0][0],
+                                                                       WEAKENING[1])
+    runs = []
+    for ante, cons in (("I(X;Y|Z)", "I(X;Y)"), ("X;Y|Z", "X;Y")):
+        code = cli.main(["ci", verb, "--vars", "X Y Z", "--ante", ante, "--cons", cons])
+        runs.append((code, capsys.readouterr()))
+    assert runs[0] == runs[1]
+
+
 def test_ci_falsify_reports_refute_of_the_implication(capsys):
     constraint = parse_constraint("[I(X;Y) = 0] => I(X;Y|Z) <= 0\n")
     clause = to_clause([parse_ci("X;Y", XYZ)], parse_ci("X;Y|Z", XYZ), 3)

@@ -43,7 +43,7 @@ FIXTURE_METHODS = {
     "kaced_romashchenko_ci": ("direct-lambda", "conditional"),
     "kopparty_rossman_conditional": ("direct-lambda",),
     "kopparty_rossman_max": ("max-to-linear",),
-    "matus_k1": ("generator-cone",),
+    "matus_k1": ("counterexample-search",),
     "matus_k2": ("generator-cone",),
     "matus_k3": ("generator-cone",),
     "pairwise_max_two_thirds": ("max-to-linear",),
@@ -340,6 +340,18 @@ EXACT_ERRORS = {
                                  ("export", "--extra-gens", "{missing}"),
                                  ("falsify", "--extra-gens", "{missing}"))},
 }
+AGM = str(fixture("agm_triangle").path)  # one plain inequality on 3 variables
+CONTRACTION = str(fixture("ci_contraction_basic").path)  # conditional clauses on 3 variables
+# more exact errors; they come last in the list below, so no earlier row's test id moves
+LATER_EXACT_ERRORS = {
+    # an --extra-gens file is read against the variables of what it proves
+    (("ci", "prove", "--vars", "X Y", "--cons", "X;Y", "--extra-gens", AGM), None):
+        f"extra generator file {AGM} has 3 variables, expected 2",
+    (("prove", "--file", "{path}", "--extra-gens", CONTRACTION), "H(XYZ) >= 0\n"):
+        f"extra generators must be plain inequalities: {CONTRACTION}",
+    (("check-dist", "--file", "{path}", "--constraint", AGM), "vars 2\n0 1/2\n1 1/2\n"):
+        "constraint and distribution disagree on variable count",
+}
 
 
 @pytest.mark.parametrize("argv,text", [
@@ -366,6 +378,7 @@ EXACT_ERRORS = {
     # a header whose first token only starts with "vars"
     (["check-dist", "--file", "{path}"], "varsity 2\n0 1/2\n1 1/2\n"),
     (["check-dist", "--file", "{path}"], "vars2 2\n0 1/2\n1 1/2\n"),
+    *((list(argv), text) for argv, text in LATER_EXACT_ERRORS),
 ])
 def test_bad_input_exits_3_without_traceback(capsys, tmp_path, argv, text):
     path = write(tmp_path, text.replace("{long}", LONG)) if text is not None else ""
@@ -376,8 +389,9 @@ def test_bad_input_exits_3_without_traceback(capsys, tmp_path, argv, text):
     assert out == ""
     assert "Traceback" not in err
     assert "error" in json.loads(err)
-    if key in EXACT_ERRORS:
-        assert json.loads(err) == {"error": EXACT_ERRORS[key]}
+    exact = {**EXACT_ERRORS, **LATER_EXACT_ERRORS}
+    if key in exact:
+        assert json.loads(err) == {"error": exact[key]}
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,11 @@ from hypothesis import strategies as st
 from infoineq import distributions
 from infoineq.core import BooleanConstraint, Clause, LinExpr, entropy_of
 from infoineq.distributions import (Distribution, cell_outcomes, enumerate_distributions,
-                                    pmf_stream, pmf_walk, shared_walk, to_distribution)
+                                    pmf_walk, shared_walk, to_distribution)
 from infoineq.refuter import ProfileScan
 from infoineq.shannon import elemental
 
-from conftest import as_rational, combine, log_value
+from conftest import as_rational, combine, integer_pmfs, log_value
 
 F = Fraction
 
@@ -79,7 +79,7 @@ class TestCounts:
         assert reduced.pmf == (((0, 0), F(1, 6)), ((0, 2), F(1, 3)), ((1, 1), F(1, 2)))
 
     def test_walk_item_is_make_of_its_fractions(self):
-        for dprime, domains, atoms in islice(pmf_stream(3, 2, 4), 0, None, 7):
+        for dprime, domains, atoms in islice(integer_pmfs(3, 2, 4), 0, None, 7):
             outcomes = cell_outcomes(domains)
             made = Distribution.make(domains, {outcomes[c]: F(v, dprime) for c, v in atoms})
             assert to_distribution(dprime, domains, atoms) == made
@@ -209,31 +209,30 @@ WALK_GRID = [(1, 1, 1), (2, 1, 3), (1, 2, 2), (1, 3, 6), (2, 2, 4), (3, 2, 4),
 class TestWalk:
     @pytest.mark.parametrize("n,s,d", [(1, 3, 5), (2, 2, 4), (3, 2, 2), (2, 1, 4)])
     def test_stream_is_the_defined_order(self, n, s, d):
-        assert list(pmf_stream(n, s, d)) == brute_force_stream(n, s, d)
+        assert list(integer_pmfs(n, s, d)) == brute_force_stream(n, s, d)
 
     @pytest.mark.parametrize("n,s,d", WALK_GRID)
     def test_pruned_walk_is_a_filter_of_the_stream(self, n, s, d):
-        stream = list(pmf_stream(n, s, d))
+        stream = list(integer_pmfs(n, s, d))
         expected = [(i, pmf) for i, pmf in enumerate(stream)
                     if full_use(pmf) and relabel_minimal(pmf)]
-        assert list(pmf_walk(n, s, d, skip_twins=True)) == expected + [(len(stream), None)]
-        assert list(pmf_walk(n, s, d)) == list(enumerate(stream)) + [(len(stream), None)]
+        assert list(pmf_walk(n, s, d)) == expected + [(len(stream), None)]
 
     @pytest.mark.parametrize("n,s,d", [(2, 3, 4), (3, 2, 4), (3, 3, 3), (2, 2, 7)])
     def test_first_pmf_of_every_profile_is_walked(self, n, s, d):
         every = LinExpr.make(n, {mask: Fraction(1) for mask in range(1, 1 << n)})
         scan = ProfileScan(BooleanConstraint(n, (Clause(n, (), (every,)),)), d)
         first: dict = {}
-        for i, pmf in enumerate(pmf_stream(n, s, d)):
+        for i, pmf in enumerate(integer_pmfs(n, s, d)):
             first.setdefault(scan.profile(*pmf), i)
-        walked = {i for i, pmf in pmf_walk(n, s, d, skip_twins=True) if pmf is not None}
+        walked = {i for i, pmf in pmf_walk(n, s, d) if pmf is not None}
         assert set(first.values()) <= walked
 
     @pytest.mark.parametrize("cells", range(1, 7))
     def test_full_block_is_every_numerator_tuple(self, cells):
-        """Over the empty layout, a block is its definition: every tuple
-        of `cells` numerators summing to D' with k nonzero and gcd 1, in
-        lexicographic order, at offsets 0, 1, 2, ..."""
+        """A block of the listing is its definition: every tuple of
+        `cells` numerators summing to D' with k nonzero and gcd 1, in
+        lexicographic order."""
         for dprime in range(1, 7):
             blocks: dict[int, list] = {}
             for nums in product(range(dprime + 1), repeat=cells):
@@ -241,56 +240,48 @@ class TestWalk:
                     blocks.setdefault(sum(map(bool, nums)), []).append(
                         tuple((i, v) for i, v in enumerate(nums) if v))
             for k in range(1, dprime + 1):
-                walked = list(distributions._numerator_walk(cells, dprime, k, None))
-                assert walked == list(enumerate(blocks.get(k, [])))
+                listed = [tuple((i, v) for i, v in enumerate(nums) if v)
+                          for nums in distributions._numerators(cells, dprime, k)
+                          if gcd(*nums) == 1]
+                assert listed == blocks.get(k, [])
 
     @pytest.mark.parametrize("n,s,d", [(4, 2, 4), (4, 3, 2), (3, 3, 3)])
     def test_each_squeezed_block_is_walked_once(self, monkeypatch, n, s, d):
         walked = []
         numerator_walk = distributions._numerator_walk
 
-        def recording(cells, dprime, k, domains):
-            squeezed = None if domains is None else tuple(x for x in domains if x > 1)
-            walked.append((dprime, k, cells, squeezed))
-            return numerator_walk(cells, dprime, k, domains)
+        def recording(dprime, k, domains):
+            walked.append((dprime, k, tuple(x for x in domains if x > 1)))
+            return numerator_walk(dprime, k, domains)
 
         monkeypatch.setattr(distributions, "_numerator_walk", recording)
-        for skip_twins in (True, False):
-            walked.clear()
-            expected = list(pmf_walk(n, s, d, skip_twins))
-            blocks = {(dprime, len(atoms), tuple(x for x in domains if x > 1))
-                      for _, (dprime, domains, atoms) in expected[:-1]}
-            if skip_twins:
-                keys = [(dprime, k, squeezed) for dprime, k, _, squeezed in walked]
-                assert len(keys) == len(set(keys))
-                assert blocks <= set(keys)
-            else:
-                # the full stream passes no domains: every block holds a pmf,
-                # and the walks are those blocks, counted by (D', k, cells)
-                assert sorted(w[:3] for w in walked) == sorted(
-                    (dprime, k, prod(squeezed)) for dprime, k, squeezed in blocks)
+        expected = list(pmf_walk(n, s, d))
+        blocks = {(dprime, len(atoms), tuple(x for x in domains if x > 1))
+                  for _, (dprime, domains, atoms) in expected[:-1]}
+        assert len(walked) == len(set(walked))
+        assert blocks <= set(walked)
 
     def test_a_consumer_that_stops_early_builds_one_item_of_a_replayed_block(
             self, monkeypatch):
         built = []
         numerator_walk = distributions._numerator_walk
 
-        def counting(cells, dprime, k, domains):
-            for item in numerator_walk(cells, dprime, k, domains):
+        def counting(dprime, k, domains):
+            for item in numerator_walk(dprime, k, domains):
                 built.append((dprime, k, domains))
                 yield item
 
         block = (4, 4, (1, 2, 2, 2))  # squeezes to (2, 2, 2), so it is recorded
         assert sum((pmf[0], len(pmf[2]), pmf[1]) == block
-                   for _, pmf in pmf_walk(4, 2, 4, skip_twins=True) if pmf) > 1
+                   for _, pmf in pmf_walk(4, 2, 4) if pmf) > 1
         monkeypatch.setattr(distributions, "_numerator_walk", counting)
-        for _, (dprime, domains, atoms) in pmf_walk(4, 2, 4, skip_twins=True):
+        for _, (dprime, domains, atoms) in pmf_walk(4, 2, 4):
             if (dprime, len(atoms), domains) == block:
                 break
         assert built.count(block) == 1
 
     def test_zero_budget_walk_is_empty(self):
-        assert list(pmf_walk(2, 0, 4, skip_twins=True)) == [(0, None)]
+        assert list(pmf_walk(2, 0, 4)) == [(0, None)]
         assert list(pmf_walk(2, 2, 0)) == [(0, None)]
 
 
@@ -312,14 +303,14 @@ class TestSharedWalk:
 
     @pytest.mark.parametrize("budget", BUDGETS)
     def test_every_walk_is_the_twin_skipping_walk(self, budget):
-        expected = list(pmf_walk(*budget, skip_twins=True))
+        expected = list(pmf_walk(*budget))
         for _ in range(3):  # bare, keeping, replaying
             assert list(shared_walk(*budget)) == expected
 
     @pytest.mark.parametrize("budget", BUDGETS)
     @pytest.mark.parametrize("abandoned", [1, 2, 3])
     def test_an_abandoned_walk_leaves_the_later_ones_whole(self, budget, abandoned):
-        expected = list(pmf_walk(*budget, skip_twins=True))
+        expected = list(pmf_walk(*budget))
         for _ in range(abandoned - 1):
             assert list(shared_walk(*budget)) == expected
         walk = shared_walk(*budget)
@@ -331,7 +322,7 @@ class TestSharedWalk:
     @pytest.mark.parametrize("budget", BUDGETS)
     @pytest.mark.parametrize("lead", [0, 1, 7])
     def test_interleaved_walks_each_see_the_whole_stream(self, budget, lead):
-        expected = list(pmf_walk(*budget, skip_twins=True))
+        expected = list(pmf_walk(*budget))
         list(shared_walk(*budget))
         first, second = shared_walk(*budget), shared_walk(*budget)
         seen_first = [next(first) for _ in range(lead)]
@@ -346,7 +337,7 @@ class TestSharedWalk:
     def test_a_stream_past_the_bound_comes_out_whole(self, monkeypatch):
         monkeypatch.setattr(distributions, "MAX_SHARED_PMFS", 50)
         budget = (4, 2, 4)
-        expected = list(pmf_walk(*budget, skip_twins=True))
+        expected = list(pmf_walk(*budget))
         assert len(expected) > 100
         list(shared_walk(*budget))
         keeping = shared_walk(*budget)
@@ -364,10 +355,10 @@ class TestSharedWalk:
     def test_the_bound_holds_over_all_budgets(self, monkeypatch):
         monkeypatch.setattr(distributions, "MAX_SHARED_PMFS", 600)
         for budget in [(4, 2, 4), (3, 2, 4)]:
-            expected = list(pmf_walk(*budget, skip_twins=True))
+            expected = list(pmf_walk(*budget))
             for _ in range(3):
                 assert list(shared_walk(*budget)) == expected
-        assert kept((4, 2, 4)) == len(list(pmf_walk(4, 2, 4, skip_twins=True)))
+        assert kept((4, 2, 4)) == len(list(pmf_walk(4, 2, 4)))
         assert kept((4, 2, 4)) + kept((3, 2, 4)) == distributions._kept_total == 600
 
     def test_one_walk_keeps_nothing(self):

@@ -129,7 +129,7 @@ def test_each_pmf_is_dropped_at_its_first_mismatching_mask(monkeypatch):
     tests = mismatches[len(gens.generators):]  # one sign per generator comes first
     # the first mismatching mask of each walked pmf, by the reference
     firsts = []
-    for _, pmf in pmf_walk(2, 2, 8, skip_twins=True):
+    for _, pmf in pmf_walk(2, 2, 8):
         if pmf is not None:
             h = to_distribution(*pmf).entropic_vector()
             firsts.append((pmf[2], next(m for m in range(1, 4) if combine(

@@ -18,7 +18,7 @@ from infoineq import distributions, refuter
 from infoineq.apps import corpus, fixture
 from infoineq.core import BooleanConstraint, Clause, LinExpr, LogLinValue
 from infoineq.distributions import (Distribution, cell_outcomes, enumerate_distributions,
-                                    pmf_stream, to_distribution)
+                                    to_distribution)
 from infoineq.models import enumerate_systems
 from infoineq.parser import parse_constraint
 from infoineq.reductions import prepare_antecedents
@@ -27,8 +27,8 @@ from infoineq.refuter import (DISTRIBUTION, MAX_DENOMINATOR, VECTOR_SPACE, Budge
                               violation)
 from infoineq.shannon import elemental
 
-from conftest import (lin_exprs, log_exponents, log_text, parse_expr, reference_profile,
-                      subspace_candidate)
+from conftest import (integer_pmfs, lin_exprs, log_exponents, log_text, parse_expr,
+                      reference_profile, subspace_candidate)
 
 XYZ = ("X", "Y", "Z")
 
@@ -36,7 +36,7 @@ XYZ = ("X", "Y", "Z")
 @lru_cache(maxsize=None)
 def n3_stream() -> list[tuple]:
     """The 617 pmfs of n=3, s=2, D=4 with their reference entropic vectors."""
-    return [(pmf, to_distribution(*pmf).entropic_vector()) for pmf in pmf_stream(3, 2, 4)]
+    return [(pmf, to_distribution(*pmf).entropic_vector()) for pmf in integer_pmfs(3, 2, 4)]
 
 
 def _scan_of(expr: LinExpr) -> ProfileScan:
@@ -85,7 +85,7 @@ def test_profile_matches_one_marginal_per_mask(n, s, d, masks):
     expr = LinExpr.make(n, {mask: Fraction(1) for mask in chosen})
     scan = ProfileScan(BooleanConstraint(n, (Clause(n, (), (expr,)),)), d)
     assert scan.masks == tuple(chosen)
-    profiles = [(scan.profile(*pmf), pmf) for pmf in pmf_stream(n, s, d)]
+    profiles = [(scan.profile(*pmf), pmf) for pmf in integer_pmfs(n, s, d)]
     # a profile holds the scan's ids of sorted count tuples
     counts = {i: key for key, i in scan.ids.items()}
     for profile, pmf in profiles:

@@ -153,6 +153,12 @@ class TestProve:
                                           extended) == cert
         assert ProofCertificate.from_json(data, extended).to_json(extended) == data
 
+    def test_a_generator_outside_the_set_is_rejected(self, gens3):
+        data = prove(mutual_info(3, 1, 2), gens3).to_json(gens3)
+        data["generator_multipliers"]["I(bogus)"] = "5"
+        with pytest.raises(ValueError, match=r"not in the set: I\(bogus\)$"):
+            ProofCertificate.from_json(data, gens3)
+
     def test_zero_target_zero_certificate(self, gens3):
         cert = prove(LinExpr.zero(3), gens3)
         assert cert is not None
@@ -168,6 +174,15 @@ class TestProve:
         off = ProofCertificate(cert.target, cert.antecedent_multipliers,
                                cert.generator_multipliers[:-1] + (F(1, 3),))
         assert not verify(off, expr, gens3)
+        # each of these is an exact identity, rejected by its shape or sign alone
+        extra_antecedent = ProofCertificate(cert.target, (F(0),), cert.generator_multipliers)
+        assert not verify(extra_antecedent, expr, gens3)
+        extra_generator = ProofCertificate(cert.target, (), cert.generator_multipliers + (F(0),))
+        assert not verify(extra_generator, expr, gens3)
+        zeros = (F(0),) * len(gens3.generators)
+        negative = ProofCertificate(cert.target, (F(-1),), zeros)
+        assert verify(ProofCertificate(cert.target, (F(1),), zeros), expr, gens3, [expr])
+        assert not verify(negative, expr, gens3, [-expr])
 
     def test_conditional_certificate(self, gens3):
         # I(X;Z) <= I(X;Y) + I(X;Z|Y): contraction as antecedent reduction
